@@ -24,7 +24,7 @@ Block norms are independent per level; the final sum runs in ascending j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -38,40 +38,26 @@ def _tent(x: np.ndarray) -> np.ndarray:
     return np.where(rising, 2.0 * x - 1.0, np.where(falling, 2.0 - x, 0.0))
 
 
-class DyadicPartition:
-    """Tent-based dyadic partition of unity on the integer frequencies."""
-
-    def eval(self, level: int, k):
-        """Weight phi_level(k); accepts scalar or array k, returns float(s) in [0, 1]."""
-        if level < 0:
-            raise ValueError("level must be >= 0")
-        k = np.asarray(k, dtype=float)
-        absk = np.abs(k)
-        if level == 0:
-            out = np.clip(2.0 - absk, 0.0, 1.0)
-        else:
-            out = _tent(absk / 2.0**level)
-        return out if out.ndim else float(out)
-
-    def max_level(self, bandwidth: int) -> int:
-        """Largest level whose support meets [-bandwidth, bandwidth]."""
-        if bandwidth < 1:
-            return 0
-        return int(np.ceil(np.log2(bandwidth))) + 1
-
-    def weights(self, bandwidth: int) -> np.ndarray:
-        """Weight table of shape (max_level+1, 2*bandwidth+1) over -K..K."""
-        ks = mode_range(bandwidth)
-        levels = self.max_level(bandwidth)
-        return np.stack([self.eval(j, ks) for j in range(levels + 1)])
-
-
-_PARTITION = DyadicPartition()
-
-
 def partition_eval(level: int, k):
-    """Weight of dyadic block ``level`` at frequency k (module-level default)."""
-    return _PARTITION.eval(level, k)
+    """Weight phi_level(k) of dyadic block ``level``; accepts scalar or array k,
+    returns float(s) in [0, 1]."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    k = np.asarray(k, dtype=float)
+    absk = np.abs(k)
+    if level == 0:
+        out = np.clip(2.0 - absk, 0.0, 1.0)
+    else:
+        out = _tent(absk / 2.0**level)
+    return out if out.ndim else float(out)
+
+
+def _partition_weights(bandwidth: int) -> np.ndarray:
+    """Weights over -K..K of every level whose support meets [-K, K],
+    shape (max_level+1, 2*bandwidth+1)."""
+    ks = mode_range(bandwidth)
+    levels = int(np.ceil(np.log2(bandwidth))) + 1 if bandwidth >= 1 else 0
+    return np.stack([partition_eval(j, ks) for j in range(levels + 1)])
 
 
 @dataclass(frozen=True)
@@ -97,7 +83,7 @@ class BesovParams:
 def _block_norms(f: PeriodicGridFunction, p: float, refine: int) -> np.ndarray:
     """L^p norm of each dyadic block of f, ascending level."""
     K = f.bandwidth
-    table = _PARTITION.weights(K)
+    table = _partition_weights(K)
     n_quad = f.n_samples if p == 2.0 else max(f.n_samples, refine * (2 * K + 1))
     out = np.zeros(table.shape[0])
     for j in range(table.shape[0]):
@@ -114,7 +100,11 @@ def besov_norm(f: PeriodicGridFunction, params: BesovParams, refine: int = 4) ->
     A norm on the stored band: absolutely homogeneous, subadditive, and zero
     only for the zero function.
     """
-    blocks = _block_norms(f, params.p, refine)
+    return _combine_blocks(_block_norms(f, params.p, refine), params)
+
+
+def _combine_blocks(blocks: np.ndarray, params: BesovParams) -> float:
+    """( sum_j (2^{s j} block_j)^q )^{1/q}."""
     levels = np.arange(blocks.shape[0])
     total = np.sum((2.0 ** (params.s * levels) * blocks) ** params.q)
     return float(total ** (1.0 / params.q))
@@ -143,9 +133,7 @@ def besov_norm_report(f: PeriodicGridFunction, params: BesovParams,
     grid.
     """
     blocks = _block_norms(f, params.p, refine)
-    levels = np.arange(blocks.shape[0])
-    norm = float(np.sum((2.0 ** (params.s * levels) * blocks) ** params.q)
-                 ** (1.0 / params.q))
+    norm = _combine_blocks(blocks, params)
     if params.p == 2.0:
         err = 0.0
     else:

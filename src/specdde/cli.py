@@ -106,7 +106,8 @@ def _coefficient_list(solution):
 
 
 def _run_solve(config: RunConfig, out_dir: Path, report: dict) -> None:
-    solution = solve_periodic(config.problem)
+    solution = solve_periodic(config.problem,
+                              cond_limit=config.tolerances["singular_cond"])
     _solution_csv(out_dir / "solution.csv", solution)
     report["residual_grid"] = solution.residual_grid
     report["residual_modal"] = solution.residual_modal
@@ -122,7 +123,8 @@ def _run_diagnose(config: RunConfig, out_dir: Path, report: dict) -> None:
 
 
 def _run_besov(config: RunConfig, out_dir: Path, report: dict) -> None:
-    solution = solve_periodic(config.problem)
+    solution = solve_periodic(config.problem,
+                              cond_limit=config.tolerances["singular_cond"])
     forcing = besov_norm_report(config.problem.forcing, config.besov)
     computed = besov_norm_report(solution.solution, config.besov)
     report["params"] = {"s": config.besov.s, "p": config.besov.p,
@@ -132,14 +134,16 @@ def _run_besov(config: RunConfig, out_dir: Path, report: dict) -> None:
 
 
 def _run_verify(config: RunConfig, out_dir: Path, report: dict) -> None:
-    comparison = compare(config.problem, config.grid_sizes)
+    comparison = compare(config.problem, config.grid_sizes,
+                         cond_limit=config.tolerances["singular_cond"])
     report.update(comparison.to_dict())
     _write_csv(out_dir / "verify_table.csv", ["n", "gap"],
                [(n, float(g)) for n, g in comparison.rows])
 
 
 def _run_sweep(config: RunConfig, out_dir: Path, report: dict) -> None:
-    sweep = convergence_sweep(config.problem, config.truncation_sweep)
+    sweep = convergence_sweep(config.problem, config.truncation_sweep,
+                              cond_limit=config.tolerances["singular_cond"])
     report.update(sweep.to_dict())
     _write_csv(
         out_dir / "sweep_table.csv",
@@ -203,8 +207,6 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", type=int, default=None, help="override grid N")
     parser.add_argument("--window", type=int, default=None,
                         help="override diagnostic window K_diag")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the seed recorded for randomized sweeps")
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out)
@@ -219,7 +221,7 @@ def main(argv=None) -> int:
         doc = None
     if isinstance(doc, dict):
         for key, value in (("K", args.k), ("N", args.grid),
-                           ("K_diag", args.window), ("seed", args.seed)):
+                           ("K_diag", args.window)):
             if value is not None:
                 doc[key] = value
         text = json.dumps(doc)

@@ -29,7 +29,7 @@ from .symbols import (
 )
 
 _TOP_KEYS = {"problem", "K", "N", "K_diag", "besov", "N_list", "K_list",
-             "seed", "tolerances"}
+             "tolerances"}
 _PROBLEM_KEYS = {"n", "A", "L", "G", "kernel", "forcing", "horizon_periods"}
 _DELAY_KEYS = {"atoms", "distributed"}
 _ATOM_KEYS = {"coef", "lag"}
@@ -39,7 +39,7 @@ _TERM_KEYS = {"c", "m", "alpha"}
 _FORCING_KEYS = {"const", "cos", "sin", "samples"}
 _BESOV_KEYS = {"s", "p", "q"}
 
-_DEFAULTS = {"K": 64, "K_diag": 512, "seed": 0,
+_DEFAULTS = {"K": 64, "K_diag": 512,
              "besov": {"s": 1.0, "p": 2.0, "q": 2.0},
              "N_list": [64, 128, 256], "K_list": [4, 8, 16, 32],
              "tolerances": {"singular_cond": 1e12}}
@@ -56,7 +56,6 @@ class RunConfig:
     besov: BesovParams
     grid_sizes: List[int]
     truncation_sweep: List[int]
-    seed: int
     tolerances: Dict[str, float]
     resolved: Dict[str, Any]
 
@@ -306,7 +305,6 @@ def parse_config(text: str) -> RunConfig:
         errs.add("N", f"must satisfy N >= 2K+1 (K={truncation}, N={grid})")
     window = _number(doc.get("K_diag", _DEFAULTS["K_diag"]), "K_diag", errs,
                      positive=True, integer=True)
-    seed = _number(doc.get("seed", _DEFAULTS["seed"]), "seed", errs, integer=True)
 
     besov_doc = doc.get("besov", dict(_DEFAULTS["besov"]))
     besov = None
@@ -372,7 +370,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError([("problem", str(exc))]) from None
 
     resolved = _resolve_document(problem_doc, n, truncation, grid, window, besov,
-                                 grid_sizes, sweep, seed, tolerances)
+                                 grid_sizes, sweep, tolerances)
     return RunConfig(
         problem=problem,
         truncation=truncation,
@@ -381,14 +379,13 @@ def parse_config(text: str) -> RunConfig:
         besov=besov,
         grid_sizes=grid_sizes,
         truncation_sweep=sweep,
-        seed=seed,
         tolerances=tolerances,
         resolved=resolved,
     )
 
 
 def _resolve_document(problem_doc, n, truncation, grid, window, besov,
-                      grid_sizes, sweep, seed, tolerances) -> Dict[str, Any]:
+                      grid_sizes, sweep, tolerances) -> Dict[str, Any]:
     """Defaults-filled copy of the configuration, echoed into every report."""
     problem = {"n": n, "A": problem_doc["A"]}
     for key in ("L", "G", "kernel", "forcing", "horizon_periods"):
@@ -402,6 +399,5 @@ def _resolve_document(problem_doc, n, truncation, grid, window, besov,
         "besov": {"s": besov.s, "p": besov.p, "q": besov.q},
         "N_list": grid_sizes,
         "K_list": sweep,
-        "seed": seed,
         "tolerances": tolerances,
     }

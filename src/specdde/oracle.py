@@ -13,8 +13,9 @@ second order), while the Fourier-integral check subtracts the known jump
 structure via Bernoulli polynomials before applying the trapezoid, which
 restores spectral accuracy against the closed-form transform.
 
-Nothing in the assembly below touches the resolvent or solver modules; the
-cross-method comparison imports the spectral solver lazily inside compare().
+Nothing in the assembly below touches the resolvent or solver modules (only
+the default singular-mode limit is shared); the cross-method comparison
+imports the spectral solver lazily inside compare().
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .symbols import (
     PeriodicGridFunction,
     ProblemSpec,
 )
+from .resolvent import COND_LIMIT
 
 _FOLD_CAP = 10**6
 _JUMP_ORDERS = 4  # boundary derivatives a(0), a'(0), a''(0), a'''(0)
@@ -311,17 +313,19 @@ class OracleComparison:
         }
 
 
-def compare(spec: ProblemSpec, grid_sizes: Sequence[int]) -> OracleComparison:
+def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
+            cond_limit: float = COND_LIMIT) -> OracleComparison:
     """Max-norm gap between the two solution routes, with the fitted order.
 
     The spectral reference is solved once and resampled to each collocation
     grid.  The fitted order is the least-squares slope of log gap against
     log N (negated); it is reported as None when some gap sits at round-off
-    level, where the fit would measure noise.
+    level, where the fit would measure noise.  ``cond_limit`` is passed to
+    the spectral solve.
     """
     from .solver import solve_periodic  # deferred so assembly stays solver-free
 
-    reference = solve_periodic(spec).solution
+    reference = solve_periodic(spec, cond_limit=cond_limit).solution
     rows: List[Tuple[int, float]] = []
     for n_nodes in grid_sizes:
         approx = collocation_solve(spec, int(n_nodes))

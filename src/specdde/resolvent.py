@@ -1,36 +1,36 @@
-"""Per-mode modal matrices, their inverses, and boundedness diagnostics.
+"""Checked inversion of the modal matrices and the diagnostic family.
 
 For each integer mode k the problem reduces to the modal matrix
 
     M(k) = i k D_k - A D_k - G_k - atilde(ik) I,      D_k = I - L_k,
 
-whose inverse maps forcing coefficients to solution coefficients.  This module
-assembles M(k) over a window of modes, inverts it (dense LU; n is desk scale,
-robustness over speed), verifies the exact algebraic identities relating the
-assembled pieces, and estimates whether the associated symbol sequences stay
-bounded in k together with their k-scaled first differences.
+whose inverse maps forcing coefficients to solution coefficients.  The mode
+symbols come from one table (``symbols.ModeSymbols``), built once per
+problem and band, and M(k) is assembled in one place, ``ModeSymbols.modal``.
 
-Assembly and inversion are independent per mode; everything below is batched
-over the window with a deterministic ascending-k order.
+``_checked_inverse`` is the one condition test: it rejects every mode whose
+1-norm condition number ||M(k)||_1 ||M(k)^{-1}||_1 exceeds the limit (that
+estimate needs no SVD), then inverts.  The lean solve (``solver``) uses it
+and nothing else from here.  The diagnostic family adds the companion
+sequences of the boundedness report; spectral norms are taken only by the
+diagnostics that report them.  The module also verifies the exact algebraic
+identities relating the assembled pieces.
+
+Everything below is batched over the band with a deterministic ascending-k
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
 from .exceptions import SingularModeError
-from .symbols import (
-    KernelSpec,
-    ProblemSpec,
-    delay_symbol,
-    laplace_symbol,
-    mode_range,
-)
+from .symbols import ModeSymbols, ProblemSpec, difference_sequences
 
-#: condition number beyond which a modal matrix is treated as singular
+#: 1-norm condition number beyond which a modal matrix is treated as singular
 COND_LIMIT = 1e12
 
 _SEQUENCE_NAMES = ["N", "S", "T", "F", "P", "Q", "R", "B", "L", "G", "a_tilde"]
@@ -43,28 +43,23 @@ def _operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
-def assemble_modal_window(spec: ProblemSpec, ks: np.ndarray) -> np.ndarray:
-    """Modal matrices M(k) for every mode in ``ks``, shape (len(ks), n, n)."""
-    ks = np.asarray(ks)
-    n = spec.dim
-    eye = np.eye(n)
-    lsym = spec.neutral_delay.symbol_window(ks)
-    gsym = spec.reaction_delay.symbol_window(ks)
-    asym = np.atleast_1d(laplace_symbol(spec.kernel, ks))
-    neutral = eye[None, :, :] - lsym
-    ik = (1j * ks)[:, None, None]
-    return ik * neutral - np.matmul(spec.state_matrix, neutral) \
-        - gsym - asym[:, None, None] * eye[None, :, :]
+def _checked_inverse(modes: np.ndarray, modal: np.ndarray, cond_limit: float):
+    """(M(k)^{-1}, 1-norm condition numbers) for every mode.
 
-
-def assemble_modal_matrix(spec: ProblemSpec, k: int) -> np.ndarray:
-    """Single-mode modal matrix M(k); M(-k) = conj(M(k)) for real data."""
-    return assemble_modal_window(spec, np.array([k]))[0]
+    Raises SingularModeError naming every mode whose 1-norm condition number
+    exceeds ``cond_limit`` or is not finite; an exactly singular M(k) gives
+    an infinite condition number rather than an exception.
+    """
+    condition = np.linalg.cond(modal, 1)
+    bad = ~np.isfinite(condition) | (condition > cond_limit)
+    if np.any(bad):
+        raise SingularModeError(modes[bad], condition[bad])
+    return np.linalg.inv(modal), condition
 
 
 @dataclass
 class ResolventFamily:
-    """Mode-window snapshot of the solution operator and its companions.
+    """Band snapshot of the solution operator and its companions.
 
     Per mode k (rows follow ``modes`` in ascending order):
 
@@ -73,11 +68,9 @@ class ResolventFamily:
     * ``resolvent_ik``     ik M(k)^{-1}
     * ``delay_response``   G_k M(k)^{-1}
     * ``kernel_response``  atilde(ik) M(k)^{-1}
-    * ``modal_nonstate``   ik D_k - G_k - atilde(ik) I
     * ``neutral``          D_k = I - L_k
 
-    ``norms`` holds the spectral norms of the main sequences keyed by their
-    report names (N, S, T, F, C); ``condition`` the per-mode condition number.
+    ``condition`` holds the per-mode 1-norm condition number.
     """
 
     modes: np.ndarray
@@ -86,68 +79,29 @@ class ResolventFamily:
     resolvent_ik: np.ndarray
     delay_response: np.ndarray
     kernel_response: np.ndarray
-    modal_nonstate: np.ndarray
     neutral: np.ndarray
     condition: np.ndarray
-    norms: Dict[str, np.ndarray]
-
-    @property
-    def window(self) -> int:
-        return int(self.modes.max())
-
-    def at(self, k: int) -> int:
-        """Row index of mode k."""
-        i = int(k - self.modes[0])
-        if i < 0 or i >= len(self.modes):
-            raise IndexError(f"mode {k} outside stored window")
-        return i
 
 
-def resolvent_family(spec: ProblemSpec, window: int,
+def resolvent_family(spec: ProblemSpec, symbols: ModeSymbols,
                      cond_limit: float = COND_LIMIT) -> ResolventFamily:
-    """Assemble and invert the modal matrices for |k| <= window.
+    """Assemble and invert the modal matrices on the band of ``symbols``.
 
-    Raises SingularModeError naming every mode whose condition number exceeds
-    ``cond_limit`` (or fails to be finite).
+    Raises SingularModeError naming every mode whose 1-norm condition number
+    exceeds ``cond_limit`` (or fails to be finite).
     """
-    ks = mode_range(window)
-    n = spec.dim
-    eye = np.eye(n)
-    lsym = spec.neutral_delay.symbol_window(ks)
-    gsym = spec.reaction_delay.symbol_window(ks)
-    asym = np.atleast_1d(laplace_symbol(spec.kernel, ks))
-    neutral = eye[None, :, :] - lsym
-    ik = (1j * ks)[:, None, None]
-    nonstate = ik * neutral - gsym - asym[:, None, None] * eye[None, :, :]
-    modal = nonstate - np.matmul(spec.state_matrix, neutral)
-
-    condition = np.linalg.cond(modal)
-    bad = ~np.isfinite(condition) | (condition > cond_limit)
-    if np.any(bad):
-        raise SingularModeError(ks[bad], condition[bad])
-
-    resolvent = np.linalg.inv(modal)
-    resolvent_ik = ik * resolvent
-    delay_response = np.matmul(gsym, resolvent)
-    kernel_response = asym[:, None, None] * resolvent
-    norms = {
-        "N": _operator_norms(resolvent),
-        "S": _operator_norms(resolvent_ik),
-        "T": _operator_norms(delay_response),
-        "F": _operator_norms(kernel_response),
-        "C": _operator_norms(nonstate),
-    }
+    modal = symbols.modal(spec.state_matrix)
+    resolvent, condition = _checked_inverse(symbols.modes, modal, cond_limit)
+    ik = (1j * symbols.modes)[:, None, None]
     return ResolventFamily(
-        modes=ks,
+        modes=symbols.modes,
         modal=modal,
         resolvent=resolvent,
-        resolvent_ik=resolvent_ik,
-        delay_response=delay_response,
-        kernel_response=kernel_response,
-        modal_nonstate=nonstate,
-        neutral=neutral,
+        resolvent_ik=ik * resolvent,
+        delay_response=np.matmul(symbols.G, resolvent),
+        kernel_response=symbols.a[:, None, None] * resolvent,
+        neutral=symbols.neutral,
         condition=condition,
-        norms=norms,
     )
 
 
@@ -158,38 +112,28 @@ def verify_modal_identity(family: ResolventFamily) -> float:
     return float(np.max(_operator_norms(defect)))
 
 
-def telescoping_check(spec: ProblemSpec, k: int) -> float:
-    """Defect of the exact difference identity of the non-state part.
+def telescoping_check(spec: ProblemSpec, symbols: ModeSymbols) -> float:
+    """Largest defect over the table of the exact difference identity of the
+    non-state part.
 
     With C_k = ik D_k - G_k - atilde(ik) I and the k-scaled symbol differences
     P_k, Q_k, R_k, the identity
 
         k (C_k - C_{k+1}) = -ik I + ik L_{k+1} + ik Q_k + R_k + P_k I
 
-    holds exactly; both sides are evaluated from the same symbol values and
-    the spectral norm of their difference is returned.
+    holds exactly for every mode of the table but the last; both sides are
+    evaluated from the same symbol values and the largest spectral norm of
+    their difference is returned.
     """
-    n = spec.dim
-    eye = np.eye(n)
-    lk = delay_symbol(spec.neutral_delay, k)
-    lk1 = delay_symbol(spec.neutral_delay, k + 1)
-    gk = delay_symbol(spec.reaction_delay, k)
-    gk1 = delay_symbol(spec.reaction_delay, k + 1)
-    ak = laplace_symbol(spec.kernel, k)
-    ak1 = laplace_symbol(spec.kernel, k + 1)
-
-    ck = 1j * k * (eye - lk) - gk - ak * eye
-    ck1 = 1j * (k + 1) * (eye - lk1) - gk1 - ak1 * eye
-    lhs = k * (ck - ck1)
-
-    neutral_step = k * (lk1 - lk)
-    reaction_step = k * (gk1 - gk)
-    kernel_step = k * (ak1 - ak)
-    rhs = (-1j * k * eye + 1j * k * lk1 + 1j * k * neutral_step
-           + reaction_step + kernel_step * eye)
-    if n == 1:
-        return float(np.abs(lhs - rhs)[0, 0])
-    return float(np.linalg.norm(lhs - rhs, 2))
+    diffs = difference_sequences(spec, symbols)
+    eye = np.eye(spec.dim)[None, :, :]
+    kcol = diffs.modes[:, None, None]
+    nonstate = symbols.nonstate()
+    lhs = kcol * (nonstate[:-1] - nonstate[1:])
+    ik = 1j * kcol
+    rhs = (-ik * eye + ik * symbols.L[1:] + ik * diffs.neutral
+           + diffs.reaction + diffs.kernel[:, None, None] * eye)
+    return float(np.max(_operator_norms(lhs - rhs)))
 
 
 @dataclass
@@ -277,17 +221,6 @@ def _verdict(window: int, by_abs_k: np.ndarray):
     return "inconclusive", exponent
 
 
-def _fold_signs(ks: np.ndarray, norms: np.ndarray, window: int) -> np.ndarray:
-    """Per-|k| norm profile max(|.|_{+k}, |.|_{-k}) for |k| = 0..window."""
-    offset = -int(ks[0])
-    out = np.zeros(window + 1)
-    for j in range(window + 1):
-        a = norms[offset + j]
-        b = norms[offset - j]
-        out[j] = max(a, b)
-    return out
-
-
 def m_bounded_diagnostics(spec: ProblemSpec, window: int,
                           cond_limit: float = COND_LIMIT) -> MBoundReport:
     """Boundedness report over |k| <= window for the eleven named sequences.
@@ -295,36 +228,27 @@ def m_bounded_diagnostics(spec: ProblemSpec, window: int,
     Rows N, S, T, F come from the inverted modal family; P, Q, R, B are the
     k-scaled symbol differences; L, G and a_tilde are the raw symbols.  Each
     row records the sup of the norm over the window, the sup of the k-scaled
-    first difference, a fitted tail growth exponent, and a verdict.
+    first difference, a fitted tail growth exponent, and a verdict.  One
+    symbol table on |k| <= window + 2 serves every row.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    ks_sym = mode_range(window + 2)
-    lsym = spec.neutral_delay.symbol_window(ks_sym)
-    gsym = spec.reaction_delay.symbol_window(ks_sym)
-    asym = np.atleast_1d(laplace_symbol(spec.kernel, ks_sym))
-
-    kcol = ks_sym[:-1, None, None].astype(float)
-    neutral_diff = kcol * (lsym[1:] - lsym[:-1])
-    reaction_diff = kcol * (gsym[1:] - gsym[:-1])
-    kernel_diff = ks_sym[:-1] * (asym[1:] - asym[:-1])
-    state_neutral_diff = np.matmul(spec.state_matrix, neutral_diff)
-    ks_diff = ks_sym[:-1]
-
-    family = resolvent_family(spec, window + 1, cond_limit=cond_limit)
+    symbols = ModeSymbols.from_spec(spec, window + 2)
+    diffs = difference_sequences(spec, symbols)
+    family = resolvent_family(spec, symbols.band(window + 1), cond_limit=cond_limit)
 
     sequences = {
         "N": (family.modes, family.resolvent),
         "S": (family.modes, family.resolvent_ik),
         "T": (family.modes, family.delay_response),
         "F": (family.modes, family.kernel_response),
-        "P": (ks_diff, kernel_diff[:, None, None] * np.eye(1)),
-        "Q": (ks_diff, neutral_diff),
-        "R": (ks_diff, reaction_diff),
-        "B": (ks_diff, state_neutral_diff),
-        "L": (ks_sym, lsym),
-        "G": (ks_sym, gsym),
-        "a_tilde": (ks_sym, asym[:, None, None] * np.eye(1)),
+        "P": (diffs.modes, diffs.kernel[:, None, None] * np.eye(1)),
+        "Q": (diffs.modes, diffs.neutral),
+        "R": (diffs.modes, diffs.reaction),
+        "B": (diffs.modes, diffs.neutral_state),
+        "L": (symbols.modes, symbols.L),
+        "G": (symbols.modes, symbols.G),
+        "a_tilde": (symbols.modes, symbols.a[:, None, None] * np.eye(1)),
     }
 
     rows = []
@@ -334,11 +258,13 @@ def m_bounded_diagnostics(spec: ProblemSpec, window: int,
         offset = -int(ks_seq[0])
         inside = slice(offset - window, offset + window + 1)
         sup_norm = float(np.max(norms[inside]))
-        scaled = np.abs(ks_seq[offset - window: offset + window + 1]) * \
+        scaled = np.abs(ks_seq[inside]) * \
             _operator_norms(stack[offset - window + 1: offset + window + 2]
                             - stack[inside])
         sup_scaled_diff = float(np.max(scaled))
-        profile = _fold_signs(ks_seq, norms, window)
+        # per-|k| profile max(|.|_{+k}, |.|_{-k}) for |k| = 0..window
+        profile = np.maximum(norms[offset: offset + window + 1],
+                             norms[offset - window: offset + 1][::-1])
         verdict, exponent = _verdict(window, profile)
         rows.append(SequenceDiagnostics(name, sup_norm, sup_scaled_diff,
                                         exponent, verdict))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class DistributedDelay:
             self._samples = samples
             self._spline = CubicSpline(grid, samples, axis=0)
             self.dim = samples.shape[1]
-            self.is_real = bool(np.isrealobj(samples) or np.allclose(samples.imag, 0.0))
+            self.is_real = not np.any(np.imag(samples))
         self.kernel = kernel
 
     def _probe_callable(self):
@@ -124,7 +124,7 @@ class DistributedDelay:
                 )
             self.dim = single.shape[0]
             sample = single[None]
-        self.is_real = bool(np.allclose(np.imag(sample), 0.0))
+        self.is_real = not np.any(np.imag(sample))
 
     def evaluate(self, theta: np.ndarray) -> np.ndarray:
         """Kernel values at the points theta, as an array of shape (q, n, n)."""
@@ -234,21 +234,21 @@ class DelayFunctional:
 
     @property
     def is_real(self) -> bool:
-        atoms_real = all(np.allclose(np.imag(c), 0.0) for c, _ in self.atoms)
+        atoms_real = not any(np.any(np.imag(c)) for c, _ in self.atoms)
         dist_real = self.distributed is None or self.distributed.is_real
         return atoms_real and dist_real
 
-    def symbol(self, k: int) -> np.ndarray:
-        """Mode symbol: the matrix by which the functional acts on e^{ikt} v."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for coef, lag in self.atoms:
-            out += coef * _unit_phase(k * (lag / TWO_PI))
-        if self.distributed is not None:
-            out += _distributed_symbol(self.distributed, int(k))
-        return out
-
     def symbol_window(self, ks: np.ndarray) -> np.ndarray:
-        """Symbols for all modes in ``ks`` at once, shape (len(ks), n, n)."""
+        """Mode symbols for every mode in ``ks``, shape (len(ks), n, n).
+
+        For u(t) = e^{ikt} v the history segment is u_t(theta) = e^{ikt} e^{ik theta} v,
+        so the functional acts on the coefficient v through the matrix
+
+            sum_j B_j e^{-ik r_j}  +  int_{-span}^0 K(theta) e^{ik theta} dtheta.
+
+        Each mode's value depends on that mode alone.  Conjugate symmetry
+        symbol(-k) = conj(symbol(k)) holds for real data.
+        """
         ks = np.asarray(ks)
         out = np.zeros((len(ks), self.dim, self.dim), dtype=complex)
         for coef, lag in self.atoms:
@@ -283,19 +283,6 @@ class DelayFunctional:
             distributed=dist,
             horizon=self.horizon,
         )
-
-
-def delay_symbol(functional: DelayFunctional, k: int) -> np.ndarray:
-    """Mode-k symbol of a delay functional.
-
-    For u(t) = e^{ikt} v the history segment is u_t(theta) = e^{ikt} e^{ik theta} v,
-    so the functional acts on the coefficient v through the matrix
-
-        sum_j B_j e^{-ik r_j}  +  int_{-span}^0 K(theta) e^{ik theta} dtheta.
-
-    Conjugate symmetry symbol(-k) = conj(symbol(k)) holds for real data.
-    """
-    return functional.symbol(k)
 
 
 @dataclass
@@ -451,11 +438,6 @@ def analyze(samples, bandwidth: Optional[int] = None) -> np.ndarray:
     spectrum = np.fft.fft(samples, axis=0) / n_samples
     ks = mode_range(bandwidth)
     return spectrum[np.mod(ks, n_samples)]
-
-
-def synthesize(coefficients, n_samples: int) -> "PeriodicGridFunction":
-    """Grid function with the given coefficients, sampled at N uniform nodes."""
-    return PeriodicGridFunction.from_coefficients(coefficients, n_samples)
 
 
 class PeriodicGridFunction:
@@ -711,7 +693,7 @@ class ProblemSpec:
     @property
     def is_real(self) -> bool:
         return bool(
-            np.allclose(np.imag(self.state_matrix), 0.0)
+            not np.any(np.imag(self.state_matrix))
             and self.neutral_delay.is_real
             and self.reaction_delay.is_real
             and self.kernel.is_real
@@ -719,33 +701,87 @@ class ProblemSpec:
         )
 
 
+@dataclass(frozen=True)
+class ModeSymbols:
+    """The mode symbols of one problem on the band |k| <= K, ascending k.
+
+    ``L`` and ``G`` stack the (n, n) symbols of the neutral and the reaction
+    functional, ``a`` holds the kernel transform atilde(ik).  A table is
+    built once per problem and band, and every consumer reads it instead of
+    evaluating the functionals again.  A mode's values do not depend on the
+    band, so ``band`` gives the table of any narrower band.
+    """
+
+    modes: np.ndarray
+    L: np.ndarray
+    G: np.ndarray
+    a: np.ndarray
+
+    @classmethod
+    def from_spec(cls, spec: ProblemSpec, bandwidth: int) -> "ModeSymbols":
+        ks = mode_range(bandwidth)
+        return cls(
+            modes=ks,
+            L=spec.neutral_delay.symbol_window(ks),
+            G=spec.reaction_delay.symbol_window(ks),
+            a=np.atleast_1d(laplace_symbol(spec.kernel, ks)),
+        )
+
+    @property
+    def bandwidth(self) -> int:
+        return int(self.modes[-1])
+
+    def band(self, bandwidth: int) -> "ModeSymbols":
+        """The table restricted to |k| <= bandwidth (views, no copies)."""
+        if not 0 <= bandwidth <= self.bandwidth:
+            raise ValueError(f"band {bandwidth} outside the table's band {self.bandwidth}")
+        rows = slice(self.bandwidth - bandwidth, self.bandwidth + bandwidth + 1)
+        return ModeSymbols(self.modes[rows], self.L[rows], self.G[rows], self.a[rows])
+
+    @property
+    def neutral(self) -> np.ndarray:
+        """D_k = I - L_k."""
+        return np.eye(self.L.shape[1])[None, :, :] - self.L
+
+    def nonstate(self) -> np.ndarray:
+        """C_k = ik D_k - G_k - atilde(ik) I, the part of M(k) without A."""
+        eye = np.eye(self.L.shape[1])
+        ik = (1j * self.modes)[:, None, None]
+        return ik * self.neutral - self.G - self.a[:, None, None] * eye[None, :, :]
+
+    def modal(self, state_matrix: np.ndarray) -> np.ndarray:
+        """Modal matrices M(k) = C_k - A D_k, shape (len(modes), n, n)."""
+        return self.nonstate() - np.matmul(state_matrix, self.neutral)
+
+
 class ScaledDifferences(NamedTuple):
     """k-scaled forward differences of the mode-symbol sequences.
 
-    kernel        : k * (atilde(i(k+1)) - atilde(ik))          (complex scalar)
+    Row i belongs to mode k = modes[i]:
+
+    kernel        : k * (atilde(i(k+1)) - atilde(ik))          (complex scalars)
     neutral       : k * (L_{k+1} - L_k)                        (n x n)
     reaction      : k * (G_{k+1} - G_k)                        (n x n)
     neutral_state : k * A (L_{k+1} - L_k)                      (n x n)
     """
 
-    kernel: complex
+    modes: np.ndarray
+    kernel: np.ndarray
     neutral: np.ndarray
     reaction: np.ndarray
     neutral_state: np.ndarray
 
 
-def difference_sequences(spec: ProblemSpec, k: int) -> ScaledDifferences:
-    """Exact finite differences of the symbol sequences at k, scaled by k."""
-    lk = spec.neutral_delay.symbol(k)
-    lk1 = spec.neutral_delay.symbol(k + 1)
-    gk = spec.reaction_delay.symbol(k)
-    gk1 = spec.reaction_delay.symbol(k + 1)
-    ak = laplace_symbol(spec.kernel, k)
-    ak1 = laplace_symbol(spec.kernel, k + 1)
-    neutral = k * (lk1 - lk)
+def difference_sequences(spec: ProblemSpec, symbols: ModeSymbols) -> ScaledDifferences:
+    """Exact finite differences of the table's symbol sequences, scaled by k,
+    for every mode of the table but the last."""
+    ks = symbols.modes[:-1]
+    kcol = ks[:, None, None].astype(float)
+    neutral = kcol * (symbols.L[1:] - symbols.L[:-1])
     return ScaledDifferences(
-        kernel=k * (ak1 - ak),
+        modes=ks,
+        kernel=ks * (symbols.a[1:] - symbols.a[:-1]),
         neutral=neutral,
-        reaction=k * (gk1 - gk),
-        neutral_state=spec.state_matrix @ neutral,
+        reaction=kcol * (symbols.G[1:] - symbols.G[:-1]),
+        neutral_state=np.matmul(spec.state_matrix, neutral),
     )

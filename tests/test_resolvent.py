@@ -7,12 +7,12 @@ import problems
 from specdde import (
     DelayFunctional,
     KernelSpec,
-    PeriodicGridFunction,
+    ModeSymbols,
     ProblemSpec,
     SingularModeError,
-    assemble_modal_matrix,
     laplace_symbol,
     m_bounded_diagnostics,
+    mode_range,
     resolvent_family,
     telescoping_check,
     verify_modal_identity,
@@ -21,43 +21,49 @@ from specdde import (
 TWO_PI = 2.0 * np.pi
 
 
+def family(spec, window, **kwargs):
+    return resolvent_family(spec, ModeSymbols.from_spec(spec, window), **kwargs)
+
+
+def modal(spec, window):
+    return ModeSymbols.from_spec(spec, window).modal(spec.state_matrix)
+
+
 class TestAssemble:
     def test_plain_scalar_at_zero(self):
         spec = ProblemSpec(state_matrix=[[-1.0]], truncation=2, grid=8)
-        assert assemble_modal_matrix(spec, 0)[0, 0] == pytest.approx(1.0)
+        assert modal(spec, 0)[0, 0, 0] == pytest.approx(1.0)
 
     def test_plain_scalar_at_one(self):
         spec = ProblemSpec(state_matrix=[[-1.0]], truncation=2, grid=8)
-        assert assemble_modal_matrix(spec, 1)[0, 0] == pytest.approx(1.0 + 1.0j)
+        ks = mode_range(16)
+        assert modal(spec, 16)[:, 0, 0] == pytest.approx(1.0 + 1j * ks)
 
     def test_neutral_period_atom_halves_the_matrix(self):
         spec = problems.scalar_neutral()
-        assert assemble_modal_matrix(spec, 1)[0, 0] == pytest.approx(
-            0.5 * (1.0 + 1.0j), abs=1e-14
+        ks = mode_range(16)
+        assert modal(spec, 16)[:, 0, 0] == pytest.approx(
+            0.5 * (1.0 + 1j * ks), abs=1e-14
         )
 
     def test_conjugate_symmetry_for_real_data(self, regression_specs):
         for name, spec in regression_specs.items():
             if name == "scalar_neutral":
                 continue  # complex forcing does not affect symbols, but skip none
-            for k in (1, 5, 17):
-                assert np.allclose(
-                    assemble_modal_matrix(spec, -k),
-                    np.conj(assemble_modal_matrix(spec, k)),
-                    atol=1e-12,
-                ), name
+            m = modal(spec, 17)
+            assert np.allclose(m[::-1], np.conj(m), atol=1e-12), name
 
 
 class TestResolventFamily:
     def test_scalar_closed_form(self):
         spec = problems.scalar_basic()
-        fam = resolvent_family(spec, 256)
+        fam = family(spec, 256)
         ks = fam.modes
         closed = 1.0 / (1.0 + 1j * ks)
         assert np.max(np.abs(fam.resolvent[:, 0, 0] - closed)) < 1e-12
         scaled = 1j * ks / (1.0 + 1j * ks)
         assert np.max(np.abs(fam.resolvent_ik[:, 0, 0] - scaled)) < 1e-12
-        sup_scaled = fam.norms["S"].max()
+        sup_scaled = m_bounded_diagnostics(spec, 256).row("S").sup_norm
         assert sup_scaled < 1.0
         assert sup_scaled > 0.999
 
@@ -71,14 +77,14 @@ class TestResolventFamily:
             truncation=4,
             grid=16,
         )
-        fam = resolvent_family(spec, 64)
+        fam = family(spec, 64)
         z = 1.0 + 1j * fam.modes
         closed = 1.0 / (z / 2.0 - 1.0 / z)
         assert np.max(np.abs(fam.resolvent[:, 0, 0] - closed)) < 1e-12
 
     def test_diagonal_two_by_two_closed_form(self):
         spec = problems.mat2_diag()
-        fam = resolvent_family(spec, 64)
+        fam = family(spec, 64)
         ks = fam.modes
         a = np.array([laplace_symbol(spec.kernel, int(k)) for k in ks])
         for i, k in enumerate(ks):
@@ -91,21 +97,21 @@ class TestResolventFamily:
     def test_singular_mode_reported_with_condition(self):
         spec = ProblemSpec(state_matrix=[[0.0]], truncation=2, grid=8)
         with pytest.raises(SingularModeError) as err:
-            resolvent_family(spec, 4)
+            family(spec, 4)
         assert 0 in err.value.modes
 
     def test_modal_identity_tight_for_scalar(self):
-        fam = resolvent_family(problems.scalar_basic(), 128)
+        fam = family(problems.scalar_basic(), 128)
         assert verify_modal_identity(fam) <= 1e-15
 
     def test_modal_identity_across_regression_suite(self, regression_specs):
         for name, spec in regression_specs.items():
-            fam = resolvent_family(spec, 64)
+            fam = family(spec, 64)
             assert verify_modal_identity(fam) <= 1e-10, name
 
     def test_resolvent_conjugate_symmetry(self, regression_specs):
         for name, spec in regression_specs.items():
-            fam = resolvent_family(spec, 32)
+            fam = family(spec, 32)
             K = 32
             for k in (1, 7, 31):
                 assert np.allclose(
@@ -117,7 +123,7 @@ class TestResolventFamily:
     def test_stored_identity_from_parts(self):
         # D_k (ik N_k) - A D_k N_k - T_k - atilde(ik) N_k = I
         spec = problems.scalar_full()
-        fam = resolvent_family(spec, 32)
+        fam = family(spec, 32)
         lhs = (np.matmul(fam.neutral, fam.resolvent_ik)
                - np.matmul(np.matmul(spec.state_matrix, fam.neutral), fam.resolvent)
                - fam.delay_response - fam.kernel_response)
@@ -125,7 +131,7 @@ class TestResolventFamily:
         assert np.max(np.abs(lhs - eye[None])) <= 1e-10
 
     def test_resolvent_ik_is_ik_times_resolvent(self):
-        fam = resolvent_family(problems.scalar_full(), 16)
+        fam = family(problems.scalar_full(), 16)
         expected = (1j * fam.modes)[:, None, None] * fam.resolvent
         assert np.array_equal(fam.resolvent_ik, expected)
 
@@ -133,26 +139,22 @@ class TestResolventFamily:
 class TestTelescoping:
     def test_no_delays_no_kernel_both_sides_are_minus_ik(self):
         spec = ProblemSpec(state_matrix=[[-1.0]], truncation=2, grid=8)
-        for k in (-12, -1, 0, 1, 9):
-            assert telescoping_check(spec, k) <= 1e-13
+        assert telescoping_check(spec, ModeSymbols.from_spec(spec, 12)) <= 1e-13
 
     def test_period_lag_atoms_only(self):
         spec = problems.scalar_full()
-        for k in range(-16, 17):
-            assert telescoping_check(spec, k) <= 1e-12
+        assert telescoping_check(spec, ModeSymbols.from_spec(spec, 17)) <= 1e-12
 
     def test_exponential_kernel_defect(self):
         spec = ProblemSpec(
             state_matrix=[[-1.0]], kernel=KernelSpec.exponential(),
             truncation=2, grid=8,
         )
-        for k in range(-64, 65):
-            assert telescoping_check(spec, k) <= 1e-12
+        assert telescoping_check(spec, ModeSymbols.from_spec(spec, 65)) <= 1e-12
 
     def test_defect_small_across_suite(self, regression_specs):
         for name, spec in regression_specs.items():
-            worst = max(telescoping_check(spec, k) for k in range(-64, 65))
-            assert worst <= 1e-11, name
+            assert telescoping_check(spec, ModeSymbols.from_spec(spec, 65)) <= 1e-11, name
 
 
 class TestDiagnostics:

@@ -1,16 +1,20 @@
 """Spectral solve, residual, linearity/uniqueness properties, sweeps."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 import problems
 from specdde import (
+    DelayFunctional,
+    ModeSymbols,
     PeriodicGridFunction,
     ProblemSpec,
     SingularModeError,
     TruncationWarning,
-    assemble_modal_matrix,
     convergence_sweep,
+    m_bounded_diagnostics,
     residual,
     solve_periodic,
 )
@@ -78,6 +82,72 @@ class TestSolveBenchmarks:
             solve_periodic(spec)
         assert 0 in err.value.modes
 
+    def test_nearly_real_atom_is_not_symmetrised(self):
+        # an imaginary part of 5e-9 is data, not round-off: the solve must not
+        # treat the problem as real and force conjugate symmetry on it
+        spec = ProblemSpec(
+            state_matrix=[[-1.0]],
+            reaction_delay=DelayFunctional(dim=1, atoms=[(0.3 + 5e-9j, 1.0)]),
+            forcing=PeriodicGridFunction.from_harmonics(cos=[1.0], sin=[0.0, 0.5]),
+            truncation=8,
+            grid=32,
+        )
+        assert not spec.is_real
+        assert solve_periodic(spec).residual_modal <= 1e-14
+
+    def test_cond_limit_is_the_one_norm_condition(self):
+        # M(0) = [[1, 1], [0, 1]]: 1-norm condition 4, 2-norm condition 2.62;
+        # at |k| >= 1 the 1-norm condition (|1+ik| + 1)^2 / |1+ik|^2 is below 3
+        spec = ProblemSpec(
+            state_matrix=[[-1.0, -1.0], [0.0, -1.0]],
+            forcing=PeriodicGridFunction.from_harmonics(cos=[[1.0, 1.0]], dim=2),
+            truncation=4,
+            grid=16,
+        )
+        with pytest.raises(SingularModeError) as err:
+            solve_periodic(spec, cond_limit=3.0)
+        assert err.value.modes == [0]
+        assert err.value.conditions == pytest.approx([4.0], rel=1e-12)
+        with pytest.raises(SingularModeError):
+            convergence_sweep(spec, [2, 4], cond_limit=3.0)
+        assert solve_periodic(spec, cond_limit=4.5).residual_modal <= 1e-14
+
+
+class TestSymbolTable:
+    """The solve and the diagnostics evaluate each delay functional once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        original = DelayFunctional.symbol_window
+
+        def counted(functional, ks):
+            counts[id(functional)] = counts.get(id(functional), 0) + 1
+            return original(functional, ks)
+
+        monkeypatch.setattr(DelayFunctional, "symbol_window", counted)
+        return counts
+
+    @pytest.mark.parametrize("run", [
+        lambda spec: solve_periodic(spec),
+        lambda spec: m_bounded_diagnostics(spec, 32),
+        lambda spec: convergence_sweep(spec, [2, 4, 8]),
+    ], ids=["solve_periodic", "m_bounded_diagnostics", "convergence_sweep"])
+    def test_each_functional_evaluated_once(self, calls, run):
+        spec = problems.mat2_rich()
+        run(spec)
+        assert calls == {id(spec.neutral_delay): 1, id(spec.reaction_delay): 1}
+
+    def test_solve_takes_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("solve_periodic called an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        # np.linalg.cond looks svd up in its own module for the 2-norm
+        monkeypatch.setitem(inspect.unwrap(np.linalg.cond).__globals__, "svd", no_svd)
+        for name, spec in problems.regression_specs().items():
+            assert solve_periodic(spec).residual_modal <= 1e-12, name
+
 
 class TestResidual:
     def test_zero_candidate_residual_is_forcing_sup(self, regression_specs):
@@ -102,7 +172,7 @@ class TestResidual:
             {K: eps * direction}, spec.grid
         )
         perturbed = sol.solution + bump
-        modal_k = assemble_modal_matrix(spec, K)
+        modal_k = ModeSymbols.from_spec(spec, K).modal(spec.state_matrix)[-1]
         expected = eps * np.linalg.norm(modal_k @ direction)
         assert residual(spec, perturbed) == pytest.approx(expected, abs=1e-10)
 
@@ -110,10 +180,8 @@ class TestResidual:
         # any band-limited deviation from the solution is visible in the
         # residual at the rate of the smallest modal singular value
         spec = problems.scalar_full()
-        fam_min = np.inf
-        for k in range(-spec.truncation, spec.truncation + 1):
-            s = np.linalg.svd(assemble_modal_matrix(spec, k), compute_uv=False)
-            fam_min = min(fam_min, s[-1])
+        modal = ModeSymbols.from_spec(spec, spec.truncation).modal(spec.state_matrix)
+        fam_min = np.min(np.linalg.svd(modal, compute_uv=False)[:, -1])
         sol = solve_periodic(spec)
         coeffs = 1e-3 * (rng.normal(size=(2 * spec.truncation + 1, 1))
                          + 1j * rng.normal(size=(2 * spec.truncation + 1, 1)))

@@ -14,15 +14,15 @@ from specdde import (
     InvalidKernelError,
     KernelSpec,
     PeriodicGridFunction,
+    ModeSymbols,
     ProblemSpec,
     analyze,
-    delay_symbol,
     difference_sequences,
     laplace_symbol,
     laplace_symbol_quadrature,
     mode_range,
-    synthesize,
 )
+
 
 TWO_PI = 2.0 * np.pi
 
@@ -30,27 +30,27 @@ TWO_PI = 2.0 * np.pi
 class TestDelaySymbol:
     def test_period_lag_atom_is_mode_independent(self):
         L = DelayFunctional(dim=1, atoms=[(0.7, TWO_PI)])
-        for k in (-5, -1, 0, 1, 2, 17, 512):
-            assert delay_symbol(L, k)[0, 0] == pytest.approx(0.7, abs=1e-15)
+        ks = np.array([-5, -1, 0, 1, 2, 17, 512])
+        assert L.symbol_window(ks)[:, 0, 0] == pytest.approx(0.7, abs=1e-15)
 
     def test_half_period_lag_alternates_sign(self):
         b = 0.4
         L = DelayFunctional(dim=1, atoms=[(b, np.pi)])
-        for k in range(-8, 9):
-            expected = b * (-1) ** k
-            assert delay_symbol(L, k)[0, 0] == pytest.approx(expected, abs=1e-14)
+        ks = mode_range(8)
+        expected = b * (-1.0) ** ks
+        assert L.symbol_window(ks)[:, 0, 0] == pytest.approx(expected, abs=1e-14)
 
     def test_empty_functional_gives_zero_matrix(self):
         L = DelayFunctional.empty(3)
-        assert np.array_equal(delay_symbol(L, 7), np.zeros((3, 3)))
+        assert np.array_equal(L.symbol_window(mode_range(7)), np.zeros((15, 3, 3)))
 
     def test_generic_lag_matches_direct_phase(self):
         lag = 1.2345
         L = DelayFunctional(dim=1, atoms=[(2.0, lag)])
-        for k in (-3, 1, 4):
-            assert delay_symbol(L, k)[0, 0] == pytest.approx(
-                2.0 * np.exp(-1j * k * lag), abs=1e-13
-            )
+        ks = np.array([-3, 1, 4])
+        assert L.symbol_window(ks)[:, 0, 0] == pytest.approx(
+            2.0 * np.exp(-1j * ks * lag), abs=1e-13
+        )
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -71,14 +71,14 @@ class TestDelaySymbol:
             span=TWO_PI,
         )
         L = DelayFunctional(dim=1, distributed=dist)
-        for k in (0, 1, 5, 23):
+        ks = np.array([0, 1, 5, 23])
+        symbols = L.symbol_window(ks)
+        for i, k in enumerate(ks):
             re = quad(lambda th: (0.3 * np.exp(th) + 0.1 * np.cos(th))
                       * np.cos(k * th), -TWO_PI, 0.0, limit=200)[0]
             im = quad(lambda th: (0.3 * np.exp(th) + 0.1 * np.cos(th))
                       * np.sin(k * th), -TWO_PI, 0.0, limit=200)[0]
-            assert delay_symbol(L, k)[0, 0] == pytest.approx(
-                re + 1j * im, abs=1e-10
-            )
+            assert symbols[i, 0, 0] == pytest.approx(re + 1j * im, abs=1e-10)
 
     def test_sampled_kernel_close_to_callable(self):
         theta = np.linspace(-TWO_PI, 0.0, 257)
@@ -93,10 +93,10 @@ class TestDelaySymbol:
                 span=TWO_PI,
             ),
         )
-        for k in (0, 2, 7):
-            assert delay_symbol(sampled, k)[0, 0] == pytest.approx(
-                delay_symbol(exact, k)[0, 0], abs=1e-8
-            )
+        ks = np.array([0, 2, 7])
+        assert sampled.symbol_window(ks) == pytest.approx(
+            exact.symbol_window(ks), abs=1e-8
+        )
 
     def test_conjugate_symmetry_for_real_data(self):
         dist = DistributedDelay(
@@ -108,10 +108,10 @@ class TestDelaySymbol:
             atoms=[(np.array([[0.5, 0.1], [0.0, 0.3]]), 1.0)],
             distributed=dist,
         )
-        for k in (1, 3, 11):
-            assert np.allclose(
-                delay_symbol(L, -k), np.conj(delay_symbol(L, k)), atol=1e-12
-            )
+        ks = np.array([1, 3, 11])
+        assert np.allclose(
+            L.symbol_window(-ks), np.conj(L.symbol_window(ks)), atol=1e-12
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -132,8 +132,9 @@ class TestDelaySymbol:
             dim=2, atoms=[(gen.normal(size=(2, 2)), TWO_PI * gen.uniform())]
         )
         combined = (alpha * l1) + l2
-        expected = alpha * delay_symbol(l1, k) + delay_symbol(l2, k)
-        assert np.allclose(delay_symbol(combined, k), expected, atol=1e-12)
+        ks = np.array([k])
+        expected = alpha * l1.symbol_window(ks) + l2.symbol_window(ks)
+        assert np.allclose(combined.symbol_window(ks), expected, atol=1e-12)
 
 
 class TestLaplaceSymbol:
@@ -224,9 +225,9 @@ class TestAnalyzeSynthesize:
             analyze(np.zeros(8), bandwidth=4)
 
     def test_synthesize_constant_and_cosine(self):
-        const = synthesize({0: [1.5]}, 8)
+        const = PeriodicGridFunction.from_coefficients({0: [1.5]}, 8)
         assert np.allclose(const.samples[:, 0], 1.5)
-        cosine = synthesize({1: [0.5], -1: [0.5]}, 16)
+        cosine = PeriodicGridFunction.from_coefficients({1: [0.5], -1: [0.5]}, 16)
         assert np.allclose(cosine.samples[:, 0], np.cos(cosine.nodes), atol=1e-14)
 
     @settings(max_examples=25, deadline=None)
@@ -234,7 +235,7 @@ class TestAnalyzeSynthesize:
     def test_round_trip_on_random_band(self, seed):
         gen = np.random.default_rng(seed)
         coeffs = gen.normal(size=(17, 2)) + 1j * gen.normal(size=(17, 2))
-        f = synthesize(coeffs, 32)
+        f = PeriodicGridFunction.from_coefficients(coeffs, 32)
         back = analyze(f.samples, bandwidth=8)
         assert np.max(np.abs(back - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
 
@@ -267,7 +268,7 @@ class TestSymbolOperatorConsistency:
         gen = np.random.default_rng(7)
         coeffs = gen.normal(size=(2 * K + 1, functional.dim)) \
             + 1j * gen.normal(size=(2 * K + 1, functional.dim))
-        u = synthesize(coeffs, 4 * K)
+        u = PeriodicGridFunction.from_coefficients(coeffs, 4 * K)
 
         def u_eval(t):
             ks = mode_range(K)
@@ -276,10 +277,8 @@ class TestSymbolOperatorConsistency:
         nodes = u.nodes
         applied = np.stack([pointwise(u_eval, t) for t in nodes])
         got = analyze(applied, bandwidth=K)
-        ks = mode_range(K)
-        for i, k in enumerate(ks):
-            expected = functional.symbol(int(k)) @ coeffs[i]
-            assert np.allclose(got[i], expected, atol=tol)
+        expected = np.einsum("kij,kj->ki", functional.symbol_window(mode_range(K)), coeffs)
+        assert np.allclose(got, expected, atol=tol)
 
     def test_atoms(self):
         L = DelayFunctional(
@@ -314,7 +313,7 @@ class TestSymbolOperatorConsistency:
         K = 3
         gen = np.random.default_rng(11)
         coeffs = gen.normal(size=(2 * K + 1, 1)) + 1j * gen.normal(size=(2 * K + 1, 1))
-        u = synthesize(coeffs, 16)
+        u = PeriodicGridFunction.from_coefficients(coeffs, 16)
         ks = mode_range(K)
 
         def u_eval(t):
@@ -336,6 +335,49 @@ class TestSymbolOperatorConsistency:
             )
 
 
+class TestModeSymbols:
+    def test_table_holds_the_functionals_and_the_transform(self, regression_specs):
+        for name, spec in regression_specs.items():
+            table = ModeSymbols.from_spec(spec, 12)
+            ks = mode_range(12)
+            assert np.array_equal(table.modes, ks), name
+            assert np.array_equal(table.L, spec.neutral_delay.symbol_window(ks)), name
+            assert np.array_equal(table.G, spec.reaction_delay.symbol_window(ks)), name
+            assert np.array_equal(table.a, laplace_symbol(spec.kernel, ks)), name
+
+    def test_band_is_bit_identical_to_the_narrower_table(self, regression_specs):
+        # a mode's symbols do not depend on the band, distributed kernels too
+        for name, spec in regression_specs.items():
+            wide = ModeSymbols.from_spec(spec, 40).band(9)
+            narrow = ModeSymbols.from_spec(spec, 9)
+            for field in ("modes", "L", "G", "a"):
+                assert np.array_equal(getattr(wide, field), getattr(narrow, field)), name
+            assert np.array_equal(wide.modal(spec.state_matrix),
+                                  narrow.modal(spec.state_matrix)), name
+
+    def test_band_outside_the_table_rejected(self):
+        table = ModeSymbols.from_spec(ProblemSpec(state_matrix=[[-1.0]]), 4)
+        with pytest.raises(ValueError):
+            table.band(5)
+
+    def test_modal_is_nonstate_minus_state_times_neutral(self, rng):
+        spec = ProblemSpec(
+            state_matrix=rng.normal(size=(2, 2)),
+            neutral_delay=DelayFunctional(dim=2, atoms=[(rng.normal(size=(2, 2)), 1.0)]),
+            reaction_delay=DelayFunctional(dim=2, atoms=[(rng.normal(size=(2, 2)), 2.0)]),
+            kernel=KernelSpec.exponential(),
+            truncation=4,
+            grid=16,
+        )
+        table = ModeSymbols.from_spec(spec, 6)
+        eye = np.eye(2)
+        for i, k in enumerate(table.modes):
+            d = eye - table.L[i]
+            closed = 1j * k * d - spec.state_matrix @ d - table.G[i] - table.a[i] * eye
+            assert np.allclose(table.modal(spec.state_matrix)[i], closed, atol=1e-14)
+            assert np.allclose(table.neutral[i], d, atol=0.0)
+
+
 class TestDifferenceSequences:
     def test_period_lag_differences_vanish(self):
         spec = ProblemSpec(
@@ -344,10 +386,9 @@ class TestDifferenceSequences:
             truncation=4,
             grid=16,
         )
-        for k in (-7, 0, 3, 12):
-            diffs = difference_sequences(spec, k)
-            assert np.all(diffs.neutral == 0.0)
-            assert np.all(diffs.neutral_state == 0.0)
+        diffs = difference_sequences(spec, ModeSymbols.from_spec(spec, 13))
+        assert np.all(diffs.neutral == 0.0)
+        assert np.all(diffs.neutral_state == 0.0)
 
     def test_half_period_lag_difference_grows_linearly(self):
         spec = ProblemSpec(
@@ -356,20 +397,22 @@ class TestDifferenceSequences:
             truncation=4,
             grid=16,
         )
-        for k in (-9, 1, 2, 15):
-            diffs = difference_sequences(spec, k)
-            assert abs(diffs.neutral[0, 0]) == pytest.approx(2.0 * abs(k), abs=1e-10)
+        diffs = difference_sequences(spec, ModeSymbols.from_spec(spec, 16))
+        assert np.array_equal(diffs.modes, np.arange(-16, 16))
+        assert np.abs(diffs.neutral[:, 0, 0]) == pytest.approx(
+            2.0 * np.abs(diffs.modes), abs=1e-10
+        )
 
     def test_exponential_kernel_difference_closed_form(self):
         spec = ProblemSpec(
             state_matrix=[[-1.0]], kernel=KernelSpec.exponential(),
             truncation=4, grid=16,
         )
-        for k in range(-30, 31):
-            got = difference_sequences(spec, k).kernel
-            closed = -1j * k / ((1.0 + 1j * k) * (1.0 + 1j * (k + 1)))
-            assert got == pytest.approx(closed, abs=1e-14)
-            assert abs(got) <= 1.0 + 1e-15
+        diffs = difference_sequences(spec, ModeSymbols.from_spec(spec, 31))
+        k = diffs.modes
+        closed = -1j * k / ((1.0 + 1j * k) * (1.0 + 1j * (k + 1)))
+        assert diffs.kernel == pytest.approx(closed, abs=1e-14)
+        assert np.all(np.abs(diffs.kernel) <= 1.0 + 1e-15)
 
     def test_state_difference_is_state_matrix_times_neutral(self, rng):
         A = rng.normal(size=(2, 2))
@@ -381,5 +424,5 @@ class TestDifferenceSequences:
             truncation=4,
             grid=16,
         )
-        diffs = difference_sequences(spec, 5)
+        diffs = difference_sequences(spec, ModeSymbols.from_spec(spec, 8))
         assert np.allclose(diffs.neutral_state, A @ diffs.neutral, atol=1e-14)
