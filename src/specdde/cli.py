@@ -3,7 +3,10 @@
 One command per process; reports are UTF-8 JSON with LF newlines, fixed field
 order and floats printed at 17 significant digits, so identical configs
 produce byte-identical files.  Exit codes: 0 success, 2 solvability failure
-(singular mode or singular collocation system), 3 validation failure.
+(singular mode or singular collocation system), 3 validation failure (an
+invalid document, or values a command cannot use: an off-grid lag, an
+unreachable fold tolerance, a grid too coarse for a bandwidth).  Every
+failure writes a report with an ``error.type``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,14 @@ import numpy as np
 from . import __version__
 from .besov import besov_norm_report
 from .config import RunConfig, parse_config
-from .exceptions import ConfigError, SingularModeError, SingularSystemError
+from .exceptions import (
+    AliasingError,
+    ConfigError,
+    OffGridLagError,
+    PeriodizationError,
+    SingularModeError,
+    SingularSystemError,
+)
 from .oracle import compare
 from .resolvent import m_bounded_diagnostics
 from .solver import convergence_sweep, solve_periodic
@@ -163,6 +173,14 @@ _RUNNERS = {
 }
 
 
+#: errors the configuration's values cause once a command runs (exit 3)
+_INPUT_ERRORS = {
+    OffGridLagError: "off_grid_lag",
+    PeriodizationError: "periodization",
+    AliasingError: "aliasing",
+}
+
+
 def run(command: str, config: RunConfig, out_dir: Path) -> int:
     """Execute one command, writing <command>_report.json plus side files."""
     if command not in _RUNNERS:
@@ -189,6 +207,9 @@ def run(command: str, config: RunConfig, out_dir: Path) -> int:
             "message": str(exc),
         }
         status = 2
+    except tuple(_INPUT_ERRORS) as exc:
+        report["error"] = {"type": _INPUT_ERRORS[type(exc)], "message": str(exc)}
+        status = 3
     report["exit_code"] = status
     _write_json(out_dir / f"{command}_report.json", report)
     return status

@@ -33,7 +33,7 @@ _TOP_KEYS = {"problem", "K", "N", "K_diag", "besov", "N_list", "K_list",
 _PROBLEM_KEYS = {"n", "A", "L", "G", "kernel", "forcing", "horizon_periods"}
 _DELAY_KEYS = {"atoms", "distributed"}
 _ATOM_KEYS = {"coef", "lag"}
-_DISTRIBUTED_KEYS = {"samples", "span", "resolution"}
+_DISTRIBUTED_KEYS = {"samples", "span"}
 _KERNEL_KEYS = {"terms"}
 _TERM_KEYS = {"c", "m", "alpha"}
 _FORCING_KEYS = {"const", "cos", "sin", "samples"}
@@ -147,12 +147,10 @@ def _parse_delay(doc, n, horizon, path, errs) -> Optional[DelayFunctional]:
         else:
             errs.unknown(dpath, ddoc, _DISTRIBUTED_KEYS)
             span = _number(ddoc.get("span"), f"{dpath}.span", errs, positive=True)
-            resolution = _number(ddoc.get("resolution", 64), f"{dpath}.resolution",
-                                 errs, positive=True, integer=True)
             samples = ddoc.get("samples")
             if samples is None:
                 errs.add(f"{dpath}.samples", "required (list of n x n matrices)")
-            elif span is not None and resolution is not None:
+            elif span is not None:
                 try:
                     arr = np.asarray(samples, dtype=float)
                 except (TypeError, ValueError):
@@ -165,7 +163,7 @@ def _parse_delay(doc, n, horizon, path, errs) -> Optional[DelayFunctional]:
                         errs.add(f"{dpath}.samples",
                                  f"expected at least 4 samples of shape {n}x{n}")
                     else:
-                        distributed = DistributedDelay(arr, span, resolution)
+                        distributed = DistributedDelay(arr, span)
     if len(errs.violations) > before:
         return None
     try:

@@ -35,6 +35,9 @@ COND_LIMIT = 1e12
 
 _SEQUENCE_NAMES = ["N", "S", "T", "F", "P", "Q", "R", "B", "L", "G", "a_tilde"]
 
+#: raw symbol rows whose k-scaled differences are rows of their own
+_DIFFERENCE_ROW = {"L": "Q", "G": "R", "a_tilde": "P"}
+
 
 def _operator_norms(stack: np.ndarray) -> np.ndarray:
     """Spectral norm of each matrix in a (m, n, n) stack."""
@@ -251,20 +254,31 @@ def m_bounded_diagnostics(spec: ProblemSpec, window: int,
         "a_tilde": (symbols.modes, symbols.a[:, None, None] * np.eye(1)),
     }
 
+    norms = {name: _operator_norms(stack) for name, (_, stack) in sequences.items()}
+
+    def offset(name):
+        """Row of mode 0 in the named sequence."""
+        return -int(sequences[name][0][0])
+
     rows = []
     for name in _SEQUENCE_NAMES:
         ks_seq, stack = sequences[name]
-        norms = _operator_norms(stack)
-        offset = -int(ks_seq[0])
-        inside = slice(offset - window, offset + window + 1)
-        sup_norm = float(np.max(norms[inside]))
-        scaled = np.abs(ks_seq[inside]) * \
-            _operator_norms(stack[offset - window + 1: offset + window + 2]
-                            - stack[inside])
-        sup_scaled_diff = float(np.max(scaled))
+        zero = offset(name)
+        inside = slice(zero - window, zero + window + 1)
+        sup_norm = float(np.max(norms[name][inside]))
+        if name in _DIFFERENCE_ROW:
+            # |k| ||X_{k+1} - X_k|| is the norm of the difference row at k
+            diff = _DIFFERENCE_ROW[name]
+            sup_scaled_diff = float(np.max(
+                norms[diff][offset(diff) - window: offset(diff) + window + 1]))
+        else:
+            scaled = np.abs(ks_seq[inside]) * \
+                _operator_norms(stack[zero - window + 1: zero + window + 2]
+                                - stack[inside])
+            sup_scaled_diff = float(np.max(scaled))
         # per-|k| profile max(|.|_{+k}, |.|_{-k}) for |k| = 0..window
-        profile = np.maximum(norms[offset: offset + window + 1],
-                             norms[offset - window: offset + 1][::-1])
+        profile = np.maximum(norms[name][zero: zero + window + 1],
+                             norms[name][zero - window: zero + 1][::-1])
         verdict, exponent = _verdict(window, profile)
         rows.append(SequenceDiagnostics(name, sup_norm, sup_scaled_diff,
                                         exponent, verdict))

@@ -9,6 +9,13 @@ Conventions used throughout the package:
   matrix, the mode symbol of the functional.  Mode symbols are what the solver
   and the diagnostics consume.
 
+The distributed part of a delay functional takes one of two routes, chosen by
+what its kernel is.  A sampled kernel is the not-a-knot cubic spline through
+its samples (fitted here in numpy); its Fourier integral is exact per spline
+piece and is computed for a whole block of modes in one vectorised pass, with
+no kernel evaluation.  A callable kernel is integrated per mode by a
+composite Gauss-Legendre rule whose panel count grows with |k|.
+
 Everything here is a pure function of immutable inputs; evaluations for
 different modes are independent and may run concurrently.
 """
@@ -25,8 +32,14 @@ from .exceptions import AliasingError, DimensionError, InvalidKernelError
 
 TWO_PI = 2.0 * np.pi
 
-# Gauss-Legendre rule used per quadrature panel.
+# Gauss-Legendre rule used per quadrature panel (callable kernels).
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+#: modes per block of the closed-form spline symbol
+_MODE_BLOCK = 64
+
+#: power-series terms of E_m(z) at |z| < 1 (the first one dropped is < 1e-19)
+_SERIES_TERMS = 20
 
 
 def mode_range(bandwidth: int) -> np.ndarray:
@@ -53,6 +66,72 @@ def _as_state_matrix(value, dim: int, what: str) -> np.ndarray:
     return mat
 
 
+def _not_a_knot_pieces(samples: np.ndarray, h: float) -> np.ndarray:
+    """Power coefficients of the not-a-knot cubic spline through uniform samples.
+
+    ``samples`` holds y_0..y_P (P >= 3 pieces of width h), shape (P+1, n, n).
+    Returns c of shape (P, 4, n, n) with S(theta) = sum_m c[j, m] (theta - x_j)^m
+    on piece j.  The knot slopes s_i solve the uniform-grid system (rows
+    divided by h), with d_j = (y_{j+1} - y_j) / h:
+
+        s_0 + 2 s_1                = (5 d_0 + d_1) / 2
+        s_{i-1} + 4 s_i + s_{i+1}  = 3 (d_{i-1} + d_i)          0 < i < P
+        2 s_{P-1} + s_P            = (d_{P-2} + 5 d_{P-1}) / 2
+
+    by one Thomas sweep; the first and last rows make the third derivative
+    continuous at x_1 and x_{P-1}.
+    """
+    y = samples
+    pieces = y.shape[0] - 1
+    d = (y[1:] - y[:-1]) / h
+    rhs = np.empty_like(d, shape=y.shape)
+    rhs[0] = (5.0 * d[0] + d[1]) / 2.0
+    rhs[1:pieces] = 3.0 * (d[:-1] + d[1:])
+    rhs[pieces] = (d[pieces - 2] + 5.0 * d[pieces - 1]) / 2.0
+    sub = [0.0] + [1.0] * (pieces - 1) + [2.0]
+    diag = [1.0] + [4.0] * (pieces - 1) + [1.0]
+    sup = [2.0] + [1.0] * (pieces - 1)
+    for i in range(1, pieces + 1):
+        w = sub[i] / diag[i - 1]
+        diag[i] -= w * sup[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    slopes = np.empty_like(rhs)
+    slopes[pieces] = rhs[pieces] / diag[pieces]
+    for i in range(pieces - 1, -1, -1):
+        slopes[i] = (rhs[i] - sup[i] * slopes[i + 1]) / diag[i]
+    s0, s1 = slopes[:-1], slopes[1:]
+    t = (s0 + s1 - 2.0 * d) / h
+    return np.stack([y[:-1], s0, (d - s0) / h - t, t / h], axis=1)
+
+
+def _spline_moments(z: np.ndarray, expiz: np.ndarray) -> np.ndarray:
+    """E_m(z) = int_0^1 s^m e^{izs} ds for m = 0..3, shape (4, len(z)).
+
+    ``expiz`` holds e^{iz}.  For |z| >= 1 the forward recursion
+    E_0 = (e^{iz} - 1)/(iz), E_m = (e^{iz} - m E_{m-1})/(iz); it loses
+    accuracy like |z|^{-m} as z -> 0, so |z| < 1 sums the power series
+    E_m(z) = sum_p (iz)^p / (p! (m + p + 1)) instead.
+    """
+    out = np.empty((4, len(z)), dtype=complex)
+    small = np.abs(z) < 1.0
+    iz = 1j * z[~small]
+    e = expiz[~small]
+    prev = (e - 1.0) / iz
+    out[0, ~small] = prev
+    for m in range(1, 4):
+        prev = (e - m * prev) / iz
+        out[m, ~small] = prev
+    if np.any(small):
+        iz = 1j * z[small]
+        term = np.ones_like(iz)
+        series = np.zeros((4, len(iz)), dtype=complex)
+        for p in range(_SERIES_TERMS):
+            series += term / (np.arange(1, 5)[:, None] + p)
+            term = term * iz / (p + 1)
+        out[:, small] = series
+    return out
+
+
 class DistributedDelay:
     """Distributed part  int_{-span}^0 K(theta) u(t + theta) dtheta  of a functional.
 
@@ -62,12 +141,19 @@ class DistributedDelay:
         Either a function of theta returning an (n, n) matrix (a vectorized
         callable may accept an array of shape (q,) and return (q, n, n)), or
         an array of kernel samples of shape (m, n, n) taken on the uniform
-        grid from -span to 0 (m >= 4; interpolated with a cubic spline).
+        grid from -span to 0 (m >= 4; interpolated with the not-a-knot cubic
+        spline).
     span : float
         Positive length of the memory window.
     resolution : int
-        Base quadrature panels per 2*pi of span.  The actual panel count also
-        grows with the mode index so that oscillatory weights stay resolved.
+        Callables only: base quadrature panels per 2*pi of span.  The actual
+        panel count also grows with the mode index so that oscillatory
+        weights stay resolved.
+
+    ``fourier_window`` gives the kernel's part of the mode symbols.  Sampled
+    kernels take the exact Fourier integral of their spline, one vectorised
+    pass per block of modes; callables take a composite Gauss-Legendre rule
+    per mode.
     """
 
     def __init__(self, kernel, span: float, resolution: int = 64):
@@ -77,7 +163,7 @@ class DistributedDelay:
             raise ValueError("quadrature resolution must be a positive integer")
         self.span = float(span)
         self.resolution = int(resolution)
-        self._spline = None
+        self._pieces = None
         self._callable = None
         self._vectorized = False
         if callable(kernel):
@@ -94,11 +180,9 @@ class DistributedDelay:
                 )
             if samples.shape[0] < 4:
                 raise ValueError("need at least 4 kernel samples for interpolation")
-            from scipy.interpolate import CubicSpline
-
-            grid = np.linspace(-self.span, 0.0, samples.shape[0])
             self._samples = samples
-            self._spline = CubicSpline(grid, samples, axis=0)
+            self._grid = np.linspace(-self.span, 0.0, samples.shape[0])
+            self._pieces = _not_a_knot_pieces(samples, self.span / (samples.shape[0] - 1))
             self.dim = samples.shape[1]
             self.is_real = not np.any(np.imag(samples))
         self.kernel = kernel
@@ -129,16 +213,71 @@ class DistributedDelay:
     def evaluate(self, theta: np.ndarray) -> np.ndarray:
         """Kernel values at the points theta, as an array of shape (q, n, n)."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self._spline is not None:
-            return self._spline(theta)
+        if self._pieces is not None:
+            last = self._pieces.shape[0] - 1
+            piece = np.clip(np.searchsorted(self._grid, theta, side="right") - 1, 0, last)
+            t = (theta - self._grid[piece])[:, None, None]
+            c = self._pieces[piece]
+            return ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0]
         if self._vectorized:
             return np.asarray(self._callable(theta))
         rows = [np.asarray(self._callable(float(t))).reshape(self.dim, self.dim)
                 for t in theta]
         return np.stack(rows, axis=0)
 
+    def fourier_window(self, ks: np.ndarray) -> np.ndarray:
+        """int_{-span}^0 K(theta) e^{ik theta} dtheta for every mode in ``ks``,
+        shape (len(ks), n, n).
+
+        Sampled kernels are computed in blocks of ``_MODE_BLOCK`` modes
+        aligned to multiples of the block size, each block in full, so a mode
+        is always computed in the same block and its value does not depend on
+        ``ks``.
+        """
+        ks = np.asarray(ks, dtype=int)
+        out = np.zeros((len(ks), self.dim, self.dim), dtype=complex)
+        if self._pieces is None:
+            for i, k in enumerate(ks):
+                out[i] = _distributed_symbol(self, int(k))
+            return out
+        blocks = np.floor_divide(ks, _MODE_BLOCK)
+        for block in np.unique(blocks):
+            rows = blocks == block
+            first = int(block) * _MODE_BLOCK
+            values = self._spline_block(first + np.arange(_MODE_BLOCK))
+            out[rows] = values[ks[rows] - first]
+        return out
+
+    def _spline_block(self, modes: np.ndarray) -> np.ndarray:
+        """Exact Fourier integral of the spline at ``modes``.
+
+        On piece j the spline is sum_m c_{j,m} (theta - x_j)^m, so
+
+            int S(theta) e^{ik theta} dtheta
+                = sum_m h^{m+1} E_m(kh) sum_j c_{j,m} e^{ik x_j},
+
+        one (modes x pieces) phase matrix times the coefficient stack.  With
+        x_j = -span (P - j) / P every phase goes through ``_unit_phase``, so a
+        span that is a multiple of 2*pi gives exact roots of unity.
+        """
+        pieces = self._pieces.shape[0]
+        turns = self.span / TWO_PI
+        h = self.span / pieces
+        starts = _unit_phase((np.outer(modes, np.arange(pieces, 0, -1)) / pieces) * turns)
+        # real products with the (pieces, 8 n^2) real view of the coefficients
+        # rather than one complex product: OpenBLAS threads a complex product
+        # of this size, and on a 2-vCPU VM waking its threads took ~8 ms per
+        # call against ~20 us for the real one
+        stack = self._pieces.astype(complex).reshape(pieces, -1).view(float)
+        trig = np.concatenate([starts.real, starts.imag]) @ stack
+        sums = trig[:len(modes)].view(complex) + 1j * trig[len(modes):].view(complex)
+        sums = sums.reshape(len(modes), 4, self.dim, self.dim)
+        moments = _spline_moments(modes * h, _unit_phase(-(modes / pieces) * turns))
+        weights = h ** np.arange(1, 5)[:, None] * moments
+        return np.einsum("mk,kmij->kij", weights, sums)
+
     def scaled(self, factor: complex) -> "DistributedDelay":
-        if self._spline is not None:
+        if self._pieces is not None:
             return DistributedDelay(factor * self._samples, self.span, self.resolution)
         base = self._callable
         return DistributedDelay(
@@ -255,8 +394,7 @@ class DelayFunctional:
             phases = _unit_phase(ks * (lag / TWO_PI))
             out += phases[:, None, None] * coef[None, :, :]
         if self.distributed is not None:
-            for i, k in enumerate(ks):
-                out[i] += _distributed_symbol(self.distributed, int(k))
+            out += self.distributed.fourier_window(ks)
         return out
 
     def __add__(self, other: "DelayFunctional") -> "DelayFunctional":

@@ -9,6 +9,8 @@ by the boundedness diagnostics are:
                 tracked sequence stays bounded.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from specdde import (
@@ -106,6 +108,18 @@ def mat2_rich():
     )
 
 
+def mat2_sampled():
+    """mat2_rich with its distributed kernel given as 65 samples (a spline)."""
+    theta = np.linspace(-TWO_PI, 0.0, 65)
+    dist = DistributedDelay(0.05 * np.exp(theta)[:, None, None] * np.eye(2), span=TWO_PI)
+    return replace(
+        mat2_rich(),
+        neutral_delay=DelayFunctional(
+            dim=2, atoms=[(0.1 * np.eye(2), TWO_PI)], distributed=dist
+        ),
+    )
+
+
 def regression_specs():
     return {
         "scalar_basic": scalar_basic(),
@@ -114,6 +128,7 @@ def regression_specs():
         "scalar_lag_pi": scalar_lag_pi(),
         "mat2_diag": mat2_diag(),
         "mat2_rich": mat2_rich(),
+        "mat2_sampled": mat2_sampled(),
     }
 
 

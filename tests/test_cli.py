@@ -2,6 +2,10 @@
 tolerances taken from the configuration."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,3 +86,64 @@ def test_seed_flag_is_gone(tmp_path):
     config.write_text(json.dumps(TINY), encoding="utf-8")
     with pytest.raises(SystemExit):
         cli.main(["solve", "--config", str(config), "--out", str(tmp_path), "--seed", "1"])
+
+
+SAMPLED = dict(TINY, problem=dict(TINY["problem"], L=dict(
+    TINY["problem"]["L"],
+    distributed={"samples": (0.05 * np.exp(np.linspace(-TWO_PI, 0.0, 17))[:, None, None]
+                             * np.eye(2)).tolist(),
+                 "span": TWO_PI},
+)))
+
+
+def test_distributed_resolution_is_an_unknown_field(tmp_path):
+    doc = json.loads(json.dumps(SAMPLED))
+    doc["problem"]["L"]["distributed"]["resolution"] = 64
+    code, out = run(tmp_path, "solve", doc)
+    assert code == 3
+    assert report_of(out, "solve")["error"]["violations"] == [
+        {"path": "problem.L.distributed.resolution", "message": "unknown field"}
+    ]
+
+
+def test_verify_at_the_config_defaults(tmp_path):
+    # K = 64 with N_list [64, 128, 256]: two grids below 2K + 1
+    doc = {key: value for key, value in TINY.items() if key not in ("K", "N_list")}
+    code, out = run(tmp_path, "verify", doc)
+    assert code == 0
+    report = report_of(out, "verify")
+    assert [row["n"] for row in report["rows"]] == [64, 128, 256]
+    assert report["fitted_order"] == pytest.approx(2.0, abs=0.05)
+
+
+def test_off_grid_lag_writes_a_report(tmp_path):
+    doc = json.loads(json.dumps(TINY))
+    doc["problem"]["G"]["atoms"][0]["lag"] = 1.0
+    code, out = run(tmp_path, "verify", doc)
+    assert code == 3
+    report = report_of(out, "verify")
+    assert report["exit_code"] == 3
+    assert report["error"]["type"] == "off_grid_lag"
+    assert "lag 1.0" in report["error"]["message"]
+
+
+def test_grid_below_the_forcing_band_writes_a_report(tmp_path):
+    code, out = run(tmp_path, "verify", dict(TINY, N_list=[2, 32]))
+    assert code == 3
+    assert report_of(out, "verify")["error"]["type"] == "aliasing"
+
+
+def test_cli_path_imports_no_scipy(tmp_path):
+    config = tmp_path / "sampled.json"
+    config.write_text(json.dumps(SAMPLED), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "import specdde.cli\n"
+        "from specdde.config import parse_config\n"
+        f"parse_config(open({str(config)!r}, encoding='utf-8').read())\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.stdout.strip() == "[]"

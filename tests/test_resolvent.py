@@ -220,3 +220,32 @@ class TestDiagnostics:
         assert report.row("L").sup_scaled_diff == pytest.approx(
             report.row("Q").sup_norm, rel=1e-12
         )
+        # and is read from it, as are those of G (row R) and a_tilde (row P)
+        spec = problems.mat2_sampled()
+        window = 40
+        report = m_bounded_diagnostics(spec, window)
+        table = ModeSymbols.from_spec(spec, window + 1)
+        ks = table.modes[:-1]
+        for raw, diff, stack in (("L", "Q", table.L), ("G", "R", table.G),
+                                 ("a_tilde", "P", table.a[:, None, None])):
+            assert report.row(raw).sup_scaled_diff == report.row(diff).sup_norm, raw
+            direct = np.abs(ks) * np.linalg.norm(stack[1:] - stack[:-1], ord=2, axis=(1, 2))
+            assert report.row(raw).sup_scaled_diff == pytest.approx(
+                np.max(direct[np.abs(ks) <= window]), rel=1e-14), raw
+
+    def test_one_svd_stack_per_matrix_row_and_difference(self, monkeypatch):
+        # n = 2: norms of N S T F Q R B L G and scaled differences of
+        # N S T F Q R B; the L and G differences are the Q and R norms
+        svd = np.linalg.svd
+        matrices = []
+
+        def counted(a, *args, **kwargs):
+            matrices.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        window = 24
+        m_bounded_diagnostics(problems.mat2_sampled(), window)
+        family, diffs, raw, scaled = (2 * window + 3, 2 * window + 4,
+                                      2 * window + 5, 2 * window + 1)
+        assert sum(matrices) == 4 * family + 3 * diffs + 2 * raw + 7 * scaled

@@ -1,10 +1,17 @@
 """Mode symbols, transforms, analysis/synthesis and their exact algebra."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
+
+import problems
+from specdde import symbols as symbols_module
 
 from specdde import (
     AliasingError,
@@ -25,6 +32,41 @@ from specdde import (
 
 
 TWO_PI = 2.0 * np.pi
+
+
+def bench_kernel(seed):
+    """(samples, span) of the sampled kernel of the benchmark's ``distributed``
+    workload at ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    dist = workloads.config_document("distributed", seed)["problem"]["L"]["distributed"]
+    return np.asarray(dist["samples"], dtype=float), float(dist["span"])
+
+
+def knot_aligned_reference(samples, span, ks):
+    """int_{-span}^0 S(theta) e^{ik theta} dtheta for scipy's not-a-knot spline
+    S, by a 48-point Gauss-Legendre rule on each spline piece.
+
+    Each piece is integrated in its local variable t = theta - x_j, and the
+    phase e^{ik x_j} is taken with whole turns removed, so neither the rule
+    nor the phases straddle a knot or lose digits to k * theta.
+    """
+    pieces = samples.shape[0] - 1
+    h = span / pieces
+    c = CubicSpline(np.linspace(-span, 0.0, pieces + 1), samples, axis=0).c
+    x, w = np.polynomial.legendre.leggauss(48)
+    t = 0.5 * h * (x + 1.0)
+    w = 0.5 * h * w
+    tt = t[None, :, None, None]
+    values = ((c[0][:, None] * tt + c[1][:, None]) * tt + c[2][:, None]) * tt + c[3][:, None]
+    out = []
+    for k in ks:
+        turns = np.mod(k * np.arange(pieces, 0, -1) / pieces * (span / TWO_PI), 1.0)
+        local = np.einsum("q,pqij->pij", w * np.exp(1j * k * t), values)
+        out.append(np.einsum("p,pij->ij", np.exp(-2j * np.pi * turns), local))
+    return np.array(out)
 
 
 class TestDelaySymbol:
@@ -135,6 +177,85 @@ class TestDelaySymbol:
         ks = np.array([k])
         expected = alpha * l1.symbol_window(ks) + l2.symbol_window(ks)
         assert np.allclose(combined.symbol_window(ks), expected, atol=1e-12)
+
+
+class TestSampledKernel:
+    """Sampled kernels: the numpy spline fit and its exact Fourier integral."""
+
+    @pytest.mark.parametrize("m", [4, 5, 65, 257])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_spline_coefficients_match_scipy(self, m, n, complex_data):
+        gen = np.random.default_rng(m * 10 + n)
+        samples = gen.uniform(-1.0, 1.0, size=(m, n, n))
+        if complex_data:
+            samples = samples + 1j * gen.uniform(-1.0, 1.0, size=(m, n, n))
+        span = 2.7
+        dist = DistributedDelay(samples, span=span)
+        # scipy's c[3 - p] multiplies (theta - x_j)^p on piece j
+        expected = CubicSpline(np.linspace(-span, 0.0, m), samples, axis=0).c[::-1]
+        got = dist._pieces.transpose(1, 0, 2, 3)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_evaluate_matches_scipy_spline(self):
+        samples, span = bench_kernel(2)
+        grid = np.linspace(-span, 0.0, samples.shape[0])
+        theta = np.concatenate([grid, np.random.default_rng(3).uniform(-span, 0.0, 200)])
+        got = DistributedDelay(samples, span=span).evaluate(theta)
+        expected = CubicSpline(grid, samples, axis=0)(theta)
+        assert np.max(np.abs(got - expected)) <= 1e-13
+        assert np.max(np.abs(got[:len(grid)] - samples)) <= 1e-15
+
+    def test_symbol_is_the_exact_spline_integral(self):
+        # at |k| > 32 the knots of the seed-2 kernel fall inside the panels of
+        # a per-mode Gauss-Legendre rule, which is off by ~2e-8 there
+        samples, span = bench_kernel(2)
+        ks = np.array([0, 1, -1, 5, 31, 33, 47, 100, 258, 1000])
+        got = DelayFunctional(
+            dim=2, distributed=DistributedDelay(samples, span=span)
+        ).symbol_window(ks)
+        expected = knot_aligned_reference(samples, span, ks)
+        tol = 1e-14 * span * np.max(np.abs(samples))
+        errors = np.max(np.abs(got - expected), axis=(1, 2))
+        assert np.all(errors <= tol), dict(zip(ks.tolist(), errors.tolist()))
+
+    def test_small_kh_symbol_keeps_relative_accuracy(self):
+        # kh = 2 pi k / 2000 is far below 1: the series branch of E_m
+        samples = np.random.default_rng(5).uniform(-1.0, 1.0, size=(2001, 1, 1))
+        ks = np.array([1, 2, 7])
+        got = DistributedDelay(samples, span=TWO_PI).fourier_window(ks)
+        expected = knot_aligned_reference(samples, TWO_PI, ks)
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
+
+    def test_sampled_symbol_evaluates_no_kernel_values(self, monkeypatch):
+        def no_evaluate(self, theta):
+            raise AssertionError("kernel evaluated")
+
+        dist = DistributedDelay(*bench_kernel(1))
+        monkeypatch.setattr(DistributedDelay, "evaluate", no_evaluate)
+        assert dist.fourier_window(mode_range(300)).shape == (601, 2, 2)
+
+    def test_callable_kernels_keep_the_per_mode_quadrature(self):
+        dist = problems.mat2_rich().neutral_delay.distributed
+        ks = np.array([-40, -3, 0, 2, 17, 64])
+        expected = np.stack([symbols_module._distributed_symbol(dist, int(k)) for k in ks])
+        assert np.array_equal(dist.fourier_window(ks), expected)
+
+    def test_conjugate_symmetry_for_real_samples(self):
+        dist = DistributedDelay(*bench_kernel(3))
+        ks = np.arange(1, 300)
+        assert np.allclose(dist.fourier_window(-ks), np.conj(dist.fourier_window(ks)),
+                           rtol=0.0, atol=1e-16)
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_mode_values_do_not_depend_on_the_window(self, monkeypatch, block):
+        dist = DistributedDelay(*bench_kernel(1))
+        wide = dist.fourier_window(mode_range(40))
+        monkeypatch.setattr(symbols_module, "_MODE_BLOCK", block)
+        for ks in (mode_range(40), mode_range(9), np.array([33, -5, 0, 12])):
+            small = dist.fourier_window(ks)
+            assert np.array_equal(small, dist.fourier_window(mode_range(40))[ks + 40])
+            assert np.allclose(small, wide[ks + 40], rtol=0.0, atol=1e-16)
 
 
 class TestLaplaceSymbol:
@@ -347,6 +468,7 @@ class TestModeSymbols:
 
     def test_band_is_bit_identical_to_the_narrower_table(self, regression_specs):
         # a mode's symbols do not depend on the band, distributed kernels too
+        assert "mat2_sampled" in regression_specs
         for name, spec in regression_specs.items():
             wide = ModeSymbols.from_spec(spec, 40).band(9)
             narrow = ModeSymbols.from_spec(spec, 9)
@@ -354,6 +476,14 @@ class TestModeSymbols:
                 assert np.array_equal(getattr(wide, field), getattr(narrow, field)), name
             assert np.array_equal(wide.modal(spec.state_matrix),
                                   narrow.modal(spec.state_matrix)), name
+
+    def test_band_is_bit_identical_with_small_mode_blocks(self, monkeypatch):
+        monkeypatch.setattr(symbols_module, "_MODE_BLOCK", 3)
+        spec = problems.mat2_sampled()
+        wide = ModeSymbols.from_spec(spec, 40).band(9)
+        narrow = ModeSymbols.from_spec(spec, 9)
+        assert np.array_equal(wide.L, narrow.L)
+        assert np.array_equal(wide.modal(spec.state_matrix), narrow.modal(spec.state_matrix))
 
     def test_band_outside_the_table_rejected(self):
         table = ModeSymbols.from_spec(ProblemSpec(state_matrix=[[-1.0]]), 4)
