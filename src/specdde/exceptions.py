@@ -46,7 +46,7 @@ class SingularSystemError(RuntimeError):
 
 
 class OffGridLagError(ValueError):
-    """A delay lag does not land on the collocation grid and interpolation is off."""
+    """A distributed delay's span is not a whole number of collocation steps."""
 
 
 class PeriodizationError(RuntimeError):

@@ -13,9 +13,14 @@ second order), while the Fourier-integral check subtracts the known jump
 structure via Bernoulli polynomials before applying the trapezoid, which
 restores spectral accuracy against the closed-form transform.
 
-Nothing in the assembly below touches the resolvent or solver modules (only
-the default singular-mode limit is shared); the cross-method comparison
-imports the spectral solver lazily inside compare().
+Every term of the scheme acts on the periodic samples as a convolution
+stencil, (T x)_j = sum_s c_s x_{j-s} with n x n blocks c_s, so the system is
+block circulant.  One FFT over the nodes turns each stencil into its discrete
+symbol, and the scheme becomes N independent n x n systems, one per discrete
+frequency: O(N n^3 + n^2 N log N) work and O(N n^2) memory.  The symbols come
+from the stencil weights alone; nothing here touches the resolvent or solver
+modules (only the default condition limit is shared), and the cross-method
+comparison imports the spectral solver lazily inside compare().
 """
 
 from __future__ import annotations
@@ -203,58 +208,55 @@ def _lagrange4(frac: float) -> np.ndarray:
     return weights
 
 
-def _add_shift(view: np.ndarray, shift: int, block: np.ndarray):
-    """Accumulate ``block`` at rows j, columns (j - shift) mod N of a block matrix."""
-    n_nodes = view.shape[0]
-    rows = np.arange(n_nodes)
-    view[rows, :, (rows - shift) % n_nodes, :] += block
+def _delay_stencil(functional: DelayFunctional, n_nodes: int,
+                   dt: float) -> np.ndarray:
+    """Blocks c_s of the delay term (T x)_j = sum_s c_s x_{j-s}, shape (N, n, n).
 
-
-def _delay_matrix(functional: DelayFunctional, n_nodes: int, dt: float,
-                  interpolate: bool) -> np.ndarray:
+    An atom whose lag lands on the grid is one shift; any other atom takes the
+    cubic Lagrange weights of its four neighbouring nodes.  The distributed
+    kernel takes trapezoidal weights and must span a whole number of steps.
+    """
     n = functional.dim
-    full = np.zeros((n_nodes * n, n_nodes * n), dtype=complex)
-    view = full.reshape(n_nodes, n, n_nodes, n)
+    stencil = np.zeros((n_nodes, n, n), dtype=complex)
     for coef, lag in functional.atoms:
         shift_exact = lag / dt
         shift = int(round(shift_exact))
         if abs(shift_exact - shift) <= 1e-9 * max(1.0, shift_exact):
-            _add_shift(view, shift, coef)
-        elif interpolate:
-            base = int(np.floor(shift_exact))
-            frac = shift_exact - base
-            for offset, weight in zip((-2, -1, 0, 1), _lagrange4(frac)):
-                _add_shift(view, base - offset, weight * coef)
+            stencil[shift % n_nodes] += coef
         else:
-            raise OffGridLagError(
-                f"lag {lag} is {shift_exact} grid steps (not within 1e-9 of an "
-                "integer); enable interpolation or refine the grid"
-            )
+            base = int(np.floor(shift_exact))
+            for offset, weight in zip((-2, -1, 0, 1), _lagrange4(shift_exact - base)):
+                stencil[(base - offset) % n_nodes] += weight * coef
     dist = functional.distributed
     if dist is not None:
         steps_exact = dist.span / dt
         steps = int(round(steps_exact))
         if abs(steps_exact - steps) > 1e-9 * max(1.0, steps_exact):
             raise OffGridLagError(
-                f"distributed span {dist.span} does not land on the grid"
+                f"distributed span {dist.span} is {steps_exact} grid steps (not "
+                "within 1e-9 of an integer); choose a grid that divides it"
             )
-        theta = -dt * np.arange(steps + 1)
-        values = dist.evaluate(theta)
-        for l in range(steps + 1):
-            weight = 0.5 if l in (0, steps) else 1.0
-            _add_shift(view, l, dt * weight * values[l])
-    return full
+        weights = np.full(steps + 1, dt)
+        weights[[0, -1]] *= 0.5
+        values = dist.evaluate(-dt * np.arange(steps + 1))
+        np.add.at(stencil, np.arange(steps + 1) % n_nodes, weights[:, None, None] * values)
+    return stencil
 
 
 def collocation_solve(spec: ProblemSpec, n_nodes: int,
-                      interpolate: bool = False) -> PeriodicGridFunction:
+                      cond_limit: float = COND_LIMIT) -> PeriodicGridFunction:
     """Solve the periodic problem on a uniform grid, independently of the
     spectral route.
 
-    Assembles the dense N*n system in which the centered difference of
-    y_j = x_j - (L x)_j balances A y_j + (G x)_j + the trapezoidal periodic
-    convolution + f_j, and solves it directly.  Second order in the grid
-    spacing for smooth data.
+    The centered difference of y_j = x_j - (L x)_j balances A y_j + (G x)_j
+    + the trapezoidal periodic convolution + f_j.  One FFT over the nodes
+    turns each term's stencil into its discrete symbol; at frequency m the
+    system symbol is (D_m - A)(I - L_m) - G_m - C_m.  The N n x n systems are
+    solved in one batch against the FFT of the resampled forcing, and an
+    inverse FFT gives the samples.  Second order in the grid spacing for
+    smooth data.  The block DFT is unitary, so the system's condition number
+    is max sigma_max / min sigma_min over the frequencies; SingularSystemError
+    is raised when it is not finite or exceeds ``cond_limit``.
     """
     n = spec.dim
     dt = TWO_PI / n_nodes
@@ -263,38 +265,26 @@ def collocation_solve(spec: ProblemSpec, n_nodes: int,
             f"collocation grid {n_nodes} cannot carry forcing bandwidth "
             f"{spec.forcing.bandwidth}"
         )
-    rhs = spec.forcing.resample(n_nodes).samples.reshape(-1)
-
-    neutral = _delay_matrix(spec.neutral_delay, n_nodes, dt, interpolate)
-    reaction = _delay_matrix(spec.reaction_delay, n_nodes, dt, interpolate)
-
-    size = n_nodes * n
     eye_n = np.eye(n)
-    diff = np.zeros((size, size), dtype=complex)
-    diff_view = diff.reshape(n_nodes, n, n_nodes, n)
-    _add_shift(diff_view, -1, eye_n / (2.0 * dt))
-    _add_shift(diff_view, +1, -eye_n / (2.0 * dt))
+    diff_state = np.zeros((n_nodes, n, n), dtype=complex)
+    diff_state[-1] += eye_n / (2.0 * dt)
+    diff_state[1 % n_nodes] -= eye_n / (2.0 * dt)
+    diff_state[0] -= spec.state_matrix
+    folded = periodize_kernel(spec.kernel, n_nodes).convolution_samples()
+    convolution = dt * folded[:, None, None] * eye_n
+    stencils = (diff_state, _delay_stencil(spec.neutral_delay, n_nodes, dt),
+                _delay_stencil(spec.reaction_delay, n_nodes, dt), convolution)
+    diff_hat, neutral_hat, reaction_hat, memory_hat = (
+        np.fft.fft(stencil, axis=0) for stencil in stencils)
+    system = diff_hat @ (eye_n - neutral_hat) - reaction_hat - memory_hat
 
-    state = np.zeros((size, size), dtype=complex)
-    _add_shift(state.reshape(n_nodes, n, n_nodes, n), 0, spec.state_matrix)
-
-    convolution = np.zeros((size, size), dtype=complex)
-    if not spec.kernel.is_empty:
-        folded = periodize_kernel(spec.kernel, n_nodes).convolution_samples()
-        conv_view = convolution.reshape(n_nodes, n, n_nodes, n)
-        for l in range(n_nodes):
-            _add_shift(conv_view, l, dt * folded[l] * eye_n)
-
-    neutral_map = np.eye(size) - neutral
-    system = (diff - state) @ neutral_map - reaction - convolution
-    try:
-        x = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        singular_values = np.linalg.svd(system, compute_uv=False)
-        cond = float("inf") if singular_values[-1] == 0.0 else \
-            float(singular_values[0] / singular_values[-1])
-        raise SingularSystemError(cond) from None
-    samples = x.reshape(n_nodes, n)
+    singular_values = np.linalg.svd(system, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = float(np.max(singular_values[:, 0]) / np.min(singular_values[:, -1]))
+    if not cond <= cond_limit:
+        raise SingularSystemError(cond)
+    rhs = np.fft.fft(_nodal_values(spec.forcing, n_nodes), axis=0)
+    samples = np.fft.ifft(np.linalg.solve(system, rhs[:, :, None])[:, :, 0], axis=0)
     if spec.is_real:
         samples = samples.real
     return PeriodicGridFunction.from_samples(samples)
@@ -336,14 +326,15 @@ def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
     collocation grid, whatever its size.  The fitted order is the
     least-squares slope of log gap against log N (negated); it is reported as
     None when some gap sits at round-off level, where the fit would measure
-    noise.  ``cond_limit`` is passed to the spectral solve.
+    noise.  ``cond_limit`` bounds both the spectral solve and every
+    collocation system.
     """
     from .solver import solve_periodic  # deferred so assembly stays solver-free
 
     reference = solve_periodic(spec, cond_limit=cond_limit).solution
     rows: List[Tuple[int, float]] = []
     for n_nodes in grid_sizes:
-        approx = collocation_solve(spec, int(n_nodes))
+        approx = collocation_solve(spec, int(n_nodes), cond_limit)
         ref = _nodal_values(reference, int(n_nodes))
         gap = float(np.max(np.linalg.norm(ref - approx.samples, axis=1)))
         rows.append((int(n_nodes), gap))

@@ -521,7 +521,7 @@ def laplace_symbol_quadrature(kernel: KernelSpec, k: int, tol: float = 1e-12) ->
 
     Truncates the half-line where the remaining L1 mass drops below ``tol``
     relative to the full L1 norm, then integrates adaptively.  Slower than the
-    closed form; kept as an independent cross-check and for sampled kernels.
+    closed form; kept as an independent cross-check.
     """
     if kernel.is_empty:
         return 0.0 + 0.0j
@@ -698,10 +698,6 @@ class PeriodicGridFunction:
         if abs(k) > self.bandwidth:
             return np.zeros(self.dim, dtype=complex)
         return self.coefficients[k + self.bandwidth]
-
-    def coefficients_map(self) -> dict:
-        return {int(k): self.coefficients[k + self.bandwidth]
-                for k in mode_range(self.bandwidth)}
 
     @property
     def is_real(self) -> bool:

@@ -164,6 +164,17 @@ class TestBesovNorm:
         report_p3 = besov_norm_report(f, BesovParams(s=1.0, p=3.0, q=2.0))
         assert report_p3.quadrature_error <= 1e-10 * report_p3.norm
 
+    def test_quadrature_error_bounds_the_actual_error(self):
+        # the stored grid (64) already exceeds 8 (2K + 1) points, so the
+        # estimate must come from a finer grid than the norm's own
+        f = PeriodicGridFunction.from_harmonics(cos=[1.0, 0.5], sin=[0.0, 0.3],
+                                                const=0.2, n_samples=64)
+        params = BesovParams(s=1.0, p=3.0, q=2.0)
+        report = besov_norm_report(f, params)
+        actual = abs(report.norm - besov_norm(f.resample(4096), params))
+        assert report.norm == pytest.approx(besov_norm(f, params), rel=1e-14)
+        assert report.quadrature_error >= actual > 0.0
+
 
 class TestDerivativeShift:
     def test_mode_one_ratio_is_one(self):

@@ -117,14 +117,43 @@ def test_verify_at_the_config_defaults(tmp_path):
 
 
 def test_off_grid_lag_writes_a_report(tmp_path):
-    doc = json.loads(json.dumps(TINY))
-    doc["problem"]["G"]["atoms"][0]["lag"] = 1.0
+    doc = json.loads(json.dumps(SAMPLED))
+    doc["problem"]["L"]["distributed"]["span"] = 1.0
     code, out = run(tmp_path, "verify", doc)
     assert code == 3
     report = report_of(out, "verify")
     assert report["exit_code"] == 3
     assert report["error"]["type"] == "off_grid_lag"
-    assert "lag 1.0" in report["error"]["message"]
+    assert "span 1.0" in report["error"]["message"]
+
+
+def test_off_grid_atom_lag_verifies(tmp_path):
+    doc = json.loads(json.dumps(TINY))
+    doc["problem"]["G"]["atoms"][0]["lag"] = 1.0
+    code, out = run(tmp_path, "verify", doc)
+    assert code == 0
+    assert report_of(out, "verify")["fitted_order"] == pytest.approx(2.0, abs=0.05)
+
+
+def test_singular_collocation_system_writes_a_report(tmp_path):
+    # the spectral M(k) is regular, but at N = 4 * odd the collocation
+    # system is singular at the Nyquist frequency
+    doc = {
+        "problem": {
+            "n": 1,
+            "A": [[-1.0]],
+            "G": {"atoms": [{"coef": [[-1.0]], "lag": np.pi / 2}]},
+            "forcing": {"cos": [[1.0]]},
+        },
+        "K": 8,
+        "N_list": [16, 20],
+    }
+    code, out = run(tmp_path, "verify", doc)
+    assert code == 2
+    report = report_of(out, "verify")
+    assert report["exit_code"] == 2
+    assert report["error"]["type"] == "singular_system"
+    assert report["error"]["condition"] is None or report["error"]["condition"] > 1e12
 
 
 def test_grid_below_the_forcing_band_writes_a_report(tmp_path):

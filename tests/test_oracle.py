@@ -1,5 +1,8 @@
-"""Collocation oracle: second-order gaps, the nodal evaluation of the spectral
-solution, and the folded memory kernel."""
+"""Collocation oracle: the stencil solve against a dense block-circulant
+reference, second-order gaps, singular systems, memory at large N, the nodal
+evaluation of the spectral solution, and the folded memory kernel."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,19 +10,103 @@ import pytest
 import problems
 from specdde import (
     DelayFunctional,
+    DistributedDelay,
     KernelSpec,
     OffGridLagError,
     PeriodicGridFunction,
     ProblemSpec,
+    SingularSystemError,
     collocation_solve,
     compare,
     laplace_symbol,
     mode_range,
     periodize_kernel,
 )
-from specdde.oracle import _nodal_values
+from specdde.oracle import _delay_stencil, _nodal_values
 
 TWO_PI = 2.0 * np.pi
+
+
+def _dense(stencil):
+    """The block-circulant matrix sum_s kron(P^s, c_s), P the cyclic shift
+    (P x)_j = x_{j-1}, acting on samples stacked node by node."""
+    n_nodes = stencil.shape[0]
+    shift = np.roll(np.eye(n_nodes), 1, axis=0)
+    power = np.eye(n_nodes)
+    dense = np.zeros((n_nodes * stencil.shape[1],) * 2, dtype=complex)
+    for block in stencil:
+        dense += np.kron(power, block)
+        power = shift @ power
+    return dense
+
+
+def dense_collocation(spec, n_nodes):
+    """The scheme assembled and solved as one dense (N n)^2 system."""
+    n, dt = spec.dim, TWO_PI / n_nodes
+    eye_n = np.eye(n)
+    difference = np.zeros((n_nodes, n, n))
+    difference[-1] += eye_n / (2.0 * dt)
+    difference[1] -= eye_n / (2.0 * dt)
+    state = np.zeros((n_nodes, n, n), dtype=complex)
+    state[0] = spec.state_matrix
+    folded = periodize_kernel(spec.kernel, n_nodes).convolution_samples()
+    memory = dt * folded[:, None, None] * eye_n
+    neutral = _delay_stencil(spec.neutral_delay, n_nodes, dt)
+    reaction = _delay_stencil(spec.reaction_delay, n_nodes, dt)
+    system = ((_dense(difference) - _dense(state)) @ (np.eye(n_nodes * n) - _dense(neutral))
+              - _dense(reaction) - _dense(memory))
+    rhs = spec.forcing.resample(n_nodes).samples.reshape(-1)
+    return np.linalg.solve(system, rhs).reshape(n_nodes, n)
+
+
+def scalar_with_reaction_atom(coef, lag):
+    return ProblemSpec(
+        state_matrix=[[-1.0]],
+        reaction_delay=DelayFunctional(dim=1, atoms=[(coef, lag)]),
+        forcing=PeriodicGridFunction.from_harmonics(cos=[1.0]),
+        truncation=4,
+        grid=16,
+    )
+
+
+@pytest.mark.parametrize("n_nodes", [16, 32, 64])
+def test_stencil_solve_matches_the_dense_system(regression_specs, n_nodes):
+    specs = dict(regression_specs, off_grid=scalar_with_reaction_atom(0.3, 1.0))
+    for name, spec in specs.items():
+        reference = dense_collocation(spec, n_nodes)
+        samples = collocation_solve(spec, n_nodes).samples
+        assert np.max(np.abs(samples - reference)) <= 1e-12 * np.max(np.abs(reference)), name
+
+
+def test_singular_system_is_rejected_by_its_condition_number():
+    # at N = 4 * odd the centred difference and the lag's phase cancel at the
+    # Nyquist frequency; the spectral M(k) = ik + 1 + e^{-ik pi/2} is regular
+    spec = scalar_with_reaction_atom(-1.0, np.pi / 2)
+    for n_nodes in (12, 20, 36):
+        with pytest.raises(SingularSystemError):
+            collocation_solve(spec, n_nodes)
+    for n_nodes in (16, 32):
+        samples = collocation_solve(spec, n_nodes).samples
+        assert np.max(np.abs(samples)) < 1.01
+    with pytest.raises(SingularSystemError):
+        collocation_solve(spec, 16, cond_limit=1.0)
+
+
+def test_memory_stays_linear_in_the_grid():
+    spec = problems.mat2_rich()
+    collocation_solve(spec, 1024)
+    tracemalloc.start()
+    try:
+        collocation_solve(spec, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_fitted_order_is_two_on_large_grids():
+    comparison = compare(problems.mat2_rich(), [1024, 4096, 16384])
+    assert comparison.fitted_order == pytest.approx(2.0, abs=0.05)
 
 
 def test_fitted_order_is_two_on_the_smooth_suite(smooth_suite):
@@ -61,16 +148,21 @@ def test_nodal_values_are_the_resampled_grid_when_nothing_folds(n_nodes):
 
 
 def test_off_grid_lag_is_rejected():
+    # an off-grid atom is interpolated and stays second order; a distributed
+    # span off the grid is rejected
+    for lag in (0.3, 1.0, 2.5):
+        comparison = compare(scalar_with_reaction_atom(0.1, lag), [32, 64, 128, 256, 512])
+        assert comparison.fitted_order == pytest.approx(2.0, abs=0.05), lag
     spec = ProblemSpec(
         state_matrix=[[-1.0]],
-        reaction_delay=DelayFunctional(dim=1, atoms=[(0.1, 1.0)]),
+        reaction_delay=DelayFunctional(
+            dim=1, distributed=DistributedDelay(np.full((9, 1, 1), 0.1), span=1.0)),
         forcing=PeriodicGridFunction.from_harmonics(cos=[1.0]),
         truncation=4,
         grid=16,
     )
     with pytest.raises(OffGridLagError):
         collocation_solve(spec, 32)
-    assert collocation_solve(spec, 32, interpolate=True).n_samples == 32
 
 
 @pytest.mark.parametrize("kernel", [
