@@ -94,9 +94,11 @@ def _block_norms(f: PeriodicGridFunction, p: float, refine: int,
     n_quad = f.n_samples if p == 2.0 else max(f.n_samples, refine * (2 * K + 1))
     out = []
     for weights in _partition_weights(K):
-        block = PeriodicGridFunction.from_coefficients(
-            weights[:, None] * f.coefficients, max(strides) * n_quad
-        )
+        weighted = weights[:, None] * f.coefficients
+        if not np.any(weighted):  # its synthesis is exactly zero
+            out.append([0.0] * len(strides))
+            continue
+        block = PeriodicGridFunction.from_coefficients(weighted, max(strides) * n_quad)
         out.append([PeriodicGridFunction(block.samples[::stride], block.coefficients)
                     .lp_norm(p) for stride in strides])
     return np.array(out)

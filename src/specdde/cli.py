@@ -122,6 +122,9 @@ def _run_solve(config: RunConfig, out_dir: Path, report: dict) -> None:
     report["residual_grid"] = solution.residual_grid
     report["residual_modal"] = solution.residual_modal
     report["forcing_tail_energy"] = solution.forcing_tail_energy
+    cond = solution.condition
+    report["condition"] = {"max": cond.max(), "min": cond.min(),
+                           "worst_mode": solution.modes[np.argmax(cond)]}
     report["solution_csv"] = "solution.csv"
     report["coefficients"] = _coefficient_list(solution)
 

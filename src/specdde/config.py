@@ -12,6 +12,8 @@ report for reproducibility.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -77,6 +79,9 @@ def _number(value, path, errs, positive=False, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errs.add(path, "must be a number")
         return None
+    if not abs(value) <= sys.float_info.max:
+        errs.add(path, "must be finite")
+        return None
     if integer and int(value) != value:
         errs.add(path, "must be an integer")
         return None
@@ -86,34 +91,51 @@ def _number(value, path, errs, positive=False, integer=False):
     return int(value) if integer else float(value)
 
 
-def _matrix(value, n, path, errs):
+def _array(value, path, errs, message):
+    """``value`` as a float array, or None with a violation at ``path``."""
     try:
-        mat = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        errs.add(path, "must be a nested array of numbers")
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        errs.add(path, message)
         return None
-    if mat.shape != (n, n):
+    if not np.all(np.isfinite(arr)):
+        errs.add(path, "must be finite")
+        return None
+    return arr
+
+
+def _matrix(value, n, path, errs):
+    mat = _array(value, path, errs, "must be a nested array of numbers")
+    if mat is not None and mat.shape != (n, n):
         errs.add(path, f"expected an {n}x{n} matrix, got shape {list(mat.shape)}")
         return None
     return mat
 
 
 def _vector(value, n, path, errs):
-    arr = None
-    if isinstance(value, (int, float, list)) and not isinstance(value, bool):
-        try:
-            arr = np.atleast_1d(np.asarray(value, dtype=float))
-        except (TypeError, ValueError):
-            arr = None
-    if arr is None:
-        errs.add(path, "must be a number or an array of numbers")
+    message = "must be a number or an array of numbers"
+    if isinstance(value, bool) or not isinstance(value, (int, float, list)):
+        errs.add(path, message)
         return None
+    arr = _array(value, path, errs, message)
+    if arr is None:
+        return None
+    arr = np.atleast_1d(arr)
     if arr.shape == (1,) and n > 1:
         arr = np.full(n, arr[0])
     if arr.shape != (n,):
         errs.add(path, f"expected a length-{n} vector")
         return None
     return arr
+
+
+def _list(doc, key, path, errs) -> list:
+    """The list at ``doc[key]`` (empty when absent), or [] with a violation."""
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        errs.add(f"{path}.{key}", "must be a list")
+        return []
+    return value
 
 
 def _parse_delay(doc, n, horizon, path, errs) -> Optional[DelayFunctional]:
@@ -125,7 +147,7 @@ def _parse_delay(doc, n, horizon, path, errs) -> Optional[DelayFunctional]:
     before = len(errs.violations)
     errs.unknown(path, doc, _DELAY_KEYS)
     atoms = []
-    for i, atom in enumerate(doc.get("atoms", [])):
+    for i, atom in enumerate(_list(doc, "atoms", path, errs)):
         apath = f"{path}.atoms[{i}]"
         if not isinstance(atom, dict):
             errs.add(apath, "must be an object")
@@ -151,11 +173,7 @@ def _parse_delay(doc, n, horizon, path, errs) -> Optional[DelayFunctional]:
             if samples is None:
                 errs.add(f"{dpath}.samples", "required (list of n x n matrices)")
             elif span is not None:
-                try:
-                    arr = np.asarray(samples, dtype=float)
-                except (TypeError, ValueError):
-                    errs.add(f"{dpath}.samples", "must be numeric")
-                    arr = None
+                arr = _array(samples, f"{dpath}.samples", errs, "must be numeric")
                 if arr is not None:
                     if arr.ndim == 1:
                         arr = arr.reshape(-1, 1, 1)
@@ -183,7 +201,7 @@ def _parse_kernel(doc, path, errs) -> Optional[KernelSpec]:
     before = len(errs.violations)
     errs.unknown(path, doc, _KERNEL_KEYS)
     terms = []
-    for i, term in enumerate(doc.get("terms", [])):
+    for i, term in enumerate(_list(doc, "terms", path, errs)):
         tpath = f"{path}.terms[{i}]"
         if not isinstance(term, dict):
             errs.add(tpath, "must be an object")
@@ -191,14 +209,19 @@ def _parse_kernel(doc, path, errs) -> Optional[KernelSpec]:
         errs.unknown(tpath, term, _TERM_KEYS)
         c = _number(term.get("c"), f"{tpath}.c", errs)
         m = _number(term.get("m", 0), f"{tpath}.m", errs, integer=True)
-        alpha = _number(term.get("alpha"), f"{tpath}.alpha", errs)
+        alpha = _number(term.get("alpha"), f"{tpath}.alpha", errs, positive=True)
         if m is not None and m < 0:
             errs.add(f"{tpath}.m", "must be >= 0")
             m = None
-        if alpha is not None and not alpha > 0:
-            errs.add(f"{tpath}.alpha", "must be positive")
-            alpha = None
-        if None not in (c, m, alpha):
+        if None in (c, m, alpha):
+            continue
+        try:  # 171! is beyond the float range
+            mass = math.inf if m > 170 else abs(c) * math.factorial(m) / alpha ** (m + 1)
+        except (OverflowError, ZeroDivisionError):
+            mass = math.inf
+        if math.isinf(mass):
+            errs.add(tpath, "|c| m!/alpha^(m+1) is out of the float range")
+        else:
             terms.append((c, m, alpha))
     if len(errs.violations) > before:
         return None
@@ -214,10 +237,8 @@ def _parse_forcing(doc, n, path, errs) -> Optional[PeriodicGridFunction]:
         if any(k in doc for k in ("const", "cos", "sin")):
             errs.add(path, "give either samples or harmonics, not both")
             return None
-        try:
-            arr = np.asarray(doc["samples"], dtype=float)
-        except (TypeError, ValueError):
-            errs.add(f"{path}.samples", "must be numeric")
+        arr = _array(doc["samples"], f"{path}.samples", errs, "must be numeric")
+        if arr is None:
             return None
         if arr.ndim == 1:
             arr = arr[:, None]
@@ -228,24 +249,14 @@ def _parse_forcing(doc, n, path, errs) -> Optional[PeriodicGridFunction]:
             errs.add(f"{path}.samples", "need at least 3 samples")
             return None
         return PeriodicGridFunction.from_samples(arr)
-    cos = doc.get("cos", [])
-    sin = doc.get("sin", [])
-    const = doc.get("const", 0.0)
-    cos_v, sin_v = [], []
-    for name, src, dst in (("cos", cos, cos_v), ("sin", sin, sin_v)):
-        if not isinstance(src, list):
-            errs.add(f"{path}.{name}", "must be a list")
-            return None
-        for i, entry in enumerate(src):
-            vec = _vector(entry, n, f"{path}.{name}[{i}]", errs)
-            if vec is None:
-                return None
-            dst.append(vec)
-    const_v = _vector(const, n, f"{path}.const", errs)
-    if const_v is None:
+    before = len(errs.violations)
+    harmonics = {name: [_vector(entry, n, f"{path}.{name}[{i}]", errs)
+                        for i, entry in enumerate(_list(doc, name, path, errs))]
+                 for name in ("cos", "sin")}
+    const = _vector(doc.get("const", 0.0), n, f"{path}.const", errs)
+    if len(errs.violations) > before:
         return None
-    return PeriodicGridFunction.from_harmonics(cos=cos_v, sin=sin_v,
-                                               const=const_v, dim=n)
+    return PeriodicGridFunction.from_harmonics(**harmonics, const=const, dim=n)
 
 
 def parse_config(text: str) -> RunConfig:

@@ -40,7 +40,8 @@ class SpectralSolution:
     * ``memory_term``         atilde(ik) uhat(k)
 
     so that neutral_derivative - state_term - reaction_term - memory_term
-    reproduces the forcing coefficients up to round-off.
+    reproduces the forcing coefficients up to round-off.  ``condition``
+    holds the 1-norm condition number of M(k) for every solved mode.
     """
 
     solution: PeriodicGridFunction
@@ -50,6 +51,7 @@ class SpectralSolution:
     state_term: np.ndarray
     reaction_term: np.ndarray
     memory_term: np.ndarray
+    condition: np.ndarray
     truncation: int
     residual_modal: float
     residual_grid: float
@@ -96,7 +98,7 @@ def _solve(spec: ProblemSpec, symbols: ModeSymbols, cond_limit: float) -> Spectr
     ks = band.modes
     rows = slice(symbols.bandwidth - K, symbols.bandwidth + K + 1)
     modal = symbols.modal(spec.state_matrix)
-    resolvent, _ = _checked_inverse(ks, modal[rows], cond_limit)
+    resolvent, condition = _checked_inverse(ks, modal[rows], cond_limit)
     uhat = np.einsum("kij,kj->ki", resolvent, _on_band(f.coefficients, K))
     if spec.is_real:
         uhat[K] = np.real(uhat[K])
@@ -113,6 +115,7 @@ def _solve(spec: ProblemSpec, symbols: ModeSymbols, cond_limit: float) -> Spectr
         state_term=neutral_u @ spec.state_matrix.T,
         reaction_term=np.einsum("kij,kj->ki", band.G, uhat),
         memory_term=band.a[:, None] * uhat,
+        condition=condition,
         truncation=K,
         residual_modal=float(np.max(np.linalg.norm(rhat[rows], axis=1))),
         residual_grid=_grid_max(spec, rhat),

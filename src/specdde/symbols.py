@@ -9,12 +9,13 @@ Conventions used throughout the package:
   matrix, the mode symbol of the functional.  Mode symbols are what the solver
   and the diagnostics consume.
 
-The distributed part of a delay functional takes one of two routes, chosen by
-what its kernel is.  A sampled kernel is the not-a-knot cubic spline through
-its samples (fitted here in numpy); its Fourier integral is exact per spline
-piece and is computed for a whole block of modes in one vectorised pass, with
-no kernel evaluation.  A callable kernel is integrated per mode by a
-composite Gauss-Legendre rule whose panel count grows with |k|.
+The distributed part of a delay functional is always a not-a-knot cubic
+spline on uniform pieces (fitted here in numpy): through the given samples,
+or through a callable kernel sampled at construction on as many pieces as
+its midpoint defect needs.  Its Fourier integral is exact per piece.  The
+phase sums of all modes come from one zero-padded inverse FFT when the span
+is a small rational multiple of 2*pi, else from one direct phase product;
+no kernel is evaluated per mode.
 
 Everything here is a pure function of immutable inputs; evaluations for
 different modes are independent and may run concurrently.
@@ -32,11 +33,15 @@ from .exceptions import AliasingError, DimensionError, InvalidKernelError
 
 TWO_PI = 2.0 * np.pi
 
-# Gauss-Legendre rule used per quadrature panel (callable kernels).
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+#: a callable kernel is sampled on 64, 128, ... spline pieces until the
+#: midpoint defect is at most _SAMPLE_TOL * max|K|
+_SAMPLE_TOL, _FIRST_PIECES, _MAX_PIECES = 1e-12, 64, 2**16
 
-#: modes per block of the closed-form spline symbol
-_MODE_BLOCK = 64
+#: largest q of span / 2 pi = p/q taken by the FFT route
+_MAX_DENOMINATOR = 64
+
+#: phase entries per step of the direct route (bounds its memory)
+_PHASE_ENTRIES = 2**20
 
 #: power-series terms of E_m(z) at |z| < 1 (the first one dropped is < 1e-19)
 _SERIES_TERMS = 20
@@ -138,175 +143,141 @@ class DistributedDelay:
     Parameters
     ----------
     kernel : callable or ndarray
-        Either a function of theta returning an (n, n) matrix (a vectorized
-        callable may accept an array of shape (q,) and return (q, n, n)), or
-        an array of kernel samples of shape (m, n, n) taken on the uniform
-        grid from -span to 0 (m >= 4; interpolated with the not-a-knot cubic
-        spline).
+        Either kernel samples of shape (m, n, n) taken on the uniform grid
+        from -span to 0 (m >= 4), or a vectorised function mapping an array
+        of q points to an array of shape (q, n, n).
     span : float
         Positive length of the memory window.
-    resolution : int
-        Callables only: base quadrature panels per 2*pi of span.  The actual
-        panel count also grows with the mode index so that oscillatory
-        weights stay resolved.
 
-    ``fourier_window`` gives the kernel's part of the mode symbols.  Sampled
-    kernels take the exact Fourier integral of their spline, one vectorised
-    pass per block of modes; callables take a composite Gauss-Legendre rule
-    per mode.
+    The kernel is held as one thing, the not-a-knot cubic spline on P
+    uniform pieces.  Samples are fitted as given (P = m - 1,
+    ``sample_error`` 0.0).  A callable is sampled at construction on
+    P = 64, 128, ... pieces, doubling until the spline is within
+    ``_SAMPLE_TOL`` of max|K| of the callable at every piece midpoint (the
+    next level's new knots); ``sample_error`` records that midpoint defect,
+    in kernel units.  ``evaluate`` and ``fourier_window`` read the spline
+    only, so every consumer sees the same operator.
     """
 
-    def __init__(self, kernel, span: float, resolution: int = 64):
+    def __init__(self, kernel, span: float):
         if not span > 0.0:
             raise ValueError(f"distributed span must be positive, got {span}")
-        if resolution < 1:
-            raise ValueError("quadrature resolution must be a positive integer")
         self.span = float(span)
-        self.resolution = int(resolution)
-        self._pieces = None
-        self._callable = None
-        self._vectorized = False
         if callable(kernel):
-            self._callable = kernel
-            self._probe_callable()
+            samples, self._pieces, self.sample_error = _sample_callable(kernel, self.span)
         else:
             samples = np.asarray(kernel)
             if samples.ndim == 1:
                 samples = samples.reshape(-1, 1, 1)
-            if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
-                raise DimensionError(
-                    "kernel samples must have shape (m, n, n), got "
-                    f"{samples.shape}"
-                )
+            samples = _kernel_values(samples)
             if samples.shape[0] < 4:
                 raise ValueError("need at least 4 kernel samples for interpolation")
-            self._samples = samples
-            self._grid = np.linspace(-self.span, 0.0, samples.shape[0])
             self._pieces = _not_a_knot_pieces(samples, self.span / (samples.shape[0] - 1))
-            self.dim = samples.shape[1]
-            self.is_real = not np.any(np.imag(samples))
-        self.kernel = kernel
-
-    def _probe_callable(self):
-        probe = np.array([-self.span / 2.0, -self.span / 4.0])
-        try:
-            out = np.asarray(self._callable(probe))
-        except Exception:
-            out = None
-        if out is not None and out.ndim == 3 and out.shape[0] == 2:
-            self._vectorized = True
-            self.dim = out.shape[1]
-            sample = out
-        else:
-            single = np.asarray(self._callable(float(probe[0])))
-            if single.ndim == 0:
-                single = single.reshape(1, 1)
-            if single.ndim != 2 or single.shape[0] != single.shape[1]:
-                raise DimensionError(
-                    "distributed kernel must return an (n, n) matrix, got "
-                    f"shape {single.shape}"
-                )
-            self.dim = single.shape[0]
-            sample = single[None]
-        self.is_real = not np.any(np.imag(sample))
+            self.sample_error = 0.0
+        self.pieces, self.dim = samples.shape[0] - 1, samples.shape[1]
+        self.is_real = not np.any(np.imag(samples))
+        self._samples = samples
+        self._grid = np.linspace(-self.span, 0.0, self.pieces + 1)
+        self._fraction = _span_fraction(self.span / TWO_PI)
 
     def evaluate(self, theta: np.ndarray) -> np.ndarray:
-        """Kernel values at the points theta, as an array of shape (q, n, n)."""
+        """Spline values at the points theta, as an array of shape (q, n, n)."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self._pieces is not None:
-            last = self._pieces.shape[0] - 1
-            piece = np.clip(np.searchsorted(self._grid, theta, side="right") - 1, 0, last)
-            t = (theta - self._grid[piece])[:, None, None]
-            c = self._pieces[piece]
-            return ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0]
-        if self._vectorized:
-            return np.asarray(self._callable(theta))
-        rows = [np.asarray(self._callable(float(t))).reshape(self.dim, self.dim)
-                for t in theta]
-        return np.stack(rows, axis=0)
+        piece = np.searchsorted(self._grid, theta, side="right") - 1
+        piece = np.clip(piece, 0, self.pieces - 1)
+        return _horner(self._pieces[piece], (theta - self._grid[piece])[:, None, None])
 
     def fourier_window(self, ks: np.ndarray) -> np.ndarray:
-        """int_{-span}^0 K(theta) e^{ik theta} dtheta for every mode in ``ks``,
-        shape (len(ks), n, n).
+        """int_{-span}^0 S(theta) e^{ik theta} dtheta for every mode in ``ks``,
+        shape (len(ks), n, n), exact for the spline S.
 
-        Sampled kernels are computed in blocks of ``_MODE_BLOCK`` modes
-        aligned to multiples of the block size, each block in full, so a mode
-        is always computed in the same block and its value does not depend on
-        ``ks``.
-        """
-        ks = np.asarray(ks, dtype=int)
-        out = np.zeros((len(ks), self.dim, self.dim), dtype=complex)
-        if self._pieces is None:
-            for i, k in enumerate(ks):
-                out[i] = _distributed_symbol(self, int(k))
-            return out
-        blocks = np.floor_divide(ks, _MODE_BLOCK)
-        for block in np.unique(blocks):
-            rows = blocks == block
-            first = int(block) * _MODE_BLOCK
-            values = self._spline_block(first + np.arange(_MODE_BLOCK))
-            out[rows] = values[ks[rows] - first]
-        return out
-
-    def _spline_block(self, modes: np.ndarray) -> np.ndarray:
-        """Exact Fourier integral of the spline at ``modes``.
-
-        On piece j the spline is sum_m c_{j,m} (theta - x_j)^m, so
+        On piece j the spline is sum_m c_{j,m} (theta - x_j)^m with knots
+        x_j = -span + j h, so
 
             int S(theta) e^{ik theta} dtheta
-                = sum_m h^{m+1} E_m(kh) sum_j c_{j,m} e^{ik x_j},
+                = sum_m h^{m+1} E_m(kh) sum_j c_{j,m} e^{ik x_j}.
 
-        one (modes x pieces) phase matrix times the coefficient stack.  With
-        x_j = -span (P - j) / P every phase goes through ``_unit_phase``, so a
-        span that is a multiple of 2*pi gives exact roots of unity.
+        The phase sums take one of two routes, fixed at construction.  When
+        span / 2 pi = p/q with small q, e^{ik x_j} = e^{-ik span} w^{(kp) j}
+        with w = e^{2 pi i/(qP)}, so the sums of every mode are entries
+        (kp mod qP) of one zero-padded inverse FFT of length qP of the
+        coefficient stack.  Otherwise they are one direct phase product by
+        ``np.einsum``, which computes each row alone.  Either way a mode's
+        value depends on that mode alone, not on ``ks``.
         """
-        pieces = self._pieces.shape[0]
+        ks = np.asarray(ks, dtype=int)
+        pieces, n = self.pieces, self.dim
         turns = self.span / TWO_PI
         h = self.span / pieces
-        starts = _unit_phase((np.outer(modes, np.arange(pieces, 0, -1)) / pieces) * turns)
-        # real products with the (pieces, 8 n^2) real view of the coefficients
-        # rather than one complex product: OpenBLAS threads a complex product
-        # of this size, and on a 2-vCPU VM waking its threads took ~8 ms per
-        # call against ~20 us for the real one
-        stack = self._pieces.astype(complex).reshape(pieces, -1).view(float)
-        trig = np.concatenate([starts.real, starts.imag]) @ stack
-        sums = trig[:len(modes)].view(complex) + 1j * trig[len(modes):].view(complex)
-        sums = sums.reshape(len(modes), 4, self.dim, self.dim)
-        moments = _spline_moments(modes * h, _unit_phase(-(modes / pieces) * turns))
+        stack = self._pieces.reshape(pieces, -1)
+        if self._fraction is not None:
+            p, q = self._fraction
+            table = np.fft.ifft(stack, n=q * pieces, axis=0, norm="forward")
+            shift = _unit_phase(np.mod(ks * p, q) / q)
+            sums = table[np.mod(ks * p, q * pieces)] * shift[:, None]
+        else:
+            back = np.arange(pieces, 0, -1)
+            step = max(1, _PHASE_ENTRIES // pieces)
+            sums = np.empty((len(ks), stack.shape[1]), dtype=complex)
+            for i in range(0, len(ks), step):
+                phases = _unit_phase((np.outer(ks[i:i + step], back) / pieces) * turns)
+                sums[i:i + step] = np.einsum("kj,jc->kc", phases, stack)
+        moments = _spline_moments(ks * h, _unit_phase(-(ks / pieces) * turns))
         weights = h ** np.arange(1, 5)[:, None] * moments
-        return np.einsum("mk,kmij->kij", weights, sums)
+        return np.einsum("mk,kmij->kij", weights, sums.reshape(len(ks), 4, n, n))
 
     def scaled(self, factor: complex) -> "DistributedDelay":
-        if self._pieces is not None:
-            return DistributedDelay(factor * self._samples, self.span, self.resolution)
-        base = self._callable
-        return DistributedDelay(
-            lambda theta, _f=base, _a=factor: _a * np.asarray(_f(theta)),
-            self.span,
-            self.resolution,
-        )
+        out = DistributedDelay(factor * self._samples, self.span)
+        out.sample_error = abs(factor) * self.sample_error
+        return out
 
 
-def _distributed_symbol(dist: DistributedDelay, k: int) -> np.ndarray:
-    """Composite Gauss-Legendre evaluation of  int_{-span}^0 K(theta) e^{ik theta} dtheta.
+def _sample_callable(kernel, span: float):
+    """(samples, spline pieces, midpoint defect) of the first level that meets
+    ``_SAMPLE_TOL``."""
+    pieces = _FIRST_PIECES
+    values = _kernel_values(kernel(np.linspace(-span, 0.0, pieces + 1)), pieces + 1)
+    while True:
+        c = _not_a_knot_pieces(values, span / pieces)
+        mids = _kernel_values(kernel(np.linspace(-span, 0.0, 2 * pieces + 1)[1::2]), pieces)
+        defect = float(np.max(np.abs(_horner(c, 0.5 * span / pieces) - mids)))
+        scale = max(np.max(np.abs(values)), np.max(np.abs(mids)))
+        if defect <= _SAMPLE_TOL * scale:
+            return values, c, defect
+        if pieces == _MAX_PIECES:
+            raise InvalidKernelError(
+                f"distributed kernel not resolved by {pieces} spline pieces: "
+                f"midpoint defect {defect:.3e} against max|K| {scale:.3e}"
+            )
+        values = np.insert(values, np.arange(1, pieces + 1), mids, axis=0)
+        pieces *= 2
 
-    Panels: at least ``resolution`` per 2*pi of span, and at least |k|*span/pi
-    so the oscillation never exceeds ~pi radians per panel.
-    """
-    span = dist.span
-    panels = max(
-        int(np.ceil(dist.resolution * span / TWO_PI)),
-        int(np.ceil(abs(k) * span / np.pi)),
-        1,
-    )
-    edges = np.linspace(-span, 0.0, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    theta = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    values = dist.evaluate(theta)
-    phases = np.exp(1j * k * theta)
-    return np.einsum("q,q,qij->ij", weights, phases, values)
+
+def _kernel_values(values, points: Optional[int] = None) -> np.ndarray:
+    """Kernel samples or values checked to be a finite (q, n, n) array, with
+    q = ``points`` when given."""
+    values = np.asarray(values)
+    if (values.ndim != 3 or values.shape[1] != values.shape[2]
+            or points is not None and values.shape[0] != points):
+        raise DimensionError(f"distributed kernel values must have shape "
+                             f"({points or 'q'}, n, n), got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise InvalidKernelError("distributed kernel values must be finite")
+    return values
+
+
+def _horner(c: np.ndarray, t) -> np.ndarray:
+    """Spline pieces c of shape (q, 4, n, n) at local offsets t."""
+    return ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0]
+
+
+def _span_fraction(turns: float):
+    """(p, q) with turns = p/q to round-off and the least q <= _MAX_DENOMINATOR,
+    or None."""
+    qs = np.arange(1, _MAX_DENOMINATOR + 1)
+    ps = np.rint(turns * qs)
+    fits = (ps >= 1) & (np.abs(turns * qs - ps) <= 4 * np.finfo(float).eps * ps)
+    return (int(ps[fits][0]), int(qs[fits][0])) if np.any(fits) else None
 
 
 @dataclass

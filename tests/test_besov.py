@@ -176,6 +176,30 @@ class TestBesovNorm:
         assert report.quadrature_error >= actual > 0.0
 
 
+    def test_zero_blocks_are_not_synthesised(self, monkeypatch):
+        # modes |k| <= 3 only: levels 0..2 carry weight, levels 3..7 of K = 40 do not
+        coeffs = np.zeros((81, 2), dtype=complex)
+        coeffs[37:44] = np.random.default_rng(8).normal(size=(7, 2))
+        f = PeriodicGridFunction.from_coefficients(coeffs, 162)
+        params = BesovParams(s=1.0, p=3.0, q=2.0)
+        n_quad = 4 * 81
+        expected = []
+        for level in range(8):
+            weights = partition_eval(level, mode_range(40))
+            block = PeriodicGridFunction.from_coefficients(weights[:, None] * coeffs,
+                                                           2 * n_quad)
+            expected.append(PeriodicGridFunction(block.samples[::2], block.coefficients)
+                            .lp_norm(3.0))
+        calls = []
+        synthesis = PeriodicGridFunction.from_coefficients.__func__
+        monkeypatch.setattr(PeriodicGridFunction, "from_coefficients", classmethod(
+            lambda cls, c, n: calls.append(n) or synthesis(cls, c, n)))
+        report = besov_norm_report(f, params)
+        assert np.array_equal(report.block_norms, expected)
+        assert np.all(report.block_norms[3:] == 0.0) and np.all(report.block_norms[:3] > 0)
+        assert calls == [2 * n_quad] * 3
+
+
 class TestDerivativeShift:
     def test_mode_one_ratio_is_one(self):
         params = BesovParams(s=1.0, p=2.0, q=2.0)

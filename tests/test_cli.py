@@ -3,14 +3,19 @@ tolerances taken from the configuration."""
 
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specdde import cli
+from specdde import ModeSymbols, cli
+from specdde.config import parse_config
 
 TWO_PI = 2.0 * np.pi
 
@@ -71,6 +76,18 @@ def test_singular_cond_tolerance_is_honoured(tmp_path, command):
     assert report["error"]["type"] == "singular_mode"
     assert report["error"]["modes"]
     assert min(report["error"]["conditions"]) > 1.5
+
+
+def test_solve_report_gives_the_condition_range(tmp_path):
+    code, out = run(tmp_path, "solve", TINY)
+    assert code == 0
+    condition = report_of(out, "solve")["condition"]
+    spec = parse_config(json.dumps(TINY)).problem
+    modes = np.arange(-8, 9)
+    expected = np.linalg.cond(ModeSymbols.from_spec(spec, 8).modal(spec.state_matrix), 1)
+    assert list(condition) == ["max", "min", "worst_mode"]
+    assert condition["max"] == np.max(expected) and condition["min"] == np.min(expected)
+    assert condition["worst_mode"] == modes[np.argmax(expected)]
 
 
 def test_seed_is_an_unknown_field(tmp_path):
@@ -176,3 +193,80 @@ def test_cli_path_imports_no_scipy(tmp_path):
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
     assert result.stdout.strip() == "[]"
+
+
+FUZZ_BASES = (
+    dict(SAMPLED, problem=dict(SAMPLED["problem"], horizon_periods=1),
+         besov={"s": 1.0, "p": 3.0, "q": 2.0}, tolerances={"singular_cond": 1e12}),
+    dict(TINY, problem=dict(TINY["problem"], forcing={
+        "samples": np.cos(TWO_PI * np.arange(16) / 16)[:, None].repeat(2, axis=1).tolist()})),
+)
+
+
+def _paths(node, path=""):
+    """(config path, container keys) of every value in a document."""
+    yield path, ()
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        sub = f"{path}[{key}]" if isinstance(key, int) else (f"{path}.{key}" if path else key)
+        for inner, keys in _paths(value, sub):
+            yield inner, (key,) + keys
+
+
+def _lookup(doc, keys):
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
+def _mutated(doc, keys, value):
+    doc = json.loads(json.dumps(doc))
+    _lookup(doc, keys[:-1])[keys[-1]] = value
+    return doc
+
+
+#: values no field of a configuration accepts
+_INVALID = (float("nan"), float("inf"), float("-inf"), 10**400, "x", [float("nan")])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_invalid_documents_exit_3_with_a_violation_path(data):
+    base = data.draw(st.sampled_from(FUZZ_BASES))
+    paths = [(path, keys) for path, keys in _paths(base) if keys]
+    kind = data.draw(st.sampled_from(["value", "number_for_container", "overflowing_term"]))
+    if kind == "value":
+        # a field first, then one of its values, so long sample arrays do not
+        # crowd out the scalar fields
+        field = data.draw(st.sampled_from(sorted({_field(p) for p, _ in paths})))
+        path, keys = data.draw(st.sampled_from([(p, k) for p, k in paths if _field(p) == field]))
+        doc = _mutated(base, keys, data.draw(st.sampled_from(_INVALID)))
+    elif kind == "number_for_container":
+        # objects, and the lists of objects, take no bare number
+        path, keys = data.draw(st.sampled_from([
+            (p, k) for p, k in paths
+            if isinstance(_lookup(base, k), dict) or p.endswith((".atoms", ".terms"))]))
+        doc = _mutated(base, keys, 5)
+    else:
+        path, keys = "problem.kernel.terms[0]", ("problem", "kernel", "terms", 0)
+        m, alpha = data.draw(st.sampled_from([(171, 2.0), (400, 2.0), (10**6, 2.0),
+                                              (100, 1e-5), (150, 1e3)]))
+        doc = _mutated(base, keys, {"c": 0.2, "m": m, "alpha": alpha})
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in COMMANDS:
+            code, out = run(Path(tmp), command, doc, command)
+            assert code == 3, (command, path)
+            error = report_of(out, command)["error"]
+            assert error["type"] == "validation"
+            # at the mutated value, inside it, or at a value holding it
+            assert any(_within(path, v["path"]) or _within(v["path"], path)
+                       for v in error["violations"]), (path, error["violations"])
+
+
+def _field(path):
+    return re.sub(r"\[\d+\]", "[]", path)
+
+
+def _within(inner, outer):
+    return inner == outer or inner.startswith((outer + ".", outer + "["))

@@ -112,6 +112,14 @@ class TestSolveBenchmarks:
             convergence_sweep(spec, [2, 4], cond_limit=3.0)
         assert solve_periodic(spec, cond_limit=4.5).residual_modal <= 1e-14
 
+    def test_solution_records_the_condition_of_every_mode(self, regression_specs):
+        assert "scalar_lag_pi" in regression_specs
+        for name, spec in regression_specs.items():
+            sol = solve_periodic(spec)
+            modal = ModeSymbols.from_spec(spec, spec.truncation).modal(spec.state_matrix)
+            assert np.array_equal(sol.condition, np.linalg.cond(modal, 1)), name
+            assert sol.condition.shape == sol.modes.shape, name
+
 
 class TestSymbolTable:
     """The solve and the diagnostics evaluate each delay functional once."""

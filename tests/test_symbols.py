@@ -235,11 +235,45 @@ class TestSampledKernel:
         monkeypatch.setattr(DistributedDelay, "evaluate", no_evaluate)
         assert dist.fourier_window(mode_range(300)).shape == (601, 2, 2)
 
-    def test_callable_kernels_keep_the_per_mode_quadrature(self):
+    def test_callable_kernels_are_sampled_onto_the_spline(self):
         dist = problems.mat2_rich().neutral_delay.distributed
+        scale = 0.05
+        assert dist.pieces >= 64 and dist.pieces & (dist.pieces - 1) == 0
+        assert 0.0 < dist.sample_error <= 1e-12 * scale
         ks = np.array([-40, -3, 0, 2, 17, 64])
-        expected = np.stack([symbols_module._distributed_symbol(dist, int(k)) for k in ks])
-        assert np.array_equal(dist.fourier_window(ks), expected)
+        got = dist.fourier_window(ks)
+        for i, k in enumerate(ks):
+            re = quad(lambda th: scale * np.exp(th), -TWO_PI, 0.0, weight="cos",
+                      wvar=k, epsabs=1e-15, epsrel=1e-13)[0]
+            im = quad(lambda th: scale * np.exp(th), -TWO_PI, 0.0, weight="sin",
+                      wvar=k, epsabs=1e-15, epsrel=1e-13)[0]
+            error = np.abs(got[i] - (re + 1j * im) * np.eye(2))
+            assert np.max(error) <= TWO_PI * dist.sample_error + 1e-14, k
+
+    def test_unresolved_callable_is_rejected(self):
+        with pytest.raises(InvalidKernelError, match="65536 spline pieces"):
+            DistributedDelay(lambda th: np.where(th < -1.0, 1.0, 0.0)[:, None, None],
+                             span=TWO_PI)
+
+    def test_scalar_callable_is_rejected(self):
+        with pytest.raises(DimensionError):
+            DistributedDelay(lambda th: np.array([[0.3 * np.exp(th)]]), span=TWO_PI)
+
+    def test_resolution_argument_is_gone(self):
+        with pytest.raises(TypeError):
+            DistributedDelay(*bench_kernel(1), resolution=64)
+
+    @pytest.mark.parametrize("turns, fraction", [(1.0, (1, 1)), (0.5, (1, 2)),
+                                                 (3.0 / 64.0, (3, 64))])
+    def test_fft_route_matches_the_direct_product(self, turns, fraction):
+        samples = np.random.default_rng(4).uniform(-1.0, 1.0, size=(78, 2, 2))
+        dist = DistributedDelay(samples, span=TWO_PI * turns)
+        assert dist._fraction == fraction
+        ks = mode_range(4096)
+        fft = dist.fourier_window(ks)
+        dist._fraction = None
+        direct = dist.fourier_window(ks)
+        assert np.max(np.abs(fft - direct)) <= 1e-14 * dist.span * np.max(np.abs(samples))
 
     def test_conjugate_symmetry_for_real_samples(self):
         dist = DistributedDelay(*bench_kernel(3))
@@ -247,15 +281,16 @@ class TestSampledKernel:
         assert np.allclose(dist.fourier_window(-ks), np.conj(dist.fourier_window(ks)),
                            rtol=0.0, atol=1e-16)
 
-    @pytest.mark.parametrize("block", [1, 3, 7])
-    def test_mode_values_do_not_depend_on_the_window(self, monkeypatch, block):
-        dist = DistributedDelay(*bench_kernel(1))
+    @pytest.mark.parametrize("span", [TWO_PI, 2.7], ids=["fft", "direct"])
+    def test_mode_values_do_not_depend_on_the_window(self, monkeypatch, span):
+        samples, _ = bench_kernel(1)
+        dist = DistributedDelay(samples, span=span)
+        assert (dist._fraction is None) == (span == 2.7)
         wide = dist.fourier_window(mode_range(40))
-        monkeypatch.setattr(symbols_module, "_MODE_BLOCK", block)
+        # the direct route also when it takes one mode per step
+        monkeypatch.setattr(symbols_module, "_PHASE_ENTRIES", 1)
         for ks in (mode_range(40), mode_range(9), np.array([33, -5, 0, 12])):
-            small = dist.fourier_window(ks)
-            assert np.array_equal(small, dist.fourier_window(mode_range(40))[ks + 40])
-            assert np.allclose(small, wide[ks + 40], rtol=0.0, atol=1e-16)
+            assert np.array_equal(dist.fourier_window(ks), wide[ks + 40])
 
 
 class TestLaplaceSymbol:
@@ -476,14 +511,6 @@ class TestModeSymbols:
                 assert np.array_equal(getattr(wide, field), getattr(narrow, field)), name
             assert np.array_equal(wide.modal(spec.state_matrix),
                                   narrow.modal(spec.state_matrix)), name
-
-    def test_band_is_bit_identical_with_small_mode_blocks(self, monkeypatch):
-        monkeypatch.setattr(symbols_module, "_MODE_BLOCK", 3)
-        spec = problems.mat2_sampled()
-        wide = ModeSymbols.from_spec(spec, 40).band(9)
-        narrow = ModeSymbols.from_spec(spec, 9)
-        assert np.array_equal(wide.L, narrow.L)
-        assert np.array_equal(wide.modal(spec.state_matrix), narrow.modal(spec.state_matrix))
 
     def test_band_outside_the_table_rejected(self):
         table = ModeSymbols.from_spec(ProblemSpec(state_matrix=[[-1.0]]), 4)
