@@ -1,6 +1,7 @@
 """Mode symbols, transforms, analysis/synthesis and their exact algebra."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -281,16 +282,18 @@ class TestSampledKernel:
         assert np.allclose(dist.fourier_window(-ks), np.conj(dist.fourier_window(ks)),
                            rtol=0.0, atol=1e-16)
 
-    @pytest.mark.parametrize("span", [TWO_PI, 2.7], ids=["fft", "direct"])
-    def test_mode_values_do_not_depend_on_the_window(self, monkeypatch, span):
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_mode_values_do_not_depend_on_the_window(self, monkeypatch, block):
         samples, _ = bench_kernel(1)
-        dist = DistributedDelay(samples, span=span)
-        assert (dist._fraction is None) == (span == 2.7)
-        wide = dist.fourier_window(mode_range(40))
-        # the direct route also when it takes one mode per step
-        monkeypatch.setattr(symbols_module, "_PHASE_ENTRIES", 1)
-        for ks in (mode_range(40), mode_range(9), np.array([33, -5, 0, 12])):
-            assert np.array_equal(dist.fourier_window(ks), wide[ks + 40])
+        for span in (TWO_PI, 2.7):  # the FFT route, then the direct route
+            dist = DistributedDelay(samples, span=span)
+            assert (dist._fraction is None) == (span == 2.7)
+            wide = dist.fourier_window(mode_range(40))
+            with monkeypatch.context() as patch:
+                # the direct route taking `block` modes per step
+                patch.setattr(symbols_module, "_PHASE_ENTRIES", block * dist.pieces)
+                for ks in (mode_range(40), mode_range(9), np.array([33, -5, 0, 12])):
+                    assert np.array_equal(dist.fourier_window(ks), wide[ks + 40]), span
 
 
 class TestLaplaceSymbol:
@@ -511,6 +514,22 @@ class TestModeSymbols:
                 assert np.array_equal(getattr(wide, field), getattr(narrow, field)), name
             assert np.array_equal(wide.modal(spec.state_matrix),
                                   narrow.modal(spec.state_matrix)), name
+
+    def test_band_is_bit_identical_with_small_mode_blocks(self, monkeypatch):
+        # mat2_sampled takes the FFT route; the same kernel on a span off the
+        # FFT grid takes the direct route, here three modes per step
+        theta = np.linspace(-2.7, 0.0, 65)
+        dist = DistributedDelay(0.05 * np.exp(theta)[:, None, None] * np.eye(2), span=2.7)
+        assert dist._fraction is None
+        off_grid = replace(problems.mat2_sampled(), neutral_delay=DelayFunctional(
+            dim=2, atoms=[(0.1 * np.eye(2), TWO_PI)], distributed=dist))
+        monkeypatch.setattr(symbols_module, "_PHASE_ENTRIES", 3 * dist.pieces)
+        for spec in (problems.mat2_sampled(), off_grid):
+            wide = ModeSymbols.from_spec(spec, 40).band(9)
+            narrow = ModeSymbols.from_spec(spec, 9)
+            assert np.array_equal(wide.L, narrow.L)
+            assert np.array_equal(wide.modal(spec.state_matrix),
+                                  narrow.modal(spec.state_matrix))
 
     def test_band_outside_the_table_rejected(self):
         table = ModeSymbols.from_spec(ProblemSpec(state_matrix=[[-1.0]]), 4)
