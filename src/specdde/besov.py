@@ -129,7 +129,7 @@ class BesovNormReport:
     def to_dict(self) -> dict:
         return {
             "norm": self.norm,
-            "block_norms": [float(b) for b in self.block_norms],
+            "block_norms": self.block_norms,
             "quadrature_error": self.quadrature_error,
         }
 

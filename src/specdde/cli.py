@@ -1,12 +1,14 @@
 """Batch front end: solve / diagnose / besov / verify / sweep.
 
-One command per process; reports are UTF-8 JSON with LF newlines, fixed field
-order and floats printed at 17 significant digits, so identical configs
-produce byte-identical files.  Exit codes: 0 success, 2 solvability failure
-(singular mode or singular collocation system), 3 validation failure (an
-invalid document, or values a command cannot use: an off-grid lag, an
-unreachable fold tolerance, a grid too coarse for a bandwidth).  Every
-failure writes a report with an ``error.type``.
+One command per process; reports are RFC 8259 JSON in UTF-8 with LF newlines,
+fixed field order and floats in Python's shortest round-trip form, so
+identical configs produce byte-identical files.  Exit codes: 0 success, 2
+solvability failure (singular mode or singular collocation system), 3
+validation failure (an invalid document, or values a command cannot use: an
+off-grid lag, an unreachable fold tolerance, a grid too coarse for a
+bandwidth) or a ``non_finite`` result (a NaN or infinity in the output, which
+then writes no side file).  Every failure writes a report with an
+``error.type``.
 """
 
 from __future__ import annotations
@@ -36,89 +38,58 @@ from .solver import convergence_sweep, solve_periodic
 COMMANDS = ("solve", "diagnose", "besov", "verify", "sweep")
 
 
-def _format_float(x: float) -> str:
-    if np.isnan(x) or np.isinf(x):
-        return "null"
-    text = format(float(x), ".17g")
-    return text
-
-
-def _dumps(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return _dumps({"re": float(obj.real), "im": float(obj.imag)}, indent)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, np.ndarray):
-        return _dumps(obj.tolist(), indent)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [inner + _dumps(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k), ensure_ascii=False)}: "
-            f"{_dumps(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+def _plain(obj):
+    """The JSON form of the non-JSON types a report holds (for a numpy
+    scalar, ``tolist()`` is ``item()``)."""
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(_dumps(obj) + "\n", encoding="utf-8", newline="\n")
+    """RFC 8259 JSON indented by 2, streamed to the file; a NaN or infinity
+    raises ValueError and leaves the file partly written."""
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, ensure_ascii=False, allow_nan=False,
+                  default=_plain)
+        fh.write("\n")
+
+
+def _finite(obj) -> bool:
+    """Whether obj holds no NaN or infinity (an array is checked directly)."""
+    if isinstance(obj, np.ndarray):
+        return bool(np.isfinite(obj).all())
+    try:
+        json.dumps(obj, allow_nan=False, default=_plain)
+    except ValueError:
+        return False
+    return True
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            _format_float(v) if isinstance(v, float) else str(v) for v in row
-        ))
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _solution_csv(path: Path, solution) -> None:
+def _solution_csv(solution):
     grid = solution.solution
-    nodes = grid.nodes
-    real = grid.is_real
-    header = ["t"]
-    for i in range(grid.dim):
-        header += [f"u{i}"] if real else [f"u{i}_re", f"u{i}_im"]
-    rows = []
-    for j, t in enumerate(nodes):
-        row = [float(t)]
-        for i in range(grid.dim):
-            value = grid.samples[j, i]
-            row += [float(value.real)] if real else [float(value.real),
-                                                     float(value.imag)]
-        rows.append(row)
-    _write_csv(path, header, rows)
+    parts = ("",) if grid.is_real else ("_re", "_im")
+    header = ["t"] + [f"u{i}{part}" for i in range(grid.dim) for part in parts]
+    values = (grid.samples.real if grid.is_real
+              else np.stack([grid.samples.real, grid.samples.imag], axis=2))
+    table = np.column_stack([grid.nodes, values.reshape(len(grid.nodes), -1)])
+    return "solution.csv", header, table
 
 
-def _coefficient_list(solution):
-    return [
-        {"k": int(k), "value": [complex(c) for c in solution.coefficients[i]]}
-        for i, k in enumerate(solution.modes)
-    ]
+# A runner fills the report and returns its side files as (name, header, rows).
 
-
-def _run_solve(config: RunConfig, out_dir: Path, report: dict) -> None:
+def _run_solve(config: RunConfig, report: dict):
     solution = solve_periodic(config.problem,
                               cond_limit=config.tolerances["singular_cond"])
-    _solution_csv(out_dir / "solution.csv", solution)
     report["residual_grid"] = solution.residual_grid
     report["residual_modal"] = solution.residual_modal
     report["forcing_tail_energy"] = solution.forcing_tail_energy
@@ -126,16 +97,19 @@ def _run_solve(config: RunConfig, out_dir: Path, report: dict) -> None:
     report["condition"] = {"max": cond.max(), "min": cond.min(),
                            "worst_mode": solution.modes[np.argmax(cond)]}
     report["solution_csv"] = "solution.csv"
-    report["coefficients"] = _coefficient_list(solution)
+    report["coefficients"] = [{"k": k, "value": value} for k, value
+                              in zip(solution.modes, solution.coefficients)]
+    return [_solution_csv(solution)]
 
 
-def _run_diagnose(config: RunConfig, out_dir: Path, report: dict) -> None:
+def _run_diagnose(config: RunConfig, report: dict):
     diag = m_bounded_diagnostics(config.problem, config.window,
                                  cond_limit=config.tolerances["singular_cond"])
     report.update(diag.to_dict())
+    return []
 
 
-def _run_besov(config: RunConfig, out_dir: Path, report: dict) -> None:
+def _run_besov(config: RunConfig, report: dict):
     solution = solve_periodic(config.problem,
                               cond_limit=config.tolerances["singular_cond"])
     forcing = besov_norm_report(config.problem.forcing, config.besov)
@@ -144,27 +118,24 @@ def _run_besov(config: RunConfig, out_dir: Path, report: dict) -> None:
                         "q": config.besov.q}
     report["forcing"] = forcing.to_dict()
     report["solution"] = computed.to_dict()
+    return []
 
 
-def _run_verify(config: RunConfig, out_dir: Path, report: dict) -> None:
+def _run_verify(config: RunConfig, report: dict):
     comparison = compare(config.problem, config.grid_sizes,
                          cond_limit=config.tolerances["singular_cond"])
     report.update(comparison.to_dict())
-    _write_csv(out_dir / "verify_table.csv", ["n", "gap"],
-               [(n, float(g)) for n, g in comparison.rows])
+    return [("verify_table.csv", ["n", "gap"], comparison.rows)]
 
 
-def _run_sweep(config: RunConfig, out_dir: Path, report: dict) -> None:
+def _run_sweep(config: RunConfig, report: dict):
     sweep = convergence_sweep(config.problem, config.truncation_sweep,
                               cond_limit=config.tolerances["singular_cond"])
     report.update(sweep.to_dict())
-    _write_csv(
-        out_dir / "sweep_table.csv",
-        ["K", "residual_full_band", "solution_change"],
-        [(row.truncation, row.residual_full_band,
-          "" if row.solution_change is None else row.solution_change)
-         for row in sweep.rows],
-    )
+    rows = [(row.truncation, row.residual_full_band,
+             "" if row.solution_change is None else row.solution_change)
+            for row in sweep.rows]
+    return [("sweep_table.csv", ["K", "residual_full_band", "solution_change"], rows)]
 
 
 _RUNNERS = {
@@ -185,15 +156,21 @@ _INPUT_ERRORS = {
 
 
 def run(command: str, config: RunConfig, out_dir: Path) -> int:
-    """Execute one command, writing <command>_report.json plus side files."""
+    """Execute one command, writing <command>_report.json plus side files.
+
+    A NaN or infinity anywhere in the output turns the report into a
+    ``non_finite`` error naming the fields that hold it; side files are
+    written only after the report has encoded, so then none is written.
+    """
     if command not in _RUNNERS:
         raise ValueError(f"unknown command {command!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = {"version": __version__, "command": command,
-              "config": config.resolved}
+    head = {"version": __version__, "command": command, "config": config.resolved}
+    report = dict(head)
+    side_files = []
     try:
-        _RUNNERS[command](config, out_dir, report)
+        side_files = _RUNNERS[command](config, report)
         status = 0
     except SingularModeError as exc:
         report["error"] = {
@@ -214,7 +191,21 @@ def run(command: str, config: RunConfig, out_dir: Path) -> int:
         report["error"] = {"type": _INPUT_ERRORS[type(exc)], "message": str(exc)}
         status = 3
     report["exit_code"] = status
-    _write_json(out_dir / f"{command}_report.json", report)
+    path = out_dir / f"{command}_report.json"
+    fields = [name for name, _, rows in side_files if not _finite(rows)]
+    try:
+        _write_json(path, report)
+    except ValueError:
+        fields = [key for key, value in report.items() if not _finite(value)] + fields
+    if fields:
+        status = 3
+        _write_json(path, dict(head, error={
+            "type": "non_finite",
+            "message": f"NaN or infinity in {', '.join(fields)}",
+        }, exit_code=status))
+        side_files = []
+    for name, header, rows in side_files:
+        _write_csv(out_dir / name, header, rows)
     return status
 
 

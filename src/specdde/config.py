@@ -12,7 +12,6 @@ report for reproducibility.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -20,7 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from .besov import BesovParams
-from .exceptions import ConfigError
+from .exceptions import ConfigError, InvalidKernelError
 from .symbols import (
     TWO_PI,
     DelayFunctional,
@@ -215,14 +214,10 @@ def _parse_kernel(doc, path, errs) -> Optional[KernelSpec]:
             m = None
         if None in (c, m, alpha):
             continue
-        try:  # 171! is beyond the float range
-            mass = math.inf if m > 170 else abs(c) * math.factorial(m) / alpha ** (m + 1)
-        except (OverflowError, ZeroDivisionError):
-            mass = math.inf
-        if math.isinf(mass):
-            errs.add(tpath, "|c| m!/alpha^(m+1) is out of the float range")
-        else:
-            terms.append((c, m, alpha))
+        try:
+            terms.append(KernelSpec.term(c, m, alpha))
+        except InvalidKernelError as exc:
+            errs.add(tpath, str(exc))
     if len(errs.violations) > before:
         return None
     return KernelSpec(terms=terms)

@@ -313,7 +313,7 @@ class OracleComparison:
 
     def to_dict(self) -> dict:
         return {
-            "rows": [{"n": int(n), "gap": float(g)} for n, g in self.rows],
+            "rows": [{"n": n, "gap": g} for n, g in self.rows],
             "fitted_order": self.fitted_order,
         }
 

@@ -408,16 +408,29 @@ class KernelSpec:
 
     def __post_init__(self):
         normalized = []
-        for i, (c, m, alpha) in enumerate(self.terms):
-            if float(m) != int(m) or int(m) < 0:
-                raise InvalidKernelError(f"term {i}: power m must be an integer >= 0")
-            alpha = float(alpha)
-            if not alpha > 0.0:
-                raise InvalidKernelError(
-                    f"term {i}: decay rate alpha must be positive, got {alpha}"
-                )
-            normalized.append((complex(c), int(m), alpha))
+        for i, term in enumerate(self.terms):
+            try:
+                normalized.append(self.term(*term))
+            except InvalidKernelError as exc:
+                raise InvalidKernelError(f"term {i}: {exc}") from None
         self.terms = normalized
+
+    @staticmethod
+    def term(c, m, alpha) -> tuple:
+        """(c, m, alpha) as (complex, int, float); InvalidKernelError unless
+        m >= 0 is an integer, alpha > 0 and |c| m!/alpha^(m+1) is a float."""
+        if float(m) != int(m) or int(m) < 0:
+            raise InvalidKernelError("power m must be an integer >= 0")
+        m, alpha = int(m), float(alpha)
+        if not alpha > 0.0:
+            raise InvalidKernelError(f"decay rate alpha must be positive, got {alpha}")
+        try:  # 171! is beyond the float range
+            mass = math.inf if m > 170 else abs(c) * math.factorial(m) / alpha ** (m + 1)
+        except (OverflowError, ZeroDivisionError):
+            mass = math.inf
+        if not math.isfinite(mass):
+            raise InvalidKernelError("|c| m!/alpha^(m+1) is out of the float range")
+        return complex(c), m, alpha
 
     @classmethod
     def empty(cls) -> "KernelSpec":

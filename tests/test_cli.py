@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import problems
 from specdde import ModeSymbols, cli
 from specdde.config import parse_config
+from specdde.solver import solve_periodic
 
 TWO_PI = 2.0 * np.pi
 
@@ -46,8 +49,14 @@ def run(tmp_path, command, doc, name="out"):
     return code, out
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+
 def report_of(out, command):
-    return json.loads((out / f"{command}_report.json").read_text(encoding="utf-8"))
+    """The report, parsed strictly: a NaN or Infinity literal fails the test."""
+    text = (out / f"{command}_report.json").read_text(encoding="utf-8")
+    return json.loads(text, parse_constant=_not_json)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -171,6 +180,92 @@ def test_singular_collocation_system_writes_a_report(tmp_path):
     assert report["exit_code"] == 2
     assert report["error"]["type"] == "singular_system"
     assert report["error"]["condition"] is None or report["error"]["condition"] > 1e12
+
+
+#: the 1e308 forcing overflows on the grid: in the synthesised solution and
+#: in the Besov blocks
+OVERFLOW = {"problem": {"n": 2, "A": [[-1e-300, 0.0], [0.0, -1e-300]],
+                        "forcing": {"cos": [[1e308, 1e308]]}}}
+
+#: M(1) is close to singular (eigenvalues of A at +-1.00000005i), so the
+#: solution's mode 1 overflows and every value computed from it
+RESONANT = {"problem": {"n": 2, "A": [[0.0, 1.0000001], [-1.0, 0.0]],
+                        "forcing": {"cos": [[1e308, 1e308]]}},
+            "K": 8, "N_list": [32, 64], "K_list": [2, 4, 8]}
+
+SIDE_FILES = {"solve": ["solution.csv"], "diagnose": [], "besov": [],
+              "verify": ["verify_table.csv"], "sweep": ["sweep_table.csv"]}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("doc, command, fields", [
+    (OVERFLOW, "solve", "solution.csv"),
+    (OVERFLOW, "besov", "forcing, solution"),
+    (RESONANT, "solve", "residual_grid, residual_modal, coefficients, solution.csv"),
+    (RESONANT, "besov", "forcing, solution"),
+    (RESONANT, "verify", "rows, verify_table.csv"),
+    (RESONANT, "sweep", "rows, sweep_table.csv"),
+    # 2^(1000 j) is beyond the float range from level j = 2 on, which only
+    # the solution's band reaches
+    (dict(TINY, besov={"s": 1000.0}), "besov", "solution"),
+], ids=["overflow-solve", "overflow-besov", "resonant-solve", "resonant-besov",
+        "resonant-verify", "resonant-sweep", "tiny-s1000-besov"])
+def test_non_finite_result_is_an_error_without_side_files(tmp_path, doc, command, fields):
+    code, out = run(tmp_path, command, doc)
+    assert code == 3
+    report = report_of(out, command)
+    assert list(report) == ["version", "command", "config", "error", "exit_code"]
+    assert report["exit_code"] == 3
+    assert report["error"] == {"type": "non_finite",
+                               "message": f"NaN or infinity in {fields}"}
+    assert sorted(p.name for p in out.iterdir()) == [f"{command}_report.json"]
+
+
+def test_writer_takes_numpy_and_complex_values(tmp_path):
+    path = tmp_path / "report.json"
+    cli._write_json(path, {"complex": 1.5 - 2j, "array": np.array([0.1, 2.0]),
+                           "int": np.int64(3), "float": np.float64(0.1),
+                           "bool": np.bool_(True), "tuple": (1, "é")})
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "complex": {\n    "re": 1.5,\n    "im": -2.0\n  },\n'
+        '  "array": [\n    0.1,\n    2.0\n  ],\n  "int": 3,\n  "float": 0.1,\n'
+        '  "bool": true,\n  "tuple": [\n    1,\n    "é"\n  ]\n}\n')
+    for value in (float("nan"), np.float64("inf"), complex(0.0, float("-inf")),
+                  np.array([1.0, np.nan])):
+        with pytest.raises(ValueError):
+            cli._write_json(path, {"value": value})
+
+
+def test_complex_solution_table_gives_each_component_re_then_im():
+    spec = problems.mat2_rich()
+    spec = replace(spec, state_matrix=spec.state_matrix + 0.1j * np.eye(2))
+    solution = solve_periodic(spec)
+    grid = solution.solution
+    name, header, table = cli._solution_csv(solution)
+    assert (name, header) == ("solution.csv", ["t", "u0_re", "u0_im", "u1_re", "u1_im"])
+    np.testing.assert_array_equal(table[:, 0], grid.nodes)
+    np.testing.assert_array_equal(table[:, 1::2], grid.samples.real)
+    np.testing.assert_array_equal(table[:, 2::2], grid.samples.imag)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_reports_match_the_golden_files(tmp_path, command):
+    """The bytes of every file TINY writes, pinned across versions.
+
+    Regenerate (and say why in CHANGES.md) with
+    ``python -m specdde.cli <command> --config tests/golden/tiny.json --out tests/golden``.
+    """
+    assert json.loads((GOLDEN / "tiny.json").read_text(encoding="utf-8")) == TINY
+    code, out = run(tmp_path, command, TINY)
+    assert code == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted([f"{command}_report.json"] + SIDE_FILES[command])
+    for name in names:
+        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_grid_below_the_forcing_band_writes_a_report(tmp_path):

@@ -345,6 +345,12 @@ class TestLaplaceSymbol:
         with pytest.raises(InvalidKernelError):
             KernelSpec(terms=[(1.0, -1, 1.0)])
 
+    def test_terms_out_of_the_float_range_rejected(self):
+        # 200! is beyond the float range; 1e-5^101 underflows to zero
+        for term in ((1.0, 200, 2.0), (1.0, 100, 1e-5)):
+            with pytest.raises(InvalidKernelError, match="term 1: .* out of the float range"):
+                KernelSpec(terms=[(0.2, 0, 2.0), term])
+
     def test_formal_derivative_matches_difference_quotient(self):
         kern = KernelSpec(terms=[(0.7, 2, 1.3)])
         d = kern.derivative()
