@@ -114,10 +114,16 @@ def besov_norm(f: PeriodicGridFunction, params: BesovParams, refine: int = 4) ->
 
 
 def _combine_blocks(blocks: np.ndarray, params: BesovParams) -> float:
-    """( sum_j (2^{s j} block_j)^q )^{1/q}."""
-    levels = np.arange(blocks.shape[0])
-    total = np.sum((2.0 ** (params.s * levels) * blocks) ** params.q)
-    return float(total ** (1.0 / params.q))
+    """( sum_j (2^{s j} block_j)^q )^{1/q}.
+
+    An exactly zero block adds an exact 0 at its place in the sum and is not
+    weighted, so a weight beyond the float range (s j > 1023) on a zero
+    block cannot make the norm NaN.
+    """
+    levels = np.flatnonzero(blocks)
+    terms = np.zeros_like(blocks)
+    terms[levels] = (2.0 ** (params.s * levels) * blocks[levels]) ** params.q
+    return float(np.sum(terms) ** (1.0 / params.q))
 
 
 @dataclass

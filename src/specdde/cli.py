@@ -1,14 +1,14 @@
 """Batch front end: solve / diagnose / besov / verify / sweep.
 
-One command per process; reports are RFC 8259 JSON in UTF-8 with LF newlines,
-fixed field order and floats in Python's shortest round-trip form, so
-identical configs produce byte-identical files.  Exit codes: 0 success, 2
-solvability failure (singular mode or singular collocation system), 3
-validation failure (an invalid document, or values a command cannot use: an
-off-grid lag, an unreachable fold tolerance, a grid too coarse for a
-bandwidth) or a ``non_finite`` result (a NaN or infinity in the output, which
-then writes no side file).  Every failure writes a report with an
-``error.type``.
+One command per process; a report is one line of RFC 8259 JSON in UTF-8
+(the standard library's default separators, then one LF), with fixed field
+order and floats in Python's shortest round-trip form, so identical configs
+produce byte-identical files.  Exit codes: 0 success, 2 solvability failure
+(singular mode or singular collocation system), 3 validation failure (an
+invalid document, or values a command cannot use: an off-grid lag, an
+unreachable fold tolerance, a grid too coarse for a bandwidth) or a
+``non_finite`` result (a NaN or infinity in the output, which then writes no
+side file).  Every failure writes a report with an ``error.type``.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ def _plain(obj):
 
 
 def _write_json(path: Path, obj) -> None:
-    """RFC 8259 JSON indented by 2, streamed to the file; a NaN or infinity
-    raises ValueError and leaves the file partly written."""
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, ensure_ascii=False, allow_nan=False,
-                  default=_plain)
-        fh.write("\n")
+    """RFC 8259 JSON on one line plus a trailing LF.  Without ``indent`` the
+    standard library encodes in C; a NaN or infinity raises ValueError and
+    writes nothing."""
+    path.write_text(json.dumps(obj, ensure_ascii=False, allow_nan=False,
+                               default=_plain) + "\n",
+                    encoding="utf-8", newline="\n")
 
 
 def _finite(obj) -> bool:

@@ -48,6 +48,7 @@ from .symbols import (
 from .resolvent import COND_LIMIT
 
 _FOLD_CAP = 10**6
+_FOLD_TOL = 1e-12  # dropped fold mass, relative to ||a||_1
 _JUMP_ORDERS = 4  # boundary derivatives a(0), a'(0), a''(0), a'''(0)
 
 
@@ -80,7 +81,10 @@ def _interval_sup(c_abs: float, m: int, alpha: float, lo: float, hi: float) -> f
 
 
 def _fold_plan(kernel: KernelSpec, tol: float) -> Tuple[int, float]:
-    """Minimal fold count M with sup-mass of the dropped tail below tol * ||a||_1."""
+    """Minimal fold count M with sup-mass of the dropped tail below tol * ||a||_1,
+    and that bound; (0, 0.0) for the empty kernel."""
+    if kernel.is_empty:
+        return 0, 0.0
     target = tol * kernel.l1_norm()
     sups: List[float] = []
     j = 1
@@ -176,7 +180,7 @@ class PeriodizedKernel:
 
 
 def periodize_kernel(kernel: KernelSpec, n_samples: int,
-                     tol: float = 1e-12) -> PeriodizedKernel:
+                     tol: float = _FOLD_TOL) -> PeriodizedKernel:
     """Fold the kernel onto [0, 2pi) with the minimal fold count for ``tol``.
 
     Raises PeriodizationError when the tolerance cannot be met within 10^6
@@ -185,9 +189,6 @@ def periodize_kernel(kernel: KernelSpec, n_samples: int,
     if n_samples < 1:
         raise ValueError("need at least one sample")
     derivs = np.array([kernel.derivative_at_zero(r) for r in range(_JUMP_ORDERS)])
-    if kernel.is_empty:
-        samples = np.zeros(n_samples)
-        return PeriodizedKernel(samples, kernel, 0, 0.0, derivs)
     folds, tail = _fold_plan(kernel, tol)
     tau = TWO_PI * np.arange(n_samples) / n_samples
     acc = np.zeros(n_samples, dtype=complex)
@@ -306,15 +307,22 @@ def _nodal_values(grid: PeriodicGridFunction, n_nodes: int) -> np.ndarray:
 
 @dataclass
 class OracleComparison:
-    """Spectral-vs-collocation gaps over a list of grid sizes."""
+    """Spectral-vs-collocation gaps over a list of grid sizes.
+
+    ``folds`` and ``tail_bound`` are the memory kernel's fold plan, the same
+    on every grid (see ``PeriodizedKernel``).
+    """
 
     rows: List[Tuple[int, float]]
     fitted_order: Optional[float]
+    folds: int
+    tail_bound: float
 
     def to_dict(self) -> dict:
         return {
             "rows": [{"n": n, "gap": g} for n, g in self.rows],
             "fitted_order": self.fitted_order,
+            "memory_kernel": {"folds": self.folds, "tail_bound": self.tail_bound},
         }
 
 
@@ -327,7 +335,8 @@ def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
     least-squares slope of log gap against log N (negated); it is reported as
     None when some gap sits at round-off level, where the fit would measure
     noise.  ``cond_limit`` bounds both the spectral solve and every
-    collocation system.
+    collocation system.  The memory kernel's fold plan does not depend on the
+    grid and is reported once.
     """
     from .solver import solve_periodic  # deferred so assembly stays solver-free
 
@@ -338,6 +347,7 @@ def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
         ref = _nodal_values(reference, int(n_nodes))
         gap = float(np.max(np.linalg.norm(ref - approx.samples, axis=1)))
         rows.append((int(n_nodes), gap))
+    folds, tail_bound = _fold_plan(spec.kernel, _FOLD_TOL)
 
     scale = max(reference.max_norm(), 1.0)
     gaps = np.array([g for _, g in rows])
@@ -345,4 +355,5 @@ def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
     if len(rows) >= 2 and np.all(gaps > 1e-13 * scale):
         sizes = np.array([float(n) for n, _ in rows])
         order = float(-np.polyfit(np.log(sizes), np.log(gaps), 1)[0])
-    return OracleComparison(rows=rows, fitted_order=order)
+    return OracleComparison(rows=rows, fitted_order=order, folds=folds,
+                            tail_bound=tail_bound)

@@ -40,9 +40,28 @@ _DIFFERENCE_ROW = {"L": "Q", "G": "R", "a_tilde": "P"}
 
 
 def _operator_norms(stack: np.ndarray) -> np.ndarray:
-    """Spectral norm of each matrix in a (m, n, n) stack."""
-    if stack.shape[1] == 1:
+    """Spectral norm of each matrix in a (m, n, n) stack.
+
+    For n = 2 it is the square root of the larger eigenvalue of the Gram
+    matrix [[p, q], [q*, r]] of the columns, (p + r)/2 + hypot((p - r)/2, |q|):
+    a sum of non-negative terms, so it keeps full relative accuracy also for
+    nearly isotropic matrices, where the determinant form
+    (F + sqrt(F^2 - 4 |det|^2))/2 cancels.  Each matrix is first scaled
+    exactly, by a power of two near its largest entry, so no finite one
+    overflows or underflows when squared.
+    """
+    n = stack.shape[1]
+    if n == 1:
         return np.abs(stack[:, 0, 0])
+    if n == 2:
+        scale = np.ldexp(1.0, np.frexp(np.max(np.abs(stack), axis=(1, 2)))[1] - 1)
+        unit = stack / scale[:, None, None]
+        squares = np.square(unit.real) + np.square(unit.imag)
+        p = squares[:, 0, 0] + squares[:, 1, 0]
+        r = squares[:, 0, 1] + squares[:, 1, 1]
+        q = np.abs(np.conj(unit[:, 0, 0]) * unit[:, 0, 1]
+                   + np.conj(unit[:, 1, 0]) * unit[:, 1, 1])
+        return scale * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 

@@ -206,9 +206,11 @@ SIDE_FILES = {"solve": ["solution.csv"], "diagnose": [], "besov": [],
     (RESONANT, "besov", "forcing, solution"),
     (RESONANT, "verify", "rows, verify_table.csv"),
     (RESONANT, "sweep", "rows, sweep_table.csv"),
-    # 2^(1000 j) is beyond the float range from level j = 2 on, which only
-    # the solution's band reaches
-    (dict(TINY, besov={"s": 1000.0}), "besov", "solution"),
+    # 2^(1000 j) is beyond the float range from level j = 2 on, where the
+    # mode-4 harmonic puts a nonzero block of the forcing and of the solution
+    (dict(TINY, besov={"s": 1000.0}, problem=dict(TINY["problem"], forcing=dict(
+        TINY["problem"]["forcing"], cos=[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))),
+     "besov", "forcing, solution"),
 ], ids=["overflow-solve", "overflow-besov", "resonant-solve", "resonant-besov",
         "resonant-verify", "resonant-sweep", "tiny-s1000-besov"])
 def test_non_finite_result_is_an_error_without_side_files(tmp_path, doc, command, fields):
@@ -222,19 +224,50 @@ def test_non_finite_result_is_an_error_without_side_files(tmp_path, doc, command
     assert sorted(p.name for p in out.iterdir()) == [f"{command}_report.json"]
 
 
+def test_besov_norm_is_finite_where_only_zero_blocks_have_overflowing_weights(tmp_path):
+    # every nonzero block of TINY is at level 0, so 2^(1000 j) never enters
+    code, out = run(tmp_path, "besov", dict(TINY, besov={"s": 1000.0}))
+    assert code == 0
+    report = report_of(out, "besov")
+    for part in ("forcing", "solution"):
+        blocks = report[part]["block_norms"]
+        assert blocks[0] > 0.0 and not any(blocks[1:])
+        assert report[part]["norm"] == blocks[0]
+    assert report["solution"]["norm"] == pytest.approx(2.5695452010958, rel=1e-12)
+
+
 def test_writer_takes_numpy_and_complex_values(tmp_path):
     path = tmp_path / "report.json"
     cli._write_json(path, {"complex": 1.5 - 2j, "array": np.array([0.1, 2.0]),
                            "int": np.int64(3), "float": np.float64(0.1),
                            "bool": np.bool_(True), "tuple": (1, "é")})
-    assert path.read_text(encoding="utf-8") == (
-        '{\n  "complex": {\n    "re": 1.5,\n    "im": -2.0\n  },\n'
-        '  "array": [\n    0.1,\n    2.0\n  ],\n  "int": 3,\n  "float": 0.1,\n'
-        '  "bool": true,\n  "tuple": [\n    1,\n    "é"\n  ]\n}\n')
+    assert path.read_bytes().decode("utf-8") == (
+        '{"complex": {"re": 1.5, "im": -2.0}, "array": [0.1, 2.0], "int": 3, '
+        '"float": 0.1, "bool": true, "tuple": [1, "é"]}\n')
     for value in (float("nan"), np.float64("inf"), complex(0.0, float("-inf")),
                   np.array([1.0, np.nan])):
         with pytest.raises(ValueError):
             cli._write_json(path, {"value": value})
+
+
+def test_reports_are_written_by_the_c_encoder(tmp_path, monkeypatch):
+    # the standard library encodes in C only without indent; a report
+    # written in pure Python is several times slower
+    writes = []
+    c_make_encoder = json.encoder.c_make_encoder
+    assert c_make_encoder is not None
+
+    def counted(markers, default, *args):
+        if default is cli._plain:
+            writes.append(markers)
+        return c_make_encoder(markers, default, *args)
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", counted)
+    cli._write_json(tmp_path / "report.json", {"values": np.arange(3.0)})
+    assert len(writes) == 1
+    code, out = run(tmp_path, "solve", dict(TINY, seed=0))
+    assert code == 3 and report_of(out, "solve")["error"]["type"] == "validation"
+    assert len(writes) == 2
 
 
 def test_complex_solution_table_gives_each_component_re_then_im():

@@ -109,6 +109,19 @@ def test_fitted_order_is_two_on_large_grids():
     assert comparison.fitted_order == pytest.approx(2.0, abs=0.05)
 
 
+def test_comparison_reports_the_fold_plan_of_every_grid():
+    spec = problems.mat2_rich()
+    report = compare(spec, [32, 64]).to_dict()
+    assert list(report) == ["rows", "fitted_order", "memory_kernel"]
+    for n_nodes in (32, 64):
+        folded = periodize_kernel(spec.kernel, n_nodes)
+        assert report["memory_kernel"] == {"folds": folded.folds,
+                                           "tail_bound": folded.tail_bound}
+    assert folded.folds >= 1 and 0.0 < folded.tail_bound < 1e-12 * spec.kernel.l1_norm()
+    no_kernel = compare(scalar_with_reaction_atom(0.3, 1.0), [32, 64]).to_dict()
+    assert no_kernel["memory_kernel"] == {"folds": 0, "tail_bound": 0.0}
+
+
 def test_fitted_order_is_two_on_the_smooth_suite(smooth_suite):
     for name, spec in smooth_suite.items():
         comparison = compare(spec, [32, 64, 128])

@@ -13,6 +13,7 @@ from specdde import (
     laplace_symbol,
     m_bounded_diagnostics,
     mode_range,
+    resolvent,
     resolvent_family,
     telescoping_check,
     verify_modal_identity,
@@ -235,17 +236,72 @@ class TestDiagnostics:
 
     def test_one_svd_stack_per_matrix_row_and_difference(self, monkeypatch):
         # n = 2: norms of N S T F Q R B L G and scaled differences of
-        # N S T F Q R B; the L and G differences are the Q and R norms
-        svd = np.linalg.svd
+        # N S T F Q R B; the L and G differences are the Q and R norms.
+        # The 2 x 2 norms are in closed form: no SVD runs.
+        norms = resolvent._operator_norms
         matrices = []
 
-        def counted(a, *args, **kwargs):
-            matrices.append(a.shape[0])
-            return svd(a, *args, **kwargs)
+        def counted(stack):
+            if stack.shape[1] == 2:
+                matrices.append(stack.shape[0])
+            return norms(stack)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(resolvent, "_operator_norms", counted)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
         window = 24
         m_bounded_diagnostics(problems.mat2_sampled(), window)
         family, diffs, raw, scaled = (2 * window + 3, 2 * window + 4,
                                       2 * window + 5, 2 * window + 1)
         assert sum(matrices) == 4 * family + 3 * diffs + 2 * raw + 7 * scaled
+
+
+def _svd_norms(stack):
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
+def _near_isotropic(rng, m, dtype):
+    """Random U diag(1, 1 - 1e-9) V with unitary (or orthogonal) U and V."""
+    def unitary():
+        z = rng.standard_normal((m, 2, 2))
+        if dtype is complex:
+            z = z + 1j * rng.standard_normal((m, 2, 2))
+        return np.linalg.qr(z)[0]
+    return unitary() @ np.diag([1.0, 1.0 - 1e-9]) @ unitary()
+
+
+class TestOperatorNorms:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("kind", ["random", "near_isotropic", "rank_one"])
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e200, 1e-200])
+    def test_two_by_two_closed_form_matches_the_svd(self, dtype, kind, scale):
+        # against a 40-digit reference the closed form is within 1 eps and
+        # LAPACK's SVD within about 3.6 eps, so on stacks of many thousand
+        # matrices the two can differ by slightly more than this bound
+        rng = np.random.default_rng(7)
+        m = 200
+        if kind == "near_isotropic":
+            stack = _near_isotropic(rng, m, dtype)
+        else:
+            stack = rng.standard_normal((m, 2, 2))
+            if dtype is complex:
+                stack = stack + 1j * rng.standard_normal((m, 2, 2))
+            if kind == "rank_one":
+                stack[:, :, 1] = stack[:, :, 0] * rng.standard_normal((m, 1))
+        stack = scale * stack
+        assert np.all(np.isfinite(stack))
+        expected = _svd_norms(stack)
+        np.testing.assert_allclose(resolvent._operator_norms(stack), expected,
+                                   rtol=4 * np.finfo(float).eps, atol=0.0)
+
+    def test_zero_matrix_has_norm_zero(self):
+        for dtype in (float, complex):
+            assert np.array_equal(resolvent._operator_norms(np.zeros((3, 2, 2), dtype)),
+                                  np.zeros(3))
+
+    def test_larger_matrices_take_the_svd(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((50, 3, 3)) + 1j * rng.standard_normal((50, 3, 3))
+        np.testing.assert_array_equal(resolvent._operator_norms(stack), _svd_norms(stack))
