@@ -33,12 +33,9 @@ from .oracle import (
 )
 from .resolvent import (
     MBoundReport,
-    ResolventFamily,
     SequenceDiagnostics,
     m_bounded_diagnostics,
-    resolvent_family,
     telescoping_check,
-    verify_modal_identity,
 )
 from .solver import (
     SpectralSolution,
@@ -80,7 +77,6 @@ __all__ = [
     "PeriodizationError",
     "PeriodizedKernel",
     "ProblemSpec",
-    "ResolventFamily",
     "RunConfig",
     "ScaledDifferences",
     "SequenceDiagnostics",
@@ -107,8 +103,6 @@ __all__ = [
     "partition_eval",
     "periodize_kernel",
     "residual",
-    "resolvent_family",
     "solve_periodic",
     "telescoping_check",
-    "verify_modal_identity",
 ]

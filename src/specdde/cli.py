@@ -97,8 +97,10 @@ def _run_solve(config: RunConfig, report: dict):
     report["condition"] = {"max": cond.max(), "min": cond.min(),
                            "worst_mode": solution.modes[np.argmax(cond)]}
     report["solution_csv"] = "solution.csv"
-    report["coefficients"] = [{"k": k, "value": value} for k, value
-                              in zip(solution.modes, solution.coefficients)]
+    # plain lists and dicts, so the C encoder never calls back into _plain
+    report["coefficients"] = [
+        {"k": k, "value": [{"re": z.real, "im": z.imag} for z in row]}
+        for k, row in zip(solution.modes.tolist(), solution.coefficients.tolist())]
     return [_solution_csv(solution)]
 
 
@@ -209,6 +211,28 @@ def run(command: str, config: RunConfig, out_dir: Path) -> int:
     return status
 
 
+def _read_config(args) -> RunConfig:
+    """Parse the ``--config`` file with the command-line overrides injected
+    into the document, so they are validated and echoed into the report like
+    any other field.  A file that cannot be read as UTF-8 text is a
+    ConfigError at ``$``."""
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([("$", f"cannot read the configuration: {exc}")]) from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        doc = None
+    if isinstance(doc, dict):
+        for key, value in (("K", args.k), ("N", args.grid),
+                           ("K_diag", args.window)):
+            if value is not None:
+                doc[key] = value
+        text = json.dumps(doc)
+    return parse_config(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="specdde",
@@ -226,23 +250,8 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    text = Path(args.config).read_text(encoding="utf-8")
-
-    # overrides are injected into the document so they are validated and
-    # echoed into the report like any other field
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
-    if isinstance(doc, dict):
-        for key, value in (("K", args.k), ("N", args.grid),
-                           ("K_diag", args.window)):
-            if value is not None:
-                doc[key] = value
-        text = json.dumps(doc)
-
-    try:
-        config = parse_config(text)
+        config = _read_config(args)
     except ConfigError as exc:
         report = {
             "version": __version__,

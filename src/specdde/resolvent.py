@@ -1,4 +1,4 @@
-"""Checked inversion of the modal matrices and the diagnostic family.
+"""Checked inversion of the modal matrices and the boundedness diagnostics.
 
 For each integer mode k the problem reduces to the modal matrix
 
@@ -11,10 +11,13 @@ problem and band, and M(k) is assembled in one place, ``ModeSymbols.modal``.
 ``_checked_inverse`` is the one condition test: it rejects every mode whose
 1-norm condition number ||M(k)||_1 ||M(k)^{-1}||_1 exceeds the limit (that
 estimate needs no SVD), then inverts.  The lean solve (``solver``) uses it
-and nothing else from here.  The diagnostic family adds the companion
-sequences of the boundedness report; spectral norms are taken only by the
-diagnostics that report them.  The module also verifies the exact algebraic
-identities relating the assembled pieces.
+and nothing else from here.  ``m_bounded_diagnostics`` reads the symbol
+table, its k-scaled differences and the checked inverse directly and stacks
+all eleven sequences of the boundedness report on one band of modes,
+-K_diag..K_diag + 1: the sup norm over |k| <= K_diag and the k-scaled
+difference of adjacent rows are all the multiplier condition asks of each.
+Spectral norms are taken only there.  ``telescoping_check`` verifies the
+exact difference identity of the non-state part of M(k).
 
 Everything below is batched over the band with a deterministic ascending-k
 order.
@@ -77,61 +80,6 @@ def _checked_inverse(modes: np.ndarray, modal: np.ndarray, cond_limit: float):
     if np.any(bad):
         raise SingularModeError(modes[bad], condition[bad])
     return np.linalg.inv(modal), condition
-
-
-@dataclass
-class ResolventFamily:
-    """Band snapshot of the solution operator and its companions.
-
-    Per mode k (rows follow ``modes`` in ascending order):
-
-    * ``modal``            M(k) = ik D_k - A D_k - G_k - atilde(ik) I
-    * ``resolvent``        M(k)^{-1}
-    * ``resolvent_ik``     ik M(k)^{-1}
-    * ``delay_response``   G_k M(k)^{-1}
-    * ``kernel_response``  atilde(ik) M(k)^{-1}
-    * ``neutral``          D_k = I - L_k
-
-    ``condition`` holds the per-mode 1-norm condition number.
-    """
-
-    modes: np.ndarray
-    modal: np.ndarray
-    resolvent: np.ndarray
-    resolvent_ik: np.ndarray
-    delay_response: np.ndarray
-    kernel_response: np.ndarray
-    neutral: np.ndarray
-    condition: np.ndarray
-
-
-def resolvent_family(spec: ProblemSpec, symbols: ModeSymbols,
-                     cond_limit: float = COND_LIMIT) -> ResolventFamily:
-    """Assemble and invert the modal matrices on the band of ``symbols``.
-
-    Raises SingularModeError naming every mode whose 1-norm condition number
-    exceeds ``cond_limit`` (or fails to be finite).
-    """
-    modal = symbols.modal(spec.state_matrix)
-    resolvent, condition = _checked_inverse(symbols.modes, modal, cond_limit)
-    ik = (1j * symbols.modes)[:, None, None]
-    return ResolventFamily(
-        modes=symbols.modes,
-        modal=modal,
-        resolvent=resolvent,
-        resolvent_ik=ik * resolvent,
-        delay_response=np.matmul(symbols.G, resolvent),
-        kernel_response=symbols.a[:, None, None] * resolvent,
-        neutral=symbols.neutral,
-        condition=condition,
-    )
-
-
-def verify_modal_identity(family: ResolventFamily) -> float:
-    """max_k || M(k) M(k)^{-1} - I ||, the inversion defect over the window."""
-    eye = np.eye(family.modal.shape[1])
-    defect = np.matmul(family.modal, family.resolvent) - eye[None, :, :]
-    return float(np.max(_operator_norms(defect)))
 
 
 def telescoping_check(spec: ProblemSpec, symbols: ModeSymbols) -> float:
@@ -247,58 +195,52 @@ def m_bounded_diagnostics(spec: ProblemSpec, window: int,
                           cond_limit: float = COND_LIMIT) -> MBoundReport:
     """Boundedness report over |k| <= window for the eleven named sequences.
 
-    Rows N, S, T, F come from the inverted modal family; P, Q, R, B are the
+    Every sequence is stacked on one band of 2 window + 2 modes,
+    -window..window + 1, so that row window + j is mode j.  Rows N, S, T, F
+    are M(k)^{-1} scaled by 1, ik, G_k and atilde(ik); P, Q, R, B are the
     k-scaled symbol differences; L, G and a_tilde are the raw symbols.  Each
-    row records the sup of the norm over the window, the sup of the k-scaled
-    first difference, a fitted tail growth exponent, and a verdict.  One
-    symbol table on |k| <= window + 2 serves every row.
+    row records the sup of the norm over the first 2 window + 1 rows, the sup
+    of the k-scaled difference of adjacent rows, a fitted tail growth
+    exponent, and a verdict.  One symbol table on |k| <= window + 2 serves
+    every row, and every mode with |k| <= window + 1 passes the condition
+    test.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    symbols = ModeSymbols.from_spec(spec, window + 2)
-    diffs = difference_sequences(spec, symbols)
-    family = resolvent_family(spec, symbols.band(window + 1), cond_limit=cond_limit)
-
+    table = ModeSymbols.from_spec(spec, window + 2)
+    diffs = difference_sequences(spec, table)
+    checked = table.band(window + 1)
+    inverse = _checked_inverse(checked.modes, checked.modal(spec.state_matrix),
+                               cond_limit)[0][1:]
+    modes = table.modes[2:-1]
+    G, a = table.G[2:-1], table.a[2:-1, None, None]
     sequences = {
-        "N": (family.modes, family.resolvent),
-        "S": (family.modes, family.resolvent_ik),
-        "T": (family.modes, family.delay_response),
-        "F": (family.modes, family.kernel_response),
-        "P": (diffs.modes, diffs.kernel[:, None, None] * np.eye(1)),
-        "Q": (diffs.modes, diffs.neutral),
-        "R": (diffs.modes, diffs.reaction),
-        "B": (diffs.modes, diffs.neutral_state),
-        "L": (symbols.modes, symbols.L),
-        "G": (symbols.modes, symbols.G),
-        "a_tilde": (symbols.modes, symbols.a[:, None, None] * np.eye(1)),
+        "N": inverse,
+        "S": (1j * modes)[:, None, None] * inverse,
+        "T": np.matmul(G, inverse),
+        "F": a * inverse,
+        "P": diffs.kernel[2:, None, None],
+        "Q": diffs.neutral[2:],
+        "R": diffs.reaction[2:],
+        "B": diffs.neutral_state[2:],
+        "L": table.L[2:-1],
+        "G": G,
+        "a_tilde": a,
     }
-
-    norms = {name: _operator_norms(stack) for name, (_, stack) in sequences.items()}
-
-    def offset(name):
-        """Row of mode 0 in the named sequence."""
-        return -int(sequences[name][0][0])
+    norms = {name: _operator_norms(stack) for name, stack in sequences.items()}
 
     rows = []
     for name in _SEQUENCE_NAMES:
-        ks_seq, stack = sequences[name]
-        zero = offset(name)
-        inside = slice(zero - window, zero + window + 1)
-        sup_norm = float(np.max(norms[name][inside]))
+        norm = norms[name]
         if name in _DIFFERENCE_ROW:
             # |k| ||X_{k+1} - X_k|| is the norm of the difference row at k
-            diff = _DIFFERENCE_ROW[name]
-            sup_scaled_diff = float(np.max(
-                norms[diff][offset(diff) - window: offset(diff) + window + 1]))
+            scaled = norms[_DIFFERENCE_ROW[name]][:-1]
         else:
-            scaled = np.abs(ks_seq[inside]) * \
-                _operator_norms(stack[zero - window + 1: zero + window + 2]
-                                - stack[inside])
-            sup_scaled_diff = float(np.max(scaled))
+            stack = sequences[name]
+            scaled = np.abs(modes[:-1]) * _operator_norms(stack[1:] - stack[:-1])
         # per-|k| profile max(|.|_{+k}, |.|_{-k}) for |k| = 0..window
-        profile = np.maximum(norms[name][zero: zero + window + 1],
-                             norms[name][zero - window: zero + 1][::-1])
+        profile = np.maximum(norm[window:-1], norm[window::-1])
         verdict, exponent = _verdict(window, profile)
-        rows.append(SequenceDiagnostics(name, sup_norm, sup_scaled_diff,
-                                        exponent, verdict))
+        rows.append(SequenceDiagnostics(name, float(np.max(norm[:-1])),
+                                        float(np.max(scaled)), exponent, verdict))
     return MBoundReport(window=window, rows=rows)

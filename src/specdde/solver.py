@@ -8,10 +8,10 @@ differences.
 
 The solve is lean: it builds one symbol table (``ModeSymbols``) on the union
 of the solver and forcing bands, assembles M(k) once from it, rejects modes
-whose 1-norm condition number exceeds the limit, inverts once, and takes the
-derived series and both residuals from the same table and M(k).  It computes
-no norms it does not report; the spectral-norm sequences belong to the
-diagnostic family in ``resolvent``.
+whose 1-norm condition number exceeds the limit, inverts once, and takes
+both residuals from the same M(k).  It computes nothing it does not report;
+the spectral-norm sequences belong to the boundedness diagnostics in
+``resolvent``.
 """
 
 from __future__ import annotations
@@ -29,28 +29,18 @@ from .symbols import ModeSymbols, PeriodicGridFunction, ProblemSpec
 
 @dataclass
 class SpectralSolution:
-    """Solution of one periodic problem together with its derived series.
+    """Solution of one periodic problem and the measures of its quality.
 
-    ``coefficients`` holds uhat(k) for |k| <= truncation (ascending k); the
-    derived coefficient series are
-
-    * ``neutral_derivative``  ik D_k uhat(k)   (the derivative of x - L(x_t))
-    * ``state_term``          A D_k uhat(k)
-    * ``reaction_term``       G_k uhat(k)
-    * ``memory_term``         atilde(ik) uhat(k)
-
-    so that neutral_derivative - state_term - reaction_term - memory_term
-    reproduces the forcing coefficients up to round-off.  ``condition``
-    holds the 1-norm condition number of M(k) for every solved mode.
+    ``coefficients`` holds uhat(k) for |k| <= truncation (ascending k), and
+    ``condition`` the 1-norm condition number of M(k) for every solved mode.
+    ``residual_modal`` is max_k ||M(k) uhat(k) - fhat(k)|| over the solved band
+    and ``residual_grid`` the max norm of that defect synthesized over the
+    union of the solved and forcing bands.
     """
 
     solution: PeriodicGridFunction
     modes: np.ndarray
     coefficients: np.ndarray
-    neutral_derivative: np.ndarray
-    state_term: np.ndarray
-    reaction_term: np.ndarray
-    memory_term: np.ndarray
     condition: np.ndarray
     truncation: int
     residual_modal: float
@@ -94,9 +84,8 @@ def _solve(spec: ProblemSpec, symbols: ModeSymbols, cond_limit: float) -> Spectr
             TruncationWarning,
             stacklevel=3,
         )
-    band = symbols.band(K)
-    ks = band.modes
     rows = slice(symbols.bandwidth - K, symbols.bandwidth + K + 1)
+    ks = symbols.modes[rows]
     modal = symbols.modal(spec.state_matrix)
     resolvent, condition = _checked_inverse(ks, modal[rows], cond_limit)
     uhat = np.einsum("kij,kj->ki", resolvent, _on_band(f.coefficients, K))
@@ -104,17 +93,11 @@ def _solve(spec: ProblemSpec, symbols: ModeSymbols, cond_limit: float) -> Spectr
         uhat[K] = np.real(uhat[K])
         uhat[:K] = np.conj(uhat[:K:-1])
 
-    ik = (1j * ks)[:, None]
-    neutral_u = np.einsum("kij,kj->ki", band.neutral, uhat)
     rhat = _defect(spec, modal, uhat)
     return SpectralSolution(
         solution=PeriodicGridFunction.from_coefficients(uhat, spec.grid),
         modes=ks,
         coefficients=uhat,
-        neutral_derivative=ik * neutral_u,
-        state_term=neutral_u @ spec.state_matrix.T,
-        reaction_term=np.einsum("kij,kj->ki", band.G, uhat),
-        memory_term=band.a[:, None] * uhat,
         condition=condition,
         truncation=K,
         residual_modal=float(np.max(np.linalg.norm(rhat[rows], axis=1))),

@@ -270,6 +270,53 @@ def test_reports_are_written_by_the_c_encoder(tmp_path, monkeypatch):
     assert len(writes) == 2
 
 
+def test_plain_calls_of_a_solve_report_do_not_grow_with_the_band(tmp_path, monkeypatch):
+    # the coefficients reach the encoder as plain lists and dicts
+    calls = []
+    plain = cli._plain
+
+    def counted(obj):
+        calls.append(type(obj))
+        return plain(obj)
+
+    monkeypatch.setattr(cli, "_plain", counted)
+    counts = []
+    for k in (8, 64):
+        calls.clear()
+        code, out = run(tmp_path, "solve", dict(TINY, K=k), name=f"k{k}")
+        assert code == 0 and len(report_of(out, "solve")["coefficients"]) == 2 * k + 1
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def _unreadable_config_report(tmp_path, config):
+    out = tmp_path / "out"
+    code = cli.main(["solve", "--config", str(config), "--out", str(out)])
+    report = report_of(out, "solve")
+    assert code == 3 and report["exit_code"] == 3
+    assert report["error"]["type"] == "validation"
+    [violation] = report["error"]["violations"]
+    assert violation["path"] == "$"
+    return violation["message"]
+
+
+def test_missing_config_file_writes_a_validation_report(tmp_path):
+    message = _unreadable_config_report(tmp_path, tmp_path / "absent.json")
+    assert "No such file" in message
+
+
+def test_config_directory_writes_a_validation_report(tmp_path):
+    folder = tmp_path / "folder.json"
+    folder.mkdir()
+    assert "Is a directory" in _unreadable_config_report(tmp_path, folder)
+
+
+def test_config_not_in_utf8_writes_a_validation_report(tmp_path):
+    config = tmp_path / "latin1.json"
+    config.write_bytes(b'{"K": 8, "\xe9": 1}')
+    assert "utf-8" in _unreadable_config_report(tmp_path, config)
+
+
 def test_complex_solution_table_gives_each_component_re_then_im():
     spec = problems.mat2_rich()
     spec = replace(spec, state_matrix=spec.state_matrix + 0.1j * np.eye(2))

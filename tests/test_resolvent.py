@@ -1,4 +1,4 @@
-"""Modal matrices, the inverted family, exact identities, boundedness rows."""
+"""Modal matrices, the checked inverse, exact identities, boundedness rows."""
 
 import numpy as np
 import pytest
@@ -14,16 +14,25 @@ from specdde import (
     m_bounded_diagnostics,
     mode_range,
     resolvent,
-    resolvent_family,
     telescoping_check,
-    verify_modal_identity,
 )
 
 TWO_PI = 2.0 * np.pi
 
 
-def family(spec, window, **kwargs):
-    return resolvent_family(spec, ModeSymbols.from_spec(spec, window), **kwargs)
+def inverse(spec, window):
+    """(symbol table, M(k)^{-1}) on |k| <= window, through the one condition test."""
+    table = ModeSymbols.from_spec(spec, window)
+    inv, _ = resolvent._checked_inverse(table.modes, table.modal(spec.state_matrix),
+                                        resolvent.COND_LIMIT)
+    return table, inv
+
+
+def inversion_defect(spec, window):
+    """max_k || M(k) M(k)^{-1} - I ||, the inversion defect over the window."""
+    table, inv = inverse(spec, window)
+    defect = np.matmul(table.modal(spec.state_matrix), inv) - np.eye(spec.dim)[None]
+    return float(np.max(resolvent._operator_norms(defect)))
 
 
 def modal(spec, window):
@@ -58,12 +67,12 @@ class TestAssemble:
 class TestResolventFamily:
     def test_scalar_closed_form(self):
         spec = problems.scalar_basic()
-        fam = family(spec, 256)
-        ks = fam.modes
+        table, inv = inverse(spec, 256)
+        ks = table.modes
         closed = 1.0 / (1.0 + 1j * ks)
-        assert np.max(np.abs(fam.resolvent[:, 0, 0] - closed)) < 1e-12
+        assert np.max(np.abs(inv[:, 0, 0] - closed)) < 1e-12
         scaled = 1j * ks / (1.0 + 1j * ks)
-        assert np.max(np.abs(fam.resolvent_ik[:, 0, 0] - scaled)) < 1e-12
+        assert np.max(np.abs(1j * ks * inv[:, 0, 0] - scaled)) < 1e-12
         sup_scaled = m_bounded_diagnostics(spec, 256).row("S").sup_norm
         assert sup_scaled < 1.0
         assert sup_scaled > 0.999
@@ -78,63 +87,61 @@ class TestResolventFamily:
             truncation=4,
             grid=16,
         )
-        fam = family(spec, 64)
-        z = 1.0 + 1j * fam.modes
+        table, inv = inverse(spec, 64)
+        z = 1.0 + 1j * table.modes
         closed = 1.0 / (z / 2.0 - 1.0 / z)
-        assert np.max(np.abs(fam.resolvent[:, 0, 0] - closed)) < 1e-12
+        assert np.max(np.abs(inv[:, 0, 0] - closed)) < 1e-12
 
     def test_diagonal_two_by_two_closed_form(self):
         spec = problems.mat2_diag()
-        fam = family(spec, 64)
-        ks = fam.modes
+        table, inv = inverse(spec, 64)
+        ks = table.modes
         a = np.array([laplace_symbol(spec.kernel, int(k)) for k in ks])
         for i, k in enumerate(ks):
             expected = np.diag([1.0 / (1j * k + 1.0 - a[i]),
                                 1.0 / (1j * k + 2.0 - a[i])])
-            assert np.allclose(fam.resolvent[i], expected, atol=1e-12)
+            assert np.allclose(inv[i], expected, atol=1e-12)
             # off-diagonal entries stay numerically zero
-            assert abs(fam.resolvent[i][0, 1]) < 1e-15
+            assert abs(inv[i][0, 1]) < 1e-15
 
     def test_singular_mode_reported_with_condition(self):
         spec = ProblemSpec(state_matrix=[[0.0]], truncation=2, grid=8)
         with pytest.raises(SingularModeError) as err:
-            family(spec, 4)
+            inverse(spec, 4)
         assert 0 in err.value.modes
 
     def test_modal_identity_tight_for_scalar(self):
-        fam = family(problems.scalar_basic(), 128)
-        assert verify_modal_identity(fam) <= 1e-15
+        assert inversion_defect(problems.scalar_basic(), 128) <= 1e-15
 
     def test_modal_identity_across_regression_suite(self, regression_specs):
         for name, spec in regression_specs.items():
-            fam = family(spec, 64)
-            assert verify_modal_identity(fam) <= 1e-10, name
+            assert inversion_defect(spec, 64) <= 1e-10, name
 
     def test_resolvent_conjugate_symmetry(self, regression_specs):
         for name, spec in regression_specs.items():
-            fam = family(spec, 32)
+            _, inv = inverse(spec, 32)
             K = 32
             for k in (1, 7, 31):
-                assert np.allclose(
-                    fam.resolvent[K - k],
-                    np.conj(fam.resolvent[K + k]),
-                    atol=1e-12,
-                ), name
+                assert np.allclose(inv[K - k], np.conj(inv[K + k]), atol=1e-12), name
 
     def test_stored_identity_from_parts(self):
         # D_k (ik N_k) - A D_k N_k - T_k - atilde(ik) N_k = I
         spec = problems.scalar_full()
-        fam = family(spec, 32)
-        lhs = (np.matmul(fam.neutral, fam.resolvent_ik)
-               - np.matmul(np.matmul(spec.state_matrix, fam.neutral), fam.resolvent)
-               - fam.delay_response - fam.kernel_response)
+        table, inv = inverse(spec, 32)
+        ik = (1j * table.modes)[:, None, None]
+        lhs = (np.matmul(table.neutral, ik * inv)
+               - np.matmul(np.matmul(spec.state_matrix, table.neutral), inv)
+               - np.matmul(table.G, inv) - table.a[:, None, None] * inv)
         eye = np.eye(spec.dim)
         assert np.max(np.abs(lhs - eye[None])) <= 1e-10
 
     def test_resolvent_ik_is_ik_times_resolvent(self):
-        fam = family(problems.scalar_full(), 16)
-        expected = (1j * fam.modes)[:, None, None] * fam.resolvent
-        assert np.array_equal(fam.resolvent_ik, expected)
+        # the S row is the sup over |k| <= window of || ik N_k ||
+        spec = problems.scalar_full()
+        window = 16
+        table, inv = inverse(spec, window)
+        expected = np.max(np.abs(1j * table.modes * inv[:, 0, 0]))
+        assert m_bounded_diagnostics(spec, window).row("S").sup_norm == expected
 
 
 class TestTelescoping:
@@ -234,9 +241,54 @@ class TestDiagnostics:
             assert report.row(raw).sup_scaled_diff == pytest.approx(
                 np.max(direct[np.abs(ks) <= window]), rel=1e-14), raw
 
+    @pytest.mark.parametrize("window", [1, 2, 17])
+    def test_edge_windows_match_a_per_mode_computation(self, regression_specs, window):
+        # every sequence built mode by mode from the table, with its own
+        # inverse and SVD norms, at the windows where the band is smallest;
+        # at W = 17 the per-|k| profile also fixes the fitted exponent
+        for name, spec in regression_specs.items():
+            table = ModeSymbols.from_spec(spec, window + 2)
+            modal = table.modal(spec.state_matrix)
+            index = {int(k): i for i, k in enumerate(table.modes)}
+
+            def sequence(label, k):
+                i = index[k]
+                if label in "NSTF":
+                    inv = np.linalg.inv(modal[i])
+                    factor = {"N": np.eye(spec.dim), "S": 1j * k * np.eye(spec.dim),
+                              "T": table.G[i], "F": table.a[i] * np.eye(spec.dim)}
+                    return factor[label] @ inv
+                if label in "PQRB":
+                    raw = {"P": table.a, "Q": table.L, "R": table.G,
+                           "B": np.matmul(spec.state_matrix, table.L)}[label]
+                    return k * np.atleast_2d(raw[i + 1] - raw[i])
+                raw = {"L": table.L, "G": table.G, "a_tilde": table.a}[label]
+                return np.atleast_2d(raw[i])
+
+            def norm(x):
+                return np.linalg.svd(x, compute_uv=False)[0]
+
+            report = m_bounded_diagnostics(spec, window)
+            ks = range(-window, window + 1)
+            for row in report.rows:
+                sup = max(norm(sequence(row.name, k)) for k in ks)
+                scaled = max(abs(k) * norm(sequence(row.name, k + 1) - sequence(row.name, k))
+                             for k in ks)
+                profile = np.array([max(norm(sequence(row.name, j)),
+                                        norm(sequence(row.name, -j)))
+                                    for j in range(window + 1)])
+                verdict, exponent = resolvent._verdict(window, profile)
+                np.testing.assert_allclose(
+                    [row.sup_norm, row.sup_scaled_diff], [sup, scaled],
+                    rtol=1e-13, atol=0.0, err_msg=f"{name} {row.name} W={window}")
+                # a flat profile fits a slope of round-off size
+                assert row.growth_exponent == pytest.approx(exponent, abs=1e-12, nan_ok=True)
+                assert row.verdict == verdict, (name, row.name, window)
+
     def test_one_svd_stack_per_matrix_row_and_difference(self, monkeypatch):
-        # n = 2: norms of N S T F Q R B L G and scaled differences of
-        # N S T F Q R B; the L and G differences are the Q and R norms.
+        # n = 2: norms of N S T F Q R B L G on the 2W + 2 rows of the band
+        # and scaled differences of N S T F Q R B on its first 2W + 1; the L
+        # and G differences are the Q and R norms.
         # The 2 x 2 norms are in closed form: no SVD runs.
         norms = resolvent._operator_norms
         matrices = []
@@ -253,9 +305,7 @@ class TestDiagnostics:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         window = 24
         m_bounded_diagnostics(problems.mat2_sampled(), window)
-        family, diffs, raw, scaled = (2 * window + 3, 2 * window + 4,
-                                      2 * window + 5, 2 * window + 1)
-        assert sum(matrices) == 4 * family + 3 * diffs + 2 * raw + 7 * scaled
+        assert sum(matrices) == 9 * (2 * window + 2) + 7 * (2 * window + 1)
 
 
 def _svd_norms(stack):
