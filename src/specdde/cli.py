@@ -69,9 +69,10 @@ def _finite(obj) -> bool:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    """One line per row, each cell in ``str`` form; the cells are formatted
+    column by column, which keeps the per-cell work in C."""
+    columns = rows.T.tolist() if isinstance(rows, np.ndarray) else zip(*rows)
+    lines = [",".join(header), *map(",".join, zip(*[map(str, c) for c in columns]))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

@@ -8,16 +8,17 @@ whose inverse maps forcing coefficients to solution coefficients.  The mode
 symbols come from one table (``symbols.ModeSymbols``), built once per
 problem and band, and M(k) is assembled in one place, ``ModeSymbols.modal``.
 
-``_checked_inverse`` is the one condition test: it rejects every mode whose
-1-norm condition number ||M(k)||_1 ||M(k)^{-1}||_1 exceeds the limit (that
-estimate needs no SVD), then inverts.  The lean solve (``solver``) uses it
-and nothing else from here.  ``m_bounded_diagnostics`` reads the symbol
-table, its k-scaled differences and the checked inverse directly and stacks
-all eleven sequences of the boundedness report on one band of modes,
--K_diag..K_diag + 1: the sup norm over |k| <= K_diag and the k-scaled
-difference of adjacent rows are all the multiplier condition asks of each.
-Spectral norms are taken only there.  ``telescoping_check`` verifies the
-exact difference identity of the non-state part of M(k).
+``_checked_inverse`` is the one condition test: it inverts once and rejects
+every mode whose 1-norm condition number ||M(k)||_1 ||M(k)^{-1}||_1, read
+off that inverse, exceeds the limit (that estimate needs no SVD).  The lean
+solve (``solver``) uses it and nothing else from here.
+``m_bounded_diagnostics`` reads the symbol table, its k-scaled differences
+and the checked inverse directly and stacks all eleven sequences of the
+boundedness report on one band of modes, -K_diag..K_diag + 1: the sup norm
+over |k| <= K_diag and the k-scaled difference of adjacent rows are all the
+multiplier condition asks of each.  Spectral norms are taken only there.
+``telescoping_check`` verifies the exact difference identity of the
+non-state part of M(k).
 
 Everything below is batched over the band with a deterministic ascending-k
 order.
@@ -68,18 +69,36 @@ def _operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
-def _checked_inverse(modes: np.ndarray, modal: np.ndarray, cond_limit: float):
-    """(M(k)^{-1}, 1-norm condition numbers) for every mode.
+def _checked_inverse(modes: np.ndarray, modal: np.ndarray, cond_limit: float,
+                     bands=None):
+    """(M(k)^{-1}, 1-norm condition numbers) for every mode, from one inversion.
 
-    Raises SingularModeError naming every mode whose 1-norm condition number
-    exceeds ``cond_limit`` or is not finite; an exactly singular M(k) gives
-    an infinite condition number rather than an exception.
+    The condition number ||M(k)||_1 ||M(k)^{-1}||_1 is read off the inverse,
+    exactly as ``np.linalg.cond(M, 1)`` computes it.  Raises
+    SingularModeError naming every mode whose condition number exceeds
+    ``cond_limit`` or is not finite; an exactly singular M(k), which stops
+    the batched inversion, is then located by ``np.linalg.cond`` and has an
+    infinite condition number.  With ascending ``bands`` only the modes of
+    the narrowest band |k| <= b that holds a rejected mode are named: a run
+    of solves on those bands fails first there.
     """
-    condition = np.linalg.cond(modal, 1)
+    try:
+        inverse = np.linalg.inv(modal)
+    except np.linalg.LinAlgError:
+        inverse, condition = None, np.linalg.cond(modal, 1)
+    else:
+        with np.errstate(all="ignore"):
+            condition = (np.linalg.norm(modal, 1, axis=(1, 2))
+                         * np.linalg.norm(inverse, 1, axis=(1, 2)))
+        # np.linalg.cond's convention: NaN only where M(k) itself holds one
+        condition[np.isnan(condition) & ~np.isnan(modal).any(axis=(1, 2))] = np.inf
     bad = ~np.isfinite(condition) | (condition > cond_limit)
     if np.any(bad):
+        if bands is not None:
+            reach = np.min(np.abs(modes[bad]))
+            bad &= np.abs(modes) <= min(b for b in bands if b >= reach)
         raise SingularModeError(modes[bad], condition[bad])
-    return np.linalg.inv(modal), condition
+    return inverse, condition
 
 
 def telescoping_check(spec: ProblemSpec, symbols: ModeSymbols) -> float:

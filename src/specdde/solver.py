@@ -7,11 +7,11 @@ done in Fourier space (multiplication by ik D_k), never by finite
 differences.
 
 The solve is lean: it builds one symbol table (``ModeSymbols``) on the union
-of the solver and forcing bands, assembles M(k) once from it, rejects modes
-whose 1-norm condition number exceeds the limit, inverts once, and takes
-both residuals from the same M(k).  It computes nothing it does not report;
-the spectral-norm sequences belong to the boundedness diagnostics in
-``resolvent``.
+of the solver and forcing bands, assembles M(k) once from it, inverts once,
+rejects modes whose 1-norm condition number (read off that inverse) exceeds
+the limit, and takes both residuals from the same M(k).  It computes nothing
+it does not report; the spectral-norm sequences belong to the boundedness
+diagnostics in ``resolvent``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import TruncationWarning
 from .resolvent import COND_LIMIT, _checked_inverse
-from .symbols import ModeSymbols, PeriodicGridFunction, ProblemSpec
+from .symbols import ModeSymbols, PeriodicGridFunction, ProblemSpec, mode_range
 
 
 @dataclass
@@ -57,6 +57,12 @@ def _on_band(coefficients: np.ndarray, bandwidth: int) -> np.ndarray:
     return out
 
 
+def _centre(stack: np.ndarray, bandwidth: int) -> np.ndarray:
+    """The rows |k| <= bandwidth of a stack on a wider band (a view)."""
+    half = (stack.shape[0] - 1) // 2
+    return stack[half - bandwidth: half + bandwidth + 1]
+
+
 def _defect(spec: ProblemSpec, modal: np.ndarray, uhat: np.ndarray) -> np.ndarray:
     """rhat(k) = M(k) uhat(k) - fhat(k) on the band of ``modal``."""
     band = (modal.shape[0] - 1) // 2
@@ -70,8 +76,10 @@ def _grid_max(spec: ProblemSpec, rhat: np.ndarray) -> float:
     return PeriodicGridFunction.from_coefficients(rhat, max(spec.grid, 2 * band + 1)).max_norm()
 
 
-def _solve(spec: ProblemSpec, symbols: ModeSymbols, cond_limit: float) -> SpectralSolution:
-    """The solve on a table whose band is max(truncation, forcing bandwidth)."""
+def _solve(spec: ProblemSpec, modal: np.ndarray, resolvent: np.ndarray,
+           condition: np.ndarray) -> SpectralSolution:
+    """The solve from M(k) on the band max(truncation, forcing bandwidth) and
+    the checked inverse and condition numbers on |k| <= truncation."""
     f = spec.forcing
     K = spec.truncation
     inside, outside = f.band_energy_split(K)
@@ -84,10 +92,6 @@ def _solve(spec: ProblemSpec, symbols: ModeSymbols, cond_limit: float) -> Spectr
             TruncationWarning,
             stacklevel=3,
         )
-    rows = slice(symbols.bandwidth - K, symbols.bandwidth + K + 1)
-    ks = symbols.modes[rows]
-    modal = symbols.modal(spec.state_matrix)
-    resolvent, condition = _checked_inverse(ks, modal[rows], cond_limit)
     uhat = np.einsum("kij,kj->ki", resolvent, _on_band(f.coefficients, K))
     if spec.is_real:
         uhat[K] = np.real(uhat[K])
@@ -96,11 +100,11 @@ def _solve(spec: ProblemSpec, symbols: ModeSymbols, cond_limit: float) -> Spectr
     rhat = _defect(spec, modal, uhat)
     return SpectralSolution(
         solution=PeriodicGridFunction.from_coefficients(uhat, spec.grid),
-        modes=ks,
+        modes=mode_range(K),
         coefficients=uhat,
         condition=condition,
         truncation=K,
-        residual_modal=float(np.max(np.linalg.norm(rhat[rows], axis=1))),
+        residual_modal=float(np.max(np.linalg.norm(_centre(rhat, K), axis=1))),
         residual_grid=_grid_max(spec, rhat),
         forcing_tail_energy=tail_energy,
     )
@@ -120,8 +124,10 @@ def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> Spectra
     values are real to round-off.  Problem data counts as real only when its
     imaginary parts are exactly zero; forcing samples may carry round-off.
     """
-    symbols = ModeSymbols.from_spec(spec, max(spec.truncation, spec.forcing.bandwidth))
-    return _solve(spec, symbols, cond_limit)
+    K = spec.truncation
+    modal = ModeSymbols.from_spec(spec, max(K, spec.forcing.bandwidth)).modal(spec.state_matrix)
+    resolvent, condition = _checked_inverse(mode_range(K), _centre(modal, K), cond_limit)
+    return _solve(spec, modal, resolvent, condition)
 
 
 def residual(spec: ProblemSpec, u: PeriodicGridFunction) -> float:
@@ -172,15 +178,19 @@ def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
     per-doubling residual ratio exceeds 0.3: analytic forcing contracts like
     r^K per doubling, while forcing with a jump keeps the ratio near 1, so the
     threshold separates the two by orders of magnitude.  The flag is None when
-    fewer than three doubling steps are available.  One symbol table on the
-    widest band serves every row.
+    fewer than three doubling steps are available.  One symbol table and one
+    checked inversion on the widest band serve every row; a rejected mode
+    raises SingularModeError as the first row whose band holds it would.
     """
     truncations = [int(k) for k in truncations]
     if truncations != sorted(truncations):
         raise ValueError("truncation list must be ascending")
     f = spec.forcing
     n_grid = max(spec.grid, 4 * max(truncations), f.n_samples)
-    symbols = ModeSymbols.from_spec(spec, max(truncations[-1], f.bandwidth))
+    widest = truncations[-1]
+    modal = ModeSymbols.from_spec(spec, max(widest, f.bandwidth)).modal(spec.state_matrix)
+    resolvent, condition = _checked_inverse(mode_range(widest), _centre(modal, widest),
+                                            cond_limit, bands=truncations)
     rows: List[SweepRow] = []
     ratios = []
     prev: Optional[PeriodicGridFunction] = None
@@ -189,7 +199,8 @@ def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
         sub = replace(spec, truncation=K, grid=n_grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            sol = _solve(sub, symbols.band(max(K, f.bandwidth)), cond_limit)
+            sol = _solve(sub, _centre(modal, max(K, f.bandwidth)),
+                         _centre(resolvent, K), _centre(condition, K))
         u = sol.solution
         res = sol.residual_grid
         change = (u - prev).max_norm() if prev is not None else None

@@ -202,8 +202,9 @@ class DistributedDelay:
         with w = e^{2 pi i/(qP)}, so the sums of every mode are entries
         (kp mod qP) of one zero-padded inverse FFT of length qP of the
         coefficient stack.  Otherwise they are one direct phase product by
-        ``np.einsum``, which computes each row alone.  Either way a mode's
-        value depends on that mode alone, not on ``ks``.
+        ``np.einsum``, which computes each row alone (for a real stack, as two
+        real products against the phases' real and imaginary parts).  Either
+        way a mode's value depends on that mode alone, not on ``ks``.
         """
         ks = np.asarray(ks, dtype=int)
         pieces, n = self.pieces, self.dim
@@ -221,7 +222,11 @@ class DistributedDelay:
             sums = np.empty((len(ks), stack.shape[1]), dtype=complex)
             for i in range(0, len(ks), step):
                 phases = _unit_phase((np.outer(ks[i:i + step], back) / pieces) * turns)
-                sums[i:i + step] = np.einsum("kj,jc->kc", phases, stack)
+                if np.isrealobj(stack):  # two real products, no complex multiply-adds
+                    sums.real[i:i + step] = np.einsum("kj,jc->kc", phases.real, stack)
+                    sums.imag[i:i + step] = np.einsum("kj,jc->kc", phases.imag, stack)
+                else:
+                    sums[i:i + step] = np.einsum("kj,jc->kc", phases, stack)
         moments = _spline_moments(ks * h, _unit_phase(-(ks / pieces) * turns))
         weights = h ** np.arange(1, 5)[:, None] * moments
         return np.einsum("mk,kmij->kij", weights, sums.reshape(len(ks), 4, n, n))

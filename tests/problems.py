@@ -9,7 +9,9 @@ by the boundedness diagnostics are:
                 tracked sequence stays bounded.
 """
 
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -139,3 +141,12 @@ def smooth_suite():
         "scalar_full": scalar_full(),
         "mat2_rich": mat2_rich(),
     }
+
+
+def bench_workloads():
+    """The benchmark's seeded configuration documents (``bench/workloads.py``)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads

@@ -1,9 +1,13 @@
 """Dyadic partition, Besov norms, multiplier ratios, Fourier-type ratios."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import problems
 
 from specdde import (
     BesovParams,
@@ -15,7 +19,10 @@ from specdde import (
     fourier_type_ratio,
     mode_range,
     partition_eval,
+    solve_periodic,
 )
+from specdde.besov import _seven_smooth
+from specdde.config import parse_config
 
 TWO_PI = 2.0 * np.pi
 
@@ -183,13 +190,9 @@ class TestBesovNorm:
         f = PeriodicGridFunction.from_coefficients(coeffs, 162)
         params = BesovParams(s=1.0, p=3.0, q=2.0)
         n_quad = 4 * 81
-        expected = []
-        for level in range(8):
-            weights = partition_eval(level, mode_range(40))
-            block = PeriodicGridFunction.from_coefficients(weights[:, None] * coeffs,
-                                                           2 * n_quad)
-            expected.append(PeriodicGridFunction(block.samples[::2], block.coefficients)
-                            .lp_norm(3.0))
+        expected = [PeriodicGridFunction.from_coefficients(
+            partition_eval(level, mode_range(40))[:, None] * coeffs, n_quad).lp_norm(3.0)
+            for level in range(8)]
         calls = []
         synthesis = PeriodicGridFunction.from_coefficients.__func__
         monkeypatch.setattr(PeriodicGridFunction, "from_coefficients", classmethod(
@@ -197,7 +200,35 @@ class TestBesovNorm:
         report = besov_norm_report(f, params)
         assert np.array_equal(report.block_norms, expected)
         assert np.all(report.block_norms[3:] == 0.0) and np.all(report.block_norms[:3] > 0)
-        assert calls == [2 * n_quad] * 3
+        assert calls == [n_quad, _seven_smooth(2 * n_quad)] * 3
+
+    def test_estimate_bounds_the_error_on_the_benchmark_problem(self):
+        # lumped benchmark problem at K = 32: the norm's 260-point grid has a
+        # doubled length 520 = 2^3 5 13, refined to the 7-smooth 525
+        doc = problems.bench_workloads().config_document("lumped", 1)
+        config = parse_config(json.dumps(dict(doc, K=32)))
+        u = solve_periodic(config.problem).solution
+        report = besov_norm_report(u, config.besov)
+        actual = abs(report.norm - besov_norm(u.resample(2**16), config.besov, refine=1))
+        assert report.quadrature_error >= actual > 0.0
+
+
+class TestSevenSmooth:
+    def test_smallest_seven_smooth_length_at_or_above(self):
+        def smooth(m):
+            for prime in (2, 3, 5, 7):
+                while m % prime == 0:
+                    m //= prime
+            return m == 1
+
+        lengths = [m for m in range(1, 8193) if smooth(m)]
+        for n in range(1, 4097):
+            assert _seven_smooth(n) == next(m for m in lengths if m >= n), n
+
+    def test_smooth_lengths_are_kept(self):
+        assert [_seven_smooth(n) for n in (28, 128, 16384)] == [28, 128, 16384]
+        # twice the lumped benchmark's 32,772-point grid, 2^3 3 2731
+        assert _seven_smooth(65544) == 65610
 
 
 class TestDerivativeShift:

@@ -1,5 +1,7 @@
 """Modal matrices, the checked inverse, exact identities, boundedness rows."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,42 @@ class TestResolventFamily:
         with pytest.raises(SingularModeError) as err:
             inverse(spec, 4)
         assert 0 in err.value.modes
+
+    def test_condition_is_read_off_the_one_inverse(self, rng):
+        stack = rng.normal(size=(8193, 2, 2)) + 1j * rng.normal(size=(8193, 2, 2))
+        inv, condition = resolvent._checked_inverse(mode_range(4096), stack, np.inf)
+        assert np.array_equal(inv, np.linalg.inv(stack))
+        assert np.array_equal(condition, np.linalg.cond(stack, 1))
+
+    def test_zero_and_overflowing_matrices_are_rejected_without_a_warning(self):
+        # an all-zero M(k) stops the batched inversion; a finite one whose
+        # ||M||_1 ||M^{-1}||_1 overflows is rejected all the same
+        overflow = np.tile(np.eye(2, dtype=complex), (5, 1, 1))
+        overflow[3] = np.diag([1e300, 1e-300])
+        zero = overflow.copy()
+        zero[1] = 0.0
+        for modal, rejected in ((zero, [-1, 1]), (overflow, [1])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularModeError) as err:
+                    resolvent._checked_inverse(mode_range(2), modal, 1e12)
+            assert err.value.modes == rejected
+            assert err.value.conditions == [np.inf] * len(rejected)
+
+    def test_bands_name_the_narrowest_band_that_fails(self):
+        # rejected modes at |k| = 3 and 5: of the bands 2, 4, 8 the band 4
+        # is the first to hold one, and it names only its own two
+        ks = mode_range(8)
+        modal = np.tile(np.eye(2, dtype=complex), (17, 1, 1))
+        modal[np.abs(ks) == 3, 1, 1] = 1e-13
+        modal[ks == 5] = 0.0
+        with pytest.raises(SingularModeError) as err:
+            resolvent._checked_inverse(ks, modal, 1e12, bands=[2, 4, 8])
+        assert err.value.modes == [-3, 3]
+        assert err.value.conditions == [1e13, 1e13]
+        with pytest.raises(SingularModeError) as err:
+            resolvent._checked_inverse(ks, modal, 1e12)
+        assert err.value.modes == [-3, 3, 5]
 
     def test_modal_identity_tight_for_scalar(self):
         assert inversion_defect(problems.scalar_basic(), 128) <= 1e-15

@@ -1,6 +1,8 @@
 """Spectral solve, residual, linearity/uniqueness properties, sweeps."""
 
 import inspect
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,6 +158,28 @@ class TestSymbolTable:
         for name, spec in problems.regression_specs().items():
             assert solve_periodic(spec).residual_modal <= 1e-12, name
 
+    @pytest.mark.parametrize("run", [
+        lambda spec: solve_periodic(spec),
+        lambda spec: convergence_sweep(spec, [2, 4, 8, 16]),
+    ], ids=["solve_periodic", "convergence_sweep"])
+    def test_one_inversion_and_no_condition_call(self, monkeypatch, run):
+        calls = []
+        inv = np.linalg.inv
+
+        def counted(a):
+            calls.append(1)
+            return inv(a)
+
+        def no_cond(*args, **kwargs):
+            raise AssertionError("np.linalg.cond inverts every matrix again")
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        monkeypatch.setattr(np.linalg, "cond", no_cond)
+        for name, spec in problems.regression_specs().items():
+            calls.clear()
+            run(spec)
+            assert len(calls) == 1, name
+
 
 class TestResidual:
     def test_zero_candidate_residual_is_forcing_sup(self, regression_specs):
@@ -275,6 +299,38 @@ class TestConvergenceSweep:
         spec = ProblemSpec(state_matrix=[[-1.0]], forcing=f, truncation=8, grid=64)
         sweep = convergence_sweep(spec, [4, 8, 16, 32])
         assert sweep.slow_convergence is True
+
+    def test_rows_match_the_solve_at_their_truncation(self, regression_specs):
+        truncations = [2, 4, 8, 16]
+        for name, spec in regression_specs.items():
+            sweep = convergence_sweep(spec, truncations)
+            grid = max(spec.grid, 4 * truncations[-1], spec.forcing.n_samples)
+            prev = None
+            for K, row in zip(truncations, sweep.rows):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", TruncationWarning)
+                    sol = solve_periodic(replace(spec, truncation=K, grid=grid))
+                assert row.residual_full_band == sol.residual_grid, (name, K)
+                if prev is not None:
+                    assert row.solution_change == (sol.solution - prev).max_norm(), (name, K)
+                prev = sol.solution
+
+    def test_singular_mode_fails_at_the_first_row_that_holds_it(self):
+        # the first diagonal entry of M(k), 1 + ik - (3 - i) e^{-ik pi/2},
+        # vanishes at k = 3 alone
+        spec = ProblemSpec(
+            state_matrix=-np.eye(2),
+            reaction_delay=DelayFunctional(dim=2, atoms=[(np.diag([3.0 - 1j, 0.0]),
+                                                          np.pi / 2)]),
+            forcing=PeriodicGridFunction.from_harmonics(cos=[[1.0, 1.0]], dim=2),
+            truncation=8,
+            grid=32,
+        )
+        assert convergence_sweep(spec, [1, 2]).rows[-1].residual_full_band <= 1e-12
+        for truncations in ([2, 4, 8], [4, 8]):
+            with pytest.raises(SingularModeError) as err:
+                convergence_sweep(spec, truncations)
+            assert err.value.modes == [3]
 
     def test_rejects_unsorted_list(self):
         with pytest.raises(ValueError):

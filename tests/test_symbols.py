@@ -1,8 +1,6 @@
 """Mode symbols, transforms, analysis/synthesis and their exact algebra."""
 
-import importlib.util
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,11 +36,8 @@ TWO_PI = 2.0 * np.pi
 def bench_kernel(seed):
     """(samples, span) of the sampled kernel of the benchmark's ``distributed``
     workload at ``seed``."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    dist = workloads.config_document("distributed", seed)["problem"]["L"]["distributed"]
+    doc = problems.bench_workloads().config_document("distributed", seed)
+    dist = doc["problem"]["L"]["distributed"]
     return np.asarray(dist["samples"], dtype=float), float(dist["span"])
 
 
