@@ -5,11 +5,8 @@ __version__ = "0.1.0"
 
 from .besov import (
     BesovParams,
-    apply_multiplier,
     besov_norm,
     besov_norm_report,
-    derivative_shift_check,
-    fourier_type_ratio,
     partition_eval,
 )
 from .config import RunConfig, parse_config
@@ -35,7 +32,6 @@ from .resolvent import (
     MBoundReport,
     SequenceDiagnostics,
     m_bounded_diagnostics,
-    telescoping_check,
 )
 from .solver import (
     SpectralSolution,
@@ -55,7 +51,6 @@ from .symbols import (
     analyze,
     difference_sequences,
     laplace_symbol,
-    laplace_symbol_quadrature,
     mode_range,
 )
 
@@ -86,17 +81,13 @@ __all__ = [
     "SweepResult",
     "TruncationWarning",
     "analyze",
-    "apply_multiplier",
     "besov_norm",
     "besov_norm_report",
     "collocation_solve",
     "compare",
     "convergence_sweep",
-    "derivative_shift_check",
     "difference_sequences",
-    "fourier_type_ratio",
     "laplace_symbol",
-    "laplace_symbol_quadrature",
     "m_bounded_diagnostics",
     "mode_range",
     "parse_config",
@@ -104,5 +95,4 @@ __all__ = [
     "periodize_kernel",
     "residual",
     "solve_periodic",
-    "telescoping_check",
 ]

@@ -1,4 +1,4 @@
-"""Dyadic frequency decomposition, periodic Besov norms, multiplier ratios.
+"""Dyadic frequency decomposition and periodic Besov norms.
 
 The partition lives on integer frequencies only, so it is built from the
 piecewise-linear tent
@@ -16,8 +16,9 @@ The norm of a band-limited f is
 
 with the unnormalized L^p integral over one period.  Grid L^p values use the
 trapezoid rule, exact for band-limited data when p == 2; for other p the
-quadrature error is estimated against a grid of at least twice the points
-(see ``besov_norm_report``).
+blocks are synthesised on at least 4 points per band mode and the quadrature
+error is estimated against a grid of at least twice the points (see
+``besov_norm_report``).
 
 Block norms are independent per level; the final sum runs in ascending j.
 """
@@ -25,11 +26,14 @@ Block norms are independent per level; the final sum runs in ascending j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .symbols import PeriodicGridFunction, mode_range
+
+#: quadrature points per band mode of a p != 2 block (the stored grid when finer)
+_POINTS_PER_MODE = 4
 
 
 def _tent(x: np.ndarray) -> np.ndarray:
@@ -77,9 +81,6 @@ class BesovParams:
         if not (1.0 <= self.q < np.inf):
             raise ValueError(f"q must lie in [1, inf), got {self.q}")
 
-    def shifted(self, ds: float) -> "BesovParams":
-        return BesovParams(self.s + ds, self.p, self.q)
-
 
 def _seven_smooth(n: int) -> int:
     """Smallest m >= n with no prime factor above 7, a length pocketfft
@@ -95,10 +96,12 @@ def _seven_smooth(n: int) -> int:
         m += 1
 
 
-def _quadrature_points(f: PeriodicGridFunction, p: float, refine: int) -> int:
-    """The stored grid when p == 2, else at least ``refine`` points per band
-    mode."""
-    return f.n_samples if p == 2.0 else max(f.n_samples, refine * (2 * f.bandwidth + 1))
+def _quadrature_points(f: PeriodicGridFunction, p: float) -> int:
+    """The stored grid when p == 2, else at least _POINTS_PER_MODE points per
+    band mode."""
+    if p == 2.0:
+        return f.n_samples
+    return max(f.n_samples, _POINTS_PER_MODE * (2 * f.bandwidth + 1))
 
 
 def _block_norms(f: PeriodicGridFunction, p: float, lengths: Tuple[int, ...]) -> np.ndarray:
@@ -118,13 +121,13 @@ def _block_norms(f: PeriodicGridFunction, p: float, lengths: Tuple[int, ...]) ->
     return np.array(out)
 
 
-def besov_norm(f: PeriodicGridFunction, params: BesovParams, refine: int = 4) -> float:
+def besov_norm(f: PeriodicGridFunction, params: BesovParams) -> float:
     """Besov norm of a band-limited grid function.
 
     A norm on the stored band: absolutely homogeneous, subadditive, and zero
     only for the zero function.
     """
-    lengths = (_quadrature_points(f, params.p, refine),)
+    lengths = (_quadrature_points(f, params.p),)
     return _combine_blocks(_block_norms(f, params.p, lengths)[:, 0], params)
 
 
@@ -155,8 +158,7 @@ class BesovNormReport:
         }
 
 
-def besov_norm_report(f: PeriodicGridFunction, params: BesovParams,
-                      refine: int = 4) -> BesovNormReport:
+def besov_norm_report(f: PeriodicGridFunction, params: BesovParams) -> BesovNormReport:
     """Norm plus per-block values and a quadrature error estimate.
 
     For p == 2 the grid trapezoid is exact and the error is 0.  Otherwise
@@ -164,66 +166,8 @@ def besov_norm_report(f: PeriodicGridFunction, params: BesovParams,
     its difference against the same norm on the smallest 7-smooth length
     >= 2N, where the inverse FFT is fast.
     """
-    n = _quadrature_points(f, params.p, refine)
+    n = _quadrature_points(f, params.p)
     table = _block_norms(f, params.p, (n,) if params.p == 2.0 else (n, _seven_smooth(2 * n)))
     norm = _combine_blocks(table[:, 0], params)
     err = abs(norm - _combine_blocks(table[:, -1], params))
     return BesovNormReport(norm=norm, block_norms=table[:, 0], quadrature_error=err)
-
-
-def derivative_shift_check(f: PeriodicGridFunction, params: BesovParams) -> float:
-    """Ratio  norm(f', s) / norm(f - mean, s+1)  for a nonconstant trig polynomial.
-
-    Differentiation costs exactly one order of smoothness, so over any family
-    of band-limited functions this ratio stays inside a fixed interval whose
-    endpoints depend only on the partition (the active block weights at each
-    frequency), not on f.
-    """
-    ks = mode_range(f.bandwidth)
-    nonzero = np.abs(f.coefficients[ks != 0])
-    scale = max(float(np.max(np.abs(f.coefficients))), 1.0)
-    if nonzero.size == 0 or float(np.max(nonzero)) <= 1e-14 * scale:
-        raise ValueError("derivative shift ratio undefined for constant input")
-    centered_coeffs = f.coefficients.copy()
-    centered_coeffs[f.bandwidth] = 0.0
-    centered = PeriodicGridFunction.from_coefficients(centered_coeffs, f.n_samples)
-    return besov_norm(f.derivative(), params) / besov_norm(centered, params.shifted(1.0))
-
-
-def apply_multiplier(symbol: Callable[[int], object], f: PeriodicGridFunction,
-                     params: BesovParams) -> Tuple[PeriodicGridFunction, float]:
-    """Coefficient-wise application of a symbol sequence, with the norm ratio.
-
-    ``symbol(k)`` may return a scalar or an (n, n) matrix.  Returns the image
-    g with ghat(k) = symbol(k) fhat(k) and besov_norm(g) / besov_norm(f).
-    """
-    ks = mode_range(f.bandwidth)
-    ghat = np.zeros_like(f.coefficients)
-    for i, k in enumerate(ks):
-        m = np.asarray(symbol(int(k)))
-        if m.ndim == 0:
-            ghat[i] = m * f.coefficients[i]
-        else:
-            ghat[i] = m @ f.coefficients[i]
-    g = PeriodicGridFunction.from_coefficients(ghat, f.n_samples)
-    denom = besov_norm(f, params)
-    if denom == 0.0:
-        raise ValueError("norm ratio undefined for zero input")
-    return g, besov_norm(g, params) / denom
-
-
-def fourier_type_ratio(f: PeriodicGridFunction, r: float, refine: int = 4) -> float:
-    """Hausdorff-Young ratio  ||(fhat(k))||_{l^{r'}} / ||f||_{L^r},  1 < r <= 2.
-
-    With the unnormalized L^2 integral and normalized coefficients the r = 2
-    value is 1/sqrt(2*pi) for every nonzero scalar or vector trig polynomial.
-    """
-    if not (1.0 < r <= 2.0):
-        raise ValueError(f"r must lie in (1, 2], got {r}")
-    r_dual = r / (r - 1.0)
-    coeff_norms = np.linalg.norm(f.coefficients, axis=1)
-    seq = float(np.sum(coeff_norms**r_dual) ** (1.0 / r_dual))
-    denom = f.lp_norm(r, refine=1 if r == 2.0 else refine)
-    if denom == 0.0:
-        raise ValueError("ratio undefined for zero input")
-    return seq / denom

@@ -8,10 +8,8 @@ convolution is folded onto one period:
     abar(tau) = sum_{m >= 0} a(tau + 2pi m),
 
 then discretized with trapezoidal weights.  The folded kernel jumps by a(0)
-at tau = 0; the convolution uses the jump-averaged sample there (plain
-second order), while the Fourier-integral check subtracts the known jump
-structure via Bernoulli polynomials before applying the trapezoid, which
-restores spectral accuracy against the closed-form transform.
+at tau = 0; the convolution uses the jump-averaged sample there, which keeps
+the quadrature second order.
 
 Every term of the scheme acts on the periodic samples as a convolution
 stencil, (T x)_j = sum_s c_s x_{j-s} with n x n blocks c_s, so the system is
@@ -49,19 +47,6 @@ from .resolvent import COND_LIMIT
 
 _FOLD_CAP = 10**6
 _FOLD_TOL = 1e-12  # dropped fold mass, relative to ||a||_1
-_JUMP_ORDERS = 4  # boundary derivatives a(0), a'(0), a''(0), a'''(0)
-
-
-def _bernoulli_poly(n: int, x: np.ndarray) -> np.ndarray:
-    if n == 1:
-        return x - 0.5
-    if n == 2:
-        return x * (x - 1.0) + 1.0 / 6.0
-    if n == 3:
-        return x * (x * (x - 1.5) + 0.5)
-    if n == 4:
-        return x * (x * (x * (x - 2.0) + 1.0)) - 1.0 / 30.0
-    raise ValueError("only orders 1..4 are used")
 
 
 def _interval_sup(c_abs: float, m: int, alpha: float, lo: float, hi: float) -> float:
@@ -119,64 +104,26 @@ class PeriodizedKernel:
 
     ``samples`` holds the one-sided values abar(tau_l) of the truncated fold
     sum_{m=0}^{folds} a(tau + 2pi m); ``tail_bound`` bounds the sup-mass of
-    the dropped folds.  ``boundary_derivatives`` stores a^(r)(0) for
-    r = 0..3, which fix the jump structure of the fold at tau = 0.
+    the dropped folds.
     """
 
     samples: np.ndarray
     kernel: KernelSpec
     folds: int
     tail_bound: float
-    boundary_derivatives: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
 
     def convolution_samples(self) -> np.ndarray:
         """Samples for the periodic trapezoid convolution.
 
         The value at the jump node tau = 0 is replaced by the average of the
-        one-sided limits, which keeps the quadrature second order.
+        one-sided limits, abar(0) - a(0)/2, which keeps the quadrature second
+        order.
         """
-        out = self.samples.astype(complex).copy()
-        out[0] -= 0.5 * self.boundary_derivatives[0]
+        out = self.samples.astype(complex)
+        out[0] -= 0.5 * self.kernel.eval(0.0)
         if self.kernel.is_real:
             out = out.real
         return out
-
-    def fourier_integral(self, k):
-        """int_0^{2pi} abar(tau) e^{-ik tau} dtau, matching the transform at ik.
-
-        Trapezoid on the fold minus its Bernoulli-polynomial jump part, plus
-        the closed-form integrals of that part.  The de-jumped remainder is a
-        smooth periodic function, so the trapezoid converges spectrally and
-        the value agrees with the kernel transform to quadrature + tail
-        tolerance.  Accepts a scalar or an array of modes.
-        """
-        ks = np.atleast_1d(np.asarray(k))
-        n = self.n_samples
-        x = np.arange(n) / n
-        coeffs = np.array([
-            -self.boundary_derivatives[r] * TWO_PI**r / math.factorial(r + 1)
-            for r in range(_JUMP_ORDERS)
-        ])
-        jump_part = sum(coeffs[r] * _bernoulli_poly(r + 1, x)
-                        for r in range(_JUMP_ORDERS))
-        remainder = self.samples.astype(complex) - jump_part
-        tau = TWO_PI * x
-        phases = np.exp(-1j * np.outer(ks, tau))
-        trapezoid = (TWO_PI / n) * phases @ remainder
-
-        correction = np.zeros(len(ks), dtype=complex)
-        nonzero = ks != 0
-        kz = ks[nonzero]
-        for r in range(_JUMP_ORDERS):
-            correction[nonzero] += coeffs[r] * (
-                -TWO_PI * math.factorial(r + 1) / (TWO_PI * 1j * kz) ** (r + 1)
-            )
-        out = trapezoid + correction
-        return out if np.ndim(k) else complex(out[0])
 
 
 def periodize_kernel(kernel: KernelSpec, n_samples: int,
@@ -188,14 +135,13 @@ def periodize_kernel(kernel: KernelSpec, n_samples: int,
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    derivs = np.array([kernel.derivative_at_zero(r) for r in range(_JUMP_ORDERS)])
     folds, tail = _fold_plan(kernel, tol)
     tau = TWO_PI * np.arange(n_samples) / n_samples
     acc = np.zeros(n_samples, dtype=complex)
     for m in range(folds + 1):
         acc += kernel.eval(tau + TWO_PI * m)
     samples = acc.real if kernel.is_real else acc
-    return PeriodizedKernel(samples, kernel, folds, tail, derivs)
+    return PeriodizedKernel(samples, kernel, folds, tail)
 
 
 def _lagrange4(frac: float) -> np.ndarray:

@@ -17,8 +17,6 @@ and the checked inverse directly and stacks all eleven sequences of the
 boundedness report on one band of modes, -K_diag..K_diag + 1: the sup norm
 over |k| <= K_diag and the k-scaled difference of adjacent rows are all the
 multiplier condition asks of each.  Spectral norms are taken only there.
-``telescoping_check`` verifies the exact difference identity of the
-non-state part of M(k).
 
 Everything below is batched over the band with a deterministic ascending-k
 order.
@@ -99,30 +97,6 @@ def _checked_inverse(modes: np.ndarray, modal: np.ndarray, cond_limit: float,
             bad &= np.abs(modes) <= min(b for b in bands if b >= reach)
         raise SingularModeError(modes[bad], condition[bad])
     return inverse, condition
-
-
-def telescoping_check(spec: ProblemSpec, symbols: ModeSymbols) -> float:
-    """Largest defect over the table of the exact difference identity of the
-    non-state part.
-
-    With C_k = ik D_k - G_k - atilde(ik) I and the k-scaled symbol differences
-    P_k, Q_k, R_k, the identity
-
-        k (C_k - C_{k+1}) = -ik I + ik L_{k+1} + ik Q_k + R_k + P_k I
-
-    holds exactly for every mode of the table but the last; both sides are
-    evaluated from the same symbol values and the largest spectral norm of
-    their difference is returned.
-    """
-    diffs = difference_sequences(spec, symbols)
-    eye = np.eye(spec.dim)[None, :, :]
-    kcol = diffs.modes[:, None, None]
-    nonstate = symbols.nonstate()
-    lhs = kcol * (nonstate[:-1] - nonstate[1:])
-    ik = 1j * kcol
-    rhs = (-ik * eye + ik * symbols.L[1:] + ik * diffs.neutral
-           + diffs.reaction + diffs.kernel[:, None, None] * eye)
-    return float(np.max(_operator_norms(lhs - rhs)))
 
 
 @dataclass

@@ -176,7 +176,6 @@ class DistributedDelay:
             self.sample_error = 0.0
         self.pieces, self.dim = samples.shape[0] - 1, samples.shape[1]
         self.is_real = not np.any(np.imag(samples))
-        self._samples = samples
         self._grid = np.linspace(-self.span, 0.0, self.pieces + 1)
         self._fraction = _span_fraction(self.span / TWO_PI)
 
@@ -201,10 +200,12 @@ class DistributedDelay:
         span / 2 pi = p/q with small q, e^{ik x_j} = e^{-ik span} w^{(kp) j}
         with w = e^{2 pi i/(qP)}, so the sums of every mode are entries
         (kp mod qP) of one zero-padded inverse FFT of length qP of the
-        coefficient stack.  Otherwise they are one direct phase product by
-        ``np.einsum``, which computes each row alone (for a real stack, as two
-        real products against the phases' real and imaginary parts).  Either
-        way a mode's value depends on that mode alone, not on ``ks``.
+        coefficient stack; p is reduced mod qP before it multiplies k, so
+        the index stays exact in int64 however long the span.  Otherwise
+        they are one direct phase product by ``np.einsum``, which computes
+        each row alone (for a real stack, as two real products against the
+        phases' real and imaginary parts).  Either way a mode's value depends
+        on that mode alone, not on ``ks``.
         """
         ks = np.asarray(ks, dtype=int)
         pieces, n = self.pieces, self.dim
@@ -214,8 +215,8 @@ class DistributedDelay:
         if self._fraction is not None:
             p, q = self._fraction
             table = np.fft.ifft(stack, n=q * pieces, axis=0, norm="forward")
-            shift = _unit_phase(np.mod(ks * p, q) / q)
-            sums = table[np.mod(ks * p, q * pieces)] * shift[:, None]
+            shift = _unit_phase(np.mod(ks * (p % q), q) / q)
+            sums = table[np.mod(ks * (p % (q * pieces)), q * pieces)] * shift[:, None]
         else:
             back = np.arange(pieces, 0, -1)
             step = max(1, _PHASE_ENTRIES // pieces)
@@ -230,11 +231,6 @@ class DistributedDelay:
         moments = _spline_moments(ks * h, _unit_phase(-(ks / pieces) * turns))
         weights = h ** np.arange(1, 5)[:, None] * moments
         return np.einsum("mk,kmij->kij", weights, sums.reshape(len(ks), 4, n, n))
-
-    def scaled(self, factor: complex) -> "DistributedDelay":
-        out = DistributedDelay(factor * self._samples, self.span)
-        out.sample_error = abs(factor) * self.sample_error
-        return out
 
 
 def _sample_callable(kernel, span: float):
@@ -344,10 +340,6 @@ class DelayFunctional:
         return cls(dim=dim)
 
     @property
-    def is_empty(self) -> bool:
-        return not self.atoms and self.distributed is None
-
-    @property
     def is_real(self) -> bool:
         atoms_real = not any(np.any(np.imag(c)) for c, _ in self.atoms)
         dist_real = self.distributed is None or self.distributed.is_real
@@ -373,31 +365,6 @@ class DelayFunctional:
             out += self.distributed.fourier_window(ks)
         return out
 
-    def __add__(self, other: "DelayFunctional") -> "DelayFunctional":
-        if not isinstance(other, DelayFunctional):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise DimensionError("cannot add functionals of different dimension")
-        if self.distributed is not None and other.distributed is not None:
-            raise ValueError("combine distributed kernels before adding functionals")
-        return DelayFunctional(
-            dim=self.dim,
-            atoms=list(self.atoms) + list(other.atoms),
-            distributed=self.distributed or other.distributed,
-            horizon=max(self.horizon, other.horizon),
-        )
-
-    def __rmul__(self, factor) -> "DelayFunctional":
-        dist = None
-        if self.distributed is not None:
-            dist = self.distributed.scaled(factor)
-        return DelayFunctional(
-            dim=self.dim,
-            atoms=[(factor * c, lag) for c, lag in self.atoms],
-            distributed=dist,
-            horizon=self.horizon,
-        )
-
 
 @dataclass
 class KernelSpec:
@@ -405,8 +372,8 @@ class KernelSpec:
 
     Each term is a (c, m, alpha) triple with complex weight c, integer power
     m >= 0 and decay rate alpha > 0, which keeps a integrable on [0, inf).
-    The transform  atilde(lam) = int_0^inf e^{-lam t} a(t) dt  and the L1 norm
-    are available in closed form.
+    The transform  atilde(lam) = int_0^inf e^{-lam t} a(t) dt  at lam = ik
+    (``laplace_symbol``) and the L1 norm are available in closed form.
     """
 
     terms: Sequence = field(default_factory=list)
@@ -453,14 +420,6 @@ class KernelSpec:
     def is_real(self) -> bool:
         return all(c.imag == 0.0 for c, _, _ in self.terms)
 
-    def laplace(self, lam):
-        """Transform value(s) at lam; accepts scalars or arrays."""
-        lam = np.asarray(lam, dtype=complex)
-        out = np.zeros_like(lam)
-        for c, m, alpha in self.terms:
-            out = out + c * math.factorial(m) / (alpha + lam) ** (m + 1)
-        return out if out.ndim else complex(out)
-
     def l1_norm(self) -> float:
         return float(
             sum(abs(c) * math.factorial(m) / alpha ** (m + 1) for c, m, alpha in self.terms)
@@ -476,24 +435,6 @@ class KernelSpec:
             out = out.real
         return out if out.ndim else out[()]
 
-    def derivative(self) -> "KernelSpec":
-        """Formal derivative; stays inside the c*t^m*e^{-alpha t} family."""
-        terms = []
-        for c, m, alpha in self.terms:
-            terms.append((-alpha * c, m, alpha))
-            if m >= 1:
-                terms.append((c * m, m - 1, alpha))
-        return KernelSpec(terms=terms)
-
-    def value_at_zero(self) -> complex:
-        return complex(sum(c for c, m, _ in self.terms if m == 0))
-
-    def derivative_at_zero(self, order: int) -> complex:
-        kernel = self
-        for _ in range(order):
-            kernel = kernel.derivative()
-        return kernel.value_at_zero()
-
 
 def laplace_symbol(kernel: KernelSpec, k: int):
     """Transform of the kernel at i*k, evaluated in closed form.
@@ -501,37 +442,11 @@ def laplace_symbol(kernel: KernelSpec, k: int):
     Satisfies |value| <= l1_norm() and conjugate symmetry for real kernels.
     Accepts an integer k or an array of modes.
     """
-    ks = np.asarray(k)
-    return kernel.laplace(1j * ks)
-
-
-def laplace_symbol_quadrature(kernel: KernelSpec, k: int, tol: float = 1e-12) -> complex:
-    """Numeric-quadrature route to the kernel transform at i*k.
-
-    Truncates the half-line where the remaining L1 mass drops below ``tol``
-    relative to the full L1 norm, then integrates adaptively.  Slower than the
-    closed form; kept as an independent cross-check.
-    """
-    if kernel.is_empty:
-        return 0.0 + 0.0j
-    from scipy.integrate import quad
-    from scipy.special import gammaincc
-
-    l1 = kernel.l1_norm()
-    horizon = 10.0
-    while horizon < 1e7:
-        tail = sum(
-            abs(c) * math.factorial(m) / alpha ** (m + 1) * gammaincc(m + 1, alpha * horizon)
-            for c, m, alpha in kernel.terms
-        )
-        if tail < tol * max(l1, 1.0):
-            break
-        horizon *= 2.0
-    re = quad(lambda t: (kernel.eval(t) * np.exp(-1j * k * t)).real, 0.0, horizon,
-              limit=800, epsabs=1e-13, epsrel=1e-13)[0]
-    im = quad(lambda t: (kernel.eval(t) * np.exp(-1j * k * t)).imag, 0.0, horizon,
-              limit=800, epsabs=1e-13, epsrel=1e-13)[0]
-    return complex(re, im)
+    lam = np.asarray(1j * np.asarray(k), dtype=complex)
+    out = np.zeros_like(lam)
+    for c, m, alpha in kernel.terms:
+        out = out + c * math.factorial(m) / (alpha + lam) ** (m + 1)
+    return out if out.ndim else complex(out)
 
 
 def analyze(samples, bandwidth: Optional[int] = None) -> np.ndarray:
@@ -709,17 +624,14 @@ class PeriodicGridFunction:
             return 0.0
         return float(np.max(np.linalg.norm(self.samples, axis=1)))
 
-    def lp_norm(self, p: float, refine: int = 1) -> float:
-        """Grid trapezoid value of (int_0^{2pi} |f(t)|^p dt)^{1/p}.
-
-        Exact for band-limited data when p == 2; pass refine > 1 to tighten
-        the quadrature for other p.
+    def lp_norm(self, p: float) -> float:
+        """Trapezoid value of (int_0^{2pi} |f(t)|^p dt)^{1/p} on the stored
+        grid; exact for band-limited data when p == 2.
         """
         if p < 1:
             raise ValueError("p must be >= 1")
-        grid = self if refine <= 1 else self.resample(refine * self.n_samples)
-        pointwise = np.linalg.norm(grid.samples, axis=1)
-        dt = TWO_PI / grid.n_samples
+        pointwise = np.linalg.norm(self.samples, axis=1)
+        dt = TWO_PI / self.n_samples
         return float((dt * np.sum(pointwise**p)) ** (1.0 / p))
 
     def band_energy_split(self, bandwidth: int):

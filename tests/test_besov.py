@@ -1,4 +1,5 @@
-"""Dyadic partition, Besov norms, multiplier ratios, Fourier-type ratios."""
+"""Dyadic partition, Besov norms, the derivative-shift and multiplier ratios
+they give, and Parseval on the L^2 grid norm."""
 
 import json
 
@@ -12,11 +13,8 @@ import problems
 from specdde import (
     BesovParams,
     PeriodicGridFunction,
-    apply_multiplier,
     besov_norm,
     besov_norm_report,
-    derivative_shift_check,
-    fourier_type_ratio,
     mode_range,
     partition_eval,
     solve_periodic,
@@ -209,7 +207,7 @@ class TestBesovNorm:
         config = parse_config(json.dumps(dict(doc, K=32)))
         u = solve_periodic(config.problem).solution
         report = besov_norm_report(u, config.besov)
-        actual = abs(report.norm - besov_norm(u.resample(2**16), config.besov, refine=1))
+        actual = abs(report.norm - besov_norm(u.resample(2**16), config.besov))
         assert report.quadrature_error >= actual > 0.0
 
 
@@ -232,125 +230,97 @@ class TestSevenSmooth:
 
 
 class TestDerivativeShift:
+    """Differentiation costs exactly one order of smoothness: on mean-free
+    trig polynomials ||f'||_{B^s} / ||f||_{B^{s+1}} stays in a fixed interval."""
+
+    S1, S2 = BesovParams(s=1.0), BesovParams(s=2.0)
+
     def test_mode_one_ratio_is_one(self):
-        params = BesovParams(s=1.0, p=2.0, q=2.0)
-        assert derivative_shift_check(_single_mode(1), params) == pytest.approx(
-            1.0, rel=1e-12
-        )
+        f = _single_mode(1)
+        assert besov_norm(f.derivative(), self.S1) == pytest.approx(
+            besov_norm(f, self.S2), rel=1e-12)
 
     def test_mode_three_ratio_closed_form(self):
         # numerator blocks: 2^{sjq} (|k| phi_j(k))^q at s=1, denominator at s=2;
         # with phi_1(3) = phi_2(3) = 1/2 this gives 3 sqrt(5) / sqrt(68)
-        params = BesovParams(s=1.0, p=2.0, q=2.0)
         numerator = 3.0 * np.sqrt(2.0**2 * 0.25 + 2.0**4 * 0.25)
         denominator = np.sqrt(2.0**4 * 0.25 + 2.0**8 * 0.25)
         expected = numerator / denominator
-        assert derivative_shift_check(_single_mode(3), params) == pytest.approx(
-            expected, rel=1e-12
-        )
+        f = _single_mode(3)
+        assert besov_norm(f.derivative(), self.S1) / besov_norm(f, self.S2) == pytest.approx(
+            expected, rel=1e-12)
         assert expected == pytest.approx(3.0 * np.sqrt(5.0) / np.sqrt(68.0))
-
-    def test_constant_input_rejected(self):
-        params = BesovParams(s=1.0)
-        constant = PeriodicGridFunction.from_harmonics(const=1.0, n_samples=16)
-        with pytest.raises(ValueError):
-            derivative_shift_check(constant, params)
 
     def test_ratio_band_over_trig_family(self, rng):
         # equivalence constants: the ratio stays within a factor-4 interval
-        params = BesovParams(s=1.0, p=2.0, q=2.0)
-        ratios = []
-        for k in range(1, 33):
-            ratios.append(derivative_shift_check(_single_mode(k, n_samples=256),
-                                                 params))
+        family = [_single_mode(k, n_samples=256) for k in range(1, 33)]
         for _ in range(25):
-            f = _random_band(rng, bandwidth=32, n_samples=256)
-            ratios.append(derivative_shift_check(f, params))
-        ratios = np.asarray(ratios)
-        assert ratios.max() / ratios.min() <= 4.0
+            coeffs = _random_band(rng, bandwidth=32).coefficients
+            coeffs[32] = 0.0
+            family.append(PeriodicGridFunction.from_coefficients(coeffs, 256))
+        ratios = [besov_norm(f.derivative(), self.S1) / besov_norm(f, self.S2)
+                  for f in family]
+        assert max(ratios) / min(ratios) <= 4.0
 
 
-class TestApplyMultiplier:
-    def test_identity(self, rng):
-        params = BesovParams(s=1.0)
-        f = _random_band(rng, bandwidth=8)
-        g, ratio = apply_multiplier(lambda k: 1.0, f, params)
-        assert np.allclose(g.coefficients, f.coefficients)
-        assert ratio == pytest.approx(1.0, rel=1e-12)
-
-    def test_projection_onto_single_mode(self):
-        params = BesovParams(s=1.0)
-        f = PeriodicGridFunction.from_coefficients({1: [1.0], 2: [1.0]}, 16)
-        g, _ = apply_multiplier(lambda k: 1.0 if k == 1 else 0.0, f, params)
-        assert g.coefficient(1)[0] == 1.0
-        assert g.coefficient(2)[0] == 0.0
-
+class TestMultiplierRatio:
     def test_scalar_rational_family_ratio(self):
         # |3i / (1 + 3i)| = 3 / sqrt(10) on the pure mode 3
         params = BesovParams(s=1.0)
-        g, ratio = apply_multiplier(
-            lambda k: 1j * k / (1.0 + 1j * k), _single_mode(3), params
-        )
-        assert ratio == pytest.approx(3.0 / np.sqrt(10.0), rel=1e-12)
+        coeffs = np.zeros((7, 1), dtype=complex)
+        coeffs[6] = 3j / (1.0 + 3j)
+        image = PeriodicGridFunction.from_coefficients(coeffs, 64)
+        assert besov_norm(image, params) / besov_norm(_single_mode(3), params) == pytest.approx(
+            3.0 / np.sqrt(10.0), rel=1e-12)
 
-    def test_matrix_symbols_act_coefficientwise(self, rng):
+    def test_matrix_symbol_ratio_is_at_most_its_sup_norm(self, rng):
+        # at p = 2 each block norm is sqrt(2 pi) times an l^2 norm of weighted
+        # coefficients, so ||X f|| <= sup_k ||X_k|| ||f||
         params = BesovParams(s=1.0)
-        f = _random_band(rng, bandwidth=6, dim=2)
-
-        def symbol(k):
-            return np.array([[1.0, 0.5 * k], [0.0, 2.0]])
-
-        g, _ = apply_multiplier(symbol, f, params)
-        for k in mode_range(6):
-            expected = symbol(k) @ f.coefficient(int(k))
-            assert np.allclose(g.coefficient(int(k)), expected, atol=1e-12)
+        ks = mode_range(6)
+        symbols = np.stack([[[1.0, 0.5 * k], [0.0, 2.0]] for k in ks])
+        for _ in range(10):
+            f = _random_band(rng, bandwidth=6, dim=2)
+            image = PeriodicGridFunction.from_coefficients(
+                np.einsum("kij,kj->ki", symbols, f.coefficients), f.n_samples)
+            sup = np.max(np.linalg.norm(symbols, 2, axis=(1, 2)))
+            assert besov_norm(image, params) <= sup * besov_norm(f, params) * (1.0 + 1e-12)
 
     def test_bounded_sequence_keeps_ratio_bounded(self, rng):
         # resolvent-shaped scalar sequences contract the norm
         params = BesovParams(s=1.0, p=2.0, q=2.0)
-        worst = 0.0
+        symbol = 1.0 / (1.0 + 1j * mode_range(16))
         for _ in range(20):
             f = _random_band(rng, bandwidth=16)
-            _, ratio = apply_multiplier(lambda k: 1.0 / (1.0 + 1j * k), f, params)
-            worst = max(worst, ratio)
-        assert worst <= 1.0 + 1e-12
+            image = PeriodicGridFunction.from_coefficients(
+                symbol[:, None] * f.coefficients, f.n_samples)
+            assert besov_norm(image, params) <= besov_norm(f, params) * (1.0 + 1e-12)
 
 
-class TestFourierType:
-    def test_single_mode_ratio(self):
-        assert fourier_type_ratio(_single_mode(1), 2.0) == pytest.approx(
-            1.0 / np.sqrt(TWO_PI), rel=1e-12
-        )
+class TestParseval:
+    """With the unnormalized L^2 integral and normalized coefficients,
+    ||f||_{L^2} = sqrt(2 pi) ||(fhat(k))||_{l^2} for every trig polynomial."""
 
-    def test_constant_ratio(self):
-        f = PeriodicGridFunction.from_harmonics(const=3.0, n_samples=16)
-        assert fourier_type_ratio(f, 2.0) == pytest.approx(
-            1.0 / np.sqrt(TWO_PI), rel=1e-12
-        )
+    @pytest.mark.parametrize("f", [
+        _single_mode(1),
+        PeriodicGridFunction.from_harmonics(const=3.0, n_samples=16),
+        PeriodicGridFunction.from_coefficients({1: [1.0], 2: [1.0]}, 16),
+    ], ids=["mode_one", "constant", "two_modes"])
+    def test_l2_norm_is_the_coefficient_norm(self, f):
+        assert f.lp_norm(2.0) == pytest.approx(
+            np.sqrt(TWO_PI) * np.linalg.norm(f.coefficients), rel=1e-12)
 
-    def test_two_mode_ratio(self):
-        f = PeriodicGridFunction.from_coefficients({1: [1.0], 2: [1.0]}, 16)
-        assert fourier_type_ratio(f, 2.0) == pytest.approx(
-            1.0 / np.sqrt(TWO_PI), rel=1e-12
-        )
-
-    def test_parseval_makes_r2_ratio_constant(self, rng):
+    def test_l2_norm_is_the_coefficient_norm_on_random_bands(self, rng):
         for _ in range(50):
             f = _random_band(rng, bandwidth=12, dim=2)
-            assert fourier_type_ratio(f, 2.0) == pytest.approx(
-                1.0 / np.sqrt(TWO_PI), rel=1e-11
-            )
+            assert f.lp_norm(2.0) == pytest.approx(
+                np.sqrt(TWO_PI) * np.linalg.norm(f.coefficients), rel=1e-11)
 
-    def test_r_below_two_is_finite_and_deterministic(self, rng):
-        f = _random_band(rng, bandwidth=8)
-        first = fourier_type_ratio(f, 1.5)
-        again = fourier_type_ratio(f, 1.5)
-        assert first == again
-        assert 0.0 < first < np.inf
-
-    def test_r_out_of_range_rejected(self):
-        f = _single_mode(1)
-        with pytest.raises(ValueError):
-            fourier_type_ratio(f, 1.0)
-        with pytest.raises(ValueError):
-            fourier_type_ratio(f, 2.5)
+    def test_hausdorff_young_below_two(self, rng):
+        # ||fhat||_{l^{r'}} <= (2 pi)^{-1/r} ||f||_{L^r} for 1 < r <= 2
+        for _ in range(10):
+            f = _random_band(rng, bandwidth=8)
+            for r in (1.25, 1.5, 2.0):
+                coefficients = np.sum(np.abs(f.coefficients) ** (r / (r - 1.0))) ** (1.0 - 1.0 / r)
+                grid_norm = f.resample(4096).lp_norm(r)
+                assert coefficients <= TWO_PI ** (-1.0 / r) * grid_norm * (1.0 + 1e-12)

@@ -317,6 +317,12 @@ def test_config_not_in_utf8_writes_a_validation_report(tmp_path):
     assert "utf-8" in _unreadable_config_report(tmp_path, config)
 
 
+def test_malformed_json_writes_a_validation_report(tmp_path):
+    config = tmp_path / "truncated.json"
+    config.write_text("{", encoding="utf-8")
+    assert "not valid JSON" in _unreadable_config_report(tmp_path, config)
+
+
 def test_complex_solution_table_gives_each_component_re_then_im():
     spec = problems.mat2_rich()
     spec = replace(spec, state_matrix=spec.state_matrix + 0.1j * np.eye(2))
@@ -346,6 +352,29 @@ def test_reports_match_the_golden_files(tmp_path, command):
     assert names == sorted([f"{command}_report.json"] + SIDE_FILES[command])
     for name in names:
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command, flags, echoed", [
+    ("solve", ["--k", "4"], {"K": 4, "N": 16, "K_diag": 16}),
+    ("diagnose", ["--window", "32"], {"K": 8, "N": 32, "K_diag": 32}),
+    ("solve", ["--grid", "20"], {"K": 8, "N": 20, "K_diag": 16}),
+])
+def test_overrides_are_echoed_into_the_report(tmp_path, command, flags, echoed):
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(GOLDEN / "tiny.json"), "--out", str(out)]
+                    + flags)
+    report = report_of(out, command)
+    assert code == 0 and report["exit_code"] == 0
+    assert {key: report["config"][key] for key in echoed} == echoed
+
+
+def test_grid_override_is_validated_like_the_document(tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(["solve", "--config", str(GOLDEN / "tiny.json"), "--out", str(out),
+                     "--grid", "3"])
+    report = report_of(out, "solve")
+    assert code == 3 and report["error"]["type"] == "validation"
+    assert [v["path"] for v in report["error"]["violations"]] == ["N"]
 
 
 def test_grid_below_the_forcing_band_writes_a_report(tmp_path):
@@ -445,3 +474,64 @@ def _field(path):
 
 def _within(inner, outer):
     return inner == outer or inner.startswith((outer + ".", outer + "["))
+
+
+NO_N = dict(TINY, problem={k: v for k, v in TINY["problem"].items() if k != "n"})
+SIXTEEN_SAMPLES = [[1.0, 0.0]] * 16
+
+#: (TINY with one field made invalid, the violation paths of the report)
+INVALID_FIELDS = [
+    pytest.param(_mutated(TINY, ("N",), 32.5), ["N"], id="non_integer_N"),
+    pytest.param(_mutated(TINY, ("K",), -4), ["K"], id="negative_K"),
+    pytest.param(_mutated(TINY, ("problem", "A"), [[-1.0, 0.25]]), ["problem.A"],
+                 id="A_not_square"),
+    pytest.param(_mutated(TINY, ("problem", "L", "atoms", 0, "coef"), [[0.1]]),
+                 ["problem.L.atoms[0].coef"], id="atom_coef_wrong_shape"),
+    pytest.param(_mutated(TINY, ("problem", "forcing", "const"), [0.5, 0.0, 1.0]),
+                 ["problem.forcing.const"], id="const_wrong_length"),
+    pytest.param(_mutated(TINY, ("problem", "G", "atoms", 0, "lag"), -1.0),
+                 ["problem.G.atoms[0].lag"], id="negative_lag"),
+    pytest.param(_mutated(_mutated(TINY, ("problem", "horizon_periods"), 1),
+                          ("problem", "L", "atoms", 0, "lag"), 10.0),
+                 ["problem.L"], id="lag_beyond_horizon"),
+    pytest.param(_mutated(TINY, ("problem", "kernel", "terms", 0, "m"), -1),
+                 ["problem.kernel.terms[0].m"], id="negative_m"),
+    pytest.param(_mutated(TINY, ("problem", "L", "distributed"), {"span": 1.0}),
+                 ["problem.L.distributed.samples"], id="distributed_without_samples"),
+    pytest.param(_mutated(TINY, ("problem", "L", "distributed"),
+                          {"samples": [[[0.1, 0.0], [0.0, 0.1]]] * 3, "span": 1.0}),
+                 ["problem.L.distributed.samples"], id="three_distributed_samples"),
+    pytest.param(_mutated(TINY, ("problem", "L", "distributed"),
+                          {"samples": [0.1, 0.2, 0.3, 0.4], "span": 1.0}),
+                 ["problem.L.distributed.samples"], id="scalar_distributed_samples_at_n_2"),
+    pytest.param(_mutated(TINY, ("problem", "forcing"),
+                          {"samples": SIXTEEN_SAMPLES, "const": [1.0, 0.0]}),
+                 ["problem.forcing"], id="samples_with_harmonics"),
+    pytest.param(_mutated(TINY, ("problem", "forcing"), {"samples": [1.0] * 16}),
+                 ["problem.forcing.samples"], id="scalar_forcing_samples_at_n_2"),
+    pytest.param(_mutated(TINY, ("problem", "forcing"), {"samples": SIXTEEN_SAMPLES[:2]}),
+                 ["problem.forcing.samples"], id="two_forcing_samples"),
+    pytest.param([TINY], ["$"], id="top_level_list"),
+    pytest.param(_mutated(NO_N, ("problem", "A"), 5), ["problem.n"], id="no_n_and_scalar_A"),
+    # n = 2 is inferred from the rows of A, so a length-3 vector is rejected
+    pytest.param(_mutated(NO_N, ("problem", "forcing", "const"), [0.5, 0.0, 1.0]),
+                 ["problem.forcing.const"], id="n_inferred_from_A"),
+    pytest.param(_mutated(TINY, ("besov",), {"s": -1.0}), ["besov"], id="nonpositive_s"),
+    pytest.param(_mutated(TINY, ("K_list",), [4, 2, 8]), ["K_list"], id="K_list_not_ascending"),
+    pytest.param(_mutated(TINY, ("tolerances",), {"residual": 1e-9}), ["tolerances.residual"],
+                 id="unknown_tolerance"),
+]
+
+
+@pytest.mark.parametrize("doc, paths", INVALID_FIELDS)
+def test_each_invalid_field_exits_3_with_its_path(tmp_path, doc, paths):
+    code, out = run(tmp_path, "solve", doc)
+    report = report_of(out, "solve")
+    assert code == 3 and report["exit_code"] == 3
+    assert report["error"]["type"] == "validation"
+    assert [v["path"] for v in report["error"]["violations"]] == paths
+
+
+def test_dimension_is_inferred_from_A(tmp_path):
+    code, out = run(tmp_path, "solve", NO_N)
+    assert code == 0 and report_of(out, "solve")["config"]["problem"]["n"] == 2

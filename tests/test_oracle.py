@@ -18,7 +18,6 @@ from specdde import (
     SingularSystemError,
     collocation_solve,
     compare,
-    laplace_symbol,
     mode_range,
     periodize_kernel,
 )
@@ -183,8 +182,18 @@ def test_off_grid_lag_is_rejected():
     KernelSpec(terms=[(0.2, 0, 2.0), (0.1, 1, 1.0)]),
     KernelSpec(terms=[(0.5, 2, 0.7), (0.3 - 0.1j, 0, 3.0)]),
 ])
-def test_folded_kernel_fourier_integral_is_the_transform(kernel):
-    ks = mode_range(20)
-    folded = periodize_kernel(kernel, 256)
+def test_fold_is_the_direct_periodic_sum_within_its_tail_bound(kernel):
+    n_nodes = 256
+    folded = periodize_kernel(kernel, n_nodes)
     assert folded.folds >= 1 and folded.tail_bound < 1e-12 * kernel.l1_norm()
-    assert np.max(np.abs(folded.fourier_integral(ks) - laplace_symbol(kernel, ks))) <= 1e-10
+    tau = TWO_PI * np.arange(n_nodes) / n_nodes
+    # a sum far past the fold count, where every further term underflows
+    direct = sum(kernel.eval(tau + TWO_PI * m) for m in range(folded.folds + 200))
+    # the bound is sharp at tau = 0, so it gets the summation's round-off on top
+    roundoff = 4 * np.finfo(float).eps * np.max(np.abs(direct))
+    assert np.max(np.abs(folded.samples - direct)) <= folded.tail_bound + roundoff
+    # the convolution takes the mean of the one-sided limits at the jump tau = 0
+    jump = sum(c for c, m, _ in kernel.terms if m == 0)
+    convolution = folded.convolution_samples()
+    assert convolution[0] == pytest.approx(folded.samples[0] - 0.5 * jump, abs=1e-15)
+    assert np.array_equal(convolution[1:], folded.samples[1:])

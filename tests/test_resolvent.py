@@ -12,11 +12,11 @@ from specdde import (
     ModeSymbols,
     ProblemSpec,
     SingularModeError,
+    difference_sequences,
     laplace_symbol,
     m_bounded_diagnostics,
     mode_range,
     resolvent,
-    telescoping_check,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -182,25 +182,30 @@ class TestResolventFamily:
         assert m_bounded_diagnostics(spec, window).row("S").sup_norm == expected
 
 
-class TestTelescoping:
-    def test_no_delays_no_kernel_both_sides_are_minus_ik(self):
-        spec = ProblemSpec(state_matrix=[[-1.0]], truncation=2, grid=8)
-        assert telescoping_check(spec, ModeSymbols.from_spec(spec, 12)) <= 1e-13
+TELESCOPING_CASES = [
+    pytest.param(ProblemSpec(state_matrix=[[-1.0]], truncation=2, grid=8), 12, 1e-13,
+                 id="no_delays"),
+    pytest.param(problems.scalar_full(), 17, 1e-12, id="scalar_full"),
+    pytest.param(ProblemSpec(state_matrix=[[-1.0]], kernel=KernelSpec.exponential(),
+                             truncation=2, grid=8), 65, 1e-12, id="exponential_kernel"),
+] + [pytest.param(spec, 65, 1e-11, id=name)
+     for name, spec in problems.regression_specs().items()]
 
-    def test_period_lag_atoms_only(self):
-        spec = problems.scalar_full()
-        assert telescoping_check(spec, ModeSymbols.from_spec(spec, 17)) <= 1e-12
 
-    def test_exponential_kernel_defect(self):
-        spec = ProblemSpec(
-            state_matrix=[[-1.0]], kernel=KernelSpec.exponential(),
-            truncation=2, grid=8,
-        )
-        assert telescoping_check(spec, ModeSymbols.from_spec(spec, 65)) <= 1e-12
-
-    def test_defect_small_across_suite(self, regression_specs):
-        for name, spec in regression_specs.items():
-            assert telescoping_check(spec, ModeSymbols.from_spec(spec, 65)) <= 1e-11, name
+@pytest.mark.parametrize("spec, bandwidth, tol", TELESCOPING_CASES)
+def test_nonstate_part_telescopes(spec, bandwidth, tol):
+    # k (C_k - C_{k+1}) = -ik I + ik L_{k+1} + ik Q_k + R_k + P_k I for every
+    # mode but the last, C_k the non-state part and P, Q, R its k-scaled
+    # differences, all read from one table
+    table = ModeSymbols.from_spec(spec, bandwidth)
+    diffs = difference_sequences(spec, table)
+    eye = np.eye(spec.dim)[None]
+    ik = 1j * diffs.modes[:, None, None]
+    nonstate = table.nonstate()
+    lhs = diffs.modes[:, None, None] * (nonstate[:-1] - nonstate[1:])
+    rhs = (-ik * eye + ik * table.L[1:] + ik * diffs.neutral + diffs.reaction
+           + diffs.kernel[:, None, None] * eye)
+    assert np.max(resolvent._operator_norms(lhs - rhs)) <= tol
 
 
 class TestDiagnostics:

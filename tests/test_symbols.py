@@ -25,7 +25,6 @@ from specdde import (
     analyze,
     difference_sequences,
     laplace_symbol,
-    laplace_symbol_quadrature,
     mode_range,
 )
 
@@ -161,15 +160,22 @@ class TestDelaySymbol:
     def test_symbol_linear_in_functional(self, alpha_re, alpha_im, seed, k):
         gen = np.random.default_rng(seed)
         alpha = alpha_re + 1j * alpha_im
+        samples, span = gen.normal(size=(5, 2, 2)), 2.7
         l1 = DelayFunctional(
             dim=2,
             atoms=[(gen.normal(size=(2, 2)), TWO_PI * gen.uniform())
                    for _ in range(2)],
+            distributed=DistributedDelay(samples, span),
         )
         l2 = DelayFunctional(
             dim=2, atoms=[(gen.normal(size=(2, 2)), TWO_PI * gen.uniform())]
         )
-        combined = (alpha * l1) + l2
+        # alpha * l1 + l2: the scaled atom list and kernel samples, then l2's atoms
+        combined = DelayFunctional(
+            dim=2,
+            atoms=[(alpha * c, lag) for c, lag in l1.atoms] + l2.atoms,
+            distributed=DistributedDelay(alpha * samples, span),
+        )
         ks = np.array([k])
         expected = alpha * l1.symbol_window(ks) + l2.symbol_window(ks)
         assert np.allclose(combined.symbol_window(ks), expected, atol=1e-12)
@@ -277,6 +283,36 @@ class TestSampledKernel:
         assert np.allclose(dist.fourier_window(-ks), np.conj(dist.fourier_window(ks)),
                            rtol=0.0, atol=1e-16)
 
+    @pytest.mark.parametrize("turns", [10**17, 10**19])
+    def test_fft_route_is_exact_at_spans_beyond_int64_products(self, turns):
+        # every knot sits on a whole number of periods (h = 2 pi turns / 5), so
+        # integration by parts leaves (K(0) - K(-span)) / (ik) plus terms of
+        # relative size 1/(k h) < 1e-17; k p overflows int64 from k = 93 on
+        samples = np.array([0.3, -0.1, 0.8, 0.2, -0.4, 1.0])
+        dist = DistributedDelay(samples, span=TWO_PI * turns)
+        assert dist._fraction == (turns, 1)
+        ks = np.concatenate([np.arange(-120, 0), np.arange(1, 121)])
+        expected = (samples[-1] - samples[0]) / (1j * ks)
+        assert np.max(np.abs(dist.fourier_window(ks)[:, 0, 0] - expected)) <= 1e-15
+
+    def test_complex_samples_take_the_complex_direct_product(self):
+        # span 2.7 is no p/q multiple of 2 pi: the direct route, one complex
+        # product for complex samples and two real ones for real samples
+        gen = np.random.default_rng(5)
+        re, im = gen.uniform(-1.0, 1.0, size=(2, 33, 2, 2))
+        dist = DistributedDelay(re + 1j * im, span=2.7)
+        assert dist._fraction is None and not dist.is_real
+        ks = mode_range(300)
+        expected = (DistributedDelay(re, span=2.7).fourier_window(ks)
+                    + 1j * DistributedDelay(im, span=2.7).fourier_window(ks))
+        assert np.max(np.abs(dist.fourier_window(ks) - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("samples, span", [(np.ones(5), 0.0), (np.ones(5), -1.0),
+                                               (np.ones(3), 1.0), (np.ones((3, 2, 2)), 1.0)])
+    def test_nonpositive_span_and_too_few_samples_are_rejected(self, samples, span):
+        with pytest.raises(ValueError, match="span must be positive|at least 4"):
+            DistributedDelay(samples, span=span)
+
     @pytest.mark.parametrize("block", [1, 3, 7])
     def test_mode_values_do_not_depend_on_the_window(self, monkeypatch, block):
         samples, _ = bench_kernel(1)
@@ -307,12 +343,14 @@ class TestLaplaceSymbol:
     def test_empty_kernel_is_zero(self):
         assert laplace_symbol(KernelSpec.empty(), 3) == 0.0
 
-    def test_quadrature_route_agrees_with_closed_form(self):
+    def test_closed_form_agrees_with_quadrature(self):
+        # adaptive quadrature on [0, 100]; the dropped tail holds < 1e-21 of the mass
         kern = KernelSpec(terms=[(0.5, 2, 1.5), (0.25, 0, 0.5)])
         for k in (0, 1, 7):
-            assert laplace_symbol_quadrature(kern, k) == pytest.approx(
-                laplace_symbol(kern, k), abs=1e-10
-            )
+            re, im = (quad(lambda t: part(kern.eval(t) * np.exp(-1j * k * t)), 0.0, 100.0,
+                           limit=800, epsabs=1e-13, epsrel=1e-13)[0]
+                      for part in (np.real, np.imag))
+            assert laplace_symbol(kern, k) == pytest.approx(re + 1j * im, abs=1e-10)
 
     def test_modulus_bounded_by_l1_norm(self, rng):
         for _ in range(20):
@@ -345,14 +383,6 @@ class TestLaplaceSymbol:
         for term in ((1.0, 200, 2.0), (1.0, 100, 1e-5)):
             with pytest.raises(InvalidKernelError, match="term 1: .* out of the float range"):
                 KernelSpec(terms=[(0.2, 0, 2.0), term])
-
-    def test_formal_derivative_matches_difference_quotient(self):
-        kern = KernelSpec(terms=[(0.7, 2, 1.3)])
-        d = kern.derivative()
-        h = 1e-6
-        for t in (0.2, 1.0, 3.0):
-            fd = (kern.eval(t + h) - kern.eval(t - h)) / (2 * h)
-            assert d.eval(t) == pytest.approx(fd, abs=1e-6)
 
 
 class TestAnalyzeSynthesize:
