@@ -16,14 +16,12 @@ from .exceptions import (
     DimensionError,
     InvalidKernelError,
     OffGridLagError,
-    PeriodizationError,
     SingularModeError,
     SingularSystemError,
     TruncationWarning,
 )
 from .oracle import (
     OracleComparison,
-    PeriodizedKernel,
     collocation_solve,
     compare,
     periodize_kernel,
@@ -69,8 +67,6 @@ __all__ = [
     "OffGridLagError",
     "OracleComparison",
     "PeriodicGridFunction",
-    "PeriodizationError",
-    "PeriodizedKernel",
     "ProblemSpec",
     "RunConfig",
     "ScaledDifferences",

@@ -5,10 +5,9 @@ One command per process; a report is one line of RFC 8259 JSON in UTF-8
 order and floats in Python's shortest round-trip form, so identical configs
 produce byte-identical files.  Exit codes: 0 success, 2 solvability failure
 (singular mode or singular collocation system), 3 validation failure (an
-invalid document, or values a command cannot use: an off-grid lag, an
-unreachable fold tolerance, a grid too coarse for a bandwidth) or a
-``non_finite`` result (a NaN or infinity in the output, which then writes no
-side file).  Every failure writes a report with an ``error.type``.
+invalid document, or values a command cannot use: an off-grid lag or a grid
+too coarse for a bandwidth) or a ``non_finite`` result (a NaN or infinity in
+the output, which then writes no side file).  Every failure writes a report with an ``error.type``.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .exceptions import (
     AliasingError,
     ConfigError,
     OffGridLagError,
-    PeriodizationError,
     SingularModeError,
     SingularSystemError,
 )
@@ -153,7 +151,6 @@ _RUNNERS = {
 #: errors the configuration's values cause once a command runs (exit 3)
 _INPUT_ERRORS = {
     OffGridLagError: "off_grid_lag",
-    PeriodizationError: "periodization",
     AliasingError: "aliasing",
 }
 

@@ -21,7 +21,6 @@ import numpy as np
 from .besov import BesovParams
 from .exceptions import ConfigError, InvalidKernelError
 from .symbols import (
-    TWO_PI,
     DelayFunctional,
     DistributedDelay,
     KernelSpec,
@@ -31,7 +30,7 @@ from .symbols import (
 
 _TOP_KEYS = {"problem", "K", "N", "K_diag", "besov", "N_list", "K_list",
              "tolerances"}
-_PROBLEM_KEYS = {"n", "A", "L", "G", "kernel", "forcing", "horizon_periods"}
+_PROBLEM_KEYS = {"n", "A", "L", "G", "kernel", "forcing"}
 _DELAY_KEYS = {"atoms", "distributed"}
 _ATOM_KEYS = {"coef", "lag"}
 _DISTRIBUTED_KEYS = {"samples", "span"}
@@ -137,7 +136,7 @@ def _list(doc, key, path, errs) -> list:
     return value
 
 
-def _parse_delay(doc, n, horizon, path, errs) -> Optional[DelayFunctional]:
+def _parse_delay(doc, n, path, errs) -> Optional[DelayFunctional]:
     if doc is None:
         return DelayFunctional.empty(n)
     if not isinstance(doc, dict):
@@ -183,12 +182,7 @@ def _parse_delay(doc, n, horizon, path, errs) -> Optional[DelayFunctional]:
                         distributed = DistributedDelay(arr, span)
     if len(errs.violations) > before:
         return None
-    try:
-        return DelayFunctional(dim=n, atoms=atoms, distributed=distributed,
-                               horizon=horizon)
-    except ValueError as exc:
-        errs.add(path, str(exc))
-        return None
+    return DelayFunctional(dim=n, atoms=atoms, distributed=distributed)
 
 
 def _parse_kernel(doc, path, errs) -> Optional[KernelSpec]:
@@ -286,15 +280,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(errs.violations)
 
     state = _matrix(a_raw, n, "problem.A", errs)
-    horizon_periods = problem_doc.get("horizon_periods")
-    horizon = None
-    if horizon_periods is not None:
-        hp = _number(horizon_periods, "problem.horizon_periods", errs,
-                     positive=True, integer=True)
-        horizon = TWO_PI * hp if hp is not None else None
-
-    neutral = _parse_delay(problem_doc.get("L"), n, horizon, "problem.L", errs)
-    reaction = _parse_delay(problem_doc.get("G"), n, horizon, "problem.G", errs)
+    neutral = _parse_delay(problem_doc.get("L"), n, "problem.L", errs)
+    reaction = _parse_delay(problem_doc.get("G"), n, "problem.G", errs)
     kernel = _parse_kernel(problem_doc.get("kernel"), "problem.kernel", errs)
     forcing = _parse_forcing(problem_doc.get("forcing"), n, "problem.forcing", errs)
 
@@ -392,7 +379,7 @@ def _resolve_document(problem_doc, n, truncation, grid, window, besov,
                       grid_sizes, sweep, tolerances) -> Dict[str, Any]:
     """Defaults-filled copy of the configuration, echoed into every report."""
     problem = {"n": n, "A": problem_doc["A"]}
-    for key in ("L", "G", "kernel", "forcing", "horizon_periods"):
+    for key in ("L", "G", "kernel", "forcing"):
         if problem_doc.get(key) is not None:
             problem[key] = problem_doc[key]
     return {

@@ -50,10 +50,6 @@ class OffGridLagError(ValueError):
     """A distributed delay's span is not a whole number of collocation steps."""
 
 
-class PeriodizationError(RuntimeError):
-    """Kernel periodization tolerance unreachable within the fold cap."""
-
-
 class ConfigError(ValueError):
     """Configuration document failed schema validation.
 

@@ -5,11 +5,12 @@ differences, delayed samples wrap around the period, and the infinite-memory
 convolution is folded onto one period:
 
     int_{-inf}^t a(t-s) x(s) ds = int_0^{2pi} abar(tau) x(t - tau) dtau,
-    abar(tau) = sum_{m >= 0} a(tau + 2pi m),
+    abar(tau) = sum_{j >= 0} a(tau + 2pi j),
 
-then discretized with trapezoidal weights.  The folded kernel jumps by a(0)
-at tau = 0; the convolution uses the jump-averaged sample there, which keeps
-the quadrature second order.
+then discretized with trapezoidal weights.  For the kernels c t^m e^{-alpha t}
+the fold is a finite sum in closed form (``periodize_kernel``), exact up to
+round-off.  The folded kernel jumps by a(0) at tau = 0; the convolution uses
+the jump-averaged sample there, which keeps the quadrature second order.
 
 Every term of the scheme acts on the periodic samples as a convolution
 stencil, (T x)_j = sum_s c_s x_{j-s} with n x n blocks c_s, so the system is
@@ -29,12 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import (
-    AliasingError,
-    OffGridLagError,
-    PeriodizationError,
-    SingularSystemError,
-)
+from .exceptions import AliasingError, OffGridLagError, SingularSystemError
 from .symbols import (
     TWO_PI,
     DelayFunctional,
@@ -45,103 +41,48 @@ from .symbols import (
 )
 from .resolvent import COND_LIMIT
 
-_FOLD_CAP = 10**6
-_FOLD_TOL = 1e-12  # dropped fold mass, relative to ||a||_1
 
+def periodize_kernel(kernel: KernelSpec, n_samples: int) -> np.ndarray:
+    """Convolution samples of the fold abar(tau) = sum_{j>=0} a(tau + 2pi j)
+    at tau_l = 2pi l / N, in closed form.
 
-def _interval_sup(c_abs: float, m: int, alpha: float, lo: float, hi: float) -> float:
-    """sup over [lo, hi] of |c| t^m e^{-alpha t} (lo >= 0)."""
+    With s = tau/2pi, r = e^{-2pi alpha} and beta = 1 - r, a term c t^m
+    e^{-alpha t} folds to
 
-    def val(t):
-        return c_abs * t**m * math.exp(-alpha * t)
+        c (2pi)^m e^{-alpha tau} beta^{-(m+1)} sum_i C(m, i) (s beta)^{m-i} g_i,
 
-    if m == 0:
-        return val(lo)
-    peak = m / alpha
-    if peak <= lo:
-        return val(lo)
-    if peak >= hi:
-        return val(hi)
-    return val(peak)
+    where g_i = beta^{i+1} sum_{j>=0} j^i r^j (g_0 = 1) obeys g_i = r sum_{l<i}
+    C(i, l) beta^{i-1-l} g_l and lies in [0, i!].  Every sum has nonnegative
+    terms, so nothing cancels, however slowly the kernel decays.  The
+    binary exponents of c, (2pi)^m, beta^{-(m+1)} and e^{-alpha tau} are added
+    apart from their mantissas and the polynomial is at most m!, so the value
+    overflows only where the fold itself does.
 
-
-def _fold_plan(kernel: KernelSpec, tol: float) -> Tuple[int, float]:
-    """Minimal fold count M with sup-mass of the dropped tail below tol * ||a||_1,
-    and that bound; (0, 0.0) for the empty kernel."""
-    if kernel.is_empty:
-        return 0, 0.0
-    target = tol * kernel.l1_norm()
-    sups: List[float] = []
-    j = 1
-    while True:
-        s_j = sum(
-            _interval_sup(abs(c), m, alpha, TWO_PI * j, TWO_PI * (j + 1))
-            for c, m, alpha in kernel.terms
-        )
-        sups.append(s_j)
-        if j >= 2 and s_j < sups[-2] and s_j < max(target, 1e-300) * 1e-3:
-            break
-        if j >= _FOLD_CAP:
-            raise PeriodizationError(
-                f"fold tolerance {tol} unreachable within {_FOLD_CAP} periods"
-            )
-        j += 1
-    ratio = min(sups[-1] / sups[-2], 0.999) if sups[-2] > 0 else 0.0
-    closure = sups[-1] * ratio / (1.0 - ratio)
-    tails = np.concatenate([np.cumsum(np.asarray(sups)[::-1])[::-1], [0.0]]) + closure
-    # tails[i] bounds the mass beyond M = i folds
-    for fold in range(len(tails)):
-        if tails[fold] < target:
-            return fold, float(tails[fold])
-    raise PeriodizationError(
-        f"fold tolerance {tol} unreachable within {_FOLD_CAP} periods"
-    )
-
-
-@dataclass
-class PeriodizedKernel:
-    """One-period fold of a memory kernel on the uniform grid tau_l = 2pi l / N.
-
-    ``samples`` holds the one-sided values abar(tau_l) of the truncated fold
-    sum_{m=0}^{folds} a(tau + 2pi m); ``tail_bound`` bounds the sup-mass of
-    the dropped folds.
-    """
-
-    samples: np.ndarray
-    kernel: KernelSpec
-    folds: int
-    tail_bound: float
-
-    def convolution_samples(self) -> np.ndarray:
-        """Samples for the periodic trapezoid convolution.
-
-        The value at the jump node tau = 0 is replaced by the average of the
-        one-sided limits, abar(0) - a(0)/2, which keeps the quadrature second
-        order.
-        """
-        out = self.samples.astype(complex)
-        out[0] -= 0.5 * self.kernel.eval(0.0)
-        if self.kernel.is_real:
-            out = out.real
-        return out
-
-
-def periodize_kernel(kernel: KernelSpec, n_samples: int,
-                     tol: float = _FOLD_TOL) -> PeriodizedKernel:
-    """Fold the kernel onto [0, 2pi) with the minimal fold count for ``tol``.
-
-    Raises PeriodizationError when the tolerance cannot be met within 10^6
-    folds (kernels with very slow decay).
+    The value at the jump node tau = 0 is the average of the one-sided
+    limits, abar(0) - a(0)/2, which keeps the quadrature second order.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    folds, tail = _fold_plan(kernel, tol)
-    tau = TWO_PI * np.arange(n_samples) / n_samples
-    acc = np.zeros(n_samples, dtype=complex)
-    for m in range(folds + 1):
-        acc += kernel.eval(tau + TWO_PI * m)
-    samples = acc.real if kernel.is_real else acc
-    return PeriodizedKernel(samples, kernel, folds, tail)
+    s = np.arange(n_samples) / n_samples
+    out = np.zeros(n_samples, dtype=complex)
+    for c, m, alpha in kernel.terms:
+        if c == 0:
+            continue
+        r, beta = math.exp(-TWO_PI * alpha), -math.expm1(-TWO_PI * alpha)
+        g = [1.0]
+        for i in range(1, m + 1):
+            g.append(r * sum(math.comb(i, l) * beta ** (i - 1 - l) * g[l] for l in range(i)))
+        poly = sum(math.comb(m, i) * g[i] * (s * beta) ** (m - i) for i in range(m + 1))
+        # e^{-alpha tau} = 2^power; below e^{-1000 pi} the term underflows either way
+        power = np.maximum(-alpha * s, -500.0) * (TWO_PI / math.log(2.0))
+        whole = np.floor(power)
+        mantissa, exponent = np.frexp(poly * np.exp2(power - whole))
+        (m_c, e_c), (m_2pi, e_2pi), (m_beta, e_beta) = map(math.frexp, (abs(c), TWO_PI, beta))
+        out += c / abs(c) * np.ldexp(
+            m_c * m_2pi**m / m_beta ** (m + 1) * mantissa,
+            exponent + whole.astype(int) + e_c + e_2pi * m - e_beta * (m + 1))
+    out[0] -= 0.5 * sum(c for c, m, _ in kernel.terms if m == 0)
+    return out.real if kernel.is_real else out
 
 
 def _lagrange4(frac: float) -> np.ndarray:
@@ -191,7 +132,7 @@ def _delay_stencil(functional: DelayFunctional, n_nodes: int,
 
 
 def collocation_solve(spec: ProblemSpec, n_nodes: int,
-                      cond_limit: float = COND_LIMIT) -> PeriodicGridFunction:
+                      cond_limit: float = COND_LIMIT) -> np.ndarray:
     """Solve the periodic problem on a uniform grid, independently of the
     spectral route.
 
@@ -200,7 +141,7 @@ def collocation_solve(spec: ProblemSpec, n_nodes: int,
     turns each term's stencil into its discrete symbol; at frequency m the
     system symbol is (D_m - A)(I - L_m) - G_m - C_m.  The N n x n systems are
     solved in one batch against the FFT of the resampled forcing, and an
-    inverse FFT gives the samples.  Second order in the grid spacing for
+    inverse FFT gives the (N, n) nodal samples.  Second order in the grid spacing for
     smooth data.  The block DFT is unitary, so the system's condition number
     is max sigma_max / min sigma_min over the frequencies; SingularSystemError
     is raised when it is not finite or exceeds ``cond_limit``.
@@ -217,7 +158,7 @@ def collocation_solve(spec: ProblemSpec, n_nodes: int,
     diff_state[-1] += eye_n / (2.0 * dt)
     diff_state[1 % n_nodes] -= eye_n / (2.0 * dt)
     diff_state[0] -= spec.state_matrix
-    folded = periodize_kernel(spec.kernel, n_nodes).convolution_samples()
+    folded = periodize_kernel(spec.kernel, n_nodes)
     convolution = dt * folded[:, None, None] * eye_n
     stencils = (diff_state, _delay_stencil(spec.neutral_delay, n_nodes, dt),
                 _delay_stencil(spec.reaction_delay, n_nodes, dt), convolution)
@@ -232,9 +173,7 @@ def collocation_solve(spec: ProblemSpec, n_nodes: int,
         raise SingularSystemError(cond)
     rhs = np.fft.fft(_nodal_values(spec.forcing, n_nodes), axis=0)
     samples = np.fft.ifft(np.linalg.solve(system, rhs[:, :, None])[:, :, 0], axis=0)
-    if spec.is_real:
-        samples = samples.real
-    return PeriodicGridFunction.from_samples(samples)
+    return samples.real if spec.is_real else samples
 
 
 def _nodal_values(grid: PeriodicGridFunction, n_nodes: int) -> np.ndarray:
@@ -253,22 +192,15 @@ def _nodal_values(grid: PeriodicGridFunction, n_nodes: int) -> np.ndarray:
 
 @dataclass
 class OracleComparison:
-    """Spectral-vs-collocation gaps over a list of grid sizes.
-
-    ``folds`` and ``tail_bound`` are the memory kernel's fold plan, the same
-    on every grid (see ``PeriodizedKernel``).
-    """
+    """Spectral-vs-collocation gaps over a list of grid sizes."""
 
     rows: List[Tuple[int, float]]
     fitted_order: Optional[float]
-    folds: int
-    tail_bound: float
 
     def to_dict(self) -> dict:
         return {
             "rows": [{"n": n, "gap": g} for n, g in self.rows],
             "fitted_order": self.fitted_order,
-            "memory_kernel": {"folds": self.folds, "tail_bound": self.tail_bound},
         }
 
 
@@ -281,8 +213,7 @@ def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
     least-squares slope of log gap against log N (negated); it is reported as
     None when some gap sits at round-off level, where the fit would measure
     noise.  ``cond_limit`` bounds both the spectral solve and every
-    collocation system.  The memory kernel's fold plan does not depend on the
-    grid and is reported once.
+    collocation system.
     """
     from .solver import solve_periodic  # deferred so assembly stays solver-free
 
@@ -291,9 +222,8 @@ def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
     for n_nodes in grid_sizes:
         approx = collocation_solve(spec, int(n_nodes), cond_limit)
         ref = _nodal_values(reference, int(n_nodes))
-        gap = float(np.max(np.linalg.norm(ref - approx.samples, axis=1)))
+        gap = float(np.max(np.linalg.norm(ref - approx, axis=1)))
         rows.append((int(n_nodes), gap))
-    folds, tail_bound = _fold_plan(spec.kernel, _FOLD_TOL)
 
     scale = max(reference.max_norm(), 1.0)
     gaps = np.array([g for _, g in rows])
@@ -301,5 +231,4 @@ def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
     if len(rows) >= 2 and np.all(gaps > 1e-13 * scale):
         sizes = np.array([float(n) for n, _ in rows])
         order = float(-np.polyfit(np.log(sizes), np.log(gaps), 1)[0])
-    return OracleComparison(rows=rows, fitted_order=order, folds=folds,
-                            tail_bound=tail_bound)
+    return OracleComparison(rows=rows, fitted_order=order)

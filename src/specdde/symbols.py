@@ -289,7 +289,7 @@ class DelayFunctional:
 
         L(u_t) = sum_j  B_j u(t - r_j)  +  int_{-span}^0 K(theta) u(t + theta) dtheta
 
-    with every lag r_j in [0, horizon] and horizon a positive multiple of 2*pi.
+    with every lag r_j >= 0.
 
     ``atoms`` is a sequence of (coefficient matrix, lag) pairs.  Scalar
     coefficients are accepted when dim == 1.
@@ -298,7 +298,6 @@ class DelayFunctional:
     dim: int
     atoms: Sequence = field(default_factory=list)
     distributed: Optional[DistributedDelay] = None
-    horizon: Optional[float] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -315,25 +314,6 @@ class DelayFunctional:
             raise DimensionError(
                 f"distributed kernel dimension {self.distributed.dim} != {self.dim}"
             )
-        reach = max(
-            [lag for _, lag in self.atoms]
-            + ([self.distributed.span] if self.distributed is not None else [])
-            + [0.0]
-        )
-        if self.horizon is None:
-            periods = max(1, int(np.ceil(reach / TWO_PI - 1e-12)))
-            self.horizon = TWO_PI * periods
-        else:
-            self.horizon = float(self.horizon)
-            periods = self.horizon / TWO_PI
-            if self.horizon <= 0.0 or abs(periods - round(periods)) > 1e-9:
-                raise ValueError(
-                    f"horizon must be a positive multiple of 2*pi, got {self.horizon}"
-                )
-            if reach > self.horizon + 1e-9:
-                raise ValueError(
-                    f"lags/span reach {reach} beyond the horizon {self.horizon}"
-                )
 
     @classmethod
     def empty(cls, dim: int) -> "DelayFunctional":
@@ -373,7 +353,8 @@ class KernelSpec:
     Each term is a (c, m, alpha) triple with complex weight c, integer power
     m >= 0 and decay rate alpha > 0, which keeps a integrable on [0, inf).
     The transform  atilde(lam) = int_0^inf e^{-lam t} a(t) dt  at lam = ik
-    (``laplace_symbol``) and the L1 norm are available in closed form.
+    (``laplace_symbol``) is available in closed form, and so is the fold onto
+    one period (``oracle.periodize_kernel``).
     """
 
     terms: Sequence = field(default_factory=list)
@@ -420,11 +401,6 @@ class KernelSpec:
     def is_real(self) -> bool:
         return all(c.imag == 0.0 for c, _, _ in self.terms)
 
-    def l1_norm(self) -> float:
-        return float(
-            sum(abs(c) * math.factorial(m) / alpha ** (m + 1) for c, m, alpha in self.terms)
-        )
-
     def eval(self, t):
         """Kernel values a(t); accepts scalars or arrays, t >= 0."""
         t = np.asarray(t, dtype=float)
@@ -439,7 +415,7 @@ class KernelSpec:
 def laplace_symbol(kernel: KernelSpec, k: int):
     """Transform of the kernel at i*k, evaluated in closed form.
 
-    Satisfies |value| <= l1_norm() and conjugate symmetry for real kernels.
+    Satisfies |value| <= ||a||_1 and conjugate symmetry for real kernels.
     Accepts an integer k or an array of modes.
     """
     lam = np.asarray(1j * np.asarray(k), dtype=complex)

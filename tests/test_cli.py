@@ -142,6 +142,17 @@ def test_verify_at_the_config_defaults(tmp_path):
     assert report["fitted_order"] == pytest.approx(2.0, abs=0.05)
 
 
+@pytest.mark.parametrize("term", [
+    {"c": 0.1, "m": 0, "alpha": 1e-6},     # a fold over about 10^7 periods
+    {"c": 1e-258, "m": 100, "alpha": 0.1},  # t^100 beyond the float range
+])
+def test_verify_folds_slowly_decaying_and_high_power_kernels(tmp_path, term):
+    code, out = run(tmp_path, "verify", dict(TINY, problem=dict(TINY["problem"],
+                                                                 kernel={"terms": [term]})))
+    assert code == 0
+    assert report_of(out, "verify")["fitted_order"] == pytest.approx(2.0, abs=0.05)
+
+
 def test_off_grid_lag_writes_a_report(tmp_path):
     doc = json.loads(json.dumps(SAMPLED))
     doc["problem"]["L"]["distributed"]["span"] = 1.0
@@ -400,8 +411,7 @@ def test_cli_path_imports_no_scipy(tmp_path):
 
 
 FUZZ_BASES = (
-    dict(SAMPLED, problem=dict(SAMPLED["problem"], horizon_periods=1),
-         besov={"s": 1.0, "p": 3.0, "q": 2.0}, tolerances={"singular_cond": 1e12}),
+    dict(SAMPLED, besov={"s": 1.0, "p": 3.0, "q": 2.0}, tolerances={"singular_cond": 1e12}),
     dict(TINY, problem=dict(TINY["problem"], forcing={
         "samples": np.cos(TWO_PI * np.arange(16) / 16)[:, None].repeat(2, axis=1).tolist()})),
 )
@@ -491,9 +501,8 @@ INVALID_FIELDS = [
                  ["problem.forcing.const"], id="const_wrong_length"),
     pytest.param(_mutated(TINY, ("problem", "G", "atoms", 0, "lag"), -1.0),
                  ["problem.G.atoms[0].lag"], id="negative_lag"),
-    pytest.param(_mutated(_mutated(TINY, ("problem", "horizon_periods"), 1),
-                          ("problem", "L", "atoms", 0, "lag"), 10.0),
-                 ["problem.L"], id="lag_beyond_horizon"),
+    pytest.param(_mutated(TINY, ("problem", "horizon_periods"), 1),
+                 ["problem.horizon_periods"], id="horizon_periods_unknown"),
     pytest.param(_mutated(TINY, ("problem", "kernel", "terms", 0, "m"), -1),
                  ["problem.kernel.terms[0].m"], id="negative_m"),
     pytest.param(_mutated(TINY, ("problem", "L", "distributed"), {"span": 1.0}),

@@ -1,7 +1,9 @@
 """Collocation oracle: the stencil solve against a dense block-circulant
 reference, second-order gaps, singular systems, memory at large N, the nodal
-evaluation of the spectral solution, and the folded memory kernel."""
+evaluation of the spectral solution, and the closed-form fold of the memory
+kernel against direct periodic sums."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -48,7 +50,7 @@ def dense_collocation(spec, n_nodes):
     difference[1] -= eye_n / (2.0 * dt)
     state = np.zeros((n_nodes, n, n), dtype=complex)
     state[0] = spec.state_matrix
-    folded = periodize_kernel(spec.kernel, n_nodes).convolution_samples()
+    folded = periodize_kernel(spec.kernel, n_nodes)
     memory = dt * folded[:, None, None] * eye_n
     neutral = _delay_stencil(spec.neutral_delay, n_nodes, dt)
     reaction = _delay_stencil(spec.reaction_delay, n_nodes, dt)
@@ -73,7 +75,7 @@ def test_stencil_solve_matches_the_dense_system(regression_specs, n_nodes):
     specs = dict(regression_specs, off_grid=scalar_with_reaction_atom(0.3, 1.0))
     for name, spec in specs.items():
         reference = dense_collocation(spec, n_nodes)
-        samples = collocation_solve(spec, n_nodes).samples
+        samples = collocation_solve(spec, n_nodes)
         assert np.max(np.abs(samples - reference)) <= 1e-12 * np.max(np.abs(reference)), name
 
 
@@ -85,8 +87,7 @@ def test_singular_system_is_rejected_by_its_condition_number():
         with pytest.raises(SingularSystemError):
             collocation_solve(spec, n_nodes)
     for n_nodes in (16, 32):
-        samples = collocation_solve(spec, n_nodes).samples
-        assert np.max(np.abs(samples)) < 1.01
+        assert np.max(np.abs(collocation_solve(spec, n_nodes))) < 1.01
     with pytest.raises(SingularSystemError):
         collocation_solve(spec, 16, cond_limit=1.0)
 
@@ -108,17 +109,11 @@ def test_fitted_order_is_two_on_large_grids():
     assert comparison.fitted_order == pytest.approx(2.0, abs=0.05)
 
 
-def test_comparison_reports_the_fold_plan_of_every_grid():
-    spec = problems.mat2_rich()
-    report = compare(spec, [32, 64]).to_dict()
-    assert list(report) == ["rows", "fitted_order", "memory_kernel"]
-    for n_nodes in (32, 64):
-        folded = periodize_kernel(spec.kernel, n_nodes)
-        assert report["memory_kernel"] == {"folds": folded.folds,
-                                           "tail_bound": folded.tail_bound}
-    assert folded.folds >= 1 and 0.0 < folded.tail_bound < 1e-12 * spec.kernel.l1_norm()
-    no_kernel = compare(scalar_with_reaction_atom(0.3, 1.0), [32, 64]).to_dict()
-    assert no_kernel["memory_kernel"] == {"folds": 0, "tail_bound": 0.0}
+def test_comparison_report_holds_the_rows_and_the_fitted_order():
+    # the fold is exact, so the report carries no fold error
+    report = compare(problems.mat2_rich(), [32, 64]).to_dict()
+    assert list(report) == ["rows", "fitted_order"]
+    assert [row["n"] for row in report["rows"]] == [32, 64]
 
 
 def test_fitted_order_is_two_on_the_smooth_suite(smooth_suite):
@@ -134,8 +129,8 @@ def test_sampled_kernel_collocation_is_second_order():
     # is within ~1e-8 of the callable kernel it samples
     spec = problems.mat2_sampled()
     for n_nodes in (32, 128):
-        sampled = collocation_solve(spec, n_nodes).samples
-        exact = collocation_solve(problems.mat2_rich(), n_nodes).samples
+        sampled = collocation_solve(spec, n_nodes)
+        exact = collocation_solve(problems.mat2_rich(), n_nodes)
         assert np.max(np.abs(sampled - exact)) < 1e-7
     assert compare(spec, [32, 64, 128]).fitted_order == pytest.approx(2.0, abs=0.05)
 
@@ -177,23 +172,42 @@ def test_off_grid_lag_is_rejected():
         collocation_solve(spec, 32)
 
 
+def _direct_fold(kernel, n_nodes, periods):
+    """sum_{j < periods} a(tau + 2pi j) at the nodes, summed pairwise."""
+    tau = TWO_PI * np.arange(n_nodes) / n_nodes
+    return np.sum(kernel.eval(tau[:, None] + TWO_PI * np.arange(periods)), axis=1)
+
+
 @pytest.mark.parametrize("kernel", [
     KernelSpec.exponential(weight=0.8, rate=1.3),
     KernelSpec(terms=[(0.2, 0, 2.0), (0.1, 1, 1.0)]),
     KernelSpec(terms=[(0.5, 2, 0.7), (0.3 - 0.1j, 0, 3.0)]),
+    KernelSpec(terms=[(1.0, 5, 0.3)]),
+    KernelSpec(terms=[(1e-3, 12, 0.05)]),
+    KernelSpec(terms=[(0.1, 0, 1e-3)]),
 ])
-def test_fold_is_the_direct_periodic_sum_within_its_tail_bound(kernel):
+def test_fold_is_the_direct_periodic_sum(kernel):
     n_nodes = 256
-    folded = periodize_kernel(kernel, n_nodes)
-    assert folded.folds >= 1 and folded.tail_bound < 1e-12 * kernel.l1_norm()
-    tau = TWO_PI * np.arange(n_nodes) / n_nodes
-    # a sum far past the fold count, where every further term underflows
-    direct = sum(kernel.eval(tau + TWO_PI * m) for m in range(folded.folds + 200))
-    # the bound is sharp at tau = 0, so it gets the summation's round-off on top
-    roundoff = 4 * np.finfo(float).eps * np.max(np.abs(direct))
-    assert np.max(np.abs(folded.samples - direct)) <= folded.tail_bound + roundoff
+    # far enough that every dropped term is below e^{-60} of the kernel's peak
+    periods = max(math.ceil(60 * (m + 1) / (TWO_PI * alpha)) for _, m, alpha in kernel.terms)
+    direct = _direct_fold(kernel, n_nodes, periods)
     # the convolution takes the mean of the one-sided limits at the jump tau = 0
-    jump = sum(c for c, m, _ in kernel.terms if m == 0)
-    convolution = folded.convolution_samples()
-    assert convolution[0] == pytest.approx(folded.samples[0] - 0.5 * jump, abs=1e-15)
-    assert np.array_equal(convolution[1:], folded.samples[1:])
+    direct[0] -= 0.5 * kernel.eval(0.0)
+    folded = periodize_kernel(kernel, n_nodes)
+    assert folded.dtype == direct.dtype
+    assert np.max(np.abs(folded - direct)) <= 32 * np.finfo(float).eps * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("c, m, alpha", [(1e-200, 100, 0.01), (1e-258, 100, 0.1)])
+def test_fold_is_finite_where_the_power_sums_are_not(c, m, alpha):
+    # (2pi)^100 and the power sums of r = e^{-2pi alpha} leave the float range,
+    # the fold (up to ~1.5e159 here) does not; the direct sum runs in logs,
+    # five times past the kernel's peak at t = m / alpha
+    n_nodes = 16
+    tau = TWO_PI * np.arange(n_nodes) / n_nodes
+    t = tau[:, None] + TWO_PI * np.arange(math.ceil(5 * m / (TWO_PI * alpha)))
+    with np.errstate(divide="ignore"):
+        direct = np.sum(np.exp(math.log(c) + m * np.log(t) - alpha * t), axis=1)
+    folded = periodize_kernel(KernelSpec(terms=[(c, m, alpha)]), n_nodes)
+    assert np.all(np.isfinite(folded))
+    assert np.max(np.abs(folded - direct)) <= 1e-12 * np.max(direct)

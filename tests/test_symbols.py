@@ -93,14 +93,6 @@ class TestDelaySymbol:
         with pytest.raises(DimensionError):
             DelayFunctional(dim=2, atoms=[(np.eye(3), 1.0)])
 
-    def test_lag_beyond_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            DelayFunctional(dim=1, atoms=[(1.0, 3 * TWO_PI)], horizon=TWO_PI)
-
-    def test_horizon_must_be_period_multiple(self):
-        with pytest.raises(ValueError):
-            DelayFunctional(dim=1, atoms=[(1.0, 1.0)], horizon=1.5 * TWO_PI)
-
     def test_distributed_symbol_matches_adaptive_quadrature(self):
         dist = DistributedDelay(
             lambda th: (0.3 * np.exp(th) + 0.1 * np.cos(th))[:, None, None]
@@ -359,7 +351,8 @@ class TestLaplaceSymbol:
                 for _ in range(3)
             ]
             kern = KernelSpec(terms=terms)
-            bound = kern.l1_norm()
+            bound = quad(lambda t: abs(kern.eval(t)), 0.0, np.inf, limit=400,
+                         epsabs=1e-14, epsrel=1e-13)[0]
             for k in (-9, 0, 2, 33):
                 assert abs(laplace_symbol(kern, k)) <= bound + 1e-12
 
