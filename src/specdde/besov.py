@@ -18,7 +18,13 @@ with the unnormalized L^p integral over one period.  Grid L^p values use the
 trapezoid rule, exact for band-limited data when p == 2; for other p the
 blocks are synthesised on at least 4 points per band mode and the quadrature
 error is estimated against a grid of at least twice the points (see
-``besov_norm_report``).
+``besov_norm_report``).  A block is synthesised as real functions, not as
+its n complex columns: the real and imaginary part of each column, less the
+parts that are exactly zero, are paired into complex rows a + ib, whose
+squared moduli a^2 + b^2 sum to |f(t)|^2.  Two real signals share one
+complex transform (Cooley, Lewis and Welch, J. Sound Vib. 12, 1970), so a
+real two-column block is one contiguous inverse FFT per grid, and a block
+whose coefficients are exactly zero is none.
 
 Block norms are independent per level; the final sum runs in ascending j.
 """
@@ -26,11 +32,11 @@ Block norms are independent per level; the final sum runs in ascending j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .symbols import PeriodicGridFunction, mode_range
+from .symbols import TWO_PI, PeriodicGridFunction, mode_range
 
 #: quadrature points per band mode of a p != 2 block (the stored grid when finer)
 _POINTS_PER_MODE = 4
@@ -104,20 +110,57 @@ def _quadrature_points(f: PeriodicGridFunction, p: float) -> int:
     return max(f.n_samples, _POINTS_PER_MODE * (2 * f.bandwidth + 1))
 
 
+def _real_rows(weighted: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Complex functions a + ib whose squared moduli sum to |f(t)|^2, for f
+    with coefficients ``weighted`` on modes -K..K.
+
+    Returns (modes, rows): the modes, symmetric about 0, on which f or its
+    mirror has a nonzero coefficient, and each row's coefficients on them.
+    Column i splits into Re f_i and Im f_i, whose Hermitian rows are
+    (c_k + conj c_{-k}) / 2 and (c_k - conj c_{-k}) / 2i; the rows that are
+    exactly zero are dropped (Im f_i of a real column) and the rest are taken
+    two at a time as a and b.  The solver and a harmonics forcing give
+    exactly Hermitian coefficients, so there the rows are the columns taken
+    two at a time; imaginary parts are live for complex blocks, which only
+    library callers build, and at round-off level for a sampled forcing.
+    """
+    bandwidth = (len(weighted) - 1) // 2
+    live = np.any(weighted, axis=1)
+    index = np.flatnonzero(live | live[::-1])
+    coefficients = weighted[index]
+    mirrored = np.conj(coefficients[::-1])
+    real, imag = (coefficients + mirrored) / 2.0, (coefficients - mirrored) / 2j
+    parts = [part for pair in zip(real.T, imag.T) for part in pair if np.any(part)]
+    parts += [np.zeros(len(index))] * (len(parts) % 2)
+    return index - bandwidth, [a + 1j * b for a, b in zip(parts[0::2], parts[1::2])]
+
+
 def _block_norms(f: PeriodicGridFunction, p: float, lengths: Tuple[int, ...]) -> np.ndarray:
     """L^p norm of each dyadic block of f, ascending level, shape
-    (levels, len(lengths)): column i synthesises each block on lengths[i]
-    points, one block at a time.  A block whose weighted coefficients are
-    exactly zero is not synthesised; its norms are 0.0.
+    (levels, len(lengths)): column i is the trapezoid value on lengths[i]
+    points.
+
+    Each row of ``_real_rows`` is synthesised by one contiguous inverse FFT
+    and its squared modulus added into the block's accumulator, so one row
+    of samples per length is held at a time.  A block whose weighted
+    coefficients are exactly zero has no rows and norms 0.0.
     """
     out = []
     for weights in _partition_weights(f.bandwidth):
-        weighted = weights[:, None] * f.coefficients
-        if not np.any(weighted):
+        modes, rows = _real_rows(weights[:, None] * f.coefficients)
+        if not rows:
             out.append([0.0] * len(lengths))
             continue
-        out.append([PeriodicGridFunction.from_coefficients(weighted, n).lp_norm(p)
-                    for n in lengths])
+        norms = []
+        for n in lengths:
+            squared = np.zeros(n)
+            for row in rows:
+                samples = np.zeros(n, dtype=complex)
+                samples[np.mod(modes, n)] = row
+                samples = np.fft.ifft(samples, norm="forward")
+                squared += samples.real ** 2 + samples.imag ** 2
+            norms.append(float((TWO_PI / n * np.sum(squared ** (p / 2.0))) ** (1.0 / p)))
+        out.append(norms)
     return np.array(out)
 
 

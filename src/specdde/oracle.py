@@ -102,7 +102,8 @@ def _delay_stencil(functional: DelayFunctional, n_nodes: int,
 
     An atom whose lag lands on the grid is one shift; any other atom takes the
     cubic Lagrange weights of its four neighbouring nodes.  The distributed
-    kernel takes trapezoidal weights and must span a whole number of steps.
+    kernel takes trapezoidal weights and must span a whole number of steps,
+    fewer than 5e8 of them, so that the 1e-9 test can tell whether it does.
     """
     n = functional.dim
     stencil = np.zeros((n_nodes, n, n), dtype=complex)
@@ -119,7 +120,14 @@ def _delay_stencil(functional: DelayFunctional, n_nodes: int,
     if dist is not None:
         steps_exact = dist.span / dt
         steps = int(round(steps_exact))
-        if abs(steps_exact - steps) > 1e-9 * max(1.0, steps_exact):
+        tolerance = 1e-9 * max(1.0, steps_exact)
+        if tolerance >= 0.5:
+            # every span would pass: no integer is more than half a step away
+            raise OffGridLagError(
+                f"distributed span {dist.span} is {steps_exact} grid steps, too "
+                "many to tell on the grid within 1e-9 of their number"
+            )
+        if abs(steps_exact - steps) > tolerance:
             raise OffGridLagError(
                 f"distributed span {dist.span} is {steps_exact} grid steps (not "
                 "within 1e-9 of an integer); choose a grid that divides it"

@@ -19,7 +19,8 @@ from specdde import (
     partition_eval,
     solve_periodic,
 )
-from specdde.besov import _seven_smooth
+from specdde import besov
+from specdde.besov import _combine_blocks, _partition_weights, _real_rows, _seven_smooth
 from specdde.config import parse_config
 
 TWO_PI = 2.0 * np.pi
@@ -182,23 +183,28 @@ class TestBesovNorm:
 
 
     def test_zero_blocks_are_not_synthesised(self, monkeypatch):
-        # modes |k| <= 3 only: levels 0..2 carry weight, levels 3..7 of K = 40 do not
+        # a real two-column f on modes |k| <= 3 only: levels 0..2 carry
+        # weight, levels 3..7 of K = 40 do not
         coeffs = np.zeros((81, 2), dtype=complex)
-        coeffs[37:44] = np.random.default_rng(8).normal(size=(7, 2))
+        coeffs[37:44] = _hermitian(np.random.default_rng(8), 3, 2)
         f = PeriodicGridFunction.from_coefficients(coeffs, 162)
         params = BesovParams(s=1.0, p=3.0, q=2.0)
         n_quad = 4 * 81
-        expected = [PeriodicGridFunction.from_coefficients(
+        expected = np.array([PeriodicGridFunction.from_coefficients(
             partition_eval(level, mode_range(40))[:, None] * coeffs, n_quad).lp_norm(3.0)
-            for level in range(8)]
-        calls = []
-        synthesis = PeriodicGridFunction.from_coefficients.__func__
-        monkeypatch.setattr(PeriodicGridFunction, "from_coefficients", classmethod(
-            lambda cls, c, n: calls.append(n) or synthesis(cls, c, n)))
+            for level in range(8)])
+        shapes = []
+        inverse = np.fft.ifft
+        monkeypatch.setattr(besov.np.fft, "ifft",
+                            lambda a, *args, **kwargs: shapes.append(np.shape(a))
+                            or inverse(a, *args, **kwargs))
         report = besov_norm_report(f, params)
-        assert np.array_equal(report.block_norms, expected)
         assert np.all(report.block_norms[3:] == 0.0) and np.all(report.block_norms[:3] > 0)
-        assert calls == [n_quad, _seven_smooth(2 * n_quad)] * 3
+        # one row per real two-column block: one 1-D transform per grid length
+        assert shapes == [(n_quad,), (_seven_smooth(2 * n_quad),)] * 3
+        # not bit for bit: the rows add the squares in another order than
+        # the columns, and raise |f|^2 to p/2 where the columns raise |f| to p
+        assert np.all(np.abs(report.block_norms - expected) <= 4 * np.spacing(expected))
 
     def test_estimate_bounds_the_error_on_the_benchmark_problem(self):
         # lumped benchmark problem at K = 32: the norm's 260-point grid has a
@@ -209,6 +215,81 @@ class TestBesovNorm:
         report = besov_norm_report(u, config.besov)
         actual = abs(report.norm - besov_norm(u.resample(2**16), config.besov))
         assert report.quadrature_error >= actual > 0.0
+
+
+def _hermitian(gen, bandwidth, dim):
+    """Coefficients of a random real trigonometric polynomial."""
+    half = gen.normal(size=(bandwidth, dim)) + 1j * gen.normal(size=(bandwidth, dim))
+    return np.concatenate([np.conj(half[::-1]), gen.normal(size=(1, dim)), half])
+
+
+def _column_wise_report(f, params):
+    """``besov_norm_report`` with every block synthesised column by column."""
+    n = f.n_samples if params.p == 2.0 else max(f.n_samples, 4 * (2 * f.bandwidth + 1))
+    lengths = (n,) if params.p == 2.0 else (n, _seven_smooth(2 * n))
+    table = np.array([[PeriodicGridFunction.from_coefficients(
+        weights[:, None] * f.coefficients, m).lp_norm(params.p) for m in lengths]
+        for weights in _partition_weights(f.bandwidth)])
+    norm = _combine_blocks(table[:, 0], params)
+    return norm, table[:, 0], abs(norm - _combine_blocks(table[:, -1], params))
+
+
+#: (name, coefficients on |k| <= 12, rows of the whole band)
+ROW_SPLIT_CASES = [
+    ("n1_real", _hermitian(np.random.default_rng(1), 12, 1), 1),
+    ("n2_real", _hermitian(np.random.default_rng(2), 12, 2), 1),
+    ("n3_real", _hermitian(np.random.default_rng(3), 12, 3), 2),
+    ("n2_complex", np.random.default_rng(4).normal(size=(25, 2))
+     + 1j * np.random.default_rng(5).normal(size=(25, 2)), 2),
+    ("zero_column", np.stack([np.random.default_rng(6).normal(size=25)
+                              + 1j * np.random.default_rng(7).normal(size=25),
+                              np.zeros(25)], axis=1), 1),
+]
+
+
+class TestRealRows:
+    """Each block is synthesised as real rows; its norms are the column-wise
+    synthesis's up to round-off."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.5])
+    @pytest.mark.parametrize("name, coeffs, rows", ROW_SPLIT_CASES,
+                             ids=[case[0] for case in ROW_SPLIT_CASES])
+    def test_norms_match_the_column_wise_synthesis(self, name, coeffs, rows, p):
+        f = PeriodicGridFunction.from_coefficients(coeffs, 40)
+        params = BesovParams(s=1.0, p=p, q=2.0)
+        norm, blocks, error = _column_wise_report(f, params)
+        report = besov_norm_report(f, params)
+        assert report.norm == pytest.approx(norm, rel=1e-14, abs=0.0)
+        assert besov_norm(f, params) == report.norm
+        assert np.all((report.block_norms == 0.0) == (blocks == 0.0))
+        assert np.allclose(report.block_norms, blocks, rtol=1e-14, atol=0.0)
+        assert abs(report.quadrature_error - error) <= 1e-14 * norm
+
+    @pytest.mark.parametrize("name, coeffs, rows", ROW_SPLIT_CASES,
+                             ids=[case[0] for case in ROW_SPLIT_CASES])
+    def test_row_count(self, name, coeffs, rows):
+        modes, split = _real_rows(coeffs)
+        assert np.array_equal(modes, mode_range(12))
+        assert np.shape(split) == (rows, 25)
+
+    def test_rows_carry_the_pointwise_squared_norm(self, rng):
+        coeffs = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
+        modes, split = _real_rows(coeffs)
+        columns = PeriodicGridFunction.from_coefficients(coeffs, 16).samples
+        squared = sum(np.abs(PeriodicGridFunction.from_coefficients(row, 16).samples[:, 0]) ** 2
+                      for row in split)
+        assert np.allclose(squared, np.sum(np.abs(columns) ** 2, axis=1), rtol=1e-14)
+
+    def test_zero_coefficients_give_no_rows(self):
+        modes, split = _real_rows(np.zeros((9, 2), dtype=complex))
+        assert modes.size == 0 and split == []
+
+    def test_modes_are_the_live_ones_and_their_mirrors(self):
+        coeffs = np.zeros((9, 2), dtype=complex)
+        coeffs[6, 1] = 1.0 + 2.0j   # mode 2 only: not real, so two parts
+        modes, split = _real_rows(coeffs)
+        assert np.array_equal(modes, [-2, 2])
+        assert np.shape(split) == (1, 2)
 
 
 class TestSevenSmooth:

@@ -164,6 +164,22 @@ def test_off_grid_lag_writes_a_report(tmp_path):
     assert "span 1.0" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("turns", [10**17, 10**19])
+def test_span_of_too_many_grid_steps_writes_a_report(tmp_path, turns):
+    # at 1e-9 of 5e8 steps or more, every span is within the on-grid test
+    doc = json.loads(json.dumps(TINY))
+    doc["problem"]["L"]["distributed"] = {
+        "samples": (0.05 * np.exp(np.linspace(-1.0, 0.0, 6))[:, None, None]
+                    * np.eye(2)).tolist(),
+        "span": TWO_PI * turns}
+    code, out = run(tmp_path, "verify", doc)
+    assert code == 3
+    error = report_of(out, "verify")["error"]
+    assert error["type"] == "off_grid_lag"
+    assert "too many" in error["message"]
+    assert run(tmp_path, "solve", doc)[0] == 0
+
+
 def test_off_grid_atom_lag_verifies(tmp_path):
     doc = json.loads(json.dumps(TINY))
     doc["problem"]["G"]["atoms"][0]["lag"] = 1.0
