@@ -45,9 +45,7 @@ from .symbols import (
     ModeSymbols,
     PeriodicGridFunction,
     ProblemSpec,
-    ScaledDifferences,
     analyze,
-    difference_sequences,
     laplace_symbol,
     mode_range,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "PeriodicGridFunction",
     "ProblemSpec",
     "RunConfig",
-    "ScaledDifferences",
     "SequenceDiagnostics",
     "SingularModeError",
     "SingularSystemError",
@@ -82,7 +79,6 @@ __all__ = [
     "collocation_solve",
     "compare",
     "convergence_sweep",
-    "difference_sequences",
     "laplace_symbol",
     "m_bounded_diagnostics",
     "mode_range",

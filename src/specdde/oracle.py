@@ -103,7 +103,8 @@ def _delay_stencil(functional: DelayFunctional, n_nodes: int,
     An atom whose lag lands on the grid is one shift; any other atom takes the
     cubic Lagrange weights of its four neighbouring nodes.  The distributed
     kernel takes trapezoidal weights and must span a whole number of steps,
-    fewer than 5e8 of them, so that the 1e-9 test can tell whether it does.
+    fewer than 5e8 of them, so that the 1e-9 test can tell whether it does;
+    its weights are added one period of steps at a time, in O(N n^2) memory.
     """
     n = functional.dim
     stencil = np.zeros((n_nodes, n, n), dtype=complex)
@@ -132,10 +133,10 @@ def _delay_stencil(functional: DelayFunctional, n_nodes: int,
                 f"distributed span {dist.span} is {steps_exact} grid steps (not "
                 "within 1e-9 of an integer); choose a grid that divides it"
             )
-        weights = np.full(steps + 1, dt)
-        weights[[0, -1]] *= 0.5
-        values = dist.evaluate(-dt * np.arange(steps + 1))
-        np.add.at(stencil, np.arange(steps + 1) % n_nodes, weights[:, None, None] * values)
+        for start in range(0, steps + 1, n_nodes):
+            chunk = np.arange(start, min(start + n_nodes, steps + 1))
+            weights = np.where((chunk == 0) | (chunk == steps), 0.5 * dt, dt)
+            stencil[:len(chunk)] += weights[:, None, None] * dist.evaluate(-dt * chunk)
     return stencil
 
 

@@ -12,11 +12,13 @@ problem and band, and M(k) is assembled in one place, ``ModeSymbols.modal``.
 every mode whose 1-norm condition number ||M(k)||_1 ||M(k)^{-1}||_1, read
 off that inverse, exceeds the limit (that estimate needs no SVD).  The lean
 solve (``solver``) uses it and nothing else from here.
-``m_bounded_diagnostics`` reads the symbol table, its k-scaled differences
-and the checked inverse directly and stacks all eleven sequences of the
-boundedness report on one band of modes, -K_diag..K_diag + 1: the sup norm
-over |k| <= K_diag and the k-scaled difference of adjacent rows are all the
-multiplier condition asks of each.  Spectral norms are taken only there.
+``m_bounded_diagnostics`` reads the symbol table and the checked inverse
+directly and stacks all eleven sequences of the boundedness report on one
+band of modes, -K_diag..K_diag + 1: the sup norm over |k| <= K_diag and the
+k-scaled difference k (X_{k+1} - X_k) of adjacent rows are all the
+multiplier condition asks of each.  That difference is made in one place,
+``_scaled_difference``, for the difference rows P, Q, R, B and for the
+difference of every row alike.  Spectral norms are taken only here.
 
 Everything below is batched over the band with a deterministic ascending-k
 order.
@@ -30,7 +32,7 @@ from typing import List
 import numpy as np
 
 from .exceptions import SingularModeError
-from .symbols import ModeSymbols, ProblemSpec, difference_sequences
+from .symbols import ModeSymbols, ProblemSpec
 
 #: 1-norm condition number beyond which a modal matrix is treated as singular
 COND_LIMIT = 1e12
@@ -39,6 +41,15 @@ _SEQUENCE_NAMES = ["N", "S", "T", "F", "P", "Q", "R", "B", "L", "G", "a_tilde"]
 
 #: raw symbol rows whose k-scaled differences are rows of their own
 _DIFFERENCE_ROW = {"L": "Q", "G": "R", "a_tilde": "P"}
+
+
+def _scaled_difference(modes: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """k (X_{k+1} - X_k) for every row k = modes[i] of a (m, n, n) stack but
+    the last."""
+    difference = stack[1:] - stack[:-1]
+    # in place: a fresh int-by-complex product takes several times as long
+    difference *= modes[:-1, None, None]
+    return difference
 
 
 def _operator_norms(stack: np.ndarray) -> np.ndarray:
@@ -190,32 +201,34 @@ def m_bounded_diagnostics(spec: ProblemSpec, window: int,
 
     Every sequence is stacked on one band of 2 window + 2 modes,
     -window..window + 1, so that row window + j is mode j.  Rows N, S, T, F
-    are M(k)^{-1} scaled by 1, ik, G_k and atilde(ik); P, Q, R, B are the
-    k-scaled symbol differences; L, G and a_tilde are the raw symbols.  Each
-    row records the sup of the norm over the first 2 window + 1 rows, the sup
-    of the k-scaled difference of adjacent rows, a fitted tail growth
-    exponent, and a verdict.  One symbol table on |k| <= window + 2 serves
-    every row, and every mode with |k| <= window + 1 passes the condition
-    test.
+    are M(k)^{-1} scaled by 1, ik, G_k and atilde(ik); P, Q, R are the
+    k-scaled differences of atilde, L and G, made here from the table, and
+    B = A Q; L, G and a_tilde are the raw symbols.  Each row records the sup
+    of the norm over the first 2 window + 1 rows, the sup of ||k (X_{k+1} -
+    X_k)|| over the same rows, a fitted tail growth exponent, and a verdict.
+    The difference of L, G and a_tilde is the norm of Q, R and P.  One symbol
+    table on |k| <= window + 2 serves every row, and every mode with |k| <=
+    window + 1 passes the condition test.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     table = ModeSymbols.from_spec(spec, window + 2)
-    diffs = difference_sequences(spec, table)
     checked = table.band(window + 1)
     inverse = _checked_inverse(checked.modes, checked.modal(spec.state_matrix),
                                cond_limit)[0][1:]
-    modes = table.modes[2:-1]
+    ahead = table.modes[2:]      # -window..window + 2: one mode past the band
+    modes = ahead[:-1]
     G, a = table.G[2:-1], table.a[2:-1, None, None]
+    Q = _scaled_difference(ahead, table.L[2:])
     sequences = {
         "N": inverse,
         "S": (1j * modes)[:, None, None] * inverse,
         "T": np.matmul(G, inverse),
         "F": a * inverse,
-        "P": diffs.kernel[2:, None, None],
-        "Q": diffs.neutral[2:],
-        "R": diffs.reaction[2:],
-        "B": diffs.neutral_state[2:],
+        "P": _scaled_difference(ahead, table.a[2:, None, None]),
+        "Q": Q,
+        "R": _scaled_difference(ahead, table.G[2:]),
+        "B": np.matmul(spec.state_matrix, Q),
         "L": table.L[2:-1],
         "G": G,
         "a_tilde": a,
@@ -226,11 +239,10 @@ def m_bounded_diagnostics(spec: ProblemSpec, window: int,
     for name in _SEQUENCE_NAMES:
         norm = norms[name]
         if name in _DIFFERENCE_ROW:
-            # |k| ||X_{k+1} - X_k|| is the norm of the difference row at k
+            # ||k (X_{k+1} - X_k)|| is the norm of the difference row at k
             scaled = norms[_DIFFERENCE_ROW[name]][:-1]
         else:
-            stack = sequences[name]
-            scaled = np.abs(modes[:-1]) * _operator_norms(stack[1:] - stack[:-1])
+            scaled = _operator_norms(_scaled_difference(modes, sequences[name]))
         # per-|k| profile max(|.|_{+k}, |.|_{-k}) for |k| = 0..window
         profile = np.maximum(norm[window:-1], norm[window::-1])
         verdict, exponent = _verdict(window, profile)

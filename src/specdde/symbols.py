@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -394,10 +394,6 @@ class KernelSpec:
         return cls(terms=[(weight, 0, rate)])
 
     @property
-    def is_empty(self) -> bool:
-        return not self.terms
-
-    @property
     def is_real(self) -> bool:
         return all(c.imag == 0.0 for c, _, _ in self.terms)
 
@@ -498,17 +494,6 @@ class PeriodicGridFunction:
 
     @classmethod
     def from_coefficients(cls, coefficients, n_samples: int) -> "PeriodicGridFunction":
-        if isinstance(coefficients, dict):
-            if coefficients:
-                bandwidth = max(abs(int(k)) for k in coefficients)
-                first = np.atleast_1d(np.asarray(next(iter(coefficients.values()))))
-                dim = first.shape[0]
-            else:
-                bandwidth, dim = 0, 1
-            arr = np.zeros((2 * bandwidth + 1, dim), dtype=complex)
-            for k, vec in coefficients.items():
-                arr[int(k) + bandwidth] = np.atleast_1d(np.asarray(vec))
-            coefficients = arr
         coefficients = np.asarray(coefficients, dtype=complex)
         if coefficients.ndim == 1:
             coefficients = coefficients[:, None]
@@ -764,35 +749,3 @@ class ModeSymbols:
         """Modal matrices M(k) = C_k - A D_k, shape (len(modes), n, n)."""
         return self.nonstate() - np.matmul(state_matrix, self.neutral)
 
-
-class ScaledDifferences(NamedTuple):
-    """k-scaled forward differences of the mode-symbol sequences.
-
-    Row i belongs to mode k = modes[i]:
-
-    kernel        : k * (atilde(i(k+1)) - atilde(ik))          (complex scalars)
-    neutral       : k * (L_{k+1} - L_k)                        (n x n)
-    reaction      : k * (G_{k+1} - G_k)                        (n x n)
-    neutral_state : k * A (L_{k+1} - L_k)                      (n x n)
-    """
-
-    modes: np.ndarray
-    kernel: np.ndarray
-    neutral: np.ndarray
-    reaction: np.ndarray
-    neutral_state: np.ndarray
-
-
-def difference_sequences(spec: ProblemSpec, symbols: ModeSymbols) -> ScaledDifferences:
-    """Exact finite differences of the table's symbol sequences, scaled by k,
-    for every mode of the table but the last."""
-    ks = symbols.modes[:-1]
-    kcol = ks[:, None, None].astype(float)
-    neutral = kcol * (symbols.L[1:] - symbols.L[:-1])
-    return ScaledDifferences(
-        modes=ks,
-        kernel=ks * (symbols.a[1:] - symbols.a[:-1]),
-        neutral=neutral,
-        reaction=kcol * (symbols.G[1:] - symbols.G[:-1]),
-        neutral_state=np.matmul(spec.state_matrix, neutral),
-    )

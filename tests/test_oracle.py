@@ -172,6 +172,33 @@ def test_off_grid_lag_is_rejected():
         collocation_solve(spec, 32)
 
 
+def test_distributed_span_of_many_periods_folds_in_one_period_of_memory():
+    # 2,000 periods of 64 steps: the trapezoid sum folded mod N with every
+    # weight and kernel value held at once, against the stencil, which holds
+    # one period of them at a time
+    n_nodes, periods = 64, 2000
+    dt = TWO_PI / n_nodes
+    samples = np.random.default_rng(5).normal(size=(6, 2, 2))
+    functional = DelayFunctional(
+        dim=2, distributed=DistributedDelay(samples, span=periods * TWO_PI))
+    steps = np.arange(periods * n_nodes + 1)
+    weights = np.full(steps.size, dt)
+    weights[[0, -1]] *= 0.5
+    direct = np.zeros((n_nodes, 2, 2), dtype=complex)
+    np.add.at(direct, steps % n_nodes,
+              weights[:, None, None] * functional.distributed.evaluate(-dt * steps))
+    _delay_stencil(functional, n_nodes, dt)
+    tracemalloc.start()
+    try:
+        stencil = _delay_stencil(functional, n_nodes, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(stencil, direct)
+    # all 128,001 complex 2 x 2 values would take 8 MB
+    assert peak < 2**17
+
+
 def _direct_fold(kernel, n_nodes, periods):
     """sum_{j < periods} a(tau + 2pi j) at the nodes, summed pairwise."""
     tau = TWO_PI * np.arange(n_nodes) / n_nodes

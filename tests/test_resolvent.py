@@ -12,7 +12,6 @@ from specdde import (
     ModeSymbols,
     ProblemSpec,
     SingularModeError,
-    difference_sequences,
     laplace_symbol,
     m_bounded_diagnostics,
     mode_range,
@@ -198,14 +197,85 @@ def test_nonstate_part_telescopes(spec, bandwidth, tol):
     # mode but the last, C_k the non-state part and P, Q, R its k-scaled
     # differences, all read from one table
     table = ModeSymbols.from_spec(spec, bandwidth)
-    diffs = difference_sequences(spec, table)
+    k = table.modes[:-1, None, None]
+    P = k * (table.a[1:] - table.a[:-1])[:, None, None]
+    Q = k * (table.L[1:] - table.L[:-1])
+    R = k * (table.G[1:] - table.G[:-1])
     eye = np.eye(spec.dim)[None]
-    ik = 1j * diffs.modes[:, None, None]
     nonstate = table.nonstate()
-    lhs = diffs.modes[:, None, None] * (nonstate[:-1] - nonstate[1:])
-    rhs = (-ik * eye + ik * table.L[1:] + ik * diffs.neutral + diffs.reaction
-           + diffs.kernel[:, None, None] * eye)
+    lhs = k * (nonstate[:-1] - nonstate[1:])
+    rhs = -1j * k * eye + 1j * k * table.L[1:] + 1j * k * Q + R + P * eye
     assert np.max(resolvent._operator_norms(lhs - rhs)) <= tol
+
+
+class TestDifferenceRows:
+    """P, Q, R and B are k (X_{k+1} - X_k) of atilde, L and G, and A Q."""
+
+    def test_period_lag_differences_vanish(self):
+        spec = ProblemSpec(
+            state_matrix=[[-1.0]],
+            neutral_delay=DelayFunctional(dim=1, atoms=[(0.5, TWO_PI)]),
+            truncation=4,
+            grid=16,
+        )
+        table = ModeSymbols.from_spec(spec, 13)
+        assert np.all(resolvent._scaled_difference(table.modes, table.L) == 0.0)
+        report = m_bounded_diagnostics(spec, 32)
+        for name in ("Q", "B"):
+            assert report.row(name).sup_norm == 0.0
+            assert report.row(name).sup_scaled_diff == 0.0
+        assert report.row("L").sup_scaled_diff == 0.0
+
+    def test_half_period_lag_difference_grows_linearly(self):
+        spec = ProblemSpec(
+            state_matrix=[[-1.0]],
+            neutral_delay=DelayFunctional(dim=1, atoms=[(1.0, np.pi)]),
+            truncation=4,
+            grid=16,
+        )
+        table = ModeSymbols.from_spec(spec, 16)
+        neutral = resolvent._scaled_difference(table.modes, table.L)
+        assert neutral.shape == (32, 1, 1)
+        assert np.abs(neutral[:, 0, 0]) == pytest.approx(
+            2.0 * np.abs(np.arange(-16, 16)), abs=1e-10
+        )
+
+    def test_exponential_kernel_difference_closed_form(self):
+        # A = -2 keeps M(0) = 1 invertible; the symbols do not depend on A
+        spec = ProblemSpec(
+            state_matrix=[[-2.0]], kernel=KernelSpec.exponential(),
+            truncation=4, grid=16,
+        )
+        table = ModeSymbols.from_spec(spec, 31)
+        kernel = resolvent._scaled_difference(table.modes, table.a[:, None, None])[:, 0, 0]
+        k = table.modes[:-1]
+        closed = -1j * k / ((1.0 + 1j * k) * (1.0 + 1j * (k + 1)))
+        assert kernel == pytest.approx(closed, abs=1e-14)
+        assert np.all(np.abs(kernel) <= 1.0 + 1e-15)
+        window = 30
+        inside = np.abs(k) <= window
+        assert m_bounded_diagnostics(spec, window).row("P").sup_norm == pytest.approx(
+            np.max(np.abs(closed[inside])), rel=1e-14)
+
+    def test_state_difference_is_state_matrix_times_neutral(self, rng):
+        A = rng.normal(size=(2, 2))
+        spec = ProblemSpec(
+            state_matrix=A,
+            neutral_delay=DelayFunctional(
+                dim=2, atoms=[(rng.normal(size=(2, 2)), 1.0)]
+            ),
+            truncation=4,
+            grid=16,
+        )
+        window = 8
+        table = ModeSymbols.from_spec(spec, window + 1)
+        k = table.modes[1:-1, None, None]
+        neutral = k * (table.L[2:] - table.L[1:-1])
+        report = m_bounded_diagnostics(spec, window)
+        assert report.row("Q").sup_norm == pytest.approx(
+            np.max(_svd_norms(neutral)), rel=1e-14)
+        assert report.row("B").sup_norm == pytest.approx(
+            np.max(_svd_norms(A @ neutral)), rel=1e-14)
 
 
 class TestDiagnostics:

@@ -200,9 +200,9 @@ class TestResidual:
         eps = 1e-4
         direction = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
         direction /= np.linalg.norm(direction)
-        bump = PeriodicGridFunction.from_coefficients(
-            {K: eps * direction}, spec.grid
-        )
+        coeffs = np.zeros((2 * K + 1, spec.dim), dtype=complex)
+        coeffs[-1] = eps * direction
+        bump = PeriodicGridFunction.from_coefficients(coeffs, spec.grid)
         perturbed = sol.solution + bump
         modal_k = ModeSymbols.from_spec(spec, K).modal(spec.state_matrix)[-1]
         expected = eps * np.linalg.norm(modal_k @ direction)

@@ -23,7 +23,6 @@ from specdde import (
     ModeSymbols,
     ProblemSpec,
     analyze,
-    difference_sequences,
     laplace_symbol,
     mode_range,
 )
@@ -408,9 +407,9 @@ class TestAnalyzeSynthesize:
             analyze(np.zeros(8), bandwidth=4)
 
     def test_synthesize_constant_and_cosine(self):
-        const = PeriodicGridFunction.from_coefficients({0: [1.5]}, 8)
+        const = PeriodicGridFunction.from_coefficients([1.5], 8)
         assert np.allclose(const.samples[:, 0], 1.5)
-        cosine = PeriodicGridFunction.from_coefficients({1: [0.5], -1: [0.5]}, 16)
+        cosine = PeriodicGridFunction.from_coefficients([0.5, 0.0, 0.5], 16)
         assert np.allclose(cosine.samples[:, 0], np.cos(cosine.nodes), atol=1e-14)
 
     @settings(max_examples=25, deadline=None)
@@ -577,52 +576,3 @@ class TestModeSymbols:
             assert np.allclose(table.modal(spec.state_matrix)[i], closed, atol=1e-14)
             assert np.allclose(table.neutral[i], d, atol=0.0)
 
-
-class TestDifferenceSequences:
-    def test_period_lag_differences_vanish(self):
-        spec = ProblemSpec(
-            state_matrix=[[-1.0]],
-            neutral_delay=DelayFunctional(dim=1, atoms=[(0.5, TWO_PI)]),
-            truncation=4,
-            grid=16,
-        )
-        diffs = difference_sequences(spec, ModeSymbols.from_spec(spec, 13))
-        assert np.all(diffs.neutral == 0.0)
-        assert np.all(diffs.neutral_state == 0.0)
-
-    def test_half_period_lag_difference_grows_linearly(self):
-        spec = ProblemSpec(
-            state_matrix=[[-1.0]],
-            neutral_delay=DelayFunctional(dim=1, atoms=[(1.0, np.pi)]),
-            truncation=4,
-            grid=16,
-        )
-        diffs = difference_sequences(spec, ModeSymbols.from_spec(spec, 16))
-        assert np.array_equal(diffs.modes, np.arange(-16, 16))
-        assert np.abs(diffs.neutral[:, 0, 0]) == pytest.approx(
-            2.0 * np.abs(diffs.modes), abs=1e-10
-        )
-
-    def test_exponential_kernel_difference_closed_form(self):
-        spec = ProblemSpec(
-            state_matrix=[[-1.0]], kernel=KernelSpec.exponential(),
-            truncation=4, grid=16,
-        )
-        diffs = difference_sequences(spec, ModeSymbols.from_spec(spec, 31))
-        k = diffs.modes
-        closed = -1j * k / ((1.0 + 1j * k) * (1.0 + 1j * (k + 1)))
-        assert diffs.kernel == pytest.approx(closed, abs=1e-14)
-        assert np.all(np.abs(diffs.kernel) <= 1.0 + 1e-15)
-
-    def test_state_difference_is_state_matrix_times_neutral(self, rng):
-        A = rng.normal(size=(2, 2))
-        spec = ProblemSpec(
-            state_matrix=A,
-            neutral_delay=DelayFunctional(
-                dim=2, atoms=[(rng.normal(size=(2, 2)), 1.0)]
-            ),
-            truncation=4,
-            grid=16,
-        )
-        diffs = difference_sequences(spec, ModeSymbols.from_spec(spec, 8))
-        assert np.allclose(diffs.neutral_state, A @ diffs.neutral, atol=1e-14)
