@@ -20,6 +20,7 @@ import numpy as np
 
 from .besov import BesovParams
 from .exceptions import ConfigError, InvalidKernelError
+from .resolvent import COND_LIMIT
 from .symbols import (
     DelayFunctional,
     DistributedDelay,
@@ -42,7 +43,7 @@ _BESOV_KEYS = {"s", "p", "q"}
 _DEFAULTS = {"K": 64, "K_diag": 512,
              "besov": {"s": 1.0, "p": 2.0, "q": 2.0},
              "N_list": [64, 128, 256], "K_list": [4, 8, 16, 32],
-             "tolerances": {"singular_cond": 1e12}}
+             "tolerances": {"singular_cond": COND_LIMIT}}
 
 
 @dataclass
@@ -51,7 +52,6 @@ class RunConfig:
 
     problem: ProblemSpec
     truncation: int
-    grid: int
     window: int
     besov: BesovParams
     grid_sizes: List[int]
@@ -290,8 +290,6 @@ def parse_config(text: str) -> RunConfig:
     grid = doc.get("N")
     if grid is not None:
         grid = _number(grid, "N", errs, positive=True, integer=True)
-    elif truncation is not None:
-        grid = 4 * truncation
     if truncation is not None and grid is not None and grid < 2 * truncation + 1:
         errs.add("N", f"must satisfy N >= 2K+1 (K={truncation}, N={grid})")
     window = _number(doc.get("K_diag", _DEFAULTS["K_diag"]), "K_diag", errs,
@@ -323,8 +321,8 @@ def parse_config(text: str) -> RunConfig:
             if iv is None:
                 return None
             out.append(iv)
-        if out != sorted(out):
-            errs.add(key, "must be ascending")
+        if any(a >= b for a, b in zip(out, out[1:])):
+            errs.add(key, "must be strictly ascending")
             return None
         return out
 
@@ -360,12 +358,11 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError([("problem", str(exc))]) from None
 
-    resolved = _resolve_document(problem_doc, n, truncation, grid, window, besov,
+    resolved = _resolve_document(problem_doc, n, truncation, problem.grid, window, besov,
                                  grid_sizes, sweep, tolerances)
     return RunConfig(
         problem=problem,
         truncation=truncation,
-        grid=grid,
         window=window,
         besov=besov,
         grid_sizes=grid_sizes,

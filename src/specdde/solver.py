@@ -1,23 +1,25 @@
 """Mode-by-mode construction of the unique periodic solution.
 
 The k-th coefficient of the solution is obtained by applying the inverse
-modal matrix to the k-th forcing coefficient; the grid function is then
-synthesized from the coefficients.  Differentiation of the neutral part is
-done in Fourier space (multiplication by ik D_k), never by finite
-differences.
+modal matrix to the k-th forcing coefficient; the solution is a grid
+function holding those coefficients, synthesized only when its samples are
+read.  Differentiation of the neutral part is done in Fourier space
+(multiplication by ik D_k), never by finite differences.
 
 The solve is lean: it builds one symbol table (``ModeSymbols``) on the union
 of the solver and forcing bands, assembles M(k) once from it, inverts once,
 rejects modes whose 1-norm condition number (read off that inverse) exceeds
 the limit, and takes both residuals from the same M(k).  It computes nothing
 it does not report; the spectral-norm sequences belong to the boundedness
-diagnostics in ``resolvent``.
+diagnostics in ``resolvent``.  The convergence sweep is one such solve on its
+widest band: the solve at truncation K is that solve's coefficients on
+|k| <= K, so each row costs only its two syntheses.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -70,44 +72,21 @@ def _defect(spec: ProblemSpec, modal: np.ndarray, uhat: np.ndarray) -> np.ndarra
             - _on_band(spec.forcing.coefficients, band))
 
 
-def _grid_max(spec: ProblemSpec, rhat: np.ndarray) -> float:
-    """Max norm over the grid of the function with coefficients rhat."""
+def _grid_max(rhat: np.ndarray, n_samples: int) -> float:
+    """Max norm over at least n_samples nodes of the function with coefficients rhat."""
     band = (rhat.shape[0] - 1) // 2
-    return PeriodicGridFunction.from_coefficients(rhat, max(spec.grid, 2 * band + 1)).max_norm()
+    return PeriodicGridFunction(rhat, max(n_samples, 2 * band + 1)).max_norm()
 
 
-def _solve(spec: ProblemSpec, modal: np.ndarray, resolvent: np.ndarray,
-           condition: np.ndarray) -> SpectralSolution:
-    """The solve from M(k) on the band max(truncation, forcing bandwidth) and
-    the checked inverse and condition numbers on |k| <= truncation."""
-    f = spec.forcing
-    K = spec.truncation
-    inside, outside = f.band_energy_split(K)
-    total = inside + outside
-    tail_energy = float(np.sqrt(outside / total)) if total > 0.0 else 0.0
-    if tail_energy > 0.0:
-        warnings.warn(
-            f"forcing bandwidth {f.bandwidth} exceeds truncation "
-            f"{K}; dropped relative tail energy {tail_energy:.3e}",
-            TruncationWarning,
-            stacklevel=3,
-        )
-    uhat = np.einsum("kij,kj->ki", resolvent, _on_band(f.coefficients, K))
+def _coefficients(spec: ProblemSpec, resolvent: np.ndarray) -> np.ndarray:
+    """uhat(k) = M(k)^{-1} fhat(k) on the band of the checked inverse,
+    assembled conjugate-symmetrically from k >= 0 for real data."""
+    K = (resolvent.shape[0] - 1) // 2
+    uhat = np.einsum("kij,kj->ki", resolvent, _on_band(spec.forcing.coefficients, K))
     if spec.is_real:
         uhat[K] = np.real(uhat[K])
         uhat[:K] = np.conj(uhat[:K:-1])
-
-    rhat = _defect(spec, modal, uhat)
-    return SpectralSolution(
-        solution=PeriodicGridFunction.from_coefficients(uhat, spec.grid),
-        modes=mode_range(K),
-        coefficients=uhat,
-        condition=condition,
-        truncation=K,
-        residual_modal=float(np.max(np.linalg.norm(_centre(rhat, K), axis=1))),
-        residual_grid=_grid_max(spec, rhat),
-        forcing_tail_energy=tail_energy,
-    )
+    return uhat
 
 
 def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> SpectralSolution:
@@ -124,10 +103,32 @@ def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> Spectra
     values are real to round-off.  Problem data counts as real only when its
     imaginary parts are exactly zero; forcing samples may carry round-off.
     """
+    f = spec.forcing
     K = spec.truncation
-    modal = ModeSymbols.from_spec(spec, max(K, spec.forcing.bandwidth)).modal(spec.state_matrix)
+    modal = ModeSymbols.from_spec(spec, max(K, f.bandwidth)).modal(spec.state_matrix)
     resolvent, condition = _checked_inverse(mode_range(K), _centre(modal, K), cond_limit)
-    return _solve(spec, modal, resolvent, condition)
+    inside, outside = f.band_energy_split(K)
+    total = inside + outside
+    tail_energy = float(np.sqrt(outside / total)) if total > 0.0 else 0.0
+    if tail_energy > 0.0:
+        warnings.warn(
+            f"forcing bandwidth {f.bandwidth} exceeds truncation "
+            f"{K}; dropped relative tail energy {tail_energy:.3e}",
+            TruncationWarning,
+            stacklevel=2,
+        )
+    uhat = _coefficients(spec, resolvent)
+    rhat = _defect(spec, modal, uhat)
+    return SpectralSolution(
+        solution=PeriodicGridFunction(uhat, spec.grid),
+        modes=mode_range(K),
+        coefficients=uhat,
+        condition=condition,
+        truncation=K,
+        residual_modal=float(np.max(np.linalg.norm(_centre(rhat, K), axis=1))),
+        residual_grid=_grid_max(rhat, spec.grid),
+        forcing_tail_energy=tail_energy,
+    )
 
 
 def residual(spec: ProblemSpec, u: PeriodicGridFunction) -> float:
@@ -139,7 +140,7 @@ def residual(spec: ProblemSpec, u: PeriodicGridFunction) -> float:
     """
     band = max(u.bandwidth, spec.forcing.bandwidth)
     modal = ModeSymbols.from_spec(spec, band).modal(spec.state_matrix)
-    return _grid_max(spec, _defect(spec, modal, u.coefficients))
+    return _grid_max(_defect(spec, modal, u.coefficients), spec.grid)
 
 
 @dataclass
@@ -170,44 +171,41 @@ class SweepResult:
 
 def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
                       cond_limit: float = COND_LIMIT) -> SweepResult:
-    """Residual-vs-truncation table for an ascending list of bandwidths.
+    """Residual-vs-truncation table for a strictly ascending list of bandwidths.
 
-    Each row solves at bandwidth K and reports the residual measured against
+    One symbol table, one checked inversion and one solve on the widest band
+    serve every row: row K reads the solve's coefficients on |k| <= K, which
+    are the solve at truncation K.  It reports the residual measured against
     the forcing at its full stored bandwidth plus the max-norm change from the
-    previous solution.  ``slow_convergence`` is True when the final
-    per-doubling residual ratio exceeds 0.3: analytic forcing contracts like
-    r^K per doubling, while forcing with a jump keeps the ratio near 1, so the
-    threshold separates the two by orders of magnitude.  The flag is None when
-    fewer than three doubling steps are available.  One symbol table and one
-    checked inversion on the widest band serve every row; a rejected mode
-    raises SingularModeError as the first row whose band holds it would.
+    previous row, both synthesised on one grid.  ``slow_convergence`` is True
+    when the final per-doubling residual ratio exceeds 0.3: analytic forcing
+    contracts like r^K per doubling, while forcing with a jump keeps the ratio
+    near 1, so the threshold separates the two by orders of magnitude.  The
+    flag is None when fewer than three doubling steps are available.  A
+    rejected mode raises SingularModeError as the first row whose band holds
+    it would.
     """
     truncations = [int(k) for k in truncations]
-    if truncations != sorted(truncations):
-        raise ValueError("truncation list must be ascending")
+    if any(a >= b for a, b in zip(truncations, truncations[1:])):
+        raise ValueError("truncation list must be strictly ascending")
     f = spec.forcing
-    n_grid = max(spec.grid, 4 * max(truncations), f.n_samples)
     widest = truncations[-1]
+    n_grid = max(spec.grid, 4 * widest, f.n_samples)
     modal = ModeSymbols.from_spec(spec, max(widest, f.bandwidth)).modal(spec.state_matrix)
-    resolvent, condition = _checked_inverse(mode_range(widest), _centre(modal, widest),
-                                            cond_limit, bands=truncations)
+    resolvent, _ = _checked_inverse(mode_range(widest), _centre(modal, widest),
+                                    cond_limit, bands=truncations)
+    uhat = _coefficients(spec, resolvent)
     rows: List[SweepRow] = []
     ratios = []
-    prev: Optional[PeriodicGridFunction] = None
-    prev_res: Optional[float] = None
+    prev: Optional[np.ndarray] = None
     for K in truncations:
-        sub = replace(spec, truncation=K, grid=n_grid)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            sol = _solve(sub, _centre(modal, max(K, f.bandwidth)),
-                         _centre(resolvent, K), _centre(condition, K))
-        u = sol.solution
-        res = sol.residual_grid
-        change = (u - prev).max_norm() if prev is not None else None
+        u = _centre(uhat, K)
+        res = _grid_max(_defect(spec, _centre(modal, max(K, f.bandwidth)), u), n_grid)
+        change = None if prev is None else _grid_max(u - _on_band(prev, K), n_grid)
+        if rows and rows[-1].residual_full_band > 0.0:
+            ratios.append(res / rows[-1].residual_full_band)
         rows.append(SweepRow(K, res, change))
-        if prev_res is not None and prev_res > 0.0:
-            ratios.append(res / prev_res)
-        prev, prev_res = u, res
+        prev = u
 
     scale = max(f.max_norm(), 1.0)
     if rows[-1].residual_full_band <= 1e-11 * scale:

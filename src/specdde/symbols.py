@@ -2,8 +2,10 @@
 
 Conventions used throughout the package:
 
-* functions are 2*pi-periodic and sampled at the uniform nodes t_j = 2*pi*j/N;
+* functions are 2*pi-periodic;
 * the k-th Fourier coefficient of f is fhat(k) = (1/2pi) int_0^{2pi} e^{-ikt} f(t) dt;
+* a grid function is its coefficients on |k| <= K; its samples at the
+  uniform nodes t_j = 2*pi*j/N (N >= 2K+1) are their synthesis, made on demand;
 * the history segment of u at time t is u_t(theta) = u(t + theta), theta in [-r, 0];
 * applying a delay functional to the pure mode e^{ikt} v multiplies v by a fixed
   matrix, the mode symbol of the functional.  Mode symbols are what the solver
@@ -23,7 +25,9 @@ different modes are independent and may run concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -426,7 +430,7 @@ def analyze(samples, bandwidth: Optional[int] = None) -> np.ndarray:
 
     Parameters
     ----------
-    samples : ndarray (N,) or (N, n) or PeriodicGridFunction
+    samples : ndarray (N,) or (N, n)
     bandwidth : int, optional
         Largest retained |k|; defaults to (N-1)//2.
 
@@ -437,8 +441,6 @@ def analyze(samples, bandwidth: Optional[int] = None) -> np.ndarray:
     Exact to round-off for trigonometric polynomials of degree <= K when
     N >= 2K+1; raises AliasingError otherwise.
     """
-    if isinstance(samples, PeriodicGridFunction):
-        samples = samples.samples
     samples = np.asarray(samples)
     if samples.ndim == 1:
         samples = samples[:, None]
@@ -455,58 +457,36 @@ def analyze(samples, bandwidth: Optional[int] = None) -> np.ndarray:
 
 
 class PeriodicGridFunction:
-    """A 2*pi-periodic vector-valued function held two ways at once:
+    """A 2*pi-periodic vector-valued function: its Fourier coefficients on
+    |k| <= K and the number N >= 2K+1 of uniform nodes t_j = 2*pi*j/N it is
+    sampled on.
 
-    uniform samples at t_j = 2*pi*j/N and Fourier coefficients on |k| <= K.
-    The pair is kept consistent (N >= 2K+1, so analysis/synthesis round-trips
-    on the stored band).
+    The coefficients are the function.  ``samples`` is their synthesis on the
+    N nodes, computed the first time it is read and kept; nothing else runs
+    a transform.
     """
 
-    def __init__(self, samples: np.ndarray, coefficients: np.ndarray):
-        samples = np.asarray(samples, dtype=complex)
-        if samples.ndim == 1:
-            samples = samples[:, None]
+    def __init__(self, coefficients, n_samples: int):
         coefficients = np.asarray(coefficients, dtype=complex)
         if coefficients.ndim == 1:
             coefficients = coefficients[:, None]
         if coefficients.shape[0] % 2 == 0:
             raise ValueError("coefficient array must cover modes -K..K (odd length)")
-        if coefficients.shape[1] != samples.shape[1]:
-            raise DimensionError("samples and coefficients disagree on dimension")
         bandwidth = (coefficients.shape[0] - 1) // 2
-        if samples.shape[0] < 2 * bandwidth + 1:
-            raise AliasingError(
-                f"N={samples.shape[0]} too small for bandwidth K={bandwidth}"
-            )
-        self.samples = samples
+        n_samples = operator.index(n_samples)
+        if n_samples < 2 * bandwidth + 1:
+            raise AliasingError(f"N={n_samples} too small for bandwidth K={bandwidth}")
         self.coefficients = coefficients
+        self.n_samples = n_samples
         self.bandwidth = bandwidth
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_samples(cls, samples, bandwidth: Optional[int] = None) -> "PeriodicGridFunction":
-        coeffs = analyze(samples, bandwidth)
-        samples = np.asarray(samples, dtype=complex)
-        if samples.ndim == 1:
-            samples = samples[:, None]
-        return cls(samples, coeffs)
-
-    @classmethod
-    def from_coefficients(cls, coefficients, n_samples: int) -> "PeriodicGridFunction":
-        coefficients = np.asarray(coefficients, dtype=complex)
-        if coefficients.ndim == 1:
-            coefficients = coefficients[:, None]
-        bandwidth = (coefficients.shape[0] - 1) // 2
-        if n_samples < 2 * bandwidth + 1:
-            raise AliasingError(
-                f"N={n_samples} too small for bandwidth K={bandwidth}"
-            )
-        spectrum = np.zeros((n_samples, coefficients.shape[1]), dtype=complex)
-        ks = mode_range(bandwidth)
-        spectrum[np.mod(ks, n_samples)] = coefficients
-        samples = np.fft.ifft(spectrum * n_samples, axis=0)
-        return cls(samples, coefficients)
+        """The band |k| <= bandwidth of uniform samples, all of it by default;
+        an even N's Nyquist mode lies outside every such band and is dropped."""
+        return cls(analyze(samples, bandwidth), len(samples))
 
     @classmethod
     def from_harmonics(cls, cos=(), sin=(), const=0.0, dim: Optional[int] = None,
@@ -539,21 +519,24 @@ class PeriodicGridFunction:
             coeffs[bandwidth - m] = (c + 1j * s) / 2.0
         if n_samples is None:
             n_samples = max(4 * bandwidth, 2 * bandwidth + 1, 16)
-        return cls.from_coefficients(coeffs, n_samples)
+        return cls(coeffs, n_samples)
 
     @classmethod
     def zero(cls, dim: int = 1, n_samples: int = 16) -> "PeriodicGridFunction":
-        return cls.from_coefficients(np.zeros((1, dim)), n_samples)
+        return cls(np.zeros((1, dim)), n_samples)
 
     # -- accessors ---------------------------------------------------------
 
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
+    @functools.cached_property
+    def samples(self) -> np.ndarray:
+        """Values at the N nodes, shape (N, n): one inverse FFT, on first read."""
+        spectrum = np.zeros((self.n_samples, self.dim), dtype=complex)
+        spectrum[np.mod(mode_range(self.bandwidth), self.n_samples)] = self.coefficients
+        return np.fft.ifft(spectrum * self.n_samples, axis=0)
 
     @property
     def dim(self) -> int:
-        return self.samples.shape[1]
+        return self.coefficients.shape[1]
 
     @property
     def nodes(self) -> np.ndarray:
@@ -572,17 +555,13 @@ class PeriodicGridFunction:
     # -- operations --------------------------------------------------------
 
     def resample(self, n_samples: int) -> "PeriodicGridFunction":
-        return PeriodicGridFunction.from_coefficients(self.coefficients, n_samples)
+        return PeriodicGridFunction(self.coefficients, n_samples)
 
     def derivative(self) -> "PeriodicGridFunction":
         ks = mode_range(self.bandwidth)
-        return PeriodicGridFunction.from_coefficients(
-            (1j * ks)[:, None] * self.coefficients, self.n_samples
-        )
+        return PeriodicGridFunction((1j * ks)[:, None] * self.coefficients, self.n_samples)
 
     def max_norm(self) -> float:
-        if self.samples.size == 0:
-            return 0.0
         return float(np.max(np.linalg.norm(self.samples, axis=1)))
 
     def lp_norm(self, p: float) -> float:
@@ -614,7 +593,7 @@ class PeriodicGridFunction:
         coeffs[bandwidth - self.bandwidth: bandwidth + self.bandwidth + 1] = self.coefficients
         other_block = other.coefficients if sign > 0 else -other.coefficients
         coeffs[bandwidth - other.bandwidth: bandwidth + other.bandwidth + 1] += other_block
-        return PeriodicGridFunction.from_coefficients(coeffs, n_samples)
+        return PeriodicGridFunction(coeffs, n_samples)
 
     def __add__(self, other):
         return self._binary(other, +1)
@@ -623,7 +602,7 @@ class PeriodicGridFunction:
         return self._binary(other, -1)
 
     def __mul__(self, factor):
-        return PeriodicGridFunction(factor * self.samples, factor * self.coefficients)
+        return PeriodicGridFunction(factor * self.coefficients, self.n_samples)
 
     __rmul__ = __mul__
 

@@ -22,3 +22,17 @@ def regression_specs():
 @pytest.fixture
 def smooth_suite():
     return problems.smooth_suite()
+
+
+@pytest.fixture
+def inverse_ffts(monkeypatch):
+    """The length of every ``np.fft.ifft`` the package runs while the test does."""
+    lengths = []
+    inverse = np.fft.ifft
+
+    def counted(a, n=None, axis=-1, *args, **kwargs):
+        lengths.append(np.shape(a)[axis] if n is None else n)
+        return inverse(a, n, axis, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    return lengths

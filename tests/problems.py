@@ -41,7 +41,7 @@ def scalar_neutral():
     return ProblemSpec(
         state_matrix=[[-1.0]],
         neutral_delay=DelayFunctional(dim=1, atoms=[(0.5, TWO_PI)]),
-        forcing=PeriodicGridFunction.from_coefficients([0.0, 0.0, 1.0], 16),
+        forcing=PeriodicGridFunction([0.0, 0.0, 1.0], 16),
         truncation=4,
         grid=16,
     )

@@ -29,13 +29,13 @@ TWO_PI = 2.0 * np.pi
 def _single_mode(k, value=1.0, n_samples=64):
     coeffs = np.zeros(2 * abs(k) + 1, dtype=complex)
     coeffs[k + abs(k)] = value
-    return PeriodicGridFunction.from_coefficients(coeffs, n_samples)
+    return PeriodicGridFunction(coeffs, n_samples)
 
 
 def _random_band(gen, bandwidth=16, dim=1, n_samples=None):
     coeffs = gen.normal(size=(2 * bandwidth + 1, dim)) \
         + 1j * gen.normal(size=(2 * bandwidth + 1, dim))
-    return PeriodicGridFunction.from_coefficients(coeffs, n_samples or 4 * bandwidth)
+    return PeriodicGridFunction(coeffs, n_samples or 4 * bandwidth)
 
 
 class TestPartition:
@@ -88,7 +88,7 @@ class TestBesovNorm:
 
     def test_single_low_mode(self):
         params = BesovParams(s=0.7, p=2.0, q=1.5)
-        f = PeriodicGridFunction.from_coefficients([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]], 16)
+        f = PeriodicGridFunction([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]], 16)
         # only block zero is active; L2 of a unit mode is sqrt(2*pi) per component
         assert besov_norm(f, params) == pytest.approx(
             np.sqrt(TWO_PI) * 5.0, rel=1e-12
@@ -152,7 +152,7 @@ class TestBesovNorm:
         f = _random_band(rng, bandwidth=16)
         coeffs = f.coefficients.copy()
         coeffs[f.bandwidth] = 0.0
-        f = PeriodicGridFunction.from_coefficients(coeffs, f.n_samples)
+        f = PeriodicGridFunction(coeffs, f.n_samples)
         n1 = besov_norm(f, BesovParams(s=0.5))
         n2 = besov_norm(f, BesovParams(s=1.5))
         assert n2 >= n1
@@ -189,10 +189,10 @@ class TestBesovNorm:
         # weight, levels 3..7 of K = 40 do not
         coeffs = np.zeros((81, 2), dtype=complex)
         coeffs[37:44] = _hermitian(np.random.default_rng(8), 3, 2)
-        f = PeriodicGridFunction.from_coefficients(coeffs, 162)
+        f = PeriodicGridFunction(coeffs, 162)
         params = BesovParams(s=1.0, p=3.0, q=2.0)
         n_quad = 4 * 81
-        expected = np.array([PeriodicGridFunction.from_coefficients(
+        expected = np.array([PeriodicGridFunction(
             partition_eval(level, mode_range(40))[:, None] * coeffs, n_quad).lp_norm(3.0)
             for level in range(8)])
         shapes = []
@@ -229,7 +229,7 @@ def _column_wise_report(f, params):
     """``besov_norm_report`` with every block synthesised column by column."""
     n = f.n_samples if params.p == 2.0 else max(f.n_samples, 4 * (2 * f.bandwidth + 1))
     lengths = (n,) if params.p == 2.0 else (n, _seven_smooth(2 * n))
-    table = np.array([[PeriodicGridFunction.from_coefficients(
+    table = np.array([[PeriodicGridFunction(
         weights[:, None] * f.coefficients, m).lp_norm(params.p) for m in lengths]
         for weights in _partition_weights(f.bandwidth)])
     norm = _combine_blocks(table[:, 0], params)
@@ -257,7 +257,7 @@ class TestRealRows:
     @pytest.mark.parametrize("name, coeffs, rows", ROW_SPLIT_CASES,
                              ids=[case[0] for case in ROW_SPLIT_CASES])
     def test_norms_match_the_column_wise_synthesis(self, name, coeffs, rows, p):
-        f = PeriodicGridFunction.from_coefficients(coeffs, 40)
+        f = PeriodicGridFunction(coeffs, 40)
         params = BesovParams(s=1.0, p=p, q=2.0)
         norm, blocks, error = _column_wise_report(f, params)
         report = besov_norm_report(f, params)
@@ -277,8 +277,8 @@ class TestRealRows:
     def test_rows_carry_the_pointwise_squared_norm(self, rng):
         coeffs = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
         modes, split = _real_rows(coeffs)
-        columns = PeriodicGridFunction.from_coefficients(coeffs, 16).samples
-        squared = sum(np.abs(PeriodicGridFunction.from_coefficients(row, 16).samples[:, 0]) ** 2
+        columns = PeriodicGridFunction(coeffs, 16).samples
+        squared = sum(np.abs(PeriodicGridFunction(row, 16).samples[:, 0]) ** 2
                       for row in split)
         assert np.allclose(squared, np.sum(np.abs(columns) ** 2, axis=1), rtol=1e-14)
 
@@ -340,7 +340,7 @@ class TestDerivativeShift:
         for _ in range(25):
             coeffs = _random_band(rng, bandwidth=32).coefficients
             coeffs[32] = 0.0
-            family.append(PeriodicGridFunction.from_coefficients(coeffs, 256))
+            family.append(PeriodicGridFunction(coeffs, 256))
         ratios = [besov_norm(f.derivative(), self.S1) / besov_norm(f, self.S2)
                   for f in family]
         assert max(ratios) / min(ratios) <= 4.0
@@ -352,7 +352,7 @@ class TestMultiplierRatio:
         params = BesovParams(s=1.0)
         coeffs = np.zeros((7, 1), dtype=complex)
         coeffs[6] = 3j / (1.0 + 3j)
-        image = PeriodicGridFunction.from_coefficients(coeffs, 64)
+        image = PeriodicGridFunction(coeffs, 64)
         assert besov_norm(image, params) / besov_norm(_single_mode(3), params) == pytest.approx(
             3.0 / np.sqrt(10.0), rel=1e-12)
 
@@ -364,7 +364,7 @@ class TestMultiplierRatio:
         symbols = np.stack([[[1.0, 0.5 * k], [0.0, 2.0]] for k in ks])
         for _ in range(10):
             f = _random_band(rng, bandwidth=6, dim=2)
-            image = PeriodicGridFunction.from_coefficients(
+            image = PeriodicGridFunction(
                 np.einsum("kij,kj->ki", symbols, f.coefficients), f.n_samples)
             sup = np.max(np.linalg.norm(symbols, 2, axis=(1, 2)))
             assert besov_norm(image, params) <= sup * besov_norm(f, params) * (1.0 + 1e-12)
@@ -375,8 +375,7 @@ class TestMultiplierRatio:
         symbol = 1.0 / (1.0 + 1j * mode_range(16))
         for _ in range(20):
             f = _random_band(rng, bandwidth=16)
-            image = PeriodicGridFunction.from_coefficients(
-                symbol[:, None] * f.coefficients, f.n_samples)
+            image = PeriodicGridFunction(symbol[:, None] * f.coefficients, f.n_samples)
             assert besov_norm(image, params) <= besov_norm(f, params) * (1.0 + 1e-12)
 
 
@@ -387,7 +386,7 @@ class TestParseval:
     @pytest.mark.parametrize("f", [
         _single_mode(1),
         PeriodicGridFunction.from_harmonics(const=3.0, n_samples=16),
-        PeriodicGridFunction.from_coefficients([0.0, 0.0, 0.0, 1.0, 1.0], 16),
+        PeriodicGridFunction([0.0, 0.0, 0.0, 1.0, 1.0], 16),
     ], ids=["mode_one", "constant", "two_modes"])
     def test_l2_norm_is_the_coefficient_norm(self, f):
         assert f.lp_norm(2.0) == pytest.approx(

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import problems
-from specdde import ModeSymbols, cli
+from specdde import ModeSymbols, cli, convergence_sweep, m_bounded_diagnostics
 from specdde.config import parse_config
 from specdde.solver import solve_periodic
 
@@ -97,6 +97,24 @@ def test_solve_report_gives_the_condition_range(tmp_path):
     assert list(condition) == ["max", "min", "worst_mode"]
     assert condition["max"] == np.max(expected) and condition["min"] == np.min(expected)
     assert condition["worst_mode"] == modes[np.argmax(expected)]
+
+
+def test_sweep_synthesises_twice_per_row_and_diagnose_never(inverse_ffts):
+    config = parse_config(json.dumps(TINY))
+    spec = config.problem
+    m_bounded_diagnostics(spec, config.window)
+    assert inverse_ffts == []
+    convergence_sweep(spec, config.truncation_sweep)
+    # each row's residual and, after the first, its change; the forcing's own
+    # 16-point grid is not the sweep's
+    n_grid = max(spec.grid, 4 * config.truncation_sweep[-1], spec.forcing.n_samples)
+    assert n_grid != spec.forcing.n_samples
+    assert inverse_ffts.count(n_grid) == 2 * len(config.truncation_sweep) - 1
+
+
+def test_absent_N_is_the_problem_default_echoed():
+    config = parse_config(json.dumps(TINY))
+    assert config.problem.grid == 4 * TINY["K"] == config.resolved["N"]
 
 
 def test_seed_is_an_unknown_field(tmp_path):
@@ -543,6 +561,8 @@ INVALID_FIELDS = [
                  ["problem.forcing.const"], id="n_inferred_from_A"),
     pytest.param(_mutated(TINY, ("besov",), {"s": -1.0}), ["besov"], id="nonpositive_s"),
     pytest.param(_mutated(TINY, ("K_list",), [4, 2, 8]), ["K_list"], id="K_list_not_ascending"),
+    pytest.param(_mutated(TINY, ("K_list",), [4, 4, 8]), ["K_list"], id="K_list_repeated"),
+    pytest.param(_mutated(TINY, ("N_list",), [32, 32]), ["N_list"], id="N_list_repeated"),
     pytest.param(_mutated(TINY, ("tolerances",), {"residual": 1e-9}), ["tolerances.residual"],
                  id="unknown_tolerance"),
 ]

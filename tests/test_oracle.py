@@ -140,7 +140,7 @@ def test_folded_nodal_values_are_the_trigonometric_sum(n_nodes):
     K = 20
     gen = np.random.default_rng(n_nodes)
     coeffs = gen.normal(size=(2 * K + 1, 2)) + 1j * gen.normal(size=(2 * K + 1, 2))
-    grid = PeriodicGridFunction.from_coefficients(coeffs, 2 * K + 1)
+    grid = PeriodicGridFunction(coeffs, 2 * K + 1)
     nodes = TWO_PI * np.arange(n_nodes) / n_nodes
     direct = np.exp(1j * np.outer(nodes, mode_range(K))) @ coeffs
     assert np.allclose(_nodal_values(grid, n_nodes), direct, rtol=0.0, atol=1e-12)
@@ -150,7 +150,7 @@ def test_folded_nodal_values_are_the_trigonometric_sum(n_nodes):
 def test_nodal_values_are_the_resampled_grid_when_nothing_folds(n_nodes):
     gen = np.random.default_rng(2)
     coeffs = gen.normal(size=(41, 1)) + 1j * gen.normal(size=(41, 1))
-    grid = PeriodicGridFunction.from_coefficients(coeffs, 64)
+    grid = PeriodicGridFunction(coeffs, 64)
     assert np.array_equal(_nodal_values(grid, n_nodes), grid.resample(n_nodes).samples)
 
 

@@ -202,7 +202,7 @@ class TestResidual:
         direction /= np.linalg.norm(direction)
         coeffs = np.zeros((2 * K + 1, spec.dim), dtype=complex)
         coeffs[-1] = eps * direction
-        bump = PeriodicGridFunction.from_coefficients(coeffs, spec.grid)
+        bump = PeriodicGridFunction(coeffs, spec.grid)
         perturbed = sol.solution + bump
         modal_k = ModeSymbols.from_spec(spec, K).modal(spec.state_matrix)[-1]
         expected = eps * np.linalg.norm(modal_k @ direction)
@@ -217,7 +217,7 @@ class TestResidual:
         sol = solve_periodic(spec)
         coeffs = 1e-3 * (rng.normal(size=(2 * spec.truncation + 1, 1))
                          + 1j * rng.normal(size=(2 * spec.truncation + 1, 1)))
-        delta = PeriodicGridFunction.from_coefficients(coeffs, spec.grid)
+        delta = PeriodicGridFunction(coeffs, spec.grid)
         got = residual(spec, sol.solution + delta)
         assert got >= fam_min * delta.max_norm() / (2 * spec.truncation + 1)
         assert got > 1e-6
@@ -227,11 +227,11 @@ class TestSolveProperties:
     def test_linearity(self, rng):
         spec = problems.scalar_full()
         K = spec.truncation
-        f1 = PeriodicGridFunction.from_coefficients(
+        f1 = PeriodicGridFunction(
             rng.normal(size=(2 * K + 1, 1)) + 1j * rng.normal(size=(2 * K + 1, 1)),
             spec.grid,
         )
-        f2 = PeriodicGridFunction.from_coefficients(
+        f2 = PeriodicGridFunction(
             rng.normal(size=(2 * K + 1, 1)) + 1j * rng.normal(size=(2 * K + 1, 1)),
             spec.grid,
         )
@@ -335,3 +335,7 @@ class TestConvergenceSweep:
     def test_rejects_unsorted_list(self):
         with pytest.raises(ValueError):
             convergence_sweep(problems.scalar_basic(), [8, 4])
+
+    def test_rejects_repeated_truncation(self):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            convergence_sweep(problems.scalar_basic(), [4, 4])

@@ -407,9 +407,9 @@ class TestAnalyzeSynthesize:
             analyze(np.zeros(8), bandwidth=4)
 
     def test_synthesize_constant_and_cosine(self):
-        const = PeriodicGridFunction.from_coefficients([1.5], 8)
+        const = PeriodicGridFunction([1.5], 8)
         assert np.allclose(const.samples[:, 0], 1.5)
-        cosine = PeriodicGridFunction.from_coefficients([0.5, 0.0, 0.5], 16)
+        cosine = PeriodicGridFunction([0.5, 0.0, 0.5], 16)
         assert np.allclose(cosine.samples[:, 0], np.cos(cosine.nodes), atol=1e-14)
 
     @settings(max_examples=25, deadline=None)
@@ -417,7 +417,7 @@ class TestAnalyzeSynthesize:
     def test_round_trip_on_random_band(self, seed):
         gen = np.random.default_rng(seed)
         coeffs = gen.normal(size=(17, 2)) + 1j * gen.normal(size=(17, 2))
-        f = PeriodicGridFunction.from_coefficients(coeffs, 32)
+        f = PeriodicGridFunction(coeffs, 32)
         back = analyze(f.samples, bandwidth=8)
         assert np.max(np.abs(back - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
 
@@ -442,6 +442,24 @@ class TestAnalyzeSynthesize:
         d = f.derivative()
         assert np.allclose(d.samples[:, 0], -np.sin(d.nodes), atol=1e-14)
 
+    def test_building_a_grid_function_runs_no_synthesis(self, inverse_ffts):
+        f = PeriodicGridFunction([0.5, 0.0, 0.5], 16)
+        g = PeriodicGridFunction.from_harmonics(cos=[1.0], sin=[0.0, 2.0])
+        built = [PeriodicGridFunction.zero(2, 32), f.resample(64), g.derivative(),
+                 f + g, f - g, 2.0 * g, g * 0.5]
+        assert inverse_ffts == []
+        samples = f.samples
+        assert inverse_ffts == [16]
+        assert f.samples is samples and inverse_ffts == [16]
+        assert np.allclose(built[-2].samples, 2.0 * g.samples, atol=1e-14)
+
+    def test_samples_are_the_synthesis_of_the_coefficients(self):
+        # the Nyquist mode of an even grid lies outside every band |k| < N/2
+        f = PeriodicGridFunction.from_samples([1.0, -1.0, 1.0, -1.0])
+        assert f.bandwidth == 1 and f.n_samples == 4
+        assert f.max_norm() == 0.0 and f.lp_norm(2.0) == 0.0
+        assert np.array_equal(f.samples, (f - PeriodicGridFunction.zero(1, 4)).samples)
+
 
 class TestSymbolOperatorConsistency:
     """Applying the functional on the grid must match coefficient-wise action."""
@@ -450,7 +468,7 @@ class TestSymbolOperatorConsistency:
         gen = np.random.default_rng(7)
         coeffs = gen.normal(size=(2 * K + 1, functional.dim)) \
             + 1j * gen.normal(size=(2 * K + 1, functional.dim))
-        u = PeriodicGridFunction.from_coefficients(coeffs, 4 * K)
+        u = PeriodicGridFunction(coeffs, 4 * K)
 
         def u_eval(t):
             ks = mode_range(K)
@@ -495,7 +513,7 @@ class TestSymbolOperatorConsistency:
         K = 3
         gen = np.random.default_rng(11)
         coeffs = gen.normal(size=(2 * K + 1, 1)) + 1j * gen.normal(size=(2 * K + 1, 1))
-        u = PeriodicGridFunction.from_coefficients(coeffs, 16)
+        u = PeriodicGridFunction(coeffs, 16)
         ks = mode_range(K)
 
         def u_eval(t):
