@@ -3,7 +3,12 @@
 One command per process; a report is one line of RFC 8259 JSON in UTF-8
 (the standard library's default separators, then one LF), with fixed field
 order and floats in Python's shortest round-trip form, so identical configs
-produce byte-identical files.  Exit codes: 0 success, 2 solvability failure
+produce byte-identical files.  The solve report's ``coefficients`` block is
+formatted by a template, not by the encoder, but it is the bytes the
+standard encoder would write for its list of ``{"k", "value": [{"re",
+"im"}, ...]}`` objects.  A side file is CSV: a header line of column names,
+then one line per row, each cell in ``str`` form, comma-separated, every
+line ended by one LF.  Exit codes: 0 success, 2 solvability failure
 (singular mode or singular collocation system), 3 validation failure (an
 invalid document, or values a command cannot use: an off-grid lag or a grid
 too coarse for a bandwidth) or a ``non_finite`` result (a NaN or infinity in
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,17 +52,40 @@ def _plain(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _write_json(path: Path, obj) -> None:
-    """RFC 8259 JSON on one line plus a trailing LF.  Without ``indent`` the
-    standard library encodes in C; a NaN or infinity raises ValueError and
-    writes nothing."""
-    path.write_text(json.dumps(obj, ensure_ascii=False, allow_nan=False,
-                               default=_plain) + "\n",
-                    encoding="utf-8", newline="\n")
+@dataclass(frozen=True)
+class _Encoded:
+    """A report value already encoded as JSON ``text``; ``finite`` says
+    whether every number it encodes is finite, since a template writes a
+    NaN as ``nan`` where the encoder would refuse it."""
+
+    text: str
+    finite: bool
+
+
+def _write_json(path: Path, report: dict) -> None:
+    """RFC 8259 JSON on one line plus a trailing LF.  Each value of the
+    report is encoded by the standard library, in C (it encodes in C only
+    without ``indent``), and an ``_Encoded`` value is spliced in as it is,
+    in its place in the field order, with the encoder's separators.  A NaN
+    or infinity raises ValueError and writes nothing."""
+    encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False, default=_plain).encode
+    items = []
+    for key, value in report.items():
+        if isinstance(value, _Encoded):
+            if not value.finite:
+                raise ValueError(f"NaN or infinity in {key}")
+            text = value.text
+        else:
+            text = encode(value)
+        items.append(f"{encode(key)}: {text}")
+    path.write_text("{" + ", ".join(items) + "}\n", encoding="utf-8", newline="\n")
 
 
 def _finite(obj) -> bool:
-    """Whether obj holds no NaN or infinity (an array is checked directly)."""
+    """Whether obj holds no NaN or infinity (an array is checked directly,
+    and a pre-encoded block gives its own flag)."""
+    if isinstance(obj, _Encoded):
+        return obj.finite
     if isinstance(obj, np.ndarray):
         return bool(np.isfinite(obj).all())
     try:
@@ -67,18 +96,35 @@ def _finite(obj) -> bool:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """One line per row, each cell in ``str`` form; the cells are formatted
-    column by column, which keeps the per-cell work in C."""
-    columns = rows.T.tolist() if isinstance(rows, np.ndarray) else zip(*rows)
-    lines = [",".join(header), *map(",".join, zip(*[map(str, c) for c in columns]))]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """The header line, then one line per row of ``rows`` (an array or a
+    list of tuples), each cell in ``str`` form, comma-separated, each line
+    ended by LF.  One ``%s`` template formats every cell: ``%s`` is
+    ``str``, and the cells are Python objects (an array's become floats)."""
+    cells = np.asarray(rows, dtype=object).ravel().tolist()
+    line = ",".join(["%s"] * len(header)) + "\n"
+    body = (line * len(rows)) % tuple(cells)
+    path.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")
+
+
+def _coefficients_json(modes, coefficients) -> _Encoded:
+    """The JSON text of ``[{"k": k, "value": [{"re": .., "im": ..}, ...]}, ...]``,
+    one object per mode, in the bytes the standard encoder writes: ``%d`` of
+    an int is ``int.__repr__`` and ``%r`` of a float is ``float.__repr__``,
+    the forms the encoder calls."""
+    parts = np.ascontiguousarray(coefficients, dtype=complex).view(float)
+    value = ", ".join(['{"re": %r, "im": %r}'] * (parts.shape[1] // 2))
+    row = '{"k": %d, "value": [' + value + "]}"
+    cells = np.column_stack([np.asarray(modes, dtype=object), parts]).ravel().tolist()
+    text = "[" + ", ".join([row] * len(parts)) % tuple(cells) + "]"
+    return _Encoded(text, bool(np.isfinite(parts).all()))
 
 
 def _solution_csv(solution):
     grid = solution.solution
-    parts = ("",) if grid.is_real else ("_re", "_im")
+    real = grid.is_real
+    parts = ("",) if real else ("_re", "_im")
     header = ["t"] + [f"u{i}{part}" for i in range(grid.dim) for part in parts]
-    values = (grid.samples.real if grid.is_real
+    values = (grid.samples.real if real
               else np.stack([grid.samples.real, grid.samples.imag], axis=2))
     table = np.column_stack([grid.nodes, values.reshape(len(grid.nodes), -1)])
     return "solution.csv", header, table
@@ -96,10 +142,7 @@ def _run_solve(config: RunConfig, report: dict):
     report["condition"] = {"max": cond.max(), "min": cond.min(),
                            "worst_mode": solution.modes[np.argmax(cond)]}
     report["solution_csv"] = "solution.csv"
-    # plain lists and dicts, so the C encoder never calls back into _plain
-    report["coefficients"] = [
-        {"k": k, "value": [{"re": z.real, "im": z.imag} for z in row]}
-        for k, row in zip(solution.modes.tolist(), solution.coefficients.tolist())]
+    report["coefficients"] = _coefficients_json(solution.modes, solution.coefficients)
     return [_solution_csv(solution)]
 
 

@@ -1,6 +1,7 @@
 """Batch front end: every command end to end, the exit-code contract, and
 tolerances taken from the configuration."""
 
+import gc
 import json
 import os
 import re
@@ -269,6 +270,30 @@ def test_non_finite_result_is_an_error_without_side_files(tmp_path, doc, command
     assert sorted(p.name for p in out.iterdir()) == [f"{command}_report.json"]
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "imaginary-inf"])
+def test_non_finite_coefficients_alone_are_an_error_without_side_files(
+        tmp_path, monkeypatch, value):
+    # the residuals and the solution grid stay finite; only the block the
+    # report holds pre-encoded carries the NaN or infinity
+    solve = cli.solve_periodic
+
+    def patched(spec, **kwargs):
+        solution = solve(spec, **kwargs)
+        coefficients = solution.coefficients.copy()
+        coefficients[TINY["K"] - 1, 1] = value
+        return replace(solution, coefficients=coefficients)
+
+    monkeypatch.setattr(cli, "solve_periodic", patched)
+    code, out = run(tmp_path, "solve", TINY)
+    assert code == 3
+    report = report_of(out, "solve")
+    assert list(report) == ["version", "command", "config", "error", "exit_code"]
+    assert report["error"] == {"type": "non_finite",
+                               "message": "NaN or infinity in coefficients"}
+    assert sorted(p.name for p in out.iterdir()) == ["solve_report.json"]
+
+
 def test_besov_norm_is_finite_where_only_zero_blocks_have_overflowing_weights(tmp_path):
     # every nonzero block of TINY is at level 0, so 2^(1000 j) never enters
     code, out = run(tmp_path, "besov", dict(TINY, besov={"s": 1000.0}))
@@ -295,28 +320,69 @@ def test_writer_takes_numpy_and_complex_values(tmp_path):
             cli._write_json(path, {"value": value})
 
 
-def test_reports_are_written_by_the_c_encoder(tmp_path, monkeypatch):
-    # the standard library encodes in C only without indent; a report
-    # written in pure Python is several times slower
-    writes = []
+def _c_encoded(monkeypatch):
+    """Every object the C encoder is handed with ``cli._plain`` as its
+    default, in order; encoding in pure Python fails the test."""
+    encoded = []
     c_make_encoder = json.encoder.c_make_encoder
     assert c_make_encoder is not None
 
     def counted(markers, default, *args):
-        if default is cli._plain:
-            writes.append(markers)
-        return c_make_encoder(markers, default, *args)
+        encode = c_make_encoder(markers, default, *args)
+
+        def recorded(obj, level):
+            if default is cli._plain:
+                encoded.append(obj)
+            return encode(obj, level)
+        return recorded
+
+    def python_encoder(*args):
+        raise AssertionError("a value was encoded in pure Python")
 
     monkeypatch.setattr(json.encoder, "c_make_encoder", counted)
-    cli._write_json(tmp_path / "report.json", {"values": np.arange(3.0)})
-    assert len(writes) == 1
-    code, out = run(tmp_path, "solve", dict(TINY, seed=0))
-    assert code == 3 and report_of(out, "solve")["error"]["type"] == "validation"
-    assert len(writes) == 2
+    monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+    return encoded
+
+
+def _written_reports(monkeypatch):
+    """Every object ``cli._write_json`` is asked to write, in order."""
+    reports = []
+    write = cli._write_json
+
+    def recorded(path, obj):
+        reports.append(obj)
+        return write(path, obj)
+
+    monkeypatch.setattr(cli, "_write_json", recorded)
+    return reports
+
+
+def test_reports_are_written_by_the_c_encoder(tmp_path, monkeypatch):
+    # the standard library encodes in C only without indent; a report
+    # written in pure Python is several times slower.  Every value but a
+    # pre-encoded block goes to the C encoder (a string to its C string
+    # encoder); the block is spliced in as it is.
+    encoded = _c_encoded(monkeypatch)
+    reports = _written_reports(monkeypatch)
+    block = cli._Encoded('[{"k": 0}]', True)
+    values = {"values": np.arange(3.0), "name": "x", "block": block, "n": 3}
+    cli._write_json(tmp_path / "report.json", values)
+    assert [id(v) for v in encoded] == [id(values["values"]), id(values["n"])]
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == (
+        '{"values": [0.0, 1.0, 2.0], "name": "x", "block": [{"k": 0}], "n": 3}\n')
+    for doc, name in ((dict(TINY, seed=0), "invalid"), (TINY, "solve")):
+        encoded.clear()
+        reports.clear()
+        run(tmp_path, "solve", doc, name)
+        [report] = reports
+        assert [id(v) for v in encoded] == [
+            id(v) for v in report.values() if not isinstance(v, (str, cli._Encoded))]
+    assert isinstance(report["coefficients"], cli._Encoded)
 
 
 def test_plain_calls_of_a_solve_report_do_not_grow_with_the_band(tmp_path, monkeypatch):
-    # the coefficients reach the encoder as plain lists and dicts
+    # neither the encoder's callbacks into _plain nor any other Python call
+    # of a solve, its writing included, is made once per coefficient
     calls = []
     plain = cli._plain
 
@@ -325,13 +391,80 @@ def test_plain_calls_of_a_solve_report_do_not_grow_with_the_band(tmp_path, monke
         return plain(obj)
 
     monkeypatch.setattr(cli, "_plain", counted)
-    counts = []
+    run(tmp_path, "solve", TINY, name="warm")
+    counts, python_calls = [], []
     for k in (8, 64):
         calls.clear()
-        code, out = run(tmp_path, "solve", dict(TINY, K=k), name=f"k{k}")
+        frames = []
+        # no collection inside the window, whose finalizers would add calls
+        gc.collect()
+        gc.disable()
+        sys.setprofile(lambda frame, event, arg: frames.append(event == "call"))
+        try:
+            code, out = run(tmp_path, "solve", dict(TINY, K=k), name=f"k{k}")
+        finally:
+            sys.setprofile(None)
+            gc.enable()
         assert code == 0 and len(report_of(out, "solve")["coefficients"]) == 2 * k + 1
         counts.append(len(calls))
+        python_calls.append(sum(frames))
     assert counts[0] == counts[1]
+    assert python_calls[0] == python_calls[1]
+
+
+#: floats whose shortest form is a corner of repr: signed zero, the
+#: smallest subnormal, the switches to exponent form at 1e-4 and 1e16, an
+#: exponent past the fixed form's digits, round-off, integral floats
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e-7, 1e16, 1e22, -1e22, 0.1 + 0.2,
+               1.0, -3.0, 2.0**53, 1e15 + 0.5, 1.7976931348623157e308)
+
+cell_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _old_coefficients(modes, coefficients):
+    """The coefficient list as solve reports built it before the template."""
+    return [{"k": k, "value": [{"re": z.real, "im": z.imag} for z in row]}
+            for k, row in zip(modes.tolist(), coefficients.tolist())]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_coefficient_block_is_the_bytes_of_the_encoder(data):
+    n = data.draw(st.integers(1, 3))
+    count = data.draw(st.integers(0, 6))
+    modes = np.array(data.draw(st.lists(st.integers(-10**6, 10**6), min_size=count,
+                                        max_size=count)), dtype=np.int64)
+    floats = data.draw(st.lists(cell_floats, min_size=2 * count * n, max_size=2 * count * n))
+    parts = np.array(floats, dtype=float).reshape(count, n, 2)
+    if data.draw(st.booleans()):
+        coefficients = parts[..., 0] + 1j * parts[..., 1]
+    else:
+        coefficients = parts[..., 0]
+    block = cli._coefficients_json(modes, coefficients)
+    assert block.finite
+    assert block.text == json.dumps(_old_coefficients(modes, coefficients),
+                                    ensure_ascii=False, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_csv_is_the_str_of_each_cell_joined(data):
+    width = data.draw(st.integers(1, 4))
+    count = data.draw(st.integers(0, 6))
+    header = [f"c{i}" for i in range(width)]
+    table = np.array(data.draw(st.lists(cell_floats, min_size=count * width,
+                                        max_size=count * width)),
+                     dtype=float).reshape(count, width)
+    cell = st.one_of(cell_floats, st.integers(-10**6, 10**6), st.just(""))
+    tuples = [tuple(data.draw(st.lists(cell, min_size=width, max_size=width)))
+              for _ in range(count)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        for rows, cells in ((table, table.tolist()), (tuples, tuples)):
+            cli._write_csv(path, header, rows)
+            lines = [",".join(header), *(",".join(map(str, row)) for row in cells)]
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _unreadable_config_report(tmp_path, config):
@@ -397,6 +530,32 @@ def test_reports_match_the_golden_files(tmp_path, command):
     assert names == sorted([f"{command}_report.json"] + SIDE_FILES[command])
     for name in names:
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_complex_solve_matches_the_golden_files(tmp_path):
+    """The bytes of the solve files of TINY with 0.1i added to A's diagonal.
+
+    Its solution is complex, so ``solution.csv`` has ``u{i}_re``/``u{i}_im``
+    columns and the negative modes carry imaginary parts of their own.  A
+    configuration holds real data only, so the problem is built through the
+    API and the report echoes TINY's configuration.  Regenerate (and say why
+    in CHANGES.md) by running this test's ``cli.run`` with
+    ``tests/golden/complex`` as the output directory.
+    """
+    config = parse_config((GOLDEN / "tiny.json").read_text(encoding="utf-8"))
+    shifted = config.problem.state_matrix + 0.1j * np.eye(2)
+    config = replace(config, problem=replace(config.problem, state_matrix=shifted))
+    out = tmp_path / "complex"
+    assert cli.run("solve", config, out) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["solution.csv", "solve_report.json"]
+    for name in names:
+        assert (out / name).read_bytes() == (GOLDEN / "complex" / name).read_bytes(), name
+    report = report_of(out, "solve")
+    assert any(row["k"] < 0 and any(z["im"] for z in row["value"])
+               for row in report["coefficients"])
+    assert (out / "solution.csv").read_text(encoding="utf-8").startswith(
+        "t,u0_re,u0_im,u1_re,u1_im\n")
 
 
 @pytest.mark.parametrize("command, flags, echoed", [
