@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .besov import (
     BesovParams,
-    besov_norm,
     besov_norm_report,
     partition_eval,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "SweepResult",
     "TruncationWarning",
     "analyze",
-    "besov_norm",
     "besov_norm_report",
     "collocation_solve",
     "compare",

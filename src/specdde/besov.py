@@ -23,8 +23,15 @@ its n complex columns: the real and imaginary part of each column, less the
 parts that are exactly zero, are paired into complex rows a + ib, whose
 squared moduli a^2 + b^2 sum to |f(t)|^2.  Two real signals share one
 complex transform (Cooley, Lewis and Welch, J. Sound Vib. 12, 1970), so a
-real two-column block is one contiguous inverse FFT per grid, and a block
-whose coefficients are exactly zero is none.
+real two-column block is one synthesis per grid, and a block whose
+coefficients are exactly zero is none.  Each synthesis is pruned to the
+block's band (Markel, IEEE Trans. Audio Electroacoust. 19, 1971; Sorensen
+and Burrus, IEEE Trans. Signal Process. 41, 1993): on a grid of n points, a
+block whose highest mode is b is n/m inverse FFTs of length m, the smallest
+divisor of n with m >= 2b + 1.  It costs about n log m, not n log n, and
+a length pocketfft transforms by Bluestein's algorithm costs that only
+where m itself is one.  The grids, and with them the quadrature values,
+are those of the length-n transform.
 
 Block norms are independent per level; the final sum runs in ascending j.
 """
@@ -63,12 +70,11 @@ def partition_eval(level: int, k):
     return out if out.ndim else float(out)
 
 
-def _partition_weights(bandwidth: int) -> np.ndarray:
-    """Weights over -K..K of every level whose support meets [-K, K],
-    shape (max_level+1, 2*bandwidth+1)."""
-    ks = mode_range(bandwidth)
+def _partition_weights(bandwidth: int, modes: np.ndarray) -> np.ndarray:
+    """Weights on ``modes`` of every level whose support meets [-K, K],
+    K = ``bandwidth``, shape (max_level+1, len(modes))."""
     levels = int(np.ceil(np.log2(bandwidth))) + 1 if bandwidth >= 1 else 0
-    return np.stack([partition_eval(j, ks) for j in range(levels + 1)])
+    return np.stack([partition_eval(j, modes) for j in range(levels + 1)])
 
 
 @dataclass(frozen=True)
@@ -110,12 +116,21 @@ def _quadrature_points(f: PeriodicGridFunction, p: float) -> int:
     return max(f.n_samples, _POINTS_PER_MODE * (2 * f.bandwidth + 1))
 
 
-def _real_rows(weighted: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Complex functions a + ib whose squared moduli sum to |f(t)|^2, for f
-    with coefficients ``weighted`` on modes -K..K.
+def _live(modes: np.ndarray, coefficients: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The modes where the coefficients or those of the mirror mode are
+    nonzero, and the coefficients there.  ``modes`` are symmetric about 0
+    and ascending, so that row i's mirror is row -1 - i; so are the result's."""
+    live = np.any(coefficients, axis=1)
+    index = np.flatnonzero(live | live[::-1])
+    return modes[index], coefficients[index]
 
-    Returns (modes, rows): the modes, symmetric about 0, on which f or its
-    mirror has a nonzero coefficient, and each row's coefficients on them.
+
+def _real_rows(modes: np.ndarray, weighted: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Complex functions a + ib whose squared moduli sum to |f(t)|^2, for f
+    with coefficients ``weighted`` on ``modes`` (symmetric about 0, ascending).
+
+    Returns (modes, rows): the modes on which f or its mirror has a nonzero
+    coefficient, and each row's coefficients on them.
     Column i splits into Re f_i and Im f_i, whose Hermitian rows are
     (c_k + conj c_{-k}) / 2 and (c_k - conj c_{-k}) / 2i; the rows that are
     exactly zero are dropped (Im f_i of a real column) and the rest are taken
@@ -124,15 +139,52 @@ def _real_rows(weighted: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
     two at a time; imaginary parts are live for complex blocks, which only
     library callers build, and at round-off level for a sampled forcing.
     """
-    bandwidth = (len(weighted) - 1) // 2
-    live = np.any(weighted, axis=1)
-    index = np.flatnonzero(live | live[::-1])
-    coefficients = weighted[index]
+    modes, coefficients = _live(modes, weighted)
     mirrored = np.conj(coefficients[::-1])
     real, imag = (coefficients + mirrored) / 2.0, (coefficients - mirrored) / 2j
     parts = [part for pair in zip(real.T, imag.T) for part in pair if np.any(part)]
-    parts += [np.zeros(len(index))] * (len(parts) % 2)
-    return index - bandwidth, [a + 1j * b for a, b in zip(parts[0::2], parts[1::2])]
+    parts += [np.zeros(len(modes))] * (len(parts) % 2)
+    return modes, [a + 1j * b for a, b in zip(parts[0::2], parts[1::2])]
+
+
+def _pruned_length(n: int, width: int) -> int:
+    """Smallest divisor of n that is at least ``width`` (n itself when no
+    smaller one is), from the divisor pairs (i, n / i) with i <= sqrt(n)."""
+    return min(m for i in range(1, int(n ** 0.5) + 1) if n % i == 0
+               for m in (i, n // i) if m >= width)
+
+
+def _lp_norm(modes: np.ndarray, rows: List[np.ndarray], n: int, p: float) -> float:
+    """Trapezoid L^p norm on n points of the function whose |f|^2 is the sum
+    of the rows' squared moduli; ``modes`` are symmetric about 0, ascending,
+    with largest b.
+
+    With m the smallest divisor of n that holds 2b + 1 modes and d = n / m,
+    the sample at t = 2 pi (l d + r) / n is sum_k (c_k w_n^{kr}) w_m^{kl}
+    (w_n = e^{2 pi i / n}), so the n samples are the d length-m inverse
+    transforms of the twiddled coefficients, scattered to column k mod m of
+    a (d, m) array.  The phase index k r is an exact integer with
+    |k r| <= b (d - 1) < n / 2, so the angle 2 pi k r / n is already reduced
+    to (-pi, pi) before the exp; the twiddles of -k are the conjugates of
+    those of k.  The squared moduli are summed in that layout:
+    the trapezoid rule does not depend on the order of the points.  When n
+    is the only such divisor, d = 1, every twiddle is 1 and this is the
+    length-n transform.
+    """
+    m = _pruned_length(n, 2 * int(modes[-1]) + 1)
+    d = n // m
+    positive = modes[modes > 0]
+    half = np.exp(1j * (TWO_PI / n) * np.outer(np.arange(d), positive))
+    zero = np.ones((d, len(modes) - 2 * len(positive)))
+    twiddles = np.hstack([half[:, ::-1].conj(), zero, half])
+    columns = np.mod(modes, m)
+    squared = np.zeros((d, m))
+    for row in rows:
+        samples = np.zeros((d, m), dtype=complex)
+        samples[:, columns] = twiddles * row
+        samples = np.fft.ifft(samples, axis=-1, norm="forward")
+        squared += samples.real ** 2 + samples.imag ** 2
+    return float((TWO_PI / n * np.sum(squared ** (p / 2.0))) ** (1.0 / p))
 
 
 def _block_norms(f: PeriodicGridFunction, p: float, lengths: Tuple[int, ...]) -> np.ndarray:
@@ -140,38 +192,21 @@ def _block_norms(f: PeriodicGridFunction, p: float, lengths: Tuple[int, ...]) ->
     (levels, len(lengths)): column i is the trapezoid value on lengths[i]
     points.
 
-    Each row of ``_real_rows`` is synthesised by one contiguous inverse FFT
-    and its squared modulus added into the block's accumulator, so one row
-    of samples per length is held at a time.  A block whose weighted
+    The coefficients are first cut down to the modes where f or its mirror
+    is nonzero; the weights, the weighting and ``_real_rows`` see only
+    those.  Each row of ``_real_rows`` is synthesised by the pruned
+    transform of ``_lp_norm`` (Markel, IEEE Trans. Audio Electroacoust. 19,
+    1971): a block whose highest mode is b costs about n log m on a grid of
+    n points, m the smallest divisor of n with m >= 2b + 1, and one row of
+    samples per length is held at a time.  A block whose weighted
     coefficients are exactly zero has no rows and norms 0.0.
     """
+    modes, coefficients = _live(mode_range(f.bandwidth), f.coefficients)
     out = []
-    for weights in _partition_weights(f.bandwidth):
-        modes, rows = _real_rows(weights[:, None] * f.coefficients)
-        if not rows:
-            out.append([0.0] * len(lengths))
-            continue
-        norms = []
-        for n in lengths:
-            squared = np.zeros(n)
-            for row in rows:
-                samples = np.zeros(n, dtype=complex)
-                samples[np.mod(modes, n)] = row
-                samples = np.fft.ifft(samples, norm="forward")
-                squared += samples.real ** 2 + samples.imag ** 2
-            norms.append(float((TWO_PI / n * np.sum(squared ** (p / 2.0))) ** (1.0 / p)))
-        out.append(norms)
+    for weights in _partition_weights(f.bandwidth, modes):
+        block_modes, rows = _real_rows(modes, weights[:, None] * coefficients)
+        out.append([_lp_norm(block_modes, rows, n, p) if rows else 0.0 for n in lengths])
     return np.array(out)
-
-
-def besov_norm(f: PeriodicGridFunction, params: BesovParams) -> float:
-    """Besov norm of a band-limited grid function.
-
-    A norm on the stored band: absolutely homogeneous, subadditive, and zero
-    only for the zero function.
-    """
-    lengths = (_quadrature_points(f, params.p),)
-    return _combine_blocks(_block_norms(f, params.p, lengths)[:, 0], params)
 
 
 def _combine_blocks(blocks: np.ndarray, params: BesovParams) -> float:
@@ -204,10 +239,11 @@ class BesovNormReport:
 def besov_norm_report(f: PeriodicGridFunction, params: BesovParams) -> BesovNormReport:
     """Norm plus per-block values and a quadrature error estimate.
 
-    For p == 2 the grid trapezoid is exact and the error is 0.  Otherwise
-    the norm is taken on the quadrature grid of N points and the estimate is
-    its difference against the same norm on the smallest 7-smooth length
-    >= 2N, where the inverse FFT is fast.
+    The norm is a norm on the stored band: absolutely homogeneous,
+    subadditive, and zero only for the zero function.  For p == 2 the grid
+    trapezoid is exact and the error is 0.  Otherwise the norm is taken on
+    the quadrature grid of N points and the estimate is its difference
+    against the same norm on the smallest 7-smooth length >= 2N.
     """
     n = _quadrature_points(f, params.p)
     table = _block_norms(f, params.p, (n,) if params.p == 2.0 else (n, _seven_smooth(2 * n)))

@@ -13,14 +13,19 @@ import problems
 from specdde import (
     BesovParams,
     PeriodicGridFunction,
-    besov_norm,
     besov_norm_report,
     mode_range,
     partition_eval,
     solve_periodic,
 )
 from specdde import besov
-from specdde.besov import _combine_blocks, _partition_weights, _real_rows, _seven_smooth
+from specdde.besov import (
+    _combine_blocks,
+    _partition_weights,
+    _pruned_length,
+    _real_rows,
+    _seven_smooth,
+)
 from specdde.config import parse_config
 
 TWO_PI = 2.0 * np.pi
@@ -82,7 +87,7 @@ class TestBesovNorm:
         for p in (1.0, 2.0, 3.5):
             params = BesovParams(s=1.2, p=p, q=2.0)
             f = PeriodicGridFunction.from_harmonics(const=2.5, n_samples=16)
-            assert besov_norm(f, params) == pytest.approx(
+            assert besov_norm_report(f, params).norm == pytest.approx(
                 TWO_PI ** (1.0 / p) * 2.5, rel=1e-12
             )
 
@@ -90,7 +95,7 @@ class TestBesovNorm:
         params = BesovParams(s=0.7, p=2.0, q=1.5)
         f = PeriodicGridFunction([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]], 16)
         # only block zero is active; L2 of a unit mode is sqrt(2*pi) per component
-        assert besov_norm(f, params) == pytest.approx(
+        assert besov_norm_report(f, params).norm == pytest.approx(
             np.sqrt(TWO_PI) * 5.0, rel=1e-12
         )
 
@@ -100,7 +105,7 @@ class TestBesovNorm:
         expected = np.sqrt(
             2.0 ** (1 * 1 * 2) * 0.25 + 2.0 ** (1 * 2 * 2) * 0.25
         ) * np.sqrt(TWO_PI)
-        assert besov_norm(_single_mode(3), params) == pytest.approx(
+        assert besov_norm_report(_single_mode(3), params).norm == pytest.approx(
             expected, rel=1e-12
         )
         assert expected == pytest.approx(np.sqrt(5.0) * np.sqrt(TWO_PI))
@@ -113,24 +118,24 @@ class TestBesovNorm:
         block = abs(value) * TWO_PI ** (1.0 / p)
         expected = ((2.0 ** (s * 1 * q)) * (0.5 * block) ** q
                     + (2.0 ** (s * 2 * q)) * (0.5 * block) ** q) ** (1.0 / q)
-        assert besov_norm(f, params) == pytest.approx(expected, rel=1e-12)
+        assert besov_norm_report(f, params).norm == pytest.approx(expected, rel=1e-12)
 
     def test_homogeneity_and_triangle(self, rng):
         params = BesovParams(s=1.0, p=2.0, q=2.0)
         for _ in range(100):
             f = _random_band(rng, bandwidth=12)
             g = _random_band(rng, bandwidth=12)
-            nf, ng = besov_norm(f, params), besov_norm(g, params)
-            assert besov_norm(2.5 * f, params) == pytest.approx(2.5 * nf, rel=1e-12)
-            assert besov_norm(f + g, params) <= nf + ng + 1e-9 * (nf + ng)
+            nf, ng = besov_norm_report(f, params).norm, besov_norm_report(g, params).norm
+            assert besov_norm_report(2.5 * f, params).norm == pytest.approx(2.5 * nf, rel=1e-12)
+            assert besov_norm_report(f + g, params).norm <= nf + ng + 1e-9 * (nf + ng)
 
     def test_triangle_for_non_hilbert_exponents(self, rng):
         params = BesovParams(s=0.8, p=1.5, q=1.2)
         for _ in range(10):
             f = _random_band(rng, bandwidth=8)
             g = _random_band(rng, bandwidth=8)
-            nf, ng = besov_norm(f, params), besov_norm(g, params)
-            assert besov_norm(f + g, params) <= (nf + ng) * (1.0 + 1e-8)
+            nf, ng = besov_norm_report(f, params).norm, besov_norm_report(g, params).norm
+            assert besov_norm_report(f + g, params).norm <= (nf + ng) * (1.0 + 1e-8)
 
     @settings(max_examples=20, deadline=None)
     @given(scale=st.floats(0.1, 10.0), seed=st.integers(0, 10**6))
@@ -138,23 +143,23 @@ class TestBesovNorm:
         gen = np.random.default_rng(seed)
         f = _random_band(gen, bandwidth=8)
         params = BesovParams(s=1.3, p=2.0, q=2.5)
-        assert besov_norm(scale * f, params) == pytest.approx(
-            scale * besov_norm(f, params), rel=1e-11
+        assert besov_norm_report(scale * f, params).norm == pytest.approx(
+            scale * besov_norm_report(f, params).norm, rel=1e-11
         )
 
     def test_zero_iff_zero(self, rng):
         params = BesovParams(s=1.0)
-        assert besov_norm(PeriodicGridFunction.zero(2, 16), params) == 0.0
+        assert besov_norm_report(PeriodicGridFunction.zero(2, 16), params).norm == 0.0
         f = _random_band(rng, bandwidth=4)
-        assert besov_norm(f, params) > 0.0
+        assert besov_norm_report(f, params).norm > 0.0
 
     def test_monotone_in_smoothness_for_mean_free(self, rng):
         f = _random_band(rng, bandwidth=16)
         coeffs = f.coefficients.copy()
         coeffs[f.bandwidth] = 0.0
         f = PeriodicGridFunction(coeffs, f.n_samples)
-        n1 = besov_norm(f, BesovParams(s=0.5))
-        n2 = besov_norm(f, BesovParams(s=1.5))
+        n1 = besov_norm_report(f, BesovParams(s=0.5)).norm
+        n2 = besov_norm_report(f, BesovParams(s=1.5)).norm
         assert n2 >= n1
 
     def test_parameter_validation(self):
@@ -179,8 +184,7 @@ class TestBesovNorm:
                                                 const=0.2, n_samples=64)
         params = BesovParams(s=1.0, p=3.0, q=2.0)
         report = besov_norm_report(f, params)
-        actual = abs(report.norm - besov_norm(f.resample(4096), params))
-        assert report.norm == pytest.approx(besov_norm(f, params), rel=1e-14)
+        actual = abs(report.norm - besov_norm_report(f.resample(4096), params).norm)
         assert report.quadrature_error >= actual > 0.0
 
 
@@ -202,8 +206,12 @@ class TestBesovNorm:
                             or inverse(a, *args, **kwargs))
         report = besov_norm_report(f, params)
         assert np.all(report.block_norms[3:] == 0.0) and np.all(report.block_norms[:3] > 0)
-        # one row per real two-column block: one 1-D transform per grid length
-        assert shapes == [(n_quad,), (_seven_smooth(2 * n_quad),)] * 3
+        # one row per real two-column block, so one (n/m, m) transform per
+        # grid: n = 324 = 2^2 3^4 and its 7-smooth double 648 = 2^3 3^4.
+        # Level 0 holds |k| <= 1 (m = 3 on both grids); levels 1 and 2 reach
+        # |k| = 3, so 7 modes: m = 9 on 324 points and m = 8 on 648
+        assert _seven_smooth(2 * n_quad) == 648
+        assert shapes == [(108, 3), (216, 3), (36, 9), (81, 8), (36, 9), (81, 8)]
         # not bit for bit: the rows add the squares in another order than
         # the columns, and raise |f|^2 to p/2 where the columns raise |f| to p
         assert np.all(np.abs(report.block_norms - expected) <= 4 * np.spacing(expected))
@@ -215,7 +223,7 @@ class TestBesovNorm:
         config = parse_config(json.dumps(dict(doc, K=32)))
         u = solve_periodic(config.problem).solution
         report = besov_norm_report(u, config.besov)
-        actual = abs(report.norm - besov_norm(u.resample(2**16), config.besov))
+        actual = abs(report.norm - besov_norm_report(u.resample(2**16), config.besov).norm)
         assert report.quadrature_error >= actual > 0.0
 
 
@@ -231,7 +239,7 @@ def _column_wise_report(f, params):
     lengths = (n,) if params.p == 2.0 else (n, _seven_smooth(2 * n))
     table = np.array([[PeriodicGridFunction(
         weights[:, None] * f.coefficients, m).lp_norm(params.p) for m in lengths]
-        for weights in _partition_weights(f.bandwidth)])
+        for weights in _partition_weights(f.bandwidth, mode_range(f.bandwidth))])
     norm = _combine_blocks(table[:, 0], params)
     return norm, table[:, 0], abs(norm - _combine_blocks(table[:, -1], params))
 
@@ -262,7 +270,6 @@ class TestRealRows:
         norm, blocks, error = _column_wise_report(f, params)
         report = besov_norm_report(f, params)
         assert report.norm == pytest.approx(norm, rel=1e-14, abs=0.0)
-        assert besov_norm(f, params) == report.norm
         assert np.all((report.block_norms == 0.0) == (blocks == 0.0))
         assert np.allclose(report.block_norms, blocks, rtol=1e-14, atol=0.0)
         assert abs(report.quadrature_error - error) <= 1e-14 * norm
@@ -270,28 +277,105 @@ class TestRealRows:
     @pytest.mark.parametrize("name, coeffs, rows", ROW_SPLIT_CASES,
                              ids=[case[0] for case in ROW_SPLIT_CASES])
     def test_row_count(self, name, coeffs, rows):
-        modes, split = _real_rows(coeffs)
+        modes, split = _real_rows(mode_range(12), coeffs)
         assert np.array_equal(modes, mode_range(12))
         assert np.shape(split) == (rows, 25)
 
     def test_rows_carry_the_pointwise_squared_norm(self, rng):
         coeffs = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
-        modes, split = _real_rows(coeffs)
+        modes, split = _real_rows(mode_range(4), coeffs)
         columns = PeriodicGridFunction(coeffs, 16).samples
         squared = sum(np.abs(PeriodicGridFunction(row, 16).samples[:, 0]) ** 2
                       for row in split)
         assert np.allclose(squared, np.sum(np.abs(columns) ** 2, axis=1), rtol=1e-14)
 
     def test_zero_coefficients_give_no_rows(self):
-        modes, split = _real_rows(np.zeros((9, 2), dtype=complex))
+        modes, split = _real_rows(mode_range(4), np.zeros((9, 2), dtype=complex))
         assert modes.size == 0 and split == []
 
     def test_modes_are_the_live_ones_and_their_mirrors(self):
         coeffs = np.zeros((9, 2), dtype=complex)
         coeffs[6, 1] = 1.0 + 2.0j   # mode 2 only: not real, so two parts
-        modes, split = _real_rows(coeffs)
+        modes, split = _real_rows(mode_range(4), coeffs)
         assert np.array_equal(modes, [-2, 2])
         assert np.shape(split) == (1, 2)
+
+
+def _full_length_norms(f, p, n):
+    """Block norms of f on n points, each real row of a block synthesised by
+    one length-n inverse FFT over the whole band."""
+    ks = mode_range(f.bandwidth)
+    out = []
+    for weights in _partition_weights(f.bandwidth, ks):
+        modes, rows = _real_rows(ks, weights[:, None] * f.coefficients)
+        squared = np.zeros(n)
+        for row in rows:
+            samples = np.zeros(n, dtype=complex)
+            samples[np.mod(modes, n)] = row
+            samples = np.fft.ifft(samples, norm="forward")
+            squared += samples.real ** 2 + samples.imag ** 2
+        out.append((TWO_PI / n * np.sum(squared ** (p / 2.0))) ** (1.0 / p) if rows else 0.0)
+    return np.array(out)
+
+
+def _sparse_band(gen, bandwidth, live, dim, real):
+    """Random coefficients on |k| <= live inside the band |k| <= bandwidth."""
+    coeffs = np.zeros((2 * bandwidth + 1, dim), dtype=complex)
+    if real:
+        coeffs[bandwidth - live:bandwidth + live + 1] = _hermitian(gen, live, dim)
+    else:
+        coeffs[bandwidth - live:bandwidth + live + 1] = \
+            gen.normal(size=(2 * live + 1, dim)) + 1j * gen.normal(size=(2 * live + 1, dim))
+    return coeffs
+
+
+#: (name, n, band K, live modes |k| <= b): n prime, 7-smooth and a Bluestein
+#: length of pocketfft (a multiple of the prime 2731, as the lumped grid is)
+PRUNED_CASES = [
+    ("prime", 101, 50, 3),
+    ("prime_full_band", 61, 30, 30),
+    ("smooth", 360, 40, 5),
+    ("smooth_full_band", 84, 41, 41),
+    ("bluestein", 4 * 2731, 600, 3),
+]
+
+
+class TestPrunedSynthesis:
+    """A block is synthesised on its n points by n/m transforms of length m,
+    the smallest divisor of n that holds its band; the norms are the
+    length-n synthesis's up to round-off, and are it when n is prime."""
+
+    def test_pruned_length_is_the_smallest_divisor_that_holds_the_band(self):
+        for n in range(1, 130):
+            for width in range(1, n + 1):
+                expected = min(m for m in range(width, n + 1) if n % m == 0)
+                assert _pruned_length(n, width) == expected, (n, width)
+        # the lumped benchmark's grids: 32,772 = 2^2 3 2731 and 65,610 = 2 3^8 5
+        assert _pruned_length(32772, 7) == 12 and _pruned_length(65610, 7) == 9
+        assert _pruned_length(65537, 7) == 65537
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.5])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("name, n, bandwidth, live", PRUNED_CASES,
+                             ids=[case[0] for case in PRUNED_CASES])
+    def test_norms_match_the_full_length_synthesis(self, name, n, bandwidth, live, real, p):
+        gen = np.random.default_rng(n + live)
+        f = PeriodicGridFunction(_sparse_band(gen, bandwidth, live, 3, real), n)
+        blocks = besov._block_norms(f, p, (n,))[:, 0]
+        expected = _full_length_norms(f, p, n)
+        assert np.all((blocks == 0.0) == (expected == 0.0))
+        assert np.all(np.abs(blocks - expected) <= 4 * np.spacing(expected))
+        if name.startswith("prime"):
+            assert np.array_equal(blocks, expected)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.5])
+    def test_bandwidth_zero_on_one_point(self, p):
+        f = PeriodicGridFunction([[2.0 - 1.0j, 0.5]], 1)
+        blocks = besov._block_norms(f, p, (1,))
+        expected = np.hypot(np.abs(2.0 - 1.0j), 0.5) * TWO_PI ** (1.0 / p)
+        assert blocks.shape == (1, 1)
+        assert np.array_equal(blocks[:, 0], _full_length_norms(f, p, 1))
+        assert blocks[0, 0] == pytest.approx(expected, rel=1e-15)
 
 
 class TestSevenSmooth:
@@ -320,8 +404,8 @@ class TestDerivativeShift:
 
     def test_mode_one_ratio_is_one(self):
         f = _single_mode(1)
-        assert besov_norm(f.derivative(), self.S1) == pytest.approx(
-            besov_norm(f, self.S2), rel=1e-12)
+        assert besov_norm_report(f.derivative(), self.S1).norm == pytest.approx(
+            besov_norm_report(f, self.S2).norm, rel=1e-12)
 
     def test_mode_three_ratio_closed_form(self):
         # numerator blocks: 2^{sjq} (|k| phi_j(k))^q at s=1, denominator at s=2;
@@ -330,8 +414,9 @@ class TestDerivativeShift:
         denominator = np.sqrt(2.0**4 * 0.25 + 2.0**8 * 0.25)
         expected = numerator / denominator
         f = _single_mode(3)
-        assert besov_norm(f.derivative(), self.S1) / besov_norm(f, self.S2) == pytest.approx(
-            expected, rel=1e-12)
+        ratio = besov_norm_report(f.derivative(), self.S1).norm \
+            / besov_norm_report(f, self.S2).norm
+        assert ratio == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(3.0 * np.sqrt(5.0) / np.sqrt(68.0))
 
     def test_ratio_band_over_trig_family(self, rng):
@@ -341,8 +426,8 @@ class TestDerivativeShift:
             coeffs = _random_band(rng, bandwidth=32).coefficients
             coeffs[32] = 0.0
             family.append(PeriodicGridFunction(coeffs, 256))
-        ratios = [besov_norm(f.derivative(), self.S1) / besov_norm(f, self.S2)
-                  for f in family]
+        ratios = [besov_norm_report(f.derivative(), self.S1).norm
+                  / besov_norm_report(f, self.S2).norm for f in family]
         assert max(ratios) / min(ratios) <= 4.0
 
 
@@ -353,8 +438,9 @@ class TestMultiplierRatio:
         coeffs = np.zeros((7, 1), dtype=complex)
         coeffs[6] = 3j / (1.0 + 3j)
         image = PeriodicGridFunction(coeffs, 64)
-        assert besov_norm(image, params) / besov_norm(_single_mode(3), params) == pytest.approx(
-            3.0 / np.sqrt(10.0), rel=1e-12)
+        ratio = besov_norm_report(image, params).norm \
+            / besov_norm_report(_single_mode(3), params).norm
+        assert ratio == pytest.approx(3.0 / np.sqrt(10.0), rel=1e-12)
 
     def test_matrix_symbol_ratio_is_at_most_its_sup_norm(self, rng):
         # at p = 2 each block norm is sqrt(2 pi) times an l^2 norm of weighted
@@ -367,7 +453,8 @@ class TestMultiplierRatio:
             image = PeriodicGridFunction(
                 np.einsum("kij,kj->ki", symbols, f.coefficients), f.n_samples)
             sup = np.max(np.linalg.norm(symbols, 2, axis=(1, 2)))
-            assert besov_norm(image, params) <= sup * besov_norm(f, params) * (1.0 + 1e-12)
+            assert besov_norm_report(image, params).norm \
+                <= sup * besov_norm_report(f, params).norm * (1.0 + 1e-12)
 
     def test_bounded_sequence_keeps_ratio_bounded(self, rng):
         # resolvent-shaped scalar sequences contract the norm
@@ -376,7 +463,8 @@ class TestMultiplierRatio:
         for _ in range(20):
             f = _random_band(rng, bandwidth=16)
             image = PeriodicGridFunction(symbol[:, None] * f.coefficients, f.n_samples)
-            assert besov_norm(image, params) <= besov_norm(f, params) * (1.0 + 1e-12)
+            assert besov_norm_report(image, params).norm \
+                <= besov_norm_report(f, params).norm * (1.0 + 1e-12)
 
 
 class TestParseval:
