@@ -164,19 +164,15 @@ def _lp_norm(modes: np.ndarray, rows: List[np.ndarray], n: int, p: float) -> flo
     (w_n = e^{2 pi i / n}), so the n samples are the d length-m inverse
     transforms of the twiddled coefficients, scattered to column k mod m of
     a (d, m) array.  The phase index k r is an exact integer with
-    |k r| <= b (d - 1) < n / 2, so the angle 2 pi k r / n is already reduced
-    to (-pi, pi) before the exp; the twiddles of -k are the conjugates of
-    those of k.  The squared moduli are summed in that layout:
-    the trapezoid rule does not depend on the order of the points.  When n
-    is the only such divisor, d = 1, every twiddle is 1 and this is the
-    length-n transform.
+    |k r| <= b (d - 1) < n / 2, so its angle is already in (-pi, pi) before
+    the exp.  The squared moduli are summed in that layout: the trapezoid
+    rule does not depend on the order of the points.  When n is the only
+    such divisor, d = 1, every twiddle is 1 and this is the length-n
+    transform.
     """
     m = _pruned_length(n, 2 * int(modes[-1]) + 1)
     d = n // m
-    positive = modes[modes > 0]
-    half = np.exp(1j * (TWO_PI / n) * np.outer(np.arange(d), positive))
-    zero = np.ones((d, len(modes) - 2 * len(positive)))
-    twiddles = np.hstack([half[:, ::-1].conj(), zero, half])
+    twiddles = np.exp(1j * (TWO_PI / n) * (np.arange(d)[:, None] * modes))
     columns = np.mod(modes, m)
     squared = np.zeros((d, m))
     for row in rows:
@@ -198,15 +194,18 @@ def _block_norms(f: PeriodicGridFunction, p: float, lengths: Tuple[int, ...]) ->
     transform of ``_lp_norm`` (Markel, IEEE Trans. Audio Electroacoust. 19,
     1971): a block whose highest mode is b costs about n log m on a grid of
     n points, m the smallest divisor of n with m >= 2b + 1, and one row of
-    samples per length is held at a time.  A block whose weighted
-    coefficients are exactly zero has no rows and norms 0.0.
+    samples per length is held at a time.  A level whose weights vanish on
+    those modes, or whose weighted coefficients are exactly zero, has no
+    rows and norms 0.0.
     """
     modes, coefficients = _live(mode_range(f.bandwidth), f.coefficients)
-    out = []
-    for weights in _partition_weights(f.bandwidth, modes):
-        block_modes, rows = _real_rows(modes, weights[:, None] * coefficients)
-        out.append([_lp_norm(block_modes, rows, n, p) if rows else 0.0 for n in lengths])
-    return np.array(out)
+    weights = _partition_weights(f.bandwidth, modes)
+    out = np.zeros((len(weights), len(lengths)))
+    for level in np.flatnonzero(np.any(weights, axis=1)):
+        block_modes, rows = _real_rows(modes, weights[level][:, None] * coefficients)
+        if rows:
+            out[level] = [_lp_norm(block_modes, rows, n, p) for n in lengths]
+    return out
 
 
 def _combine_blocks(blocks: np.ndarray, params: BesovParams) -> float:
@@ -243,7 +242,10 @@ def besov_norm_report(f: PeriodicGridFunction, params: BesovParams) -> BesovNorm
     subadditive, and zero only for the zero function.  For p == 2 the grid
     trapezoid is exact and the error is 0.  Otherwise the norm is taken on
     the quadrature grid of N points and the estimate is its difference
-    against the same norm on the smallest 7-smooth length >= 2N.
+    against the same norm on the smallest 7-smooth length >= 2N.  An
+    estimate of 0.0 for p != 2 means the two sums rounded to the same
+    float, so the error is below round-off, not that the quadrature is
+    exact.
     """
     n = _quadrature_points(f, params.p)
     table = _block_norms(f, params.p, (n,) if params.p == 2.0 else (n, _seven_smooth(2 * n)))

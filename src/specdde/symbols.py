@@ -75,25 +75,6 @@ def _as_state_matrix(value, dim: int, what: str) -> np.ndarray:
     return mat
 
 
-def _linear_recurrence(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x_0 = b_0 and x_i = a_i x_{i-1} + b_i along axis 0, for scalar a_i.
-
-    Recursive doubling (Kogge and Stone, IEEE Trans. Comput. C-22, 1973):
-    after the step of shift s, row i holds the composition of the maps
-    i - 2s + 1..i, so ceil(log2 len) whole-array steps replace the loop.
-    Rows below 2s are then final and are not touched again; numpy reads
-    overlapping operands of an in-place update as they were before it.
-    """
-    a, x = a.astype(float), b.copy()
-    shape = (-1,) + (1,) * (x.ndim - 1)
-    shift = 1
-    while shift < len(x):
-        x[shift:] += a[shift:].reshape(shape) * x[:-shift]
-        a[shift:] *= a[:-shift]
-        shift *= 2
-    return x
-
-
 def _not_a_knot_pieces(samples: np.ndarray, h: float) -> np.ndarray:
     """Power coefficients of the not-a-knot cubic spline through uniform samples.
 
@@ -106,14 +87,8 @@ def _not_a_knot_pieces(samples: np.ndarray, h: float) -> np.ndarray:
         s_{i-1} + 4 s_i + s_{i+1}  = 3 (d_{i-1} + d_i)          0 < i < P
         2 s_{P-1} + s_P            = (d_{P-2} + 5 d_{P-1}) / 2
 
-    by Thomas elimination; the first and last rows make the third derivative
-    continuous at x_1 and x_{P-1}.  The pivots do not depend on the data:
-    the interior ones follow p_i = 4 - 1/p_{i-1} from p_1 = 2 and reach
-    their fixed point 2 + sqrt(3) in floating point within about 16 rows,
-    after which they are filled in.  The forward multipliers are then at
-    most 1 and the backward ones 2 at row 0 and at most 1/2 elsewhere, so
-    both sweeps are stable first-order recurrences, each run by
-    ``_linear_recurrence``.
+    by one Thomas sweep; the first and last rows make the third derivative
+    continuous at x_1 and x_{P-1}.
     """
     y = samples
     pieces = y.shape[0] - 1
@@ -122,18 +97,17 @@ def _not_a_knot_pieces(samples: np.ndarray, h: float) -> np.ndarray:
     rhs[0] = (5.0 * d[0] + d[1]) / 2.0
     rhs[1:pieces] = 3.0 * (d[:-1] + d[1:])
     rhs[pieces] = (d[pieces - 2] + 5.0 * d[pieces - 1]) / 2.0
-    sub = np.r_[0.0, np.ones(pieces - 1), 2.0]
-    sup = np.r_[2.0, np.ones(pieces - 1)]
-    leading = [1.0, 2.0]
-    while len(leading) < pieces and leading[-1] != leading[-2]:
-        leading.append(4.0 - 1.0 / leading[-1])
-    pivots = np.full(pieces + 1, leading[-1])
-    pivots[:len(leading)] = leading
-    multipliers = sub[1:] / pivots[:-1]
-    pivots[pieces] = 1.0 - multipliers[-1] * sup[-1]
-    rhs = _linear_recurrence(np.r_[0.0, -multipliers], rhs)
-    rhs /= pivots.reshape((-1,) + (1,) * (y.ndim - 1))
-    slopes = _linear_recurrence(np.r_[0.0, -(sup / pivots[:-1])[::-1]], rhs[::-1])[::-1]
+    sub = [0.0] + [1.0] * (pieces - 1) + [2.0]
+    diag = [1.0] + [4.0] * (pieces - 1) + [1.0]
+    sup = [2.0] + [1.0] * (pieces - 1)
+    for i in range(1, pieces + 1):
+        w = sub[i] / diag[i - 1]
+        diag[i] -= w * sup[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    slopes = np.empty_like(rhs)
+    slopes[pieces] = rhs[pieces] / diag[pieces]
+    for i in range(pieces - 1, -1, -1):
+        slopes[i] = (rhs[i] - sup[i] * slopes[i + 1]) / diag[i]
     s0, s1 = slopes[:-1], slopes[1:]
     t = (s0 + s1 - 2.0 * d) / h
     return np.stack([y[:-1], s0, (d - s0) / h - t, t / h], axis=1)

@@ -190,18 +190,6 @@ class TestSampledKernel:
         got = dist._pieces.transpose(1, 0, 2, 3)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("length", [1, 2, 3, 5, 64, 65, 1000])
-    def test_linear_recurrence_matches_the_loop(self, length):
-        gen = np.random.default_rng(length)
-        a = gen.uniform(-1.0, 1.0, size=length)
-        b = gen.normal(size=(length, 2, 3)) + 1j * gen.normal(size=(length, 2, 3))
-        expected = b.copy()
-        for i in range(1, length):
-            expected[i] = a[i] * expected[i - 1] + b[i]
-        got = symbols_module._linear_recurrence(a, b)
-        assert np.allclose(got, expected, rtol=1e-13, atol=1e-13)
-        assert np.array_equal(got[:1], b[:1])
-
     def test_evaluate_matches_scipy_spline(self):
         samples, span = bench_kernel(2)
         grid = np.linspace(-span, 0.0, samples.shape[0])
