@@ -14,17 +14,28 @@ it does not report; the spectral-norm sequences belong to the boundedness
 diagnostics in ``resolvent``.  The convergence sweep is one such solve on its
 widest band: the solve at truncation K is that solve's coefficients on
 |k| <= K, so each row costs only its two syntheses.
+
+Which band a problem is solved on: a problem whose data are real
+(``ProblemSpec.is_real``) and whose stored forcing coefficients are exactly
+Hermitian, fhat(-k) == conj fhat(k) (a harmonics forcing), has M(-k) =
+conj M(k), so its solve and sweep work on k = 0..K alone.  The table, M(k),
+the checked inverse and the defect are built there, each grid residual is
+one ``irfft`` of the k >= 0 rows, and only what is reported over the whole
+band is mirrored: the coefficients, uhat(-k) = conj uhat(k), and the
+condition numbers.  A rejected mode k names both -k and k.  Every other
+problem, a complex one or one with a sampled real forcing, whose
+coefficients are Hermitian only to round-off, is solved on -K..K.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import TruncationWarning
+from .exceptions import SingularModeError, TruncationWarning
 from .resolvent import COND_LIMIT, _checked_inverse
 from .symbols import ModeSymbols, PeriodicGridFunction, ProblemSpec, mode_range
 
@@ -50,40 +61,93 @@ class SpectralSolution:
     forcing_tail_energy: float
 
 
-def _on_band(coefficients: np.ndarray, bandwidth: int) -> np.ndarray:
-    """Coefficients on |k| <= bandwidth: cut, or padded with zero modes."""
-    have = (coefficients.shape[0] - 1) // 2
-    keep = min(have, bandwidth)
-    out = np.zeros((2 * bandwidth + 1, coefficients.shape[1]), dtype=complex)
-    out[bandwidth - keep: bandwidth + keep + 1] = coefficients[have - keep: have + keep + 1]
+def _solved_modes(spec: ProblemSpec, bandwidth: int) -> np.ndarray:
+    """The modes a problem is solved on: k = 0..bandwidth when its data are
+    real (``spec.is_real``) and its stored forcing coefficients exactly
+    Hermitian, fhat(-k) == conj fhat(k), so that the defect at -k is the
+    conjugate of the defect at k; else -bandwidth..bandwidth.  A sampled
+    real forcing is Hermitian only to round-off and keeps the whole band."""
+    c = spec.forcing.coefficients
+    half = bool(np.array_equal(c[::-1], np.conj(c))) and spec.is_real
+    return np.arange(0 if half else -bandwidth, bandwidth + 1)
+
+
+def _half(modes: np.ndarray) -> bool:
+    """Whether consecutive ascending ``modes`` are a half band 0..K, K >= 1.
+    A lone mode 0 is a whole band: read that way it is right for complex
+    data too."""
+    return modes[0] == 0 < modes[-1]
+
+
+def _within(stack: np.ndarray, modes: np.ndarray, bandwidth: int) -> np.ndarray:
+    """The rows |k| <= bandwidth of a stack on consecutive ascending
+    ``modes`` (a view)."""
+    first = int(modes[0])
+    return stack[max(-bandwidth, first) - first: bandwidth - first + 1]
+
+
+def _relaid(rows: np.ndarray, modes: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Rows given on consecutive ascending ``modes``, laid on ``target``:
+    cut, or padded with zero modes."""
+    out = np.zeros((len(target), rows.shape[1]), dtype=complex)
+    lo, hi = max(modes[0], target[0]), min(modes[-1], target[-1])
+    if lo <= hi:
+        out[lo - target[0]: hi - target[0] + 1] = rows[lo - modes[0]: hi - modes[0] + 1]
     return out
 
 
-def _centre(stack: np.ndarray, bandwidth: int) -> np.ndarray:
-    """The rows |k| <= bandwidth of a stack on a wider band (a view)."""
-    half = (stack.shape[0] - 1) // 2
-    return stack[half - bandwidth: half + bandwidth + 1]
+def _mirrored(half: np.ndarray) -> np.ndarray:
+    """A stack on k = 0..K extended to -K..K, row -k the conjugate of row k."""
+    return np.concatenate([np.conj(half[:0:-1]), half])
 
 
-def _defect(spec: ProblemSpec, modal: np.ndarray, uhat: np.ndarray) -> np.ndarray:
-    """rhat(k) = M(k) uhat(k) - fhat(k) on the band of ``modal``."""
-    band = (modal.shape[0] - 1) // 2
-    return (np.einsum("kij,kj->ki", modal, _on_band(uhat, band))
-            - _on_band(spec.forcing.coefficients, band))
+def _defect(spec: ProblemSpec, modes: np.ndarray, modal: np.ndarray,
+            uhat: np.ndarray, uhat_modes: np.ndarray) -> np.ndarray:
+    """rhat(k) = M(k) uhat(k) - fhat(k) on the modes of ``modal``."""
+    f = spec.forcing
+    return (np.einsum("kij,kj->ki", modal, _relaid(uhat, uhat_modes, modes))
+            - _relaid(f.coefficients, mode_range(f.bandwidth), modes))
 
 
-def _grid_max(rhat: np.ndarray, n_samples: int) -> float:
-    """Max norm over at least n_samples nodes of the function with coefficients rhat."""
-    band = (rhat.shape[0] - 1) // 2
-    return PeriodicGridFunction(rhat, max(n_samples, 2 * band + 1)).max_norm()
+def _grid_max(modes: np.ndarray, rhat: np.ndarray, n_samples: int) -> float:
+    """Max norm over at least n_samples nodes of the function with
+    coefficients rhat on ``modes``.  On the half band the function is real,
+    and its samples are one ``irfft`` of the k >= 0 rows, taken along
+    contiguous components."""
+    n = max(n_samples, 2 * int(modes[-1]) + 1)
+    if not _half(modes):
+        return PeriodicGridFunction(rhat, n).max_norm()
+    samples = np.fft.irfft(np.ascontiguousarray(rhat.T), n, norm="forward")
+    return float(np.sqrt(np.max(np.sum(np.square(samples), axis=0))))
 
 
-def _coefficients(spec: ProblemSpec, resolvent: np.ndarray) -> np.ndarray:
-    """uhat(k) = M(k)^{-1} fhat(k) on the band of the checked inverse,
-    assembled conjugate-symmetrically from k >= 0 for real data."""
-    K = (resolvent.shape[0] - 1) // 2
-    uhat = np.einsum("kij,kj->ki", resolvent, _on_band(spec.forcing.coefficients, K))
-    if spec.is_real:
+def _checked(modes: np.ndarray, modal: np.ndarray, bandwidth: int, cond_limit: float,
+             bands=None):
+    """``_checked_inverse`` on the modes |k| <= bandwidth.  On the half band
+    a rejected mode k stands for both -k and k, and the error names both."""
+    solved = _within(modes, modes, bandwidth)
+    try:
+        return _checked_inverse(solved, _within(modal, modes, bandwidth), cond_limit, bands)
+    except SingularModeError as error:
+        if not _half(solved):
+            raise
+        k, c = np.array(error.modes), np.array(error.conditions)
+        mirror = k > 0
+        raise SingularModeError(np.concatenate([-k[mirror][::-1], k]),
+                                np.concatenate([c[mirror][::-1], c])) from None
+
+
+def _coefficients(spec: ProblemSpec, solved: np.ndarray, resolvent: np.ndarray) -> np.ndarray:
+    """uhat(k) = M(k)^{-1} fhat(k) on the ``solved`` modes of the checked
+    inverse.  On the half band uhat(0) is made real; on the whole band, real
+    data have their k < 0 half replaced by the conjugates of the k > 0 half."""
+    f = spec.forcing
+    uhat = np.einsum("kij,kj->ki", resolvent,
+                     _relaid(f.coefficients, mode_range(f.bandwidth), solved))
+    if _half(solved):
+        uhat[0] = np.real(uhat[0])
+    elif spec.is_real:
+        K = (len(solved) - 1) // 2
         uhat[K] = np.real(uhat[K])
         uhat[:K] = np.conj(uhat[:K:-1])
     return uhat
@@ -98,15 +162,22 @@ def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> Spectra
     1-norm condition number of some modal matrix in the band exceeds
     ``cond_limit``.
 
-    For real problem data and real forcing the coefficients are assembled
-    conjugate-symmetrically from the k >= 0 modes, so the synthesized grid
-    values are real to round-off.  Problem data counts as real only when its
-    imaginary parts are exactly zero; forcing samples may carry round-off.
+    A real problem whose forcing coefficients are exactly Hermitian (a
+    harmonics forcing; ``_solved_modes``) is solved on k = 0..K alone: the
+    symbols, M(k), its checked inverse and the defect are built there, the
+    grid residual is one ``irfft``, and the coefficients and ``condition``
+    are mirrored to -K..K, uhat(-k) = conj uhat(k).  Any other problem is
+    solved on the whole band; for real data its coefficients are then
+    assembled the same way from k >= 0.  Either way the synthesized grid
+    values of a real problem are real to round-off.  Problem data counts as
+    real only when its imaginary parts are exactly zero; forcing samples may
+    carry round-off.
     """
     f = spec.forcing
     K = spec.truncation
-    modal = ModeSymbols.from_spec(spec, max(K, f.bandwidth)).modal(spec.state_matrix)
-    resolvent, condition = _checked_inverse(mode_range(K), _centre(modal, K), cond_limit)
+    modes = _solved_modes(spec, max(K, f.bandwidth))
+    modal = ModeSymbols.on_modes(spec, modes).modal(spec.state_matrix)
+    resolvent, condition = _checked(modes, modal, K, cond_limit)
     inside, outside = f.band_energy_split(K)
     total = inside + outside
     tail_energy = float(np.sqrt(outside / total)) if total > 0.0 else 0.0
@@ -117,16 +188,19 @@ def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> Spectra
             TruncationWarning,
             stacklevel=2,
         )
-    uhat = _coefficients(spec, resolvent)
-    rhat = _defect(spec, modal, uhat)
+    solved = _within(modes, modes, K)
+    uhat = _coefficients(spec, solved, resolvent)
+    rhat = _defect(spec, modes, modal, uhat, solved)
+    if _half(solved):
+        uhat, condition = _mirrored(uhat), _mirrored(condition)
     return SpectralSolution(
         solution=PeriodicGridFunction(uhat, spec.grid),
         modes=mode_range(K),
         coefficients=uhat,
         condition=condition,
         truncation=K,
-        residual_modal=float(np.max(np.linalg.norm(_centre(rhat, K), axis=1))),
-        residual_grid=_grid_max(rhat, spec.grid),
+        residual_modal=float(np.max(np.linalg.norm(_within(rhat, modes, K), axis=1))),
+        residual_grid=_grid_max(modes, rhat, spec.grid),
         forcing_tail_energy=tail_energy,
     )
 
@@ -138,9 +212,10 @@ def residual(spec: ProblemSpec, u: PeriodicGridFunction) -> float:
     the candidate and forcing bands, then synthesized and maximized over the
     grid.  Zero (to round-off) exactly when u solves the truncated problem.
     """
-    band = max(u.bandwidth, spec.forcing.bandwidth)
-    modal = ModeSymbols.from_spec(spec, band).modal(spec.state_matrix)
-    return _grid_max(_defect(spec, modal, u.coefficients), spec.grid)
+    modes = mode_range(max(u.bandwidth, spec.forcing.bandwidth))
+    modal = ModeSymbols.on_modes(spec, modes).modal(spec.state_matrix)
+    rhat = _defect(spec, modes, modal, u.coefficients, mode_range(u.bandwidth))
+    return _grid_max(modes, rhat, spec.grid)
 
 
 @dataclass
@@ -183,7 +258,9 @@ def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
     near 1, so the threshold separates the two by orders of magnitude.  The
     flag is None when fewer than three doubling steps are available.  A
     rejected mode raises SingularModeError as the first row whose band holds
-    it would.
+    it would.  A real problem with an exactly Hermitian forcing is solved on
+    k = 0..K and each row's residual and change are one ``irfft`` of its
+    k >= 0 rows, as in ``solve_periodic``; any other on the whole band.
     """
     truncations = [int(k) for k in truncations]
     if any(a >= b for a, b in zip(truncations, truncations[1:])):
@@ -191,21 +268,25 @@ def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
     f = spec.forcing
     widest = truncations[-1]
     n_grid = max(spec.grid, 4 * widest, f.n_samples)
-    modal = ModeSymbols.from_spec(spec, max(widest, f.bandwidth)).modal(spec.state_matrix)
-    resolvent, _ = _checked_inverse(mode_range(widest), _centre(modal, widest),
-                                    cond_limit, bands=truncations)
-    uhat = _coefficients(spec, resolvent)
+    modes = _solved_modes(spec, max(widest, f.bandwidth))
+    modal = ModeSymbols.on_modes(spec, modes).modal(spec.state_matrix)
+    resolvent, _ = _checked(modes, modal, widest, cond_limit, bands=truncations)
+    solved = _within(modes, modes, widest)
+    uhat = _coefficients(spec, solved, resolvent)
     rows: List[SweepRow] = []
     ratios = []
-    prev: Optional[np.ndarray] = None
+    prev: Optional[Tuple[np.ndarray, np.ndarray]] = None   # (rows, their modes)
     for K in truncations:
-        u = _centre(uhat, K)
-        res = _grid_max(_defect(spec, _centre(modal, max(K, f.bandwidth)), u), n_grid)
-        change = None if prev is None else _grid_max(u - _on_band(prev, K), n_grid)
+        u_modes, u = _within(solved, solved, K), _within(uhat, solved, K)
+        row_modes = _within(modes, modes, max(K, f.bandwidth))
+        rhat = _defect(spec, row_modes, _within(modal, modes, max(K, f.bandwidth)), u, u_modes)
+        res = _grid_max(row_modes, rhat, n_grid)
+        change = (None if prev is None
+                  else _grid_max(u_modes, u - _relaid(*prev, u_modes), n_grid))
         if rows and rows[-1].residual_full_band > 0.0:
             ratios.append(res / rows[-1].residual_full_band)
         rows.append(SweepRow(K, res, change))
-        prev = u
+        prev = (u, u_modes)
 
     scale = max(f.max_norm(), 1.0)
     if rows[-1].residual_full_band <= 1e-11 * scale:

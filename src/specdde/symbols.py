@@ -678,7 +678,8 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class ModeSymbols:
-    """The mode symbols of one problem on the band |k| <= K, ascending k.
+    """The mode symbols of one problem on consecutive ascending modes: the
+    band |k| <= K, or its half k = 0..K.
 
     ``L`` and ``G`` stack the (n, n) symbols of the neutral and the reaction
     functional, ``a`` holds the kernel transform atilde(ik).  A table is
@@ -694,12 +695,18 @@ class ModeSymbols:
 
     @classmethod
     def from_spec(cls, spec: ProblemSpec, bandwidth: int) -> "ModeSymbols":
-        ks = mode_range(bandwidth)
+        """The table on the whole band -bandwidth..bandwidth."""
+        return cls.on_modes(spec, mode_range(bandwidth))
+
+    @classmethod
+    def on_modes(cls, spec: ProblemSpec, modes: np.ndarray) -> "ModeSymbols":
+        """The table on consecutive ascending ``modes``, such as k = 0..K for
+        a real problem, whose symbols at -k are the conjugates of those at k."""
         return cls(
-            modes=ks,
-            L=spec.neutral_delay.symbol_window(ks),
-            G=spec.reaction_delay.symbol_window(ks),
-            a=np.atleast_1d(laplace_symbol(spec.kernel, ks)),
+            modes=modes,
+            L=spec.neutral_delay.symbol_window(modes),
+            G=spec.reaction_delay.symbol_window(modes),
+            a=np.atleast_1d(laplace_symbol(spec.kernel, modes)),
         )
 
     @property
@@ -710,7 +717,8 @@ class ModeSymbols:
         """The table restricted to |k| <= bandwidth (views, no copies)."""
         if not 0 <= bandwidth <= self.bandwidth:
             raise ValueError(f"band {bandwidth} outside the table's band {self.bandwidth}")
-        rows = slice(self.bandwidth - bandwidth, self.bandwidth + bandwidth + 1)
+        first = int(self.modes[0])
+        rows = slice(max(-bandwidth, first) - first, bandwidth - first + 1)
         return ModeSymbols(self.modes[rows], self.L[rows], self.G[rows], self.a[rows])
 
     @property

@@ -26,13 +26,20 @@ def smooth_suite():
 
 @pytest.fixture
 def inverse_ffts(monkeypatch):
-    """The length of every ``np.fft.ifft`` the package runs while the test does."""
-    lengths = []
-    inverse = np.fft.ifft
+    """Every inverse FFT the package runs while the test does, as (name,
+    length): ``"ifft"`` or ``"irfft"``, and the length of the transform."""
+    transforms = []
 
-    def counted(a, n=None, axis=-1, *args, **kwargs):
-        lengths.append(np.shape(a)[axis] if n is None else n)
-        return inverse(a, n, axis, *args, **kwargs)
+    def counted(name, length_of):
+        inverse = getattr(np.fft, name)
 
-    monkeypatch.setattr(np.fft, "ifft", counted)
-    return lengths
+        def run(a, n=None, axis=-1, *args, **kwargs):
+            transforms.append((name, length_of(np.shape(a)[axis]) if n is None else n))
+            return inverse(a, n, axis, *args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(np.fft, "ifft", counted("ifft", lambda m: m))
+    # irfft's default length is that of the real signal with m Hermitian rows
+    monkeypatch.setattr(np.fft, "irfft", counted("irfft", lambda m: 2 * (m - 1)))
+    return transforms

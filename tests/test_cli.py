@@ -110,7 +110,10 @@ def test_sweep_synthesises_twice_per_row_and_diagnose_never(inverse_ffts):
     # 16-point grid is not the sweep's
     n_grid = max(spec.grid, 4 * config.truncation_sweep[-1], spec.forcing.n_samples)
     assert n_grid != spec.forcing.n_samples
-    assert inverse_ffts.count(n_grid) == 2 * len(config.truncation_sweep) - 1
+    on_grid = [name for name, n in inverse_ffts if n == n_grid]
+    assert len(on_grid) == 2 * len(config.truncation_sweep) - 1
+    # TINY is real with a harmonics forcing, so every row is real
+    assert set(on_grid) == {"irfft"}
 
 
 def test_absent_N_is_the_problem_default_echoed():

@@ -3,6 +3,7 @@
 import inspect
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +21,11 @@ from specdde import (
     residual,
     solve_periodic,
 )
+from specdde import symbols
+from specdde.config import parse_config
 
 TWO_PI = 2.0 * np.pi
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestSolveBenchmarks:
@@ -115,12 +119,21 @@ class TestSolveBenchmarks:
         assert solve_periodic(spec, cond_limit=4.5).residual_modal <= 1e-14
 
     def test_solution_records_the_condition_of_every_mode(self, regression_specs):
+        # a real problem is solved on k >= 0 and its k < 0 half mirrored;
+        # every other problem is solved, and its condition taken, at every mode
         assert "scalar_lag_pi" in regression_specs
+        assert not regression_specs["scalar_neutral"].is_real
         for name, spec in regression_specs.items():
             sol = solve_periodic(spec)
-            modal = ModeSymbols.from_spec(spec, spec.truncation).modal(spec.state_matrix)
-            assert np.array_equal(sol.condition, np.linalg.cond(modal, 1)), name
+            K = spec.truncation
             assert sol.condition.shape == sol.modes.shape, name
+            if spec.is_real:
+                modal = ModeSymbols.on_modes(spec, np.arange(K + 1)).modal(spec.state_matrix)
+                assert np.array_equal(sol.condition[K:], np.linalg.cond(modal, 1)), name
+                assert np.array_equal(sol.condition[:K], sol.condition[:K:-1]), name
+            else:
+                modal = ModeSymbols.from_spec(spec, K).modal(spec.state_matrix)
+                assert np.array_equal(sol.condition, np.linalg.cond(modal, 1)), name
 
 
 class TestSymbolTable:
@@ -339,3 +352,165 @@ class TestConvergenceSweep:
     def test_rejects_repeated_truncation(self):
         with pytest.raises(ValueError, match="strictly ascending"):
             convergence_sweep(problems.scalar_basic(), [4, 4])
+
+
+def _tiny():
+    """The problem of the golden configuration ``tests/golden/tiny.json``."""
+    return parse_config((GOLDEN / "tiny.json").read_text(encoding="utf-8")).problem
+
+
+def _complex_tiny():
+    """The golden complex case: TINY with 0.1i added to A's diagonal."""
+    tiny = _tiny()
+    return replace(tiny, state_matrix=tiny.state_matrix + 0.1j * np.eye(2))
+
+
+def _sampled_real():
+    """A real problem whose forcing is sampled: its coefficients are
+    Hermitian only to round-off."""
+    t = TWO_PI * np.arange(64) / 64
+    forcing = PeriodicGridFunction.from_samples(np.cos(t) + 0.5 * np.sin(3 * t), bandwidth=8)
+    return replace(problems.scalar_full(), forcing=forcing)
+
+
+#: every real problem of ``tests/problems.py`` with a harmonics forcing, and TINY
+REAL_CASES = {
+    "scalar_basic": problems.scalar_basic,
+    "scalar_full": problems.scalar_full,
+    "scalar_lag_pi": problems.scalar_lag_pi,
+    "mat2_diag": problems.mat2_diag,
+    "mat2_rich": problems.mat2_rich,
+    "mat2_sampled": problems.mat2_sampled,
+    "tiny": _tiny,
+}
+
+
+def _on_band(coefficients, bandwidth):
+    """Coefficients on |k| <= bandwidth: cut, or padded with zero modes."""
+    have = (len(coefficients) - 1) // 2
+    keep = min(have, bandwidth)
+    out = np.zeros((2 * bandwidth + 1, coefficients.shape[1]), dtype=complex)
+    out[bandwidth - keep: bandwidth + keep + 1] = coefficients[have - keep: have + keep + 1]
+    return out
+
+
+def _full_band_reference(spec):
+    """The solve on the whole band -K..K: one table, ``np.linalg.inv`` of every
+    M(k), and the k < 0 half of the coefficients replaced by the conjugates of
+    the k > 0 half.  Returns (coefficients, 1-norm condition numbers)."""
+    K = spec.truncation
+    modal = ModeSymbols.from_spec(spec, K).modal(spec.state_matrix)
+    uhat = np.einsum("kij,kj->ki", np.linalg.inv(modal),
+                     _on_band(spec.forcing.coefficients, K))
+    uhat[K] = np.real(uhat[K])
+    uhat[:K] = np.conj(uhat[:K:-1])
+    return uhat, np.linalg.cond(modal, 1)
+
+
+class TestRealHalfBand:
+    """A real problem with an exactly Hermitian forcing is solved on k >= 0
+    alone, with the numbers of the whole-band solve."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The modes of every symbol evaluation: both delay functionals and
+        the kernel transform."""
+        modes = []
+        window, laplace = DelayFunctional.symbol_window, symbols.laplace_symbol
+
+        def spy_window(functional, ks):
+            modes.append(np.asarray(ks))
+            return window(functional, ks)
+
+        def spy_laplace(kernel, k):
+            modes.append(np.atleast_1d(k))
+            return laplace(kernel, k)
+
+        monkeypatch.setattr(DelayFunctional, "symbol_window", spy_window)
+        monkeypatch.setattr(symbols, "laplace_symbol", spy_laplace)
+        return modes
+
+    @pytest.mark.parametrize("name", REAL_CASES)
+    def test_coefficients_and_condition_match_the_full_band(self, name):
+        spec = REAL_CASES[name]()
+        assert spec.is_real
+        K = spec.truncation
+        sol = solve_periodic(spec)
+        uhat, condition = _full_band_reference(spec)
+        assert np.array_equal(sol.coefficients, uhat)
+        assert np.array_equal(sol.condition[K:], condition[K:])
+        assert np.array_equal(sol.condition[:K], condition[:K:-1])
+
+    @pytest.mark.parametrize("name", REAL_CASES)
+    def test_grid_residual_is_the_full_band_synthesis_to_round_off(self, name):
+        # the k >= 0 defect by irfft against the whole-band defect by ifft
+        spec = REAL_CASES[name]()
+        sol = solve_periodic(spec)
+        band = max(spec.truncation, spec.forcing.bandwidth)
+        modal = ModeSymbols.from_spec(spec, band).modal(spec.state_matrix)
+        defect = (np.einsum("kij,kj->ki", modal, _on_band(sol.coefficients, band))
+                  - _on_band(spec.forcing.coefficients, band))
+        expected = PeriodicGridFunction(defect, max(spec.grid, 2 * band + 1)).max_norm()
+        scale = max(spec.forcing.max_norm(), 1.0)
+        assert abs(sol.residual_grid - expected) <= 8 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("run", [
+        lambda spec: solve_periodic(spec),
+        lambda spec: convergence_sweep(spec, [2, 4, 8]),
+    ], ids=["solve_periodic", "convergence_sweep"])
+    def test_a_real_problem_evaluates_no_negative_mode(self, evaluated, run):
+        for name, make in REAL_CASES.items():
+            evaluated.clear()
+            run(make())
+            assert len(evaluated) == 3, name
+            assert all(ks[0] == 0 and np.all(np.diff(ks) == 1) for ks in evaluated), name
+
+    @pytest.mark.parametrize("run", [
+        lambda spec: solve_periodic(spec),
+        lambda spec: convergence_sweep(spec, [2, 4, 8]),
+    ], ids=["solve_periodic", "convergence_sweep"])
+    @pytest.mark.parametrize("make", [_complex_tiny, _sampled_real],
+                             ids=["complex_golden", "sampled_real"])
+    def test_other_problems_evaluate_the_whole_band(self, evaluated, run, make):
+        spec = make()
+        run(spec)
+        assert len(evaluated) == 3
+        assert all(np.array_equal(ks, -ks[::-1]) and ks[-1] >= 8 for ks in evaluated)
+
+    def test_sampled_real_forcing_is_hermitian_only_to_round_off(self):
+        spec = _sampled_real()
+        c = spec.forcing.coefficients
+        assert spec.is_real and not np.array_equal(c[::-1], np.conj(c))
+        assert np.max(np.abs(c[::-1] - np.conj(c))) <= 1e-15
+
+    def test_a_complex_sweep_on_mode_zero_alone_keeps_its_complex_mean(self):
+        # the band of the widest row is the lone mode 0, on which the mean of
+        # the solution and of the defect are complex
+        spec = replace(problems.scalar_basic(), state_matrix=[[-1.0 + 0.5j]],
+                       forcing=PeriodicGridFunction([[0.5], [1.0j], [0.5]], 32))
+        u0 = np.linalg.solve(ModeSymbols.from_spec(spec, 0).modal(spec.state_matrix)[0],
+                             spec.forcing.coefficient(0))
+        expected = residual(spec, PeriodicGridFunction(u0, spec.grid))
+        row = convergence_sweep(spec, [0]).rows[0]
+        assert row.residual_full_band == pytest.approx(expected, rel=1e-14)
+
+    def test_a_singular_real_mode_names_both_signs(self):
+        # the first diagonal entry of M(k), ik - 3 e^{-ik pi/2}, vanishes at
+        # k = +-3 alone
+        spec = ProblemSpec(
+            state_matrix=np.diag([0.0, -1.0]),
+            reaction_delay=DelayFunctional(dim=2, atoms=[(np.diag([3.0, 0.0]), np.pi / 2)]),
+            forcing=PeriodicGridFunction.from_harmonics(cos=[[1.0, 1.0]], dim=2),
+            truncation=8,
+            grid=32,
+        )
+        assert spec.is_real
+        with pytest.raises(SingularModeError) as err:
+            solve_periodic(spec)
+        assert err.value.modes == [-3, 3]
+        assert err.value.conditions[0] == err.value.conditions[1] > 1e12
+        assert convergence_sweep(spec, [1, 2]).rows[-1].residual_full_band <= 1e-12
+        for truncations in ([2, 4, 8], [4, 8]):
+            with pytest.raises(SingularModeError) as err:
+                convergence_sweep(spec, truncations)
+            assert err.value.modes == [-3, 3]

@@ -449,8 +449,8 @@ class TestAnalyzeSynthesize:
                  f + g, f - g, 2.0 * g, g * 0.5]
         assert inverse_ffts == []
         samples = f.samples
-        assert inverse_ffts == [16]
-        assert f.samples is samples and inverse_ffts == [16]
+        assert inverse_ffts == [("ifft", 16)]
+        assert f.samples is samples and inverse_ffts == [("ifft", 16)]
         assert np.allclose(built[-2].samples, 2.0 * g.samples, atol=1e-14)
 
     def test_samples_are_the_synthesis_of_the_coefficients(self):
@@ -555,6 +555,10 @@ class TestModeSymbols:
                 assert np.array_equal(getattr(wide, field), getattr(narrow, field)), name
             assert np.array_equal(wide.modal(spec.state_matrix),
                                   narrow.modal(spec.state_matrix)), name
+            # a table on k >= 0 alone holds the same rows as the whole band's
+            half = ModeSymbols.on_modes(spec, np.arange(41)).band(9)
+            for field in ("modes", "L", "G", "a"):
+                assert np.array_equal(getattr(half, field), getattr(narrow, field)[9:]), name
 
     def test_band_is_bit_identical_with_small_mode_blocks(self, monkeypatch):
         # mat2_sampled takes the FFT route; the same kernel on a span off the
