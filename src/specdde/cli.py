@@ -8,11 +8,14 @@ formatted by a template, not by the encoder, but it is the bytes the
 standard encoder would write for its list of ``{"k", "value": [{"re",
 "im"}, ...]}`` objects.  A side file is CSV: a header line of column names,
 then one line per row, each cell in ``str`` form, comma-separated, every
-line ended by one LF.  Exit codes: 0 success, 2 solvability failure
-(singular mode or singular collocation system), 3 validation failure (an
-invalid document, or values a command cannot use: an off-grid lag or a grid
-too coarse for a bandwidth) or a ``non_finite`` result (a NaN or infinity in
-the output, which then writes no side file).  Every failure writes a report with an ``error.type``.
+line ended by one LF; a float's ``str`` is its shortest round-trip
+``repr``, which ``_repr.repr_bytes`` computes for a block of rows at once
+(the solution's samples are most of what a solve writes).  Exit codes: 0
+success, 2 solvability failure (singular mode or singular collocation
+system), 3 validation failure (an invalid document, or values a command
+cannot use: an off-grid lag or a grid too coarse for a bandwidth) or a
+``non_finite`` result (a NaN or infinity in the output, which then writes no
+side file).  Every failure writes a report with an ``error.type``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._repr import repr_bytes
 from .besov import besov_norm_report
 from .config import RunConfig, parse_config
 from .exceptions import (
@@ -95,15 +99,51 @@ def _finite(obj) -> bool:
     return True
 
 
+#: rows of a side file formatted at a time, which bounds the formatter's
+#: temporaries (a few hundred bytes per cell)
+_BLOCK_ROWS = 1024
+
+
+def _cell_bytes(block):
+    """Each cell of a block of rows as a fixed-width, NUL-padded bytes
+    array of shape (rows, columns): a float (a Python or numpy float, or a
+    float array's entry) is ``repr_bytes``, any other cell (an int or "")
+    its ``str``."""
+    if isinstance(block, np.ndarray):
+        return repr_bytes(block)
+    cells = np.array(block, dtype=object)
+    floats = np.array([isinstance(v, float) for v in cells.flat],
+                      dtype=bool).reshape(cells.shape)
+    text = np.where(floats, "", cells).astype(str).astype(bytes)
+    numbers = repr_bytes(cells[floats].astype(float))
+    out = text.astype(np.promote_types(text.dtype, numbers.dtype))
+    out[floats] = numbers
+    return out
+
+
+def _csv_bytes(cells) -> bytes:
+    """The CSV lines of a (rows, columns) bytes array: each cell's bytes
+    up to its NUL padding, then a comma, or LF after a row's last cell."""
+    rows, columns = cells.shape
+    width = cells.dtype.itemsize
+    lines = np.zeros((rows, columns, width + 1), np.uint8)
+    lines[..., :width] = cells.view(np.uint8).reshape(rows, columns, width)
+    lines[..., width] = ord(",")
+    lines[:, -1, width] = ord("\n")
+    return lines[lines != 0].tobytes()
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    """The header line, then one line per row of ``rows`` (an array or a
-    list of tuples), each cell in ``str`` form, comma-separated, each line
-    ended by LF.  One ``%s`` template formats every cell: ``%s`` is
-    ``str``, and the cells are Python objects (an array's become floats)."""
-    cells = np.asarray(rows, dtype=object).ravel().tolist()
-    line = ",".join(["%s"] * len(header)) + "\n"
-    body = (line * len(rows)) % tuple(cells)
-    path.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")
+    """The header line, then one line per row of ``rows`` (a float array or
+    a list of tuples), each cell in ``str`` form, comma-separated, each line
+    ended by LF.  ``str`` of a float is its ``repr``, which ``repr_bytes``
+    writes for a whole block of cells at once; an int or "" cell is its
+    ``str``.  The rows are written ``_BLOCK_ROWS`` at a time.  Every float
+    must be finite, as ``run`` checks before it writes a side file."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            fh.write(_csv_bytes(_cell_bytes(rows[start:start + _BLOCK_ROWS])))
 
 
 def _coefficients_json(modes, coefficients) -> _Encoded:

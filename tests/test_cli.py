@@ -470,6 +470,37 @@ def test_csv_is_the_str_of_each_cell_joined(data):
             assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _template_csv(header, rows):
+    """The bytes of a CSV as one ``%s`` template wrote them: each cell's
+    ``str``, comma-joined, one LF-ended line per row."""
+    cells = np.asarray(rows, dtype=object).ravel().tolist()
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return (",".join(header) + "\n" + (line * len(rows)) % tuple(cells)).encode("utf-8")
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_csv_across_a_block_boundary_is_the_template(tmp_path, extra):
+    count = cli._BLOCK_ROWS + extra
+    rng = np.random.default_rng(count)
+    table = rng.standard_normal((count, 3)) * 10.0 ** rng.integers(-6, 18, (count, 3))
+    table[::7, 1] = np.round(table[::7, 1])
+    tuples = [(i, table[i, 0], "" if i % 3 else -table[i, 2]) for i in range(count)]
+    header = ["a", "b", "c"]
+    for rows in (table, tuples):
+        cli._write_csv(tmp_path / "table.csv", header, rows)
+        assert (tmp_path / "table.csv").read_bytes() == _template_csv(header, rows)
+
+
+def test_solution_csv_over_several_blocks_is_the_template(tmp_path):
+    doc = dict(TINY, N=3 * cli._BLOCK_ROWS + 5)
+    code, out = run(tmp_path, "solve", doc)
+    assert code == 0
+    config = parse_config(json.dumps(doc))
+    _, header, table = cli._solution_csv(solve_periodic(config.problem))
+    assert len(table) == doc["N"]
+    assert (out / "solution.csv").read_bytes() == _template_csv(header, table)
+
+
 def _unreadable_config_report(tmp_path, config):
     out = tmp_path / "out"
     code = cli.main(["solve", "--config", str(config), "--out", str(out)])
