@@ -17,8 +17,8 @@ digit.  Its layout is ``repr``'s:
 The digits come from Schubfach on the bit patterns (R. Giulietti, *The
 Schubfach way to render doubles*, 2020), the same shortest-and-nearest
 digits as Ryu (U. Adams, *Ryu: fast float-to-string conversion*, PLDI
-2018).  A double c·2^q is scaled by a 128-bit upper approximation g of
-10^-k, with k = floor(q·log10 2), or floor(log10(3/4·2^q)) at the lower
+2018).  A double c*2^q is scaled by a 128-bit upper approximation g of
+10^-k, with k = floor(q*log10 2), or floor(log10(3/4*2^q)) at the lower
 edge of a binade, where the gap below is half the gap above.  Three
 round-to-odd products of g with 4c and with the two rounding boundaries,
 each from 32-bit limbs in uint64, give the digits s of the scaled value and
@@ -60,15 +60,15 @@ _M32 = 0xFFFFFFFF
 
 
 class _Tables(NamedTuple):
-    pow10: np.ndarray   # (4, 617) uint64: 32-bit limbs of g for 10^-324..10^292
+    pow10: np.ndarray   # (4, 617) uint64: 32-bit limbs of g for 10^-292..10^324
     digits4: np.ndarray  # (10000,) uint32: the ASCII of n, zero-padded to 4
     scale: np.ndarray   # (18,) uint64: 10^0..10^17
-    layouts: np.ndarray  # (2·_FORMS·17, WIDTH) intp: source column per byte
+    layouts: np.ndarray  # (2*_FORMS*17, WIDTH) intp: source column per byte
 
 
 @functools.cache
 def _tables() -> _Tables:
-    # g = floor(10^e · 2^(127 - floor(e·log2 10))) + 1, so 2^127 < g < 2^128
+    # g = floor(10^e * 2^(127 - floor(e*log2 10))) + 1, so 2^127 < g < 2^128
     exponents = np.arange(-292, 325)
     shifts = 127 - ((exponents * 1741647) >> 19)
     g = b"".join(((10 ** max(e, 0) << max(s, 0)) // (10 ** max(-e, 0) << max(-s, 0)) + 1)
@@ -86,7 +86,7 @@ def _tables() -> _Tables:
 
 
 def _layout_table() -> np.ndarray:
-    """Row (negative · _FORMS + form) · 17 + digits - 1 holds, for each
+    """Row (negative * _FORMS + form) * 17 + digits - 1 holds, for each
     byte of the text, the source column it copies (``_NUL`` past the end)."""
     negative, form, digits = (a.reshape(-1, 1) for a in np.meshgrid(
         np.arange(2, dtype=np.int16), np.arange(_FORMS, dtype=np.int16),
@@ -113,7 +113,7 @@ def _layout_table() -> np.ndarray:
 
 
 def _high_low(a1, a0, b1, b0):
-    """The high and low 64-bit words of (a1·2^32 + a0)·(b1·2^32 + b0),
+    """The high and low 64-bit words of (a1*2^32 + a0)*(b1*2^32 + b0),
     from 32-bit limbs."""
     p00 = a0 * b0
     p01 = a0 * b1
@@ -124,8 +124,8 @@ def _high_low(a1, a0, b1, b0):
 
 
 def _round_to_odd(g, cp):
-    """floor(g·cp / 2^128), its last bit set if the remainder is inexact,
-    for g in limbs and cp < 2^60 (Schubfach's rop; the low word of g_lo·cp
+    """floor(g*cp / 2^128), its last bit set if the remainder is inexact,
+    for g in limbs and cp < 2^60 (Schubfach's rop; the low word of g_lo*cp
     cannot change the result)."""
     c1, c0 = cp >> 32, cp & _M32
     x1, _ = _high_low(g[2], g[3], c1, c0)
@@ -135,7 +135,7 @@ def _round_to_odd(g, cp):
 
 
 def _shortest(magnitude, pow10):
-    """(d, k) with d·10^k the shortest nearest decimal of each positive
+    """(d, k) with d*10^k the shortest nearest decimal of each positive
     finite bit pattern; d has at most 17 digits."""
     fraction = magnitude & ((1 << 52) - 1)
     biased = (magnitude >> 52).astype(np.int64)
@@ -143,14 +143,19 @@ def _shortest(magnitude, pow10):
     c = np.where(normal, fraction | (1 << 52), fraction)
     q = np.where(normal, biased - 1075, -1074)
     closer = (fraction == 0) & (biased > 1)
+    # floor(q*log10 2) = (q*1262611) >> 22, less 524031 for floor(log10(3/4*2^q)),
+    # and floor(e*log2 10) = (e*1741647) >> 19, exact over the doubles' range
     k = (q * 1262611 - closer * 524031) >> 22
     h = (q + ((-k * 1741647) >> 19) + 1).astype(np.uint64)
     g = np.take(pow10, 292 - k, axis=1)
+    # 4x the value and the ends of its rounding interval, scaled by 10^-k;
+    # the ends belong to the interval when c is even (ties round to even)
     odd = c & 1
     cb = c << 2
     lower = _round_to_odd(g, (cb - 2 + closer) << h) + odd
     vb = _round_to_odd(g, cb << h)
     upper = _round_to_odd(g, (cb + 2) << h) - odd
+    # the candidates: 10*shorter or 10*shorter + 10 (one digit fewer), else s or s + 1
     s = vb >> 2
     shorter = s // 10
     low_in = lower <= 40 * shorter

@@ -106,19 +106,13 @@ _BLOCK_ROWS = 1024
 
 def _cell_bytes(block):
     """Each cell of a block of rows as a fixed-width, NUL-padded bytes
-    array of shape (rows, columns): a float (a Python or numpy float, or a
-    float array's entry) is ``repr_bytes``, any other cell (an int or "")
-    its ``str``."""
+    array of shape (rows, columns): ``repr_bytes`` of a float array, and
+    ``str`` of each cell of a list of tuples.  Those lists are the sweep
+    and verify tables, a few rows each, where ``str`` costs less than the
+    kernel's fixed sequence of array operations."""
     if isinstance(block, np.ndarray):
         return repr_bytes(block)
-    cells = np.array(block, dtype=object)
-    floats = np.array([isinstance(v, float) for v in cells.flat],
-                      dtype=bool).reshape(cells.shape)
-    text = np.where(floats, "", cells).astype(str).astype(bytes)
-    numbers = repr_bytes(cells[floats].astype(float))
-    out = text.astype(np.promote_types(text.dtype, numbers.dtype))
-    out[floats] = numbers
-    return out
+    return np.array([[str(v) for v in row] for row in block], dtype=bytes)
 
 
 def _csv_bytes(cells) -> bytes:
@@ -137,9 +131,9 @@ def _write_csv(path: Path, header, rows) -> None:
     """The header line, then one line per row of ``rows`` (a float array or
     a list of tuples), each cell in ``str`` form, comma-separated, each line
     ended by LF.  ``str`` of a float is its ``repr``, which ``repr_bytes``
-    writes for a whole block of cells at once; an int or "" cell is its
-    ``str``.  The rows are written ``_BLOCK_ROWS`` at a time.  Every float
-    must be finite, as ``run`` checks before it writes a side file."""
+    writes for a whole block of a float array at once.  The rows are
+    written ``_BLOCK_ROWS`` at a time.  Every float must be finite, as
+    ``run`` checks before it writes a side file."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, len(rows), _BLOCK_ROWS):
