@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._repr import repr_bytes
 from .besov import besov_norm_report
 from .config import RunConfig, parse_config
 from .exceptions import (
@@ -111,6 +110,10 @@ def _cell_bytes(block):
     and verify tables, a few rows each, where ``str`` costs less than the
     kernel's fixed sequence of array operations."""
     if isinstance(block, np.ndarray):
+        # imported here so that only a command that writes a float table
+        # compiles and loads the kernel
+        from ._repr import repr_bytes
+
         return repr_bytes(block)
     return np.array([[str(v) for v in row] for row in block], dtype=bytes)
 

@@ -120,9 +120,11 @@ def test_python_calls_do_not_depend_on_the_values():
     assert counts[0] == counts[1] == counts[2]
 
 
-def test_importing_the_cli_builds_no_table():
-    script = "import specdde.cli, specdde._repr as r; print(r._tables.cache_info().currsize)"
+def test_the_kernel_is_loaded_and_built_on_first_use():
+    # importing the CLI loads no kernel, and importing the kernel builds no table
+    script = ("import sys, specdde.cli; print('specdde._repr' in sys.modules); "
+              "import specdde._repr as r; print(r._tables.cache_info().currsize)")
     src = str(Path(specdde.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert result.stdout.strip() == "0"
+    assert result.stdout.split() == ["False", "0"]
