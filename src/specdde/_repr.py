@@ -46,9 +46,9 @@ import numpy as np
 #: bytes of the longest text, ``-1.2345678901234567e-308``
 WIDTH = 24
 
-#: columns of a cell's source row: its 17 significant digits, scaled to
-#: exactly 17 and written in 20 characters from column 3 (columns 0-2 are
-#: ``0``), the four characters of |exponent|, the constants, then NUL
+#: columns of a cell's source row: its digits, scaled to exactly 17 and
+#: written as 20 characters (columns 0-2 are ``0``, the digits start at 3),
+#: the four characters of |exponent|, the constants, then NUL
 _ZERO, _DIGITS, _EXPONENT, _DOT, _E, _MINUS, _PLUS, _NUL = 0, 3, 20, 24, 25, 26, 27, 28
 _SOURCE = 32
 #: layout forms: 20 fixed ones, decimal exponent -4..15, then four
@@ -190,6 +190,7 @@ def repr_bytes(values) -> np.ndarray:
     chars = source.view(np.uint8)
     # 17 less the trailing zeros
     digits = 17 - np.argmax(chars[:, _EXPONENT - 1:_DIGITS - 1:-1] != ord("0"), axis=1)
+    # the power of ten of the first digit
     exponent = k + count - 1
     digits[zero] = 1
     exponent[zero] = 0
