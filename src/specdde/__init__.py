@@ -34,7 +34,6 @@ from .solver import (
     SpectralSolution,
     SweepResult,
     convergence_sweep,
-    residual,
     solve_periodic,
 )
 from .symbols import (
@@ -83,6 +82,5 @@ __all__ = [
     "parse_config",
     "partition_eval",
     "periodize_kernel",
-    "residual",
     "solve_periodic",
 ]

@@ -131,6 +131,11 @@ def _round_to_odd(g, cp):
     x1, _ = _high_low(g[2], g[3], c1, c0)
     y1, y0 = _high_low(g[0], g[1], c1, c0)
     z = y0 + x1
+    # the remainder is z*2^64 plus the dropped low word.  g exceeds the scale
+    # it stands for by at most 1, so an exact product leaves z = 0 and at most
+    # cp below it; an inexact one lies far from any integer, the bound
+    # Schubfach's proof rests on (Giulietti 2020; over 9e7 doubles the least
+    # nonzero z was 1.5e11).  So z is never 1: z > 1 and z != 0 agree.
     return (y1 + (z < y0)) | (z > 1)
 
 

@@ -9,7 +9,7 @@ class DimensionError(ValueError):
 
 class InvalidKernelError(ValueError):
     """Memory kernel not integrable on [0, inf) (needs alpha > 0, m >= 0), or a
-    distributed kernel with non-finite values or unresolved by 2^16 pieces."""
+    distributed kernel with non-finite values."""
 
 
 class AliasingError(ValueError):

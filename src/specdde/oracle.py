@@ -192,7 +192,7 @@ def _nodal_values(grid: PeriodicGridFunction, n_nodes: int) -> np.ndarray:
     The coefficients are folded mod N before one inverse FFT: at the nodes,
     e^{ikt} and e^{i(k+N)t} coincide, so this is exact for any N, also below
     2K+1.  At N >= 2K+1 nothing folds and the values are those of
-    ``grid.resample(n_nodes)``.
+    ``PeriodicGridFunction(grid.coefficients, n_nodes).samples``.
     """
     spectrum = np.zeros((n_nodes, grid.dim), dtype=complex)
     np.add.at(spectrum, np.mod(mode_range(grid.bandwidth), n_nodes), grid.coefficients)

@@ -138,17 +138,8 @@ class MBoundReport:
     window: int
     rows: List[SequenceDiagnostics]
 
-    def row(self, name: str) -> SequenceDiagnostics:
-        for row in self.rows:
-            if row.name == name:
-                return row
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {"window": self.window, "rows": [r.to_dict() for r in self.rows]}
-
-    def all_bounded(self, names) -> bool:
-        return all(self.row(name).verdict == "bounded" for name in names)
 
 
 def _growth_exponent(window: int, by_abs_k: np.ndarray) -> float:

@@ -205,19 +205,6 @@ def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> Spectra
     )
 
 
-def residual(spec: ProblemSpec, u: PeriodicGridFunction) -> float:
-    """Max-norm equation residual of a band-limited candidate solution.
-
-    Evaluated spectrally: rhat(k) = M(k) uhat(k) - fhat(k) over the union of
-    the candidate and forcing bands, then synthesized and maximized over the
-    grid.  Zero (to round-off) exactly when u solves the truncated problem.
-    """
-    modes = mode_range(max(u.bandwidth, spec.forcing.bandwidth))
-    modal = ModeSymbols.on_modes(spec, modes).modal(spec.state_matrix)
-    rhat = _defect(spec, modes, modal, u.coefficients, mode_range(u.bandwidth))
-    return _grid_max(modes, rhat, spec.grid)
-
-
 @dataclass
 class SweepRow:
     truncation: int

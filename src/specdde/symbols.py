@@ -12,12 +12,10 @@ Conventions used throughout the package:
   and the diagnostics consume.
 
 The distributed part of a delay functional is always a not-a-knot cubic
-spline on uniform pieces (fitted here in numpy): through the given samples,
-or through a callable kernel sampled at construction on as many pieces as
-its midpoint defect needs.  Its Fourier integral is exact per piece.  The
-phase sums of all modes come from one zero-padded inverse FFT when the span
-is a small rational multiple of 2*pi, else from one direct phase product;
-no kernel is evaluated per mode.
+spline on uniform pieces (fitted here in numpy) through the given samples.
+Its Fourier integral is exact per piece.  The phase sums of all modes come
+from one zero-padded inverse FFT when the span is a small rational multiple
+of 2*pi, else from one direct phase product; no kernel is evaluated per mode.
 
 Everything here is a pure function of immutable inputs; evaluations for
 different modes are independent and may run concurrently.
@@ -36,10 +34,6 @@ import numpy as np
 from .exceptions import AliasingError, DimensionError, InvalidKernelError
 
 TWO_PI = 2.0 * np.pi
-
-#: a callable kernel is sampled on 64, 128, ... spline pieces until the
-#: midpoint defect is at most _SAMPLE_TOL * max|K|
-_SAMPLE_TOL, _FIRST_PIECES, _MAX_PIECES = 1e-12, 64, 2**16
 
 #: largest q of span / 2 pi = p/q taken by the FFT route
 _MAX_DENOMINATOR = 64
@@ -146,38 +140,29 @@ class DistributedDelay:
 
     Parameters
     ----------
-    kernel : callable or ndarray
-        Either kernel samples of shape (m, n, n) taken on the uniform grid
-        from -span to 0 (m >= 4), or a vectorised function mapping an array
-        of q points to an array of shape (q, n, n).
+    kernel : ndarray
+        Kernel samples of shape (m, n, n), or (m,) when n = 1, taken on the
+        uniform grid from -span to 0 (m >= 4).
     span : float
         Positive length of the memory window.
 
-    The kernel is held as one thing, the not-a-knot cubic spline on P
-    uniform pieces.  Samples are fitted as given (P = m - 1,
-    ``sample_error`` 0.0).  A callable is sampled at construction on
-    P = 64, 128, ... pieces, doubling until the spline is within
-    ``_SAMPLE_TOL`` of max|K| of the callable at every piece midpoint (the
-    next level's new knots); ``sample_error`` records that midpoint defect,
-    in kernel units.  ``evaluate`` and ``fourier_window`` read the spline
-    only, so every consumer sees the same operator.
+    The kernel is held as one thing, the not-a-knot cubic spline through
+    the samples on P = m - 1 uniform pieces.  ``evaluate`` and
+    ``fourier_window`` read the spline only, so every consumer sees the
+    same operator.
     """
 
     def __init__(self, kernel, span: float):
         if not span > 0.0:
             raise ValueError(f"distributed span must be positive, got {span}")
         self.span = float(span)
-        if callable(kernel):
-            samples, self._pieces, self.sample_error = _sample_callable(kernel, self.span)
-        else:
-            samples = np.asarray(kernel)
-            if samples.ndim == 1:
-                samples = samples.reshape(-1, 1, 1)
-            samples = _kernel_values(samples)
-            if samples.shape[0] < 4:
-                raise ValueError("need at least 4 kernel samples for interpolation")
-            self._pieces = _not_a_knot_pieces(samples, self.span / (samples.shape[0] - 1))
-            self.sample_error = 0.0
+        samples = np.asarray(kernel)
+        if samples.ndim == 1:
+            samples = samples.reshape(-1, 1, 1)
+        samples = _kernel_values(samples)
+        if samples.shape[0] < 4:
+            raise ValueError("need at least 4 kernel samples for interpolation")
+        self._pieces = _not_a_knot_pieces(samples, self.span / (samples.shape[0] - 1))
         self.pieces, self.dim = samples.shape[0] - 1, samples.shape[1]
         self.is_real = not np.any(np.imag(samples))
         self._grid = np.linspace(-self.span, 0.0, self.pieces + 1)
@@ -237,35 +222,12 @@ class DistributedDelay:
         return np.einsum("mk,kmij->kij", weights, sums.reshape(len(ks), 4, n, n))
 
 
-def _sample_callable(kernel, span: float):
-    """(samples, spline pieces, midpoint defect) of the first level that meets
-    ``_SAMPLE_TOL``."""
-    pieces = _FIRST_PIECES
-    values = _kernel_values(kernel(np.linspace(-span, 0.0, pieces + 1)), pieces + 1)
-    while True:
-        c = _not_a_knot_pieces(values, span / pieces)
-        mids = _kernel_values(kernel(np.linspace(-span, 0.0, 2 * pieces + 1)[1::2]), pieces)
-        defect = float(np.max(np.abs(_horner(c, 0.5 * span / pieces) - mids)))
-        scale = max(np.max(np.abs(values)), np.max(np.abs(mids)))
-        if defect <= _SAMPLE_TOL * scale:
-            return values, c, defect
-        if pieces == _MAX_PIECES:
-            raise InvalidKernelError(
-                f"distributed kernel not resolved by {pieces} spline pieces: "
-                f"midpoint defect {defect:.3e} against max|K| {scale:.3e}"
-            )
-        values = np.insert(values, np.arange(1, pieces + 1), mids, axis=0)
-        pieces *= 2
-
-
-def _kernel_values(values, points: Optional[int] = None) -> np.ndarray:
-    """Kernel samples or values checked to be a finite (q, n, n) array, with
-    q = ``points`` when given."""
+def _kernel_values(values) -> np.ndarray:
+    """Kernel samples checked to be a finite (q, n, n) array."""
     values = np.asarray(values)
-    if (values.ndim != 3 or values.shape[1] != values.shape[2]
-            or points is not None and values.shape[0] != points):
+    if values.ndim != 3 or values.shape[1] != values.shape[2]:
         raise DimensionError(f"distributed kernel values must have shape "
-                             f"({points or 'q'}, n, n), got {values.shape}")
+                             f"(q, n, n), got {values.shape}")
     if not np.all(np.isfinite(values)):
         raise InvalidKernelError("distributed kernel values must be finite")
     return values
@@ -393,23 +355,9 @@ class KernelSpec:
     def empty(cls) -> "KernelSpec":
         return cls(terms=[])
 
-    @classmethod
-    def exponential(cls, weight=1.0, rate=1.0) -> "KernelSpec":
-        return cls(terms=[(weight, 0, rate)])
-
     @property
     def is_real(self) -> bool:
         return all(c.imag == 0.0 for c, _, _ in self.terms)
-
-    def eval(self, t):
-        """Kernel values a(t); accepts scalars or arrays, t >= 0."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for c, m, alpha in self.terms:
-            out = out + c * t**m * np.exp(-alpha * t)
-        if self.is_real:
-            out = out.real
-        return out if out.ndim else out[()]
 
 
 def laplace_symbol(kernel: KernelSpec, k: int):
@@ -542,11 +490,6 @@ class PeriodicGridFunction:
     def nodes(self) -> np.ndarray:
         return TWO_PI * np.arange(self.n_samples) / self.n_samples
 
-    def coefficient(self, k: int) -> np.ndarray:
-        if abs(k) > self.bandwidth:
-            return np.zeros(self.dim, dtype=complex)
-        return self.coefficients[k + self.bandwidth]
-
     @property
     def is_real(self) -> bool:
         scale = max(np.max(np.abs(self.samples)), 1.0)
@@ -554,25 +497,8 @@ class PeriodicGridFunction:
 
     # -- operations --------------------------------------------------------
 
-    def resample(self, n_samples: int) -> "PeriodicGridFunction":
-        return PeriodicGridFunction(self.coefficients, n_samples)
-
-    def derivative(self) -> "PeriodicGridFunction":
-        ks = mode_range(self.bandwidth)
-        return PeriodicGridFunction((1j * ks)[:, None] * self.coefficients, self.n_samples)
-
     def max_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.samples, axis=1)))
-
-    def lp_norm(self, p: float) -> float:
-        """Trapezoid value of (int_0^{2pi} |f(t)|^p dt)^{1/p} on the stored
-        grid; exact for band-limited data when p == 2.
-        """
-        if p < 1:
-            raise ValueError("p must be >= 1")
-        pointwise = np.linalg.norm(self.samples, axis=1)
-        dt = TWO_PI / self.n_samples
-        return float((dt * np.sum(pointwise**p)) ** (1.0 / p))
 
     def band_energy_split(self, bandwidth: int):
         """(energy inside |k| <= bandwidth, energy beyond), in l2 of coefficients."""
@@ -581,30 +507,6 @@ class PeriodicGridFunction:
         inside = float(np.sum(energy[np.abs(ks) <= bandwidth]))
         outside = float(np.sum(energy[np.abs(ks) > bandwidth]))
         return inside, outside
-
-    def _binary(self, other, sign) -> "PeriodicGridFunction":
-        if not isinstance(other, PeriodicGridFunction):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise DimensionError("dimension mismatch")
-        bandwidth = max(self.bandwidth, other.bandwidth)
-        n_samples = max(self.n_samples, other.n_samples)
-        coeffs = np.zeros((2 * bandwidth + 1, self.dim), dtype=complex)
-        coeffs[bandwidth - self.bandwidth: bandwidth + self.bandwidth + 1] = self.coefficients
-        other_block = other.coefficients if sign > 0 else -other.coefficients
-        coeffs[bandwidth - other.bandwidth: bandwidth + other.bandwidth + 1] += other_block
-        return PeriodicGridFunction(coeffs, n_samples)
-
-    def __add__(self, other):
-        return self._binary(other, +1)
-
-    def __sub__(self, other):
-        return self._binary(other, -1)
-
-    def __mul__(self, factor):
-        return PeriodicGridFunction(factor * self.coefficients, self.n_samples)
-
-    __rmul__ = __mul__
 
 
 @dataclass

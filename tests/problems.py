@@ -53,7 +53,7 @@ def scalar_full():
         state_matrix=[[-1.0]],
         neutral_delay=DelayFunctional(dim=1, atoms=[(0.5, TWO_PI)]),
         reaction_delay=DelayFunctional(dim=1, atoms=[(0.25, TWO_PI)]),
-        kernel=KernelSpec.exponential(),
+        kernel=KernelSpec(terms=[(1.0, 0, 1.0)]),
         forcing=PeriodicGridFunction.from_harmonics(cos=[1.0]),
         truncation=8,
         grid=32,
@@ -78,7 +78,7 @@ def mat2_diag():
     """
     return ProblemSpec(
         state_matrix=np.diag([-1.0, -2.0]),
-        kernel=KernelSpec.exponential(weight=0.5),
+        kernel=KernelSpec(terms=[(0.5, 0, 1.0)]),
         forcing=PeriodicGridFunction.from_harmonics(
             cos=[[1.0, 0.0]], sin=[[0.0, 0.0], [0.0, 1.0]], dim=2
         ),
@@ -89,10 +89,9 @@ def mat2_diag():
 
 def mat2_rich():
     """Upper-triangular A with atoms, a distributed kernel and a two-term memory."""
-    dist = DistributedDelay(
-        lambda theta: 0.05 * np.exp(theta)[:, None, None] * np.eye(2),
-        span=TWO_PI,
-    )
+    # 4,097 samples resolve 0.05 e^theta I to ~7e-15 at every piece midpoint
+    theta = np.linspace(-TWO_PI, 0.0, 4097)
+    dist = DistributedDelay(0.05 * np.exp(theta)[:, None, None] * np.eye(2), span=TWO_PI)
     return ProblemSpec(
         state_matrix=np.array([[-1.0, 0.25], [0.0, -2.0]]),
         neutral_delay=DelayFunctional(
@@ -111,7 +110,7 @@ def mat2_rich():
 
 
 def mat2_sampled():
-    """mat2_rich with its distributed kernel given as 65 samples (a spline)."""
+    """mat2_rich with its distributed kernel given as 65 samples, not 4,097."""
     theta = np.linspace(-TWO_PI, 0.0, 65)
     dist = DistributedDelay(0.05 * np.exp(theta)[:, None, None] * np.eye(2), span=TWO_PI)
     return replace(
@@ -120,6 +119,19 @@ def mat2_sampled():
             dim=2, atoms=[(0.1 * np.eye(2), TWO_PI)], distributed=dist
         ),
     )
+
+
+def kernel_values(kernel, t):
+    """The memory kernel a(t) = sum c t^m e^{-alpha t} of a KernelSpec at
+    t >= 0, summed term by term: the reference for its closed forms.  Real
+    for a real kernel; a scalar for a scalar t."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape, dtype=complex)
+    for c, m, alpha in kernel.terms:
+        out = out + c * t**m * np.exp(-alpha * t)
+    if kernel.is_real:
+        out = out.real
+    return out if out.ndim else out[()]
 
 
 def regression_specs():

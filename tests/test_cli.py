@@ -2,12 +2,16 @@
 tolerances taken from the configuration."""
 
 import gc
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 import tempfile
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import problems
+import specdde
 from specdde import ModeSymbols, cli, convergence_sweep, m_bounded_diagnostics
 from specdde.config import parse_config
 from specdde.solver import solve_periodic
@@ -773,3 +778,82 @@ def test_each_invalid_field_exits_3_with_its_path(tmp_path, doc, paths):
 def test_dimension_is_inferred_from_A(tmp_path):
     code, out = run(tmp_path, "solve", NO_N)
     assert code == 0 and report_of(out, "solve")["config"]["problem"]["n"] == 2
+
+
+#: configurations that together reach every path a command can take: TINY,
+#: a sampled kernel (the oracle's spline stencil), a sampled forcing with no
+#: delays or memory and a p != 2 norm, an off-grid atom lag, a singular mode
+#: under ``tolerances.singular_cond``, a singular collocation system, a grid
+#: below the forcing band, and an invalid document
+PATH_CONFIGS = {
+    "tiny": TINY,
+    "sampled_kernel": SAMPLED,
+    "sampled_forcing": {
+        "problem": {"n": 1, "A": [[-1.0]], "forcing": {
+            "samples": (np.cos(TWO_PI * np.arange(16) / 16) + 0.5).tolist()}},
+        "K": 8, "K_diag": 16, "N_list": [16, 32], "K_list": [2, 4, 8],
+        "besov": {"s": 1.0, "p": 3.0, "q": 2.0},
+    },
+    "off_grid_atom": _mutated(TINY, ("problem", "G", "atoms", 0, "lag"), 1.0),
+    "singular_mode": _mutated(TINY, ("tolerances",), {"singular_cond": 1.5}),
+    "singular_system": {
+        "problem": {"n": 1, "A": [[-1.0]],
+                    "G": {"atoms": [{"coef": [[-1.0]], "lag": np.pi / 2}]},
+                    "forcing": {"cos": [[1.0]]}},
+        "K": 8, "K_diag": 16, "N_list": [16, 20], "K_list": [2, 4, 8],
+    },
+    "aliasing": _mutated(TINY, ("N_list",), [2, 32]),
+    "invalid": _mutated(TINY, ("K",), 0),
+}
+
+#: functions of the package that no command runs, each with its reason
+NOT_RUN_BY_A_COMMAND = {
+    ("symbols.py", "PeriodicGridFunction.zero"):
+        "ProblemSpec's default forcing; a configuration always gives one",
+}
+
+
+def _package_functions():
+    """(file name, qualified name) of every function and method defined in
+    the package's modules, from their compiled code."""
+    found = set()
+    for info in pkgutil.iter_modules(specdde.__path__):
+        path = Path(importlib.import_module(f"specdde.{info.name}").__file__)
+        stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            # class bodies are not optimised; lambdas and comprehensions are <...>
+            if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<"):
+                found.add((path.name, code.co_qualname))
+    return found
+
+
+def test_every_package_function_runs_under_a_command(tmp_path):
+    # the package is what the five commands run: a function no configuration
+    # reaches is kept for tests or library callers alone and should go
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("specdde."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()     # a cached function runs again
+    codes, outcomes = set(), {}
+    sys.setprofile(lambda frame, event, arg: event == "call" and codes.add(frame.f_code))
+    try:
+        for name, doc in PATH_CONFIGS.items():
+            outcomes[name] = {command: run(tmp_path, command, doc, f"{name}_{command}")[0]
+                              for command in COMMANDS}
+    finally:
+        sys.setprofile(None)
+    assert outcomes["tiny"] == dict.fromkeys(COMMANDS, 0)
+    assert outcomes["singular_mode"] == dict.fromkeys(COMMANDS, 2)
+    assert outcomes["singular_system"]["verify"] == 2
+    assert outcomes["aliasing"]["verify"] == 3
+    assert outcomes["invalid"] == dict.fromkeys(COMMANDS, 3)
+
+    ran = {(Path(code.co_filename).name, code.co_qualname) for code in codes
+           if Path(code.co_filename).parent == Path(specdde.__file__).parent}
+    functions = _package_functions()
+    assert set(NOT_RUN_BY_A_COMMAND) <= functions
+    assert sorted(functions - ran - set(NOT_RUN_BY_A_COMMAND)) == []
+    assert sorted(set(NOT_RUN_BY_A_COMMAND) & ran) == []

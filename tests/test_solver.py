@@ -1,4 +1,4 @@
-"""Spectral solve, residual, linearity/uniqueness properties, sweeps."""
+"""Spectral solve, its residuals, linearity/uniqueness properties, sweeps."""
 
 import inspect
 import warnings
@@ -18,7 +18,7 @@ from specdde import (
     TruncationWarning,
     convergence_sweep,
     m_bounded_diagnostics,
-    residual,
+    mode_range,
     solve_periodic,
 )
 from specdde import symbols
@@ -41,7 +41,8 @@ class TestSolveBenchmarks:
         # independent check of the closed form itself: u' = -u + cos t
         spec = problems.scalar_basic()
         u = solve_periodic(spec).solution
-        du = u.derivative()
+        du = PeriodicGridFunction(1j * mode_range(u.bandwidth)[:, None] * u.coefficients,
+                                  u.n_samples)
         t = u.nodes
         lhs = du.samples[:, 0]
         rhs = -u.samples[:, 0] + np.cos(t)
@@ -75,7 +76,7 @@ class TestSolveBenchmarks:
             sol = solve_periodic(spec)
             modal = ModeSymbols.from_spec(spec, sol.truncation).modal(spec.state_matrix)
             got = np.einsum("kij,kj->ki", modal, sol.coefficients)
-            fhat = np.stack([spec.forcing.coefficient(int(k)) for k in sol.modes])
+            fhat = _on_band(spec.forcing.coefficients, sol.truncation)
             assert np.max(np.abs(got - fhat)) <= 1e-12, name
 
     def test_singular_mode_aborts_solve(self):
@@ -195,45 +196,60 @@ class TestSymbolTable:
 
 
 class TestResidual:
-    def test_zero_candidate_residual_is_forcing_sup(self, regression_specs):
+    def test_forcing_beyond_the_band_leaves_its_sup_as_the_residual(self, regression_specs):
+        # f shifted up to modes K + 1 and beyond, e^{i(K+1+b)t} f(t) for f of
+        # bandwidth b, lies wholly beyond the truncation: the solution is zero
+        # and the residual is |f| on the grid
         for name, spec in regression_specs.items():
-            zero = PeriodicGridFunction.zero(spec.dim, spec.grid)
-            expected = spec.forcing.resample(spec.grid).max_norm()
-            assert residual(spec, zero) == pytest.approx(expected, rel=1e-12), name
+            K, f = spec.truncation, spec.forcing
+            band = K + 1 + 2 * f.bandwidth
+            shifted = np.zeros((2 * band + 1, spec.dim), dtype=complex)
+            shifted[band + K + 1:] = f.coefficients
+            with pytest.warns(TruncationWarning):
+                sol = solve_periodic(replace(
+                    spec, forcing=PeriodicGridFunction(shifted, spec.grid)))
+            assert np.all(sol.coefficients == 0.0), name
+            expected = PeriodicGridFunction(f.coefficients, spec.grid).max_norm()
+            assert sol.residual_grid == pytest.approx(expected, rel=1e-12), name
 
     def test_solution_residual_small(self, regression_specs):
         for name, spec in regression_specs.items():
-            u = solve_periodic(spec).solution
-            assert residual(spec, u) <= 1e-10, name
+            assert solve_periodic(spec).residual_grid <= 1e-10, name
+            row = convergence_sweep(spec, [spec.truncation]).rows[0]
+            assert row.residual_full_band <= 1e-10, name
 
     def test_single_mode_perturbation_grows_by_modal_norm(self, rng):
+        # the sweep's row K - 1 is the row-K solution less eps d at mode K, so
+        # its residual is the defect of that one mode, eps ||M(K) d||
         spec = problems.scalar_full()
         K = spec.truncation
-        sol = solve_periodic(spec)
         eps = 1e-4
         direction = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
         direction /= np.linalg.norm(direction)
-        coeffs = np.zeros((2 * K + 1, spec.dim), dtype=complex)
-        coeffs[-1] = eps * direction
-        bump = PeriodicGridFunction(coeffs, spec.grid)
-        perturbed = sol.solution + bump
         modal_k = ModeSymbols.from_spec(spec, K).modal(spec.state_matrix)[-1]
-        expected = eps * np.linalg.norm(modal_k @ direction)
-        assert residual(spec, perturbed) == pytest.approx(expected, abs=1e-10)
+        coeffs = _on_band(spec.forcing.coefficients, K)
+        coeffs[-1] = eps * modal_k @ direction
+        forced = replace(spec, forcing=PeriodicGridFunction(coeffs, spec.grid))
+        short, full = convergence_sweep(forced, [K - 1, K]).rows
+        assert short.residual_full_band == pytest.approx(
+            eps * np.linalg.norm(modal_k @ direction), abs=1e-10)
+        assert full.solution_change == pytest.approx(eps, rel=1e-10)
+        assert full.residual_full_band <= 1e-12
 
     def test_uniqueness_residual_bounds_perturbation(self, rng):
         # any band-limited deviation from the solution is visible in the
-        # residual at the rate of the smallest modal singular value
+        # residual at the rate of the smallest modal singular value: row 2 of
+        # the sweep deviates from the row-K solution by its modes 2 < |k| <= K
         spec = problems.scalar_full()
-        modal = ModeSymbols.from_spec(spec, spec.truncation).modal(spec.state_matrix)
+        K = spec.truncation
+        modal = ModeSymbols.from_spec(spec, K).modal(spec.state_matrix)
         fam_min = np.min(np.linalg.svd(modal, compute_uv=False)[:, -1])
-        sol = solve_periodic(spec)
-        coeffs = 1e-3 * (rng.normal(size=(2 * spec.truncation + 1, 1))
-                         + 1j * rng.normal(size=(2 * spec.truncation + 1, 1)))
-        delta = PeriodicGridFunction(coeffs, spec.grid)
-        got = residual(spec, sol.solution + delta)
-        assert got >= fam_min * delta.max_norm() / (2 * spec.truncation + 1)
-        assert got > 1e-6
+        coeffs = rng.normal(size=(2 * K + 1, 1)) + 1j * rng.normal(size=(2 * K + 1, 1))
+        forced = replace(spec, forcing=PeriodicGridFunction(coeffs, spec.grid))
+        short, full = convergence_sweep(forced, [2, K]).rows
+        deviation = full.solution_change
+        assert short.residual_full_band >= fam_min * deviation / (2 * K + 1)
+        assert short.residual_full_band > 1e-6 and full.residual_full_band <= 1e-12
 
 
 class TestSolveProperties:
@@ -253,8 +269,9 @@ class TestSolveProperties:
 
         u1 = solve_periodic(replace(spec, forcing=f1)).solution
         u2 = solve_periodic(replace(spec, forcing=f2)).solution
-        u12 = solve_periodic(replace(spec, forcing=(alpha * f1) + f2)).solution
-        combo = (alpha * u1) + u2
+        f12 = PeriodicGridFunction(alpha * f1.coefficients + f2.coefficients, spec.grid)
+        u12 = solve_periodic(replace(spec, forcing=f12)).solution
+        combo = PeriodicGridFunction(alpha * u1.coefficients + u2.coefficients, spec.grid)
         assert np.max(np.abs(u12.samples - combo.samples)) <= 1e-12
 
     def test_translation_equivariance(self):
@@ -262,7 +279,7 @@ class TestSolveProperties:
         from dataclasses import replace
 
         shift = 8  # grid-aligned: tau = 2*pi*shift/N
-        f = spec.forcing.resample(spec.grid)
+        f = PeriodicGridFunction(spec.forcing.coefficients, spec.grid)
         shifted = PeriodicGridFunction.from_samples(
             np.roll(f.samples, shift, axis=0), bandwidth=f.bandwidth
         )
@@ -325,8 +342,9 @@ class TestConvergenceSweep:
                     sol = solve_periodic(replace(spec, truncation=K, grid=grid))
                 assert row.residual_full_band == sol.residual_grid, (name, K)
                 if prev is not None:
-                    assert row.solution_change == (sol.solution - prev).max_norm(), (name, K)
-                prev = sol.solution
+                    change = PeriodicGridFunction(sol.coefficients - _on_band(prev, K), grid)
+                    assert row.solution_change == change.max_norm(), (name, K)
+                prev = sol.coefficients
 
     def test_singular_mode_fails_at_the_first_row_that_holds_it(self):
         # the first diagonal entry of M(k), 1 + ik - (3 - i) e^{-ik pi/2},
@@ -488,9 +506,11 @@ class TestRealHalfBand:
         # the solution and of the defect are complex
         spec = replace(problems.scalar_basic(), state_matrix=[[-1.0 + 0.5j]],
                        forcing=PeriodicGridFunction([[0.5], [1.0j], [0.5]], 32))
-        u0 = np.linalg.solve(ModeSymbols.from_spec(spec, 0).modal(spec.state_matrix)[0],
-                             spec.forcing.coefficient(0))
-        expected = residual(spec, PeriodicGridFunction(u0, spec.grid))
+        modal = ModeSymbols.from_spec(spec, 1).modal(spec.state_matrix)
+        u0 = np.linalg.solve(modal[1], spec.forcing.coefficients[1])
+        defect = (np.einsum("kij,kj->ki", modal, _on_band(u0[None], 1))
+                  - spec.forcing.coefficients)
+        expected = PeriodicGridFunction(defect, spec.grid).max_norm()
         row = convergence_sweep(spec, [0]).rows[0]
         assert row.residual_full_band == pytest.approx(expected, rel=1e-14)
 

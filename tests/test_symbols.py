@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 import problems
+from problems import kernel_values
 from specdde import symbols as symbols_module
 
 from specdde import (
@@ -93,11 +94,9 @@ class TestDelaySymbol:
             DelayFunctional(dim=2, atoms=[(np.eye(3), 1.0)])
 
     def test_distributed_symbol_matches_adaptive_quadrature(self):
-        dist = DistributedDelay(
-            lambda th: (0.3 * np.exp(th) + 0.1 * np.cos(th))[:, None, None]
-            * np.eye(1),
-            span=TWO_PI,
-        )
+        # 4,097 samples resolve the kernel to ~1e-14 between the knots
+        theta = np.linspace(-TWO_PI, 0.0, 4097)
+        dist = DistributedDelay(0.3 * np.exp(theta) + 0.1 * np.cos(theta), span=TWO_PI)
         L = DelayFunctional(dim=1, distributed=dist)
         ks = np.array([0, 1, 5, 23])
         symbols = L.symbol_window(ks)
@@ -108,28 +107,21 @@ class TestDelaySymbol:
                       * np.sin(k * th), -TWO_PI, 0.0, limit=200)[0]
             assert symbols[i, 0, 0] == pytest.approx(re + 1j * im, abs=1e-10)
 
-    def test_sampled_kernel_close_to_callable(self):
+    def test_sampled_kernel_close_to_the_closed_form(self):
+        # int_{-2pi}^0 0.3 e^theta e^{ik theta} dtheta = 0.3 (1 - e^{-2pi}) / (1 + ik)
         theta = np.linspace(-TWO_PI, 0.0, 257)
         samples = (0.3 * np.exp(theta))[:, None, None] * np.eye(1)
         sampled = DelayFunctional(
             dim=1, distributed=DistributedDelay(samples, span=TWO_PI)
         )
-        exact = DelayFunctional(
-            dim=1,
-            distributed=DistributedDelay(
-                lambda th: (0.3 * np.exp(th))[:, None, None] * np.eye(1),
-                span=TWO_PI,
-            ),
-        )
         ks = np.array([0, 2, 7])
-        assert sampled.symbol_window(ks) == pytest.approx(
-            exact.symbol_window(ks), abs=1e-8
-        )
+        exact = 0.3 * (1.0 - np.exp(-TWO_PI)) / (1.0 + 1j * ks)
+        assert sampled.symbol_window(ks)[:, 0, 0] == pytest.approx(exact, abs=1e-8)
 
     def test_conjugate_symmetry_for_real_data(self):
+        theta = np.linspace(-TWO_PI, 0.0, 129)
         dist = DistributedDelay(
-            lambda th: (0.2 * np.exp(th / 2.0))[:, None, None] * np.eye(2),
-            span=TWO_PI,
+            (0.2 * np.exp(theta / 2.0))[:, None, None] * np.eye(2), span=TWO_PI
         )
         L = DelayFunctional(
             dim=2,
@@ -228,29 +220,10 @@ class TestSampledKernel:
         monkeypatch.setattr(DistributedDelay, "evaluate", no_evaluate)
         assert dist.fourier_window(mode_range(300)).shape == (601, 2, 2)
 
-    def test_callable_kernels_are_sampled_onto_the_spline(self):
-        dist = problems.mat2_rich().neutral_delay.distributed
-        scale = 0.05
-        assert dist.pieces >= 64 and dist.pieces & (dist.pieces - 1) == 0
-        assert 0.0 < dist.sample_error <= 1e-12 * scale
-        ks = np.array([-40, -3, 0, 2, 17, 64])
-        got = dist.fourier_window(ks)
-        for i, k in enumerate(ks):
-            re = quad(lambda th: scale * np.exp(th), -TWO_PI, 0.0, weight="cos",
-                      wvar=k, epsabs=1e-15, epsrel=1e-13)[0]
-            im = quad(lambda th: scale * np.exp(th), -TWO_PI, 0.0, weight="sin",
-                      wvar=k, epsabs=1e-15, epsrel=1e-13)[0]
-            error = np.abs(got[i] - (re + 1j * im) * np.eye(2))
-            assert np.max(error) <= TWO_PI * dist.sample_error + 1e-14, k
-
-    def test_unresolved_callable_is_rejected(self):
-        with pytest.raises(InvalidKernelError, match="65536 spline pieces"):
-            DistributedDelay(lambda th: np.where(th < -1.0, 1.0, 0.0)[:, None, None],
-                             span=TWO_PI)
-
-    def test_scalar_callable_is_rejected(self):
-        with pytest.raises(DimensionError):
-            DistributedDelay(lambda th: np.array([[0.3 * np.exp(th)]]), span=TWO_PI)
+    def test_callable_kernel_is_rejected(self):
+        # a kernel is its samples; a function is not sampled for the caller
+        with pytest.raises(DimensionError, match="must have shape"):
+            DistributedDelay(lambda th: (0.3 * np.exp(th))[:, None, None], span=TWO_PI)
 
     def test_resolution_argument_is_gone(self):
         with pytest.raises(TypeError):
@@ -320,14 +293,14 @@ class TestSampledKernel:
 
 class TestLaplaceSymbol:
     def test_exponential_at_zero_is_total_mass(self):
-        assert laplace_symbol(KernelSpec.exponential(), 0) == pytest.approx(1.0)
+        assert laplace_symbol(KernelSpec(terms=[(1.0, 0, 1.0)]), 0) == pytest.approx(1.0)
 
     def test_exponential_at_one_vs_quadrature(self):
         # independent truncated quadrature of e^{-t} e^{-it} on [0, 40]
         re = quad(lambda t: np.exp(-t) * np.cos(t), 0.0, 40.0)[0]
         im = quad(lambda t: -np.exp(-t) * np.sin(t), 0.0, 40.0)[0]
         oracle = re + 1j * im
-        value = laplace_symbol(KernelSpec.exponential(), 1)
+        value = laplace_symbol(KernelSpec(terms=[(1.0, 0, 1.0)]), 1)
         assert value == pytest.approx(oracle, abs=1e-10)
         assert value == pytest.approx(0.5 - 0.5j, abs=1e-12)
 
@@ -338,8 +311,8 @@ class TestLaplaceSymbol:
         # adaptive quadrature on [0, 100]; the dropped tail holds < 1e-21 of the mass
         kern = KernelSpec(terms=[(0.5, 2, 1.5), (0.25, 0, 0.5)])
         for k in (0, 1, 7):
-            re, im = (quad(lambda t: part(kern.eval(t) * np.exp(-1j * k * t)), 0.0, 100.0,
-                           limit=800, epsabs=1e-13, epsrel=1e-13)[0]
+            re, im = (quad(lambda t: part(kernel_values(kern, t) * np.exp(-1j * k * t)),
+                           0.0, 100.0, limit=800, epsabs=1e-13, epsrel=1e-13)[0]
                       for part in (np.real, np.imag))
             assert laplace_symbol(kern, k) == pytest.approx(re + 1j * im, abs=1e-10)
 
@@ -350,8 +323,8 @@ class TestLaplaceSymbol:
                 for _ in range(3)
             ]
             kern = KernelSpec(terms=terms)
-            bound = quad(lambda t: abs(kern.eval(t)), 0.0, np.inf, limit=400,
-                         epsabs=1e-14, epsrel=1e-13)[0]
+            bound = quad(lambda t: abs(kernel_values(kern, t)), 0.0, np.inf,
+                         limit=400, epsabs=1e-14, epsrel=1e-13)[0]
             for k in (-9, 0, 2, 33):
                 assert abs(laplace_symbol(kern, k)) <= bound + 1e-12
 
@@ -430,35 +403,38 @@ class TestAnalyzeSynthesize:
 
     def test_harmonics_are_exact(self):
         f = PeriodicGridFunction.from_harmonics(cos=[1.0, 0.0, 2.0], sin=[0.5])
-        assert f.coefficient(1)[0] == (1.0 - 0.5j) / 2.0
-        assert f.coefficient(-1)[0] == (1.0 + 0.5j) / 2.0
-        assert f.coefficient(3)[0] == 1.0
-        assert f.coefficient(2)[0] == 0.0
+        assert f.bandwidth == 3
+        assert f.coefficients[3 + 1, 0] == (1.0 - 0.5j) / 2.0
+        assert f.coefficients[3 - 1, 0] == (1.0 + 0.5j) / 2.0
+        assert f.coefficients[3 + 3, 0] == 1.0
+        assert f.coefficients[3 + 2, 0] == 0.0
 
-    def test_resample_and_derivative(self):
+    def test_coefficients_synthesise_on_any_grid(self):
+        # the same coefficients on 64 nodes, and ik times them: cos t and -sin t
         f = PeriodicGridFunction.from_harmonics(cos=[1.0])
-        g = f.resample(64)
+        g = PeriodicGridFunction(f.coefficients, 64)
         assert np.allclose(g.samples[:, 0], np.cos(g.nodes), atol=1e-14)
-        d = f.derivative()
+        d = PeriodicGridFunction(1j * mode_range(1)[:, None] * f.coefficients, f.n_samples)
         assert np.allclose(d.samples[:, 0], -np.sin(d.nodes), atol=1e-14)
 
     def test_building_a_grid_function_runs_no_synthesis(self, inverse_ffts):
         f = PeriodicGridFunction([0.5, 0.0, 0.5], 16)
         g = PeriodicGridFunction.from_harmonics(cos=[1.0], sin=[0.0, 2.0])
-        built = [PeriodicGridFunction.zero(2, 32), f.resample(64), g.derivative(),
-                 f + g, f - g, 2.0 * g, g * 0.5]
+        built = [PeriodicGridFunction.zero(2, 32), PeriodicGridFunction(f.coefficients, 64),
+                 PeriodicGridFunction.from_samples(np.cos(f.nodes)),
+                 PeriodicGridFunction(2.0 * g.coefficients, g.n_samples)]
         assert inverse_ffts == []
         samples = f.samples
         assert inverse_ffts == [("ifft", 16)]
         assert f.samples is samples and inverse_ffts == [("ifft", 16)]
-        assert np.allclose(built[-2].samples, 2.0 * g.samples, atol=1e-14)
+        assert np.allclose(built[-1].samples, 2.0 * g.samples, atol=1e-14)
 
     def test_samples_are_the_synthesis_of_the_coefficients(self):
         # the Nyquist mode of an even grid lies outside every band |k| < N/2
         f = PeriodicGridFunction.from_samples([1.0, -1.0, 1.0, -1.0])
         assert f.bandwidth == 1 and f.n_samples == 4
-        assert f.max_norm() == 0.0 and f.lp_norm(2.0) == 0.0
-        assert np.array_equal(f.samples, (f - PeriodicGridFunction.zero(1, 4)).samples)
+        assert np.array_equal(f.coefficients, np.zeros((3, 1)))
+        assert f.max_norm() == 0.0 and np.array_equal(f.samples, np.zeros((4, 1)))
 
 
 class TestSymbolOperatorConsistency:
@@ -493,9 +469,8 @@ class TestSymbolOperatorConsistency:
         self._check(L, pointwise)
 
     def test_distributed(self):
-        dist = DistributedDelay(
-            lambda th: (0.3 * np.exp(th))[:, None, None] * np.eye(1), span=TWO_PI
-        )
+        theta = np.linspace(-TWO_PI, 0.0, 4097)
+        dist = DistributedDelay(0.3 * np.exp(theta), span=TWO_PI)
         L = DelayFunctional(dim=1, distributed=dist)
 
         def pointwise(u_eval, t):
@@ -509,7 +484,7 @@ class TestSymbolOperatorConsistency:
 
     def test_convolution_coefficients_multiply_by_transform(self):
         # F(t) = int_0^inf a(tau) u(t - tau) dtau for a trig polynomial u
-        kern = KernelSpec.exponential(weight=0.8, rate=1.3)
+        kern = KernelSpec(terms=[(0.8, 0, 1.3)])
         K = 3
         gen = np.random.default_rng(11)
         coeffs = gen.normal(size=(2 * K + 1, 1)) + 1j * gen.normal(size=(2 * K + 1, 1))
@@ -586,7 +561,7 @@ class TestModeSymbols:
             state_matrix=rng.normal(size=(2, 2)),
             neutral_delay=DelayFunctional(dim=2, atoms=[(rng.normal(size=(2, 2)), 1.0)]),
             reaction_delay=DelayFunctional(dim=2, atoms=[(rng.normal(size=(2, 2)), 2.0)]),
-            kernel=KernelSpec.exponential(),
+            kernel=KernelSpec(terms=[(1.0, 0, 1.0)]),
             truncation=4,
             grid=16,
         )
