@@ -220,10 +220,28 @@ class TestSampledKernel:
         monkeypatch.setattr(DistributedDelay, "evaluate", no_evaluate)
         assert dist.fourier_window(mode_range(300)).shape == (601, 2, 2)
 
-    def test_callable_kernel_is_rejected(self):
+    def test_rich_kernel_samples_resolve_its_fourier_window(self):
+        # mat2_rich's 4,097 samples of 0.05 e^theta I: the cubic spline is off
+        # by at most (5/384) h^4 max|f^(4)| at any point, so 2 pi times that
+        # bounds the window's distance from 0.05 (1 - e^{-2pi}) / (1 + ik)
+        dist = problems.mat2_rich().neutral_delay.distributed
+        assert dist.pieces == 4096
+        h = TWO_PI / dist.pieces
+        bound = TWO_PI * 5.0 / 384.0 * h**4 * 0.05 + 1e-15
+        ks = np.array([-40, -3, 0, 2, 17, 64])
+        exact = 0.05 * (1.0 - np.exp(-TWO_PI)) / (1.0 + 1j * ks)
+        error = np.abs(dist.fourier_window(ks) - exact[:, None, None] * np.eye(2))
+        assert np.max(error) <= bound
+
+    @pytest.mark.parametrize("kernel", [
+        lambda th: (0.3 * np.exp(th))[:, None, None],
+        lambda th: np.where(th < -1.0, 1.0, 0.0)[:, None, None],
+        lambda th: np.array([[0.3 * np.exp(th)]]),
+    ], ids=["smooth", "step", "scalar"])
+    def test_callable_kernel_is_rejected(self, kernel):
         # a kernel is its samples; a function is not sampled for the caller
         with pytest.raises(DimensionError, match="must have shape"):
-            DistributedDelay(lambda th: (0.3 * np.exp(th))[:, None, None], span=TWO_PI)
+            DistributedDelay(kernel, span=TWO_PI)
 
     def test_resolution_argument_is_gone(self):
         with pytest.raises(TypeError):
