@@ -298,17 +298,10 @@ def _read_config(args) -> RunConfig:
         text = Path(args.config).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([("$", f"cannot read the configuration: {exc}")]) from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
-    if isinstance(doc, dict):
-        for key, value in (("K", args.k), ("N", args.grid),
-                           ("K_diag", args.window)):
-            if value is not None:
-                doc[key] = value
-        text = json.dumps(doc)
-    return parse_config(text)
+    overrides = {key: value for key, value in (("K", args.k), ("N", args.grid),
+                                               ("K_diag", args.window))
+                 if value is not None}
+    return parse_config(text, overrides)
 
 
 def main(argv=None) -> int:

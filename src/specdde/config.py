@@ -248,16 +248,25 @@ def _parse_forcing(doc, n, path, errs) -> Optional[PeriodicGridFunction]:
     return PeriodicGridFunction.from_harmonics(**harmonics, const=const, dim=n)
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, overrides: Optional[Dict[str, Any]] = None) -> RunConfig:
     """Validate a JSON configuration document and build the run inputs.
 
+    ``overrides`` replace top-level fields of the decoded document, so they
+    are validated and echoed like any other field; the text is decoded once.
     Raises ConfigError carrying (path, message) pairs for every violation.
     """
-    errs = _Collector()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([("$", f"not valid JSON: {exc}")]) from None
+    if isinstance(doc, dict) and overrides:
+        doc.update(overrides)
+    return _parse_document(doc)
+
+
+def _parse_document(doc: Any) -> RunConfig:
+    """The run inputs of a decoded configuration document."""
+    errs = _Collector()
     if not isinstance(doc, dict):
         raise ConfigError([("$", "top level must be an object")])
     errs.unknown("", doc, _TOP_KEYS)

@@ -18,10 +18,14 @@ band of modes, -K_diag..K_diag + 1: the sup norm over |k| <= K_diag and the
 k-scaled difference k (X_{k+1} - X_k) of adjacent rows are all the
 multiplier condition asks of each.  That difference is made in one place,
 ``_scaled_difference``, for the difference rows P, Q, R, B and for the
-difference of every row alike.  Spectral norms are taken only here.
+difference of every row alike.  Spectral norms are taken only here,
+``_operator_norms``: a 2 x 2 norm is a closed form on the entries as they
+are, and only a row whose norm leaves [2^-450, 2^450] is computed again
+with its matrix scaled by a power of two.  The stack products T = G N and
+B = A Q are ``symbols._stack_product``, elementwise like the norms.
 
 Everything below is batched over the band with a deterministic ascending-k
-order.
+order, and each mode's values are computed from that mode alone.
 """
 
 from __future__ import annotations
@@ -32,10 +36,13 @@ from typing import List
 import numpy as np
 
 from .exceptions import SingularModeError
-from .symbols import ModeSymbols, ProblemSpec
+from .symbols import ModeSymbols, ProblemSpec, _stack_product
 
 #: 1-norm condition number beyond which a modal matrix is treated as singular
 COND_LIMIT = 1e12
+
+#: 2 x 2 norms in this range are computed without scaling (``_operator_norms``)
+_LEAST_UNSCALED, _MOST_UNSCALED = 2.0**-450, 2.0**450
 
 _SEQUENCE_NAMES = ["N", "S", "T", "F", "P", "Q", "R", "B", "L", "G", "a_tilde"]
 
@@ -52,29 +59,56 @@ def _scaled_difference(modes: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return difference
 
 
+def _largest_singular_value(stack: np.ndarray) -> np.ndarray:
+    """sqrt((p + r)/2 + hypot((p - r)/2, |q|)) for each matrix of a (m, 2, 2)
+    stack, where [[p, q], [q*, r]] is the Gram matrix of its columns."""
+    squares = np.square(stack.real) + np.square(stack.imag)
+    p = squares[:, 0, 0] + squares[:, 1, 0]
+    r = squares[:, 0, 1] + squares[:, 1, 1]
+    q = np.abs(np.conj(stack[:, 0, 0]) * stack[:, 0, 1]
+               + np.conj(stack[:, 1, 0]) * stack[:, 1, 1])
+    return np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
+
+
 def _operator_norms(stack: np.ndarray) -> np.ndarray:
     """Spectral norm of each matrix in a (m, n, n) stack.
 
     For n = 2 it is the square root of the larger eigenvalue of the Gram
-    matrix [[p, q], [q*, r]] of the columns, (p + r)/2 + hypot((p - r)/2, |q|):
-    a sum of non-negative terms, so it keeps full relative accuracy also for
-    nearly isotropic matrices, where the determinant form
-    (F + sqrt(F^2 - 4 |det|^2))/2 cancels.  Each matrix is first scaled
-    exactly, by a power of two near its largest entry, so no finite one
-    overflows or underflows when squared.
+    matrix of the columns, (p + r)/2 + hypot((p - r)/2, |q|): a sum of
+    non-negative terms, so it keeps full relative accuracy also for nearly
+    isotropic matrices, where the determinant form
+    (F + sqrt(F^2 - 4 |det|^2))/2 cancels.
+
+    The formula is evaluated on the entries as they are.  Scaling a matrix
+    by a power of two 2^e scales every square and product in it by 4^e and
+    its root by 2^e, exactly, and so commutes with every correctly rounded
+    step, as long as nothing overflows and no underflow reaches a bit of the
+    result.  The norm lies between the largest entry and twice it, so a norm
+    in [2^-450, 2^450] keeps every square below 2^902, and whatever
+    underflows there (below 2^-1022) is under 2^-120 of the squared norm and
+    cannot move a rounding: the value is then bit for bit the norm of the
+    matrix first scaled to a largest entry in [1, 2).  Only the rows outside
+    that range (overflowed, underflowed or not finite) are computed again,
+    scaled that way; an exactly zero matrix, whose norm 0 is exact, is not.
+    The scaling is an ``ldexp`` of the real and imaginary parts, exact for
+    every finite matrix (a complex division by a scale below 2^-1024 would
+    overflow).
     """
     n = stack.shape[1]
     if n == 1:
         return np.abs(stack[:, 0, 0])
     if n == 2:
-        scale = np.ldexp(1.0, np.frexp(np.max(np.abs(stack), axis=(1, 2)))[1] - 1)
-        unit = stack / scale[:, None, None]
-        squares = np.square(unit.real) + np.square(unit.imag)
-        p = squares[:, 0, 0] + squares[:, 1, 0]
-        r = squares[:, 0, 1] + squares[:, 1, 1]
-        q = np.abs(np.conj(unit[:, 0, 0]) * unit[:, 0, 1]
-                   + np.conj(unit[:, 1, 0]) * unit[:, 1, 1])
-        return scale * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
+        with np.errstate(all="ignore"):
+            norms = _largest_singular_value(stack)
+        rows = np.flatnonzero(~((norms >= _LEAST_UNSCALED) & (norms <= _MOST_UNSCALED)))
+        rows = rows[np.any(stack[rows], axis=(1, 2))]
+        if rows.size:
+            unit = stack[rows]
+            exponent = np.frexp(np.max(np.abs(unit), axis=(1, 2)))[1] - 1
+            for part in (unit.real, unit.imag) if np.iscomplexobj(unit) else (unit,):
+                np.ldexp(part, -exponent[:, None, None], out=part)
+            norms[rows] = np.ldexp(1.0, exponent) * _largest_singular_value(unit)
+        return norms
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
@@ -214,12 +248,12 @@ def m_bounded_diagnostics(spec: ProblemSpec, window: int,
     sequences = {
         "N": inverse,
         "S": (1j * modes)[:, None, None] * inverse,
-        "T": np.matmul(G, inverse),
+        "T": _stack_product(G, inverse),
         "F": a * inverse,
         "P": _scaled_difference(ahead, table.a[2:, None, None]),
         "Q": Q,
         "R": _scaled_difference(ahead, table.G[2:]),
-        "B": np.matmul(spec.state_matrix, Q),
+        "B": _stack_product(spec.state_matrix, Q),
         "L": table.L[2:-1],
         "G": G,
         "a_tilde": a,

@@ -623,9 +623,9 @@ class ModeSymbols:
         rows = slice(max(-bandwidth, first) - first, bandwidth - first + 1)
         return ModeSymbols(self.modes[rows], self.L[rows], self.G[rows], self.a[rows])
 
-    @property
+    @functools.cached_property
     def neutral(self) -> np.ndarray:
-        """D_k = I - L_k."""
+        """D_k = I - L_k, built on first read and kept."""
         return np.eye(self.L.shape[1])[None, :, :] - self.L
 
     def nonstate(self) -> np.ndarray:
@@ -635,6 +635,26 @@ class ModeSymbols:
         return ik * self.neutral - self.G - self.a[:, None, None] * eye[None, :, :]
 
     def modal(self, state_matrix: np.ndarray) -> np.ndarray:
-        """Modal matrices M(k) = C_k - A D_k, shape (len(modes), n, n)."""
-        return self.nonstate() - np.matmul(state_matrix, self.neutral)
+        """Modal matrices M(k) = C_k - A D_k, shape (len(modes), n, n).
 
+        Both terms read the one D_k of the table.  A D_k is a sum of
+        column-by-row products (``_stack_product``), so each row of M(k) is
+        computed from that mode alone, whatever the band.
+        """
+        return self.nonstate() - _stack_product(state_matrix, self.neutral)
+
+
+def _stack_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The matrix product x y of two broadcastable stacks of (n, n) matrices,
+    as sum_j x[..., :, j] y[..., j, :] of outer products.
+
+    It is elementwise, so it takes no BLAS call per matrix (``np.matmul``
+    makes one on a stack, which costs several times the arithmetic of a
+    2 x 2 product), and each output row is computed from its own rows of x
+    and y alone: the product of a slice is bit for bit the slice of the
+    product.
+    """
+    product = x[..., :, 0, None] * y[..., None, 0, :]
+    for j in range(1, x.shape[-1]):
+        product += x[..., :, j, None] * y[..., None, j, :]
+    return product

@@ -540,6 +540,31 @@ def test_malformed_json_writes_a_validation_report(tmp_path):
     assert "not valid JSON" in _unreadable_config_report(tmp_path, config)
 
 
+@pytest.mark.parametrize("text", ["{", "[1, 2]", "3.5", "null"])
+def test_a_document_that_is_no_object_keeps_its_message_under_overrides(tmp_path, text):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        expected = f"not valid JSON: {exc}"
+    else:
+        expected = "top level must be an object"
+    out = tmp_path / "out"
+    code = cli.main(["solve", "--config", str(config), "--out", str(out), "--k", "4"])
+    assert code == 3
+    assert report_of(out, "solve")["error"]["violations"] == [
+        {"path": "$", "message": expected}]
+
+
+def test_overrides_replace_fields_of_the_decoded_document():
+    overrides = {"K": 4, "N": 20, "K_diag": 32}
+    injected = parse_config(json.dumps(TINY), overrides)
+    assert injected.resolved == parse_config(json.dumps(dict(TINY, **overrides))).resolved
+    assert (injected.truncation, injected.problem.grid, injected.window) == (4, 20, 32)
+    assert parse_config(json.dumps(TINY), {}).resolved == parse_config(json.dumps(TINY)).resolved
+
+
 def test_complex_solution_table_gives_each_component_re_then_im():
     spec = problems.mat2_rich()
     spec = replace(spec, state_matrix=spec.state_matrix + 0.1j * np.eye(2))

@@ -474,3 +474,108 @@ class TestOperatorNorms:
         rng = np.random.default_rng(3)
         stack = rng.standard_normal((50, 3, 3)) + 1j * rng.standard_normal((50, 3, 3))
         np.testing.assert_array_equal(resolvent._operator_norms(stack), _svd_norms(stack))
+
+
+def _scaled_norms(stack):
+    """The n = 2 closed form with each matrix first scaled by the power of two
+    2^(e-1) next below its largest entry, e from frexp, so that its largest
+    entry lies in [1, 2).  Real and imaginary parts are divided apart, so
+    the scaling is exact also where 1/scale is beyond the float range."""
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(stack), axis=(1, 2)))[1] - 1)[:, None, None]
+    unit = stack.real / scale + 1j * (stack.imag / scale)
+    squares = np.square(unit.real) + np.square(unit.imag)
+    p = squares[:, 0, 0] + squares[:, 1, 0]
+    r = squares[:, 0, 1] + squares[:, 1, 1]
+    q = np.abs(np.conj(unit[:, 0, 0]) * unit[:, 0, 1]
+               + np.conj(unit[:, 1, 0]) * unit[:, 1, 1])
+    return scale[:, 0, 0] * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
+
+
+def _scaled_stack(rng, m, dtype, exponents):
+    """m random 2 x 2 matrices, rank-one and isotropic ones among them, each
+    multiplied exactly by 2^e for every e of ``exponents`` (real and imaginary
+    parts scaled apart, so no complex product rounds them)."""
+    def part():
+        base = rng.standard_normal((m, 2, 2))
+        base[: m // 4, :, 1] = base[: m // 4, :, 0] * 0.75
+        base[m // 4: m // 2] = [[1.0, 0.0], [0.0, 1.0]]
+        return np.ldexp(base[None], np.asarray(exponents)[:, None, None, None])
+    stack = part()
+    if dtype is complex:
+        stack = stack + 1j * part()
+    return stack.reshape(-1, 2, 2)
+
+
+class TestUnscaledOperatorNorms:
+    """The n = 2 norms are taken on the entries as they are; every one must be
+    bit for bit the norm of the matrix scaled by a power of two."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_every_scale_from_2_to_the_minus_1000_to_2_to_the_1000(self, dtype):
+        stack = _scaled_stack(np.random.default_rng(11), 12, dtype, range(-1000, 1001))
+        np.testing.assert_array_equal(resolvent._operator_norms(stack),
+                                      _scaled_norms(stack))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_scales_at_the_edges_of_the_unscaled_range(self, dtype):
+        edges = [e + d for e in (-1022, -1000, -450, 0, 450, 1000, 1020) for d in (-2, -1, 0, 1)]
+        stack = _scaled_stack(np.random.default_rng(12), 40, dtype, edges)
+        np.testing.assert_array_equal(resolvent._operator_norms(stack),
+                                      _scaled_norms(stack))
+
+    def test_zero_matrices_beside_others(self):
+        for dtype in (float, complex):
+            stack = _scaled_stack(np.random.default_rng(13), 8, dtype, [-1040, 0, 1010])
+            stack[::3] = 0.0
+            norms = resolvent._operator_norms(stack)
+            np.testing.assert_array_equal(norms, _scaled_norms(stack))
+            assert np.all(norms[::3] == 0.0)
+
+    def test_rows_with_subnormal_entries(self):
+        tiny = np.finfo(float).smallest_subnormal
+        rows = np.array([
+            [[tiny, 0.0], [0.0, 0.0]],
+            [[tiny, tiny], [-tiny, tiny]],
+            [[3 * tiny, 0.0], [7 * tiny, 2.0**-1060]],
+            [[1.0, tiny], [tiny, 1.0]],
+            [[1.0, 2.0**-1030], [0.0, 2.0**-1050]],
+            [[2.0**-1000, 3 * tiny], [0.0, 2.0**-1022]],
+            [[0.0, 2.0**-1022 * (1 - 2.0**-52)], [0.0, 0.0]],
+        ])
+        rng = np.random.default_rng(14)
+        random = np.ldexp(rng.standard_normal((64, 2, 2)), rng.integers(-1080, -1020, (64, 2, 2)))
+        for stack in (rows, random, rows * (1 - 1j), random + 1j * random[::-1]):
+            np.testing.assert_array_equal(resolvent._operator_norms(stack),
+                                          _scaled_norms(stack))
+        # a complex stack of such entries is scaled exactly, as a real one is
+        norms = resolvent._operator_norms(rows.astype(complex))
+        assert np.all(norms > 0.0)
+        np.testing.assert_array_equal(norms, resolvent._operator_norms(rows))
+
+    def test_mixed_magnitudes_in_one_matrix(self):
+        rng = np.random.default_rng(15)
+        m = 500
+        exponents = rng.choice([400, -600, 449, -451, 0, -1070, 1000], size=(m, 2, 2))
+        mantissas = rng.standard_normal((m, 2, 2))
+        stack = np.ldexp(mantissas, exponents)
+        fixed = np.array([[[2.0**400, 2.0**-600], [2.0**-600, 2.0**400]],
+                          [[2.0**400, 2.0**400], [2.0**-600, 2.0**-600]],
+                          [[2.0**-600, 0.0], [2.0**400, 0.0]],
+                          [[2.0**449, 2.0**449], [2.0**449, 2.0**449]]])
+        for stack in (np.concatenate([stack, fixed]),
+                      stack + 1j * np.ldexp(mantissas[::-1], exponents)):
+            np.testing.assert_array_equal(resolvent._operator_norms(stack),
+                                          _scaled_norms(stack))
+
+    def test_only_rows_outside_the_range_are_computed_again(self, monkeypatch):
+        seen = []
+        closed_form = resolvent._largest_singular_value
+        monkeypatch.setattr(resolvent, "_largest_singular_value",
+                            lambda stack: seen.append(len(stack)) or closed_form(stack))
+        stack = _scaled_stack(np.random.default_rng(16), 8, complex, [0, 600, 0])
+        stack[::5] = 0.0
+        resolvent._operator_norms(stack)
+        assert seen == [24, np.count_nonzero(stack[8:16].any(axis=(1, 2)))]
+        seen.clear()
+        resolvent._operator_norms(np.zeros((10, 2, 2), complex))
+        assert seen == [10]

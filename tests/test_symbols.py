@@ -591,3 +591,50 @@ class TestModeSymbols:
             assert np.allclose(table.modal(spec.state_matrix)[i], closed, atol=1e-14)
             assert np.allclose(table.neutral[i], d, atol=0.0)
 
+
+    def test_modal_reads_the_one_neutral_part_of_the_table(self, regression_specs):
+        for spec in regression_specs.values():
+            table = ModeSymbols.from_spec(spec, 9)
+            eye = np.eye(spec.dim)
+            neutral = eye[None] - table.L
+            nonstate = ((1j * table.modes)[:, None, None] * neutral - table.G
+                        - table.a[:, None, None] * eye[None])
+            expected = nonstate - symbols_module._stack_product(spec.state_matrix, neutral)
+            np.testing.assert_array_equal(table.modal(spec.state_matrix), expected)
+            assert table.neutral is table.neutral
+
+
+def _stack(rng, shape, complex_data):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if complex_data else x
+
+
+class TestStackProduct:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("complex_x", [False, True])
+    @pytest.mark.parametrize("complex_y", [False, True])
+    def test_agrees_with_matmul(self, n, complex_x, complex_y):
+        rng = np.random.default_rng(n)
+        m = 300
+        y = _stack(rng, (m, n, n), complex_y) * np.logspace(-8, 8, m)[:, None, None]
+        for x in (_stack(rng, (m, n, n), complex_x), _stack(rng, (n, n), complex_x)):
+            product = symbols_module._stack_product(x, y)
+            expected = np.matmul(x, y)
+            assert product.shape == expected.shape and product.dtype == expected.dtype
+            # each entry is a sum of n products, each rounded once or twice
+            bound = (4 * n * np.finfo(float).eps * np.linalg.norm(x, axis=(-2, -1))
+                     * np.linalg.norm(y, axis=(-2, -1)))
+            assert np.all(np.abs(product - expected) <= bound[:, None, None])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_the_product_of_a_slice_is_the_slice_of_the_product(self, n):
+        rng = np.random.default_rng(10 + n)
+        x, y = _stack(rng, (257, n, n), True), _stack(rng, (257, n, n), True)
+        state = _stack(rng, (n, n), False)
+        whole = symbols_module._stack_product(x, y)
+        whole_state = symbols_module._stack_product(state, y)
+        for rows in (slice(0, 1), slice(5, 100), slice(100, 257), [200, 3, 77]):
+            np.testing.assert_array_equal(
+                symbols_module._stack_product(x[rows], y[rows]), whole[rows])
+            np.testing.assert_array_equal(
+                symbols_module._stack_product(state, y[rows]), whole_state[rows])
