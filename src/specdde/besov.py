@@ -134,10 +134,10 @@ def _real_rows(modes: np.ndarray, weighted: np.ndarray) -> Tuple[np.ndarray, Lis
     Column i splits into Re f_i and Im f_i, whose Hermitian rows are
     (c_k + conj c_{-k}) / 2 and (c_k - conj c_{-k}) / 2i; the rows that are
     exactly zero are dropped (Im f_i of a real column) and the rest are taken
-    two at a time as a and b.  The solver and a harmonics forcing give
-    exactly Hermitian coefficients, so there the rows are the columns taken
-    two at a time; imaginary parts are live for complex blocks, which only
-    library callers build, and at round-off level for a sampled forcing.
+    two at a time as a and b.  A real function (``PeriodicGridFunction.is_real``:
+    the solution of a real problem, a real harmonics forcing, real samples)
+    has exactly Hermitian coefficients, so its rows are its columns taken
+    two at a time; imaginary parts are live only for complex blocks.
     """
     modes, coefficients = _live(modes, weighted)
     mirrored = np.conj(coefficients[::-1])

@@ -16,15 +16,14 @@ widest band: the solve at truncation K is that solve's coefficients on
 |k| <= K, so each row costs only its two syntheses.
 
 Which band a problem is solved on: a problem whose data are real
-(``ProblemSpec.is_real``) and whose stored forcing coefficients are exactly
-Hermitian, fhat(-k) == conj fhat(k) (a harmonics forcing), has M(-k) =
+(``ProblemSpec.is_real``: real matrices, atoms and kernel, and forcing
+coefficients exactly Hermitian, fhat(-k) == conj fhat(k)) has M(-k) =
 conj M(k), so its solve and sweep work on k = 0..K alone.  The table, M(k),
 the checked inverse and the defect are built there, each grid residual is
 one ``irfft`` of the k >= 0 rows, and only what is reported over the whole
 band is mirrored: the coefficients, uhat(-k) = conj uhat(k), and the
-condition numbers.  A rejected mode k names both -k and k.  Every other
-problem, a complex one or one with a sampled real forcing, whose
-coefficients are Hermitian only to round-off, is solved on -K..K.
+condition numbers.  A rejected mode k names both -k and k.  A complex
+problem is solved on -K..K.
 """
 
 from __future__ import annotations
@@ -63,13 +62,9 @@ class SpectralSolution:
 
 def _solved_modes(spec: ProblemSpec, bandwidth: int) -> np.ndarray:
     """The modes a problem is solved on: k = 0..bandwidth when its data are
-    real (``spec.is_real``) and its stored forcing coefficients exactly
-    Hermitian, fhat(-k) == conj fhat(k), so that the defect at -k is the
-    conjugate of the defect at k; else -bandwidth..bandwidth.  A sampled
-    real forcing is Hermitian only to round-off and keeps the whole band."""
-    c = spec.forcing.coefficients
-    half = bool(np.array_equal(c[::-1], np.conj(c))) and spec.is_real
-    return np.arange(0 if half else -bandwidth, bandwidth + 1)
+    real (``spec.is_real``), so that the defect at -k is the conjugate of the
+    defect at k; else -bandwidth..bandwidth."""
+    return np.arange(0 if spec.is_real else -bandwidth, bandwidth + 1)
 
 
 def _half(modes: np.ndarray) -> bool:
@@ -139,17 +134,12 @@ def _checked(modes: np.ndarray, modal: np.ndarray, bandwidth: int, cond_limit: f
 
 def _coefficients(spec: ProblemSpec, solved: np.ndarray, resolvent: np.ndarray) -> np.ndarray:
     """uhat(k) = M(k)^{-1} fhat(k) on the ``solved`` modes of the checked
-    inverse.  On the half band uhat(0) is made real; on the whole band, real
-    data have their k < 0 half replaced by the conjugates of the k > 0 half."""
+    inverse; on the half band uhat(0) is made real."""
     f = spec.forcing
     uhat = np.einsum("kij,kj->ki", resolvent,
                      _relaid(f.coefficients, mode_range(f.bandwidth), solved))
     if _half(solved):
         uhat[0] = np.real(uhat[0])
-    elif spec.is_real:
-        K = (len(solved) - 1) // 2
-        uhat[K] = np.real(uhat[K])
-        uhat[:K] = np.conj(uhat[:K:-1])
     return uhat
 
 
@@ -162,16 +152,12 @@ def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> Spectra
     1-norm condition number of some modal matrix in the band exceeds
     ``cond_limit``.
 
-    A real problem whose forcing coefficients are exactly Hermitian (a
-    harmonics forcing; ``_solved_modes``) is solved on k = 0..K alone: the
-    symbols, M(k), its checked inverse and the defect are built there, the
-    grid residual is one ``irfft``, and the coefficients and ``condition``
-    are mirrored to -K..K, uhat(-k) = conj uhat(k).  Any other problem is
-    solved on the whole band; for real data its coefficients are then
-    assembled the same way from k >= 0.  Either way the synthesized grid
-    values of a real problem are real to round-off.  Problem data counts as
-    real only when its imaginary parts are exactly zero; forcing samples may
-    carry round-off.
+    A real problem (``spec.is_real``; ``_solved_modes``) is solved on
+    k = 0..K alone: the symbols, M(k), its checked inverse and the defect
+    are built there, the grid residual is one ``irfft``, and the
+    coefficients and ``condition`` are mirrored to -K..K, uhat(-k) =
+    conj uhat(k), so the solution is real too.  A complex problem is solved
+    on the whole band.
     """
     f = spec.forcing
     K = spec.truncation
@@ -245,9 +231,9 @@ def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
     near 1, so the threshold separates the two by orders of magnitude.  The
     flag is None when fewer than three doubling steps are available.  A
     rejected mode raises SingularModeError as the first row whose band holds
-    it would.  A real problem with an exactly Hermitian forcing is solved on
-    k = 0..K and each row's residual and change are one ``irfft`` of its
-    k >= 0 rows, as in ``solve_periodic``; any other on the whole band.
+    it would.  A real problem is solved on k = 0..K and each row's residual
+    and change are one ``irfft`` of its k >= 0 rows, as in
+    ``solve_periodic``; a complex one on the whole band.
     """
     truncations = [int(k) for k in truncations]
     if any(a >= b for a, b in zip(truncations, truncations[1:])):

@@ -387,7 +387,10 @@ def analyze(samples, bandwidth: Optional[int] = None) -> np.ndarray:
     ndarray of shape (2K+1, n); row i holds the coefficient of mode i - K.
 
     Exact to round-off for trigonometric polynomials of degree <= K when
-    N >= 2K+1; raises AliasingError otherwise.
+    N >= 2K+1; raises AliasingError otherwise.  Samples whose imaginary
+    part is exactly zero are real: their k >= 0 coefficients come from one
+    ``rfft`` and the k < 0 ones are their conjugates, so the coefficients
+    are exactly Hermitian, c(-k) == conj c(k).
     """
     samples = np.asarray(samples)
     if samples.ndim == 1:
@@ -399,6 +402,9 @@ def analyze(samples, bandwidth: Optional[int] = None) -> np.ndarray:
         raise AliasingError(
             f"need N >= 2K+1 samples for bandwidth K={bandwidth}, got N={n_samples}"
         )
+    if not np.any(np.imag(samples)):
+        half = np.fft.rfft(np.real(samples), axis=0)[:bandwidth + 1] / n_samples
+        return np.concatenate([np.conj(half[:0:-1]), half])
     spectrum = np.fft.fft(samples, axis=0) / n_samples
     ks = mode_range(bandwidth)
     return spectrum[np.mod(ks, n_samples)]
@@ -433,7 +439,9 @@ class PeriodicGridFunction:
     @classmethod
     def from_samples(cls, samples, bandwidth: Optional[int] = None) -> "PeriodicGridFunction":
         """The band |k| <= bandwidth of uniform samples, all of it by default;
-        an even N's Nyquist mode lies outside every such band and is dropped."""
+        an even N's Nyquist mode lies outside every such band and is dropped.
+        Samples with an all-zero imaginary part give exactly Hermitian
+        coefficients (``analyze``), so the function is real."""
         return cls(analyze(samples, bandwidth), len(samples))
 
     @classmethod
@@ -492,8 +500,10 @@ class PeriodicGridFunction:
 
     @property
     def is_real(self) -> bool:
-        scale = max(np.max(np.abs(self.samples)), 1.0)
-        return bool(np.max(np.abs(self.samples.imag)) <= 1e-13 * scale)
+        """Whether the coefficients are exactly Hermitian, c(-k) == conj c(k):
+        an O(K) test that runs no transform and tolerates no round-off."""
+        c = self.coefficients
+        return np.array_equal(c[::-1], np.conj(c))
 
     # -- operations --------------------------------------------------------
 

@@ -13,6 +13,7 @@ import problems
 from specdde import (
     BesovParams,
     PeriodicGridFunction,
+    analyze,
     besov_norm_report,
     mode_range,
     partition_eval,
@@ -285,6 +286,8 @@ ROW_SPLIT_CASES = [
     ("zero_column", np.stack([np.random.default_rng(6).normal(size=25)
                               + 1j * np.random.default_rng(7).normal(size=25),
                               np.zeros(25)], axis=1), 1),
+    # a forcing sampled from real values: exactly Hermitian, one row
+    ("n2_sampled_real", analyze(np.random.default_rng(8).normal(size=(40, 2)), 12), 1),
 ]
 
 

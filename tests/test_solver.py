@@ -102,6 +102,19 @@ class TestSolveBenchmarks:
         assert not spec.is_real
         assert solve_periodic(spec).residual_modal <= 1e-14
 
+    def test_tiny_imaginary_forcing_is_not_symmetrised(self):
+        # the forcing's counterpart: 1e-8 i sin 2t under 1e6 cos t is data,
+        # and the solve must not overwrite uhat(-2) with conj uhat(2)
+        t = TWO_PI * np.arange(64) / 64
+        forcing = PeriodicGridFunction.from_samples(
+            1e6 * np.cos(t) + 1e-8j * np.sin(2 * t), bandwidth=8)
+        spec = ProblemSpec(state_matrix=[[-1.0]], forcing=forcing, truncation=8, grid=32)
+        assert not spec.is_real
+        sol = solve_periodic(spec)
+        assert sol.residual_modal <= 1e-10
+        K = sol.truncation
+        assert sol.coefficients[K - 2, 0] != np.conj(sol.coefficients[K + 2, 0])
+
     def test_cond_limit_is_the_one_norm_condition(self):
         # M(0) = [[1, 1], [0, 1]]: 1-norm condition 4, 2-norm condition 2.62;
         # at |k| >= 1 the 1-norm condition (|1+ik| + 1)^2 / |1+ik|^2 is below 3
@@ -383,15 +396,21 @@ def _complex_tiny():
     return replace(tiny, state_matrix=tiny.state_matrix + 0.1j * np.eye(2))
 
 
-def _sampled_real():
-    """A real problem whose forcing is sampled: its coefficients are
-    Hermitian only to round-off."""
+def _forcing_samples(imaginary):
+    """cos t + 0.5 sin 3t plus ``imaginary`` times i sin 2t on 64 nodes."""
     t = TWO_PI * np.arange(64) / 64
-    forcing = PeriodicGridFunction.from_samples(np.cos(t) + 0.5 * np.sin(3 * t), bandwidth=8)
+    return np.cos(t) + 0.5 * np.sin(3 * t) + imaginary * 1j * np.sin(2 * t)
+
+
+def _sampled(imaginary=0.0):
+    """``scalar_full`` with the band |k| <= 8 of ``_forcing_samples`` as
+    forcing: a real problem when ``imaginary`` is 0, else a complex one."""
+    forcing = PeriodicGridFunction.from_samples(_forcing_samples(imaginary), bandwidth=8)
     return replace(problems.scalar_full(), forcing=forcing)
 
 
-#: every real problem of ``tests/problems.py`` with a harmonics forcing, and TINY
+#: every real problem of ``tests/problems.py`` with a harmonics forcing, TINY
+#: and a real sampled forcing
 REAL_CASES = {
     "scalar_basic": problems.scalar_basic,
     "scalar_full": problems.scalar_full,
@@ -400,6 +419,7 @@ REAL_CASES = {
     "mat2_rich": problems.mat2_rich,
     "mat2_sampled": problems.mat2_sampled,
     "tiny": _tiny,
+    "sampled_real": _sampled,
 }
 
 
@@ -426,8 +446,8 @@ def _full_band_reference(spec):
 
 
 class TestRealHalfBand:
-    """A real problem with an exactly Hermitian forcing is solved on k >= 0
-    alone, with the numbers of the whole-band solve."""
+    """A real problem is solved on k >= 0 alone, with the numbers of the
+    whole-band solve."""
 
     @pytest.fixture
     def evaluated(self, monkeypatch):
@@ -487,19 +507,22 @@ class TestRealHalfBand:
         lambda spec: solve_periodic(spec),
         lambda spec: convergence_sweep(spec, [2, 4, 8]),
     ], ids=["solve_periodic", "convergence_sweep"])
-    @pytest.mark.parametrize("make", [_complex_tiny, _sampled_real],
-                             ids=["complex_golden", "sampled_real"])
+    @pytest.mark.parametrize("make", [_complex_tiny, lambda: _sampled(0.25)],
+                             ids=["complex_golden", "sampled_complex"])
     def test_other_problems_evaluate_the_whole_band(self, evaluated, run, make):
         spec = make()
+        assert not spec.is_real
         run(spec)
         assert len(evaluated) == 3
         assert all(np.array_equal(ks, -ks[::-1]) and ks[-1] >= 8 for ks in evaluated)
 
-    def test_sampled_real_forcing_is_hermitian_only_to_round_off(self):
-        spec = _sampled_real()
+    def test_real_samples_give_exactly_hermitian_coefficients(self):
+        # the rfft coefficients of real samples against their complex FFT
+        spec = _sampled()
         c = spec.forcing.coefficients
-        assert spec.is_real and not np.array_equal(c[::-1], np.conj(c))
-        assert np.max(np.abs(c[::-1] - np.conj(c))) <= 1e-15
+        assert spec.is_real and np.array_equal(c[::-1], np.conj(c))
+        complex_fft = np.fft.fft(_forcing_samples(0.0).astype(complex)) / 64
+        assert np.max(np.abs(c[:, 0] - complex_fft[mode_range(8)])) <= 1e-15
 
     def test_a_complex_sweep_on_mode_zero_alone_keeps_its_complex_mean(self):
         # the band of the widest row is the lone mode 0, on which the mean of

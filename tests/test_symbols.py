@@ -455,6 +455,32 @@ class TestAnalyzeSynthesize:
         assert f.max_norm() == 0.0 and np.array_equal(f.samples, np.zeros((4, 1)))
 
 
+class TestRealness:
+    """A grid function is real when its coefficients are exactly Hermitian;
+    samples with an all-zero imaginary part give such coefficients."""
+
+    def test_realness_runs_no_transform(self, inverse_ffts):
+        t = TWO_PI * np.arange(64) / 64
+        sampled = PeriodicGridFunction.from_samples(np.cos(t) + 0.5 * np.sin(3 * t), 8)
+        for spec in (problems.scalar_full(), replace(problems.scalar_full(), forcing=sampled)):
+            assert spec.is_real
+        assert inverse_ffts == []
+
+    def test_complex_dtype_samples_with_zero_imaginary_part_are_real(self):
+        t = TWO_PI * np.arange(64) / 64
+        real = PeriodicGridFunction.from_samples(np.cos(t) + 0j, bandwidth=8)
+        assert real.is_real
+        assert np.array_equal(real.coefficients, analyze(np.cos(t), bandwidth=8))
+        assert not PeriodicGridFunction.from_samples(np.cos(t) + 1e-20j, bandwidth=8).is_real
+
+    def test_one_ulp_off_hermitian_is_complex(self):
+        # no tolerance: a coefficient one ulp off its mirror's conjugate is data
+        coeffs = np.array([0.5 + 0.25j, 1.0, 0.5 - 0.25j])
+        assert PeriodicGridFunction(coeffs, 8).is_real
+        coeffs[0] = np.nextafter(0.5, 1.0) + 0.25j
+        assert not PeriodicGridFunction(coeffs, 8).is_real
+
+
 class TestSymbolOperatorConsistency:
     """Applying the functional on the grid must match coefficient-wise action."""
 
