@@ -4,13 +4,14 @@ One command per process; a report is one line of RFC 8259 JSON in UTF-8
 (the standard library's default separators, then one LF), with fixed field
 order and floats in Python's shortest round-trip form, so identical configs
 produce byte-identical files.  The solve report's ``coefficients`` block is
-formatted by a template, not by the encoder, but it is the bytes the
-standard encoder would write for its list of ``{"k", "value": [{"re",
-"im"}, ...]}`` objects.  A side file is CSV: a header line of column names,
-then one line per row, each cell in ``str`` form, comma-separated, every
-line ended by one LF; a float's ``str`` is its shortest round-trip
-``repr``, which ``_repr.repr_bytes`` computes for a block of rows at once
-(the solution's samples are most of what a solve writes).  Exit codes: 0
+formatted by a template, not by the encoder, and a zero part's text comes
+from its sign bit alone, but it is the bytes the standard encoder would
+write for its list of ``{"k", "value": [{"re", "im"}, ...]}`` objects.  A
+side file is CSV: a header line of column names, then one line per row,
+each cell in ``str`` form, comma-separated, every line ended by one LF; a
+float's ``str`` is its shortest round-trip ``repr``, which
+``_repr.repr_bytes`` computes for a block of a fixed number of cells at
+once (the solution's samples are most of what a solve writes).  Exit codes: 0
 success, 2 solvability failure (singular mode or singular collocation
 system), 3 validation failure (an invalid document, or values a command
 cannot use: an off-grid lag or a grid too coarse for a bandwidth) or a
@@ -98,9 +99,9 @@ def _finite(obj) -> bool:
     return True
 
 
-#: rows of a side file formatted at a time, which bounds the formatter's
-#: temporaries (a few hundred bytes per cell)
-_BLOCK_ROWS = 1024
+#: cells of a side file formatted at a time, whatever the table's width: the
+#: formatter holds a few hundred bytes of temporaries per cell
+_BLOCK_CELLS = 12288
 
 
 def _cell_bytes(block):
@@ -108,7 +109,8 @@ def _cell_bytes(block):
     array of shape (rows, columns): ``repr_bytes`` of a float array, and
     ``str`` of each cell of a list of tuples.  Those lists are the sweep
     and verify tables, a few rows each, where ``str`` costs less than the
-    kernel's fixed sequence of array operations."""
+    kernel's fixed sequence of array operations.  ``_write_csv`` passes
+    ``_BLOCK_CELLS`` cells at a time, which bounds the kernel's temporaries."""
     if isinstance(block, np.ndarray):
         # imported here so that only a command that writes a float table
         # compiles and loads the kernel
@@ -134,25 +136,37 @@ def _write_csv(path: Path, header, rows) -> None:
     """The header line, then one line per row of ``rows`` (a float array or
     a list of tuples), each cell in ``str`` form, comma-separated, each line
     ended by LF.  ``str`` of a float is its ``repr``, which ``repr_bytes``
-    writes for a whole block of a float array at once.  The rows are
-    written ``_BLOCK_ROWS`` at a time.  Every float must be finite, as
-    ``run`` checks before it writes a side file."""
+    writes for a whole block of a float array at once.  A block is as many
+    rows as ``_BLOCK_CELLS`` cells hold (at least one), whatever the
+    table's width.  Every float must be finite, as ``run`` checks before it
+    writes a side file."""
+    step = max(1, _BLOCK_CELLS // len(header))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            fh.write(_csv_bytes(_cell_bytes(rows[start:start + _BLOCK_ROWS])))
+        for start in range(0, len(rows), step):
+            fh.write(_csv_bytes(_cell_bytes(rows[start:start + step])))
+
+
+#: the text of a zero part, indexed by its sign bit
+_ZEROS = np.array(["0.0", "-0.0"], dtype=object)
 
 
 def _coefficients_json(modes, coefficients) -> _Encoded:
     """The JSON text of ``[{"k": k, "value": [{"re": .., "im": ..}, ...]}, ...]``,
-    one object per mode, in the bytes the standard encoder writes: ``%d`` of
-    an int is ``int.__repr__`` and ``%r`` of a float is ``float.__repr__``,
-    the forms the encoder calls."""
+    one object per mode, in the bytes the standard encoder writes, which
+    calls ``int.__repr__`` and ``float.__repr__``.  A solution is zero on
+    most modes, so a zero part's text, ``0.0`` or ``-0.0``, is read off its
+    sign bit, and only the nonzero parts (NaN included) go through
+    ``repr``; one ``%s`` template then writes every row."""
     parts = np.ascontiguousarray(coefficients, dtype=complex).view(float)
-    value = ", ".join(['{"re": %r, "im": %r}'] * (parts.shape[1] // 2))
-    row = '{"k": %d, "value": [' + value + "]}"
-    cells = np.column_stack([np.asarray(modes, dtype=object), parts]).ravel().tolist()
-    text = "[" + ", ".join([row] * len(parts)) % tuple(cells) + "]"
+    value = ", ".join(['{"re": %s, "im": %s}'] * (parts.shape[1] // 2))
+    row = '{"k": %s, "value": [' + value + "]}"
+    cells = np.empty((len(parts), parts.shape[1] + 1), dtype=object)
+    cells[:, 0] = modes  # an integer array's items go in as Python ints
+    cells[:, 1:] = _ZEROS[np.signbit(parts).view(np.uint8)]
+    live = parts != 0
+    cells[:, 1:][live] = list(map(repr, parts[live].tolist()))
+    text = "[" + ", ".join([row] * len(parts)) % tuple(cells.ravel().tolist()) + "]"
     return _Encoded(text, bool(np.isfinite(parts).all()))
 
 

@@ -18,8 +18,9 @@ block circulant.  One FFT over the nodes turns each stencil into its discrete
 symbol, and the scheme becomes N independent n x n systems, one per discrete
 frequency: O(N n^3 + n^2 N log N) work and O(N n^2) memory.  The symbols come
 from the stencil weights alone; nothing here touches the resolvent or solver
-modules (only the default condition limit is shared), and the cross-method
-comparison imports the spectral solver lazily inside compare().
+modules (only the default condition limit and the spectral norm of a matrix
+stack are shared), and the cross-method comparison imports the spectral
+solver lazily inside compare().
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .symbols import (
     ProblemSpec,
     mode_range,
 )
-from .resolvent import COND_LIMIT
+from .resolvent import COND_LIMIT, _operator_norms
 
 
 def periodize_kernel(kernel: KernelSpec, n_samples: int) -> np.ndarray:
@@ -152,8 +153,11 @@ def collocation_solve(spec: ProblemSpec, n_nodes: int,
     solved in one batch against the FFT of the resampled forcing, and an
     inverse FFT gives the (N, n) nodal samples.  Second order in the grid spacing for
     smooth data.  The block DFT is unitary, so the system's condition number
-    is max sigma_max / min sigma_min over the frequencies; SingularSystemError
-    is raised when it is not finite or exceeds ``cond_limit``.
+    is max sigma_max / min sigma_min over the frequencies, which is
+    max ||S_m||_2 * max ||S_m^{-1}||_2 since sigma_min(S_m) = 1/||S_m^{-1}||_2:
+    it is read off one batched inversion, and an exactly singular S_m, which
+    stops the inversion, gives an infinite one.  SingularSystemError is
+    raised when it is not finite or exceeds ``cond_limit``.
     """
     n = spec.dim
     dt = TWO_PI / n_nodes
@@ -175,9 +179,12 @@ def collocation_solve(spec: ProblemSpec, n_nodes: int,
         np.fft.fft(stencil, axis=0) for stencil in stencils)
     system = diff_hat @ (eye_n - neutral_hat) - reaction_hat - memory_hat
 
-    singular_values = np.linalg.svd(system, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = float(np.max(singular_values[:, 0]) / np.min(singular_values[:, -1]))
+    try:
+        inverse = np.linalg.inv(system)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cond = float(np.max(_operator_norms(system)) * np.max(_operator_norms(inverse)))
+    except np.linalg.LinAlgError:
+        cond = math.inf
     if not cond <= cond_limit:
         raise SingularSystemError(cond)
     rhs = np.fft.fft(_nodal_values(spec.forcing, n_nodes), axis=0)

@@ -5,12 +5,14 @@ import gc
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
 import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -436,6 +438,9 @@ def _old_coefficients(modes, coefficients):
             for k, row in zip(modes.tolist(), coefficients.tolist())]
 
 
+signed_zeros = st.sampled_from((0.0, -0.0))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_coefficient_block_is_the_bytes_of_the_encoder(data):
@@ -443,16 +448,27 @@ def test_coefficient_block_is_the_bytes_of_the_encoder(data):
     count = data.draw(st.integers(0, 6))
     modes = np.array(data.draw(st.lists(st.integers(-10**6, 10**6), min_size=count,
                                         max_size=count)), dtype=np.int64)
-    floats = data.draw(st.lists(cell_floats, min_size=2 * count * n, max_size=2 * count * n))
-    parts = np.array(floats, dtype=float).reshape(count, n, 2)
+    # a solution is zero on most modes: rows of signed zeros alone, and
+    # signed zeros mixed into the other rows
+    rows = [data.draw(st.lists(signed_zeros if data.draw(st.booleans())
+                               else st.one_of(cell_floats, signed_zeros),
+                               min_size=2 * n, max_size=2 * n))
+            for _ in range(count)]
+    parts = np.array(rows, dtype=float).reshape(count, n, 2)
+    if count and data.draw(st.booleans()):
+        parts.flat[data.draw(st.integers(0, parts.size - 1))] = data.draw(
+            st.sampled_from((math.nan, -math.nan)))
     if data.draw(st.booleans()):
         coefficients = parts[..., 0] + 1j * parts[..., 1]
     else:
         coefficients = parts[..., 0]
     block = cli._coefficients_json(modes, coefficients)
-    assert block.finite
-    assert block.text == json.dumps(_old_coefficients(modes, coefficients),
-                                    ensure_ascii=False, allow_nan=False)
+    nan = bool(np.isnan(coefficients).any())
+    expected = json.dumps(_old_coefficients(modes, coefficients),
+                          ensure_ascii=False, allow_nan=nan)
+    # a NaN part is not finite, and its text is repr's ``nan``
+    assert block.finite == (not nan)
+    assert block.text == (expected.replace("NaN", "nan") if nan else expected)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -485,7 +501,8 @@ def _template_csv(header, rows):
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_csv_across_a_block_boundary_is_the_template(tmp_path, extra):
-    count = cli._BLOCK_ROWS + extra
+    # a block is as many rows of three cells as _BLOCK_CELLS holds
+    count = cli._BLOCK_CELLS // 3 + extra
     rng = np.random.default_rng(count)
     table = rng.standard_normal((count, 3)) * 10.0 ** rng.integers(-6, 18, (count, 3))
     table[::7, 1] = np.round(table[::7, 1])
@@ -497,13 +514,30 @@ def test_csv_across_a_block_boundary_is_the_template(tmp_path, extra):
 
 
 def test_solution_csv_over_several_blocks_is_the_template(tmp_path):
-    doc = dict(TINY, N=3 * cli._BLOCK_ROWS + 5)
+    # TINY's real solution has n = 2, so three columns
+    doc = dict(TINY, N=3 * (cli._BLOCK_CELLS // 3) + 5)
     code, out = run(tmp_path, "solve", doc)
     assert code == 0
     config = parse_config(json.dumps(doc))
     _, header, table = cli._solution_csv(solve_periodic(config.problem))
-    assert len(table) == doc["N"]
+    assert len(header) == 3 and len(table) == doc["N"]
     assert (out / "solution.csv").read_bytes() == _template_csv(header, table)
+
+
+@pytest.mark.parametrize("columns", [3, 21])
+def test_writer_memory_is_bounded_whatever_the_width(tmp_path, columns):
+    # a block holds _BLOCK_CELLS cells, so a wide table (a complex solution
+    # with n = 10 has 21 columns) takes no more memory than a narrow one
+    table = np.random.default_rng(columns).standard_normal((16384, columns))
+    header = [f"c{i}" for i in range(columns)]
+    cli._write_csv(tmp_path / "table.csv", header, table[:2])  # loads the kernel's tables
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "table.csv", header, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 def _unreadable_config_report(tmp_path, config):

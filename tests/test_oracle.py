@@ -93,6 +93,50 @@ def test_singular_system_is_rejected_by_its_condition_number():
         collocation_solve(spec, 16, cond_limit=1.0)
 
 
+def _collocation_system(monkeypatch, spec, n_nodes):
+    """The (N, n, n) stack of frequency systems that collocation_solve
+    inverts, recorded from its call of np.linalg.inv."""
+    systems = []
+    inv = np.linalg.inv
+
+    def recorded(a):
+        systems.append(a.copy())
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    collocation_solve(spec, n_nodes)
+    monkeypatch.undo()
+    [system] = systems
+    return system
+
+
+def test_condition_is_the_singular_value_ratio(monkeypatch, regression_specs):
+    # max sigma_max / min sigma_min of the frequency systems, from an SVD,
+    # decides the rejection up to a relative 1e-9
+    checked = 0
+    for name, spec in regression_specs.items():
+        singular_values = np.linalg.svd(_collocation_system(monkeypatch, spec, 128),
+                                        compute_uv=False)
+        cond = np.max(singular_values[:, 0]) / np.min(singular_values[:, -1])
+        if not cond < 1e6:
+            continue
+        checked += 1
+        with pytest.raises(SingularSystemError):
+            collocation_solve(spec, 128, cond_limit=cond * (1.0 - 1e-9))
+        collocation_solve(spec, 128, cond_limit=cond * (1.0 + 1e-9))
+    assert checked >= 5
+
+
+def test_collocation_takes_no_svd(monkeypatch, regression_specs):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("collocation_solve called an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for name, spec in regression_specs.items():
+        assert spec.dim <= 2, name
+        assert np.all(np.isfinite(collocation_solve(spec, 128))), name
+
+
 def test_memory_stays_linear_in_the_grid():
     spec = problems.mat2_rich()
     collocation_solve(spec, 1024)
