@@ -11,7 +11,9 @@ side file is CSV: a header line of column names, then one line per row,
 each cell in ``str`` form, comma-separated, every line ended by one LF; a
 float's ``str`` is its shortest round-trip ``repr``, which
 ``_repr.repr_bytes`` computes for a block of a fixed number of cells at
-once (the solution's samples are most of what a solve writes).  Exit codes: 0
+once (the solution's samples are most of what a solve writes: a real
+solution's are one ``irfft``, a column per component, a complex one's one
+``ifft``, columns ``_re`` and ``_im``).  Exit codes: 0
 success, 2 solvability failure (singular mode or singular collocation
 system), 3 validation failure (an invalid document, or values a command
 cannot use: an off-grid lag or a grid too coarse for a bandwidth) or a
@@ -172,11 +174,11 @@ def _coefficients_json(modes, coefficients) -> _Encoded:
 
 def _solution_csv(solution):
     grid = solution.solution
-    real = grid.is_real
+    samples = grid.samples
+    real = np.isrealobj(samples)
     parts = ("",) if real else ("_re", "_im")
     header = ["t"] + [f"u{i}{part}" for i in range(grid.dim) for part in parts]
-    values = (grid.samples.real if real
-              else np.stack([grid.samples.real, grid.samples.imag], axis=2))
+    values = samples if real else np.stack([samples.real, samples.imag], axis=2)
     table = np.column_stack([grid.nodes, values.reshape(len(grid.nodes), -1)])
     return "solution.csv", header, table
 

@@ -20,7 +20,8 @@ frequency: O(N n^3 + n^2 N log N) work and O(N n^2) memory.  The symbols come
 from the stencil weights alone; nothing here touches the resolvent or solver
 modules (only the default condition limit and the spectral norm of a matrix
 stack are shared), and the cross-method comparison imports the spectral
-solver lazily inside compare().
+solver lazily inside compare().  The forcing and the spectral reference take
+their nodal values from ``symbols._synthesis``, which folds on a coarse grid.
 """
 
 from __future__ import annotations
@@ -32,14 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import AliasingError, OffGridLagError, SingularSystemError
-from .symbols import (
-    TWO_PI,
-    DelayFunctional,
-    KernelSpec,
-    PeriodicGridFunction,
-    ProblemSpec,
-    mode_range,
-)
+from .symbols import TWO_PI, DelayFunctional, KernelSpec, ProblemSpec, _synthesis, mode_range
 from .resolvent import COND_LIMIT, _operator_norms
 
 
@@ -187,23 +181,10 @@ def collocation_solve(spec: ProblemSpec, n_nodes: int,
         cond = math.inf
     if not cond <= cond_limit:
         raise SingularSystemError(cond)
-    rhs = np.fft.fft(_nodal_values(spec.forcing, n_nodes), axis=0)
+    f = spec.forcing
+    rhs = np.fft.fft(_synthesis(f.coefficients, mode_range(f.bandwidth), n_nodes), axis=0)
     samples = np.fft.ifft(np.linalg.solve(system, rhs[:, :, None])[:, :, 0], axis=0)
     return samples.real if spec.is_real else samples
-
-
-def _nodal_values(grid: PeriodicGridFunction, n_nodes: int) -> np.ndarray:
-    """Values of the trigonometric polynomial ``grid`` at the n_nodes uniform
-    nodes, shape (n_nodes, n).
-
-    The coefficients are folded mod N before one inverse FFT: at the nodes,
-    e^{ikt} and e^{i(k+N)t} coincide, so this is exact for any N, also below
-    2K+1.  At N >= 2K+1 nothing folds and the values are those of
-    ``PeriodicGridFunction(grid.coefficients, n_nodes).samples``.
-    """
-    spectrum = np.zeros((n_nodes, grid.dim), dtype=complex)
-    np.add.at(spectrum, np.mod(mode_range(grid.bandwidth), n_nodes), grid.coefficients)
-    return np.fft.ifft(spectrum * n_nodes, axis=0)
 
 
 @dataclass
@@ -225,11 +206,11 @@ def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
     """Max-norm gap between the two solution routes, with the fitted order.
 
     The spectral reference is solved once and evaluated at the nodes of each
-    collocation grid, whatever its size.  The fitted order is the
-    least-squares slope of log gap against log N (negated); it is reported as
-    None when some gap sits at round-off level, where the fit would measure
-    noise.  ``cond_limit`` bounds both the spectral solve and every
-    collocation system.
+    collocation grid, whatever its size (``symbols._synthesis``).  The fitted
+    order is the least-squares slope of log gap against log N (negated); it
+    is reported as None when some gap sits at round-off level, where the fit
+    would measure noise.  ``cond_limit`` bounds both the spectral solve and
+    every collocation system.
     """
     from .solver import solve_periodic  # deferred so assembly stays solver-free
 
@@ -237,7 +218,7 @@ def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
     rows: List[Tuple[int, float]] = []
     for n_nodes in grid_sizes:
         approx = collocation_solve(spec, int(n_nodes), cond_limit)
-        ref = _nodal_values(reference, int(n_nodes))
+        ref = _synthesis(reference.coefficients, mode_range(reference.bandwidth), int(n_nodes))
         gap = float(np.max(np.linalg.norm(ref - approx, axis=1)))
         rows.append((int(n_nodes), gap))
 

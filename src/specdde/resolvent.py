@@ -238,8 +238,7 @@ def m_bounded_diagnostics(spec: ProblemSpec, window: int,
     if window < 1:
         raise ValueError("window must be >= 1")
     table = ModeSymbols.from_spec(spec, window + 2)
-    checked = table.band(window + 1)
-    inverse = _checked_inverse(checked.modes, checked.modal(spec.state_matrix),
+    inverse = _checked_inverse(table.modes[1:-1], table.modal(spec.state_matrix)[1:-1],
                                cond_limit)[0][1:]
     ahead = table.modes[2:]      # -window..window + 2: one mode past the band
     modes = ahead[:-1]

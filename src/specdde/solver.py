@@ -19,11 +19,12 @@ Which band a problem is solved on: a problem whose data are real
 (``ProblemSpec.is_real``: real matrices, atoms and kernel, and forcing
 coefficients exactly Hermitian, fhat(-k) == conj fhat(k)) has M(-k) =
 conj M(k), so its solve and sweep work on k = 0..K alone.  The table, M(k),
-the checked inverse and the defect are built there, each grid residual is
-one ``irfft`` of the k >= 0 rows, and only what is reported over the whole
-band is mirrored: the coefficients, uhat(-k) = conj uhat(k), and the
-condition numbers.  A rejected mode k names both -k and k.  A complex
-problem is solved on -K..K.
+the checked inverse and the defect are built there, and only what is
+reported over the whole band is mirrored: the coefficients, uhat(-k) =
+conj uhat(k), and the condition numbers.  A rejected mode k names both -k
+and k.  A complex problem is solved on -K..K.  Each grid residual is
+``symbols._synthesis`` of the rows as they are: one ``irfft`` of the k >= 0
+rows, or one ``ifft`` of the whole band.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import numpy as np
 
 from .exceptions import SingularModeError, TruncationWarning
 from .resolvent import COND_LIMIT, _checked_inverse
-from .symbols import ModeSymbols, PeriodicGridFunction, ProblemSpec, mode_range
+from .symbols import (ModeSymbols, PeriodicGridFunction, ProblemSpec, _half, _mirrored,
+                      _synthesis, mode_range)
 
 
 @dataclass
@@ -67,13 +69,6 @@ def _solved_modes(spec: ProblemSpec, bandwidth: int) -> np.ndarray:
     return np.arange(0 if spec.is_real else -bandwidth, bandwidth + 1)
 
 
-def _half(modes: np.ndarray) -> bool:
-    """Whether consecutive ascending ``modes`` are a half band 0..K, K >= 1.
-    A lone mode 0 is a whole band: read that way it is right for complex
-    data too."""
-    return modes[0] == 0 < modes[-1]
-
-
 def _within(stack: np.ndarray, modes: np.ndarray, bandwidth: int) -> np.ndarray:
     """The rows |k| <= bandwidth of a stack on consecutive ascending
     ``modes`` (a view)."""
@@ -91,11 +86,6 @@ def _relaid(rows: np.ndarray, modes: np.ndarray, target: np.ndarray) -> np.ndarr
     return out
 
 
-def _mirrored(half: np.ndarray) -> np.ndarray:
-    """A stack on k = 0..K extended to -K..K, row -k the conjugate of row k."""
-    return np.concatenate([np.conj(half[:0:-1]), half])
-
-
 def _defect(spec: ProblemSpec, modes: np.ndarray, modal: np.ndarray,
             uhat: np.ndarray, uhat_modes: np.ndarray) -> np.ndarray:
     """rhat(k) = M(k) uhat(k) - fhat(k) on the modes of ``modal``."""
@@ -105,15 +95,10 @@ def _defect(spec: ProblemSpec, modes: np.ndarray, modal: np.ndarray,
 
 
 def _grid_max(modes: np.ndarray, rhat: np.ndarray, n_samples: int) -> float:
-    """Max norm over at least n_samples nodes of the function with
-    coefficients rhat on ``modes``.  On the half band the function is real,
-    and its samples are one ``irfft`` of the k >= 0 rows, taken along
-    contiguous components."""
-    n = max(n_samples, 2 * int(modes[-1]) + 1)
-    if not _half(modes):
-        return PeriodicGridFunction(rhat, n).max_norm()
-    samples = np.fft.irfft(np.ascontiguousarray(rhat.T), n, norm="forward")
-    return float(np.sqrt(np.max(np.sum(np.square(samples), axis=0))))
+    """Max norm over at least n_samples nodes, and enough that no mode
+    folds, of the function with coefficients rhat on ``modes``."""
+    samples = _synthesis(rhat, modes, max(n_samples, 2 * int(modes[-1]) + 1))
+    return float(np.max(np.linalg.norm(samples, axis=1)))
 
 
 def _checked(modes: np.ndarray, modal: np.ndarray, bandwidth: int, cond_limit: float,

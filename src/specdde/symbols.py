@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * functions are 2*pi-periodic;
 * the k-th Fourier coefficient of f is fhat(k) = (1/2pi) int_0^{2pi} e^{-ikt} f(t) dt;
 * a grid function is its coefficients on |k| <= K; its samples at the
-  uniform nodes t_j = 2*pi*j/N (N >= 2K+1) are their synthesis, made on demand;
+  uniform nodes t_j = 2*pi*j/N (N >= 2K+1) are their synthesis, made on demand
+  by ``_synthesis`` alone: one ``irfft`` if the function is real, else one ``ifft``;
 * the history segment of u at time t is u_t(theta) = u(t + theta), theta in [-r, 0];
 * applying a delay functional to the pure mode e^{ikt} v multiplies v by a fixed
   matrix, the mode symbol of the functional.  Mode symbols are what the solver
@@ -403,11 +404,54 @@ def analyze(samples, bandwidth: Optional[int] = None) -> np.ndarray:
             f"need N >= 2K+1 samples for bandwidth K={bandwidth}, got N={n_samples}"
         )
     if not np.any(np.imag(samples)):
-        half = np.fft.rfft(np.real(samples), axis=0)[:bandwidth + 1] / n_samples
-        return np.concatenate([np.conj(half[:0:-1]), half])
+        return _mirrored(np.fft.rfft(np.real(samples), axis=0)[:bandwidth + 1] / n_samples)
     spectrum = np.fft.fft(samples, axis=0) / n_samples
     ks = mode_range(bandwidth)
     return spectrum[np.mod(ks, n_samples)]
+
+
+def _half(modes: np.ndarray) -> bool:
+    """Whether consecutive ascending ``modes`` are a half band 0..K, K >= 1:
+    the k >= 0 rows of a real function.  A lone mode 0 is a whole band, so
+    a complex constant keeps its imaginary part."""
+    return modes[0] == 0 < modes[-1]
+
+
+def _mirrored(half: np.ndarray) -> np.ndarray:
+    """A stack on k = 0..K extended to -K..K, row -k the conjugate of row k."""
+    return np.concatenate([np.conj(half[:0:-1]), half])
+
+
+def _synthesis(rows: np.ndarray, modes: np.ndarray, n_samples: int) -> np.ndarray:
+    """Values at the nodes t_j = 2*pi*j/n_samples, shape (n_samples, n), of
+    the function with coefficients ``rows`` on a half band 0..K (``_half``)
+    or a whole band -K..K (``modes``).
+
+    A half band, or exactly Hermitian rows, c(-k) == conj c(k), is a real
+    function: one ``irfft`` of the k >= 0 rows along contiguous components,
+    with real values.  Any other takes one ``ifft``.  Neither scales the
+    rows by N (``norm="forward"``), so samples in the float range do not
+    overflow.  Modes fold mod n_samples, which is exact at the nodes, also
+    below 2K + 1; the rows are scattered only when a mode folds or the
+    function is complex, else ``irfft`` zero-pads them itself.
+    """
+    bandwidth = int(modes[-1])
+    half = _half(modes)
+    real = half or np.array_equal(rows[::-1], np.conj(rows))
+    folds = n_samples < 2 * bandwidth + 1
+    if real and not folds:
+        spectrum = rows[-(bandwidth + 1):]
+    else:
+        spectrum = np.zeros((n_samples, rows.shape[1]), dtype=complex)
+        at = np.mod(mode_range(bandwidth), n_samples)
+        if folds:
+            np.add.at(spectrum, at, _mirrored(rows) if half else rows)
+        else:
+            spectrum[at] = rows
+        if not real:
+            return np.fft.ifft(spectrum, axis=0, norm="forward")
+        spectrum = spectrum[:n_samples // 2 + 1]
+    return np.fft.irfft(np.ascontiguousarray(spectrum.T), n_samples, norm="forward").T
 
 
 class PeriodicGridFunction:
@@ -416,8 +460,8 @@ class PeriodicGridFunction:
     sampled on.
 
     The coefficients are the function.  ``samples`` is their synthesis on the
-    N nodes, computed the first time it is read and kept; nothing else runs
-    a transform.
+    N nodes (``_synthesis``), computed the first time it is read and kept;
+    nothing else runs a transform.
     """
 
     def __init__(self, coefficients, n_samples: int):
@@ -485,10 +529,9 @@ class PeriodicGridFunction:
 
     @functools.cached_property
     def samples(self) -> np.ndarray:
-        """Values at the N nodes, shape (N, n): one inverse FFT, on first read."""
-        spectrum = np.zeros((self.n_samples, self.dim), dtype=complex)
-        spectrum[np.mod(mode_range(self.bandwidth), self.n_samples)] = self.coefficients
-        return np.fft.ifft(spectrum * self.n_samples, axis=0)
+        """Values at the N nodes, shape (N, n), on first read: real for a real
+        function (``is_real``), else complex."""
+        return _synthesis(self.coefficients, mode_range(self.bandwidth), self.n_samples)
 
     @property
     def dim(self) -> int:
@@ -597,7 +640,7 @@ class ModeSymbols:
     functional, ``a`` holds the kernel transform atilde(ik).  A table is
     built once per problem and band, and every consumer reads it instead of
     evaluating the functionals again.  A mode's values do not depend on the
-    band, so ``band`` gives the table of any narrower band.
+    band, so any slice of a table is the table of the narrower band.
     """
 
     modes: np.ndarray
@@ -620,18 +663,6 @@ class ModeSymbols:
             G=spec.reaction_delay.symbol_window(modes),
             a=np.atleast_1d(laplace_symbol(spec.kernel, modes)),
         )
-
-    @property
-    def bandwidth(self) -> int:
-        return int(self.modes[-1])
-
-    def band(self, bandwidth: int) -> "ModeSymbols":
-        """The table restricted to |k| <= bandwidth (views, no copies)."""
-        if not 0 <= bandwidth <= self.bandwidth:
-            raise ValueError(f"band {bandwidth} outside the table's band {self.bandwidth}")
-        first = int(self.modes[0])
-        rows = slice(max(-bandwidth, first) - first, bandwidth - first + 1)
-        return ModeSymbols(self.modes[rows], self.L[rows], self.G[rows], self.a[rows])
 
     @functools.cached_property
     def neutral(self) -> np.ndarray:

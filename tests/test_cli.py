@@ -14,6 +14,7 @@ import sys
 import tempfile
 import tracemalloc
 import types
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +25,8 @@ from hypothesis import strategies as st
 
 import problems
 import specdde
-from specdde import ModeSymbols, cli, convergence_sweep, m_bounded_diagnostics
+from specdde import (ModeSymbols, cli, collocation_solve, compare, convergence_sweep,
+                     m_bounded_diagnostics)
 from specdde.config import parse_config
 from specdde.solver import solve_periodic
 
@@ -121,6 +123,42 @@ def test_sweep_synthesises_twice_per_row_and_diagnose_never(inverse_ffts):
     assert len(on_grid) == 2 * len(config.truncation_sweep) - 1
     # TINY is real with a harmonics forcing, so every row is real
     assert set(on_grid) == {"irfft"}
+
+
+def test_each_synthesis_is_one_irfft_for_a_real_function_and_one_ifft_else(
+        tmp_path, inverse_ffts):
+    # a real solve: its grid residual and the samples of solution.csv
+    assert run(tmp_path, "solve", TINY)[0] == 0
+    assert {name for name, _ in inverse_ffts} == {"irfft"}
+    # verify's forcing and reference on each grid, 12 below 2K + 1 = 17 too;
+    # the collocation solve keeps its own ifft
+    spec = parse_config(json.dumps(TINY)).problem
+    inverse_ffts.clear()
+    compare(spec, [12, 48])
+    on_grids = Counter(t for t in inverse_ffts if t[1] in (12, 48))
+    assert on_grids == {("irfft", 12): 2, ("ifft", 12): 1, ("irfft", 48): 2, ("ifft", 48): 1}
+    assert {name for name, n in inverse_ffts if n not in (12, 48)} == {"irfft"}
+    # the complex golden case
+    config = parse_config((GOLDEN / "tiny.json").read_text(encoding="utf-8"))
+    shifted = config.problem.state_matrix + 0.1j * np.eye(2)
+    inverse_ffts.clear()
+    assert cli.run("solve", replace(config, problem=replace(config.problem,
+                                                            state_matrix=shifted)),
+                   tmp_path / "complex") == 0
+    assert {name for name, _ in inverse_ffts} == {"ifft"}
+
+
+def test_verify_gap_on_a_grid_below_2K_plus_1_is_against_the_trigonometric_sum(tmp_path):
+    # K = 8: on 12 nodes the reference's modes 6..8 fold onto -6..-4
+    code, out = run(tmp_path, "verify", dict(TINY, N_list=[12, 32]))
+    assert code == 0
+    spec = parse_config(json.dumps(TINY)).problem
+    uhat = solve_periodic(spec).coefficients
+    for row in report_of(out, "verify")["rows"]:
+        nodes = TWO_PI * np.arange(row["n"]) / row["n"]
+        direct = (np.exp(1j * np.outer(nodes, np.arange(-8, 9))) @ uhat).real
+        gap = np.max(np.linalg.norm(direct - collocation_solve(spec, row["n"]), axis=1))
+        assert row["gap"] == pytest.approx(gap, rel=0.0, abs=1e-14)
 
 
 def test_absent_N_is_the_problem_default_echoed():
@@ -238,10 +276,15 @@ def test_singular_collocation_system_writes_a_report(tmp_path):
     assert report["error"]["condition"] is None or report["error"]["condition"] > 1e12
 
 
-#: the 1e308 forcing overflows on the grid: in the synthesised solution and
-#: in the Besov blocks
+#: the 1e308 forcing overflows in the Besov blocks; the solution, 1e308 sin t
+#: in each component, is within the float range
 OVERFLOW = {"problem": {"n": 2, "A": [[-1e-300, 0.0], [0.0, -1e-300]],
                         "forcing": {"cos": [[1e308, 1e308]]}}}
+
+#: finite coefficients (at most 1.5e308) whose sum, the solution's largest
+#: sample, is about 2.2e308: beyond the float range
+BEYOND = {"problem": {"n": 2, "A": [[-1.0, 0.0], [0.0, -1.0]],
+                      "forcing": {"const": [1.5e308, 1.5e308], "cos": [[1e308, 1e308]]}}}
 
 #: M(1) is close to singular (eigenvalues of A at +-1.00000005i), so the
 #: solution's mode 1 overflows and every value computed from it
@@ -256,7 +299,7 @@ SIDE_FILES = {"solve": ["solution.csv"], "diagnose": [], "besov": [],
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("doc, command, fields", [
-    (OVERFLOW, "solve", "solution.csv"),
+    (BEYOND, "solve", "solution.csv"),
     (OVERFLOW, "besov", "forcing, solution"),
     (RESONANT, "solve", "residual_grid, residual_modal, coefficients, solution.csv"),
     (RESONANT, "besov", "forcing, solution"),
@@ -267,7 +310,7 @@ SIDE_FILES = {"solve": ["solution.csv"], "diagnose": [], "besov": [],
     (dict(TINY, besov={"s": 1000.0}, problem=dict(TINY["problem"], forcing=dict(
         TINY["problem"]["forcing"], cos=[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))),
      "besov", "forcing, solution"),
-], ids=["overflow-solve", "overflow-besov", "resonant-solve", "resonant-besov",
+], ids=["beyond-solve", "overflow-besov", "resonant-solve", "resonant-besov",
         "resonant-verify", "resonant-sweep", "tiny-s1000-besov"])
 def test_non_finite_result_is_an_error_without_side_files(tmp_path, doc, command, fields):
     code, out = run(tmp_path, command, doc)
@@ -278,6 +321,15 @@ def test_non_finite_result_is_an_error_without_side_files(tmp_path, doc, command
     assert report["error"] == {"type": "non_finite",
                                "message": f"NaN or infinity in {fields}"}
     assert sorted(p.name for p in out.iterdir()) == [f"{command}_report.json"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_solution_within_the_float_range_is_written_whatever_its_size(tmp_path):
+    # no coefficient is scaled by N on its way to the samples
+    code, out = run(tmp_path, "solve", OVERFLOW)
+    assert code == 0
+    table = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(table)) and np.max(np.abs(table[:, 1:])) == 1e308
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)],

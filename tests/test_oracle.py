@@ -24,7 +24,8 @@ from specdde import (
     mode_range,
     periodize_kernel,
 )
-from specdde.oracle import _delay_stencil, _nodal_values
+from specdde.oracle import _delay_stencil
+from specdde.symbols import _synthesis
 
 TWO_PI = 2.0 * np.pi
 
@@ -180,24 +181,52 @@ def test_sampled_kernel_collocation_is_second_order():
     assert compare(spec, [32, 64, 128]).fitted_order == pytest.approx(2.0, abs=0.05)
 
 
+def _coefficients(gen, bandwidth, real):
+    """Random coefficients of a 2-component function on -K..K; exactly
+    Hermitian, c(-k) == conj c(k), when ``real``."""
+    shape = (2 * bandwidth + 1, 2)
+    coeffs = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    if real:
+        coeffs[bandwidth] = coeffs[bandwidth].real
+        coeffs[:bandwidth] = np.conj(coeffs[:bandwidth:-1])
+    return coeffs
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "hermitian"])
 @pytest.mark.parametrize("n_nodes", [5, 8, 16, 41, 64])
-def test_folded_nodal_values_are_the_trigonometric_sum(n_nodes):
+def test_folded_nodal_values_are_the_trigonometric_sum(n_nodes, real):
+    # below 2K + 1 = 41 the modes fold mod N; Hermitian coefficients take the
+    # (folded) irfft and give real values
     K = 20
-    gen = np.random.default_rng(n_nodes)
-    coeffs = gen.normal(size=(2 * K + 1, 2)) + 1j * gen.normal(size=(2 * K + 1, 2))
-    grid = PeriodicGridFunction(coeffs, 2 * K + 1)
+    coeffs = _coefficients(np.random.default_rng(n_nodes), K, real)
     nodes = TWO_PI * np.arange(n_nodes) / n_nodes
     direct = np.exp(1j * np.outer(nodes, mode_range(K))) @ coeffs
-    assert np.allclose(_nodal_values(grid, n_nodes), direct, rtol=0.0, atol=1e-12)
+    values = _synthesis(coeffs, mode_range(K), n_nodes)
+    assert np.isrealobj(values) == real
+    assert np.allclose(values, direct, rtol=0.0, atol=1e-12)
+    if real:
+        # the k >= 0 rows alone, as the solver holds a real function
+        assert np.array_equal(_synthesis(coeffs[K:], np.arange(K + 1), n_nodes), values)
 
 
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "hermitian"])
 @pytest.mark.parametrize("n_nodes", [41, 64, 256])
-def test_nodal_values_are_the_resampled_grid_when_nothing_folds(n_nodes):
-    gen = np.random.default_rng(2)
-    coeffs = gen.normal(size=(41, 1)) + 1j * gen.normal(size=(41, 1))
-    grid = PeriodicGridFunction(coeffs, 64)
-    resampled = PeriodicGridFunction(grid.coefficients, n_nodes)
-    assert np.array_equal(_nodal_values(grid, n_nodes), resampled.samples)
+def test_nodal_values_are_the_resampled_grid_when_nothing_folds(n_nodes, real):
+    # at N >= 2K + 1 the values are bit for bit the transform of the
+    # coefficients laid on the N-point grid, which irfft zero-pads by itself
+    coeffs = _coefficients(np.random.default_rng(2), 20, real)[:, :1]
+    spectrum = np.zeros((n_nodes, 1), dtype=complex)
+    spectrum[np.mod(mode_range(20), n_nodes)] = coeffs
+    values = _synthesis(coeffs, mode_range(20), n_nodes)
+    if real:
+        expected = np.fft.irfft(spectrum[:n_nodes // 2 + 1], n_nodes, axis=0, norm="forward")
+    else:
+        expected = np.fft.ifft(spectrum, axis=0, norm="forward")
+        if n_nodes & (n_nodes - 1) == 0:
+            # scaling by a power of two is exact, so a complex function's
+            # samples are those of the transform of N times its coefficients
+            assert np.array_equal(values, np.fft.ifft(spectrum * n_nodes, axis=0))
+    assert np.array_equal(values, expected)
 
 
 def test_off_grid_lag_is_rejected():

@@ -481,7 +481,7 @@ class TestRealHalfBand:
 
     @pytest.mark.parametrize("name", REAL_CASES)
     def test_grid_residual_is_the_full_band_synthesis_to_round_off(self, name):
-        # the k >= 0 defect by irfft against the whole-band defect by ifft
+        # the defect made on k >= 0 against the one made on the whole band
         spec = REAL_CASES[name]()
         sol = solve_periodic(spec)
         band = max(spec.truncation, spec.forcing.bandwidth)

@@ -443,8 +443,8 @@ class TestAnalyzeSynthesize:
                  PeriodicGridFunction(2.0 * g.coefficients, g.n_samples)]
         assert inverse_ffts == []
         samples = f.samples
-        assert inverse_ffts == [("ifft", 16)]
-        assert f.samples is samples and inverse_ffts == [("ifft", 16)]
+        assert inverse_ffts == [("irfft", 16)]
+        assert f.samples is samples and inverse_ffts == [("irfft", 16)]
         assert np.allclose(built[-1].samples, 2.0 * g.samples, atol=1e-14)
 
     def test_samples_are_the_synthesis_of_the_coefficients(self):
@@ -564,22 +564,23 @@ class TestModeSymbols:
             assert np.array_equal(table.G, spec.reaction_delay.symbol_window(ks)), name
             assert np.array_equal(table.a, laplace_symbol(spec.kernel, ks)), name
 
-    def test_band_is_bit_identical_to_the_narrower_table(self, regression_specs):
-        # a mode's symbols do not depend on the band, distributed kernels too
+    def test_rows_are_bit_identical_to_the_narrower_table(self, regression_specs):
+        # a mode's symbols and M(k) do not depend on the band, distributed
+        # kernels too: rows 31..49 of the table on |k| <= 40 are |k| <= 9
         assert "mat2_sampled" in regression_specs
         for name, spec in regression_specs.items():
-            wide = ModeSymbols.from_spec(spec, 40).band(9)
+            wide = ModeSymbols.from_spec(spec, 40)
             narrow = ModeSymbols.from_spec(spec, 9)
             for field in ("modes", "L", "G", "a"):
-                assert np.array_equal(getattr(wide, field), getattr(narrow, field)), name
-            assert np.array_equal(wide.modal(spec.state_matrix),
+                assert np.array_equal(getattr(wide, field)[31:50], getattr(narrow, field)), name
+            assert np.array_equal(wide.modal(spec.state_matrix)[31:50],
                                   narrow.modal(spec.state_matrix)), name
             # a table on k >= 0 alone holds the same rows as the whole band's
-            half = ModeSymbols.on_modes(spec, np.arange(41)).band(9)
+            half = ModeSymbols.on_modes(spec, np.arange(41))
             for field in ("modes", "L", "G", "a"):
-                assert np.array_equal(getattr(half, field), getattr(narrow, field)[9:]), name
+                assert np.array_equal(getattr(half, field)[:10], getattr(narrow, field)[9:]), name
 
-    def test_band_is_bit_identical_with_small_mode_blocks(self, monkeypatch):
+    def test_rows_are_bit_identical_with_small_mode_blocks(self, monkeypatch):
         # mat2_sampled takes the FFT route; the same kernel on a span off the
         # FFT grid takes the direct route, here three modes per step
         theta = np.linspace(-2.7, 0.0, 65)
@@ -589,16 +590,11 @@ class TestModeSymbols:
             dim=2, atoms=[(0.1 * np.eye(2), TWO_PI)], distributed=dist))
         monkeypatch.setattr(symbols_module, "_PHASE_ENTRIES", 3 * dist.pieces)
         for spec in (problems.mat2_sampled(), off_grid):
-            wide = ModeSymbols.from_spec(spec, 40).band(9)
+            wide = ModeSymbols.from_spec(spec, 40)
             narrow = ModeSymbols.from_spec(spec, 9)
-            assert np.array_equal(wide.L, narrow.L)
-            assert np.array_equal(wide.modal(spec.state_matrix),
+            assert np.array_equal(wide.L[31:50], narrow.L)
+            assert np.array_equal(wide.modal(spec.state_matrix)[31:50],
                                   narrow.modal(spec.state_matrix))
-
-    def test_band_outside_the_table_rejected(self):
-        table = ModeSymbols.from_spec(ProblemSpec(state_matrix=[[-1.0]]), 4)
-        with pytest.raises(ValueError):
-            table.band(5)
 
     def test_modal_is_nonstate_minus_state_times_neutral(self, rng):
         spec = ProblemSpec(
