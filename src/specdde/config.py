@@ -138,7 +138,7 @@ def _list(doc, key, path, errs) -> list:
 
 def _parse_delay(doc, n, path, errs) -> Optional[DelayFunctional]:
     if doc is None:
-        return DelayFunctional.empty(n)
+        return DelayFunctional(dim=n)
     if not isinstance(doc, dict):
         errs.add(path, "must be an object")
         return None
@@ -187,7 +187,7 @@ def _parse_delay(doc, n, path, errs) -> Optional[DelayFunctional]:
 
 def _parse_kernel(doc, path, errs) -> Optional[KernelSpec]:
     if doc is None:
-        return KernelSpec.empty()
+        return KernelSpec()
     if not isinstance(doc, dict):
         errs.add(path, "must be an object")
         return None

@@ -112,18 +112,16 @@ def _operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
-def _checked_inverse(modes: np.ndarray, modal: np.ndarray, cond_limit: float,
-                     bands=None):
+def _checked_inverse(modes: np.ndarray, modal: np.ndarray, cond_limit: float):
     """(M(k)^{-1}, 1-norm condition numbers) for every mode, from one inversion.
 
     The condition number ||M(k)||_1 ||M(k)^{-1}||_1 is read off the inverse,
     exactly as ``np.linalg.cond(M, 1)`` computes it.  Raises
-    SingularModeError naming every mode whose condition number exceeds
-    ``cond_limit`` or is not finite; an exactly singular M(k), which stops
-    the batched inversion, is then located by ``np.linalg.cond`` and has an
-    infinite condition number.  With ascending ``bands`` only the modes of
-    the narrowest band |k| <= b that holds a rejected mode are named: a run
-    of solves on those bands fails first there.
+    SingularModeError naming every mode of ``modes`` whose condition number
+    exceeds ``cond_limit`` or is not finite; an exactly singular M(k), which
+    stops the batched inversion, is then located by ``np.linalg.cond`` and
+    has an infinite condition number.  Which of those modes a solve reports
+    is the solver's rule (``solver._band_solve``).
     """
     try:
         inverse = np.linalg.inv(modal)
@@ -137,9 +135,6 @@ def _checked_inverse(modes: np.ndarray, modal: np.ndarray, cond_limit: float,
         condition[np.isnan(condition) & ~np.isnan(modal).any(axis=(1, 2))] = np.inf
     bad = ~np.isfinite(condition) | (condition > cond_limit)
     if np.any(bad):
-        if bands is not None:
-            reach = np.min(np.abs(modes[bad]))
-            bad &= np.abs(modes) <= min(b for b in bands if b >= reach)
         raise SingularModeError(modes[bad], condition[bad])
     return inverse, condition
 

@@ -11,34 +11,33 @@ of the solver and forcing bands, assembles M(k) once from it, inverts once,
 rejects modes whose 1-norm condition number (read off that inverse) exceeds
 the limit, and takes both residuals from the same M(k).  It computes nothing
 it does not report; the spectral-norm sequences belong to the boundedness
-diagnostics in ``resolvent``.  The convergence sweep is one such solve on its
-widest band: the solve at truncation K is that solve's coefficients on
-|k| <= K, so each row costs only its two syntheses.
+diagnostics in ``resolvent``.  That one solve, ``_band_solve``, serves
+``solve_periodic`` and ``convergence_sweep``, whose row K reads the solve on
+its widest band at |k| <= K and costs only its two syntheses.
 
-Which band a problem is solved on: a problem whose data are real
-(``ProblemSpec.is_real``: real matrices, atoms and kernel, and forcing
-coefficients exactly Hermitian, fhat(-k) == conj fhat(k)) has M(-k) =
-conj M(k), so its solve and sweep work on k = 0..K alone.  The table, M(k),
-the checked inverse and the defect are built there, and only what is
-reported over the whole band is mirrored: the coefficients, uhat(-k) =
-conj uhat(k), and the condition numbers.  A rejected mode k names both -k
-and k.  A complex problem is solved on -K..K.  Each grid residual is
-``symbols._synthesis`` of the rows as they are: one ``irfft`` of the k >= 0
-rows, or one ``ifft`` of the whole band.
+Every stack of a solve lies on one layout of modes: k = 0..B when the data
+are real (``ProblemSpec.is_real``: real matrices, atoms and kernel, and
+forcing coefficients exactly Hermitian), so that M(-k) = conj M(k), else
+-B..B, with B the wider of the widest truncation and the forcing band.  A
+narrower band is a slice (``_within``).  Only what is reported over the
+whole band is mirrored: the coefficients, uhat(-k) = conj uhat(k), and the
+condition numbers.  Each grid residual is ``symbols._synthesis`` of the rows
+as they are: one ``irfft`` of the k >= 0 rows, or one ``ifft`` of the whole
+band.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .exceptions import SingularModeError, TruncationWarning
 from .resolvent import COND_LIMIT, _checked_inverse
-from .symbols import (ModeSymbols, PeriodicGridFunction, ProblemSpec, _half, _mirrored,
-                      _synthesis, mode_range)
+from .symbols import (ModeSymbols, PeriodicGridFunction, ProblemSpec, _half, _max_row_norm,
+                      _mirrored, _synthesis, mode_range)
 
 
 @dataclass
@@ -62,13 +61,6 @@ class SpectralSolution:
     forcing_tail_energy: float
 
 
-def _solved_modes(spec: ProblemSpec, bandwidth: int) -> np.ndarray:
-    """The modes a problem is solved on: k = 0..bandwidth when its data are
-    real (``spec.is_real``), so that the defect at -k is the conjugate of the
-    defect at k; else -bandwidth..bandwidth."""
-    return np.arange(0 if spec.is_real else -bandwidth, bandwidth + 1)
-
-
 def _within(stack: np.ndarray, modes: np.ndarray, bandwidth: int) -> np.ndarray:
     """The rows |k| <= bandwidth of a stack on consecutive ascending
     ``modes`` (a view)."""
@@ -76,56 +68,51 @@ def _within(stack: np.ndarray, modes: np.ndarray, bandwidth: int) -> np.ndarray:
     return stack[max(-bandwidth, first) - first: bandwidth - first + 1]
 
 
-def _relaid(rows: np.ndarray, modes: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Rows given on consecutive ascending ``modes``, laid on ``target``:
-    cut, or padded with zero modes."""
-    out = np.zeros((len(target), rows.shape[1]), dtype=complex)
-    lo, hi = max(modes[0], target[0]), min(modes[-1], target[-1])
-    if lo <= hi:
-        out[lo - target[0]: hi - target[0] + 1] = rows[lo - modes[0]: hi - modes[0] + 1]
-    return out
-
-
-def _defect(spec: ProblemSpec, modes: np.ndarray, modal: np.ndarray,
-            uhat: np.ndarray, uhat_modes: np.ndarray) -> np.ndarray:
-    """rhat(k) = M(k) uhat(k) - fhat(k) on the modes of ``modal``."""
-    f = spec.forcing
-    return (np.einsum("kij,kj->ki", modal, _relaid(uhat, uhat_modes, modes))
-            - _relaid(f.coefficients, mode_range(f.bandwidth), modes))
-
-
 def _grid_max(modes: np.ndarray, rhat: np.ndarray, n_samples: int) -> float:
     """Max norm over at least n_samples nodes, and enough that no mode
     folds, of the function with coefficients rhat on ``modes``."""
-    samples = _synthesis(rhat, modes, max(n_samples, 2 * int(modes[-1]) + 1))
-    return float(np.max(np.linalg.norm(samples, axis=1)))
+    return _max_row_norm(_synthesis(rhat, modes, max(n_samples, 2 * int(modes[-1]) + 1)))
 
 
-def _checked(modes: np.ndarray, modal: np.ndarray, bandwidth: int, cond_limit: float,
-             bands=None):
-    """``_checked_inverse`` on the modes |k| <= bandwidth.  On the half band
-    a rejected mode k stands for both -k and k, and the error names both."""
-    solved = _within(modes, modes, bandwidth)
-    try:
-        return _checked_inverse(solved, _within(modal, modes, bandwidth), cond_limit, bands)
-    except SingularModeError as error:
-        if not _half(solved):
-            raise
-        k, c = np.array(error.modes), np.array(error.conditions)
-        mirror = k > 0
-        raise SingularModeError(np.concatenate([-k[mirror][::-1], k]),
-                                np.concatenate([c[mirror][::-1], c])) from None
+def _band_solve(spec: ProblemSpec, bands: Sequence[int], cond_limit: float):
+    """(modes, M(k), fhat, uhat, condition): the solves at the ascending
+    truncations ``bands``, all read off one solve at the widest, B.
 
-
-def _coefficients(spec: ProblemSpec, solved: np.ndarray, resolvent: np.ndarray) -> np.ndarray:
-    """uhat(k) = M(k)^{-1} fhat(k) on the ``solved`` modes of the checked
-    inverse; on the half band uhat(0) is made real."""
+    Every stack lies on ``modes``: k = 0..max(B, forcing band) for a real
+    problem, the whole band for a complex one.  uhat = M(k)^{-1} fhat(k) on
+    |k| <= B, where ``condition`` is given, and 0 beyond; on a half band
+    uhat(0) is made real.  A rejected mode raises SingularModeError as the
+    first of those solves whose band holds it would: it names the modes of
+    the narrowest band in ``bands`` that holds one, and on a half band a
+    rejected k > 0 names -k as well.
+    """
     f = spec.forcing
-    uhat = np.einsum("kij,kj->ki", resolvent,
-                     _relaid(f.coefficients, mode_range(f.bandwidth), solved))
+    widest = bands[-1]
+    band = max(widest, f.bandwidth)
+    modes = np.arange(0 if spec.is_real else -band, band + 1)
+    modal = ModeSymbols.on_modes(spec, modes).modal(spec.state_matrix)
+    fhat = np.zeros((len(modes), spec.dim), dtype=complex)
+    forced = _within(fhat, modes, f.bandwidth)
+    forced[:] = f.coefficients[-len(forced):]
+    solved = _within(modes, modes, widest)
+    try:
+        resolvent, condition = _checked_inverse(solved, _within(modal, modes, widest),
+                                                cond_limit)
+    except SingularModeError as error:
+        k, c = np.array(error.modes), np.array(error.conditions)
+        named = np.abs(k) <= min(b for b in bands if b >= np.min(np.abs(k)))
+        k, c = k[named], c[named]
+        if _half(solved):
+            mirror = k > 0
+            k, c = (np.concatenate([-k[mirror][::-1], k]),
+                    np.concatenate([c[mirror][::-1], c]))
+        raise SingularModeError(k, c) from None
+    uhat = np.zeros_like(fhat)
+    _within(uhat, modes, widest)[:] = np.einsum("kij,kj->ki", resolvent,
+                                                _within(fhat, modes, widest))
     if _half(solved):
         uhat[0] = np.real(uhat[0])
-    return uhat
+    return modes, modal, fhat, uhat, condition
 
 
 def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> SpectralSolution:
@@ -135,23 +122,14 @@ def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> Spectra
     truncation; the dropped tail energy (relative, l2 of coefficients) is
     recorded on the returned solution.  Raises SingularModeError when the
     1-norm condition number of some modal matrix in the band exceeds
-    ``cond_limit``.
-
-    A real problem (``spec.is_real``; ``_solved_modes``) is solved on
-    k = 0..K alone: the symbols, M(k), its checked inverse and the defect
-    are built there, the grid residual is one ``irfft``, and the
-    coefficients and ``condition`` are mirrored to -K..K, uhat(-k) =
-    conj uhat(k), so the solution is real too.  A complex problem is solved
-    on the whole band.
+    ``cond_limit``.  A real problem is solved on k = 0..K (``_band_solve``),
+    and its coefficients and ``condition`` are mirrored to -K..K, uhat(-k) =
+    conj uhat(k), so the solution is real too.
     """
     f = spec.forcing
     K = spec.truncation
-    modes = _solved_modes(spec, max(K, f.bandwidth))
-    modal = ModeSymbols.on_modes(spec, modes).modal(spec.state_matrix)
-    resolvent, condition = _checked(modes, modal, K, cond_limit)
-    inside, outside = f.band_energy_split(K)
-    total = inside + outside
-    tail_energy = float(np.sqrt(outside / total)) if total > 0.0 else 0.0
+    modes, modal, fhat, uhat, condition = _band_solve(spec, [K], cond_limit)
+    tail_energy = f.tail_energy(K)
     if tail_energy > 0.0:
         warnings.warn(
             f"forcing bandwidth {f.bandwidth} exceeds truncation "
@@ -159,18 +137,17 @@ def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> Spectra
             TruncationWarning,
             stacklevel=2,
         )
-    solved = _within(modes, modes, K)
-    uhat = _coefficients(spec, solved, resolvent)
-    rhat = _defect(spec, modes, modal, uhat, solved)
-    if _half(solved):
-        uhat, condition = _mirrored(uhat), _mirrored(condition)
+    rhat = np.einsum("kij,kj->ki", modal, uhat) - fhat
+    coefficients = _within(uhat, modes, K)
+    if _half(modes):
+        coefficients, condition = _mirrored(coefficients), _mirrored(condition)
     return SpectralSolution(
-        solution=PeriodicGridFunction(uhat, spec.grid),
+        solution=PeriodicGridFunction(coefficients, spec.grid),
         modes=mode_range(K),
-        coefficients=uhat,
+        coefficients=coefficients,
         condition=condition,
         truncation=K,
-        residual_modal=float(np.max(np.linalg.norm(_within(rhat, modes, K), axis=1))),
+        residual_modal=_max_row_norm(_within(rhat, modes, K)),
         residual_grid=_grid_max(modes, rhat, spec.grid),
         forcing_tail_energy=tail_energy,
     )
@@ -216,35 +193,35 @@ def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
     near 1, so the threshold separates the two by orders of magnitude.  The
     flag is None when fewer than three doubling steps are available.  A
     rejected mode raises SingularModeError as the first row whose band holds
-    it would.  A real problem is solved on k = 0..K and each row's residual
-    and change are one ``irfft`` of its k >= 0 rows, as in
-    ``solve_periodic``; a complex one on the whole band.
+    it would (``_band_solve``).  Row K is the slice |k| <= max(K, forcing
+    band) of the layout, uhat zeroed beyond K; for a real problem it is the
+    k >= 0 rows and its residual and change are one ``irfft`` each.
     """
     truncations = [int(k) for k in truncations]
     if any(a >= b for a, b in zip(truncations, truncations[1:])):
         raise ValueError("truncation list must be strictly ascending")
     f = spec.forcing
-    widest = truncations[-1]
-    n_grid = max(spec.grid, 4 * widest, f.n_samples)
-    modes = _solved_modes(spec, max(widest, f.bandwidth))
-    modal = ModeSymbols.on_modes(spec, modes).modal(spec.state_matrix)
-    resolvent, _ = _checked(modes, modal, widest, cond_limit, bands=truncations)
-    solved = _within(modes, modes, widest)
-    uhat = _coefficients(spec, solved, resolvent)
+    n_grid = max(spec.grid, 4 * truncations[-1], f.n_samples)
+    modes, modal, fhat, uhat, _ = _band_solve(spec, truncations, cond_limit)
     rows: List[SweepRow] = []
     ratios = []
-    prev: Optional[Tuple[np.ndarray, np.ndarray]] = None   # (rows, their modes)
     for K in truncations:
-        u_modes, u = _within(solved, solved, K), _within(uhat, solved, K)
-        row_modes = _within(modes, modes, max(K, f.bandwidth))
-        rhat = _defect(spec, row_modes, _within(modal, modes, max(K, f.bandwidth)), u, u_modes)
+        band = max(K, f.bandwidth)
+        row_modes = _within(modes, modes, band)
+        u = np.zeros((len(row_modes), spec.dim), dtype=complex)
+        _within(u, row_modes, K)[:] = _within(uhat, modes, K)
+        rhat = (np.einsum("kij,kj->ki", _within(modal, modes, band), u)
+                - _within(fhat, modes, band))
         res = _grid_max(row_modes, rhat, n_grid)
-        change = (None if prev is None
-                  else _grid_max(u_modes, u - _relaid(*prev, u_modes), n_grid))
+        change = None
+        if rows:
+            # uhat on K_prev < |k| <= K: the solve at K less the one at K_prev
+            u_modes, step = _within(modes, modes, K), _within(uhat, modes, K).copy()
+            _within(step, u_modes, rows[-1].truncation)[:] = 0.0
+            change = _grid_max(u_modes, step, n_grid)
         if rows and rows[-1].residual_full_band > 0.0:
             ratios.append(res / rows[-1].residual_full_band)
         rows.append(SweepRow(K, res, change))
-        prev = (u, u_modes)
 
     scale = max(f.max_norm(), 1.0)
     if rows[-1].residual_full_band <= 1e-11 * scale:

@@ -282,10 +282,6 @@ class DelayFunctional:
                 f"distributed kernel dimension {self.distributed.dim} != {self.dim}"
             )
 
-    @classmethod
-    def empty(cls, dim: int) -> "DelayFunctional":
-        return cls(dim=dim)
-
     @property
     def is_real(self) -> bool:
         atoms_real = not any(np.any(np.imag(c)) for c, _ in self.atoms)
@@ -351,10 +347,6 @@ class KernelSpec:
         if not math.isfinite(mass):
             raise InvalidKernelError("|c| m!/alpha^(m+1) is out of the float range")
         return complex(c), m, alpha
-
-    @classmethod
-    def empty(cls) -> "KernelSpec":
-        return cls(terms=[])
 
     @property
     def is_real(self) -> bool:
@@ -454,6 +446,33 @@ def _synthesis(rows: np.ndarray, modes: np.ndarray, n_samples: int) -> np.ndarra
     return np.fft.irfft(np.ascontiguousarray(spectrum.T), n_samples, norm="forward").T
 
 
+def _power_of_two_scaled(values: np.ndarray):
+    """(values 2^-e, e) for a 2-D array, e the binary exponent of the
+    largest real or imaginary part, which the scaling brings into [1/2, 1).
+    It is an ``ldexp`` of the parts of a float64 or complex128 copy, exact
+    for finite values, so no square of a scaled value overflows and each is
+    4^-e times the true one.  The copy keeps the layout of ``values`` (the
+    syntheses' columns stay contiguous), and a contiguous 2-D array ravels
+    to a view of its parts."""
+    scaled = np.array(values, dtype=np.result_type(values, np.float64), order="K")
+    parts = np.ravel(scaled, order="K").view(np.float64)
+    exponent = math.frexp(max(-parts.min(), parts.max()))[1]
+    np.ldexp(parts, -exponent, out=parts)
+    return scaled, exponent
+
+
+def _max_row_norm(rows: np.ndarray) -> float:
+    """The largest Euclidean norm of the rows of a (m, n) array, taken on
+    the rows scaled by a power of two (``_power_of_two_scaled``), so that
+    no square overflows where the norm is in the float range.  The squares
+    are those of ``np.linalg.norm``, (conj z) z, written over the scaled
+    copy, and the square root is taken of the largest sum only."""
+    unit, exponent = _power_of_two_scaled(rows)
+    squares = np.multiply(unit.conj(), unit, out=unit).real
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(np.max(np.add.reduce(squares, axis=1))), exponent))
+
+
 class PeriodicGridFunction:
     """A 2*pi-periodic vector-valued function: its Fourier coefficients on
     |k| <= K and the number N >= 2K+1 of uniform nodes t_j = 2*pi*j/N it is
@@ -551,15 +570,18 @@ class PeriodicGridFunction:
     # -- operations --------------------------------------------------------
 
     def max_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.samples, axis=1)))
+        return _max_row_norm(self.samples)
 
-    def band_energy_split(self, bandwidth: int):
-        """(energy inside |k| <= bandwidth, energy beyond), in l2 of coefficients."""
-        ks = mode_range(self.bandwidth)
-        energy = np.sum(np.abs(self.coefficients) ** 2, axis=1)
-        inside = float(np.sum(energy[np.abs(ks) <= bandwidth]))
-        outside = float(np.sum(energy[np.abs(ks) > bandwidth]))
-        return inside, outside
+    def tail_energy(self, bandwidth: int) -> float:
+        """The relative l2 energy of the coefficients beyond |k| <= bandwidth,
+        sqrt(outside / total), 0 for a zero function.  The energies are taken
+        on coefficients scaled by a power of two (``_power_of_two_scaled``),
+        so their squares cannot overflow; the ratio is the same."""
+        inside = np.abs(mode_range(self.bandwidth)) <= bandwidth
+        energy = np.sum(np.abs(_power_of_two_scaled(self.coefficients)[0]) ** 2, axis=1)
+        outside = float(np.sum(energy[~inside]))
+        total = float(np.sum(energy[inside])) + outside
+        return float(np.sqrt(outside / total)) if total > 0.0 else 0.0
 
 
 @dataclass
@@ -592,11 +614,11 @@ class ProblemSpec:
         self.state_matrix = mat
         n = mat.shape[0]
         if self.neutral_delay is None:
-            self.neutral_delay = DelayFunctional.empty(n)
+            self.neutral_delay = DelayFunctional(dim=n)
         if self.reaction_delay is None:
-            self.reaction_delay = DelayFunctional.empty(n)
+            self.reaction_delay = DelayFunctional(dim=n)
         if self.kernel is None:
-            self.kernel = KernelSpec.empty()
+            self.kernel = KernelSpec()
         if self.truncation < 1:
             raise ValueError("truncation must be >= 1")
         if self.grid is None:

@@ -323,6 +323,23 @@ def test_non_finite_result_is_an_error_without_side_files(tmp_path, doc, command
     assert sorted(p.name for p in out.iterdir()) == [f"{command}_report.json"]
 
 
+#: forcing 1e200 (cos t + cos 2t) at K = 1: every reported value is in the
+#: float range, but the squares of the residual and of the forcing are not
+SQUARES_OVERFLOW = {"problem": {"n": 1, "A": [[-1.0]],
+                                "forcing": {"cos": [[1e200], [1e200]]}}, "K": 1}
+
+
+@pytest.mark.filterwarnings("ignore::specdde.exceptions.TruncationWarning")
+@pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+def test_norms_whose_squares_overflow_are_reported(tmp_path, command):
+    code, out = run(tmp_path, command, SQUARES_OVERFLOW)
+    assert code == 0
+    report = report_of(out, command)
+    if command == "solve":
+        assert report["residual_grid"] == 1e200
+        assert report["forcing_tail_energy"] == math.sqrt(0.5)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_solution_within_the_float_range_is_written_whatever_its_size(tmp_path):
     # no coefficient is scaled by N on its way to the samples
@@ -683,24 +700,34 @@ def test_reports_match_the_golden_files(tmp_path, command):
 
 
 def test_complex_solve_matches_the_golden_files(tmp_path):
-    """The bytes of the solve files of TINY with 0.1i added to A's diagonal.
+    """The bytes of the solve and sweep files of TINY with 0.1i added to A's
+    diagonal.
 
     Its solution is complex, so ``solution.csv`` has ``u{i}_re``/``u{i}_im``
-    columns and the negative modes carry imaginary parts of their own.  A
-    configuration holds real data only, so the problem is built through the
-    API and the report echoes TINY's configuration.  Regenerate (and say why
-    in CHANGES.md) by running this test's ``cli.run`` with
-    ``tests/golden/complex`` as the output directory.
+    columns and the negative modes carry imaginary parts of their own.  The
+    sweep is laid on the whole band -K..K, under a forcing of band 6 so
+    that its rows K = 2 and 4 are narrower than the forcing and their
+    residuals and changes are not zero.  A configuration holds real data
+    only, so the problem is built through the API and the reports echo the
+    configuration parsed.  Regenerate (and say why in CHANGES.md) by running
+    this test's ``cli.run`` with ``tests/golden/complex`` as the output
+    directory.
     """
-    config = parse_config((GOLDEN / "tiny.json").read_text(encoding="utf-8"))
-    shifted = config.problem.state_matrix + 0.1j * np.eye(2)
-    config = replace(config, problem=replace(config.problem, state_matrix=shifted))
-    out = tmp_path / "complex"
-    assert cli.run("solve", config, out) == 0
-    names = sorted(p.name for p in out.iterdir())
-    assert names == ["solution.csv", "solve_report.json"]
-    for name in names:
-        assert (out / name).read_bytes() == (GOLDEN / "complex" / name).read_bytes(), name
+    tiny = json.loads((GOLDEN / "tiny.json").read_text(encoding="utf-8"))
+    wide = json.loads(json.dumps(tiny))
+    wide["problem"]["forcing"]["cos"] = [[1.0, 0.0], [0.0, 0.5], [0.25, 0.0],
+                                         [0.0, 0.125], [0.0625, 0.0], [0.0, 0.03125]]
+    for command, doc in (("solve", tiny), ("sweep", wide)):
+        config = parse_config(json.dumps(doc))
+        shifted = config.problem.state_matrix + 0.1j * np.eye(2)
+        config = replace(config, problem=replace(config.problem, state_matrix=shifted))
+        out = tmp_path / command
+        assert cli.run(command, config, out) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted([f"{command}_report.json"] + SIDE_FILES[command])
+        for name in names:
+            assert (out / name).read_bytes() == (GOLDEN / "complex" / name).read_bytes(), name
+    out = tmp_path / "solve"
     report = report_of(out, "solve")
     assert any(row["k"] < 0 and any(z["im"] for z in row["value"])
                for row in report["coefficients"])

@@ -138,21 +138,6 @@ class TestResolventFamily:
             assert err.value.modes == rejected
             assert err.value.conditions == [np.inf] * len(rejected)
 
-    def test_bands_name_the_narrowest_band_that_fails(self):
-        # rejected modes at |k| = 3 and 5: of the bands 2, 4, 8 the band 4
-        # is the first to hold one, and it names only its own two
-        ks = mode_range(8)
-        modal = np.tile(np.eye(2, dtype=complex), (17, 1, 1))
-        modal[np.abs(ks) == 3, 1, 1] = 1e-13
-        modal[ks == 5] = 0.0
-        with pytest.raises(SingularModeError) as err:
-            resolvent._checked_inverse(ks, modal, 1e12, bands=[2, 4, 8])
-        assert err.value.modes == [-3, 3]
-        assert err.value.conditions == [1e13, 1e13]
-        with pytest.raises(SingularModeError) as err:
-            resolvent._checked_inverse(ks, modal, 1e12)
-        assert err.value.modes == [-3, 3, 5]
-
     def test_modal_identity_tight_for_scalar(self):
         assert inversion_defect(problems.scalar_basic(), 128) <= 1e-15
 

@@ -344,8 +344,17 @@ class TestConvergenceSweep:
         assert sweep.slow_convergence is True
 
     def test_rows_match_the_solve_at_their_truncation(self, regression_specs):
+        # under the sampled pair (band 31) every row is narrower than the
+        # forcing band, on the half band and on the whole band alike
         truncations = [2, 4, 8, 16]
+        specs = dict(regression_specs)
         for name, spec in regression_specs.items():
+            if spec.dim == 2:
+                sampled = replace(spec, forcing=_sign_and_root_pair())
+                specs[f"{name}_sampled"] = sampled
+                specs[f"{name}_sampled_complex"] = replace(
+                    sampled, state_matrix=spec.state_matrix + 0.1j * np.eye(2))
+        for name, spec in specs.items():
             sweep = convergence_sweep(spec, truncations)
             grid = max(spec.grid, 4 * truncations[-1], spec.forcing.n_samples)
             prev = None
@@ -376,6 +385,27 @@ class TestConvergenceSweep:
                 convergence_sweep(spec, truncations)
             assert err.value.modes == [3]
 
+    @pytest.mark.parametrize("real", [False, True], ids=["whole_band", "half_band"])
+    def test_bands_name_the_narrowest_band_that_fails(self, monkeypatch, real):
+        # rejected modes at |k| = 3 and 5: of the rows 2, 4, 8 the row 4 is
+        # the first to hold one, and it names only its own two; the solve at
+        # K = 8 names all of them.  A real problem is solved on k = 0..8 and
+        # each rejected k > 0 also names -k, after the narrowest band is taken
+        ks = np.arange(9) if real else mode_range(8)
+        modal = np.tile(np.eye(2, dtype=complex), (len(ks), 1, 1))
+        modal[np.abs(ks) == 3, 1, 1] = 1e-13
+        modal[ks == 5] = 0.0
+        monkeypatch.setattr(ModeSymbols, "modal", lambda table, state_matrix: modal)
+        spec = _tiny() if real else _complex_tiny()
+        assert spec.is_real == real
+        with pytest.raises(SingularModeError) as err:
+            convergence_sweep(spec, [2, 4, 8])
+        assert err.value.modes == [-3, 3]
+        assert err.value.conditions == [1e13, 1e13]
+        with pytest.raises(SingularModeError) as err:
+            solve_periodic(spec)
+        assert err.value.modes == ([-5, -3, 3, 5] if real else [-3, 3, 5])
+
     def test_rejects_unsorted_list(self):
         with pytest.raises(ValueError):
             convergence_sweep(problems.scalar_basic(), [8, 4])
@@ -400,6 +430,13 @@ def _forcing_samples(imaginary):
     """cos t + 0.5 sin 3t plus ``imaginary`` times i sin 2t on 64 nodes."""
     t = TWO_PI * np.arange(64) / 64
     return np.cos(t) + 0.5 * np.sin(3 * t) + imaginary * 1j * np.sin(2 * t)
+
+
+def _sign_and_root_pair():
+    """sign(sin t) and |sin t|^(1/2) on 64 nodes: a real forcing of band 31
+    whose coefficients decay slowly."""
+    s = np.sin(TWO_PI * np.arange(64) / 64)
+    return PeriodicGridFunction.from_samples(np.stack([np.sign(s), np.sqrt(np.abs(s))], axis=1))
 
 
 def _sampled(imaginary=0.0):

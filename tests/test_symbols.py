@@ -78,7 +78,7 @@ class TestDelaySymbol:
         assert L.symbol_window(ks)[:, 0, 0] == pytest.approx(expected, abs=1e-14)
 
     def test_empty_functional_gives_zero_matrix(self):
-        L = DelayFunctional.empty(3)
+        L = DelayFunctional(dim=3)
         assert np.array_equal(L.symbol_window(mode_range(7)), np.zeros((15, 3, 3)))
 
     def test_generic_lag_matches_direct_phase(self):
@@ -323,7 +323,7 @@ class TestLaplaceSymbol:
         assert value == pytest.approx(0.5 - 0.5j, abs=1e-12)
 
     def test_empty_kernel_is_zero(self):
-        assert laplace_symbol(KernelSpec.empty(), 3) == 0.0
+        assert laplace_symbol(KernelSpec(), 3) == 0.0
 
     def test_closed_form_agrees_with_quadrature(self):
         # adaptive quadrature on [0, 100]; the dropped tail holds < 1e-21 of the mass
@@ -453,6 +453,18 @@ class TestAnalyzeSynthesize:
         assert f.bandwidth == 1 and f.n_samples == 4
         assert np.array_equal(f.coefficients, np.zeros((3, 1)))
         assert f.max_norm() == 0.0 and np.array_equal(f.samples, np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 900, 2.0 ** -900])
+    def test_norms_move_exactly_with_a_power_of_two(self, scale):
+        # at 2^900 the squares overflow and at 2^-900 they underflow, yet
+        # the norms are in the float range and come out exact
+        row = PeriodicGridFunction([[3.0 * scale, 4.0 * scale]], 4)
+        assert row.max_norm() == 5.0 * scale
+        f = PeriodicGridFunction.from_harmonics(cos=[3.0 * scale, 4.0 * scale])
+        unit = PeriodicGridFunction.from_harmonics(cos=[3.0, 4.0])
+        assert f.tail_energy(1) == unit.tail_energy(1) == pytest.approx(0.8, rel=1e-15)
+        assert f.tail_energy(2) == 0.0
+        assert PeriodicGridFunction.zero(2, 8).tail_energy(0) == 0.0
 
 
 class TestRealness:
