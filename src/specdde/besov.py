@@ -34,19 +34,28 @@ where m itself is one.  The grids, and with them the quadrature values,
 are those of the length-n transform.
 
 Block norms are independent per level; the final sum runs in ascending j.
+A block norm, or the sum, whose largest square or power is outside
+[2^-900, 2^900] is taken again on its data scaled by a power of two
+(``_lp_norm``, ``_combine_blocks``), so only a norm beyond the float range
+is infinite and none loses bits to underflow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
-from .symbols import TWO_PI, PeriodicGridFunction, mode_range
+from .symbols import TWO_PI, PeriodicGridFunction, _power_of_two_scaled, mode_range
 
 #: quadrature points per band mode of a p != 2 block (the stored grid when finer)
 _POINTS_PER_MODE = 4
+
+#: squares and powers whose largest is in this range are summed unscaled
+#: (``_lp_norm``, ``_combine_blocks``)
+_LEAST_UNSCALED, _MOST_UNSCALED = 2.0**-900, 2.0**900
 
 
 def _tent(x: np.ndarray) -> np.ndarray:
@@ -154,6 +163,35 @@ def _pruned_length(n: int, width: int) -> int:
                for m in (i, n // i) if m >= width)
 
 
+def _squared_moduli(modes: np.ndarray, rows, n: int) -> np.ndarray:
+    """The sum of the rows' squared moduli on n points, as a (d, m) array in
+    the layout of the pruned synthesis (see ``_lp_norm``)."""
+    m = _pruned_length(n, 2 * int(modes[-1]) + 1)
+    d = n // m
+    twiddles = np.exp(1j * (TWO_PI / n) * (np.arange(d)[:, None] * modes))
+    columns = np.mod(modes, m)
+    squared = np.zeros((d, m))
+    for row in rows:
+        samples = np.zeros((d, m), dtype=complex)
+        samples[:, columns] = twiddles * row
+        samples = np.fft.ifft(samples, axis=-1, norm="forward")
+        squared += samples.real ** 2 + samples.imag ** 2
+    return squared
+
+
+def _in_range(values: np.ndarray) -> bool:
+    """Whether the largest of the non-negative values is in [2^-900, 2^900].
+    Then what gradual underflow costs a value, at most 2^-1075 for a square
+    and 2^(-1075 p / 2) for its p / 2-th power (p >= 1), is under 2^-87 of
+    the largest, and no sum of fewer than 2^100 of them overflows."""
+    return bool(_LEAST_UNSCALED <= np.max(values) <= _MOST_UNSCALED)
+
+
+def _trapezoid(powers: np.ndarray, n: int, p: float) -> float:
+    """(2 pi / n sum |f|^p)^(1/p) from the n values |f|^p."""
+    return float((TWO_PI / n * np.sum(powers)) ** (1.0 / p))
+
+
 def _lp_norm(modes: np.ndarray, rows: List[np.ndarray], n: int, p: float) -> float:
     """Trapezoid L^p norm on n points of the function whose |f|^2 is the sum
     of the rows' squared moduli; ``modes`` are symmetric about 0, ascending,
@@ -169,18 +207,25 @@ def _lp_norm(modes: np.ndarray, rows: List[np.ndarray], n: int, p: float) -> flo
     rule does not depend on the order of the points.  When n is the only
     such divisor, d = 1, every twiddle is 1 and this is the length-n
     transform.
+
+    The norm is taken on the rows as they are when the largest square and
+    the largest p-th power are in range (``_in_range``).  Otherwise (one
+    overflowed, underflowed, or lost bits to gradual underflow) it is taken
+    again on the rows scaled by 2^-e (``symbols._power_of_two_scaled``) with
+    their squares scaled by an even power of two 4^-g to a largest value in
+    [1/4, 1), and scaled back by 2^(e + g): then only a norm beyond the
+    float range overflows.  No floating-point warning is raised.
     """
-    m = _pruned_length(n, 2 * int(modes[-1]) + 1)
-    d = n // m
-    twiddles = np.exp(1j * (TWO_PI / n) * (np.arange(d)[:, None] * modes))
-    columns = np.mod(modes, m)
-    squared = np.zeros((d, m))
-    for row in rows:
-        samples = np.zeros((d, m), dtype=complex)
-        samples[:, columns] = twiddles * row
-        samples = np.fft.ifft(samples, axis=-1, norm="forward")
-        squared += samples.real ** 2 + samples.imag ** 2
-    return float((TWO_PI / n * np.sum(squared ** (p / 2.0))) ** (1.0 / p))
+    with np.errstate(all="ignore"):
+        squared = _squared_moduli(modes, rows, n)
+        powers = squared ** (p / 2.0)
+        if _in_range(squared) and _in_range(powers):
+            return _trapezoid(powers, n, p)
+        unit, exponent = _power_of_two_scaled(np.stack(rows))
+        squared = _squared_moduli(modes, unit, n)
+        peak = (math.frexp(np.max(squared))[1] + 1) // 2
+        powers = np.ldexp(squared, -2 * peak) ** (p / 2.0)
+        return float(np.ldexp(_trapezoid(powers, n, p), exponent + peak))
 
 
 def _block_norms(f: PeriodicGridFunction, p: float, lengths: Tuple[int, ...]) -> np.ndarray:
@@ -213,12 +258,21 @@ def _combine_blocks(blocks: np.ndarray, params: BesovParams) -> float:
 
     An exactly zero block adds an exact 0 at its place in the sum and is not
     weighted, so a weight beyond the float range (s j > 1023) on a zero
-    block cannot make the norm NaN.
+    block cannot make the norm NaN.  Where every weighted block 2^{s j}
+    block_j is finite but the largest q-th power is not in range
+    (``_in_range``), the sum is taken again on the weighted blocks scaled
+    by a power of two (``symbols._power_of_two_scaled``) and scaled back.
+    No floating-point warning is raised.
     """
     levels = np.flatnonzero(blocks)
-    terms = np.zeros_like(blocks)
-    terms[levels] = (2.0 ** (params.s * levels) * blocks[levels]) ** params.q
-    return float(np.sum(terms) ** (1.0 / params.q))
+    weighted = np.zeros_like(blocks)
+    with np.errstate(all="ignore"):
+        weighted[levels] = 2.0 ** (params.s * levels) * blocks[levels]
+        terms = weighted ** params.q
+        if levels.size and np.all(np.isfinite(weighted)) and not _in_range(terms):
+            unit, exponent = _power_of_two_scaled(weighted[:, None])
+            return float(np.ldexp(np.sum(unit ** params.q) ** (1.0 / params.q), exponent))
+        return float(np.sum(terms) ** (1.0 / params.q))
 
 
 @dataclass

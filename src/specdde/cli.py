@@ -257,6 +257,9 @@ def run(command: str, config: RunConfig, out_dir: Path) -> int:
     A NaN or infinity anywhere in the output turns the report into a
     ``non_finite`` error naming the fields that hold it; side files are
     written only after the report has encoded, so then none is written.
+    The command runs with numpy's floating-point warnings off, so an
+    overflow on the way is judged by that check alone, also where warnings
+    are raised as errors (``python -W error::RuntimeWarning``).
     """
     if command not in _RUNNERS:
         raise ValueError(f"unknown command {command!r}")
@@ -266,7 +269,9 @@ def run(command: str, config: RunConfig, out_dir: Path) -> int:
     report = dict(head)
     side_files = []
     try:
-        side_files = _RUNNERS[command](config, report)
+        # a NaN or infinity is judged below, field by field, not by a warning
+        with np.errstate(all="ignore"):
+            side_files = _RUNNERS[command](config, report)
         status = 0
     except SingularModeError as exc:
         report["error"] = {

@@ -17,11 +17,12 @@ stencil, (T x)_j = sum_s c_s x_{j-s} with n x n blocks c_s, so the system is
 block circulant.  One FFT over the nodes turns each stencil into its discrete
 symbol, and the scheme becomes N independent n x n systems, one per discrete
 frequency: O(N n^3 + n^2 N log N) work and O(N n^2) memory.  The symbols come
-from the stencil weights alone; nothing here touches the resolvent or solver
-modules (only the default condition limit and the spectral norm of a matrix
-stack are shared), and the cross-method comparison imports the spectral
-solver lazily inside compare().  The forcing and the spectral reference take
-their nodal values from ``symbols._synthesis``, which folds on a coarse grid.
+from the stencil weights alone; nothing here touches the solver module or
+the mode symbols (only the default condition limit, the inversion of a
+matrix stack and its spectral norm are shared with ``resolvent``), and the
+cross-method comparison imports the spectral solver lazily inside
+compare().  The forcing and the spectral reference take their nodal values
+from ``symbols._synthesis``, which folds on a coarse grid.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .exceptions import AliasingError, OffGridLagError, SingularSystemError
 from .symbols import (TWO_PI, DelayFunctional, KernelSpec, ProblemSpec, _max_row_norm, _synthesis,
                       mode_range)
-from .resolvent import COND_LIMIT, _operator_norms
+from .resolvent import COND_LIMIT, _inverse_and_condition, _operator_norms
 
 
 def periodize_kernel(kernel: KernelSpec, n_samples: int) -> np.ndarray:
@@ -145,14 +146,16 @@ def collocation_solve(spec: ProblemSpec, n_nodes: int,
     + the trapezoidal periodic convolution + f_j.  One FFT over the nodes
     turns each term's stencil into its discrete symbol; at frequency m the
     system symbol is (D_m - A)(I - L_m) - G_m - C_m.  The N n x n systems are
-    solved in one batch against the FFT of the resampled forcing, and an
-    inverse FFT gives the (N, n) nodal samples.  Second order in the grid spacing for
-    smooth data.  The block DFT is unitary, so the system's condition number
-    is max sigma_max / min sigma_min over the frequencies, which is
-    max ||S_m||_2 * max ||S_m^{-1}||_2 since sigma_min(S_m) = 1/||S_m^{-1}||_2:
-    it is read off one batched inversion, and an exactly singular S_m, which
-    stops the inversion, gives an infinite one.  SingularSystemError is
-    raised when it is not finite or exceeds ``cond_limit``.
+    inverted once, by ``resolvent._inverse_and_condition`` (closed forms for
+    n <= 2), and the inverses are applied to the FFT of the resampled
+    forcing; an inverse FFT gives the (N, n) nodal samples.  Second order in
+    the grid spacing for smooth data.  The block DFT is unitary, so the
+    system's condition number is max sigma_max / min sigma_min over the
+    frequencies, which is max ||S_m||_2 * max ||S_m^{-1}||_2 since
+    sigma_min(S_m) = 1/||S_m^{-1}||_2: it is read off that inversion, and an
+    exactly singular S_m, whose 1-norm condition number is infinite, gives
+    an infinite one.  SingularSystemError is raised when it is not finite
+    or exceeds ``cond_limit``.
     """
     n = spec.dim
     dt = TWO_PI / n_nodes
@@ -174,17 +177,16 @@ def collocation_solve(spec: ProblemSpec, n_nodes: int,
         np.fft.fft(stencil, axis=0) for stencil in stencils)
     system = diff_hat @ (eye_n - neutral_hat) - reaction_hat - memory_hat
 
-    try:
-        inverse = np.linalg.inv(system)
+    inverse, one_norm_condition = _inverse_and_condition(system)
+    cond = math.inf
+    if np.all(np.isfinite(one_norm_condition)):
         with np.errstate(over="ignore", invalid="ignore"):
             cond = float(np.max(_operator_norms(system)) * np.max(_operator_norms(inverse)))
-    except np.linalg.LinAlgError:
-        cond = math.inf
     if not cond <= cond_limit:
         raise SingularSystemError(cond)
     f = spec.forcing
     rhs = np.fft.fft(_synthesis(f.coefficients, mode_range(f.bandwidth), n_nodes), axis=0)
-    samples = np.fft.ifft(np.linalg.solve(system, rhs[:, :, None])[:, :, 0], axis=0)
+    samples = np.fft.ifft(np.einsum("kij,kj->ki", inverse, rhs), axis=0)
     return samples.real if spec.is_real else samples
 
 

@@ -8,10 +8,15 @@ whose inverse maps forcing coefficients to solution coefficients.  The mode
 symbols come from one table (``symbols.ModeSymbols``), built once per
 problem and band, and M(k) is assembled in one place, ``ModeSymbols.modal``.
 
-``_checked_inverse`` is the one condition test: it inverts once and rejects
-every mode whose 1-norm condition number ||M(k)||_1 ||M(k)^{-1}||_1, read
-off that inverse, exceeds the limit (that estimate needs no SVD).  The lean
-solve (``solver``) uses it and nothing else from here.
+``_inverse_and_condition`` is the one inversion: it returns M(k)^{-1} and
+the 1-norm condition number ||M(k)||_1 ||M(k)^{-1}||_1 of every mode.  For
+n <= 2 both are closed forms on the entries, elementwise over the band (a
+reciprocal; the adjugate over the determinant, with ||M||_1 ||M||_inf /
+|det M| for the condition number), and only n >= 3 takes LAPACK.  It serves
+the condition test ``_checked_inverse``, which rejects every mode whose
+condition number exceeds the limit, and the collocation oracle's
+per-frequency systems.  The lean solve (``solver``) uses the condition test
+and nothing else from here.
 ``m_bounded_diagnostics`` reads the symbol table and the checked inverse
 directly and stacks all eleven sequences of the boundedness report on one
 band of modes, -K_diag..K_diag + 1: the sup norm over |k| <= K_diag and the
@@ -59,6 +64,14 @@ def _scaled_difference(modes: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return difference
 
 
+def _scale_in_place(stack: np.ndarray, exponent: np.ndarray) -> None:
+    """Multiply each matrix of a C-contiguous stack by 2^exponent: an
+    ``ldexp`` of its real and imaginary parts, exact for every finite matrix
+    (a complex division by a scale below 2^-1024 would overflow)."""
+    parts = stack.view(np.float64)
+    np.ldexp(parts, exponent, out=parts)
+
+
 def _largest_singular_value(stack: np.ndarray) -> np.ndarray:
     """sqrt((p + r)/2 + hypot((p - r)/2, |q|)) for each matrix of a (m, 2, 2)
     stack, where [[p, q], [q*, r]] is the Gram matrix of its columns."""
@@ -89,10 +102,8 @@ def _operator_norms(stack: np.ndarray) -> np.ndarray:
     cannot move a rounding: the value is then bit for bit the norm of the
     matrix first scaled to a largest entry in [1, 2).  Only the rows outside
     that range (overflowed, underflowed or not finite) are computed again,
-    scaled that way; an exactly zero matrix, whose norm 0 is exact, is not.
-    The scaling is an ``ldexp`` of the real and imaginary parts, exact for
-    every finite matrix (a complex division by a scale below 2^-1024 would
-    overflow).
+    scaled that way (``_scale_in_place``); an exactly zero matrix, whose
+    norm 0 is exact, is not.
     """
     n = stack.shape[1]
     if n == 1:
@@ -105,34 +116,90 @@ def _operator_norms(stack: np.ndarray) -> np.ndarray:
         if rows.size:
             unit = stack[rows]
             exponent = np.frexp(np.max(np.abs(unit), axis=(1, 2)))[1] - 1
-            for part in (unit.real, unit.imag) if np.iscomplexobj(unit) else (unit,):
-                np.ldexp(part, -exponent[:, None, None], out=part)
+            _scale_in_place(unit, -exponent[:, None, None])
             norms[rows] = np.ldexp(1.0, exponent) * _largest_singular_value(unit)
         return norms
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
-def _checked_inverse(modes: np.ndarray, modal: np.ndarray, cond_limit: float):
-    """(M(k)^{-1}, 1-norm condition numbers) for every mode, from one inversion.
+def _inverse_and_condition(stack: np.ndarray):
+    """(M^{-1}, ||M||_1 ||M^{-1}||_1) for each matrix of a (m, n, n) stack.
 
-    The condition number ||M(k)||_1 ||M(k)^{-1}||_1 is read off the inverse,
-    exactly as ``np.linalg.cond(M, 1)`` computes it.  Raises
-    SingularModeError naming every mode of ``modes`` whose condition number
-    exceeds ``cond_limit`` or is not finite; an exactly singular M(k), which
-    stops the batched inversion, is then located by ``np.linalg.cond`` and
-    has an infinite condition number.  Which of those modes a solve reports
-    is the solver's rule (``solver._band_solve``).
+    n = 1 is a reciprocal, and its condition number |m| / |m| is 1 for every
+    finite nonzero m.  n = 2 is the adjugate over the determinant,
+    elementwise over the stack, so each matrix's values come from that
+    matrix alone.  The 1-norm of adj M = [[d, -b], [-c, a]] is the infinity
+    norm of M, so the condition number is ||M||_1 ||M||_inf / |det M| and
+    needs no inverse.  Every matrix is first scaled by a power of two 2^-e
+    to a largest entry in [1/2, 1) (``_scale_in_place``), so no product in
+    the determinant overflows or underflows to 0, and the inverse is scaled
+    back by 2^-e.  The scaling is exact for a matrix with no subnormal
+    entry, and then changes no bit of the result.  Cramer's rule is forward
+    stable for n = 2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., SIAM 2002, section 1.10).  n >= 3 takes
+    ``np.linalg.inv`` and the 1-norms of M and its inverse; an exactly
+    singular M, which stops that inversion, gives ``None`` for the inverse
+    and ``np.linalg.cond``'s condition numbers.
+
+    A condition number is infinite where det M = 0 or ||M^{-1}||_1 is beyond
+    the float range (M = 1e-310 I, whose condition number alone is 1), and
+    NaN only where M itself holds a NaN (``np.linalg.cond``'s convention).
+    No floating-point warning is raised.
     """
-    try:
-        inverse = np.linalg.inv(modal)
-    except np.linalg.LinAlgError:
-        inverse, condition = None, np.linalg.cond(modal, 1)
-    else:
-        with np.errstate(all="ignore"):
-            condition = (np.linalg.norm(modal, 1, axis=(1, 2))
-                         * np.linalg.norm(inverse, 1, axis=(1, 2)))
-        # np.linalg.cond's convention: NaN only where M(k) itself holds one
-        condition[np.isnan(condition) & ~np.isnan(modal).any(axis=(1, 2))] = np.inf
+    n = stack.shape[1]
+    with np.errstate(all="ignore"):
+        if n == 1:
+            moduli = np.abs(stack[:, 0, 0])
+            inverse, condition = 1.0 / stack, moduli / moduli
+            inverse_norm = np.abs(inverse[:, 0, 0])
+        elif n == 2:
+            unit = stack.copy()
+            moduli = np.abs(unit)
+            # entry by entry: a reduction over the two small axes is slower
+            exponent = np.frexp(np.maximum(np.maximum(moduli[:, 0, 0], moduli[:, 0, 1]),
+                                           np.maximum(moduli[:, 1, 0], moduli[:, 1, 1])))[1]
+            _scale_in_place(unit, -exponent[:, None, None])
+            a, b, c, d = unit[:, 0, 0], unit[:, 0, 1], unit[:, 1, 0], unit[:, 1, 1]
+            det = a * d - b * c
+            reciprocal = 1.0 / det
+            inverse = np.empty_like(unit)
+            inverse[:, 0, 0] = d * reciprocal
+            inverse[:, 0, 1] = -b * reciprocal
+            inverse[:, 1, 0] = -c * reciprocal
+            inverse[:, 1, 1] = a * reciprocal
+            _scale_in_place(inverse, -exponent[:, None, None])
+            moduli = np.abs(unit)
+            one_norm = np.maximum(moduli[:, 0, 0] + moduli[:, 1, 0],
+                                  moduli[:, 0, 1] + moduli[:, 1, 1])
+            infinity_norm = np.maximum(moduli[:, 0, 0] + moduli[:, 0, 1],
+                                       moduli[:, 1, 0] + moduli[:, 1, 1])
+            magnitude = np.abs(det)
+            inverse_norm = np.ldexp(infinity_norm / magnitude, -exponent)
+            condition = one_norm * infinity_norm / magnitude
+        else:
+            try:
+                inverse = np.linalg.inv(stack)
+            except np.linalg.LinAlgError:
+                return None, np.linalg.cond(stack, 1)
+            inverse_norm = np.linalg.norm(inverse, 1, axis=(1, 2))
+            condition = np.linalg.norm(stack, 1, axis=(1, 2)) * inverse_norm
+        condition[np.isinf(inverse_norm)] = np.inf
+    undefined = np.flatnonzero(np.isnan(condition))
+    if undefined.size:
+        condition[undefined[~np.isnan(stack[undefined]).any(axis=(1, 2))]] = np.inf
+    return inverse, condition
+
+
+def _checked_inverse(modes: np.ndarray, modal: np.ndarray, cond_limit: float):
+    """(M(k)^{-1}, 1-norm condition numbers) for every mode, from
+    ``_inverse_and_condition``.
+
+    Raises SingularModeError naming every mode of ``modes`` whose condition
+    number exceeds ``cond_limit`` or is not finite; an exactly singular
+    M(k) has an infinite one.  Which of those modes a solve reports is the
+    solver's rule (``solver._band_solve``).
+    """
+    inverse, condition = _inverse_and_condition(modal)
     bad = ~np.isfinite(condition) | (condition > cond_limit)
     if np.any(bad):
         raise SingularModeError(modes[bad], condition[bad])

@@ -7,11 +7,13 @@ read.  Differentiation of the neutral part is done in Fourier space
 (multiplication by ik D_k), never by finite differences.
 
 The solve is lean: it builds one symbol table (``ModeSymbols``) on the union
-of the solver and forcing bands, assembles M(k) once from it, inverts once,
-rejects modes whose 1-norm condition number (read off that inverse) exceeds
-the limit, and takes both residuals from the same M(k).  It computes nothing
-it does not report; the spectral-norm sequences belong to the boundedness
-diagnostics in ``resolvent``.  That one solve, ``_band_solve``, serves
+of the solver and forcing bands, assembles M(k) once from it, inverts every
+M(k) once (``resolvent._checked_inverse``: the adjugate over the
+determinant for n = 2, a reciprocal for n = 1, elementwise over the band),
+rejects modes whose 1-norm condition number exceeds the limit, and takes
+both residuals from the same M(k).  It computes nothing it does not
+report; the spectral-norm sequences belong to the boundedness diagnostics
+in ``resolvent``.  That one solve, ``_band_solve``, serves
 ``solve_periodic`` and ``convergence_sweep``, whose row K reads the solve on
 its widest band at |k| <= K and costs only its two syntheses.
 

@@ -529,3 +529,49 @@ class TestParseval:
                 coefficients = np.sum(np.abs(f.coefficients) ** (r / (r - 1.0))) ** (1.0 - 1.0 / r)
                 grid_norm = _pruned_lp_norm(PeriodicGridFunction(f.coefficients, 4096), r)
                 assert coefficients <= TWO_PI ** (-1.0 / r) * grid_norm * (1.0 + 1e-12)
+
+
+class TestScaledPowers:
+    """A norm in the float range is finite however large or small the data:
+    where the squares or the p-th powers overflow or underflow, the blocks
+    and their sum are taken again on data scaled by a power of two."""
+
+    # 2^+-600: squares overflow or underflow to 0; 2^-530 and 2^-520:
+    # squares subnormal, with 2^-1060 about 14 bits; 2^-232: the 4.5-th
+    # powers subnormal, the squares not
+    @pytest.mark.parametrize("exponent", [600, -600, -530, -520, -232])
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (2.0, 2.0), (3.0, 2.0), (4.5, 4.0)])
+    def test_report_scales_with_the_data(self, rng, exponent, p, q):
+        # q with an exact reciprocal: the root (.)^(1/q) of a sum near
+        # 2^(600 q) errs by |1/q - fl(1/q)| ln(sum), 2.3e-14 at q = 1.5
+        f = _random_band(rng, bandwidth=12, dim=2)
+        scaled = PeriodicGridFunction(np.ldexp(f.coefficients.real, exponent)
+                                      + 1j * np.ldexp(f.coefficients.imag, exponent),
+                                      f.n_samples)
+        params = BesovParams(s=1.0, p=p, q=q)
+        expected, report = besov_norm_report(f, params), besov_norm_report(scaled, params)
+        factor = 2.0**exponent
+        assert report.norm == pytest.approx(factor * expected.norm, rel=1e-14)
+        np.testing.assert_allclose(report.block_norms, factor * expected.block_norms,
+                                   rtol=1e-14, atol=0.0)
+        assert report.quadrature_error <= factor * (expected.quadrature_error
+                                                    + 1e-14 * expected.norm)
+
+    def test_sum_of_powers_beyond_the_float_range(self):
+        params = BesovParams(s=1.0, q=2.0)
+        blocks = np.array([1e200, 0.0, 3e200])
+        assert _combine_blocks(blocks, params) == pytest.approx(
+            1e200 * np.sqrt(1.0 + 16.0 * 9.0), rel=1e-15)
+        assert _combine_blocks(blocks * 1e-400, params) == pytest.approx(
+            1e-200 * np.sqrt(1.0 + 16.0 * 9.0), rel=1e-15)
+        # a weighted block beyond the float range makes the norm infinite
+        assert _combine_blocks(np.array([1.0, 1e308]), BesovParams(s=2.0)) == np.inf
+
+    def test_finite_data_keeps_the_path_of_the_unscaled_powers(self, monkeypatch, rng):
+        def no_scaling(*args):
+            raise AssertionError("scaled again")
+
+        monkeypatch.setattr(besov, "_power_of_two_scaled", no_scaling)
+        f = _random_band(rng, bandwidth=12, dim=2)
+        for p in (1.0, 2.0, 3.0):
+            besov_norm_report(f, BesovParams(s=1.0, p=p, q=p))

@@ -14,6 +14,7 @@ import sys
 import tempfile
 import tracemalloc
 import types
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 import problems
 import specdde
 from specdde import (ModeSymbols, cli, collocation_solve, compare, convergence_sweep,
-                     m_bounded_diagnostics)
+                     m_bounded_diagnostics, resolvent)
 from specdde.config import parse_config
 from specdde.solver import solve_periodic
 
@@ -103,7 +104,8 @@ def test_solve_report_gives_the_condition_range(tmp_path):
     condition = report_of(out, "solve")["condition"]
     spec = parse_config(json.dumps(TINY)).problem
     modes = np.arange(-8, 9)
-    expected = np.linalg.cond(ModeSymbols.from_spec(spec, 8).modal(spec.state_matrix), 1)
+    modal = ModeSymbols.from_spec(spec, 8).modal(spec.state_matrix)
+    expected = resolvent._inverse_and_condition(modal)[1]
     assert list(condition) == ["max", "min", "worst_mode"]
     assert condition["max"] == np.max(expected) and condition["min"] == np.min(expected)
     assert condition["worst_mode"] == modes[np.argmax(expected)]
@@ -323,6 +325,20 @@ def test_non_finite_result_is_an_error_without_side_files(tmp_path, doc, command
     assert sorted(p.name for p in out.iterdir()) == [f"{command}_report.json"]
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_inverse_beyond_the_float_range_is_a_singular_mode(tmp_path, n, command):
+    # M(0) = 1e-310 I has condition number 1, but its inverse overflows: mode
+    # 0 is rejected, not solved to inf * 0 = NaN where fhat(0) = 0
+    doc = {"problem": {"n": n, "A": (-1e-310 * np.eye(n)).tolist(),
+                       "forcing": {"cos": [[1.0] * n]}}}
+    code, out = run(tmp_path, command, doc)
+    assert code == 2
+    assert report_of(out, command)["error"] == {
+        "type": "singular_mode", "modes": [0], "conditions": [None],
+        "message": "modal matrix numerically singular at k=0 (cond=inf)"}
+
+
 #: forcing 1e200 (cos t + cos 2t) at K = 1: every reported value is in the
 #: float range, but the squares of the residual and of the forcing are not
 SQUARES_OVERFLOW = {"problem": {"n": 1, "A": [[-1.0]],
@@ -330,7 +346,7 @@ SQUARES_OVERFLOW = {"problem": {"n": 1, "A": [[-1.0]],
 
 
 @pytest.mark.filterwarnings("ignore::specdde.exceptions.TruncationWarning")
-@pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+@pytest.mark.parametrize("command", ["solve", "sweep", "verify", "besov"])
 def test_norms_whose_squares_overflow_are_reported(tmp_path, command):
     code, out = run(tmp_path, command, SQUARES_OVERFLOW)
     assert code == 0
@@ -338,6 +354,119 @@ def test_norms_whose_squares_overflow_are_reported(tmp_path, command):
     if command == "solve":
         assert report["residual_grid"] == 1e200
         assert report["forcing_tail_energy"] == math.sqrt(0.5)
+    if command == "besov":
+        # blocks 1e200 ||cos t||_2 and 1e200 ||cos 2t||_2 (weight 2), each
+        # 1e200 sqrt(pi); the solution, 1e200 Re(e^{it} / (1 + i)), is in block 0
+        assert report["forcing"]["norm"] == pytest.approx(1e200 * math.sqrt(5 * math.pi),
+                                                          rel=1e-14)
+        assert report["solution"]["norm"] == pytest.approx(1e200 * math.sqrt(math.pi / 2),
+                                                           rel=1e-14)
+
+
+#: a 3 x 3 problem: its modal matrices and collocation systems take LAPACK
+THREE = {
+    "problem": {
+        "n": 3,
+        "A": [[-1.0, 0.25, 0.0], [0.0, -2.0, 0.5], [0.1, 0.0, -1.5]],
+        "L": {"atoms": [{"coef": (0.1 * np.eye(3)).tolist(), "lag": TWO_PI}]},
+        "G": {"atoms": [{"coef": [[0.1, 0.02, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.05]],
+                         "lag": TWO_PI / 4.0}]},
+        "kernel": {"terms": [{"c": 0.2, "m": 0, "alpha": 2.0}]},
+        "forcing": {"const": [0.5, 0.0, 0.0], "cos": [[1.0, 0.0, 0.5]],
+                    "sin": [[0.0, 1.0, 0.0]]},
+    },
+    "K": 8, "K_diag": 16, "N_list": [32, 64, 128], "K_list": [2, 4, 8],
+}
+
+
+def test_a_three_by_three_problem_runs_solve_diagnose_and_verify(tmp_path):
+    spec = parse_config(json.dumps(THREE)).problem
+    modal = ModeSymbols.from_spec(spec, 8).modal(spec.state_matrix)
+    forcing = np.zeros((17, 3), dtype=complex)
+    forcing[7:10] = spec.forcing.coefficients
+    expected = np.linalg.solve(modal, forcing[..., None])[..., 0]
+
+    code, out = run(tmp_path, "solve", THREE)
+    assert code == 0
+    report = report_of(out, "solve")
+    coefficients = np.array([[z["re"] + 1j * z["im"] for z in row["value"]]
+                             for row in report["coefficients"]])
+    np.testing.assert_allclose(coefficients, expected, rtol=0.0, atol=1e-15)
+    assert report["residual_modal"] <= 1e-15
+    condition = np.linalg.cond(modal, 1)
+    assert report["condition"]["max"] == np.max(condition)
+    assert report["condition"]["min"] == np.min(condition)
+
+    code, out = run(tmp_path, "diagnose", THREE)
+    assert code == 0
+    [row] = [r for r in report_of(out, "diagnose")["rows"] if r["name"] == "N"]
+    window = ModeSymbols.from_spec(spec, 16).modal(spec.state_matrix)
+    inverse_norms = np.linalg.svd(np.linalg.inv(window), compute_uv=False)[:, 0]
+    assert row["sup_norm"] == pytest.approx(np.max(inverse_norms), rel=1e-13)
+    assert row["verdict"] == "bounded"
+
+    code, out = run(tmp_path, "verify", THREE)
+    assert code == 0
+    report = report_of(out, "verify")
+    gaps = [r["gap"] for r in report["rows"]]
+    assert gaps == sorted(gaps, reverse=True)
+    assert report["fitted_order"] == pytest.approx(2.0, abs=0.01)
+
+
+@pytest.mark.parametrize("name, doc", [("tiny", TINY), ("sampled_kernel", SAMPLED),
+                                       ("scalar", SQUARES_OVERFLOW)])
+def test_no_lapack_inversion_for_two_by_two_and_scalar_problems(tmp_path, monkeypatch,
+                                                                name, doc):
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("a 2 x 2 or scalar problem called LAPACK")
+
+    for function in ("inv", "solve", "cond"):
+        monkeypatch.setattr(np.linalg, function, no_lapack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", specdde.TruncationWarning)
+        codes = {command: run(tmp_path, command, doc, f"{name}_{command}")[0]
+                 for command in COMMANDS}
+    assert codes == dict.fromkeys(COMMANDS, 0)
+
+
+#: runs every command of the configurations whose arithmetic overflows, as a
+#: separate interpreter with the warning options it is given, and prints
+#: {"<config> <command>": exit code}
+_OVERFLOW_RUNS = """
+import json, sys
+from specdde import cli
+root, codes = sys.argv[1], {}
+for name in ("OVERFLOW", "BEYOND", "RESONANT", "SQUARES_OVERFLOW"):
+    for command in ("solve", "diagnose", "besov", "verify", "sweep"):
+        codes[f"{name} {command}"] = cli.main(
+            [command, "--config", f"{root}/{name}.json", "--out", f"{root}/{name}/{command}"])
+print(json.dumps(codes))
+"""
+
+
+def test_overflow_keeps_the_exit_code_contract_with_warnings_as_errors(tmp_path):
+    # an overflow is judged by the non_finite check, never escapes as a
+    # traceback: the same codes and reports as a default run, and no exit 1
+    docs = {"OVERFLOW": OVERFLOW, "BEYOND": BEYOND, "RESONANT": RESONANT,
+            "SQUARES_OVERFLOW": SQUARES_OVERFLOW}
+    env = dict(os.environ, PYTHONPATH=str(Path(specdde.__file__).parents[1]))
+    codes = {}
+    for run_name, flags in (("default", []), ("strict", ["-W", "error::RuntimeWarning"])):
+        root = tmp_path / run_name
+        root.mkdir()
+        for name, doc in docs.items():
+            (root / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        done = subprocess.run([sys.executable, *flags, "-c", _OVERFLOW_RUNS, str(root)],
+                              capture_output=True, text=True, env=env, check=True)
+        codes[run_name] = json.loads(done.stdout.splitlines()[-1])
+    assert codes["strict"] == codes["default"]
+    assert 1 not in codes["strict"].values()
+    assert codes["strict"]["SQUARES_OVERFLOW besov"] == 0
+    for name in docs:
+        for command in COMMANDS:
+            report = f"{name}/{command}/{command}_report.json"
+            assert ((tmp_path / "strict" / report).read_bytes()
+                    == (tmp_path / "default" / report).read_bytes()), report
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -942,6 +1071,8 @@ PATH_CONFIGS = {
     },
     "aliasing": _mutated(TINY, ("N_list",), [2, 32]),
     "invalid": _mutated(TINY, ("K",), 0),
+    # det M(0) = 1e-600 underflows: the inversion scales that row
+    "overflow": OVERFLOW,
 }
 
 #: functions of the package that no command runs, each with its reason
@@ -988,6 +1119,7 @@ def test_every_package_function_runs_under_a_command(tmp_path):
     assert outcomes["singular_system"]["verify"] == 2
     assert outcomes["aliasing"]["verify"] == 3
     assert outcomes["invalid"] == dict.fromkeys(COMMANDS, 3)
+    assert outcomes["overflow"]["solve"] == 0
 
     ran = {(Path(code.co_filename).name, code.co_qualname) for code in codes
            if Path(code.co_filename).parent == Path(specdde.__file__).parent}
