@@ -25,17 +25,18 @@ squared moduli a^2 + b^2 sum to |f(t)|^2.  Two real signals share one
 complex transform (Cooley, Lewis and Welch, J. Sound Vib. 12, 1970), so a
 real two-column block is one synthesis per grid, and a block whose
 coefficients are exactly zero is none.  Each synthesis is pruned to the
-block's band (Markel, IEEE Trans. Audio Electroacoust. 19, 1971; Sorensen
-and Burrus, IEEE Trans. Signal Process. 41, 1993): on a grid of n points, a
-block whose highest mode is b is n/m inverse FFTs of length m, the smallest
-divisor of n with m >= 2b + 1.  It costs about n log m, not n log n, and
-a length pocketfft transforms by Bluestein's algorithm costs that only
-where m itself is one.  The grids, and with them the quadrature values,
-are those of the length-n transform.
+function's band (Markel, IEEE Trans. Audio Electroacoust. 19, 1971;
+Sorensen and Burrus, IEEE Trans. Signal Process. 41, 1993): on a grid of n
+points, with b the highest mode where f is nonzero, every block is n/m
+inverse FFTs of length m, the smallest divisor of n with m >= 2b + 1, and
+all blocks read one table of twiddles per chunk of the grid.  A block costs
+about n log m, not n log n, and a length pocketfft transforms by
+Bluestein's algorithm costs that only where m itself is one.  The grids,
+and with them the quadrature values, are those of the length-n transform.
 
 Block norms are independent per level; the final sum runs in ascending j.
 A block norm, or the sum, whose largest square or power is outside
-[2^-900, 2^900] is taken again on its data scaled by a power of two
+[2^-900, 2^900] is taken again on its own data scaled by a power of two
 (``_lp_norm``, ``_combine_blocks``), so only a norm beyond the float range
 is infinite and none loses bits to underflow.
 """
@@ -56,6 +57,9 @@ _POINTS_PER_MODE = 4
 #: squares and powers whose largest is in this range are summed unscaled
 #: (``_lp_norm``, ``_combine_blocks``)
 _LEAST_UNSCALED, _MOST_UNSCALED = 2.0**-900, 2.0**900
+
+#: samples per level that the pruned synthesis holds at a time (``_power_sums``)
+_CHUNK_SAMPLES = 4096
 
 
 def _tent(x: np.ndarray) -> np.ndarray:
@@ -163,69 +167,92 @@ def _pruned_length(n: int, width: int) -> int:
                for m in (i, n // i) if m >= width)
 
 
-def _squared_moduli(modes: np.ndarray, rows, n: int) -> np.ndarray:
-    """The sum of the rows' squared moduli on n points, as a (d, m) array in
-    the layout of the pruned synthesis (see ``_lp_norm``)."""
+def _power_sums(modes: np.ndarray, levels, n: int, p: float) -> Tuple[np.ndarray, np.ndarray]:
+    """For the function of each level, whose |f|^2 is the sum of its rows'
+    squared moduli: the sum of |f|^p over n points, shape (levels,), and
+    the largest |f|^2 and the largest |f|^p, shape (2, levels).
+
+    ``levels`` holds each level's (block modes, rows); the block modes are
+    some of ``modes``, which are symmetric about 0, ascending, with
+    largest b.  With m the smallest divisor of n that holds 2b + 1 modes
+    and d = n / m, the sample at t = 2 pi (l d + r) / n is
+    sum_k (c_k w_n^{kr}) w_m^{kl} (w_n = e^{2 pi i / n}), so the n samples
+    are the d length-m inverse transforms of the twiddled coefficients,
+    scattered to column k mod m of a (d, m) array.  Every level shares m
+    and the twiddles w_n^{kr}, taken once for k >= 0 (a mode k < 0 reads
+    the conjugate); the phase index k r is an exact integer with
+    |k r| <= b (d - 1) < n / 2, so its angle is already in (-pi, pi)
+    before the exp.  The d rows are walked _CHUNK_SAMPLES samples at a
+    time, one twiddle table per chunk, and the sums and maxima are
+    accumulated in that layout: the trapezoid rule does not depend on the
+    order of the points.  When n is the only such divisor, d = 1, every
+    twiddle is 1 and this is the length-n transform.
+    """
     m = _pruned_length(n, 2 * int(modes[-1]) + 1)
     d = n // m
-    twiddles = np.exp(1j * (TWO_PI / n) * (np.arange(d)[:, None] * modes))
-    columns = np.mod(modes, m)
-    squared = np.zeros((d, m))
-    for row in rows:
-        samples = np.zeros((d, m), dtype=complex)
-        samples[:, columns] = twiddles * row
-        samples = np.fft.ifft(samples, axis=-1, norm="forward")
-        squared += samples.real ** 2 + samples.imag ** 2
-    return squared
+    half = modes[modes >= 0]
+    mirrored = len(modes) - len(half)
+    table_index = np.searchsorted(half, np.abs(modes))
+    layouts = [(np.searchsorted(modes, block), np.mod(block, m), rows) for block, rows in levels]
+    step = max(1, _CHUNK_SAMPLES // m)
+    sums, peaks = np.zeros(len(levels)), np.zeros((2, len(levels), -(-d // step)))
+    for chunk, start in enumerate(range(0, d, step)):
+        r = np.arange(start, min(start + step, d))
+        twiddles = np.exp(1j * (TWO_PI / n) * (r[:, None] * half))[:, table_index]
+        np.conjugate(twiddles[:, :mirrored], out=twiddles[:, :mirrored])
+        for level, (index, columns, rows) in enumerate(layouts):
+            squared = np.zeros((len(r), m))
+            for row in rows:
+                samples = np.zeros((len(r), m), dtype=complex)
+                samples[:, columns] = twiddles[:, index] * row
+                samples = np.fft.ifft(samples, axis=-1, norm="forward")
+                squared += samples.real ** 2 + samples.imag ** 2
+            powers = squared ** (p / 2.0)
+            sums[level] += powers.sum()
+            peaks[:, level, chunk] = squared.max(), powers.max()
+    return sums, np.max(peaks, axis=2)
 
 
-def _in_range(values: np.ndarray) -> bool:
-    """Whether the largest of the non-negative values is in [2^-900, 2^900].
-    Then what gradual underflow costs a value, at most 2^-1075 for a square
-    and 2^(-1075 p / 2) for its p / 2-th power (p >= 1), is under 2^-87 of
-    the largest, and no sum of fewer than 2^100 of them overflows."""
-    return bool(_LEAST_UNSCALED <= np.max(values) <= _MOST_UNSCALED)
+def _in_range(largest):
+    """Whether ``largest``, the largest of some non-negative values, is in
+    [2^-900, 2^900]; elementwise on an array of such maxima.  Then what
+    gradual underflow costs a value, at most 2^-1075 for a square and
+    2^(-1075 p / 2) for its p / 2-th power (p >= 1), is under 2^-87 of the
+    largest, and no sum of fewer than 2^100 of them overflows."""
+    return (_LEAST_UNSCALED <= largest) & (largest <= _MOST_UNSCALED)
 
 
-def _trapezoid(powers: np.ndarray, n: int, p: float) -> float:
-    """(2 pi / n sum |f|^p)^(1/p) from the n values |f|^p."""
-    return float((TWO_PI / n * np.sum(powers)) ** (1.0 / p))
+def _trapezoid(total, n: int, p: float) -> float:
+    """(2 pi / n sum |f|^p)^(1/p) from the sum of the n values |f|^p."""
+    return float((TWO_PI / n * total) ** (1.0 / p))
 
 
-def _lp_norm(modes: np.ndarray, rows: List[np.ndarray], n: int, p: float) -> float:
-    """Trapezoid L^p norm on n points of the function whose |f|^2 is the sum
-    of the rows' squared moduli; ``modes`` are symmetric about 0, ascending,
-    with largest b.
+def _lp_norm(modes: np.ndarray, levels, n: int, p: float) -> List[float]:
+    """Trapezoid L^p norm on n points of each level's function, from one
+    pruned synthesis of them all (``_power_sums``).
 
-    With m the smallest divisor of n that holds 2b + 1 modes and d = n / m,
-    the sample at t = 2 pi (l d + r) / n is sum_k (c_k w_n^{kr}) w_m^{kl}
-    (w_n = e^{2 pi i / n}), so the n samples are the d length-m inverse
-    transforms of the twiddled coefficients, scattered to column k mod m of
-    a (d, m) array.  The phase index k r is an exact integer with
-    |k r| <= b (d - 1) < n / 2, so its angle is already in (-pi, pi) before
-    the exp.  The squared moduli are summed in that layout: the trapezoid
-    rule does not depend on the order of the points.  When n is the only
-    such divisor, d = 1, every twiddle is 1 and this is the length-n
-    transform.
-
-    The norm is taken on the rows as they are when the largest square and
-    the largest p-th power are in range (``_in_range``).  Otherwise (one
-    overflowed, underflowed, or lost bits to gradual underflow) it is taken
-    again on the rows scaled by 2^-e (``symbols._power_of_two_scaled``) with
-    their squares scaled by an even power of two 4^-g to a largest value in
-    [1/4, 1), and scaled back by 2^(e + g): then only a norm beyond the
-    float range overflows.  No floating-point warning is raised.
+    A level's norm is taken as it is when its largest square and its
+    largest p-th power are in range (``_in_range``).  Otherwise (one
+    overflowed, underflowed, or lost bits to gradual underflow) that level
+    alone is taken again through ``_power_sums`` on its rows scaled by 2^-e
+    (``symbols._power_of_two_scaled``) and by a further 2^-g that brings
+    its largest square into [1/4, 1), and scaled back by 2^(e + g): then
+    only a norm beyond the float range overflows.  No floating-point
+    warning is raised.
     """
     with np.errstate(all="ignore"):
-        squared = _squared_moduli(modes, rows, n)
-        powers = squared ** (p / 2.0)
-        if _in_range(squared) and _in_range(powers):
-            return _trapezoid(powers, n, p)
-        unit, exponent = _power_of_two_scaled(np.stack(rows))
-        squared = _squared_moduli(modes, unit, n)
-        peak = (math.frexp(np.max(squared))[1] + 1) // 2
-        powers = np.ldexp(squared, -2 * peak) ** (p / 2.0)
-        return float(np.ldexp(_trapezoid(powers, n, p), exponent + peak))
+        sums, peaks = _power_sums(modes, levels, n, p)
+        norms = [_trapezoid(total, n, p) for total in sums]
+        for level in np.flatnonzero(~(_in_range(peaks[0]) & _in_range(peaks[1]))):
+            block, rows = levels[level]
+            unit, exponent = _power_of_two_scaled(np.stack(rows))
+            largest_square = _power_sums(modes, [(block, unit)], n, p)[1][0, 0]
+            peak = (math.frexp(largest_square)[1] + 1) // 2
+            parts = unit.view(np.float64)
+            np.ldexp(parts, -peak, out=parts)
+            total = _power_sums(modes, [(block, unit)], n, p)[0][0]
+            norms[level] = float(np.ldexp(_trapezoid(total, n, p), exponent + peak))
+    return norms
 
 
 def _block_norms(f: PeriodicGridFunction, p: float, lengths: Tuple[int, ...]) -> np.ndarray:
@@ -235,21 +262,26 @@ def _block_norms(f: PeriodicGridFunction, p: float, lengths: Tuple[int, ...]) ->
 
     The coefficients are first cut down to the modes where f or its mirror
     is nonzero; the weights, the weighting and ``_real_rows`` see only
-    those.  Each row of ``_real_rows`` is synthesised by the pruned
-    transform of ``_lp_norm`` (Markel, IEEE Trans. Audio Electroacoust. 19,
-    1971): a block whose highest mode is b costs about n log m on a grid of
-    n points, m the smallest divisor of n with m >= 2b + 1, and one row of
-    samples per length is held at a time.  A level whose weights vanish on
+    those.  On each length, every block is synthesised by the one pruned
+    transform of ``_power_sums`` (Markel, IEEE Trans. Audio Electroacoust.
+    19, 1971): with b the highest live mode of f, a block costs about
+    n log m on a grid of n points, m the smallest divisor of n with
+    m >= 2b + 1, and the synthesis holds one chunk of at most
+    _CHUNK_SAMPLES samples at a time.  A level whose weights vanish on
     those modes, or whose weighted coefficients are exactly zero, has no
     rows and norms 0.0.
     """
     modes, coefficients = _live(mode_range(f.bandwidth), f.coefficients)
     weights = _partition_weights(f.bandwidth, modes)
     out = np.zeros((len(weights), len(lengths)))
+    live, levels = [], []
     for level in np.flatnonzero(np.any(weights, axis=1)):
         block_modes, rows = _real_rows(modes, weights[level][:, None] * coefficients)
         if rows:
-            out[level] = [_lp_norm(block_modes, rows, n, p) for n in lengths]
+            live.append(level)
+            levels.append((block_modes, rows))
+    if levels:
+        out[live] = np.column_stack([_lp_norm(modes, levels, n, p) for n in lengths])
     return out
 
 
@@ -269,7 +301,7 @@ def _combine_blocks(blocks: np.ndarray, params: BesovParams) -> float:
     with np.errstate(all="ignore"):
         weighted[levels] = 2.0 ** (params.s * levels) * blocks[levels]
         terms = weighted ** params.q
-        if levels.size and np.all(np.isfinite(weighted)) and not _in_range(terms):
+        if levels.size and np.all(np.isfinite(weighted)) and not _in_range(np.max(terms)):
             unit, exponent = _power_of_two_scaled(weighted[:, None])
             return float(np.ldexp(np.sum(unit ** params.q) ** (1.0 / params.q), exponent))
         return float(np.sum(terms) ** (1.0 / params.q))

@@ -2,6 +2,7 @@
 they give, and Parseval on the L^2 grid norm."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,8 +47,10 @@ def _grid_lp_norm(f, p):
 
 
 def _pruned_lp_norm(f, p):
-    """``besov._lp_norm`` of f on its own grid, with its columns as the rows."""
-    return besov._lp_norm(mode_range(f.bandwidth), list(f.coefficients.T), f.n_samples, p)
+    """``besov._lp_norm`` of f on its own grid, with its columns as the rows
+    of one level."""
+    modes = mode_range(f.bandwidth)
+    return besov._lp_norm(modes, [(modes, list(f.coefficients.T))], f.n_samples, p)[0]
 
 
 def _derivative(f):
@@ -238,11 +241,12 @@ class TestBesovNorm:
         report = besov_norm_report(f, params)
         assert np.all(report.block_norms[3:] == 0.0) and np.all(report.block_norms[:3] > 0)
         # one row per real two-column block, so one (n/m, m) transform per
-        # grid: n = 324 = 2^2 3^4 and its 7-smooth double 648 = 2^3 3^4.
-        # Level 0 holds |k| <= 1 (m = 3 on both grids); levels 1 and 2 reach
-        # |k| = 3, so 7 modes: m = 9 on 324 points and m = 8 on 648
+        # live level and grid: n = 324 = 2^2 3^4 and its 7-smooth double
+        # 648 = 2^3 3^4.  f reaches |k| = 3, so every live level, level 0
+        # (|k| <= 1) too, is synthesised at f's 7 modes: m = 9 on 324
+        # points and m = 8 on 648, each grid in one chunk
         assert _seven_smooth(2 * n_quad) == 648
-        assert shapes == [(108, 3), (216, 3), (36, 9), (81, 8), (36, 9), (81, 8)]
+        assert shapes == [(36, 9)] * 3 + [(81, 8)] * 3
         # not bit for bit: the rows add the squares in another order than
         # the columns, and raise |f|^2 to p/2 where the columns raise |f| to p
         assert np.all(np.abs(report.block_norms - expected) <= 4 * np.spacing(expected))
@@ -371,6 +375,9 @@ PRUNED_CASES = [
     ("smooth", 360, 40, 5),
     ("smooth_full_band", 84, 41, 41),
     ("bluestein", 4 * 2731, 600, 3),
+    # level 0 (|k| <= 1) synthesised at f's m = 2731, the smallest divisor
+    # of 10,924 that holds |k| <= 40, not at its own band's m = 4
+    ("bluestein_levels", 4 * 2731, 600, 40),
 ]
 
 
@@ -410,6 +417,77 @@ class TestPrunedSynthesis:
         assert blocks.shape == (1, 1)
         assert np.array_equal(blocks[:, 0], _full_length_norms(f, p, 1))
         assert blocks[0, 0] == pytest.approx(expected, rel=1e-15)
+
+
+class TestSharedSynthesis:
+    """Every live level of a function is synthesised on one layout per grid:
+    one length m from the function's highest live mode, one twiddle table
+    per chunk of the grid, and a level out of the float range taken again
+    on its own."""
+
+    @staticmethod
+    def _lumped_solution():
+        doc = problems.bench_workloads().config_document("lumped", 1)
+        config = parse_config(json.dumps(doc))
+        return solve_periodic(config.problem).solution, config.besov
+
+    def test_one_twiddle_table_per_chunk_of_each_grid(self, monkeypatch):
+        # the lumped solution, K = 4096: 7 live modes |k| <= 3 in levels
+        # 0..2, on N = 32,772 = 12 * 2731 and 65,610 = 9 * 7290 points
+        u, params = self._lumped_solution()
+        tables = []
+        exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda a, *args, **kwargs: tables.append(np.shape(a))
+                            or exp(a, *args, **kwargs))
+        blocks = besov._block_norms(u, params.p, (32772, 65610))
+        assert np.count_nonzero(blocks[:, 0]) == 3
+        # one table per chunk of each grid, however many levels read it:
+        # it holds the chunk's rows for k = 0..3, and the tables cover each
+        # grid's rows once
+        lengths = [m for m, d in ((12, 2731), (9, 7290))
+                   for _ in range(-(-d // (besov._CHUNK_SAMPLES // m)))]
+        assert len(tables) == len(lengths)
+        assert all(columns == 4 and rows * m <= besov._CHUNK_SAMPLES
+                   for (rows, columns), m in zip(tables, lengths))
+        assert sum(rows for rows, _ in tables) == 2731 + 7290
+
+    def test_peak_memory_is_a_chunk_not_a_grid(self):
+        # the bound is set from measurement, 0.29 MB; the samples of one
+        # whole 65,610-point grid alone take 1.05 MB
+        u, params = self._lumped_solution()
+        tracemalloc.start()
+        try:
+            besov_norm_report(u, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_only_the_out_of_range_level_is_scaled(self, monkeypatch, p):
+        # O(1) coefficients on |k| <= 1 (level 0) and 2^600 ones on |k| = 20
+        # (levels 4 and 5, weights 3/4 and 1/4): squares of the latter
+        # overflow, those of level 0 must not be scaled with them
+        gen = np.random.default_rng(27)
+        low, high = np.zeros((49, 2), dtype=complex), np.zeros((49, 2), dtype=complex)
+        low[23:26] = _hermitian(gen, 1, 2)
+        high[[4, 44]] = 2.0**600 * _hermitian(gen, 20, 2)[[0, 40]]
+        f = PeriodicGridFunction(low + high, 196)
+        lengths = (196, _seven_smooth(392))
+        scaled = []
+        power_of_two_scaled = besov._power_of_two_scaled
+        monkeypatch.setattr(besov, "_power_of_two_scaled", lambda values: scaled.append(
+            np.max(np.abs(values))) or power_of_two_scaled(values))
+        blocks = besov._block_norms(f, p, lengths)
+        assert len(scaled) == 2 * len(lengths) and min(scaled) > 2.0**500
+        # each level computed alone: level 0 from the low modes, levels 4
+        # and 5 from the high ones scaled down by 2^600 and back
+        monkeypatch.undo()
+        expected = besov._block_norms(PeriodicGridFunction(low, 196), p, lengths)
+        unscaled = PeriodicGridFunction(2.0**-600 * high, 196)
+        expected[4:6] = 2.0**600 * besov._block_norms(unscaled, p, lengths)[4:6]
+        assert np.all((blocks == 0.0) == (expected == 0.0))
+        np.testing.assert_allclose(blocks, expected, rtol=1e-14, atol=0.0)
 
 
 class TestSevenSmooth:
