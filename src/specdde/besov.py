@@ -18,21 +18,23 @@ with the unnormalized L^p integral over one period.  Grid L^p values use the
 trapezoid rule, exact for band-limited data when p == 2; for other p the
 blocks are synthesised on at least 4 points per band mode and the quadrature
 error is estimated against a grid of at least twice the points (see
-``besov_norm_report``).  A block is synthesised as real functions, not as
+``besov_norm_report``).  f is split once into real functions, not into
 its n complex columns: the real and imaginary part of each column, less the
 parts that are exactly zero, are paired into complex rows a + ib, whose
 squared moduli a^2 + b^2 sum to |f(t)|^2.  Two real signals share one
-complex transform (Cooley, Lewis and Welch, J. Sound Vib. 12, 1970), so a
-real two-column block is one synthesis per grid, and a block whose
-coefficients are exactly zero is none.  Each synthesis is pruned to the
-function's band (Markel, IEEE Trans. Audio Electroacoust. 19, 1971;
+complex transform (Cooley, Lewis and Welch, J. Sound Vib. 12, 1970), and
+the weights are even in k, so a level's rows are its weights times those
+of f: a real two-column f is one row per level, and a level whose weights
+vanish where f is nonzero is not synthesised.  The synthesis is pruned to
+the function's band (Markel, IEEE Trans. Audio Electroacoust. 19, 1971;
 Sorensen and Burrus, IEEE Trans. Signal Process. 41, 1993): on a grid of n
-points, with b the highest mode where f is nonzero, every block is n/m
-inverse FFTs of length m, the smallest divisor of n with m >= 2b + 1, and
-all blocks read one table of twiddles per chunk of the grid.  A block costs
-about n log m, not n log n, and a length pocketfft transforms by
-Bluestein's algorithm costs that only where m itself is one.  The grids,
-and with them the quadrature values, are those of the length-n transform.
+points, with b the highest mode where f is nonzero, m is the smallest
+divisor of n with m >= 2b + 1, and each chunk of the grid is one table of
+twiddles, one scatter and one batch of length-m inverse FFTs over every
+level and row.  A block costs about n log m, not n log n, and a length
+pocketfft transforms by Bluestein's algorithm costs that only where m
+itself is one.  The grids, and with them the quadrature values, are those
+of the length-n transform.
 
 Block norms are independent per level; the final sum runs in ascending j.
 A block norm, or the sum, whose largest square or power is outside
@@ -58,8 +60,9 @@ _POINTS_PER_MODE = 4
 #: (``_lp_norm``, ``_combine_blocks``)
 _LEAST_UNSCALED, _MOST_UNSCALED = 2.0**-900, 2.0**900
 
-#: samples per level that the pruned synthesis holds at a time (``_power_sums``)
-_CHUNK_SAMPLES = 4096
+#: samples, over every level and row, that the pruned synthesis holds at a
+#: time (``_power_sums``); its working memory is about 75 bytes a sample
+_CHUNK_SAMPLES = 6144
 
 
 def _tent(x: np.ndarray) -> np.ndarray:
@@ -129,35 +132,31 @@ def _quadrature_points(f: PeriodicGridFunction, p: float) -> int:
     return max(f.n_samples, _POINTS_PER_MODE * (2 * f.bandwidth + 1))
 
 
-def _live(modes: np.ndarray, coefficients: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The modes where the coefficients or those of the mirror mode are
-    nonzero, and the coefficients there.  ``modes`` are symmetric about 0
-    and ascending, so that row i's mirror is row -1 - i; so are the result's."""
-    live = np.any(coefficients, axis=1)
-    index = np.flatnonzero(live | live[::-1])
-    return modes[index], coefficients[index]
+def _real_rows(modes: np.ndarray,
+               coefficients: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real and imaginary part rows of f, whose coefficients on
+    ``modes`` (symmetric about 0, ascending) are ``coefficients``.
 
-
-def _real_rows(modes: np.ndarray, weighted: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Complex functions a + ib whose squared moduli sum to |f(t)|^2, for f
-    with coefficients ``weighted`` on ``modes`` (symmetric about 0, ascending).
-
-    Returns (modes, rows): the modes on which f or its mirror has a nonzero
-    coefficient, and each row's coefficients on them.
+    Returns (modes, a, b): the modes on which f or its mirror has a nonzero
+    coefficient, and two (rows, len(modes)) arrays of coefficients on them,
+    such that the squared moduli of the rows a + ib sum to |f(t)|^2.
     Column i splits into Re f_i and Im f_i, whose Hermitian rows are
     (c_k + conj c_{-k}) / 2 and (c_k - conj c_{-k}) / 2i; the rows that are
     exactly zero are dropped (Im f_i of a real column) and the rest are taken
     two at a time as a and b.  A real function (``PeriodicGridFunction.is_real``:
     the solution of a real problem, a real harmonics forcing, real samples)
     has exactly Hermitian coefficients, so its rows are its columns taken
-    two at a time; imaginary parts are live only for complex blocks.
+    two at a time; imaginary parts are live only for complex functions.
     """
-    modes, coefficients = _live(modes, weighted)
+    live = np.any(coefficients, axis=1)
+    index = np.flatnonzero(live | live[::-1])
+    modes, coefficients = modes[index], coefficients[index]
     mirrored = np.conj(coefficients[::-1])
     real, imag = (coefficients + mirrored) / 2.0, (coefficients - mirrored) / 2j
     parts = [part for pair in zip(real.T, imag.T) for part in pair if np.any(part)]
     parts += [np.zeros(len(modes))] * (len(parts) % 2)
-    return modes, [a + 1j * b for a, b in zip(parts[0::2], parts[1::2])]
+    pairs = np.array(parts, dtype=complex).reshape(len(parts) // 2, 2, len(modes))
+    return modes, pairs[:, 0], pairs[:, 1]
 
 
 def _pruned_length(n: int, width: int) -> int:
@@ -167,49 +166,51 @@ def _pruned_length(n: int, width: int) -> int:
                for m in (i, n // i) if m >= width)
 
 
-def _power_sums(modes: np.ndarray, levels, n: int, p: float) -> Tuple[np.ndarray, np.ndarray]:
+def _power_sums(modes: np.ndarray, rows: np.ndarray, n: int,
+                p: float) -> Tuple[np.ndarray, np.ndarray]:
     """For the function of each level, whose |f|^2 is the sum of its rows'
     squared moduli: the sum of |f|^p over n points, shape (levels,), and
     the largest |f|^2 and the largest |f|^p, shape (2, levels).
 
-    ``levels`` holds each level's (block modes, rows); the block modes are
-    some of ``modes``, which are symmetric about 0, ascending, with
-    largest b.  With m the smallest divisor of n that holds 2b + 1 modes
-    and d = n / m, the sample at t = 2 pi (l d + r) / n is
+    ``rows`` holds each level's rows on ``modes``, shape (levels, rows,
+    len(modes)); the modes are symmetric about 0, ascending, with largest
+    b.  With m the smallest divisor of n that holds 2b + 1 modes and
+    d = n / m, the sample at t = 2 pi (l d + r) / n is
     sum_k (c_k w_n^{kr}) w_m^{kl} (w_n = e^{2 pi i / n}), so the n samples
     are the d length-m inverse transforms of the twiddled coefficients,
-    scattered to column k mod m of a (d, m) array.  Every level shares m
-    and the twiddles w_n^{kr}, taken once for k >= 0 (a mode k < 0 reads
-    the conjugate); the phase index k r is an exact integer with
-    |k r| <= b (d - 1) < n / 2, so its angle is already in (-pi, pi)
-    before the exp.  The d rows are walked _CHUNK_SAMPLES samples at a
-    time, one twiddle table per chunk, and the sums and maxima are
-    accumulated in that layout: the trapezoid rule does not depend on the
-    order of the points.  When n is the only such divisor, d = 1, every
-    twiddle is 1 and this is the length-n transform.
+    scattered to column k mod m of a (d, m) array.  The twiddles w_n^{kr}
+    are taken once for k >= 0 (a mode k < 0 reads the conjugate); the
+    phase index k r is an exact integer with |k r| <= b (d - 1) < n / 2,
+    so its angle is already in (-pi, pi) before the exp.  The d rows are
+    walked in chunks of at most _CHUNK_SAMPLES samples over every level
+    and row, and each chunk is one twiddle table, one scatter and one
+    inverse FFT of them all; the sums and maxima are accumulated in that
+    layout: the trapezoid rule does not depend on the order of the points.
+    When n is the only such divisor, d = 1, every twiddle is 1 and this is
+    the length-n transform.
     """
     m = _pruned_length(n, 2 * int(modes[-1]) + 1)
     d = n // m
     half = modes[modes >= 0]
     mirrored = len(modes) - len(half)
     table_index = np.searchsorted(half, np.abs(modes))
-    layouts = [(np.searchsorted(modes, block), np.mod(block, m), rows) for block, rows in levels]
-    step = max(1, _CHUNK_SAMPLES // m)
-    sums, peaks = np.zeros(len(levels)), np.zeros((2, len(levels), -(-d // step)))
+    columns = np.mod(modes, m)
+    levels, count = rows.shape[:2]
+    step = max(1, _CHUNK_SAMPLES // (levels * count * m))
+    sums, peaks = np.zeros(levels), np.zeros((2, levels, -(-d // step)))
     for chunk, start in enumerate(range(0, d, step)):
         r = np.arange(start, min(start + step, d))
         twiddles = np.exp(1j * (TWO_PI / n) * (r[:, None] * half))[:, table_index]
         np.conjugate(twiddles[:, :mirrored], out=twiddles[:, :mirrored])
-        for level, (index, columns, rows) in enumerate(layouts):
-            squared = np.zeros((len(r), m))
-            for row in rows:
-                samples = np.zeros((len(r), m), dtype=complex)
-                samples[:, columns] = twiddles[:, index] * row
-                samples = np.fft.ifft(samples, axis=-1, norm="forward")
-                squared += samples.real ** 2 + samples.imag ** 2
-            powers = squared ** (p / 2.0)
-            sums[level] += powers.sum()
-            peaks[:, level, chunk] = squared.max(), powers.max()
+        samples = np.zeros((levels, count, len(r), m), dtype=complex)
+        samples[..., columns] = twiddles * rows[:, :, None, :]
+        samples = np.fft.ifft(samples, axis=-1, norm="forward")
+        squared = samples.real ** 2
+        squared += samples.imag ** 2
+        squared = squared.sum(axis=1)
+        powers = squared ** (p / 2.0)
+        sums += powers.sum(axis=(1, 2))
+        peaks[:, :, chunk] = squared.max(axis=(1, 2)), powers.max(axis=(1, 2))
     return sums, np.max(peaks, axis=2)
 
 
@@ -227,9 +228,10 @@ def _trapezoid(total, n: int, p: float) -> float:
     return float((TWO_PI / n * total) ** (1.0 / p))
 
 
-def _lp_norm(modes: np.ndarray, levels, n: int, p: float) -> List[float]:
+def _lp_norm(modes: np.ndarray, rows: np.ndarray, n: int, p: float) -> List[float]:
     """Trapezoid L^p norm on n points of each level's function, from one
-    pruned synthesis of them all (``_power_sums``).
+    pruned synthesis of them all (``_power_sums``); ``rows`` holds each
+    level's rows on ``modes``, shape (levels, rows, len(modes)).
 
     A level's norm is taken as it is when its largest square and its
     largest p-th power are in range (``_in_range``).  Otherwise (one
@@ -241,16 +243,15 @@ def _lp_norm(modes: np.ndarray, levels, n: int, p: float) -> List[float]:
     warning is raised.
     """
     with np.errstate(all="ignore"):
-        sums, peaks = _power_sums(modes, levels, n, p)
+        sums, peaks = _power_sums(modes, rows, n, p)
         norms = [_trapezoid(total, n, p) for total in sums]
         for level in np.flatnonzero(~(_in_range(peaks[0]) & _in_range(peaks[1]))):
-            block, rows = levels[level]
-            unit, exponent = _power_of_two_scaled(np.stack(rows))
-            largest_square = _power_sums(modes, [(block, unit)], n, p)[1][0, 0]
+            unit, exponent = _power_of_two_scaled(rows[level])
+            largest_square = _power_sums(modes, unit[None], n, p)[1][0, 0]
             peak = (math.frexp(largest_square)[1] + 1) // 2
             parts = unit.view(np.float64)
             np.ldexp(parts, -peak, out=parts)
-            total = _power_sums(modes, [(block, unit)], n, p)[0][0]
+            total = _power_sums(modes, unit[None], n, p)[0][0]
             norms[level] = float(np.ldexp(_trapezoid(total, n, p), exponent + peak))
     return norms
 
@@ -260,28 +261,21 @@ def _block_norms(f: PeriodicGridFunction, p: float, lengths: Tuple[int, ...]) ->
     (levels, len(lengths)): column i is the trapezoid value on lengths[i]
     points.
 
-    The coefficients are first cut down to the modes where f or its mirror
-    is nonzero; the weights, the weighting and ``_real_rows`` see only
-    those.  On each length, every block is synthesised by the one pruned
-    transform of ``_power_sums`` (Markel, IEEE Trans. Audio Electroacoust.
-    19, 1971): with b the highest live mode of f, a block costs about
-    n log m on a grid of n points, m the smallest divisor of n with
-    m >= 2b + 1, and the synthesis holds one chunk of at most
-    _CHUNK_SAMPLES samples at a time.  A level whose weights vanish on
-    those modes, or whose weighted coefficients are exactly zero, has no
-    rows and norms 0.0.
+    f is split once (``_real_rows``) into rows a, b on the modes where f or
+    its mirror is nonzero, and the weights w are taken on those modes only.
+    w is even in k, so a level's rows are w a + i (w b); for a real f that
+    is bit for bit the split of w c, whose Hermitian part is exactly w c.
+    On each length, every level is synthesised by the one pruned transform
+    of ``_power_sums``.  A level whose rows are exactly zero (its weights
+    vanish on those modes) is not synthesised and has norms 0.0.
     """
-    modes, coefficients = _live(mode_range(f.bandwidth), f.coefficients)
-    weights = _partition_weights(f.bandwidth, modes)
+    modes, a, b = _real_rows(mode_range(f.bandwidth), f.coefficients)
+    weights = _partition_weights(f.bandwidth, modes)[:, None, :]
+    rows = weights * a + 1j * (weights * b)
+    live = np.flatnonzero(np.any(rows, axis=(1, 2)))
     out = np.zeros((len(weights), len(lengths)))
-    live, levels = [], []
-    for level in np.flatnonzero(np.any(weights, axis=1)):
-        block_modes, rows = _real_rows(modes, weights[level][:, None] * coefficients)
-        if rows:
-            live.append(level)
-            levels.append((block_modes, rows))
-    if levels:
-        out[live] = np.column_stack([_lp_norm(modes, levels, n, p) for n in lengths])
+    if live.size:
+        out[live] = np.column_stack([_lp_norm(modes, rows[live], n, p) for n in lengths])
     return out
 
 

@@ -49,8 +49,7 @@ def _grid_lp_norm(f, p):
 def _pruned_lp_norm(f, p):
     """``besov._lp_norm`` of f on its own grid, with its columns as the rows
     of one level."""
-    modes = mode_range(f.bandwidth)
-    return besov._lp_norm(modes, [(modes, list(f.coefficients.T))], f.n_samples, p)[0]
+    return besov._lp_norm(mode_range(f.bandwidth), f.coefficients.T[None], f.n_samples, p)[0]
 
 
 def _derivative(f):
@@ -240,13 +239,14 @@ class TestBesovNorm:
                             or inverse(a, *args, **kwargs))
         report = besov_norm_report(f, params)
         assert np.all(report.block_norms[3:] == 0.0) and np.all(report.block_norms[:3] > 0)
-        # one row per real two-column block, so one (n/m, m) transform per
-        # live level and grid: n = 324 = 2^2 3^4 and its 7-smooth double
-        # 648 = 2^3 3^4.  f reaches |k| = 3, so every live level, level 0
-        # (|k| <= 1) too, is synthesised at f's 7 modes: m = 9 on 324
-        # points and m = 8 on 648, each grid in one chunk
+        # one row per level of a real two-column f, and one (levels, rows,
+        # n/m, m) transform of the 3 live levels per chunk of each grid:
+        # n = 324 = 2^2 3^4 and its 7-smooth double 648 = 2^3 3^4.  f
+        # reaches |k| = 3, so every live level, level 0 (|k| <= 1) too, is
+        # synthesised at f's 7 modes: m = 9 on 324 points and m = 8 on 648,
+        # each grid in one chunk
         assert _seven_smooth(2 * n_quad) == 648
-        assert shapes == [(36, 9)] * 3 + [(81, 8)] * 3
+        assert shapes == [(3, 1, 36, 9), (3, 1, 81, 8)]
         # not bit for bit: the rows add the squares in another order than
         # the columns, and raise |f|^2 to p/2 where the columns raise |f| to p
         assert np.all(np.abs(report.block_norms - expected) <= 4 * np.spacing(expected))
@@ -295,9 +295,14 @@ ROW_SPLIT_CASES = [
 ]
 
 
+REAL_CASES = [case for case in ROW_SPLIT_CASES if case[0].endswith("real")]
+COMPLEX_CASES = [case for case in ROW_SPLIT_CASES if not case[0].endswith("real")]
+
+
 class TestRealRows:
-    """Each block is synthesised as real rows; its norms are the column-wise
-    synthesis's up to round-off."""
+    """f is split once into real rows, and each block is synthesised as its
+    weights times them; its norms are the column-wise synthesis's up to
+    round-off."""
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.5])
     @pytest.mark.parametrize("name, coeffs, rows", ROW_SPLIT_CASES,
@@ -315,44 +320,83 @@ class TestRealRows:
     @pytest.mark.parametrize("name, coeffs, rows", ROW_SPLIT_CASES,
                              ids=[case[0] for case in ROW_SPLIT_CASES])
     def test_row_count(self, name, coeffs, rows):
-        modes, split = _real_rows(mode_range(12), coeffs)
+        modes, a, b = _real_rows(mode_range(12), coeffs)
         assert np.array_equal(modes, mode_range(12))
-        assert np.shape(split) == (rows, 25)
+        assert np.shape(a) == np.shape(b) == (rows, 25)
+
+    @pytest.mark.parametrize("name, coeffs, rows", REAL_CASES,
+                             ids=[case[0] for case in REAL_CASES])
+    def test_a_levels_rows_are_the_split_of_its_weighted_coefficients(
+            self, monkeypatch, name, coeffs, rows):
+        # a real f: the Hermitian part (w c + conj(w c)_{-k}) / 2 of the
+        # weighted coefficients is exactly w c, so the rows that the one
+        # split gives a level are its own split bit for bit, at the 3/4
+        # weight of |k| = 5 in level 2 too
+        synthesised = []
+        lp_norm = besov._lp_norm
+        monkeypatch.setattr(besov, "_lp_norm", lambda modes, level_rows, n, p: synthesised.append(
+            (modes, level_rows)) or lp_norm(modes, level_rows, n, p))
+        besov._block_norms(PeriodicGridFunction(coeffs, 40), 2.0, (40,))
+        modes, level_rows = synthesised[0]
+        assert np.array_equal(modes, mode_range(12))
+        weights = _partition_weights(12, modes)
+        assert partition_eval(2, 5) == 0.75 and np.all(coeffs[[7, 17]] != 0.0)
+        live = weights[np.any(weights, axis=1)]
+        assert len(level_rows) == len(live)
+        for w, level in zip(live, level_rows):
+            level_modes, a, b = _real_rows(modes, w[:, None] * coeffs)
+            assert np.shape(a) == (rows, len(level_modes))
+            split = np.zeros_like(level)
+            split[:, np.searchsorted(modes, level_modes)] = a + 1j * b
+            assert np.array_equal(level, split)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.5])
+    @pytest.mark.parametrize("name, coeffs, rows", COMPLEX_CASES,
+                             ids=[case[0] for case in COMPLEX_CASES])
+    def test_complex_block_norms_are_the_column_wise_ones_to_round_off(
+            self, name, coeffs, rows, p):
+        # a complex f: w a + i (w b) and the split of w c may differ in the
+        # last bit where w is not a power of two
+        f = PeriodicGridFunction(coeffs, 40)
+        _, blocks, _ = _column_wise_report(f, BesovParams(s=1.0, p=p, q=2.0))
+        report = besov_norm_report(f, BesovParams(s=1.0, p=p, q=2.0))
+        assert np.all(np.abs(report.block_norms - blocks) <= 4 * np.spacing(blocks))
 
     def test_rows_carry_the_pointwise_squared_norm(self, rng):
         coeffs = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
-        modes, split = _real_rows(mode_range(4), coeffs)
+        modes, a, b = _real_rows(mode_range(4), coeffs)
         columns = PeriodicGridFunction(coeffs, 16).samples
         squared = sum(np.abs(PeriodicGridFunction(row, 16).samples[:, 0]) ** 2
-                      for row in split)
+                      for row in a + 1j * b)
         assert np.allclose(squared, np.sum(np.abs(columns) ** 2, axis=1), rtol=1e-14)
 
     def test_zero_coefficients_give_no_rows(self):
-        modes, split = _real_rows(mode_range(4), np.zeros((9, 2), dtype=complex))
-        assert modes.size == 0 and split == []
+        modes, a, b = _real_rows(mode_range(4), np.zeros((9, 2), dtype=complex))
+        assert modes.size == 0 and a.size == b.size == 0
 
     def test_modes_are_the_live_ones_and_their_mirrors(self):
         coeffs = np.zeros((9, 2), dtype=complex)
         coeffs[6, 1] = 1.0 + 2.0j   # mode 2 only: not real, so two parts
-        modes, split = _real_rows(mode_range(4), coeffs)
+        modes, a, b = _real_rows(mode_range(4), coeffs)
         assert np.array_equal(modes, [-2, 2])
-        assert np.shape(split) == (1, 2)
+        assert np.shape(a) == np.shape(b) == (1, 2)
 
 
 def _full_length_norms(f, p, n):
-    """Block norms of f on n points, each real row of a block synthesised by
-    one length-n inverse FFT over the whole band."""
-    ks = mode_range(f.bandwidth)
+    """Block norms of f on n points, each real row w a + i (w b) of a block
+    synthesised by one length-n inverse FFT over the whole band."""
+    modes, a, b = _real_rows(mode_range(f.bandwidth), f.coefficients)
     out = []
-    for weights in _partition_weights(f.bandwidth, ks):
-        modes, rows = _real_rows(ks, weights[:, None] * f.coefficients)
+    for weights in _partition_weights(f.bandwidth, modes):
+        rows = weights * a + 1j * (weights * b)
         squared = np.zeros(n)
         for row in rows:
             samples = np.zeros(n, dtype=complex)
             samples[np.mod(modes, n)] = row
             samples = np.fft.ifft(samples, norm="forward")
             squared += samples.real ** 2 + samples.imag ** 2
-        out.append((TWO_PI / n * np.sum(squared ** (p / 2.0))) ** (1.0 / p) if rows else 0.0)
+        out.append((TWO_PI / n * np.sum(squared ** (p / 2.0))) ** (1.0 / p)
+                   if np.any(rows) else 0.0)
     return np.array(out)
 
 
@@ -421,9 +465,9 @@ class TestPrunedSynthesis:
 
 class TestSharedSynthesis:
     """Every live level of a function is synthesised on one layout per grid:
-    one length m from the function's highest live mode, one twiddle table
-    per chunk of the grid, and a level out of the float range taken again
-    on its own."""
+    one length m from the function's highest live mode, one twiddle table,
+    one scatter and one inverse FFT of every level per chunk of the grid,
+    and a level out of the float range taken again on its own."""
 
     @staticmethod
     def _lumped_solution():
@@ -441,13 +485,15 @@ class TestSharedSynthesis:
                             or exp(a, *args, **kwargs))
         blocks = besov._block_norms(u, params.p, (32772, 65610))
         assert np.count_nonzero(blocks[:, 0]) == 3
-        # one table per chunk of each grid, however many levels read it:
-        # it holds the chunk's rows for k = 0..3, and the tables cover each
-        # grid's rows once
+        # one table per chunk of each grid, which holds at most
+        # _CHUNK_SAMPLES samples over the 3 live levels and the one real row
+        # of each: the table holds the chunk's rows for k = 0..3, and the
+        # tables cover each grid's rows once
+        levels = 3
         lengths = [m for m, d in ((12, 2731), (9, 7290))
-                   for _ in range(-(-d // (besov._CHUNK_SAMPLES // m)))]
+                   for _ in range(-(-d // (besov._CHUNK_SAMPLES // (levels * m))))]
         assert len(tables) == len(lengths)
-        assert all(columns == 4 and rows * m <= besov._CHUNK_SAMPLES
+        assert all(columns == 4 and levels * rows * m <= besov._CHUNK_SAMPLES
                    for (rows, columns), m in zip(tables, lengths))
         assert sum(rows for rows, _ in tables) == 2731 + 7290
 

@@ -828,6 +828,32 @@ def test_reports_match_the_golden_files(tmp_path, command):
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+def test_besov_at_p_3_matches_the_golden_file(tmp_path):
+    """The bytes of the besov report of TINY under the band-6 forcing of
+    ``test_complex_solve_matches_the_golden_files``, at p = 3, q = 2.
+
+    At p != 2 the blocks are synthesised on a quadrature grid of 4 points
+    per band mode, and the quadrature error is taken on a second, finer
+    grid: that path is pinned here.  Forcing and solution reach |k| = 6,
+    so levels 0..3 are live and |k| = 5 carries weight 3/4 in level 2.
+    Regenerate (and say why in CHANGES.md) by running this test's
+    ``cli.run`` with ``tests/golden/besov_p3`` as the output directory.
+    """
+    doc = json.loads((GOLDEN / "tiny.json").read_text(encoding="utf-8"))
+    doc["problem"]["forcing"]["cos"] = [[1.0, 0.0], [0.0, 0.5], [0.25, 0.0],
+                                        [0.0, 0.125], [0.0625, 0.0], [0.0, 0.03125]]
+    doc["besov"] = {"s": 1.0, "p": 3.0, "q": 2.0}
+    out = tmp_path / "besov"
+    assert cli.run("besov", parse_config(json.dumps(doc)), out) == 0
+    assert [p.name for p in out.iterdir()] == ["besov_report.json"]
+    assert (out / "besov_report.json").read_bytes() == \
+        (GOLDEN / "besov_p3" / "besov_report.json").read_bytes()
+    report = report_of(out, "besov")
+    for part in ("forcing", "solution"):
+        assert np.count_nonzero(report[part]["block_norms"]) == 4
+        assert report[part]["quadrature_error"] > 0.0
+
+
 def test_complex_solve_matches_the_golden_files(tmp_path):
     """The bytes of the solve and sweep files of TINY with 0.1i added to A's
     diagonal.
