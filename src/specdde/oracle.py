@@ -19,10 +19,13 @@ symbol, and the scheme becomes N independent n x n systems, one per discrete
 frequency: O(N n^3 + n^2 N log N) work and O(N n^2) memory.  The symbols come
 from the stencil weights alone; nothing here touches the solver module or
 the mode symbols (only the default condition limit, the inversion of a
-matrix stack and its spectral norm are shared with ``resolvent``), and the
-cross-method comparison imports the spectral solver lazily inside
-compare().  The forcing and the spectral reference take their nodal values
-from ``symbols._synthesis``, which folds on a coarse grid.
+matrix stack and its spectral norm are shared with ``resolvent``, and the
+stack product with ``symbols``), and the cross-method comparison imports
+the spectral solver lazily inside compare().  Stencils and systems are
+matrix stacks with the nodes or frequencies on the last axis, (n, n, N),
+the convention of ``symbols``.  The forcing and the spectral reference take
+their nodal values from ``symbols._synthesis``, which folds on a coarse
+grid.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import AliasingError, OffGridLagError, SingularSystemError
-from .symbols import (TWO_PI, DelayFunctional, KernelSpec, ProblemSpec, _max_row_norm, _synthesis,
-                      mode_range)
+from .symbols import (TWO_PI, DelayFunctional, KernelSpec, ProblemSpec, _max_row_norm,
+                      _stack_product, _synthesis, mode_range)
 from .resolvent import COND_LIMIT, _inverse_and_condition, _operator_norms
 
 
@@ -95,7 +98,7 @@ def _lagrange4(frac: float) -> np.ndarray:
 
 def _delay_stencil(functional: DelayFunctional, n_nodes: int,
                    dt: float) -> np.ndarray:
-    """Blocks c_s of the delay term (T x)_j = sum_s c_s x_{j-s}, shape (N, n, n).
+    """Blocks c_s of the delay term (T x)_j = sum_s c_s x_{j-s}, shape (n, n, N).
 
     An atom whose lag lands on the grid is one shift; any other atom takes the
     cubic Lagrange weights of its four neighbouring nodes.  The distributed
@@ -104,16 +107,16 @@ def _delay_stencil(functional: DelayFunctional, n_nodes: int,
     its weights are added one period of steps at a time, in O(N n^2) memory.
     """
     n = functional.dim
-    stencil = np.zeros((n_nodes, n, n), dtype=complex)
+    stencil = np.zeros((n, n, n_nodes), dtype=complex)
     for coef, lag in functional.atoms:
         shift_exact = lag / dt
         shift = int(round(shift_exact))
         if abs(shift_exact - shift) <= 1e-9 * max(1.0, shift_exact):
-            stencil[shift % n_nodes] += coef
+            stencil[..., shift % n_nodes] += coef
         else:
             base = int(np.floor(shift_exact))
             for offset, weight in zip((-2, -1, 0, 1), _lagrange4(shift_exact - base)):
-                stencil[(base - offset) % n_nodes] += weight * coef
+                stencil[..., (base - offset) % n_nodes] += weight * coef
     dist = functional.distributed
     if dist is not None:
         steps_exact = dist.span / dt
@@ -133,7 +136,9 @@ def _delay_stencil(functional: DelayFunctional, n_nodes: int,
         for start in range(0, steps + 1, n_nodes):
             chunk = np.arange(start, min(start + n_nodes, steps + 1))
             weights = np.where((chunk == 0) | (chunk == steps), 0.5 * dt, dt)
-            stencil[:len(chunk)] += weights[:, None, None] * dist.evaluate(-dt * chunk)
+            # the kernel's values come point by point, (q, n, n)
+            values = np.moveaxis(dist.evaluate(-dt * chunk), 0, -1)
+            stencil[..., :len(chunk)] += weights * values
     return stencil
 
 
@@ -165,17 +170,18 @@ def collocation_solve(spec: ProblemSpec, n_nodes: int,
             f"{spec.forcing.bandwidth}"
         )
     eye_n = np.eye(n)
-    diff_state = np.zeros((n_nodes, n, n), dtype=complex)
-    diff_state[-1] += eye_n / (2.0 * dt)
-    diff_state[1 % n_nodes] -= eye_n / (2.0 * dt)
-    diff_state[0] -= spec.state_matrix
+    diff_state = np.zeros((n, n, n_nodes), dtype=complex)
+    diff_state[..., -1] += eye_n / (2.0 * dt)
+    diff_state[..., 1 % n_nodes] -= eye_n / (2.0 * dt)
+    diff_state[..., 0] -= spec.state_matrix
     folded = periodize_kernel(spec.kernel, n_nodes)
-    convolution = dt * folded[:, None, None] * eye_n
+    convolution = dt * folded * eye_n[:, :, None]
     stencils = (diff_state, _delay_stencil(spec.neutral_delay, n_nodes, dt),
                 _delay_stencil(spec.reaction_delay, n_nodes, dt), convolution)
     diff_hat, neutral_hat, reaction_hat, memory_hat = (
-        np.fft.fft(stencil, axis=0) for stencil in stencils)
-    system = diff_hat @ (eye_n - neutral_hat) - reaction_hat - memory_hat
+        np.fft.fft(stencil) for stencil in stencils)
+    system = (_stack_product(diff_hat, eye_n[:, :, None] - neutral_hat)
+              - reaction_hat - memory_hat)
 
     inverse, one_norm_condition = _inverse_and_condition(system)
     cond = math.inf
@@ -186,7 +192,7 @@ def collocation_solve(spec: ProblemSpec, n_nodes: int,
         raise SingularSystemError(cond)
     f = spec.forcing
     rhs = np.fft.fft(_synthesis(f.coefficients, mode_range(f.bandwidth), n_nodes), axis=0)
-    samples = np.fft.ifft(np.einsum("kij,kj->ki", inverse, rhs), axis=0)
+    samples = np.fft.ifft(np.einsum("ijk,kj->ki", inverse, rhs), axis=0)
     return samples.real if spec.is_real else samples
 
 

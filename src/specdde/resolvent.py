@@ -30,7 +30,9 @@ with its matrix scaled by a power of two.  The stack products T = G N and
 B = A Q are ``symbols._stack_product``, elementwise like the norms.
 
 Everything below is batched over the band with a deterministic ascending-k
-order, and each mode's values are computed from that mode alone.
+order, and each mode's values are computed from that mode alone.  Every
+matrix stack has the modes on its last axis, shape (n, n, modes) (the
+convention of ``symbols``), so each elementwise step runs along the modes.
 """
 
 from __future__ import annotations
@@ -56,35 +58,36 @@ _DIFFERENCE_ROW = {"L": "Q", "G": "R", "a_tilde": "P"}
 
 
 def _scaled_difference(modes: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """k (X_{k+1} - X_k) for every row k = modes[i] of a (m, n, n) stack but
+    """k (X_{k+1} - X_k) for every mode k = modes[i] of a (n, n, m) stack but
     the last."""
-    difference = stack[1:] - stack[:-1]
+    difference = stack[..., 1:] - stack[..., :-1]
     # in place: a fresh int-by-complex product takes several times as long
-    difference *= modes[:-1, None, None]
+    difference *= modes[:-1]
     return difference
 
 
 def _scale_in_place(stack: np.ndarray, exponent: np.ndarray) -> None:
-    """Multiply each matrix of a C-contiguous stack by 2^exponent: an
-    ``ldexp`` of its real and imaginary parts, exact for every finite matrix
-    (a complex division by a scale below 2^-1024 would overflow)."""
+    """Multiply each matrix of a C-contiguous (n, n, m) stack by
+    2^exponent[k], one exponent per mode: an ``ldexp`` of its real and
+    imaginary parts, exact for every finite matrix (a complex division by a
+    scale below 2^-1024 would overflow)."""
     parts = stack.view(np.float64)
-    np.ldexp(parts, exponent, out=parts)
+    # a complex mode k has its two parts at 2k and 2k + 1 of the last axis
+    np.ldexp(parts, np.repeat(exponent, parts.shape[-1] // stack.shape[-1]), out=parts)
 
 
 def _largest_singular_value(stack: np.ndarray) -> np.ndarray:
-    """sqrt((p + r)/2 + hypot((p - r)/2, |q|)) for each matrix of a (m, 2, 2)
+    """sqrt((p + r)/2 + hypot((p - r)/2, |q|)) for each matrix of a (2, 2, m)
     stack, where [[p, q], [q*, r]] is the Gram matrix of its columns."""
     squares = np.square(stack.real) + np.square(stack.imag)
-    p = squares[:, 0, 0] + squares[:, 1, 0]
-    r = squares[:, 0, 1] + squares[:, 1, 1]
-    q = np.abs(np.conj(stack[:, 0, 0]) * stack[:, 0, 1]
-               + np.conj(stack[:, 1, 0]) * stack[:, 1, 1])
+    p = squares[0, 0] + squares[1, 0]
+    r = squares[0, 1] + squares[1, 1]
+    q = np.abs(np.conj(stack[0, 0]) * stack[0, 1] + np.conj(stack[1, 0]) * stack[1, 1])
     return np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
 
 
 def _operator_norms(stack: np.ndarray) -> np.ndarray:
-    """Spectral norm of each matrix in a (m, n, n) stack.
+    """Spectral norm of each matrix in a (n, n, m) stack.
 
     For n = 2 it is the square root of the larger eigenvalue of the Gram
     matrix of the columns, (p + r)/2 + hypot((p - r)/2, |q|): a sum of
@@ -106,27 +109,27 @@ def _operator_norms(stack: np.ndarray) -> np.ndarray:
     norm 0 is exact, is not, and an all-zero stack (Q, B and their
     differences when the neutral lag is the period) skips the formula.
     """
-    n = stack.shape[1]
+    n = len(stack)
     if n == 1:
-        return np.abs(stack[:, 0, 0])
+        return np.abs(stack[0, 0])
     if n == 2:
         if not stack.any():
-            return np.zeros(len(stack))
+            return np.zeros(stack.shape[-1])
         with np.errstate(all="ignore"):
             norms = _largest_singular_value(stack)
         rows = np.flatnonzero(~((norms >= _LEAST_UNSCALED) & (norms <= _MOST_UNSCALED)))
-        rows = rows[np.any(stack[rows], axis=(1, 2))]
+        rows = rows[np.any(stack[..., rows], axis=(0, 1))]
         if rows.size:
-            unit = stack[rows]
-            exponent = np.frexp(np.max(np.abs(unit), axis=(1, 2)))[1] - 1
-            _scale_in_place(unit, -exponent[:, None, None])
+            unit = np.take(stack, rows, axis=-1)  # C-contiguous, unlike stack[..., rows]
+            exponent = np.frexp(np.max(np.abs(unit), axis=(0, 1)))[1] - 1
+            _scale_in_place(unit, -exponent)
             norms[rows] = np.ldexp(1.0, exponent) * _largest_singular_value(unit)
         return norms
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    return np.linalg.svd(np.moveaxis(stack, -1, 0), compute_uv=False)[:, 0]
 
 
 def _inverse_and_condition(stack: np.ndarray):
-    """(M^{-1}, ||M||_1 ||M^{-1}||_1) for each matrix of a (m, n, n) stack.
+    """(M^{-1}, ||M||_1 ||M^{-1}||_1) for each matrix of a (n, n, m) stack.
 
     n = 1 is a reciprocal, and its condition number |m| / |m| is 1 for every
     finite nonzero m.  n = 2 is the adjugate over the determinant,
@@ -140,56 +143,57 @@ def _inverse_and_condition(stack: np.ndarray):
     entry, and then changes no bit of the result.  Cramer's rule is forward
     stable for n = 2 (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., SIAM 2002, section 1.10).  n >= 3 takes
-    ``np.linalg.inv`` and the 1-norms of M and its inverse; an exactly
-    singular M, which stops that inversion, gives ``None`` for the inverse
-    and ``np.linalg.cond``'s condition numbers.
+    ``np.linalg.inv`` and the 1-norms of M and its inverse on a (m, n, n)
+    view of the stack, and returns the inverse as a (n, n, m) view; an
+    exactly singular M, which stops that inversion, gives ``None`` for the
+    inverse and ``np.linalg.cond``'s condition numbers.
 
     A condition number is infinite where det M = 0 or ||M^{-1}||_1 is beyond
     the float range (M = 1e-310 I, whose condition number alone is 1), and
     NaN only where M itself holds a NaN (``np.linalg.cond``'s convention).
     No floating-point warning is raised.
     """
-    n = stack.shape[1]
+    n = len(stack)
     with np.errstate(all="ignore"):
         if n == 1:
-            moduli = np.abs(stack[:, 0, 0])
+            moduli = np.abs(stack[0, 0])
             inverse, condition = 1.0 / stack, moduli / moduli
-            inverse_norm = np.abs(inverse[:, 0, 0])
+            inverse_norm = np.abs(inverse[0, 0])
         elif n == 2:
             unit = stack.copy()
             moduli = np.abs(unit)
             # entry by entry: a reduction over the two small axes is slower
-            exponent = np.frexp(np.maximum(np.maximum(moduli[:, 0, 0], moduli[:, 0, 1]),
-                                           np.maximum(moduli[:, 1, 0], moduli[:, 1, 1])))[1]
-            _scale_in_place(unit, -exponent[:, None, None])
-            a, b, c, d = unit[:, 0, 0], unit[:, 0, 1], unit[:, 1, 0], unit[:, 1, 1]
+            exponent = np.frexp(np.maximum(np.maximum(moduli[0, 0], moduli[0, 1]),
+                                           np.maximum(moduli[1, 0], moduli[1, 1])))[1]
+            _scale_in_place(unit, -exponent)
+            a, b, c, d = unit[0, 0], unit[0, 1], unit[1, 0], unit[1, 1]
             det = a * d - b * c
             reciprocal = 1.0 / det
             inverse = np.empty_like(unit)
-            inverse[:, 0, 0] = d * reciprocal
-            inverse[:, 0, 1] = -b * reciprocal
-            inverse[:, 1, 0] = -c * reciprocal
-            inverse[:, 1, 1] = a * reciprocal
-            _scale_in_place(inverse, -exponent[:, None, None])
+            inverse[0, 0] = d * reciprocal
+            inverse[0, 1] = -b * reciprocal
+            inverse[1, 0] = -c * reciprocal
+            inverse[1, 1] = a * reciprocal
+            _scale_in_place(inverse, -exponent)
             moduli = np.abs(unit)
-            one_norm = np.maximum(moduli[:, 0, 0] + moduli[:, 1, 0],
-                                  moduli[:, 0, 1] + moduli[:, 1, 1])
-            infinity_norm = np.maximum(moduli[:, 0, 0] + moduli[:, 0, 1],
-                                       moduli[:, 1, 0] + moduli[:, 1, 1])
+            one_norm = np.maximum(moduli[0, 0] + moduli[1, 0], moduli[0, 1] + moduli[1, 1])
+            infinity_norm = np.maximum(moduli[0, 0] + moduli[0, 1], moduli[1, 0] + moduli[1, 1])
             magnitude = np.abs(det)
             inverse_norm = np.ldexp(infinity_norm / magnitude, -exponent)
             condition = one_norm * infinity_norm / magnitude
         else:
+            matrices = np.moveaxis(stack, -1, 0)
             try:
-                inverse = np.linalg.inv(stack)
+                inverse = np.linalg.inv(matrices)
             except np.linalg.LinAlgError:
-                return None, np.linalg.cond(stack, 1)
+                return None, np.linalg.cond(matrices, 1)
             inverse_norm = np.linalg.norm(inverse, 1, axis=(1, 2))
-            condition = np.linalg.norm(stack, 1, axis=(1, 2)) * inverse_norm
+            condition = np.linalg.norm(matrices, 1, axis=(1, 2)) * inverse_norm
+            inverse = np.moveaxis(inverse, 0, -1)
         condition[np.isinf(inverse_norm)] = np.inf
     undefined = np.flatnonzero(np.isnan(condition))
     if undefined.size:
-        condition[undefined[~np.isnan(stack[undefined]).any(axis=(1, 2))]] = np.inf
+        condition[undefined[~np.isnan(stack[..., undefined]).any(axis=(0, 1))]] = np.inf
     return inverse, condition
 
 
@@ -245,7 +249,9 @@ def _growth_exponent(window: int, by_abs_k: np.ndarray) -> float:
     """Least-squares slope of log norm against log |k| over the window tail.
 
     ``by_abs_k[j]`` is the larger of the two norms at modes +-j (index 0 is
-    mode 0 and never enters the fit).  Zero entries are dropped.
+    mode 0 and never enters the fit).  Zero entries are dropped.  The slope
+    is the closed form sum (x - xbar)(y - ybar) / sum (x - xbar)^2 on the
+    centred logs; the kept |k| are distinct, so the denominator is positive.
     """
     lo = max(window // 2, 4)
     js = np.arange(lo, window + 1)
@@ -253,8 +259,9 @@ def _growth_exponent(window: int, by_abs_k: np.ndarray) -> float:
     keep = vals > 0.0
     if np.count_nonzero(keep) < 2:
         return float("nan")
-    slope = np.polyfit(np.log(js[keep].astype(float)), np.log(vals[keep]), 1)[0]
-    return float(slope)
+    x, y = np.log(js[keep].astype(float)), np.log(vals[keep])
+    x -= x.mean()
+    return float(np.sum(x * (y - y.mean())) / np.sum(x * x))
 
 
 def _verdict(window: int, by_abs_k: np.ndarray):
@@ -303,24 +310,24 @@ def m_bounded_diagnostics(spec: ProblemSpec, window: int,
     if window < 1:
         raise ValueError("window must be >= 1")
     table = ModeSymbols.from_spec(spec, window + 2)
-    inverse = _checked_inverse(table.modes[1:-1], table.modal(spec.state_matrix)[1:-1],
-                               cond_limit)[0][1:]
+    inverse = _checked_inverse(table.modes[1:-1], table.modal(spec.state_matrix)[..., 1:-1],
+                               cond_limit)[0][..., 1:]
     ahead = table.modes[2:]      # -window..window + 2: one mode past the band
     modes = ahead[:-1]
-    G, a = table.G[2:-1], table.a[2:-1, None, None]
-    Q = _scaled_difference(ahead, table.L[2:])
+    G, a = table.G[..., 2:-1], table.a[2:-1]
+    Q = _scaled_difference(ahead, table.L[..., 2:])
     sequences = {
         "N": inverse,
-        "S": (1j * modes)[:, None, None] * inverse,
+        "S": 1j * modes * inverse,
         "T": _stack_product(G, inverse),
         "F": a * inverse,
-        "P": _scaled_difference(ahead, table.a[2:, None, None]),
+        "P": _scaled_difference(ahead, table.a[None, None, 2:]),
         "Q": Q,
-        "R": _scaled_difference(ahead, table.G[2:]),
+        "R": _scaled_difference(ahead, table.G[..., 2:]),
         "B": _stack_product(spec.state_matrix, Q),
-        "L": table.L[2:-1],
+        "L": table.L[..., 2:-1],
         "G": G,
-        "a_tilde": a,
+        "a_tilde": a[None, None],
     }
     norms = {name: _operator_norms(stack) for name, stack in sequences.items()}
 

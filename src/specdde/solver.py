@@ -21,9 +21,11 @@ Every stack of a solve lies on one layout of modes: k = 0..B when the data
 are real (``ProblemSpec.is_real``: real matrices, atoms and kernel, and
 forcing coefficients exactly Hermitian), so that M(-k) = conj M(k), else
 -B..B, with B the wider of the widest truncation and the forcing band.  A
-narrower band is a slice (``_within``).  Only what is reported over the
-whole band is mirrored: the coefficients, uhat(-k) = conj uhat(k), and the
-condition numbers.  Each grid residual is ``symbols._synthesis`` of the rows
+narrower band is a slice (``_within``) of the mode axis: the first of a
+vector stack (modes, n), the last of a matrix stack (n, n, modes), the
+convention of ``symbols``.  Only what is reported over the whole band is
+mirrored: the coefficients, uhat(-k) = conj uhat(k), and the condition
+numbers.  Each grid residual is ``symbols._synthesis`` of the rows
 as they are: one ``irfft`` of the k >= 0 rows, or one ``ifft`` of the whole
 band.
 """
@@ -63,16 +65,19 @@ class SpectralSolution:
     forcing_tail_energy: float
 
 
-def _within(stack: np.ndarray, modes: np.ndarray, bandwidth: int) -> np.ndarray:
-    """The rows |k| <= bandwidth of a stack on consecutive ascending
-    ``modes`` (a view)."""
+def _within(modes: np.ndarray, bandwidth: int) -> slice:
+    """The positions of the modes |k| <= bandwidth among consecutive
+    ascending ``modes``."""
     first = int(modes[0])
-    return stack[max(-bandwidth, first) - first: bandwidth - first + 1]
+    return slice(max(-bandwidth, first) - first, bandwidth - first + 1)
 
 
 def _grid_max(modes: np.ndarray, rhat: np.ndarray, n_samples: int) -> float:
     """Max norm over at least n_samples nodes, and enough that no mode
-    folds, of the function with coefficients rhat on ``modes``."""
+    folds, of the function with coefficients rhat on ``modes``: exactly 0
+    for all-zero coefficients, which are not synthesised."""
+    if not rhat.any():
+        return 0.0
     return _max_row_norm(_synthesis(rhat, modes, max(n_samples, 2 * int(modes[-1]) + 1)))
 
 
@@ -94,12 +99,12 @@ def _band_solve(spec: ProblemSpec, bands: Sequence[int], cond_limit: float):
     modes = np.arange(0 if spec.is_real else -band, band + 1)
     modal = ModeSymbols.on_modes(spec, modes).modal(spec.state_matrix)
     fhat = np.zeros((len(modes), spec.dim), dtype=complex)
-    forced = _within(fhat, modes, f.bandwidth)
+    forced = fhat[_within(modes, f.bandwidth)]
     forced[:] = f.coefficients[-len(forced):]
-    solved = _within(modes, modes, widest)
+    within = _within(modes, widest)
+    solved = modes[within]
     try:
-        resolvent, condition = _checked_inverse(solved, _within(modal, modes, widest),
-                                                cond_limit)
+        resolvent, condition = _checked_inverse(solved, modal[..., within], cond_limit)
     except SingularModeError as error:
         k, c = np.array(error.modes), np.array(error.conditions)
         named = np.abs(k) <= min(b for b in bands if b >= np.min(np.abs(k)))
@@ -110,8 +115,7 @@ def _band_solve(spec: ProblemSpec, bands: Sequence[int], cond_limit: float):
                     np.concatenate([c[mirror][::-1], c]))
         raise SingularModeError(k, c) from None
     uhat = np.zeros_like(fhat)
-    _within(uhat, modes, widest)[:] = np.einsum("kij,kj->ki", resolvent,
-                                                _within(fhat, modes, widest))
+    uhat[within] = np.einsum("ijk,kj->ki", resolvent, fhat[within])
     if _half(solved):
         uhat[0] = np.real(uhat[0])
     return modes, modal, fhat, uhat, condition
@@ -139,8 +143,9 @@ def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> Spectra
             TruncationWarning,
             stacklevel=2,
         )
-    rhat = np.einsum("kij,kj->ki", modal, uhat) - fhat
-    coefficients = _within(uhat, modes, K)
+    rhat = np.einsum("ijk,kj->ki", modal, uhat) - fhat
+    within = _within(modes, K)
+    coefficients = uhat[within]
     if _half(modes):
         coefficients, condition = _mirrored(coefficients), _mirrored(condition)
     return SpectralSolution(
@@ -149,7 +154,7 @@ def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> Spectra
         coefficients=coefficients,
         condition=condition,
         truncation=K,
-        residual_modal=_max_row_norm(_within(rhat, modes, K)),
+        residual_modal=_max_row_norm(rhat[within]),
         residual_grid=_grid_max(modes, rhat, spec.grid),
         forcing_tail_energy=tail_energy,
     )
@@ -208,18 +213,17 @@ def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
     rows: List[SweepRow] = []
     ratios = []
     for K in truncations:
-        band = max(K, f.bandwidth)
-        row_modes = _within(modes, modes, band)
+        band, within = _within(modes, max(K, f.bandwidth)), _within(modes, K)
+        row_modes = modes[band]
         u = np.zeros((len(row_modes), spec.dim), dtype=complex)
-        _within(u, row_modes, K)[:] = _within(uhat, modes, K)
-        rhat = (np.einsum("kij,kj->ki", _within(modal, modes, band), u)
-                - _within(fhat, modes, band))
+        u[_within(row_modes, K)] = uhat[within]
+        rhat = np.einsum("ijk,kj->ki", modal[..., band], u) - fhat[band]
         res = _grid_max(row_modes, rhat, n_grid)
         change = None
         if rows:
             # uhat on K_prev < |k| <= K: the solve at K less the one at K_prev
-            u_modes, step = _within(modes, modes, K), _within(uhat, modes, K).copy()
-            _within(step, u_modes, rows[-1].truncation)[:] = 0.0
+            u_modes, step = modes[within], uhat[within].copy()
+            step[_within(u_modes, rows[-1].truncation)] = 0.0
             change = _grid_max(u_modes, step, n_grid)
         if rows and rows[-1].residual_full_band > 0.0:
             ratios.append(res / rows[-1].residual_full_band)

@@ -10,7 +10,14 @@ Conventions used throughout the package:
 * the history segment of u at time t is u_t(theta) = u(t + theta), theta in [-r, 0];
 * applying a delay functional to the pure mode e^{ikt} v multiplies v by a fixed
   matrix, the mode symbol of the functional.  Mode symbols are what the solver
-  and the diagnostics consume.
+  and the diagnostics consume;
+* a stack of n x n matrices, one per mode (symbols, modal matrices, their
+  inverses and every sequence derived from them), has shape (n, n, modes):
+  the modes lie on the last, contiguous axis, so each elementwise step runs
+  along the modes and a per-mode scalar broadcasts without new axes.  Only
+  the LAPACK calls that n >= 3 takes see a (modes, n, n) view of it.  A
+  stack of vectors (coefficients) has shape (modes, n), and values at
+  points (samples, a kernel's values) have the points first.
 
 The distributed part of a delay functional is always a not-a-knot cubic
 spline on uniform pieces (fitted here in numpy) through the given samples.
@@ -178,7 +185,7 @@ class DistributedDelay:
 
     def fourier_window(self, ks: np.ndarray) -> np.ndarray:
         """int_{-span}^0 S(theta) e^{ik theta} dtheta for every mode in ``ks``,
-        shape (len(ks), n, n), exact for the spline S.
+        a stack of shape (n, n, len(ks)), exact for the spline S.
 
         On piece j the spline is sum_m c_{j,m} (theta - x_j)^m with knots
         x_j = -span + j h, so
@@ -220,7 +227,7 @@ class DistributedDelay:
                     sums[i:i + step] = np.einsum("kj,jc->kc", phases, stack)
         moments = _spline_moments(ks * h, _unit_phase(-(ks / pieces) * turns))
         weights = h ** np.arange(1, 5)[:, None] * moments
-        return np.einsum("mk,kmij->kij", weights, sums.reshape(len(ks), 4, n, n))
+        return np.einsum("mk,kmij->ijk", weights, sums.reshape(len(ks), 4, n, n))
 
 
 def _kernel_values(values) -> np.ndarray:
@@ -289,7 +296,8 @@ class DelayFunctional:
         return atoms_real and dist_real
 
     def symbol_window(self, ks: np.ndarray) -> np.ndarray:
-        """Mode symbols for every mode in ``ks``, shape (len(ks), n, n).
+        """Mode symbols for every mode in ``ks``, a stack of shape
+        (n, n, len(ks)).
 
         For u(t) = e^{ikt} v the history segment is u_t(theta) = e^{ikt} e^{ik theta} v,
         so the functional acts on the coefficient v through the matrix
@@ -300,10 +308,9 @@ class DelayFunctional:
         symbol(-k) = conj(symbol(k)) holds for real data.
         """
         ks = np.asarray(ks)
-        out = np.zeros((len(ks), self.dim, self.dim), dtype=complex)
+        out = np.zeros((self.dim, self.dim, len(ks)), dtype=complex)
         for coef, lag in self.atoms:
-            phases = _unit_phase(ks * (lag / TWO_PI))
-            out += phases[:, None, None] * coef[None, :, :]
+            out += _unit_phase(ks * (lag / TWO_PI)) * coef[:, :, None]
         if self.distributed is not None:
             out += self.distributed.fourier_window(ks)
         return out
@@ -658,8 +665,9 @@ class ModeSymbols:
     """The mode symbols of one problem on consecutive ascending modes: the
     band |k| <= K, or its half k = 0..K.
 
-    ``L`` and ``G`` stack the (n, n) symbols of the neutral and the reaction
-    functional, ``a`` holds the kernel transform atilde(ik).  A table is
+    ``L`` and ``G`` stack the symbols of the neutral and the reaction
+    functional, shape (n, n, len(modes)), and ``a`` holds the kernel
+    transform atilde(ik), shape (len(modes),).  A table is
     built once per problem and band, and every consumer reads it instead of
     evaluating the functionals again.  A mode's values do not depend on the
     band, so any slice of a table is the table of the narrower band.
@@ -689,35 +697,39 @@ class ModeSymbols:
     @functools.cached_property
     def neutral(self) -> np.ndarray:
         """D_k = I - L_k, built on first read and kept."""
-        return np.eye(self.L.shape[1])[None, :, :] - self.L
+        return np.eye(len(self.L))[:, :, None] - self.L
 
     def nonstate(self) -> np.ndarray:
         """C_k = ik D_k - G_k - atilde(ik) I, the part of M(k) without A."""
-        eye = np.eye(self.L.shape[1])
-        ik = (1j * self.modes)[:, None, None]
-        return ik * self.neutral - self.G - self.a[:, None, None] * eye[None, :, :]
+        eye = np.eye(len(self.L))[:, :, None]
+        return 1j * self.modes * self.neutral - self.G - self.a * eye
 
     def modal(self, state_matrix: np.ndarray) -> np.ndarray:
-        """Modal matrices M(k) = C_k - A D_k, shape (len(modes), n, n).
+        """Modal matrices M(k) = C_k - A D_k, shape (n, n, len(modes)).
 
         Both terms read the one D_k of the table.  A D_k is a sum of
-        column-by-row products (``_stack_product``), so each row of M(k) is
+        column-by-row products (``_stack_product``), so each M(k) is
         computed from that mode alone, whatever the band.
         """
         return self.nonstate() - _stack_product(state_matrix, self.neutral)
 
 
 def _stack_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The matrix product x y of two broadcastable stacks of (n, n) matrices,
-    as sum_j x[..., :, j] y[..., j, :] of outer products.
+    """The matrix product x y of a stack y of shape (n, n, m) and a stack x
+    of the same shape or one (n, n) matrix, as sum_j x[:, j] y[j] of outer
+    products.
 
-    It is elementwise, so it takes no BLAS call per matrix (``np.matmul``
-    makes one on a stack, which costs several times the arithmetic of a
-    2 x 2 product), and each output row is computed from its own rows of x
-    and y alone: the product of a slice is bit for bit the slice of the
-    product.
+    It is elementwise along the modes, so it takes no BLAS call per matrix
+    (``np.matmul`` makes one on a stack, which costs several times the
+    arithmetic of a 2 x 2 product), and each output mode is computed from
+    its own modes of x and y alone: the product of a slice is bit for bit
+    the slice of the product.
     """
-    product = x[..., :, 0, None] * y[..., None, 0, :]
-    for j in range(1, x.shape[-1]):
-        product += x[..., :, j, None] * y[..., None, j, :]
+    if x.ndim == 2:
+        x = x[:, :, None]
+    # operands of one rank: numpy then takes the same loop for one mode as
+    # for many (a rank-2 y[j] sends a one-mode product down another)
+    product = x[:, 0, None] * y[None, 0]
+    for j in range(1, len(x)):
+        product += x[:, j, None] * y[None, j]
     return product

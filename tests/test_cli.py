@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 
 import problems
 import specdde
-from specdde import (ModeSymbols, cli, collocation_solve, compare, convergence_sweep,
-                     m_bounded_diagnostics, resolvent)
+from specdde import (ModeSymbols, PeriodicGridFunction, cli, collocation_solve, compare,
+                     convergence_sweep, m_bounded_diagnostics, resolvent)
 from specdde.config import parse_config
 from specdde.solver import solve_periodic
 
@@ -111,20 +111,29 @@ def test_solve_report_gives_the_condition_range(tmp_path):
     assert condition["worst_mode"] == modes[np.argmax(expected)]
 
 
-def test_sweep_synthesises_twice_per_row_and_diagnose_never(inverse_ffts):
+def test_sweep_synthesises_each_residual_and_nonzero_change_and_diagnose_never(
+        inverse_ffts):
     config = parse_config(json.dumps(TINY))
     spec = config.problem
     m_bounded_diagnostics(spec, config.window)
     assert inverse_ffts == []
-    convergence_sweep(spec, config.truncation_sweep)
-    # each row's residual and, after the first, its change; the forcing's own
-    # 16-point grid is not the sweep's
-    n_grid = max(spec.grid, 4 * config.truncation_sweep[-1], spec.forcing.n_samples)
-    assert n_grid != spec.forcing.n_samples
-    on_grid = [name for name, n in inverse_ffts if n == n_grid]
-    assert len(on_grid) == 2 * len(config.truncation_sweep) - 1
-    # TINY is real with a harmonics forcing, so every row is real
-    assert set(on_grid) == {"irfft"}
+    # TINY's forcing is band 1; the second forcing reaches mode 3, between the
+    # rows K = 2 and K = 4, so only the change to row 4 is nonzero
+    wider = replace(spec, forcing=PeriodicGridFunction.from_harmonics(
+        cos=[[1.0, 0.0], [0.0, 0.0], [0.5, 0.25]], sin=[[0.0, 1.0]]))
+    for problem, nonzero in ((spec, [False, False]), (wider, [True, False])):
+        inverse_ffts.clear()
+        rows = convergence_sweep(problem, config.truncation_sweep).rows
+        assert [row.solution_change != 0.0 for row in rows[1:]] == nonzero
+        # one synthesis for each row's residual and one for each nonzero
+        # change; an exactly zero change is 0.0 with none.  The forcing's own
+        # 16-point grid is not the sweep's
+        n_grid = max(problem.grid, 4 * config.truncation_sweep[-1], problem.forcing.n_samples)
+        assert n_grid != problem.forcing.n_samples
+        on_grid = [name for name, n in inverse_ffts if n == n_grid]
+        assert len(on_grid) == len(rows) + sum(nonzero)
+        # both problems are real with a harmonics forcing, so every row is real
+        assert set(on_grid) == {"irfft"}
 
 
 def test_each_synthesis_is_one_irfft_for_a_real_function_and_one_ifft_else(
@@ -384,7 +393,8 @@ def test_a_three_by_three_problem_runs_solve_diagnose_and_verify(tmp_path):
     modal = ModeSymbols.from_spec(spec, 8).modal(spec.state_matrix)
     forcing = np.zeros((17, 3), dtype=complex)
     forcing[7:10] = spec.forcing.coefficients
-    expected = np.linalg.solve(modal, forcing[..., None])[..., 0]
+    matrices = np.moveaxis(modal, -1, 0)
+    expected = np.linalg.solve(matrices, forcing[..., None])[..., 0]
 
     code, out = run(tmp_path, "solve", THREE)
     assert code == 0
@@ -393,7 +403,7 @@ def test_a_three_by_three_problem_runs_solve_diagnose_and_verify(tmp_path):
                              for row in report["coefficients"]])
     np.testing.assert_allclose(coefficients, expected, rtol=0.0, atol=1e-15)
     assert report["residual_modal"] <= 1e-15
-    condition = np.linalg.cond(modal, 1)
+    condition = np.linalg.cond(matrices, 1)
     assert report["condition"]["max"] == np.max(condition)
     assert report["condition"]["min"] == np.min(condition)
 
@@ -401,7 +411,8 @@ def test_a_three_by_three_problem_runs_solve_diagnose_and_verify(tmp_path):
     assert code == 0
     [row] = [r for r in report_of(out, "diagnose")["rows"] if r["name"] == "N"]
     window = ModeSymbols.from_spec(spec, 16).modal(spec.state_matrix)
-    inverse_norms = np.linalg.svd(np.linalg.inv(window), compute_uv=False)[:, 0]
+    inverse_norms = np.linalg.svd(np.linalg.inv(np.moveaxis(window, -1, 0)),
+                                  compute_uv=False)[:, 0]
     assert row["sup_norm"] == pytest.approx(np.max(inverse_norms), rel=1e-13)
     assert row["verdict"] == "bounded"
 

@@ -33,12 +33,13 @@ TWO_PI = 2.0 * np.pi
 
 def _dense(stencil):
     """The block-circulant matrix sum_s kron(P^s, c_s), P the cyclic shift
-    (P x)_j = x_{j-1}, acting on samples stacked node by node."""
-    n_nodes = stencil.shape[0]
+    (P x)_j = x_{j-1}, acting on samples stacked node by node, for blocks
+    c_s stacked as (n, n, N)."""
+    n_nodes = stencil.shape[-1]
     shift = np.roll(np.eye(n_nodes), 1, axis=0)
     power = np.eye(n_nodes)
-    dense = np.zeros((n_nodes * stencil.shape[1],) * 2, dtype=complex)
-    for block in stencil:
+    dense = np.zeros((n_nodes * len(stencil),) * 2, dtype=complex)
+    for block in np.moveaxis(stencil, -1, 0):
         dense += np.kron(power, block)
         power = shift @ power
     return dense
@@ -48,13 +49,13 @@ def dense_collocation(spec, n_nodes):
     """The scheme assembled and solved as one dense (N n)^2 system."""
     n, dt = spec.dim, TWO_PI / n_nodes
     eye_n = np.eye(n)
-    difference = np.zeros((n_nodes, n, n))
-    difference[-1] += eye_n / (2.0 * dt)
-    difference[1] -= eye_n / (2.0 * dt)
-    state = np.zeros((n_nodes, n, n), dtype=complex)
-    state[0] = spec.state_matrix
+    difference = np.zeros((n, n, n_nodes))
+    difference[..., -1] += eye_n / (2.0 * dt)
+    difference[..., 1] -= eye_n / (2.0 * dt)
+    state = np.zeros((n, n, n_nodes), dtype=complex)
+    state[..., 0] = spec.state_matrix
     folded = periodize_kernel(spec.kernel, n_nodes)
-    memory = dt * folded[:, None, None] * eye_n
+    memory = dt * folded * eye_n[:, :, None]
     neutral = _delay_stencil(spec.neutral_delay, n_nodes, dt)
     reaction = _delay_stencil(spec.reaction_delay, n_nodes, dt)
     system = ((_dense(difference) - _dense(state)) @ (np.eye(n_nodes * n) - _dense(neutral))
@@ -96,7 +97,7 @@ def test_singular_system_is_rejected_by_its_condition_number():
 
 
 def _collocation_system(monkeypatch, spec, n_nodes):
-    """The (N, n, n) stack of frequency systems that collocation_solve
+    """The (n, n, N) stack of frequency systems that collocation_solve
     inverts, recorded from its call of ``_inverse_and_condition``."""
     systems = []
     invert = oracle._inverse_and_condition
@@ -117,8 +118,8 @@ def test_condition_is_the_singular_value_ratio(monkeypatch, regression_specs):
     # decides the rejection up to a relative 1e-9
     checked = 0
     for name, spec in regression_specs.items():
-        singular_values = np.linalg.svd(_collocation_system(monkeypatch, spec, 128),
-                                        compute_uv=False)
+        systems = np.moveaxis(_collocation_system(monkeypatch, spec, 128), -1, 0)
+        singular_values = np.linalg.svd(systems, compute_uv=False)
         cond = np.max(singular_values[:, 0]) / np.min(singular_values[:, -1])
         if not cond < 1e6:
             continue
@@ -270,7 +271,7 @@ def test_distributed_span_of_many_periods_folds_in_one_period_of_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(stencil, direct)
+    assert np.array_equal(stencil, np.moveaxis(direct, 0, -1))
     # all 128,001 complex 2 x 2 values would take 8 MB
     assert peak < 2**17
 

@@ -17,6 +17,7 @@ from specdde import (
     mode_range,
     resolvent,
 )
+from specdde.symbols import _stack_product
 
 TWO_PI = 2.0 * np.pi
 
@@ -29,11 +30,23 @@ def inverse(spec, window):
     return table, inv
 
 
+def matrices(stack):
+    """The matrices of a (n, n, m) stack mode by mode, (m, n, n), for numpy's
+    stacked matrix routines (a view)."""
+    return np.moveaxis(stack, -1, 0)
+
+
+def stacked(matrices):
+    """The matrices (m, n, n) as a C-contiguous stack with the modes last,
+    (n, n, m)."""
+    return np.ascontiguousarray(np.moveaxis(matrices, 0, -1))
+
+
 def inversion_defect(spec, window):
     """max_k || M(k) M(k)^{-1} - I ||, the inversion defect over the window."""
     table, inv = inverse(spec, window)
-    defect = np.matmul(table.modal(spec.state_matrix), inv) - np.eye(spec.dim)[None]
-    return float(np.max(resolvent._operator_norms(defect)))
+    defect = np.matmul(matrices(table.modal(spec.state_matrix)), matrices(inv)) - np.eye(spec.dim)
+    return float(np.max(resolvent._operator_norms(np.moveaxis(defect, 0, -1))))
 
 
 def report_row(report, name):
@@ -54,12 +67,12 @@ class TestAssemble:
     def test_plain_scalar_at_one(self):
         spec = ProblemSpec(state_matrix=[[-1.0]], truncation=2, grid=8)
         ks = mode_range(16)
-        assert modal(spec, 16)[:, 0, 0] == pytest.approx(1.0 + 1j * ks)
+        assert modal(spec, 16)[0, 0] == pytest.approx(1.0 + 1j * ks)
 
     def test_neutral_period_atom_halves_the_matrix(self):
         spec = problems.scalar_neutral()
         ks = mode_range(16)
-        assert modal(spec, 16)[:, 0, 0] == pytest.approx(
+        assert modal(spec, 16)[0, 0] == pytest.approx(
             0.5 * (1.0 + 1j * ks), abs=1e-14
         )
 
@@ -68,7 +81,7 @@ class TestAssemble:
             if name == "scalar_neutral":
                 continue  # complex forcing does not affect symbols, but skip none
             m = modal(spec, 17)
-            assert np.allclose(m[::-1], np.conj(m), atol=1e-12), name
+            assert np.allclose(m[..., ::-1], np.conj(m), atol=1e-12), name
 
 
 class TestResolventFamily:
@@ -77,9 +90,9 @@ class TestResolventFamily:
         table, inv = inverse(spec, 256)
         ks = table.modes
         closed = 1.0 / (1.0 + 1j * ks)
-        assert np.max(np.abs(inv[:, 0, 0] - closed)) < 1e-12
+        assert np.max(np.abs(inv[0, 0] - closed)) < 1e-12
         scaled = 1j * ks / (1.0 + 1j * ks)
-        assert np.max(np.abs(1j * ks * inv[:, 0, 0] - scaled)) < 1e-12
+        assert np.max(np.abs(1j * ks * inv[0, 0] - scaled)) < 1e-12
         sup_scaled = report_row(m_bounded_diagnostics(spec, 256), "S").sup_norm
         assert sup_scaled < 1.0
         assert sup_scaled > 0.999
@@ -97,7 +110,7 @@ class TestResolventFamily:
         table, inv = inverse(spec, 64)
         z = 1.0 + 1j * table.modes
         closed = 1.0 / (z / 2.0 - 1.0 / z)
-        assert np.max(np.abs(inv[:, 0, 0] - closed)) < 1e-12
+        assert np.max(np.abs(inv[0, 0] - closed)) < 1e-12
 
     def test_diagonal_two_by_two_closed_form(self):
         spec = problems.mat2_diag()
@@ -107,9 +120,9 @@ class TestResolventFamily:
         for i, k in enumerate(ks):
             expected = np.diag([1.0 / (1j * k + 1.0 - a[i]),
                                 1.0 / (1j * k + 2.0 - a[i])])
-            assert np.allclose(inv[i], expected, atol=1e-12)
+            assert np.allclose(inv[..., i], expected, atol=1e-12)
             # off-diagonal entries stay numerically zero
-            assert abs(inv[i][0, 1]) < 1e-15
+            assert abs(inv[0, 1, i]) < 1e-15
 
     def test_singular_mode_reported_with_condition(self):
         spec = ProblemSpec(state_matrix=[[0.0]], truncation=2, grid=8)
@@ -119,24 +132,24 @@ class TestResolventFamily:
 
     def test_condition_is_read_off_the_one_inverse(self, rng):
         # n = 2: M^{-1} = adj M (1 / det M), and ||M^{-1}||_1 = ||M||_inf / |det M|
-        stack = rng.normal(size=(8193, 2, 2)) + 1j * rng.normal(size=(8193, 2, 2))
+        stack = rng.normal(size=(2, 2, 8193)) + 1j * rng.normal(size=(2, 2, 8193))
         inv, condition = resolvent._checked_inverse(mode_range(4096), stack, np.inf)
-        a, b, c, d = stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1]
+        a, b, c, d = stack[0, 0], stack[0, 1], stack[1, 0], stack[1, 1]
         det = a * d - b * c
-        adjugate = np.stack([np.stack([d, -b], axis=1), np.stack([-c, a], axis=1)], axis=1)
-        assert np.array_equal(inv, adjugate * (1.0 / det)[:, None, None])
+        adjugate = np.array([[d, -b], [-c, a]])
+        assert np.array_equal(inv, adjugate * (1.0 / det))
         moduli = np.abs(stack)
-        one_norm = np.max(np.sum(moduli, axis=1), axis=1)
-        infinity_norm = np.max(np.sum(moduli, axis=2), axis=1)
+        one_norm = np.max(np.sum(moduli, axis=0), axis=0)
+        infinity_norm = np.max(np.sum(moduli, axis=1), axis=0)
         assert np.array_equal(condition, one_norm * infinity_norm / np.abs(det))
 
     def test_zero_and_overflowing_matrices_are_rejected_without_a_warning(self):
         # an all-zero M(k) stops the batched inversion; a finite one whose
         # ||M||_1 ||M^{-1}||_1 overflows is rejected all the same
-        overflow = np.tile(np.eye(2, dtype=complex), (5, 1, 1))
-        overflow[3] = np.diag([1e300, 1e-300])
+        overflow = np.tile(np.eye(2, dtype=complex)[:, :, None], 5)
+        overflow[..., 3] = np.diag([1e300, 1e-300])
         zero = overflow.copy()
-        zero[1] = 0.0
+        zero[..., 1] = 0.0
         for modal, rejected in ((zero, [-1, 1]), (overflow, [1])):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -157,16 +170,17 @@ class TestResolventFamily:
             _, inv = inverse(spec, 32)
             K = 32
             for k in (1, 7, 31):
-                assert np.allclose(inv[K - k], np.conj(inv[K + k]), atol=1e-12), name
+                assert np.allclose(inv[..., K - k], np.conj(inv[..., K + k]), atol=1e-12), name
 
     def test_stored_identity_from_parts(self):
         # D_k (ik N_k) - A D_k N_k - T_k - atilde(ik) N_k = I
         spec = problems.scalar_full()
         table, inv = inverse(spec, 32)
         ik = (1j * table.modes)[:, None, None]
-        lhs = (np.matmul(table.neutral, ik * inv)
-               - np.matmul(np.matmul(spec.state_matrix, table.neutral), inv)
-               - np.matmul(table.G, inv) - table.a[:, None, None] * inv)
+        neutral, N = matrices(table.neutral), matrices(inv)
+        lhs = (np.matmul(neutral, ik * N)
+               - np.matmul(np.matmul(spec.state_matrix, neutral), N)
+               - np.matmul(matrices(table.G), N) - table.a[:, None, None] * N)
         eye = np.eye(spec.dim)
         assert np.max(np.abs(lhs - eye[None])) <= 1e-10
 
@@ -175,7 +189,7 @@ class TestResolventFamily:
         spec = problems.scalar_full()
         window = 16
         table, inv = inverse(spec, window)
-        expected = np.max(np.abs(1j * table.modes * inv[:, 0, 0]))
+        expected = np.max(np.abs(1j * table.modes * inv[0, 0]))
         assert report_row(m_bounded_diagnostics(spec, window), "S").sup_norm == expected
 
 
@@ -195,14 +209,14 @@ def test_nonstate_part_telescopes(spec, bandwidth, tol):
     # mode but the last, C_k the non-state part and P, Q, R its k-scaled
     # differences, all read from one table
     table = ModeSymbols.from_spec(spec, bandwidth)
-    k = table.modes[:-1, None, None]
-    P = k * (table.a[1:] - table.a[:-1])[:, None, None]
-    Q = k * (table.L[1:] - table.L[:-1])
-    R = k * (table.G[1:] - table.G[:-1])
-    eye = np.eye(spec.dim)[None]
+    k = table.modes[:-1]
+    P = k * (table.a[1:] - table.a[:-1])
+    Q = k * (table.L[..., 1:] - table.L[..., :-1])
+    R = k * (table.G[..., 1:] - table.G[..., :-1])
+    eye = np.eye(spec.dim)[:, :, None]
     nonstate = table.nonstate()
-    lhs = k * (nonstate[:-1] - nonstate[1:])
-    rhs = -1j * k * eye + 1j * k * table.L[1:] + 1j * k * Q + R + P * eye
+    lhs = k * (nonstate[..., :-1] - nonstate[..., 1:])
+    rhs = -1j * k * eye + 1j * k * table.L[..., 1:] + 1j * k * Q + R + P * eye
     assert np.max(resolvent._operator_norms(lhs - rhs)) <= tol
 
 
@@ -233,8 +247,8 @@ class TestDifferenceRows:
         )
         table = ModeSymbols.from_spec(spec, 16)
         neutral = resolvent._scaled_difference(table.modes, table.L)
-        assert neutral.shape == (32, 1, 1)
-        assert np.abs(neutral[:, 0, 0]) == pytest.approx(
+        assert neutral.shape == (1, 1, 32)
+        assert np.abs(neutral[0, 0]) == pytest.approx(
             2.0 * np.abs(np.arange(-16, 16)), abs=1e-10
         )
 
@@ -245,7 +259,7 @@ class TestDifferenceRows:
             truncation=4, grid=16,
         )
         table = ModeSymbols.from_spec(spec, 31)
-        kernel = resolvent._scaled_difference(table.modes, table.a[:, None, None])[:, 0, 0]
+        kernel = resolvent._scaled_difference(table.modes, table.a[None, None])[0, 0]
         k = table.modes[:-1]
         closed = -1j * k / ((1.0 + 1j * k) * (1.0 + 1j * (k + 1)))
         assert kernel == pytest.approx(closed, abs=1e-14)
@@ -267,13 +281,13 @@ class TestDifferenceRows:
         )
         window = 8
         table = ModeSymbols.from_spec(spec, window + 1)
-        k = table.modes[1:-1, None, None]
-        neutral = k * (table.L[2:] - table.L[1:-1])
+        k = table.modes[1:-1]
+        neutral = k * (table.L[..., 2:] - table.L[..., 1:-1])
         report = m_bounded_diagnostics(spec, window)
         assert report_row(report, "Q").sup_norm == pytest.approx(
             np.max(_svd_norms(neutral)), rel=1e-14)
         assert report_row(report, "B").sup_norm == pytest.approx(
-            np.max(_svd_norms(A @ neutral)), rel=1e-14)
+            np.max(_svd_norms(np.moveaxis(A @ matrices(neutral), 0, -1))), rel=1e-14)
 
 
 class TestDiagnostics:
@@ -345,10 +359,11 @@ class TestDiagnostics:
         table = ModeSymbols.from_spec(spec, window + 1)
         ks = table.modes[:-1]
         for raw, diff, stack in (("L", "Q", table.L), ("G", "R", table.G),
-                                 ("a_tilde", "P", table.a[:, None, None])):
+                                 ("a_tilde", "P", table.a[None, None])):
             scaled = report_row(report, raw).sup_scaled_diff
             assert scaled == report_row(report, diff).sup_norm, raw
-            direct = np.abs(ks) * np.linalg.norm(stack[1:] - stack[:-1], ord=2, axis=(1, 2))
+            direct = np.abs(ks) * np.linalg.norm(stack[..., 1:] - stack[..., :-1], ord=2,
+                                                 axis=(0, 1))
             assert scaled == pytest.approx(
                 np.max(direct[np.abs(ks) <= window]), rel=1e-14), raw
 
@@ -365,16 +380,16 @@ class TestDiagnostics:
             def sequence(label, k):
                 i = index[k]
                 if label in "NSTF":
-                    inv = np.linalg.inv(modal[i])
+                    inv = np.linalg.inv(modal[..., i])
                     factor = {"N": np.eye(spec.dim), "S": 1j * k * np.eye(spec.dim),
-                              "T": table.G[i], "F": table.a[i] * np.eye(spec.dim)}
+                              "T": table.G[..., i], "F": table.a[i] * np.eye(spec.dim)}
                     return factor[label] @ inv
                 if label in "PQRB":
-                    raw = {"P": table.a, "Q": table.L, "R": table.G,
-                           "B": np.matmul(spec.state_matrix, table.L)}[label]
-                    return k * np.atleast_2d(raw[i + 1] - raw[i])
-                raw = {"L": table.L, "G": table.G, "a_tilde": table.a}[label]
-                return np.atleast_2d(raw[i])
+                    raw = {"P": table.a[None, None], "Q": table.L, "R": table.G,
+                           "B": stacked(np.matmul(spec.state_matrix, matrices(table.L)))}[label]
+                    return k * (raw[..., i + 1] - raw[..., i])
+                raw = {"L": table.L, "G": table.G, "a_tilde": table.a[None, None]}[label]
+                return raw[..., i]
 
             def norm(x):
                 return np.linalg.svd(x, compute_uv=False)[0]
@@ -402,11 +417,11 @@ class TestDiagnostics:
         # and G differences are the Q and R norms.
         # The 2 x 2 norms are in closed form: no SVD runs.
         norms = resolvent._operator_norms
-        matrices = []
+        sizes = []
 
         def counted(stack):
-            if stack.shape[1] == 2:
-                matrices.append(stack.shape[0])
+            if len(stack) == 2:
+                sizes.append(stack.shape[-1])
             return norms(stack)
 
         def no_svd(*args, **kwargs):
@@ -416,11 +431,11 @@ class TestDiagnostics:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         window = 24
         m_bounded_diagnostics(problems.mat2_sampled(), window)
-        assert sum(matrices) == 9 * (2 * window + 2) + 7 * (2 * window + 1)
+        assert sum(sizes) == 9 * (2 * window + 2) + 7 * (2 * window + 1)
 
 
 def _svd_norms(stack):
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    return np.linalg.svd(matrices(stack), compute_uv=False)[:, 0]
 
 
 def _near_isotropic(rng, m, dtype):
@@ -430,7 +445,7 @@ def _near_isotropic(rng, m, dtype):
         if dtype is complex:
             z = z + 1j * rng.standard_normal((m, 2, 2))
         return np.linalg.qr(z)[0]
-    return unitary() @ np.diag([1.0, 1.0 - 1e-9]) @ unitary()
+    return stacked(unitary() @ np.diag([1.0, 1.0 - 1e-9]) @ unitary())
 
 
 class TestOperatorNorms:
@@ -446,11 +461,11 @@ class TestOperatorNorms:
         if kind == "near_isotropic":
             stack = _near_isotropic(rng, m, dtype)
         else:
-            stack = rng.standard_normal((m, 2, 2))
+            stack = rng.standard_normal((2, 2, m))
             if dtype is complex:
-                stack = stack + 1j * rng.standard_normal((m, 2, 2))
+                stack = stack + 1j * rng.standard_normal((2, 2, m))
             if kind == "rank_one":
-                stack[:, :, 1] = stack[:, :, 0] * rng.standard_normal((m, 1))
+                stack[:, 1] = stack[:, 0] * rng.standard_normal(m)
         stack = scale * stack
         assert np.all(np.isfinite(stack))
         expected = _svd_norms(stack)
@@ -459,12 +474,12 @@ class TestOperatorNorms:
 
     def test_zero_matrix_has_norm_zero(self):
         for dtype in (float, complex):
-            assert np.array_equal(resolvent._operator_norms(np.zeros((3, 2, 2), dtype)),
+            assert np.array_equal(resolvent._operator_norms(np.zeros((2, 2, 3), dtype)),
                                   np.zeros(3))
 
     def test_larger_matrices_take_the_svd(self):
         rng = np.random.default_rng(3)
-        stack = rng.standard_normal((50, 3, 3)) + 1j * rng.standard_normal((50, 3, 3))
+        stack = rng.standard_normal((3, 3, 50)) + 1j * rng.standard_normal((3, 3, 50))
         np.testing.assert_array_equal(resolvent._operator_norms(stack), _svd_norms(stack))
 
 
@@ -473,20 +488,20 @@ def _scaled_norms(stack):
     2^(e-1) next below its largest entry, e from frexp, so that its largest
     entry lies in [1, 2).  Real and imaginary parts are divided apart, so
     the scaling is exact also where 1/scale is beyond the float range."""
-    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(stack), axis=(1, 2)))[1] - 1)[:, None, None]
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(stack), axis=(0, 1)))[1] - 1)
     unit = stack.real / scale + 1j * (stack.imag / scale)
     squares = np.square(unit.real) + np.square(unit.imag)
-    p = squares[:, 0, 0] + squares[:, 1, 0]
-    r = squares[:, 0, 1] + squares[:, 1, 1]
-    q = np.abs(np.conj(unit[:, 0, 0]) * unit[:, 0, 1]
-               + np.conj(unit[:, 1, 0]) * unit[:, 1, 1])
-    return scale[:, 0, 0] * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
+    p = squares[0, 0] + squares[1, 0]
+    r = squares[0, 1] + squares[1, 1]
+    q = np.abs(np.conj(unit[0, 0]) * unit[0, 1] + np.conj(unit[1, 0]) * unit[1, 1])
+    return scale * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
 
 
 def _scaled_stack(rng, m, dtype, exponents):
     """m random 2 x 2 matrices, rank-one and isotropic ones among them, each
     multiplied exactly by 2^e for every e of ``exponents`` (real and imaginary
-    parts scaled apart, so no complex product rounds them)."""
+    parts scaled apart, so no complex product rounds them), as a (2, 2, m)
+    stack."""
     def part():
         base = rng.standard_normal((m, 2, 2))
         base[: m // 4, :, 1] = base[: m // 4, :, 0] * 0.75
@@ -495,7 +510,7 @@ def _scaled_stack(rng, m, dtype, exponents):
     stack = part()
     if dtype is complex:
         stack = stack + 1j * part()
-    return stack.reshape(-1, 2, 2)
+    return stacked(stack.reshape(-1, 2, 2))
 
 
 class TestUnscaledOperatorNorms:
@@ -518,14 +533,14 @@ class TestUnscaledOperatorNorms:
     def test_zero_matrices_beside_others(self):
         for dtype in (float, complex):
             stack = _scaled_stack(np.random.default_rng(13), 8, dtype, [-1040, 0, 1010])
-            stack[::3] = 0.0
+            stack[..., ::3] = 0.0
             norms = resolvent._operator_norms(stack)
             np.testing.assert_array_equal(norms, _scaled_norms(stack))
             assert np.all(norms[::3] == 0.0)
 
     def test_rows_with_subnormal_entries(self):
         tiny = np.finfo(float).smallest_subnormal
-        rows = np.array([
+        rows = stacked([
             [[tiny, 0.0], [0.0, 0.0]],
             [[tiny, tiny], [-tiny, tiny]],
             [[3 * tiny, 0.0], [7 * tiny, 2.0**-1060]],
@@ -535,8 +550,8 @@ class TestUnscaledOperatorNorms:
             [[0.0, 2.0**-1022 * (1 - 2.0**-52)], [0.0, 0.0]],
         ])
         rng = np.random.default_rng(14)
-        random = np.ldexp(rng.standard_normal((64, 2, 2)), rng.integers(-1080, -1020, (64, 2, 2)))
-        for stack in (rows, random, rows * (1 - 1j), random + 1j * random[::-1]):
+        random = np.ldexp(rng.standard_normal((2, 2, 64)), rng.integers(-1080, -1020, (2, 2, 64)))
+        for stack in (rows, random, rows * (1 - 1j), random + 1j * random[..., ::-1]):
             np.testing.assert_array_equal(resolvent._operator_norms(stack),
                                           _scaled_norms(stack))
         # a complex stack of such entries is scaled exactly, as a real one is
@@ -547,15 +562,15 @@ class TestUnscaledOperatorNorms:
     def test_mixed_magnitudes_in_one_matrix(self):
         rng = np.random.default_rng(15)
         m = 500
-        exponents = rng.choice([400, -600, 449, -451, 0, -1070, 1000], size=(m, 2, 2))
-        mantissas = rng.standard_normal((m, 2, 2))
+        exponents = rng.choice([400, -600, 449, -451, 0, -1070, 1000], size=(2, 2, m))
+        mantissas = rng.standard_normal((2, 2, m))
         stack = np.ldexp(mantissas, exponents)
-        fixed = np.array([[[2.0**400, 2.0**-600], [2.0**-600, 2.0**400]],
-                          [[2.0**400, 2.0**400], [2.0**-600, 2.0**-600]],
-                          [[2.0**-600, 0.0], [2.0**400, 0.0]],
-                          [[2.0**449, 2.0**449], [2.0**449, 2.0**449]]])
-        for stack in (np.concatenate([stack, fixed]),
-                      stack + 1j * np.ldexp(mantissas[::-1], exponents)):
+        fixed = stacked([[[2.0**400, 2.0**-600], [2.0**-600, 2.0**400]],
+                         [[2.0**400, 2.0**400], [2.0**-600, 2.0**-600]],
+                         [[2.0**-600, 0.0], [2.0**400, 0.0]],
+                         [[2.0**449, 2.0**449], [2.0**449, 2.0**449]]])
+        for stack in (np.concatenate([stack, fixed], axis=-1),
+                      stack + 1j * np.ldexp(mantissas[..., ::-1], exponents)):
             np.testing.assert_array_equal(resolvent._operator_norms(stack),
                                           _scaled_norms(stack))
 
@@ -563,25 +578,25 @@ class TestUnscaledOperatorNorms:
         seen = []
         closed_form = resolvent._largest_singular_value
         monkeypatch.setattr(resolvent, "_largest_singular_value",
-                            lambda stack: seen.append(len(stack)) or closed_form(stack))
+                            lambda stack: seen.append(stack.shape[-1]) or closed_form(stack))
         stack = _scaled_stack(np.random.default_rng(16), 8, complex, [0, 600, 0])
-        stack[::5] = 0.0
+        stack[..., ::5] = 0.0
         resolvent._operator_norms(stack)
-        assert seen == [24, np.count_nonzero(stack[8:16].any(axis=(1, 2)))]
+        assert seen == [24, np.count_nonzero(stack[..., 8:16].any(axis=(0, 1)))]
         seen.clear()
         # an all-zero stack is recognised whole: no row is computed at all
-        assert np.array_equal(resolvent._operator_norms(np.zeros((10, 2, 2), complex)),
+        assert np.array_equal(resolvent._operator_norms(np.zeros((2, 2, 10), complex)),
                               np.zeros(10))
         assert seen == []
 
 
 def _conditioned(rng, cond, m):
     """m random complex U diag(1, 1/cond) V, U and V unitary: 2-norm
-    condition number ``cond``."""
+    condition number ``cond``, as a (2, 2, m) stack."""
     def unitary():
         return np.linalg.qr(rng.standard_normal((m, 2, 2))
                             + 1j * rng.standard_normal((m, 2, 2)))[0]
-    return unitary() @ np.diag([1.0, 1.0 / cond]) @ unitary()
+    return stacked(unitary() @ np.diag([1.0, 1.0 / cond]) @ unitary())
 
 
 class TestClosedFormInverse:
@@ -596,13 +611,13 @@ class TestClosedFormInverse:
         eps = np.finfo(float).eps
         stack = _conditioned(np.random.default_rng(5), cond, 2000)
         inverse, condition = resolvent._inverse_and_condition(stack)
-        lapack = np.linalg.inv(stack)
+        lapack = np.linalg.inv(matrices(stack))
 
         def defect(x):
-            return np.max(np.linalg.norm(stack @ x - np.eye(2), 2, axis=(1, 2)))
+            return np.max(np.linalg.norm(matrices(stack) @ x - np.eye(2), 2, axis=(1, 2)))
 
-        assert defect(inverse) <= min(cond * eps, 1.25 * defect(lapack))
-        np.testing.assert_allclose(condition, np.linalg.cond(stack, 1),
+        assert defect(matrices(inverse)) <= min(cond * eps, 1.25 * defect(lapack))
+        np.testing.assert_allclose(condition, np.linalg.cond(matrices(stack), 1),
                                    rtol=cond * eps, atol=0.0)
 
     @pytest.mark.parametrize("exponent", [600, -600])
@@ -619,19 +634,18 @@ class TestClosedFormInverse:
 
     def test_a_determinant_that_underflows_is_not_singular(self):
         # M(0) = -A of the CLI's OVERFLOW case, A = -1e-300 I: det = 1e-600
-        modal = np.array([[[1e-300, 0.0], [0.0, 1e-300]], [[1.0, 2.0], [3.0, 4.0]]])
+        modal = stacked([[[1e-300, 0.0], [0.0, 1e-300]], [[1.0, 2.0], [3.0, 4.0]]])
         inverse, condition = resolvent._checked_inverse(np.arange(2), modal.astype(complex),
                                                         1e12)
-        np.testing.assert_allclose(inverse[0], np.eye(2) * 1e300, rtol=1e-15)
+        np.testing.assert_allclose(inverse[..., 0], np.eye(2) * 1e300, rtol=1e-15)
         assert condition[0] == 1.0
-        np.testing.assert_allclose(inverse[1], [[-2.0, 1.0], [1.5, -0.5]], rtol=1e-15)
+        np.testing.assert_allclose(inverse[..., 1], [[-2.0, 1.0], [1.5, -0.5]], rtol=1e-15)
         assert condition[1] == 6.0 * 7.0 / 2.0
 
     def test_one_by_one_is_a_reciprocal(self):
-        stack = np.array([2.0, -0.5j, 1e-300, 3.0 + 4.0j, 0.0, np.inf, np.nan,
-                          1e-310])[:, None, None]
+        stack = np.array([[[2.0, -0.5j, 1e-300, 3.0 + 4.0j, 0.0, np.inf, np.nan, 1e-310]]])
         inverse, condition = resolvent._inverse_and_condition(stack)
-        assert np.array_equal(inverse[:4], 1.0 / stack[:4])
+        assert np.array_equal(inverse[..., :4], 1.0 / stack[..., :4])
         assert np.array_equal(condition, [1.0, 1.0, 1.0, 1.0, np.inf, np.inf, np.nan, np.inf],
                               equal_nan=True)
         with pytest.raises(SingularModeError) as err:
@@ -642,22 +656,86 @@ class TestClosedFormInverse:
         # 1e-310 I and 1e-310 [[1, 1], [0, 1]] have condition numbers 1 and
         # 4, but their inverses overflow: an infinite condition number, as
         # for LAPACK's inverse, whose 1-norm is infinite
-        stack = np.array([1e-310 * np.eye(2), [[1e-310, 1e-310], [0.0, 1e-310]],
-                          1e-300 * np.eye(2)], dtype=complex)
+        stack = stacked(np.array([1e-310 * np.eye(2), [[1e-310, 1e-310], [0.0, 1e-310]],
+                                  1e-300 * np.eye(2)], dtype=complex))
         inverse, condition = resolvent._inverse_and_condition(stack)
         assert condition[0] == np.inf and condition[1] == np.inf
         assert condition[2] == 1.0
-        np.testing.assert_allclose(inverse[2], 1e300 * np.eye(2), rtol=1e-15)
+        np.testing.assert_allclose(inverse[..., 2], 1e300 * np.eye(2), rtol=1e-15)
         with pytest.raises(SingularModeError) as err:
             resolvent._checked_inverse(np.arange(3), stack, np.inf)
         assert err.value.modes == [0, 1]
 
     def test_three_by_three_takes_lapack(self, rng):
-        stack = rng.normal(size=(40, 3, 3)) + 1j * rng.normal(size=(40, 3, 3))
+        stack = rng.normal(size=(3, 3, 40)) + 1j * rng.normal(size=(3, 3, 40))
         inverse, condition = resolvent._inverse_and_condition(stack)
-        assert np.array_equal(inverse, np.linalg.inv(stack))
-        assert np.array_equal(condition, np.linalg.cond(stack, 1))
-        stack[7] = 0.0
+        assert np.array_equal(matrices(inverse), np.linalg.inv(matrices(stack)))
+        assert np.array_equal(condition, np.linalg.cond(matrices(stack), 1))
+        stack[..., 7] = 0.0
         inverse, condition = resolvent._inverse_and_condition(stack)
         assert inverse is None
         assert condition[7] == np.inf and np.all(np.isfinite(np.delete(condition, 7)))
+
+
+#: entries the mode-by-mode checks draw from, beside standard normal ones
+SPECIAL = [0.0, -0.0, 5e-324, -3e-310, 2.0**-1060, np.inf, -np.inf, np.nan, 1e300, -1e-300]
+
+
+def _special_stack(rng, shape, finite=False):
+    """A complex stack with a third of its real and imaginary parts drawn
+    from SPECIAL (its finite entries alone if ``finite``)."""
+    pool = [x for x in SPECIAL if np.isfinite(x)] if finite else SPECIAL
+    parts = rng.standard_normal((2, *shape))
+    mask = rng.random(parts.shape) < 0.3
+    parts[mask] = rng.choice(pool, np.count_nonzero(mask))
+    stack = np.empty(shape, dtype=complex)
+    stack.real, stack.imag = parts
+    return stack
+
+
+def _assert_bits_equal(got, expected, what):
+    """Every float of two arrays equal bit for bit, signed zeros included;
+    a NaN matches any NaN, since no operation fixes its sign or payload."""
+    assert got.shape == expected.shape and got.dtype == expected.dtype, what
+    got, expected = (np.atleast_1d(x).view(np.float64) if np.iscomplexobj(x)
+                     else np.atleast_1d(x).astype(np.float64) for x in (got, expected))
+    same = (got.view(np.int64) == expected.view(np.int64)) | (np.isnan(got) & np.isnan(expected))
+    assert np.all(same), what
+
+
+class TestModeByMode:
+    """Each mode of a (n, n, m) stack is computed from that mode alone: the
+    whole stack's values at mode k are bit for bit those of the one-mode
+    stack k, special entries too."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_mode_is_its_own_one_mode_stack(self, n):
+        rng = np.random.default_rng(40 + n)
+        m = 96
+        modes = np.arange(-m // 2, m - m // 2)
+        x, y = _special_stack(rng, (n, n, m)), _special_stack(rng, (n, n, m))
+        # LAPACK's SVD does not converge on a non-finite matrix, whole or alone
+        lapack = _special_stack(rng, (n, n, m), finite=n >= 3)
+        L, G = _special_stack(rng, (n, n, m)), _special_stack(rng, (n, n, m))
+        a = _special_stack(rng, (m,))
+        A = rng.standard_normal((n, n))
+        ahead = _special_stack(rng, (n, n, m + 1))
+        ahead_modes = np.arange(-m // 2, m + 1 - m // 2)
+        cases = {
+            "product": lambda k: _stack_product(x[..., k], y[..., k]),
+            "state product": lambda k: _stack_product(A, y[..., k]),
+            "modal": lambda k: ModeSymbols(modes[k], L[..., k], G[..., k], a[k]).modal(A),
+            "inverse": lambda k: resolvent._inverse_and_condition(lapack[..., k])[0],
+            "condition": lambda k: resolvent._inverse_and_condition(lapack[..., k])[1],
+            "norms": lambda k: resolvent._operator_norms(lapack[..., k]),
+            "difference": lambda k: resolvent._scaled_difference(
+                ahead_modes[k.start:k.stop + 1], ahead[..., k.start:k.stop + 1]),
+        }
+        with np.errstate(all="ignore"):
+            for what, compute in cases.items():
+                whole = compute(slice(0, m))
+                if whole is None:  # an exactly singular n >= 3 matrix stops LAPACK's inverse
+                    continue
+                for k in range(m):
+                    _assert_bits_equal(compute(slice(k, k + 1)), whole[..., k:k + 1],
+                                       f"{what} n={n} mode {k}")

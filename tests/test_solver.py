@@ -75,7 +75,7 @@ class TestSolveBenchmarks:
         for name, spec in regression_specs.items():
             sol = solve_periodic(spec)
             modal = ModeSymbols.from_spec(spec, sol.truncation).modal(spec.state_matrix)
-            got = np.einsum("kij,kj->ki", modal, sol.coefficients)
+            got = np.einsum("ijk,kj->ki", modal, sol.coefficients)
             fhat = _on_band(spec.forcing.coefficients, sol.truncation)
             assert np.max(np.abs(got - fhat)) <= 1e-12, name
 
@@ -243,7 +243,7 @@ class TestResidual:
         eps = 1e-4
         direction = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
         direction /= np.linalg.norm(direction)
-        modal_k = ModeSymbols.from_spec(spec, K).modal(spec.state_matrix)[-1]
+        modal_k = ModeSymbols.from_spec(spec, K).modal(spec.state_matrix)[..., -1]
         coeffs = _on_band(spec.forcing.coefficients, K)
         coeffs[-1] = eps * modal_k @ direction
         forced = replace(spec, forcing=PeriodicGridFunction(coeffs, spec.grid))
@@ -260,7 +260,7 @@ class TestResidual:
         spec = problems.scalar_full()
         K = spec.truncation
         modal = ModeSymbols.from_spec(spec, K).modal(spec.state_matrix)
-        fam_min = np.min(np.linalg.svd(modal, compute_uv=False)[:, -1])
+        fam_min = np.min(np.linalg.svd(np.moveaxis(modal, -1, 0), compute_uv=False)[:, -1])
         coeffs = rng.normal(size=(2 * K + 1, 1)) + 1j * rng.normal(size=(2 * K + 1, 1))
         forced = replace(spec, forcing=PeriodicGridFunction(coeffs, spec.grid))
         short, full = convergence_sweep(forced, [2, K]).rows
@@ -396,9 +396,9 @@ class TestConvergenceSweep:
         # K = 8 names all of them.  A real problem is solved on k = 0..8 and
         # each rejected k > 0 also names -k, after the narrowest band is taken
         ks = np.arange(9) if real else mode_range(8)
-        modal = np.tile(np.eye(2, dtype=complex), (len(ks), 1, 1))
-        modal[np.abs(ks) == 3, 1, 1] = 1e-13
-        modal[ks == 5] = 0.0
+        modal = np.tile(np.eye(2, dtype=complex)[:, :, None], len(ks))
+        modal[1, 1, np.abs(ks) == 3] = 1e-13
+        modal[..., ks == 5] = 0.0
         monkeypatch.setattr(ModeSymbols, "modal", lambda table, state_matrix: modal)
         spec = _tiny() if real else _complex_tiny()
         assert spec.is_real == real
@@ -481,7 +481,7 @@ def _full_band_reference(spec):
     K = spec.truncation
     modal = ModeSymbols.from_spec(spec, K).modal(spec.state_matrix)
     inverse, condition = resolvent._inverse_and_condition(modal)
-    uhat = np.einsum("kij,kj->ki", inverse, _on_band(spec.forcing.coefficients, K))
+    uhat = np.einsum("ijk,kj->ki", inverse, _on_band(spec.forcing.coefficients, K))
     uhat[K] = np.real(uhat[K])
     uhat[:K] = np.conj(uhat[:K:-1])
     return uhat, condition
@@ -528,7 +528,7 @@ class TestRealHalfBand:
         sol = solve_periodic(spec)
         band = max(spec.truncation, spec.forcing.bandwidth)
         modal = ModeSymbols.from_spec(spec, band).modal(spec.state_matrix)
-        defect = (np.einsum("kij,kj->ki", modal, _on_band(sol.coefficients, band))
+        defect = (np.einsum("ijk,kj->ki", modal, _on_band(sol.coefficients, band))
                   - _on_band(spec.forcing.coefficients, band))
         expected = PeriodicGridFunction(defect, max(spec.grid, 2 * band + 1)).max_norm()
         scale = max(spec.forcing.max_norm(), 1.0)
@@ -572,8 +572,8 @@ class TestRealHalfBand:
         spec = replace(problems.scalar_basic(), state_matrix=[[-1.0 + 0.5j]],
                        forcing=PeriodicGridFunction([[0.5], [1.0j], [0.5]], 32))
         modal = ModeSymbols.from_spec(spec, 1).modal(spec.state_matrix)
-        u0 = np.linalg.solve(modal[1], spec.forcing.coefficients[1])
-        defect = (np.einsum("kij,kj->ki", modal, _on_band(u0[None], 1))
+        u0 = np.linalg.solve(modal[..., 1], spec.forcing.coefficients[1])
+        defect = (np.einsum("ijk,kj->ki", modal, _on_band(u0[None], 1))
                   - spec.forcing.coefficients)
         expected = PeriodicGridFunction(defect, spec.grid).max_norm()
         row = convergence_sweep(spec, [0]).rows[0]

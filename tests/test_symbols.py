@@ -42,7 +42,8 @@ def bench_kernel(seed):
 
 def knot_aligned_reference(samples, span, ks):
     """int_{-span}^0 S(theta) e^{ik theta} dtheta for scipy's not-a-knot spline
-    S, by a 48-point Gauss-Legendre rule on each spline piece.
+    S, by a 48-point Gauss-Legendre rule on each spline piece, as a stack of
+    shape (n, n, len(ks)).
 
     Each piece is integrated in its local variable t = theta - x_j, and the
     phase e^{ik x_j} is taken with whole turns removed, so neither the rule
@@ -61,31 +62,31 @@ def knot_aligned_reference(samples, span, ks):
         turns = np.mod(k * np.arange(pieces, 0, -1) / pieces * (span / TWO_PI), 1.0)
         local = np.einsum("q,pqij->pij", w * np.exp(1j * k * t), values)
         out.append(np.einsum("p,pij->ij", np.exp(-2j * np.pi * turns), local))
-    return np.array(out)
+    return np.stack(out, axis=-1)
 
 
 class TestDelaySymbol:
     def test_period_lag_atom_is_mode_independent(self):
         L = DelayFunctional(dim=1, atoms=[(0.7, TWO_PI)])
         ks = np.array([-5, -1, 0, 1, 2, 17, 512])
-        assert L.symbol_window(ks)[:, 0, 0] == pytest.approx(0.7, abs=1e-15)
+        assert L.symbol_window(ks)[0, 0] == pytest.approx(0.7, abs=1e-15)
 
     def test_half_period_lag_alternates_sign(self):
         b = 0.4
         L = DelayFunctional(dim=1, atoms=[(b, np.pi)])
         ks = mode_range(8)
         expected = b * (-1.0) ** ks
-        assert L.symbol_window(ks)[:, 0, 0] == pytest.approx(expected, abs=1e-14)
+        assert L.symbol_window(ks)[0, 0] == pytest.approx(expected, abs=1e-14)
 
     def test_empty_functional_gives_zero_matrix(self):
         L = DelayFunctional(dim=3)
-        assert np.array_equal(L.symbol_window(mode_range(7)), np.zeros((15, 3, 3)))
+        assert np.array_equal(L.symbol_window(mode_range(7)), np.zeros((3, 3, 15)))
 
     def test_generic_lag_matches_direct_phase(self):
         lag = 1.2345
         L = DelayFunctional(dim=1, atoms=[(2.0, lag)])
         ks = np.array([-3, 1, 4])
-        assert L.symbol_window(ks)[:, 0, 0] == pytest.approx(
+        assert L.symbol_window(ks)[0, 0] == pytest.approx(
             2.0 * np.exp(-1j * ks * lag), abs=1e-13
         )
 
@@ -105,7 +106,7 @@ class TestDelaySymbol:
                       * np.cos(k * th), -TWO_PI, 0.0, limit=200)[0]
             im = quad(lambda th: (0.3 * np.exp(th) + 0.1 * np.cos(th))
                       * np.sin(k * th), -TWO_PI, 0.0, limit=200)[0]
-            assert symbols[i, 0, 0] == pytest.approx(re + 1j * im, abs=1e-10)
+            assert symbols[0, 0, i] == pytest.approx(re + 1j * im, abs=1e-10)
 
     def test_sampled_kernel_close_to_the_closed_form(self):
         # int_{-2pi}^0 0.3 e^theta e^{ik theta} dtheta = 0.3 (1 - e^{-2pi}) / (1 + ik)
@@ -116,7 +117,7 @@ class TestDelaySymbol:
         )
         ks = np.array([0, 2, 7])
         exact = 0.3 * (1.0 - np.exp(-TWO_PI)) / (1.0 + 1j * ks)
-        assert sampled.symbol_window(ks)[:, 0, 0] == pytest.approx(exact, abs=1e-8)
+        assert sampled.symbol_window(ks)[0, 0] == pytest.approx(exact, abs=1e-8)
 
     def test_conjugate_symmetry_for_real_data(self):
         theta = np.linspace(-TWO_PI, 0.0, 129)
@@ -201,7 +202,7 @@ class TestSampledKernel:
         ).symbol_window(ks)
         expected = knot_aligned_reference(samples, span, ks)
         tol = 1e-14 * span * np.max(np.abs(samples))
-        errors = np.max(np.abs(got - expected), axis=(1, 2))
+        errors = np.max(np.abs(got - expected), axis=(0, 1))
         assert np.all(errors <= tol), dict(zip(ks.tolist(), errors.tolist()))
 
     def test_small_kh_symbol_keeps_relative_accuracy(self):
@@ -218,7 +219,7 @@ class TestSampledKernel:
 
         dist = DistributedDelay(*bench_kernel(1))
         monkeypatch.setattr(DistributedDelay, "evaluate", no_evaluate)
-        assert dist.fourier_window(mode_range(300)).shape == (601, 2, 2)
+        assert dist.fourier_window(mode_range(300)).shape == (2, 2, 601)
 
     def test_rich_kernel_samples_resolve_its_fourier_window(self):
         # mat2_rich's 4,097 samples of 0.05 e^theta I: the cubic spline is off
@@ -230,7 +231,7 @@ class TestSampledKernel:
         bound = TWO_PI * 5.0 / 384.0 * h**4 * 0.05 + 1e-15
         ks = np.array([-40, -3, 0, 2, 17, 64])
         exact = 0.05 * (1.0 - np.exp(-TWO_PI)) / (1.0 + 1j * ks)
-        error = np.abs(dist.fourier_window(ks) - exact[:, None, None] * np.eye(2))
+        error = np.abs(dist.fourier_window(ks) - exact * np.eye(2)[:, :, None])
         assert np.max(error) <= bound
 
     @pytest.mark.parametrize("kernel", [
@@ -275,7 +276,7 @@ class TestSampledKernel:
         assert dist._fraction == (turns, 1)
         ks = np.concatenate([np.arange(-120, 0), np.arange(1, 121)])
         expected = (samples[-1] - samples[0]) / (1j * ks)
-        assert np.max(np.abs(dist.fourier_window(ks)[:, 0, 0] - expected)) <= 1e-15
+        assert np.max(np.abs(dist.fourier_window(ks)[0, 0] - expected)) <= 1e-15
 
     def test_complex_samples_take_the_complex_direct_product(self):
         # span 2.7 is no p/q multiple of 2 pi: the direct route, one complex
@@ -306,7 +307,7 @@ class TestSampledKernel:
                 # the direct route taking `block` modes per step
                 patch.setattr(symbols_module, "_PHASE_ENTRIES", block * dist.pieces)
                 for ks in (mode_range(40), mode_range(9), np.array([33, -5, 0, 12])):
-                    assert np.array_equal(dist.fourier_window(ks), wide[ks + 40]), span
+                    assert np.array_equal(dist.fourier_window(ks), wide[..., ks + 40]), span
 
 
 class TestLaplaceSymbol:
@@ -509,7 +510,7 @@ class TestSymbolOperatorConsistency:
         nodes = u.nodes
         applied = np.stack([pointwise(u_eval, t) for t in nodes])
         got = analyze(applied, bandwidth=K)
-        expected = np.einsum("kij,kj->ki", functional.symbol_window(mode_range(K)), coeffs)
+        expected = np.einsum("ijk,kj->ki", functional.symbol_window(mode_range(K)), coeffs)
         assert np.allclose(got, expected, atol=tol)
 
     def test_atoms(self):
@@ -578,19 +579,21 @@ class TestModeSymbols:
 
     def test_rows_are_bit_identical_to_the_narrower_table(self, regression_specs):
         # a mode's symbols and M(k) do not depend on the band, distributed
-        # kernels too: rows 31..49 of the table on |k| <= 40 are |k| <= 9
+        # kernels too: modes 31..49 of the table on |k| <= 40 are |k| <= 9
         assert "mat2_sampled" in regression_specs
         for name, spec in regression_specs.items():
             wide = ModeSymbols.from_spec(spec, 40)
             narrow = ModeSymbols.from_spec(spec, 9)
             for field in ("modes", "L", "G", "a"):
-                assert np.array_equal(getattr(wide, field)[31:50], getattr(narrow, field)), name
-            assert np.array_equal(wide.modal(spec.state_matrix)[31:50],
+                assert np.array_equal(getattr(wide, field)[..., 31:50],
+                                      getattr(narrow, field)), name
+            assert np.array_equal(wide.modal(spec.state_matrix)[..., 31:50],
                                   narrow.modal(spec.state_matrix)), name
-            # a table on k >= 0 alone holds the same rows as the whole band's
+            # a table on k >= 0 alone holds the same modes as the whole band's
             half = ModeSymbols.on_modes(spec, np.arange(41))
             for field in ("modes", "L", "G", "a"):
-                assert np.array_equal(getattr(half, field)[:10], getattr(narrow, field)[9:]), name
+                assert np.array_equal(getattr(half, field)[..., :10],
+                                      getattr(narrow, field)[..., 9:]), name
 
     def test_rows_are_bit_identical_with_small_mode_blocks(self, monkeypatch):
         # mat2_sampled takes the FFT route; the same kernel on a span off the
@@ -604,8 +607,8 @@ class TestModeSymbols:
         for spec in (problems.mat2_sampled(), off_grid):
             wide = ModeSymbols.from_spec(spec, 40)
             narrow = ModeSymbols.from_spec(spec, 9)
-            assert np.array_equal(wide.L[31:50], narrow.L)
-            assert np.array_equal(wide.modal(spec.state_matrix)[31:50],
+            assert np.array_equal(wide.L[..., 31:50], narrow.L)
+            assert np.array_equal(wide.modal(spec.state_matrix)[..., 31:50],
                                   narrow.modal(spec.state_matrix))
 
     def test_modal_is_nonstate_minus_state_times_neutral(self, rng):
@@ -620,19 +623,18 @@ class TestModeSymbols:
         table = ModeSymbols.from_spec(spec, 6)
         eye = np.eye(2)
         for i, k in enumerate(table.modes):
-            d = eye - table.L[i]
-            closed = 1j * k * d - spec.state_matrix @ d - table.G[i] - table.a[i] * eye
-            assert np.allclose(table.modal(spec.state_matrix)[i], closed, atol=1e-14)
-            assert np.allclose(table.neutral[i], d, atol=0.0)
+            d = eye - table.L[..., i]
+            closed = 1j * k * d - spec.state_matrix @ d - table.G[..., i] - table.a[i] * eye
+            assert np.allclose(table.modal(spec.state_matrix)[..., i], closed, atol=1e-14)
+            assert np.allclose(table.neutral[..., i], d, atol=0.0)
 
 
     def test_modal_reads_the_one_neutral_part_of_the_table(self, regression_specs):
         for spec in regression_specs.values():
             table = ModeSymbols.from_spec(spec, 9)
             eye = np.eye(spec.dim)
-            neutral = eye[None] - table.L
-            nonstate = ((1j * table.modes)[:, None, None] * neutral - table.G
-                        - table.a[:, None, None] * eye[None])
+            neutral = eye[:, :, None] - table.L
+            nonstate = 1j * table.modes * neutral - table.G - table.a * eye[:, :, None]
             expected = nonstate - symbols_module._stack_product(spec.state_matrix, neutral)
             np.testing.assert_array_equal(table.modal(spec.state_matrix), expected)
             assert table.neutral is table.neutral
@@ -650,25 +652,28 @@ class TestStackProduct:
     def test_agrees_with_matmul(self, n, complex_x, complex_y):
         rng = np.random.default_rng(n)
         m = 300
-        y = _stack(rng, (m, n, n), complex_y) * np.logspace(-8, 8, m)[:, None, None]
-        for x in (_stack(rng, (m, n, n), complex_x), _stack(rng, (n, n), complex_x)):
+        y = _stack(rng, (n, n, m), complex_y) * np.logspace(-8, 8, m)
+        for x in (_stack(rng, (n, n, m), complex_x), _stack(rng, (n, n), complex_x)):
             product = symbols_module._stack_product(x, y)
-            expected = np.matmul(x, y)
+            # the modes of a stack on the last axis, of matmul's on the first
+            per_mode = np.moveaxis(x, -1, 0) if x.ndim == 3 else x
+            expected = np.moveaxis(np.matmul(per_mode, np.moveaxis(y, -1, 0)), 0, -1)
             assert product.shape == expected.shape and product.dtype == expected.dtype
             # each entry is a sum of n products, each rounded once or twice
-            bound = (4 * n * np.finfo(float).eps * np.linalg.norm(x, axis=(-2, -1))
-                     * np.linalg.norm(y, axis=(-2, -1)))
-            assert np.all(np.abs(product - expected) <= bound[:, None, None])
+            bound = (4 * n * np.finfo(float).eps * np.linalg.norm(per_mode, axis=(-2, -1))
+                     * np.linalg.norm(y, axis=(0, 1)))
+            assert np.all(np.abs(product - expected) <= bound)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_the_product_of_a_slice_is_the_slice_of_the_product(self, n):
         rng = np.random.default_rng(10 + n)
-        x, y = _stack(rng, (257, n, n), True), _stack(rng, (257, n, n), True)
+        x, y = _stack(rng, (n, n, 257), True), _stack(rng, (n, n, 257), True)
         state = _stack(rng, (n, n), False)
         whole = symbols_module._stack_product(x, y)
         whole_state = symbols_module._stack_product(state, y)
-        for rows in (slice(0, 1), slice(5, 100), slice(100, 257), [200, 3, 77]):
+        for modes in (slice(0, 1), slice(5, 100), slice(100, 257), [200, 3, 77]):
             np.testing.assert_array_equal(
-                symbols_module._stack_product(x[rows], y[rows]), whole[rows])
+                symbols_module._stack_product(x[..., modes], y[..., modes]),
+                whole[..., modes])
             np.testing.assert_array_equal(
-                symbols_module._stack_product(state, y[rows]), whole_state[rows])
+                symbols_module._stack_product(state, y[..., modes]), whole_state[..., modes])
