@@ -37,10 +37,10 @@ itself is one.  The grids, and with them the quadrature values, are those
 of the length-n transform.
 
 Block norms are independent per level; the final sum runs in ascending j.
-A block norm, or the sum, whose largest square or power is outside
-[2^-900, 2^900] is taken again on its own data scaled by a power of two
-(``_lp_norm``, ``_combine_blocks``), so only a norm beyond the float range
-is infinite and none loses bits to underflow.
+A block norm whose largest square or power is outside [2^-900, 2^900] is
+taken again on its data scaled by a power of two (``_lp_norm``); the sum
+always is (``_combine_blocks``).  So only a norm beyond the float range is
+infinite and none loses bits to underflow.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .symbols import TWO_PI, PeriodicGridFunction, _power_of_two_scaled, mode_ra
 _POINTS_PER_MODE = 4
 
 #: squares and powers whose largest is in this range are summed unscaled
-#: (``_lp_norm``, ``_combine_blocks``)
+#: (``_lp_norm``)
 _LEAST_UNSCALED, _MOST_UNSCALED = 2.0**-900, 2.0**900
 
 #: samples, over every level and row, that the pruned synthesis holds at a
@@ -284,21 +284,17 @@ def _combine_blocks(blocks: np.ndarray, params: BesovParams) -> float:
 
     An exactly zero block adds an exact 0 at its place in the sum and is not
     weighted, so a weight beyond the float range (s j > 1023) on a zero
-    block cannot make the norm NaN.  Where every weighted block 2^{s j}
-    block_j is finite but the largest q-th power is not in range
-    (``_in_range``), the sum is taken again on the weighted blocks scaled
-    by a power of two (``symbols._power_of_two_scaled``) and scaled back.
-    No floating-point warning is raised.
+    block cannot make the norm NaN.  The sum is taken on the weighted blocks
+    scaled by a power of two (``symbols._power_of_two_scaled``), then scaled
+    back: only a norm beyond the float range overflows, and 2^e blocks give
+    2^e times the norm bit for bit.  No floating-point warning is raised.
     """
     levels = np.flatnonzero(blocks)
     weighted = np.zeros_like(blocks)
     with np.errstate(all="ignore"):
         weighted[levels] = 2.0 ** (params.s * levels) * blocks[levels]
-        terms = weighted ** params.q
-        if levels.size and np.all(np.isfinite(weighted)) and not _in_range(np.max(terms)):
-            unit, exponent = _power_of_two_scaled(weighted[:, None])
-            return float(np.ldexp(np.sum(unit ** params.q) ** (1.0 / params.q), exponent))
-        return float(np.sum(terms) ** (1.0 / params.q))
+        unit, exponent = _power_of_two_scaled(weighted[:, None])
+        return float(np.ldexp(np.sum(unit ** params.q) ** (1.0 / params.q), exponent))
 
 
 @dataclass
@@ -325,7 +321,9 @@ def besov_norm_report(f: PeriodicGridFunction, params: BesovParams) -> BesovNorm
     against the same norm on the smallest 7-smooth length >= 2N.  An
     estimate of 0.0 for p != 2 means the two sums rounded to the same
     float, so the error is below round-off, not that the quadrature is
-    exact.
+    exact.  The estimate is not a bound: |Q_N - Q_M| understates the error
+    whenever both grids' errors have the same sign; on the benchmark
+    forcing (28 points, p = 3) it reads 8.83e-5 against an actual 9.79e-5.
     """
     n = _quadrature_points(f, params.p)
     table = _block_norms(f, params.p, (n,) if params.p == 2.0 else (n, _seven_smooth(2 * n)))

@@ -39,7 +39,7 @@ import numpy as np
 from .exceptions import AliasingError, OffGridLagError, SingularSystemError
 from .symbols import (TWO_PI, DelayFunctional, KernelSpec, ProblemSpec, _max_row_norm,
                       _stack_product, _synthesis, mode_range)
-from .resolvent import COND_LIMIT, _inverse_and_condition, _operator_norms
+from .resolvent import COND_LIMIT, _inverse_and_condition, _operator_norms, _slope
 
 
 def periodize_kernel(kernel: KernelSpec, n_samples: int) -> np.ndarray:
@@ -216,10 +216,10 @@ def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
 
     The spectral reference is solved once and evaluated at the nodes of each
     collocation grid, whatever its size (``symbols._synthesis``).  The fitted
-    order is the least-squares slope of log gap against log N (negated); it
-    is reported as None when some gap sits at round-off level, where the fit
-    would measure noise.  ``cond_limit`` bounds both the spectral solve and
-    every collocation system.
+    order is the least-squares slope (``resolvent._slope``) of log gap
+    against log N, negated; it is reported as None when some gap sits at
+    round-off level, where the fit would measure noise.  ``cond_limit``
+    bounds both the spectral solve and every collocation system.
     """
     from .solver import solve_periodic  # deferred so assembly stays solver-free
 
@@ -236,5 +236,5 @@ def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
     order: Optional[float] = None
     if len(rows) >= 2 and np.all(gaps > 1e-13 * scale):
         sizes = np.array([float(n) for n, _ in rows])
-        order = float(-np.polyfit(np.log(sizes), np.log(gaps), 1)[0])
+        order = -_slope(np.log(sizes), np.log(gaps))
     return OracleComparison(rows=rows, fitted_order=order)

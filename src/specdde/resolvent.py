@@ -245,13 +245,17 @@ class MBoundReport:
         return {"window": self.window, "rows": [r.to_dict() for r in self.rows]}
 
 
-def _growth_exponent(window: int, by_abs_k: np.ndarray) -> float:
-    """Least-squares slope of log norm against log |k| over the window tail.
+def _slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x (two distinct x or more), in closed form."""
+    x = x - x.mean()
+    return float(np.sum(x * (y - y.mean())) / np.sum(x * x))
 
-    ``by_abs_k[j]`` is the larger of the two norms at modes +-j (index 0 is
-    mode 0 and never enters the fit).  Zero entries are dropped.  The slope
-    is the closed form sum (x - xbar)(y - ybar) / sum (x - xbar)^2 on the
-    centred logs; the kept |k| are distinct, so the denominator is positive.
+
+def _growth_exponent(window: int, by_abs_k: np.ndarray) -> float:
+    """Slope (``_slope``) of log norm against log |k| over the window tail.
+
+    ``by_abs_k[j]`` is the larger norm at modes +-j; index 0 (mode 0) never
+    enters the fit.  Zero entries are dropped; NaN when fewer than two remain.
     """
     lo = max(window // 2, 4)
     js = np.arange(lo, window + 1)
@@ -259,9 +263,7 @@ def _growth_exponent(window: int, by_abs_k: np.ndarray) -> float:
     keep = vals > 0.0
     if np.count_nonzero(keep) < 2:
         return float("nan")
-    x, y = np.log(js[keep].astype(float)), np.log(vals[keep])
-    x -= x.mean()
-    return float(np.sum(x * (y - y.mean())) / np.sum(x * x))
+    return _slope(np.log(js[keep].astype(float)), np.log(vals[keep]))
 
 
 def _verdict(window: int, by_abs_k: np.ndarray):

@@ -10,12 +10,12 @@ The solve is lean: it builds one symbol table (``ModeSymbols``) on the union
 of the solver and forcing bands, assembles M(k) once from it, inverts every
 M(k) once (``resolvent._checked_inverse``: the adjugate over the
 determinant for n = 2, a reciprocal for n = 1, elementwise over the band),
-rejects modes whose 1-norm condition number exceeds the limit, and takes
-both residuals from the same M(k).  It computes nothing it does not
+rejects modes whose 1-norm condition number exceeds the limit, and forms
+the residual M(k) uhat(k) - fhat(k) once.  It computes nothing it does not
 report; the spectral-norm sequences belong to the boundedness diagnostics
 in ``resolvent``.  That one solve, ``_band_solve``, serves
-``solve_periodic`` and ``convergence_sweep``, whose row K reads the solve on
-its widest band at |k| <= K and costs only its two syntheses.
+``solve_periodic`` and ``convergence_sweep``, whose row K reads the solve
+and residual at |k| <= K and costs only its two syntheses.
 
 Every stack of a solve lies on one layout of modes: k = 0..B when the data
 are real (``ProblemSpec.is_real``: real matrices, atoms and kernel, and
@@ -82,16 +82,17 @@ def _grid_max(modes: np.ndarray, rhat: np.ndarray, n_samples: int) -> float:
 
 
 def _band_solve(spec: ProblemSpec, bands: Sequence[int], cond_limit: float):
-    """(modes, M(k), fhat, uhat, condition): the solves at the ascending
+    """(modes, fhat, uhat, rhat, condition): the solves at the ascending
     truncations ``bands``, all read off one solve at the widest, B.
 
     Every stack lies on ``modes``: k = 0..max(B, forcing band) for a real
     problem, the whole band for a complex one.  uhat = M(k)^{-1} fhat(k) on
     |k| <= B, where ``condition`` is given, and 0 beyond; on a half band
-    uhat(0) is made real.  A rejected mode raises SingularModeError as the
-    first of those solves whose band holds it would: it names the modes of
-    the narrowest band in ``bands`` that holds one, and on a half band a
-    rejected k > 0 names -k as well.
+    uhat(0) is made real; rhat = M(k) uhat(k) - fhat(k) on every mode.  A
+    rejected mode raises SingularModeError as the first of those solves
+    whose band holds it would: it names the modes of the narrowest band in
+    ``bands`` that holds one, and on a half band a rejected k > 0 names -k
+    as well.
     """
     f = spec.forcing
     widest = bands[-1]
@@ -118,7 +119,7 @@ def _band_solve(spec: ProblemSpec, bands: Sequence[int], cond_limit: float):
     uhat[within] = np.einsum("ijk,kj->ki", resolvent, fhat[within])
     if _half(solved):
         uhat[0] = np.real(uhat[0])
-    return modes, modal, fhat, uhat, condition
+    return modes, fhat, uhat, np.einsum("ijk,kj->ki", modal, uhat) - fhat, condition
 
 
 def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> SpectralSolution:
@@ -134,7 +135,7 @@ def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> Spectra
     """
     f = spec.forcing
     K = spec.truncation
-    modes, modal, fhat, uhat, condition = _band_solve(spec, [K], cond_limit)
+    modes, _, uhat, rhat, condition = _band_solve(spec, [K], cond_limit)
     tail_energy = f.tail_energy(K)
     if tail_energy > 0.0:
         warnings.warn(
@@ -143,7 +144,6 @@ def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> Spectra
             TruncationWarning,
             stacklevel=2,
         )
-    rhat = np.einsum("ijk,kj->ki", modal, uhat) - fhat
     within = _within(modes, K)
     coefficients = uhat[within]
     if _half(modes):
@@ -201,24 +201,23 @@ def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
     flag is None when fewer than three doubling steps are available.  A
     rejected mode raises SingularModeError as the first row whose band holds
     it would (``_band_solve``).  Row K is the slice |k| <= max(K, forcing
-    band) of the layout, uhat zeroed beyond K; for a real problem it is the
-    k >= 0 rows and its residual and change are one ``irfft`` each.
+    band) of the layout: its residual is the solve's on |k| <= K and -fhat
+    beyond; for a real problem it is the k >= 0 rows and its residual and
+    change are one ``irfft`` each.
     """
     truncations = [int(k) for k in truncations]
     if any(a >= b for a, b in zip(truncations, truncations[1:])):
         raise ValueError("truncation list must be strictly ascending")
     f = spec.forcing
     n_grid = max(spec.grid, 4 * truncations[-1], f.n_samples)
-    modes, modal, fhat, uhat, _ = _band_solve(spec, truncations, cond_limit)
+    modes, fhat, uhat, rhat, _ = _band_solve(spec, truncations, cond_limit)
     rows: List[SweepRow] = []
     ratios = []
     for K in truncations:
         band, within = _within(modes, max(K, f.bandwidth)), _within(modes, K)
         row_modes = modes[band]
-        u = np.zeros((len(row_modes), spec.dim), dtype=complex)
-        u[_within(row_modes, K)] = uhat[within]
-        rhat = np.einsum("ijk,kj->ki", modal[..., band], u) - fhat[band]
-        res = _grid_max(row_modes, rhat, n_grid)
+        solved = (np.abs(row_modes) <= K)[:, None]
+        res = _grid_max(row_modes, np.where(solved, rhat[band], 0.0 - fhat[band]), n_grid)
         change = None
         if rows:
             # uhat on K_prev < |k| <= K: the solve at K less the one at K_prev

@@ -231,6 +231,23 @@ def test_verify_folds_slowly_decaying_and_high_power_kernels(tmp_path, term):
     assert report_of(out, "verify")["fitted_order"] == pytest.approx(2.0, abs=0.05)
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "besov"])
+def test_a_zero_weight_kernel_term_changes_nothing(tmp_path, command):
+    # the config accepts c = 0; the symbol adds an exact 0 and the oracle's
+    # fold skips the term, so every number and side file is TINY's
+    kernel = {"terms": TINY["problem"]["kernel"]["terms"] + [{"c": 0.0, "m": 0, "alpha": 1.0}]}
+    doc = dict(TINY, problem=dict(TINY["problem"], kernel=kernel))
+    code, out = run(tmp_path, command, doc, "zero_term")
+    assert code == 0
+    code, reference = run(tmp_path, command, TINY, "tiny")
+    assert code == 0
+    report, expected = report_of(out, command), report_of(reference, command)
+    assert report.pop("config") != expected.pop("config")
+    assert report == expected
+    for name in SIDE_FILES[command]:
+        assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
+
 def test_off_grid_lag_writes_a_report(tmp_path):
     doc = json.loads(json.dumps(SAMPLED))
     doc["problem"]["L"]["distributed"]["span"] = 1.0

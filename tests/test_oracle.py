@@ -302,6 +302,11 @@ def test_fold_is_the_direct_periodic_sum(kernel):
     assert np.max(np.abs(folded - direct)) <= 32 * np.finfo(float).eps * np.max(np.abs(direct))
 
 
+def test_fold_needs_a_sample():
+    with pytest.raises(ValueError, match="need at least one sample"):
+        periodize_kernel(KernelSpec(terms=[(0.2, 0, 2.0)]), 0)
+
+
 @pytest.mark.parametrize("c, m, alpha", [(1e-200, 100, 0.01), (1e-258, 100, 0.1)])
 def test_fold_is_finite_where_the_power_sums_are_not(c, m, alpha):
     # (2pi)^100 and the power sums of r = e^{-2pi alpha} leave the float range,

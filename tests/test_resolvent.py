@@ -434,6 +434,39 @@ class TestDiagnostics:
         assert sum(sizes) == 9 * (2 * window + 2) + 7 * (2 * window + 1)
 
 
+class TestVerdict:
+    """The fit and the classification on per-|k| norm profiles made by hand."""
+
+    def test_window_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            m_bounded_diagnostics(problems.scalar_basic(), 0)
+
+    def test_one_nonzero_entry_in_the_fit_window_has_no_exponent(self):
+        # the fit runs over |k| = 16..32; one nonzero entry there leaves
+        # nothing to fit, so the exponent is NaN and the verdict inconclusive
+        profile = np.zeros(33)
+        profile[[3, 10, 20]] = 1.0
+        assert np.isnan(resolvent._growth_exponent(32, profile))
+        verdict, exponent = resolvent._verdict(32, profile)
+        assert verdict == "inconclusive" and np.isnan(exponent)
+
+    def test_an_exact_tie_of_tail_and_twice_mid_is_inconclusive(self):
+        # mid sup (|k| = 8..15) is 15 and tail sup (|k| = 16..32) is 30
+        # exactly: inconclusive although the profile grows like |k| up to 30
+        profile = np.minimum(np.arange(33.0), 30.0)
+        verdict, exponent = resolvent._verdict(32, profile)
+        assert exponent >= 0.5
+        assert verdict == "inconclusive"
+        profile[-1] = 31.0
+        assert resolvent._verdict(32, profile)[0] == "growing"
+
+    def test_slope_is_the_least_squares_fit(self, rng):
+        x = np.log(np.arange(16.0, 33.0))
+        assert resolvent._slope(x, 3.0 * x - 2.0) == pytest.approx(3.0, rel=1e-14)
+        y = 0.5 * x + 0.1 * rng.standard_normal(x.size)
+        assert resolvent._slope(x, y) == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12)
+
+
 def _svd_norms(stack):
     return np.linalg.svd(matrices(stack), compute_uv=False)[:, 0]
 

@@ -677,3 +677,46 @@ class TestStackProduct:
                 whole[..., modes])
             np.testing.assert_array_equal(
                 symbols_module._stack_product(state, y[..., modes]), whole_state[..., modes])
+
+
+class TestValidation:
+    """The Python API rejects malformed data where it is constructed, with
+    the package's own errors, as ``config`` does for a configuration."""
+
+    @pytest.mark.parametrize("kwargs, error, match", [
+        ({"state_matrix": np.ones((2, 3))}, DimensionError, "must be square"),
+        ({"state_matrix": [[-1.0]], "truncation": 0}, ValueError, "truncation must be >= 1"),
+        ({"state_matrix": [[-1.0]], "truncation": 4, "grid": 8}, AliasingError, "N >= 2K\\+1"),
+        ({"state_matrix": -np.eye(2), "neutral_delay": DelayFunctional(dim=1)},
+         DimensionError, "neutral delay dimension 1 != state dimension 2"),
+        ({"state_matrix": -np.eye(2), "reaction_delay": DelayFunctional(dim=3)},
+         DimensionError, "reaction delay dimension 3 != state dimension 2"),
+        ({"state_matrix": -np.eye(2), "forcing": PeriodicGridFunction.zero(1)},
+         DimensionError, "forcing dimension 1 != state dimension 2"),
+    ], ids=["non_square", "truncation_0", "grid_below_2K+1", "neutral_dim", "reaction_dim",
+            "forcing_dim"])
+    def test_problem_spec(self, kwargs, error, match):
+        with pytest.raises(error, match=match):
+            ProblemSpec(**kwargs)
+
+    def test_delay_functional(self):
+        with pytest.raises(DimensionError, match="state dimension must be >= 1"):
+            DelayFunctional(dim=0)
+        with pytest.raises(ValueError, match="atom 1: lag must be nonnegative"):
+            DelayFunctional(dim=1, atoms=[(0.5, 1.0), (0.5, -0.25)])
+        kernel = DistributedDelay(np.ones((5, 2, 2)), span=TWO_PI)
+        with pytest.raises(DimensionError, match="distributed kernel dimension 2 != 1"):
+            DelayFunctional(dim=1, distributed=kernel)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_distributed_kernel(self, bad):
+        with pytest.raises(InvalidKernelError, match="must be finite"):
+            DistributedDelay(np.array([0.1, 0.2, bad, 0.3, 0.4]), span=TWO_PI)
+
+    def test_periodic_grid_function(self):
+        with pytest.raises(ValueError, match="odd length"):
+            PeriodicGridFunction(np.zeros((4, 1)), 16)
+        with pytest.raises(AliasingError, match="N=6 too small for bandwidth K=3"):
+            PeriodicGridFunction(np.zeros((7, 1)), 6)
+        with pytest.raises(DimensionError, match="harmonic entry of length 3, expected 2"):
+            PeriodicGridFunction.from_harmonics(cos=[[1.0, 2.0], [1.0, 2.0, 3.0]], dim=2)
