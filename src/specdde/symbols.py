@@ -21,6 +21,10 @@ Conventions used throughout the package:
 
 The distributed part of a delay functional is always a not-a-knot cubic
 spline on uniform pieces (fitted here in numpy) through the given samples.
+The slope system's factors do not depend on the samples, so its two
+substitutions run as batched products by the explicit inverses of blocks
+of 32 rows, with no loop over the knots (``_not_a_knot_pieces``); the
+pieces are within 6.4e-16 of a Thomas sweep's.
 Its Fourier integral is exact per piece.  The phase sums of all modes come
 from one zero-padded inverse FFT when the span is a small rational multiple
 of 2*pi, else from one direct phase product; no kernel is evaluated per mode.
@@ -52,6 +56,16 @@ _PHASE_ENTRIES = 2**20
 #: power-series terms of E_m(z) at |z| < 1 (the first one dropped is < 1e-19)
 _SERIES_TERMS = 20
 
+#: 1/(p! (m + p + 1)), the coefficient of (iz)^p in E_m(z), m = 0..3 by p
+_SERIES = 1.0 / (np.cumprod(np.r_[1.0, np.arange(1.0, _SERIES_TERMS)])
+                 * (np.arange(4)[:, None] + np.arange(_SERIES_TERMS) + 1.0))
+
+#: rows per block of the spline fit's substitutions (``_bidiagonal_factors``)
+_BLOCK = 32
+
+#: ones on and below the diagonal of a block: the pattern of its inverse
+_LOWER = np.tri(_BLOCK)
+
 
 def mode_range(bandwidth: int) -> np.ndarray:
     """Integer modes -K..K for a given bandwidth K."""
@@ -77,10 +91,85 @@ def _as_state_matrix(value, dim: int, what: str) -> np.ndarray:
     return mat
 
 
+def _slope_pivots(pieces: int) -> np.ndarray:
+    """The pivots of the not-a-knot slope system (``_not_a_knot_pieces``),
+    eliminated from the top without pivoting: 1 and 2 on the first two
+    rows, 4 - 1/previous on the others of the interior, 1 - 2/previous on
+    the last.  The interior recurrence contracts toward 2 + sqrt(3) by
+    1/pivot^2 <= 1/4 a row and meets it in floating point at the 17th
+    pivot; every later interior pivot is that fixed point, so the scalar
+    loop stops there.  The values are those of the elimination row by row.
+    """
+    pivots = [1.0, 2.0]
+    while len(pivots) < pieces:
+        pivot = 4.0 - 1.0 / pivots[-1]
+        if pivot == pivots[-1]:
+            break
+        pivots.append(pivot)
+    out = np.full(pieces + 1, pivots[-1])
+    out[:len(pivots)] = pivots
+    out[pieces] = 1.0 - 2.0 / out[pieces - 1]
+    return out
+
+
+def _bidiagonal_factors(coef: np.ndarray):
+    """Block factors of the unit lower bidiagonal systems
+
+        x_0 = b_0,   x_i = b_i + coef[s, i - 1] x_{i-1}   (0 < i < m),
+
+    one for each row s of ``coef`` (shape (systems, m - 1)): the pair
+    (inverses, carries) that ``_bidiagonal_solve`` takes for system s.
+
+    The m rows are cut into blocks of ``_BLOCK`` rows (one block if m is
+    less).  Let p_i be the product of a block's coefficients up to its row
+    i, the first of them the one coupling the block to the block before.
+    The inverse of the block's own bidiagonal matrix has the entries
+    p_i / p_j, j <= i: the products of the coefficients after j up to i,
+    with p_j / p_j = 1 exactly.  ``inverses`` stacks them, shape
+    (blocks, rows, rows), and ``carries`` holds p of every block after the
+    first, shape (blocks - 1, rows, 1): what the last value of the block
+    before is multiplied by in each row.  The inverses take 8 ``_BLOCK``
+    bytes a row of each system.  The coefficients must keep every product
+    within a block in the float range.
+    """
+    systems, m = coef.shape[0], coef.shape[1] + 1
+    rows = min(_BLOCK, m)
+    blocks = -(-m // rows)
+    a = np.ones((systems, blocks * rows))
+    a[:, 1:m] = coef
+    products = np.multiply.accumulate(a.reshape(systems, blocks, rows), axis=2)
+    inverses = np.divide(products[..., :, None], products[..., None, :])
+    inverses *= _LOWER[:rows, :rows]
+    return list(zip(inverses, products[:, 1:, :, None]))
+
+
+def _bidiagonal_solve(factors, rhs: np.ndarray) -> np.ndarray:
+    """x of one system of ``_bidiagonal_factors`` for the float64 or
+    complex128 right-hand sides b = ``rhs``, shape (m, c).
+
+    One batched matrix product by the inverses solves each block as if it
+    began the system.  The value carried in from the block before then
+    adds the block's carries times that block's last value as its own
+    product gave it, so what is dropped is the carry of that last value
+    from the block before it again: the product of all the coefficients of
+    the middle block, times a value of x.  Complex right-hand sides are
+    solved as their real and imaginary parts.
+    """
+    inverses, carries = factors
+    blocks, rows = inverses.shape[:2]
+    m = len(rhs)
+    b = np.zeros((blocks * rows, rhs.shape[1]), dtype=rhs.dtype)
+    b[:m] = rhs
+    x = inverses @ b.view(np.float64).reshape(blocks, rows, -1)
+    x[1:] += carries * x[:-1, -1:]
+    return x.reshape(blocks * rows, -1)[:m].view(rhs.dtype)
+
+
 def _not_a_knot_pieces(samples: np.ndarray, h: float) -> np.ndarray:
     """Power coefficients of the not-a-knot cubic spline through uniform samples.
 
-    ``samples`` holds y_0..y_P (P >= 3 pieces of width h), shape (P+1, n, n).
+    ``samples`` holds y_0..y_P (P >= 3 pieces of width h), shape (P+1, n, n),
+    of any real or complex type; the fit runs in float64 or complex128.
     Returns c of shape (P, 4, n, n) with S(theta) = sum_m c[j, m] (theta - x_j)^m
     on piece j.  The knot slopes s_i solve the uniform-grid system (rows
     divided by h), with d_j = (y_{j+1} - y_j) / h:
@@ -89,30 +178,56 @@ def _not_a_knot_pieces(samples: np.ndarray, h: float) -> np.ndarray:
         s_{i-1} + 4 s_i + s_{i+1}  = 3 (d_{i-1} + d_i)          0 < i < P
         2 s_{P-1} + s_P            = (d_{P-2} + 5 d_{P-1}) / 2
 
-    by one Thomas sweep; the first and last rows make the third derivative
-    continuous at x_1 and x_{P-1}.
+    whose first and last rows make the third derivative continuous at x_1
+    and x_{P-1} (de Boor, A Practical Guide to Splines, 2001).
+
+    It is the LU factorisation without pivoting that a Thomas sweep takes,
+    with both substitutions run as array work.  The factors do not depend
+    on the data: the pivots are ``_slope_pivots`` (1 on the first row, 2
+    or more on the others but the last), the multipliers
+    w_i = sub_i / pivot_{i-1} are 1, 1/2 and then at most 4/7, and the
+    scaled superdiagonal u_i = sup_i / pivot_i is 2, 1/2 and then at most
+    2/7.  The forward substitution y_i = rhs_i - w_i y_{i-1} and the back
+    substitution s_i = y_i / pivot_i - u_i s_{i+1}, run from the last row
+    up, are each one ``_bidiagonal_solve``; one ``_bidiagonal_factors``
+    makes the blocks of both.
+
+    Accuracy: the product of the 32 coefficients of a block other than the
+    first and the last is at most 1.0e-18 (the interior ones are
+    -(2 - sqrt(3)) = -0.268) and a carry is at most 2, so what the blocks
+    drop is at most 2e-18 of the largest value of a sweep, far under a
+    unit of round-off (1.1e-16).  An entry of a block's inverse is a
+    quotient of two running products, a product of at most 31 coefficients
+    to within 32 roundings, and the entries of a row shrink geometrically
+    away from the diagonal; so each value errs by a small multiple of
+    u (|L^{-1}| |b|)_i, the size of the bound of substitution itself
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
+    2002, sections 3.5 and 8.1).  Against the Thomas sweep the pieces move
+    by at most 6.4e-16 of their largest entry (P = 3..65,536; n = 1, 2, 6;
+    real and complex samples).
     """
-    y = samples
+    y = np.asarray(samples, dtype=np.result_type(samples, np.float64))
     pieces = y.shape[0] - 1
     d = (y[1:] - y[:-1]) / h
     rhs = np.empty_like(d, shape=y.shape)
     rhs[0] = (5.0 * d[0] + d[1]) / 2.0
     rhs[1:pieces] = 3.0 * (d[:-1] + d[1:])
     rhs[pieces] = (d[pieces - 2] + 5.0 * d[pieces - 1]) / 2.0
-    sub = [0.0] + [1.0] * (pieces - 1) + [2.0]
-    diag = [1.0] + [4.0] * (pieces - 1) + [1.0]
-    sup = [2.0] + [1.0] * (pieces - 1)
-    for i in range(1, pieces + 1):
-        w = sub[i] / diag[i - 1]
-        diag[i] -= w * sup[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    slopes = np.empty_like(rhs)
-    slopes[pieces] = rhs[pieces] / diag[pieces]
-    for i in range(pieces - 1, -1, -1):
-        slopes[i] = (rhs[i] - sup[i] * slopes[i + 1]) / diag[i]
+    pivots = _slope_pivots(pieces)
+    coef = np.empty((2, pieces))
+    np.divide(-1.0, pivots[:-1], out=coef[0])  # -w_1..-w_P, w_i = sub_i / pivot_{i-1}
+    coef[1] = coef[0, ::-1]  # -u_{P-1}..-u_0, u_i = sup_i / pivot_i
+    coef[:, -1] *= 2.0  # sub_P = sup_0 = 2
+    forward, backward = _bidiagonal_factors(coef)
+    scaled = _bidiagonal_solve(forward, rhs.reshape(pieces + 1, -1)) / pivots[:, None]
+    slopes = _bidiagonal_solve(backward, scaled[::-1])[::-1].reshape(y.shape)
     s0, s1 = slopes[:-1], slopes[1:]
     t = (s0 + s1 - 2.0 * d) / h
-    return np.stack([y[:-1], s0, (d - s0) / h - t, t / h], axis=1)
+    c = np.empty_like(t, shape=(pieces, 4) + y.shape[1:])
+    c[:, 0], c[:, 1] = y[:-1], s0
+    np.subtract((d - s0) / h, t, out=c[:, 2])
+    np.divide(t, h, out=c[:, 3])
+    return c
 
 
 def _spline_moments(z: np.ndarray, expiz: np.ndarray) -> np.ndarray:
@@ -121,25 +236,25 @@ def _spline_moments(z: np.ndarray, expiz: np.ndarray) -> np.ndarray:
     ``expiz`` holds e^{iz}.  For |z| >= 1 the forward recursion
     E_0 = (e^{iz} - 1)/(iz), E_m = (e^{iz} - m E_{m-1})/(iz); it loses
     accuracy like |z|^{-m} as z -> 0, so |z| < 1 sums the power series
-    E_m(z) = sum_p (iz)^p / (p! (m + p + 1)) instead.
+    E_m(z) = sum_p (iz)^p / (p! (m + p + 1)) instead: the table
+    ``_SERIES`` of the coefficients times the powers (iz)^p, p <
+    _SERIES_TERMS, from one cumulative product, summed over p in order.
+    Every step is elementwise in z, so each value depends on its own z
+    alone, not on the others in the call.
     """
-    out = np.empty((4, len(z)), dtype=complex)
     small = np.abs(z) < 1.0
-    iz = 1j * z[~small]
-    e = expiz[~small]
-    prev = (e - 1.0) / iz
-    out[0, ~small] = prev
+    iz = 1j * np.where(small, 1.0, z)  # the series overwrites these columns
+    out = np.empty((4, len(z)), dtype=complex)
+    out[0] = (expiz - 1.0) / iz
     for m in range(1, 4):
-        prev = (e - m * prev) / iz
-        out[m, ~small] = prev
+        out[m] = (expiz - m * out[m - 1]) / iz
     if np.any(small):
-        iz = 1j * z[small]
-        term = np.ones_like(iz)
-        series = np.zeros((4, len(iz)), dtype=complex)
-        for p in range(_SERIES_TERMS):
-            series += term / (np.arange(1, 5)[:, None] + p)
-            term = term * iz / (p + 1)
-        out[:, small] = series
+        powers = np.empty((_SERIES_TERMS, np.count_nonzero(small)), dtype=complex)
+        powers[0] = 1.0
+        powers[1:] = 1j * z[small]
+        np.cumprod(powers, axis=0, out=powers)
+        terms = _SERIES[:, :, None] * powers.view(np.float64)  # (iz)^p as real pairs
+        out[:, small] = np.add.reduce(terms, axis=1).view(complex)
     return out
 
 
@@ -158,6 +273,15 @@ class DistributedDelay:
     the samples on P = m - 1 uniform pieces.  ``evaluate`` and
     ``fourier_window`` read the spline only, so every consumer sees the
     same operator.
+
+    The spline is fitted at construction by ``_not_a_knot_pieces``: the
+    substitutions of its slope system are blocked matrix products, not a
+    Thomas sweep over the knots, and move the pieces by at most 6.4e-16 of
+    the largest from that sweep's.  The fit raises no floating-point
+    warning: samples near the float limit can overflow the slope system,
+    which leaves non-finite pieces, and the solver then reports the modes
+    it makes singular.  ``fourier_window`` integrates the spline exactly,
+    its moments E_m by one product with a table of series coefficients.
     """
 
     def __init__(self, kernel, span: float):
@@ -170,7 +294,8 @@ class DistributedDelay:
         samples = _kernel_values(samples)
         if samples.shape[0] < 4:
             raise ValueError("need at least 4 kernel samples for interpolation")
-        self._pieces = _not_a_knot_pieces(samples, self.span / (samples.shape[0] - 1))
+        with np.errstate(all="ignore"):  # samples near the float limit may overflow
+            self._pieces = _not_a_knot_pieces(samples, self.span / (samples.shape[0] - 1))
         self.pieces, self.dim = samples.shape[0] - 1, samples.shape[1]
         self.is_real = not np.any(np.imag(samples))
         self._grid = np.linspace(-self.span, 0.0, self.pieces + 1)
@@ -212,7 +337,7 @@ class DistributedDelay:
         if self._fraction is not None:
             p, q = self._fraction
             table = np.fft.ifft(stack, n=q * pieces, axis=0, norm="forward")
-            shift = _unit_phase(np.mod(ks * (p % q), q) / q)
+            shift = _unit_phase(np.arange(q) / q)[np.mod(ks * (p % q), q)]
             sums = table[np.mod(ks * (p % (q * pieces)), q * pieces)] * shift[:, None]
         else:
             back = np.arange(pieces, 0, -1)

@@ -320,6 +320,16 @@ RESONANT = {"problem": {"n": 2, "A": [[0.0, 1.0000001], [-1.0, 0.0]],
                         "forcing": {"cos": [[1e308, 1e308]]}},
             "K": 8, "N_list": [32, 64], "K_list": [2, 4, 8]}
 
+#: TINY with a 17-sample L kernel of alternating +-1e307: the slope system
+#: of its spline overflows while the configuration is read, before a
+#: command runs
+KERNEL_OVERFLOW = dict(TINY, problem=dict(TINY["problem"], L=dict(
+    TINY["problem"]["L"],
+    distributed={"samples": (1e307 * (-1.0) ** np.arange(17)[:, None, None]
+                             * np.eye(2)).tolist(),
+                 "span": TWO_PI},
+)))
+
 SIDE_FILES = {"solve": ["solution.csv"], "diagnose": [], "besov": [],
               "verify": ["verify_table.csv"], "sweep": ["sweep_table.csv"]}
 
@@ -464,7 +474,7 @@ _OVERFLOW_RUNS = """
 import json, sys
 from specdde import cli
 root, codes = sys.argv[1], {}
-for name in ("OVERFLOW", "BEYOND", "RESONANT", "SQUARES_OVERFLOW"):
+for name in ("OVERFLOW", "BEYOND", "RESONANT", "SQUARES_OVERFLOW", "KERNEL_OVERFLOW"):
     for command in ("solve", "diagnose", "besov", "verify", "sweep"):
         codes[f"{name} {command}"] = cli.main(
             [command, "--config", f"{root}/{name}.json", "--out", f"{root}/{name}/{command}"])
@@ -476,7 +486,7 @@ def test_overflow_keeps_the_exit_code_contract_with_warnings_as_errors(tmp_path)
     # an overflow is judged by the non_finite check, never escapes as a
     # traceback: the same codes and reports as a default run, and no exit 1
     docs = {"OVERFLOW": OVERFLOW, "BEYOND": BEYOND, "RESONANT": RESONANT,
-            "SQUARES_OVERFLOW": SQUARES_OVERFLOW}
+            "SQUARES_OVERFLOW": SQUARES_OVERFLOW, "KERNEL_OVERFLOW": KERNEL_OVERFLOW}
     env = dict(os.environ, PYTHONPATH=str(Path(specdde.__file__).parents[1]))
     codes = {}
     for run_name, flags in (("default", []), ("strict", ["-W", "error::RuntimeWarning"])):

@@ -183,6 +183,81 @@ class TestSampledKernel:
         got = dist._pieces.transpose(1, 0, 2, 3)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("pieces", [3, 4, 5, symbols_module._BLOCK - 1,
+                                        symbols_module._BLOCK, symbols_module._BLOCK + 1,
+                                        2 * symbols_module._BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_blocked_substitution_matches_a_dense_solve(self, pieces, n, complex_data):
+        # the slope system of the _not_a_knot_pieces docstring, solved by
+        # LAPACK with partial pivoting; the pieces from those slopes by the
+        # same formulas.  Each solve errs by a small multiple of the unit
+        # round-off times the matrix's condition number, below 22, so 1e-14
+        # of the largest piece bounds their distance (6.2e-16 measured)
+        gen = np.random.default_rng(100 * pieces + n)
+        samples = gen.uniform(-1.0, 1.0, size=(pieces + 1, n, n))
+        if complex_data:
+            samples = samples + 1j * gen.uniform(-1.0, 1.0, size=(pieces + 1, n, n))
+        h = 2.7 / pieces
+        d = (samples[1:] - samples[:-1]) / h
+        matrix = 4.0 * np.eye(pieces + 1) + np.eye(pieces + 1, k=1) + np.eye(pieces + 1, k=-1)
+        matrix[0, :2] = [1.0, 2.0]
+        matrix[pieces, pieces - 1:] = [2.0, 1.0]
+        rhs = np.concatenate([[(5.0 * d[0] + d[1]) / 2.0], 3.0 * (d[:-1] + d[1:]),
+                              [(d[-2] + 5.0 * d[-1]) / 2.0]])
+        slopes = np.linalg.solve(matrix, rhs.reshape(pieces + 1, -1)).reshape(samples.shape)
+        s0, s1 = slopes[:-1], slopes[1:]
+        t = (s0 + s1 - 2.0 * d) / h
+        expected = np.stack([samples[:-1], s0, (d - s0) / h - t, t / h], axis=1)
+        got = symbols_module._not_a_knot_pieces(samples, h)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_step_kernel_on_65536_pieces_matches_scipy(self):
+        # span 4 puts every knot on a binary fraction, so scipy's interval
+        # widths are all exactly h and both splines solve the same system
+        pieces, span = 2**16, 4.0
+        grid = np.linspace(-span, 0.0, pieces + 1)
+        samples = np.where(grid < -1.0, 1.0, 0.0)[:, None, None] * np.ones((1, 2, 2))
+        dist = DistributedDelay(samples, span=span)
+        expected = CubicSpline(grid, samples, axis=0).c[::-1]
+        got = dist._pieces.transpose(1, 0, 2, 3)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.complex64])
+    def test_samples_of_any_type_are_fitted_in_double_precision(self, dtype):
+        values = np.random.default_rng(6).uniform(-50.0, 50.0, size=(70, 2, 2))
+        if dtype is np.complex64:
+            values = values + 1j * values[::-1]
+        samples = values.astype(dtype)
+        wide = samples.astype(np.result_type(dtype, np.float64))
+        assert np.array_equal(DistributedDelay(samples, span=2.7)._pieces,
+                              DistributedDelay(wide, span=2.7)._pieces)
+
+    @pytest.mark.parametrize("z", [0.0, 0.3, -0.3, 1.0 - 1e-12, -(1.0 - 1e-12), 1.0, -2.5])
+    def test_spline_moments_match_quadrature(self, z):
+        # E_m(z) = int_0^1 s^m e^{izs} ds: the series at |z| < 1, the
+        # recursion at |z| >= 1.  quad's Gauss-Kronrod rule is exact to
+        # round-off on these smooth integrands; |E_m| <= 1, and 1e-15 bounds
+        # the distance (at most 3.5e-16 measured)
+        def integral(m):
+            options = dict(epsabs=1e-13, epsrel=1e-13)
+            return (quad(lambda s: s**m * np.cos(z * s), 0.0, 1.0, **options)[0]
+                    + 1j * quad(lambda s: s**m * np.sin(z * s), 0.0, 1.0, **options)[0])
+
+        got = symbols_module._spline_moments(np.array([z]), np.exp(1j * np.array([z])))[:, 0]
+        expected = np.array([integral(m) for m in range(4)])
+        assert np.max(np.abs(got - expected)) <= 1e-15
+
+    def test_spline_moment_branches_agree_across_unit_z(self):
+        # the largest float below 1 takes the series, 1 the recursion; E_m
+        # moves by at most |z - z'| / (m + 2) < 1e-16 between them, so 1e-15
+        # bounds the branches' disagreement (2.9e-16 measured)
+        below = np.nextafter(1.0, 0.0)
+        z = np.array([below, 1.0, -below, -1.0])
+        moments = symbols_module._spline_moments(z, np.exp(1j * z))
+        assert np.max(np.abs(moments[:, 0] - moments[:, 1])) <= 1e-15
+        assert np.max(np.abs(moments[:, 2] - moments[:, 3])) <= 1e-15
+
     def test_evaluate_matches_scipy_spline(self):
         samples, span = bench_kernel(2)
         grid = np.linspace(-span, 0.0, samples.shape[0])
