@@ -60,8 +60,11 @@ _POINTS_PER_MODE = 4
 #: (``_lp_norm``)
 _LEAST_UNSCALED, _MOST_UNSCALED = 2.0**-900, 2.0**900
 
-#: samples, over every level and row, that the pruned synthesis holds at a
-#: time (``_power_sums``); its working memory is about 75 bytes a sample
+#: samples, over every level and row, that the pruned synthesis aims to
+#: hold at a time (``_power_sums``), at about 75 bytes a sample.  A chunk is
+#: at least one (levels, rows, m) slice, so the samples held are at most
+#: max(_CHUNK_SAMPLES, levels * rows * m): 11.9 MB of working memory for a
+#: real function live on every mode up to K = 4096, 14 levels at m = 10,924
 _CHUNK_SAMPLES = 6144
 
 

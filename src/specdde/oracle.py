@@ -163,12 +163,12 @@ def collocation_solve(spec: ProblemSpec, n_nodes: int,
     or exceeds ``cond_limit``.
     """
     n = spec.dim
-    dt = TWO_PI / n_nodes
     if n_nodes < 2 * spec.forcing.bandwidth + 1:
         raise AliasingError(
             f"collocation grid {n_nodes} cannot carry forcing bandwidth "
             f"{spec.forcing.bandwidth}"
         )
+    dt = TWO_PI / n_nodes
     eye_n = np.eye(n)
     diff_state = np.zeros((n, n, n_nodes), dtype=complex)
     diff_state[..., -1] += eye_n / (2.0 * dt)

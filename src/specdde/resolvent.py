@@ -106,15 +106,16 @@ def _operator_norms(stack: np.ndarray) -> np.ndarray:
     matrix first scaled to a largest entry in [1, 2).  Only the rows outside
     that range (overflowed, underflowed or not finite) are computed again,
     scaled that way (``_scale_in_place``); an exactly zero matrix, whose
-    norm 0 is exact, is not, and an all-zero stack (Q, B and their
-    differences when the neutral lag is the period) skips the formula.
+    norm 0 is exact, is not.  An all-zero stack (Q, B and their
+    differences when the neutral lag is the period) returns zeros for every
+    n, with no formula and no SVD.
     """
     n = len(stack)
+    if not stack.any():
+        return np.zeros(stack.shape[-1])
     if n == 1:
         return np.abs(stack[0, 0])
     if n == 2:
-        if not stack.any():
-            return np.zeros(stack.shape[-1])
         with np.errstate(all="ignore"):
             norms = _largest_singular_value(stack)
         rows = np.flatnonzero(~((norms >= _LEAST_UNSCALED) & (norms <= _MOST_UNSCALED)))

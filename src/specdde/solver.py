@@ -32,6 +32,7 @@ band.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -188,7 +189,9 @@ class SweepResult:
 
 def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
                       cond_limit: float = COND_LIMIT) -> SweepResult:
-    """Residual-vs-truncation table for a strictly ascending list of bandwidths.
+    """Residual-vs-truncation table for a nonempty, strictly ascending list of
+    bandwidths, each an integer >= 1 (the checks ``ProblemSpec`` and
+    ``parse_config`` make of a truncation).
 
     One symbol table, one checked inversion and one solve on the widest band
     serve every row: row K reads the solve's coefficients on |k| <= K, which
@@ -205,7 +208,11 @@ def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
     beyond; for a real problem it is the k >= 0 rows and its residual and
     change are one ``irfft`` each.
     """
-    truncations = [int(k) for k in truncations]
+    truncations = [operator.index(k) for k in truncations]
+    if not truncations:
+        raise ValueError("truncation list must be nonempty")
+    if min(truncations) < 1:
+        raise ValueError("truncation must be >= 1")
     if any(a >= b for a, b in zip(truncations, truncations[1:])):
         raise ValueError("truncation list must be strictly ascending")
     f = spec.forcing

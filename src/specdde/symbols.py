@@ -21,10 +21,13 @@ Conventions used throughout the package:
 
 The distributed part of a delay functional is always a not-a-knot cubic
 spline on uniform pieces (fitted here in numpy) through the given samples.
-The slope system's factors do not depend on the samples, so its two
-substitutions run as batched products by the explicit inverses of blocks
-of 32 rows, with no loop over the knots (``_not_a_knot_pieces``); the
-pieces are within 6.4e-16 of a Thomas sweep's.
+Its slopes need no factorisation (``_not_a_knot_pieces``): the interior
+rows s_{i-1} + 4 s_i + s_{i+1} = r_i have the Green's function
+G_l = mu^|l| / (2 sqrt 3), mu = sqrt(3) - 2, and |mu|^33 < 1.4e-19, so the
+slopes are one constant band of G, |l| <= 32, applied to r (dropping less
+than 1.1e-19 of the largest r_i) plus the two boundary modes mu^i and
+mu^(P-i), whose weights the two end rows fix.  The slopes are within
+8.3e-16 of the largest of an exact solve's.
 Its Fourier integral is exact per piece.  The phase sums of all modes come
 from one zero-padded inverse FFT when the span is a small rational multiple
 of 2*pi, else from one direct phase product; no kernel is evaluated per mode.
@@ -60,11 +63,16 @@ _SERIES_TERMS = 20
 _SERIES = 1.0 / (np.cumprod(np.r_[1.0, np.arange(1.0, _SERIES_TERMS)])
                  * (np.arange(4)[:, None] + np.arange(_SERIES_TERMS) + 1.0))
 
-#: rows per block of the spline fit's substitutions (``_bidiagonal_factors``)
+#: rows per block of the band of the spline fit's Green's function
 _BLOCK = 32
 
-#: ones on and below the diagonal of a block: the pattern of its inverse
-_LOWER = np.tri(_BLOCK)
+#: sqrt(3) - 2, the root of z^2 + 4 z + 1 inside the unit circle
+_MU = math.sqrt(3.0) - 2.0
+
+#: G_l = mu^|l| / (2 sqrt 3) at l = i - j - 32 o: row i of a block of the
+#: slopes, column j of the block o = -1, 0, 1 blocks on (``_not_a_knot_pieces``)
+_GREEN = _MU ** np.abs(np.arange(_BLOCK)[:, None] - np.arange(_BLOCK)
+                       - _BLOCK * np.arange(-1, 2)[:, None, None]) / (2.0 * math.sqrt(3.0))
 
 
 def mode_range(bandwidth: int) -> np.ndarray:
@@ -91,80 +99,6 @@ def _as_state_matrix(value, dim: int, what: str) -> np.ndarray:
     return mat
 
 
-def _slope_pivots(pieces: int) -> np.ndarray:
-    """The pivots of the not-a-knot slope system (``_not_a_knot_pieces``),
-    eliminated from the top without pivoting: 1 and 2 on the first two
-    rows, 4 - 1/previous on the others of the interior, 1 - 2/previous on
-    the last.  The interior recurrence contracts toward 2 + sqrt(3) by
-    1/pivot^2 <= 1/4 a row and meets it in floating point at the 17th
-    pivot; every later interior pivot is that fixed point, so the scalar
-    loop stops there.  The values are those of the elimination row by row.
-    """
-    pivots = [1.0, 2.0]
-    while len(pivots) < pieces:
-        pivot = 4.0 - 1.0 / pivots[-1]
-        if pivot == pivots[-1]:
-            break
-        pivots.append(pivot)
-    out = np.full(pieces + 1, pivots[-1])
-    out[:len(pivots)] = pivots
-    out[pieces] = 1.0 - 2.0 / out[pieces - 1]
-    return out
-
-
-def _bidiagonal_factors(coef: np.ndarray):
-    """Block factors of the unit lower bidiagonal systems
-
-        x_0 = b_0,   x_i = b_i + coef[s, i - 1] x_{i-1}   (0 < i < m),
-
-    one for each row s of ``coef`` (shape (systems, m - 1)): the pair
-    (inverses, carries) that ``_bidiagonal_solve`` takes for system s.
-
-    The m rows are cut into blocks of ``_BLOCK`` rows (one block if m is
-    less).  Let p_i be the product of a block's coefficients up to its row
-    i, the first of them the one coupling the block to the block before.
-    The inverse of the block's own bidiagonal matrix has the entries
-    p_i / p_j, j <= i: the products of the coefficients after j up to i,
-    with p_j / p_j = 1 exactly.  ``inverses`` stacks them, shape
-    (blocks, rows, rows), and ``carries`` holds p of every block after the
-    first, shape (blocks - 1, rows, 1): what the last value of the block
-    before is multiplied by in each row.  The inverses take 8 ``_BLOCK``
-    bytes a row of each system.  The coefficients must keep every product
-    within a block in the float range.
-    """
-    systems, m = coef.shape[0], coef.shape[1] + 1
-    rows = min(_BLOCK, m)
-    blocks = -(-m // rows)
-    a = np.ones((systems, blocks * rows))
-    a[:, 1:m] = coef
-    products = np.multiply.accumulate(a.reshape(systems, blocks, rows), axis=2)
-    inverses = np.divide(products[..., :, None], products[..., None, :])
-    inverses *= _LOWER[:rows, :rows]
-    return list(zip(inverses, products[:, 1:, :, None]))
-
-
-def _bidiagonal_solve(factors, rhs: np.ndarray) -> np.ndarray:
-    """x of one system of ``_bidiagonal_factors`` for the float64 or
-    complex128 right-hand sides b = ``rhs``, shape (m, c).
-
-    One batched matrix product by the inverses solves each block as if it
-    began the system.  The value carried in from the block before then
-    adds the block's carries times that block's last value as its own
-    product gave it, so what is dropped is the carry of that last value
-    from the block before it again: the product of all the coefficients of
-    the middle block, times a value of x.  Complex right-hand sides are
-    solved as their real and imaginary parts.
-    """
-    inverses, carries = factors
-    blocks, rows = inverses.shape[:2]
-    m = len(rhs)
-    b = np.zeros((blocks * rows, rhs.shape[1]), dtype=rhs.dtype)
-    b[:m] = rhs
-    x = inverses @ b.view(np.float64).reshape(blocks, rows, -1)
-    x[1:] += carries * x[:-1, -1:]
-    return x.reshape(blocks * rows, -1)[:m].view(rhs.dtype)
-
-
 def _not_a_knot_pieces(samples: np.ndarray, h: float) -> np.ndarray:
     """Power coefficients of the not-a-knot cubic spline through uniform samples.
 
@@ -181,46 +115,58 @@ def _not_a_knot_pieces(samples: np.ndarray, h: float) -> np.ndarray:
     whose first and last rows make the third derivative continuous at x_1
     and x_{P-1} (de Boor, A Practical Guide to Splines, 2001).
 
-    It is the LU factorisation without pivoting that a Thomas sweep takes,
-    with both substitutions run as array work.  The factors do not depend
-    on the data: the pivots are ``_slope_pivots`` (1 on the first row, 2
-    or more on the others but the last), the multipliers
-    w_i = sub_i / pivot_{i-1} are 1, 1/2 and then at most 4/7, and the
-    scaled superdiagonal u_i = sup_i / pivot_i is 2, 1/2 and then at most
-    2/7.  The forward substitution y_i = rhs_i - w_i y_{i-1} and the back
-    substitution s_i = y_i / pivot_i - u_i s_{i+1}, run from the last row
-    up, are each one ``_bidiagonal_solve``; one ``_bidiagonal_factors``
-    makes the blocks of both.
+    The interior rows are the convolution (1, 4, 1) * s = r.  On the whole
+    line its inverse is the Green's function G_l = mu^|l| / (2 sqrt 3),
+    mu = ``_MU`` = sqrt(3) - 2, the root of z^2 + 4 z + 1 inside the unit
+    circle (the cubic-spline prefilter: Unser, Aldroubi & Eden, IEEE Trans.
+    Signal Process. 41, 1993), and the boundary modes mu^i and mu^(P-i)
+    satisfy every interior row with r = 0.  So the slopes are
+    s = G * r + alpha mu^i + beta mu^(P-i), with G applied to all the
+    right-hand sides: (1, 4, 1) * (G * r) = r on every row, the interior
+    ones among them, whatever r_0 and r_P are.  The end rows fix alpha and
+    beta.  On the modes they are the 2 x 2 matrix [[a, b], [b, a]],
+    a = 1 + 2 mu, b = mu^(P-1) (2 + mu), whose determinant a^2 - b^2 is
+    0.200 at P = 3 and rises to (1 + 2 mu)^2 = 0.215; its closed-form
+    inverse times what the end rows still miss of r_0 and r_P is alpha and
+    beta of every column.
+    Nothing is factorised and no loop runs over the knots: G * r is three
+    batched products by the constant blocks ``_GREEN`` on the right-hand
+    sides cut into blocks of ``_BLOCK`` rows (complex ones as their real
+    and imaginary parts), and the modes are one cumulative product.
 
-    Accuracy: the product of the 32 coefficients of a block other than the
-    first and the last is at most 1.0e-18 (the interior ones are
-    -(2 - sqrt(3)) = -0.268) and a carry is at most 2, so what the blocks
-    drop is at most 2e-18 of the largest value of a sweep, far under a
-    unit of round-off (1.1e-16).  An entry of a block's inverse is a
-    quotient of two running products, a product of at most 31 coefficients
-    to within 32 roundings, and the entries of a row shrink geometrically
-    away from the diagonal; so each value errs by a small multiple of
-    u (|L^{-1}| |b|)_i, the size of the bound of substitution itself
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
-    2002, sections 3.5 and 8.1).  Against the Thomas sweep the pieces move
-    by at most 6.4e-16 of their largest entry (P = 3..65,536; n = 1, 2, 6;
-    real and complex samples).
+    Accuracy: the blocks keep every |l| <= 32 of each row, and
+    sum_{|l| > 32} |G_l| < 1.1e-19 (|mu|^33 < 1.4e-19).  So the band moves
+    G * r by less than 1.1e-19 of the largest right-hand side, and alpha
+    and beta, through the end rows and the inverse (whose rows sum to at
+    most 2.95 in modulus), by less than 1e-18 of it; the largest
+    right-hand side is at most 6 times the largest slope.  That is far
+    under a unit of round-off (1.1e-16).  Against an exact rational solve
+    of the same system the slopes err by at most 8.3e-16 of the largest
+    (P = 3..70 and 257; real samples, samples over six decades, complex
+    samples), and against LAPACK's dense solve the pieces move by at most
+    1.4e-15 of the largest (P = 3..65; n = 1, 2, 3).
     """
     y = np.asarray(samples, dtype=np.result_type(samples, np.float64))
     pieces = y.shape[0] - 1
     d = (y[1:] - y[:-1]) / h
-    rhs = np.empty_like(d, shape=y.shape)
+    blocks = -(-(pieces + 1) // _BLOCK)
+    rhs = np.zeros_like(d, shape=(blocks * _BLOCK,) + y.shape[1:])
     rhs[0] = (5.0 * d[0] + d[1]) / 2.0
     rhs[1:pieces] = 3.0 * (d[:-1] + d[1:])
     rhs[pieces] = (d[pieces - 2] + 5.0 * d[pieces - 1]) / 2.0
-    pivots = _slope_pivots(pieces)
-    coef = np.empty((2, pieces))
-    np.divide(-1.0, pivots[:-1], out=coef[0])  # -w_1..-w_P, w_i = sub_i / pivot_{i-1}
-    coef[1] = coef[0, ::-1]  # -u_{P-1}..-u_0, u_i = sup_i / pivot_i
-    coef[:, -1] *= 2.0  # sub_P = sup_0 = 2
-    forward, backward = _bidiagonal_factors(coef)
-    scaled = _bidiagonal_solve(forward, rhs.reshape(pieces + 1, -1)) / pivots[:, None]
-    slopes = _bidiagonal_solve(backward, scaled[::-1])[::-1].reshape(y.shape)
+    r = rhs.reshape(blocks, _BLOCK, -1).view(np.float64)
+    p = _GREEN[1] @ r
+    p[1:] += _GREEN[0] @ r[:-1]
+    p[:-1] += _GREEN[2] @ r[1:]
+    r, p = r.reshape(blocks * _BLOCK, -1), p.reshape(blocks * _BLOCK, -1)[:pieces + 1]
+    ends = r[[0, pieces]] - p[[0, -1]] - 2.0 * p[[1, -2]]  # what the end rows still miss
+    modes = np.full((pieces + 1, 2), _MU)
+    modes[0] = 1.0
+    np.multiply.accumulate(modes, out=modes)  # mu^i
+    modes[:, 1] = modes[::-1, 0]  # mu^(P-i)
+    a, b = 1.0 + 2.0 * _MU, modes[1, 1] * (2.0 + _MU)
+    weights = np.array([[a, -b], [-b, a]]) / (a * a - b * b) @ ends  # alpha, beta
+    slopes = (p + modes @ weights).view(y.dtype).reshape(y.shape)
     s0, s1 = slopes[:-1], slopes[1:]
     t = (s0 + s1 - 2.0 * d) / h
     c = np.empty_like(t, shape=(pieces, 4) + y.shape[1:])
@@ -274,10 +220,11 @@ class DistributedDelay:
     ``fourier_window`` read the spline only, so every consumer sees the
     same operator.
 
-    The spline is fitted at construction by ``_not_a_knot_pieces``: the
-    substitutions of its slope system are blocked matrix products, not a
-    Thomas sweep over the knots, and move the pieces by at most 6.4e-16 of
-    the largest from that sweep's.  The fit raises no floating-point
+    The spline is fitted at construction by ``_not_a_knot_pieces``: its
+    slopes are a constant band of the Green's function of the (1, 4, 1)
+    rows applied to the right-hand sides, plus two boundary modes fixed by
+    the end rows, with no factorisation and no loop over the knots; they
+    are within 8.3e-16 of the largest of an exact solve's.  The fit raises no floating-point
     warning: samples near the float limit can overflow the slope system,
     which leaves non-finite pieces, and the solver then reports the modes
     it makes singular.  ``fourier_window`` integrates the spline exactly,

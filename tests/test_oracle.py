@@ -12,6 +12,7 @@ import pytest
 import problems
 from problems import kernel_values
 from specdde import (
+    AliasingError,
     DelayFunctional,
     DistributedDelay,
     KernelSpec,
@@ -229,6 +230,14 @@ def test_nodal_values_are_the_resampled_grid_when_nothing_folds(n_nodes, real):
             # samples are those of the transform of N times its coefficients
             assert np.array_equal(values, np.fft.ifft(spectrum * n_nodes, axis=0))
     assert np.array_equal(values, expected)
+
+
+def test_empty_grid_is_an_aliasing_error():
+    # the grid is checked before its spacing 2 pi / N is taken, so N = 0 is
+    # an AliasingError, not a ZeroDivisionError, also for a zero forcing
+    for spec in (problems.scalar_basic(), ProblemSpec(state_matrix=[[-1.0]])):
+        with pytest.raises(AliasingError):
+            collocation_solve(spec, 0)
 
 
 def test_off_grid_lag_is_rejected():

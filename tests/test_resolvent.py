@@ -510,6 +510,16 @@ class TestOperatorNorms:
             assert np.array_equal(resolvent._operator_norms(np.zeros((2, 2, 3), dtype)),
                                   np.zeros(3))
 
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_all_zero_stack_of_any_size_takes_no_svd(self, monkeypatch, n):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for dtype in (float, complex):
+            norms = resolvent._operator_norms(np.zeros((n, n, 5), dtype))
+            assert norms.dtype == np.float64 and np.array_equal(norms, np.zeros(5))
+
     def test_larger_matrices_take_the_svd(self):
         rng = np.random.default_rng(3)
         stack = rng.standard_normal((3, 3, 50)) + 1j * rng.standard_normal((3, 3, 50))

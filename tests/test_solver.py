@@ -418,6 +418,21 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError, match="strictly ascending"):
             convergence_sweep(problems.scalar_basic(), [4, 4])
 
+    def test_rejects_empty_list(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            convergence_sweep(problems.scalar_basic(), [])
+
+    def test_rejects_truncation_below_one(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            convergence_sweep(problems.scalar_basic(), [-2, 4])
+        with pytest.raises(ValueError, match=">= 1"):
+            convergence_sweep(problems.scalar_basic(), [0, 4])
+
+    def test_rejects_fractional_truncation(self):
+        # 4.5 is no index; it used to be floored to 4
+        with pytest.raises(TypeError):
+            convergence_sweep(problems.scalar_basic(), [4.5, 8])
+
 
 def _tiny():
     """The problem of the golden configuration ``tests/golden/tiny.json``."""
@@ -566,18 +581,17 @@ class TestRealHalfBand:
         complex_fft = np.fft.fft(_forcing_samples(0.0).astype(complex)) / 64
         assert np.max(np.abs(c[:, 0] - complex_fft[mode_range(8)])) <= 1e-15
 
-    def test_a_complex_sweep_on_mode_zero_alone_keeps_its_complex_mean(self):
-        # the band of the widest row is the lone mode 0, on which the mean of
-        # the solution and of the defect are complex
+    def test_a_complex_constant_on_mode_zero_alone_keeps_its_imaginary_part(self):
+        # a lone mode 0 is a whole band, not the half band of a real function
+        # (symbols._half).  No solve band is the lone mode 0 since every
+        # truncation is >= 1, but a forcing of bandwidth 0 is
+        forcing = PeriodicGridFunction([[0.5 + 1.0j]], 16)
+        assert np.array_equal(forcing.samples, np.full((16, 1), 0.5 + 1.0j))
         spec = replace(problems.scalar_basic(), state_matrix=[[-1.0 + 0.5j]],
-                       forcing=PeriodicGridFunction([[0.5], [1.0j], [0.5]], 32))
-        modal = ModeSymbols.from_spec(spec, 1).modal(spec.state_matrix)
-        u0 = np.linalg.solve(modal[..., 1], spec.forcing.coefficients[1])
-        defect = (np.einsum("ijk,kj->ki", modal, _on_band(u0[None], 1))
-                  - spec.forcing.coefficients)
-        expected = PeriodicGridFunction(defect, spec.grid).max_norm()
-        row = convergence_sweep(spec, [0]).rows[0]
-        assert row.residual_full_band == pytest.approx(expected, rel=1e-14)
+                       forcing=forcing)
+        assert not spec.is_real
+        u0 = forcing.coefficients[0] / (-(-1.0 + 0.5j))
+        assert solve_periodic(spec).coefficients[spec.truncation] == pytest.approx(u0, rel=1e-15)
 
     def test_a_singular_real_mode_names_both_signs(self):
         # the first diagonal entry of M(k), ik - 3 e^{-ik pi/2}, vanishes at

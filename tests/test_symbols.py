@@ -1,6 +1,8 @@
 """Mode symbols, transforms, analysis/synthesis and their exact algebra."""
 
+import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,6 +65,24 @@ def knot_aligned_reference(samples, span, ks):
         local = np.einsum("q,pqij->pij", w * np.exp(1j * k * t), values)
         out.append(np.einsum("p,pij->ij", np.exp(-2j * np.pi * turns), local))
     return np.stack(out, axis=-1)
+
+
+def exact_slopes(rhs):
+    """The slopes of the not-a-knot system for the real float right-hand
+    sides ``rhs``, by a Thomas sweep in exact rational arithmetic, rounded
+    to float64 once at the end."""
+    m = len(rhs)
+    sub = [0] + [1] * (m - 2) + [2]
+    diag = [1] + [4] * (m - 2) + [1]
+    sup = [2] + [1] * (m - 2) + [0]
+    ratio, x = [Fraction(0)] * m, [Fraction(0)] * m
+    for i in range(m):  # sub[0] = 0: row 0 reads no row before it
+        pivot = diag[i] - sub[i] * ratio[i - 1]
+        ratio[i] = sup[i] / pivot
+        x[i] = (Fraction(rhs[i]) - sub[i] * x[i - 1]) / pivot
+    for i in range(m - 2, -1, -1):
+        x[i] -= ratio[i] * x[i + 1]
+    return np.array([float(v) for v in x])
 
 
 class TestDelaySymbol:
@@ -188,12 +208,12 @@ class TestSampledKernel:
                                         2 * symbols_module._BLOCK + 1])
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("complex_data", [False, True])
-    def test_blocked_substitution_matches_a_dense_solve(self, pieces, n, complex_data):
+    def test_spline_pieces_match_a_dense_solve(self, pieces, n, complex_data):
         # the slope system of the _not_a_knot_pieces docstring, solved by
         # LAPACK with partial pivoting; the pieces from those slopes by the
         # same formulas.  Each solve errs by a small multiple of the unit
         # round-off times the matrix's condition number, below 22, so 1e-14
-        # of the largest piece bounds their distance (6.2e-16 measured)
+        # of the largest piece bounds their distance (1.4e-15 measured)
         gen = np.random.default_rng(100 * pieces + n)
         samples = gen.uniform(-1.0, 1.0, size=(pieces + 1, n, n))
         if complex_data:
@@ -211,6 +231,46 @@ class TestSampledKernel:
         expected = np.stack([samples[:-1], s0, (d - s0) / h - t, t / h], axis=1)
         got = symbols_module._not_a_knot_pieces(samples, h)
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("kind", ["real", "decades", "complex"])
+    def test_slopes_match_an_exact_solve(self, kind):
+        # the fit's slopes s_0..s_{P-1} (its pieces' c[:, 1]) against the
+        # exact solution of the same float system; complex right-hand sides
+        # are solved as their two real parts, "decades" spreads the samples
+        # over six decades.  4e-15 of the largest slope bounds the distance
+        # (8.3e-16 measured)
+        for pieces in [*range(3, 71), 257]:
+            gen = np.random.default_rng(pieces)
+            samples = gen.uniform(-1.0, 1.0, size=pieces + 1)
+            if kind == "decades":
+                samples *= 10.0 ** gen.uniform(-3.0, 3.0, size=pieces + 1)
+            if kind == "complex":
+                samples = samples + 1j * gen.uniform(-1.0, 1.0, size=pieces + 1)
+            h = 2.7 / pieces
+            d = (samples[1:] - samples[:-1]) / h  # the fit's float operations
+            rhs = np.concatenate([[(5.0 * d[0] + d[1]) / 2.0], 3.0 * (d[:-1] + d[1:]),
+                                  [(d[-2] + 5.0 * d[-1]) / 2.0]])
+            exact = exact_slopes(rhs.real)
+            if kind == "complex":
+                exact = exact + 1j * exact_slopes(rhs.imag)
+            got = symbols_module._not_a_knot_pieces(samples.reshape(-1, 1, 1), h)[:, 1, 0, 0]
+            assert np.max(np.abs(got - exact[:-1])) <= 4e-15 * np.max(np.abs(exact)), pieces
+
+    def test_fit_peak_memory_is_a_small_multiple_of_its_pieces(self):
+        # besides the pieces the fit holds the differences, the right-hand
+        # sides, the slopes and a few temporaries of a quarter of their bytes
+        # each; 4 times the pieces' bytes bounds its peak (2.9 measured)
+        samples = np.random.default_rng(7).uniform(-1.0, 1.0, size=(4097, 2, 2))
+        symbols_module._not_a_knot_pieces(samples, 0.1)  # one-time allocations
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            pieces = symbols_module._not_a_knot_pieces(samples, 0.1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * pieces.nbytes
 
     def test_step_kernel_on_65536_pieces_matches_scipy(self):
         # span 4 puts every knot on a binary fraction, so scipy's interval
