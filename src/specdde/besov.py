@@ -1,14 +1,15 @@
 """Dyadic frequency decomposition and periodic Besov norms.
 
-The partition lives on integer frequencies only, so it is built from the
-piecewise-linear tent
+The partition lives on integer frequencies only, so it is built from one
+piecewise-linear tent: with x = |k| / 2^j, block j has the weights
 
-    h(x) = 2x - 1 on [1/2, 1],   2 - x on [1, 2],   0 elsewhere,
+    phi_j(k) = clip(min(r_j, 2 - x), 0, 1),   r_j = 2x - 1 (j >= 1),  r_0 = 1,
 
-with block weights phi_j(k) = h(|k| / 2^j) for j >= 1 and phi_0 completing
-the sum to one on [-2, 2].  All weights are dyadic rationals, so the
-partition of unity holds exactly in floating point; that makes it testable
-in exact arithmetic, which a smooth bump would not allow.
+one array expression over every (level, mode) pair (``partition_eval``).
+A band |k| <= K meets (K - 1).bit_length() + 2 levels for K >= 1 and one for
+K = 0.  All weights are dyadic rationals, so the partition of unity holds
+exactly in floating point; that makes it testable in exact arithmetic, which
+a smooth bump would not allow.
 
 The norm of a band-limited f is
 
@@ -68,32 +69,24 @@ _LEAST_UNSCALED, _MOST_UNSCALED = 2.0**-900, 2.0**900
 _CHUNK_SAMPLES = 6144
 
 
-def _tent(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    rising = (x >= 0.5) & (x <= 1.0)
-    falling = (x > 1.0) & (x < 2.0)
-    return np.where(rising, 2.0 * x - 1.0, np.where(falling, 2.0 - x, 0.0))
-
-
-def partition_eval(level: int, k):
-    """Weight phi_level(k) of dyadic block ``level``; accepts scalar or array k,
-    returns float(s) in [0, 1]."""
-    if level < 0:
+def partition_eval(level, k):
+    """Weight phi_level(k) = clip(min(r, 2 - x), 0, 1) of dyadic block
+    ``level``, x = |k| / 2^level, r = 2x - 1 (r = 1 on level 0); accepts
+    scalar or array real k, and an integer array of levels that broadcasts
+    against k; returns float(s) in [0, 1]."""
+    if np.any(np.asarray(level) < 0):
         raise ValueError("level must be >= 0")
-    k = np.asarray(k, dtype=float)
-    absk = np.abs(k)
-    if level == 0:
-        out = np.clip(2.0 - absk, 0.0, 1.0)
-    else:
-        out = _tent(absk / 2.0**level)
+    x = np.abs(np.asarray(k, dtype=float)) / 2.0 ** level
+    out = np.clip(np.minimum(np.where(level == 0, 1.0, 2.0 * x - 1.0), 2.0 - x), 0.0, 1.0)
     return out if out.ndim else float(out)
 
 
 def _partition_weights(bandwidth: int, modes: np.ndarray) -> np.ndarray:
     """Weights on ``modes`` of every level whose support meets [-K, K],
-    K = ``bandwidth``, shape (max_level+1, len(modes))."""
-    levels = int(np.ceil(np.log2(bandwidth))) + 1 if bandwidth >= 1 else 0
-    return np.stack([partition_eval(j, modes) for j in range(levels + 1)])
+    K = ``bandwidth``: levels 0..ceil(log2 K) + 1, that is (K - 1).bit_length()
+    + 2 rows, for K >= 1 and level 0 for K = 0; shape (rows, len(modes))."""
+    rows = (bandwidth - 1).bit_length() + 2 if bandwidth >= 1 else 1
+    return partition_eval(np.arange(rows)[:, None], modes)
 
 
 @dataclass(frozen=True)

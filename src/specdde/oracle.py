@@ -31,6 +31,7 @@ grid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -162,7 +163,7 @@ def collocation_solve(spec: ProblemSpec, n_nodes: int,
     an infinite one.  SingularSystemError is raised when it is not finite
     or exceeds ``cond_limit``.
     """
-    n = spec.dim
+    n, n_nodes = spec.dim, operator.index(n_nodes)
     if n_nodes < 2 * spec.forcing.bandwidth + 1:
         raise AliasingError(
             f"collocation grid {n_nodes} cannot carry forcing bandwidth "
@@ -212,7 +213,8 @@ class OracleComparison:
 
 def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
             cond_limit: float = COND_LIMIT) -> OracleComparison:
-    """Max-norm gap between the two solution routes, with the fitted order.
+    """Max-norm gap between the two solution routes, with the fitted order,
+    over a nonempty list of integer grid sizes.
 
     The spectral reference is solved once and evaluated at the nodes of each
     collocation grid, whatever its size (``symbols._synthesis``).  The fitted
@@ -223,13 +225,15 @@ def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
     """
     from .solver import solve_periodic  # deferred so assembly stays solver-free
 
+    grid_sizes = [operator.index(n) for n in grid_sizes]
+    if not grid_sizes:
+        raise ValueError("grid size list must be nonempty")
     reference = solve_periodic(spec, cond_limit=cond_limit).solution
     rows: List[Tuple[int, float]] = []
     for n_nodes in grid_sizes:
-        approx = collocation_solve(spec, int(n_nodes), cond_limit)
-        ref = _synthesis(reference.coefficients, mode_range(reference.bandwidth), int(n_nodes))
-        gap = _max_row_norm(ref - approx)
-        rows.append((int(n_nodes), gap))
+        approx = collocation_solve(spec, n_nodes, cond_limit)
+        ref = _synthesis(reference.coefficients, mode_range(reference.bandwidth), n_nodes)
+        rows.append((n_nodes, _max_row_norm(ref - approx)))
 
     scale = max(reference.max_norm(), 1.0)
     gaps = np.array([g for _, g in rows])

@@ -37,6 +37,7 @@ convention of ``symbols``), so each elementwise step runs along the modes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List
 
@@ -297,7 +298,8 @@ def _verdict(window: int, by_abs_k: np.ndarray):
 
 def m_bounded_diagnostics(spec: ProblemSpec, window: int,
                           cond_limit: float = COND_LIMIT) -> MBoundReport:
-    """Boundedness report over |k| <= window for the eleven named sequences.
+    """Boundedness report over |k| <= window, an integer >= 1, for the
+    eleven named sequences.
 
     Every sequence is stacked on one band of 2 window + 2 modes,
     -window..window + 1, so that row window + j is mode j.  Rows N, S, T, F
@@ -310,6 +312,7 @@ def m_bounded_diagnostics(spec: ProblemSpec, window: int,
     table on |k| <= window + 2 serves every row, and every mode with |k| <=
     window + 1 passes the condition test.
     """
+    window = operator.index(window)
     if window < 1:
         raise ValueError("window must be >= 1")
     table = ModeSymbols.from_spec(spec, window + 2)

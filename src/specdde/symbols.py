@@ -96,6 +96,8 @@ def _as_state_matrix(value, dim: int, what: str) -> np.ndarray:
         mat = mat.reshape(1, 1)
     if mat.shape != (dim, dim):
         raise DimensionError(f"{what}: expected a {dim}x{dim} matrix, got {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{what} must be finite")
     return mat
 
 
@@ -234,6 +236,8 @@ class DistributedDelay:
     def __init__(self, kernel, span: float):
         if not span > 0.0:
             raise ValueError(f"distributed span must be positive, got {span}")
+        if not math.isfinite(span):
+            raise ValueError(f"distributed span must be finite, got {span}")
         self.span = float(span)
         samples = np.asarray(kernel)
         if samples.ndim == 1:
@@ -337,8 +341,8 @@ class DelayFunctional:
 
     with every lag r_j >= 0.
 
-    ``atoms`` is a sequence of (coefficient matrix, lag) pairs.  Scalar
-    coefficients are accepted when dim == 1.
+    ``atoms`` is a sequence of (coefficient matrix, lag) pairs, all finite.
+    Scalar coefficients are accepted when dim == 1.
     """
 
     dim: int
@@ -352,6 +356,8 @@ class DelayFunctional:
         for i, (coef, lag) in enumerate(self.atoms):
             mat = _as_state_matrix(coef, self.dim, f"atom {i} coefficient")
             lag = float(lag)
+            if not math.isfinite(lag):
+                raise ValueError(f"atom {i}: lag must be finite, got {lag}")
             if lag < 0.0:
                 raise ValueError(f"atom {i}: lag must be nonnegative, got {lag}")
             normalized.append((mat, lag))
@@ -413,12 +419,15 @@ class KernelSpec:
     @staticmethod
     def term(c, m, alpha) -> tuple:
         """(c, m, alpha) as (complex, int, float); InvalidKernelError unless
-        m >= 0 is an integer, alpha > 0 and |c| m!/alpha^(m+1) is a float."""
-        if float(m) != int(m) or int(m) < 0:
+        m >= 0 is an integer, alpha > 0 is finite and |c| m!/alpha^(m+1) is a
+        float."""
+        if not (math.isfinite(float(m)) and float(m) == int(m) >= 0):
             raise InvalidKernelError("power m must be an integer >= 0")
         m, alpha = int(m), float(alpha)
         if not alpha > 0.0:
             raise InvalidKernelError(f"decay rate alpha must be positive, got {alpha}")
+        if not math.isfinite(alpha):
+            raise InvalidKernelError(f"decay rate alpha must be finite, got {alpha}")
         try:  # 171! is beyond the float range
             mass = math.inf if m > 170 else abs(c) * math.factorial(m) / alpha ** (m + 1)
         except (OverflowError, ZeroDivisionError):
@@ -672,8 +681,9 @@ class ProblemSpec:
 
     with state matrix A, neutral delay functional L (differentiated part),
     reaction delay functional G, memory kernel a and 2*pi-periodic forcing f.
-    ``truncation`` is the solver bandwidth K; ``grid`` the sample count N
-    (defaults to 4K, which keeps products with delay terms alias-safe).
+    A is finite.  ``truncation`` is the solver bandwidth K; ``grid`` the
+    sample count N (defaults to 4K, which keeps products with delay terms
+    alias-safe); both are integers (``operator.index``).
     """
 
     state_matrix: np.ndarray
@@ -690,6 +700,8 @@ class ProblemSpec:
             mat = mat.reshape(1, 1)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"state matrix must be square, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("state matrix must be finite")
         self.state_matrix = mat
         n = mat.shape[0]
         if self.neutral_delay is None:
@@ -698,10 +710,10 @@ class ProblemSpec:
             self.reaction_delay = DelayFunctional(dim=n)
         if self.kernel is None:
             self.kernel = KernelSpec()
+        self.truncation = operator.index(self.truncation)
         if self.truncation < 1:
             raise ValueError("truncation must be >= 1")
-        if self.grid is None:
-            self.grid = 4 * self.truncation
+        self.grid = 4 * self.truncation if self.grid is None else operator.index(self.grid)
         if self.grid < 2 * self.truncation + 1:
             raise AliasingError(
                 f"grid N={self.grid} must satisfy N >= 2K+1 for K={self.truncation}"

@@ -74,6 +74,30 @@ def _random_band(gen, bandwidth=16, dim=1, n_samples=None):
     return PeriodicGridFunction(coeffs, n_samples or 4 * bandwidth)
 
 
+def _reference_tent(x):
+    """The tent of levels j >= 1 as it stood before the one clipped expression."""
+    rising = (x >= 0.5) & (x <= 1.0)
+    falling = (x > 1.0) & (x < 2.0)
+    return np.where(rising, 2.0 * x - 1.0, np.where(falling, 2.0 - x, 0.0))
+
+
+def _reference_eval(level, k):
+    absk = np.abs(np.asarray(k, dtype=float))
+    out = np.clip(2.0 - absk, 0.0, 1.0) if level == 0 else _reference_tent(absk / 2.0**level)
+    return out if out.ndim else float(out)
+
+
+def _reference_weights(bandwidth, modes):
+    """One ``_reference_eval`` call a level, the row count from a float log2."""
+    levels = int(np.ceil(np.log2(bandwidth))) + 1 if bandwidth >= 1 else 0
+    return np.stack([_reference_eval(j, modes) for j in range(levels + 1)])
+
+
+def _bits(values):
+    """The float64 bit patterns of ``values``: a signed zero counts."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
 class TestPartition:
     def test_zero_mode_only_in_block_zero(self):
         assert partition_eval(0, 0) == 1.0
@@ -111,6 +135,56 @@ class TestPartition:
         for j in range(13):
             w = partition_eval(j, ks)
             assert np.all((w >= 0.0) & (w <= 1.0))
+
+    def test_weights_are_the_per_level_tent_bit_for_bit(self):
+        # each weight depends on its level and mode alone, so the reference
+        # rows of a band are a slice of those of the widest
+        widest = _bits(_reference_weights(2999, mode_range(2999)))
+        for bandwidth in range(3000):
+            weights = _bits(_partition_weights(bandwidth, mode_range(bandwidth)))
+            levels = int(np.ceil(np.log2(bandwidth))) + 2 if bandwidth >= 1 else 1
+            assert np.array_equal(
+                weights, widest[:levels, 2999 - bandwidth:2999 + bandwidth + 1]), bandwidth
+        for e in range(12, 22):
+            for bandwidth in (2**e - 1, 2**e, 2**e + 1):
+                # every breakpoint of every level, |k| = 2^i/2 .. 2^(i+1), and the
+                # band's edge, each with its neighbours
+                edges = np.array([2**i for i in range(-1, e + 3)] + [bandwidth])
+                modes = np.unique(np.clip((edges[:, None] + np.arange(-3, 4)).ravel(),
+                                          0, bandwidth))
+                modes = np.concatenate([-modes[::-1], modes])
+                np.testing.assert_array_equal(_bits(_partition_weights(bandwidth, modes)),
+                                              _bits(_reference_weights(bandwidth, modes)))
+
+    def test_partition_eval_is_the_per_level_tent_bit_for_bit(self):
+        ks = np.concatenate([np.arange(-70000, 70001), [0.3, -1.5, 2.75, 1e9]])
+        for j in range(30):
+            np.testing.assert_array_equal(_bits(partition_eval(j, ks)),
+                                          _bits(_reference_eval(j, ks)))
+            for k in (0, 3, -5, 0.3, -1.5, 2.75, 1e9):
+                value = partition_eval(j, k)
+                assert type(value) is float and _bits(value) == _bits(_reference_eval(j, k))
+
+    def test_row_count_is_ceil_log2_plus_two_in_integers(self, monkeypatch):
+        # partition_eval returns its levels, so a call costs the row count alone
+        monkeypatch.setattr(besov, "partition_eval", lambda level, k: level)
+        modes = np.empty(0)
+        assert len(_partition_weights(0, modes)) == 1
+        expected = [0]                  # ceil(log2 K) for K = 1, then 2^(e-1) < K <= 2^e
+        for e in range(1, 21):
+            expected += [e] * 2 ** (e - 1)
+        rows = [len(_partition_weights(K, modes)) for K in range(1, 2**20 + 1)]
+        assert rows == [e + 2 for e in expected]
+        # float64 rounds log2(2^60 + 1) to 60; the bit length does not
+        assert len(_partition_weights(2**60 + 1, modes)) == 63
+
+    def test_levels_broadcast_and_a_negative_level_is_rejected(self):
+        ks = np.arange(-40, 41)
+        np.testing.assert_array_equal(partition_eval(np.arange(8)[:, None], ks),
+                                      [partition_eval(j, ks) for j in range(8)])
+        for level in (-1, np.array([0, 2, -3])):
+            with pytest.raises(ValueError, match="level must be >= 0"):
+                partition_eval(level, ks)
 
 
 class TestBesovNorm:

@@ -240,6 +240,25 @@ def test_empty_grid_is_an_aliasing_error():
             collocation_solve(spec, 0)
 
 
+def test_fractional_grid_is_a_type_error():
+    # 2.5 < 2K + 1 used to be an AliasingError, 64.5 a failure inside numpy
+    for n_nodes in (2.5, 64.5):
+        with pytest.raises(TypeError, match="as an integer"):
+            collocation_solve(problems.scalar_basic(), n_nodes)
+
+
+def test_compare_takes_a_nonempty_list_of_integer_grids():
+    spec = problems.scalar_basic()
+    # fractional sizes used to be floored to N = 64 and 128 without a word
+    with pytest.raises(TypeError, match="as an integer"):
+        compare(spec, [64.7, 128.2])
+    # an empty list used to give no rows
+    with pytest.raises(ValueError, match="nonempty"):
+        compare(spec, [])
+    rows = compare(spec, [np.int64(32), 64]).rows
+    assert [n for n, _ in rows] == [32, 64] and all(type(n) is int for n, _ in rows)
+
+
 def test_off_grid_lag_is_rejected():
     # an off-grid atom is interpolated and stays second order; a distributed
     # span off the grid is rejected

@@ -441,6 +441,12 @@ class TestVerdict:
         with pytest.raises(ValueError, match="window must be >= 1"):
             m_bounded_diagnostics(problems.scalar_basic(), 0)
 
+    def test_fractional_window_is_rejected_where_it_enters(self):
+        # 16.0 used to fail on a slice inside the diagnostics
+        with pytest.raises(TypeError, match="as an integer"):
+            m_bounded_diagnostics(problems.scalar_basic(), 16.0)
+        assert m_bounded_diagnostics(problems.scalar_basic(), np.int64(16)).window == 16
+
     def test_one_nonzero_entry_in_the_fit_window_has_no_exponent(self):
         # the fit runs over |k| = 16..32; one nonzero entry there leaves
         # nothing to fit, so the exponent is NaN and the verdict inconclusive

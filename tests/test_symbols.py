@@ -828,8 +828,19 @@ class TestValidation:
          DimensionError, "reaction delay dimension 3 != state dimension 2"),
         ({"state_matrix": -np.eye(2), "forcing": PeriodicGridFunction.zero(1)},
          DimensionError, "forcing dimension 1 != state dimension 2"),
+        # with a forcing given, a fractional size used to construct and fail
+        # inside the solve
+        ({"state_matrix": [[-1.0]], "forcing": PeriodicGridFunction.from_harmonics(cos=[1.0]),
+          "truncation": 4.5}, TypeError, "as an integer"),
+        ({"state_matrix": [[-1.0]], "forcing": PeriodicGridFunction.from_harmonics(cos=[1.0]),
+          "truncation": 4, "grid": 20.5}, TypeError, "as an integer"),
+        # a non-finite A used to construct and reject every mode as singular
+        ({"state_matrix": [[np.nan]]}, ValueError, "state matrix must be finite"),
+        ({"state_matrix": [[-1.0, 0.0], [np.inf, -1.0]]}, ValueError,
+         "state matrix must be finite"),
     ], ids=["non_square", "truncation_0", "grid_below_2K+1", "neutral_dim", "reaction_dim",
-            "forcing_dim"])
+            "forcing_dim", "fractional_truncation", "fractional_grid", "nan_state",
+            "infinite_state"])
     def test_problem_spec(self, kwargs, error, match):
         with pytest.raises(error, match=match):
             ProblemSpec(**kwargs)
@@ -842,6 +853,42 @@ class TestValidation:
         kernel = DistributedDelay(np.ones((5, 2, 2)), span=TWO_PI)
         with pytest.raises(DimensionError, match="distributed kernel dimension 2 != 1"):
             DelayFunctional(dim=1, distributed=kernel)
+
+    @pytest.mark.parametrize("lag", [np.nan, np.inf])
+    def test_non_finite_atom_lag(self, lag):
+        with pytest.raises(ValueError, match="atom 1: lag must be finite"):
+            DelayFunctional(dim=1, atoms=[(0.5, 1.0), (0.5, lag)])
+
+    @pytest.mark.parametrize("coefficient", [np.nan, [[0.5, np.inf], [0.0, 0.5]]])
+    def test_non_finite_atom_coefficient(self, coefficient):
+        dim = np.ndim(coefficient) or 1
+        with pytest.raises(ValueError, match="atom 0 coefficient must be finite"):
+            DelayFunctional(dim=dim, atoms=[(coefficient, 1.0)])
+
+    def test_infinite_distributed_span(self):
+        with pytest.raises(ValueError, match="distributed span must be finite"):
+            DistributedDelay(np.ones(5), span=np.inf)
+
+    def test_infinite_decay_rate(self):
+        # alpha = inf used to pass as a zero kernel
+        with pytest.raises(InvalidKernelError, match="term 0: decay rate alpha must be finite"):
+            KernelSpec(terms=[(1.0, 0, np.inf)])
+
+    @pytest.mark.parametrize("m", [np.inf, np.nan])
+    def test_non_finite_power(self, m):
+        # int(m) used to raise OverflowError or ValueError
+        with pytest.raises(InvalidKernelError, match="term 0: power m must be an integer"):
+            KernelSpec(terms=[(1.0, m, 1.0)])
+
+    def test_finite_extremes_are_accepted(self):
+        spec = ProblemSpec(
+            state_matrix=[[-1e300]],
+            neutral_delay=DelayFunctional(dim=1, atoms=[(1e300, 1e200)]),
+            reaction_delay=DelayFunctional(
+                dim=1, distributed=DistributedDelay(np.full(5, 1e300), span=1e200)),
+            kernel=KernelSpec(terms=[(1.0, 0, 1e300)]),
+        )
+        assert spec.truncation == 64 and spec.grid == 256
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_distributed_kernel(self, bad):
