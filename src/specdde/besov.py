@@ -91,15 +91,15 @@ def _partition_weights(bandwidth: int, modes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BesovParams:
-    """Smoothness / integrability / summability triple (s > 0, 1 <= p, q < inf)."""
+    """Smoothness / integrability / summability triple (0 < s < inf, 1 <= p, q < inf)."""
 
     s: float
     p: float = 2.0
     q: float = 2.0
 
     def __post_init__(self):
-        if not self.s > 0.0:
-            raise ValueError(f"smoothness s must be positive, got {self.s}")
+        if not 0.0 < self.s < np.inf:
+            raise ValueError(f"smoothness s must be positive and finite, got {self.s}")
         if not (1.0 <= self.p < np.inf):
             raise ValueError(f"p must lie in [1, inf), got {self.p}")
         if not (1.0 <= self.q < np.inf):

@@ -16,7 +16,8 @@ solution's are one ``irfft``, a column per component, a complex one's one
 ``ifft``, columns ``_re`` and ``_im``).  Exit codes: 0
 success, 2 solvability failure (singular mode or singular collocation
 system), 3 validation failure (an invalid document, or values a command
-cannot use: an off-grid lag or a grid too coarse for a bandwidth) or a
+cannot use: a distributed span of 5e8 oracle grid steps or more,
+``off_grid_lag``, or a grid too coarse for a bandwidth) or a
 ``non_finite`` result (a NaN or infinity in the output, which then writes no
 side file).  Every failure writes a report with an ``error.type``.
 """
@@ -106,22 +107,6 @@ def _finite(obj) -> bool:
 _BLOCK_CELLS = 12288
 
 
-def _cell_bytes(block):
-    """Each cell of a block of rows as a fixed-width, NUL-padded bytes
-    array of shape (rows, columns): ``repr_bytes`` of a float array, and
-    ``str`` of each cell of a list of tuples.  Those lists are the sweep
-    and verify tables, a few rows each, where ``str`` costs less than the
-    kernel's fixed sequence of array operations.  ``_write_csv`` passes
-    ``_BLOCK_CELLS`` cells at a time, which bounds the kernel's temporaries."""
-    if isinstance(block, np.ndarray):
-        # imported here so that only a command that writes a float table
-        # compiles and loads the kernel
-        from ._repr import repr_bytes
-
-        return repr_bytes(block)
-    return np.array([[str(v) for v in row] for row in block], dtype=bytes)
-
-
 def _csv_bytes(cells) -> bytes:
     """The CSV lines of a (rows, columns) bytes array: each cell's bytes
     up to its NUL padding, then a comma, or LF after a row's last cell."""
@@ -137,16 +122,25 @@ def _csv_bytes(cells) -> bytes:
 def _write_csv(path: Path, header, rows) -> None:
     """The header line, then one line per row of ``rows`` (a float array or
     a list of tuples), each cell in ``str`` form, comma-separated, each line
-    ended by LF.  ``str`` of a float is its ``repr``, which ``repr_bytes``
-    writes for a whole block of a float array at once.  A block is as many
-    rows as ``_BLOCK_CELLS`` cells hold (at least one), whatever the
-    table's width.  Every float must be finite, as ``run`` checks before it
-    writes a side file."""
-    step = max(1, _BLOCK_CELLS // len(header))
+    ended by LF.  A list of tuples, the few rows of a sweep or verify table,
+    is joined as it is.  ``str`` of a float is its ``repr``, which
+    ``repr_bytes`` writes for a whole block of a float array at once.  A
+    block is as many rows as ``_BLOCK_CELLS`` cells hold (at least one),
+    whatever the table's width, which bounds the kernel's temporaries.
+    Every float must be finite, as ``run`` checks before it writes a side
+    file."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
+        if not isinstance(rows, np.ndarray):
+            fh.write("".join(",".join(map(str, row)) + "\n" for row in rows).encode("utf-8"))
+            return
+        # imported here so that only a command that writes a float table
+        # compiles and loads the kernel
+        from ._repr import repr_bytes
+
+        step = max(1, _BLOCK_CELLS // len(header))
         for start in range(0, len(rows), step):
-            fh.write(_csv_bytes(_cell_bytes(rows[start:start + step])))
+            fh.write(_csv_bytes(repr_bytes(rows[start:start + step])))
 
 
 #: the text of a zero part, indexed by its sign bit

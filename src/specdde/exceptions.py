@@ -47,7 +47,8 @@ class SingularSystemError(RuntimeError):
 
 
 class OffGridLagError(ValueError):
-    """A distributed delay's span is not a whole number of collocation steps."""
+    """A distributed delay's span is 5e8 collocation steps or more: from there
+    on, every span is within the oracle's 1e-9 of a whole number of steps."""
 
 
 class ConfigError(ValueError):

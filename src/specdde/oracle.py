@@ -1,8 +1,14 @@
 """Independent time-domain verification by collocation on a uniform grid.
 
 The derivative of the neutral part is discretized with centered second-order
-differences, delayed samples wrap around the period, and the infinite-memory
-convolution is folded onto one period:
+differences.  One rule takes every delayed value x(t - r), wrapped around
+the period: the grid node when r/dt is within 1e-9 of a whole number, else
+the cubic Lagrange weights of its four neighbouring nodes.  A distributed
+kernel is the trapezoid on its whole steps plus one partial panel that ends
+at x(t - span), so every span the solver accepts is checked, up to 5e8
+steps; off the grid, compare() reports the plain gap and its fitted order,
+in the fields every span has.  The infinite-memory convolution is folded
+onto one period:
 
     int_{-inf}^t a(t-s) x(s) ds = int_0^{2pi} abar(tau) x(t - tau) dtau,
     abar(tau) = sum_{j >= 0} a(tau + 2pi j),
@@ -16,16 +22,12 @@ Every term of the scheme acts on the periodic samples as a convolution
 stencil, (T x)_j = sum_s c_s x_{j-s} with n x n blocks c_s, so the system is
 block circulant.  One FFT over the nodes turns each stencil into its discrete
 symbol, and the scheme becomes N independent n x n systems, one per discrete
-frequency: O(N n^3 + n^2 N log N) work and O(N n^2) memory.  The symbols come
-from the stencil weights alone; nothing here touches the solver module or
-the mode symbols (only the default condition limit, the inversion of a
-matrix stack and its spectral norm are shared with ``resolvent``, and the
-stack product with ``symbols``), and the cross-method comparison imports
-the spectral solver lazily inside compare().  Stencils and systems are
-matrix stacks with the nodes or frequencies on the last axis, (n, n, N),
-the convention of ``symbols``.  The forcing and the spectral reference take
-their nodal values from ``symbols._synthesis``, which folds on a coarse
-grid.
+frequency: O(N n^3 + n^2 N log N) work and O(N n^2) memory, on (n, n, N)
+stacks as in ``symbols``.  Nothing here touches the solver or the mode
+symbols: ``resolvent`` lends the condition limit, the inversion and the
+norms, ``symbols`` the stack product and ``_synthesis`` (the nodal values of
+the forcing and of the spectral reference), and compare() imports the
+solver lazily.
 """
 
 from __future__ import annotations
@@ -97,78 +99,80 @@ def _lagrange4(frac: float) -> np.ndarray:
     return weights
 
 
+def _steps(lag: float, dt: float) -> Tuple[int, float]:
+    """lag/dt as whole steps and a fraction of a step: the nearest whole
+    number and 0 when lag/dt is within 1e-9 of it, else the floor and the rest."""
+    exact = lag / dt
+    if abs(exact - round(exact)) <= 1e-9 * max(1.0, exact):
+        return round(exact), 0.0
+    return math.floor(exact), exact - math.floor(exact)
+
+
 def _delay_stencil(functional: DelayFunctional, n_nodes: int,
                    dt: float) -> np.ndarray:
     """Blocks c_s of the delay term (T x)_j = sum_s c_s x_{j-s}, shape (n, n, N).
 
-    An atom whose lag lands on the grid is one shift; any other atom takes the
-    cubic Lagrange weights of its four neighbouring nodes.  The distributed
-    kernel takes trapezoidal weights and must span a whole number of steps,
-    fewer than 5e8 of them, so that the 1e-9 test can tell whether it does;
-    its weights are added one period of steps at a time, in O(N n^2) memory.
+    One rule takes every delayed value x(t - r) (``_steps``): the grid node
+    when r/dt is within 1e-9 of a whole number, else the cubic Lagrange
+    weights of its four neighbouring nodes.  An atom is one such value.  The
+    distributed kernel is the trapezoid on its S whole steps, added one
+    period of steps at a time in O(N n^2) memory, plus the trapezoid on the
+    partial step delta = span - S dt, delta/2 (K(-S dt) x_{j-S} + K(-span)
+    x(t - span)).  As delta/dt moves with N, such a span reports the plain
+    gap and fitted order.  5e8 steps or more raise OffGridLagError.
     """
     n = functional.dim
     stencil = np.zeros((n, n, n_nodes), dtype=complex)
+
+    def add(coef, steps: int, frac: float) -> None:
+        pairs = zip((-2, -1, 0, 1), _lagrange4(frac)) if frac else [(0, 1.0)]
+        for offset, weight in pairs:
+            stencil[..., (steps - offset) % n_nodes] += weight * coef
+
     for coef, lag in functional.atoms:
-        shift_exact = lag / dt
-        shift = int(round(shift_exact))
-        if abs(shift_exact - shift) <= 1e-9 * max(1.0, shift_exact):
-            stencil[..., shift % n_nodes] += coef
-        else:
-            base = int(np.floor(shift_exact))
-            for offset, weight in zip((-2, -1, 0, 1), _lagrange4(shift_exact - base)):
-                stencil[..., (base - offset) % n_nodes] += weight * coef
+        add(coef, *_steps(lag, dt))
     dist = functional.distributed
     if dist is not None:
-        steps_exact = dist.span / dt
-        steps = int(round(steps_exact))
-        tolerance = 1e-9 * max(1.0, steps_exact)
-        if tolerance >= 0.5:
-            # every span would pass: no integer is more than half a step away
+        if dist.span / dt >= 5e8:
             raise OffGridLagError(
-                f"distributed span {dist.span} is {steps_exact} grid steps, too "
-                "many to tell on the grid within 1e-9 of their number"
-            )
-        if abs(steps_exact - steps) > tolerance:
-            raise OffGridLagError(
-                f"distributed span {dist.span} is {steps_exact} grid steps (not "
-                "within 1e-9 of an integer); choose a grid that divides it"
-            )
+                f"distributed span {dist.span} is {dist.span / dt} grid steps, too many: "
+                "from 5e8 steps on, every span is within 1e-9 of a whole number of them")
+        steps, frac = _steps(dist.span, dt)
         for start in range(0, steps + 1, n_nodes):
             chunk = np.arange(start, min(start + n_nodes, steps + 1))
-            weights = np.where((chunk == 0) | (chunk == steps), 0.5 * dt, dt)
+            # floats, since bool + bool is or: at S = 0 no panel weighs node 0
+            weights = 0.5 * dt * ((chunk > 0).astype(float) + (chunk < steps))
             # the kernel's values come point by point, (q, n, n)
             values = np.moveaxis(dist.evaluate(-dt * chunk), 0, -1)
             stencil[..., :len(chunk)] += weights * values
+        if frac:
+            near, far = (dist.span - steps * dt) / 2 * dist.evaluate([-steps * dt, -dist.span])
+            add(near, steps, 0.0)
+            add(far, steps, frac)
     return stencil
 
 
 def collocation_solve(spec: ProblemSpec, n_nodes: int,
                       cond_limit: float = COND_LIMIT) -> np.ndarray:
     """Solve the periodic problem on a uniform grid, independently of the
-    spectral route.
+    spectral route; second order in the grid spacing for smooth data.
 
     The centered difference of y_j = x_j - (L x)_j balances A y_j + (G x)_j
-    + the trapezoidal periodic convolution + f_j.  One FFT over the nodes
-    turns each term's stencil into its discrete symbol; at frequency m the
-    system symbol is (D_m - A)(I - L_m) - G_m - C_m.  The N n x n systems are
-    inverted once, by ``resolvent._inverse_and_condition`` (closed forms for
-    n <= 2), and the inverses are applied to the FFT of the resampled
-    forcing; an inverse FFT gives the (N, n) nodal samples.  Second order in
-    the grid spacing for smooth data.  The block DFT is unitary, so the
-    system's condition number is max sigma_max / min sigma_min over the
-    frequencies, which is max ||S_m||_2 * max ||S_m^{-1}||_2 since
-    sigma_min(S_m) = 1/||S_m^{-1}||_2: it is read off that inversion, and an
-    exactly singular S_m, whose 1-norm condition number is infinite, gives
-    an infinite one.  SingularSystemError is raised when it is not finite
-    or exceeds ``cond_limit``.
+    + the trapezoidal periodic convolution + f_j.  At frequency m the system
+    symbol is (D_m - A)(I - L_m) - G_m - C_m.  The N n x n systems are
+    inverted once (``resolvent._inverse_and_condition``), and the inverses
+    are applied to the FFT of the resampled forcing.  The block DFT is
+    unitary, so the condition number is max ||S_m||_2 * max ||S_m^{-1}||_2,
+    read off that inversion; an exactly singular S_m gives an infinite one.
+    SingularSystemError is raised when it is not finite or exceeds
+    ``cond_limit``, and ValueError when that is NaN or not positive.
     """
     n, n_nodes = spec.dim, operator.index(n_nodes)
+    if not cond_limit > 0:
+        raise ValueError(f"condition limit must be positive, got {cond_limit}")
     if n_nodes < 2 * spec.forcing.bandwidth + 1:
-        raise AliasingError(
-            f"collocation grid {n_nodes} cannot carry forcing bandwidth "
-            f"{spec.forcing.bandwidth}"
-        )
+        raise AliasingError(f"collocation grid {n_nodes} cannot carry forcing "
+                            f"bandwidth {spec.forcing.bandwidth}")
     dt = TWO_PI / n_nodes
     eye_n = np.eye(n)
     diff_state = np.zeros((n, n, n_nodes), dtype=complex)
@@ -205,16 +209,14 @@ class OracleComparison:
     fitted_order: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [{"n": n, "gap": g} for n, g in self.rows],
-            "fitted_order": self.fitted_order,
-        }
+        return {"rows": [{"n": n, "gap": g} for n, g in self.rows],
+                "fitted_order": self.fitted_order}
 
 
 def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
             cond_limit: float = COND_LIMIT) -> OracleComparison:
     """Max-norm gap between the two solution routes, with the fitted order,
-    over a nonempty list of integer grid sizes.
+    over a nonempty list of distinct integer grid sizes.
 
     The spectral reference is solved once and evaluated at the nodes of each
     collocation grid, whatever its size (``symbols._synthesis``).  The fitted
@@ -226,19 +228,16 @@ def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
     from .solver import solve_periodic  # deferred so assembly stays solver-free
 
     grid_sizes = [operator.index(n) for n in grid_sizes]
-    if not grid_sizes:
-        raise ValueError("grid size list must be nonempty")
+    if not grid_sizes or len(set(grid_sizes)) < len(grid_sizes):
+        raise ValueError("grid size list must be nonempty, with no size repeated")
     reference = solve_periodic(spec, cond_limit=cond_limit).solution
     rows: List[Tuple[int, float]] = []
     for n_nodes in grid_sizes:
         approx = collocation_solve(spec, n_nodes, cond_limit)
         ref = _synthesis(reference.coefficients, mode_range(reference.bandwidth), n_nodes)
         rows.append((n_nodes, _max_row_norm(ref - approx)))
-
-    scale = max(reference.max_norm(), 1.0)
-    gaps = np.array([g for _, g in rows])
+    sizes, gaps = np.array(rows, dtype=float).T
     order: Optional[float] = None
-    if len(rows) >= 2 and np.all(gaps > 1e-13 * scale):
-        sizes = np.array([float(n) for n, _ in rows])
+    if len(rows) >= 2 and np.all(gaps > 1e-13 * max(reference.max_norm(), 1.0)):
         order = -_slope(np.log(sizes), np.log(gaps))
     return OracleComparison(rows=rows, fitted_order=order)

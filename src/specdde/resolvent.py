@@ -206,8 +206,11 @@ def _checked_inverse(modes: np.ndarray, modal: np.ndarray, cond_limit: float):
     Raises SingularModeError naming every mode of ``modes`` whose condition
     number exceeds ``cond_limit`` or is not finite; an exactly singular
     M(k) has an infinite one.  Which of those modes a solve reports is the
-    solver's rule (``solver._band_solve``).
+    solver's rule (``solver._band_solve``).  A NaN or non-positive
+    ``cond_limit`` raises ValueError.
     """
+    if not cond_limit > 0:
+        raise ValueError(f"condition limit must be positive, got {cond_limit}")
     inverse, condition = _inverse_and_condition(modal)
     bad = ~np.isfinite(condition) | (condition > cond_limit)
     if np.any(bad):

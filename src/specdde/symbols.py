@@ -681,9 +681,10 @@ class ProblemSpec:
 
     with state matrix A, neutral delay functional L (differentiated part),
     reaction delay functional G, memory kernel a and 2*pi-periodic forcing f.
-    A is finite.  ``truncation`` is the solver bandwidth K; ``grid`` the
-    sample count N (defaults to 4K, which keeps products with delay terms
-    alias-safe); both are integers (``operator.index``).
+    A and the forcing's coefficients are finite.  ``truncation`` is the
+    solver bandwidth K; ``grid`` the sample count N (defaults to 4K, which
+    keeps products with delay terms alias-safe); both are integers
+    (``operator.index``).
     """
 
     state_matrix: np.ndarray
@@ -728,6 +729,8 @@ class ProblemSpec:
             raise DimensionError(
                 f"forcing dimension {self.forcing.dim} != state dimension {n}"
             )
+        if not np.all(np.isfinite(self.forcing.coefficients)):
+            raise ValueError("forcing coefficients must be finite")
 
     @property
     def dim(self) -> int:

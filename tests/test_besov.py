@@ -275,6 +275,9 @@ class TestBesovNorm:
             BesovParams(s=1.0, p=0.5)
         with pytest.raises(ValueError):
             BesovParams(s=1.0, q=np.inf)
+        # level 0's weight 2^(s 0) used to be NaN in every report
+        with pytest.raises(ValueError, match="finite"):
+            BesovParams(s=np.inf)
 
     def test_report_quadrature_error(self):
         f = _single_mode(3)

@@ -249,14 +249,28 @@ def test_a_zero_weight_kernel_term_changes_nothing(tmp_path, command):
 
 
 def test_off_grid_lag_writes_a_report(tmp_path):
+    # off_grid_lag is a span of 5e8 oracle grid steps or more; 1e9 is 5.1e9
+    # steps of the first grid, N = 32
     doc = json.loads(json.dumps(SAMPLED))
-    doc["problem"]["L"]["distributed"]["span"] = 1.0
+    doc["problem"]["L"]["distributed"]["span"] = 1e9
     code, out = run(tmp_path, "verify", doc)
     assert code == 3
     report = report_of(out, "verify")
     assert report["exit_code"] == 3
     assert report["error"]["type"] == "off_grid_lag"
-    assert "span 1.0" in report["error"]["message"]
+    assert "span 1000000000.0" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("span", [1.0, 5.0, TWO_PI * 63 / 65])
+def test_off_grid_span_verifies_at_second_order(tmp_path, span):
+    # the kernel's last panel is partial; 2 pi 63/65 takes the solver's
+    # direct route, q = 65 being above its FFT route's 64
+    doc = json.loads(json.dumps(SAMPLED))
+    doc["problem"]["L"]["distributed"]["span"] = span
+    doc["N_list"] = [64, 128, 256, 512]
+    code, out = run(tmp_path, "verify", doc)
+    assert code == 0
+    assert report_of(out, "verify")["fitted_order"] == pytest.approx(2.0, abs=0.01)
 
 
 @pytest.mark.parametrize("turns", [10**17, 10**19])
@@ -1116,9 +1130,10 @@ def test_dimension_is_inferred_from_A(tmp_path):
 
 #: configurations that together reach every path a command can take: TINY,
 #: a sampled kernel (the oracle's spline stencil), a sampled forcing with no
-#: delays or memory and a p != 2 norm, an off-grid atom lag, a singular mode
-#: under ``tolerances.singular_cond``, a singular collocation system, a grid
-#: below the forcing band, and an invalid document
+#: delays or memory and a p != 2 norm, an off-grid atom lag, an off-grid
+#: kernel span (the solver's direct route), a singular mode under
+#: ``tolerances.singular_cond``, a singular collocation system, a grid below
+#: the forcing band, and an invalid document
 PATH_CONFIGS = {
     "tiny": TINY,
     "sampled_kernel": SAMPLED,
@@ -1129,6 +1144,8 @@ PATH_CONFIGS = {
         "besov": {"s": 1.0, "p": 3.0, "q": 2.0},
     },
     "off_grid_atom": _mutated(TINY, ("problem", "G", "atoms", 0, "lag"), 1.0),
+    # a span off every grid, which the solver takes by its direct route
+    "off_grid_span": _mutated(SAMPLED, ("problem", "L", "distributed", "span"), 5.0),
     "singular_mode": _mutated(TINY, ("tolerances",), {"singular_cond": 1.5}),
     "singular_system": {
         "problem": {"n": 1, "A": [[-1.0]],
@@ -1182,6 +1199,7 @@ def test_every_package_function_runs_under_a_command(tmp_path):
     finally:
         sys.setprofile(None)
     assert outcomes["tiny"] == dict.fromkeys(COMMANDS, 0)
+    assert outcomes["off_grid_span"] == dict.fromkeys(COMMANDS, 0)
     assert outcomes["singular_mode"] == dict.fromkeys(COMMANDS, 2)
     assert outcomes["singular_system"]["verify"] == 2
     assert outcomes["aliasing"]["verify"] == 3

@@ -255,26 +255,106 @@ def test_compare_takes_a_nonempty_list_of_integer_grids():
     # an empty list used to give no rows
     with pytest.raises(ValueError, match="nonempty"):
         compare(spec, [])
+    # a repeated size used to give a NaN order and a 0/0 warning
+    with pytest.raises(ValueError, match="repeated"):
+        compare(spec, [16, 16])
     rows = compare(spec, [np.int64(32), 64]).rows
     assert [n for n, _ in rows] == [32, 64] and all(type(n) is int for n, _ in rows)
 
 
 def test_off_grid_lag_is_rejected():
     # an off-grid atom is interpolated and stays second order; a distributed
-    # span off the grid is rejected
+    # span of 5e8 grid steps or more is rejected
     for lag in (0.3, 1.0, 2.5):
         comparison = compare(scalar_with_reaction_atom(0.1, lag), [32, 64, 128, 256, 512])
         assert comparison.fitted_order == pytest.approx(2.0, abs=0.05), lag
     spec = ProblemSpec(
         state_matrix=[[-1.0]],
         reaction_delay=DelayFunctional(
-            dim=1, distributed=DistributedDelay(np.full((9, 1, 1), 0.1), span=1.0)),
+            dim=1, distributed=DistributedDelay(np.full((9, 1, 1), 0.1), span=1e8)),
         forcing=PeriodicGridFunction.from_harmonics(cos=[1.0]),
         truncation=4,
         grid=16,
     )
-    with pytest.raises(OffGridLagError):
-        collocation_solve(spec, 32)
+    with pytest.raises(OffGridLagError, match="too many"):
+        collocation_solve(spec, 32)     # 5.1e8 steps
+
+
+def _span_spec(span, kernel):
+    """A scalar problem whose reaction delay is the kernel sampled at 17
+    points of [-span, 0]."""
+    theta = np.linspace(-span, 0.0, 17)
+    return ProblemSpec(
+        state_matrix=[[-1.0]],
+        reaction_delay=DelayFunctional(
+            dim=1, distributed=DistributedDelay(kernel(theta), span=span)),
+        forcing=PeriodicGridFunction.from_harmonics(cos=[1.0], sin=[0.0, 0.5]),
+        truncation=8,
+    )
+
+
+@pytest.mark.parametrize("kernel", [lambda t: 0.05 * np.exp(t),
+                                    lambda t: 0.4 * np.exp(0.3 * t)],
+                         ids=["steep", "mild"])
+@pytest.mark.parametrize("span", [1.0, 5.0, 7.3, TWO_PI * 63 / 65])
+def test_off_grid_span_is_second_order(span, kernel):
+    # the last panel is partial at every N; without it the mild kernel's
+    # fitted orders fall to 0.7-1.4
+    comparison = compare(_span_spec(span, kernel), [64, 128, 256, 512])
+    assert comparison.fitted_order == pytest.approx(2.0, abs=0.01)
+
+
+def test_span_shorter_than_a_step_is_one_partial_panel():
+    # no whole panel, so node 0 takes only the partial panel's K(0)
+    n_nodes, dt = 64, TWO_PI / 64
+    span = 0.3 * dt
+    dist = DistributedDelay(np.random.default_rng(2).normal(size=(6, 2, 2)), span=span)
+    stencil = _delay_stencil(DelayFunctional(dim=2, distributed=dist), n_nodes, dt)
+    near, far = span / 2 * dist.evaluate(np.array([0.0, -span]))
+    expected = np.zeros((2, 2, n_nodes), dtype=complex)
+    expected[..., 0] += near
+    for node, weight in zip((2, 1, 0, -1), oracle._lagrange4(span / dt)):
+        expected[..., node] += weight * far
+    np.testing.assert_array_equal(stencil, expected)
+
+
+def _whole_steps_stencil(functional, n_nodes, dt):
+    """The stencil from before the partial panel, the reference for on-grid
+    data: a span of a whole number of steps only, with a snap test of its own."""
+    n = functional.dim
+    stencil = np.zeros((n, n, n_nodes), dtype=complex)
+    for coef, lag in functional.atoms:
+        shift_exact = lag / dt
+        shift = int(round(shift_exact))
+        if abs(shift_exact - shift) <= 1e-9 * max(1.0, shift_exact):
+            stencil[..., shift % n_nodes] += coef
+        else:
+            base = int(np.floor(shift_exact))
+            for offset, weight in zip((-2, -1, 0, 1), oracle._lagrange4(shift_exact - base)):
+                stencil[..., (base - offset) % n_nodes] += weight * coef
+    dist = functional.distributed
+    if dist is not None:
+        steps = int(round(dist.span / dt))
+        assert abs(dist.span / dt - steps) <= 1e-9 * max(1.0, dist.span / dt)
+        for start in range(0, steps + 1, n_nodes):
+            chunk = np.arange(start, min(start + n_nodes, steps + 1))
+            weights = np.where((chunk == 0) | (chunk == steps), 0.5 * dt, dt)
+            values = np.moveaxis(dist.evaluate(-dt * chunk), 0, -1)
+            stencil[..., :len(chunk)] += weights * values
+    return stencil
+
+
+@pytest.mark.parametrize("n_nodes", [64, 128, 256, 512])
+@pytest.mark.parametrize("span", [TWO_PI, np.pi, 6 * np.pi, TWO_PI * 3 / 64])
+def test_on_grid_stencil_keeps_its_bits(n_nodes, span):
+    rng = np.random.default_rng(n_nodes)
+    functional = DelayFunctional(
+        dim=2, atoms=[(rng.normal(size=(2, 2)), lag) for lag in (TWO_PI, np.pi / 2, 1.0)],
+        distributed=DistributedDelay(rng.normal(size=(9, 2, 2)), span=span))
+    dt = TWO_PI / n_nodes
+    stencil = _delay_stencil(functional, n_nodes, dt)
+    reference = _whole_steps_stencil(functional, n_nodes, dt)
+    assert stencil.view(np.uint64).tobytes() == reference.view(np.uint64).tobytes()
 
 
 def test_distributed_span_of_many_periods_folds_in_one_period_of_memory():

@@ -12,10 +12,14 @@ from specdde import (
     ModeSymbols,
     ProblemSpec,
     SingularModeError,
+    collocation_solve,
+    compare,
+    convergence_sweep,
     laplace_symbol,
     m_bounded_diagnostics,
     mode_range,
     resolvent,
+    solve_periodic,
 )
 from specdde.symbols import _stack_product
 
@@ -123,6 +127,19 @@ class TestResolventFamily:
             assert np.allclose(inv[..., i], expected, atol=1e-12)
             # off-diagonal entries stay numerically zero
             assert abs(inv[0, 1, i]) < 1e-15
+
+    @pytest.mark.parametrize("limit", [np.nan, 0.0, -1.0])
+    def test_condition_limit_must_be_positive(self, limit):
+        # NaN used to reject no mode in the first three and every system in
+        # the last two, since cond > nan and cond <= nan are both False
+        spec = problems.scalar_basic()
+        for call in (lambda: solve_periodic(spec, cond_limit=limit),
+                     lambda: convergence_sweep(spec, [2, 4], cond_limit=limit),
+                     lambda: m_bounded_diagnostics(spec, 4, cond_limit=limit),
+                     lambda: collocation_solve(spec, 32, cond_limit=limit),
+                     lambda: compare(spec, [32, 64], cond_limit=limit)):
+            with pytest.raises(ValueError, match="condition limit must be positive"):
+                call()
 
     def test_singular_mode_reported_with_condition(self):
         spec = ProblemSpec(state_matrix=[[0.0]], truncation=2, grid=8)

@@ -838,9 +838,16 @@ class TestValidation:
         ({"state_matrix": [[np.nan]]}, ValueError, "state matrix must be finite"),
         ({"state_matrix": [[-1.0, 0.0], [np.inf, -1.0]]}, ValueError,
          "state matrix must be finite"),
+        # a non-finite forcing used to construct and give NaN in every result
+        ({"state_matrix": [[-1.0]], "truncation": 4,
+          "forcing": PeriodicGridFunction.from_harmonics(cos=[np.nan])},
+         ValueError, "forcing coefficients must be finite"),
+        ({"state_matrix": [[-1.0]], "truncation": 1,
+          "forcing": PeriodicGridFunction.from_samples([np.nan, 1.0, 2.0, 0.5])},
+         ValueError, "forcing coefficients must be finite"),
     ], ids=["non_square", "truncation_0", "grid_below_2K+1", "neutral_dim", "reaction_dim",
             "forcing_dim", "fractional_truncation", "fractional_grid", "nan_state",
-            "infinite_state"])
+            "infinite_state", "nan_forcing", "nan_forcing_sample"])
     def test_problem_spec(self, kwargs, error, match):
         with pytest.raises(error, match=match):
             ProblemSpec(**kwargs)
