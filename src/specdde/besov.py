@@ -15,27 +15,29 @@ The norm of a band-limited f is
 
     ( sum_j 2^{s j q} || sum_k e^{ikt} phi_j(k) fhat(k) ||_p^q )^{1/q}
 
-with the unnormalized L^p integral over one period.  Grid L^p values use the
-trapezoid rule, exact for band-limited data when p == 2; for other p the
-blocks are synthesised on at least 4 points per band mode and the quadrature
-error is estimated against a grid of at least twice the points (see
-``besov_norm_report``).  f is split once into real functions, not into
-its n complex columns: the real and imaginary part of each column, less the
-parts that are exactly zero, are paired into complex rows a + ib, whose
-squared moduli a^2 + b^2 sum to |f(t)|^2.  Two real signals share one
-complex transform (Cooley, Lewis and Welch, J. Sound Vib. 12, 1970), and
-the weights are even in k, so a level's rows are its weights times those
-of f: a real two-column f is one row per level, and a level whose weights
-vanish where f is nonzero is not synthesised.  The synthesis is pruned to
-the function's band (Markel, IEEE Trans. Audio Electroacoust. 19, 1971;
-Sorensen and Burrus, IEEE Trans. Signal Process. 41, 1993): on a grid of n
-points, with b the highest mode where f is nonzero, m is the smallest
-divisor of n with m >= 2b + 1, and each chunk of the grid is one table of
-twiddles, one scatter and one batch of length-m inverse FFTs over every
-level and row.  A block costs about n log m, not n log n, and a length
-pocketfft transforms by Bluestein's algorithm costs that only where m
-itself is one.  The grids, and with them the quadrature values, are those
-of the length-n transform.
+with the unnormalized L^p integral over one period.  f is split once into
+real functions, not into its n complex columns: the real and imaginary part
+of each column, less the parts that are exactly zero, are paired into
+complex rows a + ib, whose squared moduli a^2 + b^2 sum to |f(t)|^2.  Two
+real signals share one complex transform (Cooley, Lewis and Welch, J. Sound
+Vib. 12, 1970), and the weights are even in k, so a level's rows are its
+weights times those of f: a real two-column f is one row per level, and a
+level whose weights vanish where f is nonzero is never synthesised.
+
+For p == 2 a block's norm is Parseval's, (2 pi sum_k |row_k|^2)^{1/2} over
+its rows, and nothing is synthesised.  For other p the blocks are
+integrated by the periodic trapezoid rule, which converges geometrically
+where |f|^p is smooth (Trefethen and Weideman, SIAM Rev. 56, 2014), on
+doubling grids m = m0 2^i: m0 is the smallest 7-smooth length with 4
+points per mode of the live band |k| <= b, b the highest mode where f is
+nonzero.  Each grid is one inverse FFT of every live level on 2m points
+(one a level on a large stack); the even nodes give the norm Q_m and all
+of them Q_2m.  The grids stop doubling when |Q_m - Q_2m| <= 1e-13 Q_m, and
+at the latest on the first m at or above max(N, 4 (2K + 1)), the grid
+that 4 points per mode of the stored band |k| <= K would take
+(``besov_norm_report``).  Up to that cap the grids depend on the live band
+and on the target alone, so a function stored on a wide band with few
+live modes pays for the modes it has.
 
 Block norms are independent per level; the final sum runs in ascending j.
 A block norm whose largest square or power is outside [2^-900, 2^900] is
@@ -48,25 +50,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from .symbols import TWO_PI, PeriodicGridFunction, _power_of_two_scaled, mode_range
 
-#: quadrature points per band mode of a p != 2 block (the stored grid when finer)
+#: quadrature points per mode of the live band on the first p != 2 grid, and
+#: of the stored band on the last
 _POINTS_PER_MODE = 4
+
+#: relative change |Q_m - Q_2m| / Q_m of the norm at which the grids stop
+#: doubling (``besov_norm_report``)
+_CONVERGED = 1e-13
 
 #: squares and powers whose largest is in this range are summed unscaled
 #: (``_lp_norm``)
 _LEAST_UNSCALED, _MOST_UNSCALED = 2.0**-900, 2.0**900
 
-#: samples, over every level and row, that the pruned synthesis aims to
-#: hold at a time (``_power_sums``), at about 75 bytes a sample.  A chunk is
-#: at least one (levels, rows, m) slice, so the samples held are at most
-#: max(_CHUNK_SAMPLES, levels * rows * m): 11.9 MB of working memory for a
-#: real function live on every mode up to K = 4096, 14 levels at m = 10,924
-_CHUNK_SAMPLES = 6144
+#: samples, over every level and row, that one inverse FFT of
+#: ``_power_sums`` holds; a larger stack is synthesised one level at a time.
+#: At 16 bytes a sample that is 1 MB: a real function live on every mode up
+#: to K = 4096 has 13 live levels of 65,610 samples, 13.6 MB at once
+_STACK_SAMPLES = 2**16
 
 
 def partition_eval(level, k):
@@ -120,12 +126,16 @@ def _seven_smooth(n: int) -> int:
         m += 1
 
 
-def _quadrature_points(f: PeriodicGridFunction, p: float) -> int:
-    """The stored grid when p == 2, else at least _POINTS_PER_MODE points per
-    band mode."""
-    if p == 2.0:
-        return f.n_samples
-    return max(f.n_samples, _POINTS_PER_MODE * (2 * f.bandwidth + 1))
+def _grids(f: PeriodicGridFunction, band: int) -> Iterator[int]:
+    """The p != 2 quadrature grids of f, whose highest live mode is
+    ``band``: m0 = the smallest 7-smooth length of at least 4 points per
+    mode of |k| <= band, doubled up to the first m >= max(N, 4 (2K + 1))."""
+    m = _seven_smooth(_POINTS_PER_MODE * (2 * band + 1))
+    last = max(f.n_samples, _POINTS_PER_MODE * (2 * f.bandwidth + 1))
+    while m < last:
+        yield m
+        m *= 2
+    yield m
 
 
 def _real_rows(modes: np.ndarray,
@@ -155,59 +165,46 @@ def _real_rows(modes: np.ndarray,
     return modes, pairs[:, 0], pairs[:, 1]
 
 
-def _pruned_length(n: int, width: int) -> int:
-    """Smallest divisor of n that is at least ``width`` (n itself when no
-    smaller one is), from the divisor pairs (i, n / i) with i <= sqrt(n)."""
-    return min(m for i in range(1, int(n ** 0.5) + 1) if n % i == 0
-               for m in (i, n // i) if m >= width)
-
-
-def _power_sums(modes: np.ndarray, rows: np.ndarray, n: int,
+def _power_sums(modes: np.ndarray, rows: np.ndarray, m: int,
                 p: float) -> Tuple[np.ndarray, np.ndarray]:
     """For the function of each level, whose |f|^2 is the sum of its rows'
-    squared moduli: the sum of |f|^p over n points, shape (levels,), and
-    the largest |f|^2 and the largest |f|^p, shape (2, levels).
+    squared moduli: its integrals of |f|^p over one period, shape (levels,
+    1) for p == 2 and (levels, 2) otherwise, and the largest |f|^2 and the
+    largest |f|^p, shape (2, levels).
 
-    ``rows`` holds each level's rows on ``modes``, shape (levels, rows,
-    len(modes)); the modes are symmetric about 0, ascending, with largest
-    b.  With m the smallest divisor of n that holds 2b + 1 modes and
-    d = n / m, the sample at t = 2 pi (l d + r) / n is
-    sum_k (c_k w_n^{kr}) w_m^{kl} (w_n = e^{2 pi i / n}), so the n samples
-    are the d length-m inverse transforms of the twiddled coefficients,
-    scattered to column k mod m of a (d, m) array.  The twiddles w_n^{kr}
-    are taken once for k >= 0 (a mode k < 0 reads the conjugate); the
-    phase index k r is an exact integer with |k r| <= b (d - 1) < n / 2,
-    so its angle is already in (-pi, pi) before the exp.  The d rows are
-    walked in chunks of at most _CHUNK_SAMPLES samples over every level
-    and row, and each chunk is one twiddle table, one scatter and one
-    inverse FFT of them all; the sums and maxima are accumulated in that
-    layout: the trapezoid rule does not depend on the order of the points.
-    When n is the only such divisor, d = 1, every twiddle is 1 and this is
-    the length-n transform.
+    ``rows`` holds each level's rows on ``modes`` (symmetric about 0,
+    ascending), shape (levels, rows, len(modes)).  For p == 2 the integral
+    is Parseval's, 2 pi sum_k |row_k|^2 over every row, and the largest are
+    those of the coefficients.  Otherwise the rows are synthesised on 2m
+    points: scattered to column k mod 2m, and one inverse FFT of every
+    level, or of each level alone when they would hold more than
+    _STACK_SAMPLES samples.  The squares are written over the samples, and
+    the columns are the trapezoid values 2 pi / m sum |f|^p over the m even
+    nodes, which are the m-point grid, and 2 pi / 2m sum |f|^p over all 2m.
     """
-    m = _pruned_length(n, 2 * int(modes[-1]) + 1)
-    d = n // m
-    half = modes[modes >= 0]
-    mirrored = len(modes) - len(half)
-    table_index = np.searchsorted(half, np.abs(modes))
-    columns = np.mod(modes, m)
+    if p == 2.0:
+        squares = rows.real ** 2 + rows.imag ** 2
+        largest = squares.max(axis=(1, 2))
+        return TWO_PI * squares.sum(axis=(1, 2))[:, None], np.stack([largest, largest])
     levels, count = rows.shape[:2]
-    step = max(1, _CHUNK_SAMPLES // (levels * count * m))
-    sums, peaks = np.zeros(levels), np.zeros((2, levels, -(-d // step)))
-    for chunk, start in enumerate(range(0, d, step)):
-        r = np.arange(start, min(start + step, d))
-        twiddles = np.exp(1j * (TWO_PI / n) * (r[:, None] * half))[:, table_index]
-        np.conjugate(twiddles[:, :mirrored], out=twiddles[:, :mirrored])
-        samples = np.zeros((levels, count, len(r), m), dtype=complex)
-        samples[..., columns] = twiddles * rows[:, :, None, :]
+    step = levels if levels * count * 2 * m <= _STACK_SAMPLES else 1
+    columns = np.mod(modes, 2 * m)
+    integrals, peaks = np.empty((levels, 2)), np.empty((2, levels))
+    for start in range(0, levels, step):
+        part = slice(start, start + step)
+        samples = np.zeros(rows[part].shape[:2] + (2 * m,), dtype=complex)
+        samples[..., columns] = rows[part]
         samples = np.fft.ifft(samples, axis=-1, norm="forward")
-        squared = samples.real ** 2
-        squared += samples.imag ** 2
-        squared = squared.sum(axis=1)
-        powers = squared ** (p / 2.0)
-        sums += powers.sum(axis=(1, 2))
-        peaks[:, :, chunk] = squared.max(axis=(1, 2)), powers.max(axis=(1, 2))
-    return sums, np.max(peaks, axis=2)
+        parts = samples.view(np.float64)
+        np.square(parts, out=parts)
+        squared = np.add(parts[..., 0::2], parts[..., 1::2], out=parts[..., 0::2])
+        squared = squared[:, 0] if count == 1 else squared.sum(axis=1)
+        peaks[0, part] = squared.max(axis=-1)
+        powers = np.power(squared, p / 2.0, out=squared)
+        peaks[1, part] = powers.max(axis=-1)
+        even, odd = powers[:, 0::2].sum(axis=-1), powers[:, 1::2].sum(axis=-1)
+        integrals[part] = np.column_stack([TWO_PI / m * even, TWO_PI / (2 * m) * (even + odd)])
+    return integrals, peaks
 
 
 def _in_range(largest):
@@ -219,17 +216,13 @@ def _in_range(largest):
     return (_LEAST_UNSCALED <= largest) & (largest <= _MOST_UNSCALED)
 
 
-def _trapezoid(total, n: int, p: float) -> float:
-    """(2 pi / n sum |f|^p)^(1/p) from the sum of the n values |f|^p."""
-    return float((TWO_PI / n * total) ** (1.0 / p))
+def _lp_norm(modes: np.ndarray, rows: np.ndarray, m: int, p: float) -> np.ndarray:
+    """L^p norm of each level's function, from one ``_power_sums`` of them
+    all on the grid m: shape (levels, 1) for p == 2, Parseval's, and
+    (levels, 2) otherwise, the trapezoid values on m and 2m points; ``rows``
+    holds each level's rows on ``modes``, shape (levels, rows, len(modes)).
 
-
-def _lp_norm(modes: np.ndarray, rows: np.ndarray, n: int, p: float) -> List[float]:
-    """Trapezoid L^p norm on n points of each level's function, from one
-    pruned synthesis of them all (``_power_sums``); ``rows`` holds each
-    level's rows on ``modes``, shape (levels, rows, len(modes)).
-
-    A level's norm is taken as it is when its largest square and its
+    A level's norms are taken as they are when its largest square and its
     largest p-th power are in range (``_in_range``).  Otherwise (one
     overflowed, underflowed, or lost bits to gradual underflow) that level
     alone is taken again through ``_power_sums`` on its rows scaled by 2^-e
@@ -239,40 +232,33 @@ def _lp_norm(modes: np.ndarray, rows: np.ndarray, n: int, p: float) -> List[floa
     warning is raised.
     """
     with np.errstate(all="ignore"):
-        sums, peaks = _power_sums(modes, rows, n, p)
-        norms = [_trapezoid(total, n, p) for total in sums]
+        integrals, peaks = _power_sums(modes, rows, m, p)
+        norms = integrals ** (1.0 / p)
         for level in np.flatnonzero(~(_in_range(peaks[0]) & _in_range(peaks[1]))):
             unit, exponent = _power_of_two_scaled(rows[level])
-            largest_square = _power_sums(modes, unit[None], n, p)[1][0, 0]
+            largest_square = _power_sums(modes, unit[None], m, p)[1][0, 0]
             peak = (math.frexp(largest_square)[1] + 1) // 2
             parts = unit.view(np.float64)
             np.ldexp(parts, -peak, out=parts)
-            total = _power_sums(modes, unit[None], n, p)[0][0]
-            norms[level] = float(np.ldexp(_trapezoid(total, n, p), exponent + peak))
+            integral = _power_sums(modes, unit[None], m, p)[0][0]
+            norms[level] = np.ldexp(integral ** (1.0 / p), exponent + peak)
     return norms
 
 
-def _block_norms(f: PeriodicGridFunction, p: float, lengths: Tuple[int, ...]) -> np.ndarray:
-    """L^p norm of each dyadic block of f, ascending level, shape
-    (levels, len(lengths)): column i is the trapezoid value on lengths[i]
-    points.
+def _level_rows(f: PeriodicGridFunction) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(modes, rows, live): the rows of every dyadic level of f on the
+    modes where f or its mirror is nonzero, shape (levels, rows,
+    len(modes)), and the levels whose rows are not exactly zero.
 
-    f is split once (``_real_rows``) into rows a, b on the modes where f or
-    its mirror is nonzero, and the weights w are taken on those modes only.
-    w is even in k, so a level's rows are w a + i (w b); for a real f that
-    is bit for bit the split of w c, whose Hermitian part is exactly w c.
-    On each length, every level is synthesised by the one pruned transform
-    of ``_power_sums``.  A level whose rows are exactly zero (its weights
-    vanish on those modes) is not synthesised and has norms 0.0.
+    f is split once (``_real_rows``) into rows a, b on those modes, and the
+    weights w are taken on them only.  w is even in k, so a level's rows
+    are w a + i (w b); for a real f that is bit for bit the split of w c,
+    whose Hermitian part is exactly w c.
     """
     modes, a, b = _real_rows(mode_range(f.bandwidth), f.coefficients)
     weights = _partition_weights(f.bandwidth, modes)[:, None, :]
     rows = weights * a + 1j * (weights * b)
-    live = np.flatnonzero(np.any(rows, axis=(1, 2)))
-    out = np.zeros((len(weights), len(lengths)))
-    if live.size:
-        out[live] = np.column_stack([_lp_norm(modes, rows[live], n, p) for n in lengths])
-    return out
+    return modes, rows, np.flatnonzero(np.any(rows, axis=(1, 2)))
 
 
 def _combine_blocks(blocks: np.ndarray, params: BesovParams) -> float:
@@ -311,18 +297,27 @@ def besov_norm_report(f: PeriodicGridFunction, params: BesovParams) -> BesovNorm
     """Norm plus per-block values and a quadrature error estimate.
 
     The norm is a norm on the stored band: absolutely homogeneous,
-    subadditive, and zero only for the zero function.  For p == 2 the grid
-    trapezoid is exact and the error is 0.  Otherwise the norm is taken on
-    the quadrature grid of N points and the estimate is its difference
-    against the same norm on the smallest 7-smooth length >= 2N.  An
-    estimate of 0.0 for p != 2 means the two sums rounded to the same
-    float, so the error is below round-off, not that the quadrature is
-    exact.  The estimate is not a bound: |Q_N - Q_M| understates the error
-    whenever both grids' errors have the same sign; on the benchmark
-    forcing (28 points, p = 3) it reads 8.83e-5 against an actual 9.79e-5.
+    subadditive, and zero only for the zero function.  For p == 2 the
+    blocks are Parseval's sums and the error is 0.  Otherwise the norm is
+    Q_m on the first grid of ``_grids`` whose estimate |Q_m - Q_2m| is at
+    most 1e-13 Q_m, or on the last; a level whose rows are exactly zero is
+    not synthesised and has norm 0.0.  An estimate of 0.0 for p != 2 means
+    the two sums rounded to the same float, so the error is below
+    round-off, not that the quadrature is exact.  The estimate is not a
+    bound: it understates the error whenever both grids' errors have the
+    same sign.  That matters where the last grid stops the doubling before
+    the norm has converged: the benchmark forcing's first grid, 28 points,
+    is also its last, and at p = 3 its estimate reads 8.83e-5 against an
+    actual 9.79e-5.
     """
-    n = _quadrature_points(f, params.p)
-    table = _block_norms(f, params.p, (n,) if params.p == 2.0 else (n, _seven_smooth(2 * n)))
-    norm = _combine_blocks(table[:, 0], params)
-    err = abs(norm - _combine_blocks(table[:, -1], params))
+    modes, rows, live = _level_rows(f)
+    table, rows = np.zeros((len(rows), 1 if params.p == 2.0 else 2)), rows[live]
+    for m in _grids(f, int(modes[-1]) if modes.size else 0):
+        if live.size:
+            table[live] = _lp_norm(modes, rows, m, params.p)
+        norm = _combine_blocks(table[:, 0], params)
+        err = abs(norm - _combine_blocks(table[:, -1], params))
+        # a NaN estimate, of an infinite norm, stops the grids too
+        if not err > _CONVERGED * norm:
+            break
     return BesovNormReport(norm=norm, block_norms=table[:, 0], quadrature_error=err)

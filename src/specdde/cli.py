@@ -16,8 +16,8 @@ solution's are one ``irfft``, a column per component, a complex one's one
 ``ifft``, columns ``_re`` and ``_im``).  Exit codes: 0
 success, 2 solvability failure (singular mode or singular collocation
 system), 3 validation failure (an invalid document, or values a command
-cannot use: a distributed span of 5e8 oracle grid steps or more,
-``off_grid_lag``, or a grid too coarse for a bandwidth) or a
+cannot use: an atom lag or a distributed span of 5e8 oracle grid steps or
+more, ``off_grid_lag``, or a grid too coarse for a bandwidth) or a
 ``non_finite`` result (a NaN or infinity in the output, which then writes no
 side file).  Every failure writes a report with an ``error.type``.
 """

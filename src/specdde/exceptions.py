@@ -47,8 +47,9 @@ class SingularSystemError(RuntimeError):
 
 
 class OffGridLagError(ValueError):
-    """A distributed delay's span is 5e8 collocation steps or more: from there
-    on, every span is within the oracle's 1e-9 of a whole number of steps."""
+    """A delay of the oracle, an atom's lag or a distributed delay's span, is
+    5e8 collocation steps or more: from there on, every lag is within the
+    oracle's 1e-9 of a whole number of steps."""
 
 
 class ConfigError(ValueError):

@@ -6,9 +6,10 @@ the period: the grid node when r/dt is within 1e-9 of a whole number, else
 the cubic Lagrange weights of its four neighbouring nodes.  A distributed
 kernel is the trapezoid on its whole steps plus one partial panel that ends
 at x(t - span), so every span the solver accepts is checked, up to 5e8
-steps; off the grid, compare() reports the plain gap and its fitted order,
-in the fields every span has.  The infinite-memory convolution is folded
-onto one period:
+steps: an atom lag or a span of that many steps or more is refused
+(``OffGridLagError``).  Off the grid, compare() reports the plain gap and
+its fitted order, in the fields every span has.  The infinite-memory
+convolution is folded onto one period:
 
     int_{-inf}^t a(t-s) x(s) ds = int_0^{2pi} abar(tau) x(t - tau) dtau,
     abar(tau) = sum_{j >= 0} a(tau + 2pi j),
@@ -99,10 +100,17 @@ def _lagrange4(frac: float) -> np.ndarray:
     return weights
 
 
-def _steps(lag: float, dt: float) -> Tuple[int, float]:
+def _steps(lag: float, dt: float, what: str) -> Tuple[int, float]:
     """lag/dt as whole steps and a fraction of a step: the nearest whole
-    number and 0 when lag/dt is within 1e-9 of it, else the floor and the rest."""
+    number and 0 when lag/dt is within 1e-9 of it, else the floor and the
+    rest.  5e8 steps or more raise OffGridLagError, naming the lag as
+    ``what``: from there on, 1e-9 lag/dt is half a step or more, so every
+    lag would be taken at a node."""
     exact = lag / dt
+    if exact >= 5e8:
+        raise OffGridLagError(
+            f"{what} {lag} is {exact} grid steps, too many: "
+            "from 5e8 steps on, every lag is within 1e-9 of a whole number of them")
     if abs(exact - round(exact)) <= 1e-9 * max(1.0, exact):
         return round(exact), 0.0
     return math.floor(exact), exact - math.floor(exact)
@@ -119,7 +127,8 @@ def _delay_stencil(functional: DelayFunctional, n_nodes: int,
     period of steps at a time in O(N n^2) memory, plus the trapezoid on the
     partial step delta = span - S dt, delta/2 (K(-S dt) x_{j-S} + K(-span)
     x(t - span)).  As delta/dt moves with N, such a span reports the plain
-    gap and fitted order.  5e8 steps or more raise OffGridLagError.
+    gap and fitted order.  An atom lag or a span of 5e8 steps or more
+    raises OffGridLagError.
     """
     n = functional.dim
     stencil = np.zeros((n, n, n_nodes), dtype=complex)
@@ -130,14 +139,10 @@ def _delay_stencil(functional: DelayFunctional, n_nodes: int,
             stencil[..., (steps - offset) % n_nodes] += weight * coef
 
     for coef, lag in functional.atoms:
-        add(coef, *_steps(lag, dt))
+        add(coef, *_steps(lag, dt, "atom lag"))
     dist = functional.distributed
     if dist is not None:
-        if dist.span / dt >= 5e8:
-            raise OffGridLagError(
-                f"distributed span {dist.span} is {dist.span / dt} grid steps, too many: "
-                "from 5e8 steps on, every span is within 1e-9 of a whole number of them")
-        steps, frac = _steps(dist.span, dt)
+        steps, frac = _steps(dist.span, dt, "distributed span")
         for start in range(0, steps + 1, n_nodes):
             chunk = np.arange(start, min(start + n_nodes, steps + 1))
             # floats, since bool + bool is or: at S = 0 no panel weighs node 0

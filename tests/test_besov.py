@@ -23,8 +23,9 @@ from specdde import (
 from specdde import besov
 from specdde.besov import (
     _combine_blocks,
+    _grids,
+    _level_rows,
     _partition_weights,
-    _pruned_length,
     _real_rows,
     _seven_smooth,
 )
@@ -46,10 +47,28 @@ def _grid_lp_norm(f, p):
     return float((TWO_PI / f.n_samples * np.sum(pointwise**p)) ** (1.0 / p))
 
 
-def _pruned_lp_norm(f, p):
-    """``besov._lp_norm`` of f on its own grid, with its columns as the rows
-    of one level."""
-    return besov._lp_norm(mode_range(f.bandwidth), f.coefficients.T[None], f.n_samples, p)[0]
+def _lp_norm_on_grid(f, p):
+    """``besov._lp_norm`` of f on its own grid (for p == 2 Parseval's), with
+    its columns as the rows of one level."""
+    return besov._lp_norm(mode_range(f.bandwidth), f.coefficients.T[None], f.n_samples, p)[0, 0]
+
+
+def _grid_block_norms(f, p, m):
+    """Block norms of f, ascending level, from one ``besov._lp_norm`` of its
+    live levels on the grid m: columns m and 2m, or Parseval's for p == 2."""
+    modes, rows, live = _level_rows(f)
+    out = np.zeros((len(rows), 1 if p == 2.0 else 2))
+    out[live] = besov._lp_norm(modes, rows[live], m, p)
+    return out
+
+
+def _inverse_fft_shapes(monkeypatch):
+    """The shapes of the arrays that ``besov`` hands to ``np.fft.ifft``."""
+    shapes = []
+    inverse = np.fft.ifft
+    monkeypatch.setattr(besov.np.fft, "ifft", lambda a, *args, **kwargs: shapes.append(
+        np.shape(a)) or inverse(a, *args, **kwargs))
+    return shapes
 
 
 def _derivative(f):
@@ -287,8 +306,10 @@ class TestBesovNorm:
         assert report_p3.quadrature_error <= 1e-10 * report_p3.norm
 
     def test_quadrature_error_bounds_the_actual_error(self):
-        # the stored grid (64) already exceeds 8 (2K + 1) points, so the
-        # estimate must come from a finer grid than the norm's own
+        # f lives on |k| <= 2, so the grids double from 20 = 4 * 5; the
+        # stored grid (64) is past 4 (2K + 1), and the grids stop on 80, the
+        # first at or above it: the estimate comes from 160 points, a finer
+        # grid than the norm's own
         f = PeriodicGridFunction.from_harmonics(cos=[1.0, 0.5], sin=[0.0, 0.3],
                                                 const=0.2, n_samples=64)
         params = BesovParams(s=1.0, p=3.0, q=2.0)
@@ -297,7 +318,6 @@ class TestBesovNorm:
         actual = abs(report.norm - besov_norm_report(fine, params).norm)
         assert report.quadrature_error >= actual > 0.0
 
-
     def test_zero_blocks_are_not_synthesised(self, monkeypatch):
         # a real two-column f on modes |k| <= 3 only: levels 0..2 carry
         # weight, levels 3..7 of K = 40 do not
@@ -305,36 +325,93 @@ class TestBesovNorm:
         coeffs[37:44] = _hermitian(np.random.default_rng(8), 3, 2)
         f = PeriodicGridFunction(coeffs, 162)
         params = BesovParams(s=1.0, p=3.0, q=2.0)
-        n_quad = 4 * 81
-        expected = np.array([_grid_lp_norm(PeriodicGridFunction(
-            partition_eval(level, mode_range(40))[:, None] * coeffs, n_quad), 3.0)
-            for level in range(8)])
-        shapes = []
-        inverse = np.fft.ifft
-        monkeypatch.setattr(besov.np.fft, "ifft",
-                            lambda a, *args, **kwargs: shapes.append(np.shape(a))
-                            or inverse(a, *args, **kwargs))
+        shapes = _inverse_fft_shapes(monkeypatch)
         report = besov_norm_report(f, params)
         assert np.all(report.block_norms[3:] == 0.0) and np.all(report.block_norms[:3] > 0)
-        # one row per level of a real two-column f, and one (levels, rows,
-        # n/m, m) transform of the 3 live levels per chunk of each grid:
-        # n = 324 = 2^2 3^4 and its 7-smooth double 648 = 2^3 3^4.  f
-        # reaches |k| = 3, so every live level, level 0 (|k| <= 1) too, is
-        # synthesised at f's 7 modes: m = 9 on 324 points and m = 8 on 648,
-        # each grid in one chunk
-        assert _seven_smooth(2 * n_quad) == 648
-        assert shapes == [(3, 1, 36, 9), (3, 1, 81, 8)]
+        # one row per level of a real two-column f, and each grid m is one
+        # (levels, rows, 2m) transform of the 3 live levels.  f reaches
+        # |k| = 3, so the grids double from 28 = 4 * 7 up to 448, the first
+        # at or above n = 4 * 81, and every live level, level 0 (|k| <= 1)
+        # too, is synthesised on them
+        grids = [shape[-1] // 2 for shape in shapes]
+        assert shapes == [(3, 1, 2 * m) for m in grids]
+        assert grids == list(_grids(f, 3))[:len(grids)] == [28, 56, 112, 224, 448][:len(grids)]
         # not bit for bit: the rows add the squares in another order than
-        # the columns, and raise |f|^2 to p/2 where the columns raise |f| to p
+        # the columns, raise |f|^2 to p/2 where the columns raise |f| to p,
+        # and take the m nodes from a transform of 2m
+        expected = np.array([_grid_lp_norm(PeriodicGridFunction(
+            partition_eval(level, mode_range(3))[:, None] * coeffs[37:44], grids[-1]), 3.0)
+            for level in range(8)])
         assert np.all(np.abs(report.block_norms - expected) <= 4 * np.spacing(expected))
 
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_grids_depend_on_the_live_band_and_the_target_alone(self, monkeypatch, p):
+        # the same f, live on |k| <= 3, stored at K = 64 and K = 4096: both
+        # runs start at 28 = 4 * 7 and double alike.  At K = 64 the grids
+        # stop on 896, the first at or above 4 * 129, before the norm has
+        # converged; at K = 4096 they go on until it has
+        live = _hermitian(np.random.default_rng(3), 3, 2)
+        runs = []
+        for bandwidth in (64, 4096):
+            coeffs = np.zeros((2 * bandwidth + 1, 2), dtype=complex)
+            coeffs[bandwidth - 3:bandwidth + 4] = live
+            f = PeriodicGridFunction(coeffs, 2 * bandwidth + 1)
+            shapes = _inverse_fft_shapes(monkeypatch)
+            runs.append((f, besov_norm_report(f, BesovParams(s=1.0, p=p, q=2.0)),
+                         [shape[-1] // 2 for shape in shapes]))
+            monkeypatch.undo()
+        (narrow, narrow_report, narrow_grids), (wide, wide_report, wide_grids) = runs
+        assert narrow_grids == [28, 56, 112, 224, 448, 896] == wide_grids[:6]
+        assert len(wide_grids) > 6
+        assert narrow_report.quadrature_error > 1e-13 * narrow_report.norm
+        assert wide_report.quadrature_error <= 1e-13 * wide_report.norm
+        # and on the grids they share, the blocks are the same bit for bit
+        np.testing.assert_array_equal(_bits(narrow_report.block_norms),
+                                      _bits(_grid_block_norms(wide, p, 896)[:8, 0]))
+
+    @pytest.mark.parametrize("bandwidth, n_samples, last", [
+        (64, 129, 768), (64, 1000, 1536), (4096, 8193, 49152)])
+    def test_no_grid_passes_the_first_doubling_at_or_above_the_stored_grid(
+            self, monkeypatch, bandwidth, n_samples, last):
+        # |cos t| has kinks, so at p = 1 the trapezoid converges
+        # algebraically and never reaches 1e-13: the grids double from
+        # 12 = 4 * 3 to ``last``, the first at or above n = max(N, 4 (2K + 1)),
+        # whose norm is the report's, and the last transform is of 2 last
+        coeffs = np.zeros((2 * bandwidth + 1, 1), dtype=complex)
+        coeffs[[bandwidth - 1, bandwidth + 1]] = 0.5
+        f = PeriodicGridFunction(coeffs, n_samples)
+        shapes = _inverse_fft_shapes(monkeypatch)
+        report = besov_norm_report(f, BesovParams(s=1.0, p=1.0, q=2.0))
+        n = max(n_samples, 4 * (2 * bandwidth + 1))
+        assert last // 2 < n <= last
+        assert shapes == [(1, 1, 24 * 2**i) for i in range(len(shapes))]
+        assert shapes[-1][-1] == 2 * last and list(_grids(f, 1))[-1] == last
+        assert report.quadrature_error > 1e-13 * report.norm
+        assert report.norm == _combine_blocks(_grid_block_norms(f, 1.0, last)[:, 0],
+                                              BesovParams(s=1.0, p=1.0, q=2.0))
+
+    def test_p_2_is_parseval_without_a_synthesis(self, monkeypatch, rng):
+        # block j is (2 pi sum_k ||phi_j(k) fhat(k)||^2)^{1/2}, for a real and
+        # a complex f, and its error estimate is 0
+        shapes = _inverse_fft_shapes(monkeypatch)
+        weights = _partition_weights(40, mode_range(40))[:, :, None]
+        for f in (PeriodicGridFunction(_hermitian(rng, 40, 2), 81),
+                  _random_band(rng, bandwidth=40, dim=3)):
+            report = besov_norm_report(f, BesovParams(s=1.0, p=2.0, q=2.0))
+            expected = np.sqrt(TWO_PI * np.sum(np.abs(weights * f.coefficients) ** 2, axis=(1, 2)))
+            np.testing.assert_allclose(report.block_norms, expected, rtol=1e-14, atol=0.0)
+            assert report.quadrature_error == 0.0
+        assert shapes == []
+
     def test_estimate_bounds_the_error_on_the_benchmark_problem(self):
-        # lumped benchmark problem at K = 32: the norm's 260-point grid has a
-        # doubled length 520 = 2^3 5 13, refined to the 7-smooth 525.  The
-        # estimate |Q_N - Q_M| is not a bound: it understates the error
-        # whenever e_N and e_M share a sign (with M = 520 it reads 2.603e-9
-        # against an actual 2.738e-9).  This test passes because the error
-        # on 525 points has the opposite sign to that on 260.
+        # lumped benchmark problem at K = 32: the solution lives on |k| <= 3,
+        # so the grids double from 28 and stop on 448, the first at or above
+        # 4 (2K + 1) = 260, before the norm has converged.  The estimate
+        # |Q_448 - Q_896| is not a bound: it understates the error whenever
+        # e_448 and e_896 share a sign.  It reads 2.594e-10 against an actual
+        # 2.524e-10, and this test passes because e_896 = +6.97e-12 has the
+        # opposite sign to e_448 = -2.524e-10.  The reference, stored on 2^16
+        # points, runs on to 1,792, where it has converged to 1e-13.
         doc = problems.bench_workloads().config_document("lumped", 1)
         config = parse_config(json.dumps(dict(doc, K=32)))
         u = solve_periodic(config.problem).solution
@@ -351,9 +428,13 @@ def _hermitian(gen, bandwidth, dim):
 
 
 def _column_wise_report(f, params):
-    """``besov_norm_report`` with every block synthesised column by column."""
-    n = f.n_samples if params.p == 2.0 else max(f.n_samples, 4 * (2 * f.bandwidth + 1))
-    lengths = (n,) if params.p == 2.0 else (n, _seven_smooth(2 * n))
+    """``besov_norm_report`` with every block synthesised column by column,
+    for f live on its whole band K: on the stored grid for p == 2, else on
+    the first grid m = 4 (2K + 1), 7-smooth, which is also the last (m >= N),
+    and on 2m."""
+    m = _seven_smooth(4 * (2 * f.bandwidth + 1))
+    assert list(_grids(f, f.bandwidth)) == [m]
+    lengths = (f.n_samples,) if params.p == 2.0 else (m, 2 * m)
     table = np.array([[_grid_lp_norm(PeriodicGridFunction(
         weights[:, None] * f.coefficients, m), params.p) for m in lengths]
         for weights in _partition_weights(f.bandwidth, mode_range(f.bandwidth))])
@@ -415,9 +496,10 @@ class TestRealRows:
         # weight of |k| = 5 in level 2 too
         synthesised = []
         lp_norm = besov._lp_norm
-        monkeypatch.setattr(besov, "_lp_norm", lambda modes, level_rows, n, p: synthesised.append(
-            (modes, level_rows)) or lp_norm(modes, level_rows, n, p))
-        besov._block_norms(PeriodicGridFunction(coeffs, 40), 2.0, (40,))
+        monkeypatch.setattr(besov, "_lp_norm", lambda modes, level_rows, m, p: synthesised.append(
+            (modes, level_rows)) or lp_norm(modes, level_rows, m, p))
+        besov_norm_report(PeriodicGridFunction(coeffs, 40), BesovParams(s=1.0))
+        assert len(synthesised) == 1
         modes, level_rows = synthesised[0]
         assert np.array_equal(modes, mode_range(12))
         weights = _partition_weights(12, modes)
@@ -465,7 +547,7 @@ class TestRealRows:
 
 def _full_length_norms(f, p, n):
     """Block norms of f on n points, each real row w a + i (w b) of a block
-    synthesised by one length-n inverse FFT over the whole band."""
+    synthesised by its own length-n inverse FFT."""
     modes, a, b = _real_rows(mode_range(f.bandwidth), f.coefficients)
     out = []
     for weights in _partition_weights(f.bandwidth, modes):
@@ -492,91 +574,59 @@ def _sparse_band(gen, bandwidth, live, dim, real):
     return coeffs
 
 
-#: (name, n, band K, live modes |k| <= b): n prime, 7-smooth and a Bluestein
-#: length of pocketfft (a multiple of the prime 2731, as the lumped grid is)
-PRUNED_CASES = [
+#: (name, grid m, band K, live modes |k| <= b): m prime, 7-smooth and a
+#: Bluestein length of pocketfft (a multiple of the prime 2731)
+GRID_CASES = [
     ("prime", 101, 50, 3),
     ("prime_full_band", 61, 30, 30),
     ("smooth", 360, 40, 5),
     ("smooth_full_band", 84, 41, 41),
     ("bluestein", 4 * 2731, 600, 3),
-    # level 0 (|k| <= 1) synthesised at f's m = 2731, the smallest divisor
-    # of 10,924 that holds |k| <= 40, not at its own band's m = 4
+    # levels 0..6 of |k| <= 40 in one transform of 2m points
     ("bluestein_levels", 4 * 2731, 600, 40),
 ]
 
 
-class TestPrunedSynthesis:
-    """A block is synthesised on its n points by n/m transforms of length m,
-    the smallest divisor of n that holds its band; the norms are the
-    length-n synthesis's up to round-off, and are it when n is prime."""
-
-    def test_pruned_length_is_the_smallest_divisor_that_holds_the_band(self):
-        for n in range(1, 130):
-            for width in range(1, n + 1):
-                expected = min(m for m in range(width, n + 1) if n % m == 0)
-                assert _pruned_length(n, width) == expected, (n, width)
-        # the lumped benchmark's grids: 32,772 = 2^2 3 2731 and 65,610 = 2 3^8 5
-        assert _pruned_length(32772, 7) == 12 and _pruned_length(65610, 7) == 9
-        assert _pruned_length(65537, 7) == 65537
+class TestGridSynthesis:
+    """On a grid m, every live block is synthesised by one length-2m inverse
+    FFT; its norms on the m even nodes and on all 2m are the length-m and
+    length-2m syntheses' up to round-off, and for p == 2 Parseval's sum is
+    the synthesis's to round-off too."""
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.5])
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-    @pytest.mark.parametrize("name, n, bandwidth, live", PRUNED_CASES,
-                             ids=[case[0] for case in PRUNED_CASES])
-    def test_norms_match_the_full_length_synthesis(self, name, n, bandwidth, live, real, p):
-        gen = np.random.default_rng(n + live)
-        f = PeriodicGridFunction(_sparse_band(gen, bandwidth, live, 3, real), n)
-        blocks = besov._block_norms(f, p, (n,))[:, 0]
-        expected = _full_length_norms(f, p, n)
+    @pytest.mark.parametrize("name, m, bandwidth, live", GRID_CASES,
+                             ids=[case[0] for case in GRID_CASES])
+    def test_norms_match_the_full_length_synthesis(self, name, m, bandwidth, live, real, p):
+        gen = np.random.default_rng(m + live)
+        f = PeriodicGridFunction(_sparse_band(gen, bandwidth, live, 3, real), m)
+        blocks = _grid_block_norms(f, p, m)
+        lengths = (m,) if p == 2.0 else (m, 2 * m)
+        expected = np.column_stack([_full_length_norms(f, p, n) for n in lengths])
         assert np.all((blocks == 0.0) == (expected == 0.0))
         assert np.all(np.abs(blocks - expected) <= 4 * np.spacing(expected))
-        if name.startswith("prime"):
-            assert np.array_equal(blocks, expected)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.5])
     def test_bandwidth_zero_on_one_point(self, p):
         f = PeriodicGridFunction([[2.0 - 1.0j, 0.5]], 1)
-        blocks = besov._block_norms(f, p, (1,))
+        blocks = _grid_block_norms(f, p, 1)
         expected = np.hypot(np.abs(2.0 - 1.0j), 0.5) * TWO_PI ** (1.0 / p)
-        assert blocks.shape == (1, 1)
+        assert blocks.shape == ((1, 1) if p == 2.0 else (1, 2))
         assert np.array_equal(blocks[:, 0], _full_length_norms(f, p, 1))
-        assert blocks[0, 0] == pytest.approx(expected, rel=1e-15)
+        assert np.all(blocks == pytest.approx(expected, rel=1e-15))
 
 
 class TestSharedSynthesis:
-    """Every live level of a function is synthesised on one layout per grid:
-    one length m from the function's highest live mode, one twiddle table,
-    one scatter and one inverse FFT of every level per chunk of the grid,
-    and a level out of the float range taken again on its own."""
+    """Every live level of a function is synthesised on the same grids, one
+    inverse FFT of them all per grid (of one level at a time when they
+    would hold more than ``besov._STACK_SAMPLES`` samples), and a level out
+    of the float range is taken again on its own."""
 
     @staticmethod
     def _lumped_solution():
         doc = problems.bench_workloads().config_document("lumped", 1)
         config = parse_config(json.dumps(doc))
         return solve_periodic(config.problem).solution, config.besov
-
-    def test_one_twiddle_table_per_chunk_of_each_grid(self, monkeypatch):
-        # the lumped solution, K = 4096: 7 live modes |k| <= 3 in levels
-        # 0..2, on N = 32,772 = 12 * 2731 and 65,610 = 9 * 7290 points
-        u, params = self._lumped_solution()
-        tables = []
-        exp = np.exp
-        monkeypatch.setattr(np, "exp", lambda a, *args, **kwargs: tables.append(np.shape(a))
-                            or exp(a, *args, **kwargs))
-        blocks = besov._block_norms(u, params.p, (32772, 65610))
-        assert np.count_nonzero(blocks[:, 0]) == 3
-        # one table per chunk of each grid, which holds at most
-        # _CHUNK_SAMPLES samples over the 3 live levels and the one real row
-        # of each: the table holds the chunk's rows for k = 0..3, and the
-        # tables cover each grid's rows once
-        levels = 3
-        lengths = [m for m, d in ((12, 2731), (9, 7290))
-                   for _ in range(-(-d // (besov._CHUNK_SAMPLES // (levels * m))))]
-        assert len(tables) == len(lengths)
-        assert all(columns == 4 and levels * rows * m <= besov._CHUNK_SAMPLES
-                   for (rows, columns), m in zip(tables, lengths))
-        assert sum(rows for rows, _ in tables) == 2731 + 7290
 
     def test_peak_memory_is_a_chunk_not_a_grid(self):
         # the bound is set from measurement, 0.29 MB; the samples of one
@@ -590,7 +640,27 @@ class TestSharedSynthesis:
             tracemalloc.stop()
         assert peak < 0.5e6
 
-    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_a_broadband_stack_is_synthesised_one_level_at_a_time(self, monkeypatch):
+        # a real two-column f live on every mode up to K = 4096: 13 live
+        # levels on one grid, m = 32,805, the first 7-smooth length at or
+        # above 4 (2K + 1), whose 2m = 65,610 points would hold 13.6 MB for
+        # all levels at once.  Its tracemalloc peak measured 5.05 MB, against
+        # 11.9 MB when every level shared one pruned synthesis
+        f = PeriodicGridFunction(_hermitian(np.random.default_rng(1), 4096, 2), 16384)
+        params = BesovParams(s=1.0, p=3.0, q=2.0)
+        shapes = _inverse_fft_shapes(monkeypatch)
+        besov_norm_report(f, params)
+        assert shapes == [(1, 1, 65610)] * 13
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            besov_norm_report(f, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5e6
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_only_the_out_of_range_level_is_scaled(self, monkeypatch, p):
         # O(1) coefficients on |k| <= 1 (level 0) and 2^600 ones on |k| = 20
         # (levels 4 and 5, weights 3/4 and 1/4): squares of the latter
@@ -600,19 +670,18 @@ class TestSharedSynthesis:
         low[23:26] = _hermitian(gen, 1, 2)
         high[[4, 44]] = 2.0**600 * _hermitian(gen, 20, 2)[[0, 40]]
         f = PeriodicGridFunction(low + high, 196)
-        lengths = (196, _seven_smooth(392))
         scaled = []
         power_of_two_scaled = besov._power_of_two_scaled
         monkeypatch.setattr(besov, "_power_of_two_scaled", lambda values: scaled.append(
             np.max(np.abs(values))) or power_of_two_scaled(values))
-        blocks = besov._block_norms(f, p, lengths)
-        assert len(scaled) == 2 * len(lengths) and min(scaled) > 2.0**500
+        blocks = _grid_block_norms(f, p, 196)
+        assert len(scaled) == 2 and min(scaled) > 2.0**500
         # each level computed alone: level 0 from the low modes, levels 4
         # and 5 from the high ones scaled down by 2^600 and back
         monkeypatch.undo()
-        expected = besov._block_norms(PeriodicGridFunction(low, 196), p, lengths)
+        expected = _grid_block_norms(PeriodicGridFunction(low, 196), p, 196)
         unscaled = PeriodicGridFunction(2.0**-600 * high, 196)
-        expected[4:6] = 2.0**600 * besov._block_norms(unscaled, p, lengths)[4:6]
+        expected[4:6] = 2.0**600 * _grid_block_norms(unscaled, p, 196)[4:6]
         assert np.all((blocks == 0.0) == (expected == 0.0))
         np.testing.assert_allclose(blocks, expected, rtol=1e-14, atol=0.0)
 
@@ -709,7 +778,8 @@ class TestMultiplierRatio:
 class TestParseval:
     """With the unnormalized L^2 integral and normalized coefficients,
     ||f||_{L^2} = sqrt(2 pi) ||(fhat(k))||_{l^2} for every trig polynomial:
-    the pruned transform of the block norms keeps it."""
+    the p == 2 block norms are that sum, and the trapezoid values of the
+    other p keep Hausdorff-Young."""
 
     @pytest.mark.parametrize("f", [
         _single_mode(1),
@@ -717,13 +787,13 @@ class TestParseval:
         PeriodicGridFunction([0.0, 0.0, 0.0, 1.0, 1.0], 16),
     ], ids=["mode_one", "constant", "two_modes"])
     def test_l2_norm_is_the_coefficient_norm(self, f):
-        assert _pruned_lp_norm(f, 2.0) == pytest.approx(
+        assert _lp_norm_on_grid(f, 2.0) == pytest.approx(
             np.sqrt(TWO_PI) * np.linalg.norm(f.coefficients), rel=1e-12)
 
     def test_l2_norm_is_the_coefficient_norm_on_random_bands(self, rng):
         for _ in range(50):
             f = _random_band(rng, bandwidth=12, dim=2)
-            assert _pruned_lp_norm(f, 2.0) == pytest.approx(
+            assert _lp_norm_on_grid(f, 2.0) == pytest.approx(
                 np.sqrt(TWO_PI) * np.linalg.norm(f.coefficients), rel=1e-11)
 
     def test_hausdorff_young_below_two(self, rng):
@@ -732,7 +802,7 @@ class TestParseval:
             f = _random_band(rng, bandwidth=8)
             for r in (1.25, 1.5, 2.0):
                 coefficients = np.sum(np.abs(f.coefficients) ** (r / (r - 1.0))) ** (1.0 - 1.0 / r)
-                grid_norm = _pruned_lp_norm(PeriodicGridFunction(f.coefficients, 4096), r)
+                grid_norm = _lp_norm_on_grid(PeriodicGridFunction(f.coefficients, 4096), r)
                 assert coefficients <= TWO_PI ** (-1.0 / r) * grid_norm * (1.0 + 1e-12)
 
 
@@ -785,18 +855,20 @@ class TestScaledPowers:
                 == np.ldexp(_combine_blocks(blocks, params), exponent))
 
     def test_finite_data_runs_one_power_sum_pass_per_grid(self, monkeypatch, rng):
-        # no block norm of finite data is taken again on scaled rows
-        grids = []
+        # no block norm of finite data is taken again on scaled rows: one
+        # ``_power_sums`` of every live level per grid, the grids of
+        # ``_grids`` in order, and one in all for p == 2
+        calls = []
         power_sums = besov._power_sums
 
-        def counted(modes, rows, n, p):
-            grids.append(n)
-            return power_sums(modes, rows, n, p)
+        def counted(modes, rows, m, p):
+            calls.append((len(rows), m))
+            return power_sums(modes, rows, m, p)
 
         monkeypatch.setattr(besov, "_power_sums", counted)
         f = _random_band(rng, bandwidth=12, dim=2)
         for p in (1.0, 2.0, 3.0):
-            grids.clear()
+            calls.clear()
             besov_norm_report(f, BesovParams(s=1.0, p=p, q=p))
-            n = besov._quadrature_points(f, p)
-            assert grids == ([n] if p == 2.0 else [n, _seven_smooth(2 * n)])
+            grids = list(_grids(f, 12))
+            assert calls == [(5, m) for m in (grids[:1] if p == 2.0 else grids[:len(calls)])]

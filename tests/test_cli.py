@@ -289,6 +289,21 @@ def test_span_of_too_many_grid_steps_writes_a_report(tmp_path, turns):
     assert run(tmp_path, "solve", doc)[0] == 0
 
 
+def test_atom_lag_of_too_many_grid_steps_writes_a_report(tmp_path):
+    # lag 1e9 + 1 is 5.1e9 steps of the first grid, N = 32: the 1e-9 snap
+    # test would take it at a node, and verify used to report order 0.28
+    doc = {"problem": {"n": 1, "A": [[-1.0]],
+                       "G": {"atoms": [{"coef": [[0.5]], "lag": 1e9 + 1}]},
+                       "forcing": {"cos": [[1.0]]}},
+           "K": 4, "N_list": [32, 64, 128, 256, 512]}
+    code, out = run(tmp_path, "verify", doc)
+    assert code == 3
+    error = report_of(out, "verify")["error"]
+    assert error["type"] == "off_grid_lag"
+    assert "atom lag 1000000001.0" in error["message"] and "too many" in error["message"]
+    assert run(tmp_path, "solve", doc)[0] == 0
+
+
 def test_off_grid_atom_lag_verifies(tmp_path):
     doc = json.loads(json.dumps(TINY))
     doc["problem"]["G"]["atoms"][0]["lag"] = 1.0

@@ -280,6 +280,24 @@ def test_off_grid_lag_is_rejected():
         collocation_solve(spec, 32)     # 5.1e8 steps
 
 
+def test_atom_lag_of_too_many_grid_steps_is_rejected():
+    # the span's guard covers atoms: 5e8 steps or more, of either delay,
+    # raise OffGridLagError (dt = 2 pi / 32: 5.1e9 and 1.0e9 steps); 1.6e8
+    # steps are still taken
+    for lag in (1e9 + 1, 2e8 + 0.5):
+        with pytest.raises(OffGridLagError, match="atom lag .* too many"):
+            collocation_solve(scalar_with_reaction_atom(0.5, lag), 32)
+    spec = ProblemSpec(
+        state_matrix=[[-1.0]],
+        neutral_delay=DelayFunctional(dim=1, atoms=[(0.5, 1e9 + 1)]),
+        forcing=PeriodicGridFunction.from_harmonics(cos=[1.0]),
+        truncation=4,
+    )
+    with pytest.raises(OffGridLagError, match="atom lag"):
+        collocation_solve(spec, 32)
+    assert np.all(np.isfinite(collocation_solve(scalar_with_reaction_atom(0.5, 1e7 + 1), 32)))
+
+
 def _span_spec(span, kernel):
     """A scalar problem whose reaction delay is the kernel sampled at 17
     points of [-span, 0]."""
