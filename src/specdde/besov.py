@@ -40,15 +40,18 @@ and on the target alone, so a function stored on a wide band with few
 live modes pays for the modes it has.
 
 Block norms are independent per level; the final sum runs in ascending j.
-A block norm whose largest square or power is outside [2^-900, 2^900] is
-taken again on its data scaled by a power of two (``_lp_norm``); the sum
-always is (``_combine_blocks``).  So only a norm beyond the float range is
-infinite and none loses bits to underflow.
+Each live level's rows are scaled once by the power of two 2^-e that
+brings their largest part into [1/2, 1) (``_level_rows``), and its
+squares are divided by their largest before the (p/2)-th powers
+(``_power_sums``), so the largest power is exactly 1 at any p.  The block
+norm is scaled back by 2^e, and the block sum is taken on blocks scaled by
+a power of two too (``_combine_blocks``).  These scalings are exact: only
+a norm beyond the float range is infinite, none loses bits to underflow,
+and 2^e f has 2^e times the norm bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
@@ -63,10 +66,6 @@ _POINTS_PER_MODE = 4
 #: relative change |Q_m - Q_2m| / Q_m of the norm at which the grids stop
 #: doubling (``besov_norm_report``)
 _CONVERGED = 1e-13
-
-#: squares and powers whose largest is in this range are summed unscaled
-#: (``_lp_norm``)
-_LEAST_UNSCALED, _MOST_UNSCALED = 2.0**-900, 2.0**900
 
 #: samples, over every level and row, that one inverse FFT of
 #: ``_power_sums`` holds; a larger stack is synthesised one level at a time.
@@ -165,90 +164,52 @@ def _real_rows(modes: np.ndarray,
     return modes, pairs[:, 0], pairs[:, 1]
 
 
-def _power_sums(modes: np.ndarray, rows: np.ndarray, m: int,
-                p: float) -> Tuple[np.ndarray, np.ndarray]:
-    """For the function of each level, whose |f|^2 is the sum of its rows'
-    squared moduli: its integrals of |f|^p over one period, shape (levels,
-    1) for p == 2 and (levels, 2) otherwise, and the largest |f|^2 and the
-    largest |f|^p, shape (2, levels).
+def _power_sums(modes: np.ndarray, rows: np.ndarray, m: int, p: float) -> np.ndarray:
+    """L^p norm of the function of each level, whose |f|^2 is the sum of its
+    rows' squared moduli: shape (levels, 1) for p == 2 and (levels, 2)
+    otherwise, the trapezoid values on m and 2m points.
 
     ``rows`` holds each level's rows on ``modes`` (symmetric about 0,
-    ascending), shape (levels, rows, len(modes)).  For p == 2 the integral
-    is Parseval's, 2 pi sum_k |row_k|^2 over every row, and the largest are
-    those of the coefficients.  Otherwise the rows are synthesised on 2m
-    points: scattered to column k mod 2m, and one inverse FFT of every
-    level, or of each level alone when they would hold more than
-    _STACK_SAMPLES samples.  The squares are written over the samples, and
-    the columns are the trapezoid values 2 pi / m sum |f|^p over the m even
-    nodes, which are the m-point grid, and 2 pi / 2m sum |f|^p over all 2m.
+    ascending), shape (levels, rows, len(modes)).  For p == 2 the norm is
+    Parseval's, (2 pi sum_k |row_k|^2)^{1/2} over every row.  Otherwise the
+    rows are synthesised on 2m points: scattered to column k mod 2m, and
+    one in-place inverse FFT of every level, or of each level alone when
+    they would hold more than _STACK_SAMPLES samples.  The squares are
+    written over the samples and divided by the level's largest, P, so its
+    largest (p/2)-th power is exactly 1 at any p; the norms are sqrt(P) (2 pi / m sum)^{1/p} over the m even nodes, which
+    are the m-point grid, and sqrt(P) (2 pi / 2m sum)^{1/p} over all 2m.
     """
     if p == 2.0:
         squares = rows.real ** 2 + rows.imag ** 2
-        largest = squares.max(axis=(1, 2))
-        return TWO_PI * squares.sum(axis=(1, 2))[:, None], np.stack([largest, largest])
+        return np.sqrt(TWO_PI * squares.sum(axis=(1, 2)))[:, None]
     levels, count = rows.shape[:2]
     step = levels if levels * count * 2 * m <= _STACK_SAMPLES else 1
     columns = np.mod(modes, 2 * m)
-    integrals, peaks = np.empty((levels, 2)), np.empty((2, levels))
+    norms = np.empty((levels, 2))
     for start in range(0, levels, step):
         part = slice(start, start + step)
         samples = np.zeros(rows[part].shape[:2] + (2 * m,), dtype=complex)
         samples[..., columns] = rows[part]
-        samples = np.fft.ifft(samples, axis=-1, norm="forward")
+        np.fft.ifft(samples, axis=-1, norm="forward", out=samples)
         parts = samples.view(np.float64)
         np.square(parts, out=parts)
         squared = np.add(parts[..., 0::2], parts[..., 1::2], out=parts[..., 0::2])
         squared = squared[:, 0] if count == 1 else squared.sum(axis=1)
-        peaks[0, part] = squared.max(axis=-1)
-        powers = np.power(squared, p / 2.0, out=squared)
-        peaks[1, part] = powers.max(axis=-1)
+        peak = squared.max(axis=-1, keepdims=True)
+        powers = np.power(np.divide(squared, peak, out=squared), p / 2.0, out=squared)
         even, odd = powers[:, 0::2].sum(axis=-1), powers[:, 1::2].sum(axis=-1)
-        integrals[part] = np.column_stack([TWO_PI / m * even, TWO_PI / (2 * m) * (even + odd)])
-    return integrals, peaks
-
-
-def _in_range(largest):
-    """Whether ``largest``, the largest of some non-negative values, is in
-    [2^-900, 2^900]; elementwise on an array of such maxima.  Then what
-    gradual underflow costs a value, at most 2^-1075 for a square and
-    2^(-1075 p / 2) for its p / 2-th power (p >= 1), is under 2^-87 of the
-    largest, and no sum of fewer than 2^100 of them overflows."""
-    return (_LEAST_UNSCALED <= largest) & (largest <= _MOST_UNSCALED)
-
-
-def _lp_norm(modes: np.ndarray, rows: np.ndarray, m: int, p: float) -> np.ndarray:
-    """L^p norm of each level's function, from one ``_power_sums`` of them
-    all on the grid m: shape (levels, 1) for p == 2, Parseval's, and
-    (levels, 2) otherwise, the trapezoid values on m and 2m points; ``rows``
-    holds each level's rows on ``modes``, shape (levels, rows, len(modes)).
-
-    A level's norms are taken as they are when its largest square and its
-    largest p-th power are in range (``_in_range``).  Otherwise (one
-    overflowed, underflowed, or lost bits to gradual underflow) that level
-    alone is taken again through ``_power_sums`` on its rows scaled by 2^-e
-    (``symbols._power_of_two_scaled``) and by a further 2^-g that brings
-    its largest square into [1/4, 1), and scaled back by 2^(e + g): then
-    only a norm beyond the float range overflows.  No floating-point
-    warning is raised.
-    """
-    with np.errstate(all="ignore"):
-        integrals, peaks = _power_sums(modes, rows, m, p)
-        norms = integrals ** (1.0 / p)
-        for level in np.flatnonzero(~(_in_range(peaks[0]) & _in_range(peaks[1]))):
-            unit, exponent = _power_of_two_scaled(rows[level])
-            largest_square = _power_sums(modes, unit[None], m, p)[1][0, 0]
-            peak = (math.frexp(largest_square)[1] + 1) // 2
-            parts = unit.view(np.float64)
-            np.ldexp(parts, -peak, out=parts)
-            integral = _power_sums(modes, unit[None], m, p)[0][0]
-            norms[level] = np.ldexp(integral ** (1.0 / p), exponent + peak)
+        integrals = np.column_stack([TWO_PI / m * even, TWO_PI / (2 * m) * (even + odd)])
+        norms[part] = np.sqrt(peak) * integrals ** (1.0 / p)
     return norms
 
 
-def _level_rows(f: PeriodicGridFunction) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(modes, rows, live): the rows of every dyadic level of f on the
-    modes where f or its mirror is nonzero, shape (levels, rows,
-    len(modes)), and the levels whose rows are not exactly zero.
+def _level_rows(f: PeriodicGridFunction) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(modes, live, rows, exponents): the modes where f or its mirror is
+    nonzero; which dyadic levels of f have rows that are not exactly zero,
+    a mask over every level; and the rows of those levels on the modes,
+    shape (live levels, rows, len(modes)), each level scaled by the 2^-e
+    that brings its largest part into [1/2, 1)
+    (``symbols._power_of_two_scaled``), with the exponents e.
 
     f is split once (``_real_rows``) into rows a, b on those modes, and the
     weights w are taken on them only.  w is even in k, so a level's rows
@@ -258,7 +219,12 @@ def _level_rows(f: PeriodicGridFunction) -> Tuple[np.ndarray, np.ndarray, np.nda
     modes, a, b = _real_rows(mode_range(f.bandwidth), f.coefficients)
     weights = _partition_weights(f.bandwidth, modes)[:, None, :]
     rows = weights * a + 1j * (weights * b)
-    return modes, rows, np.flatnonzero(np.any(rows, axis=(1, 2)))
+    live = np.any(rows, axis=(1, 2))
+    rows = rows[live]
+    exponents = np.empty(len(rows), dtype=int)
+    for level in range(len(rows)):
+        rows[level], exponents[level] = _power_of_two_scaled(rows[level])
+    return modes, live, rows, exponents
 
 
 def _combine_blocks(blocks: np.ndarray, params: BesovParams) -> float:
@@ -297,7 +263,9 @@ def besov_norm_report(f: PeriodicGridFunction, params: BesovParams) -> BesovNorm
     """Norm plus per-block values and a quadrature error estimate.
 
     The norm is a norm on the stored band: absolutely homogeneous,
-    subadditive, and zero only for the zero function.  For p == 2 the
+    subadditive, and zero only for the zero function, at any p.  2^e f has
+    2^e times the norm, the blocks and the estimate of f, bit for bit,
+    wherever they are in the float range.  For p == 2 the
     blocks are Parseval's sums and the error is 0.  Otherwise the norm is
     Q_m on the first grid of ``_grids`` whose estimate |Q_m - Q_2m| is at
     most 1e-13 Q_m, or on the last; a level whose rows are exactly zero is
@@ -310,11 +278,12 @@ def besov_norm_report(f: PeriodicGridFunction, params: BesovParams) -> BesovNorm
     is also its last, and at p = 3 its estimate reads 8.83e-5 against an
     actual 9.79e-5.
     """
-    modes, rows, live = _level_rows(f)
-    table, rows = np.zeros((len(rows), 1 if params.p == 2.0 else 2)), rows[live]
+    modes, live, rows, exponents = _level_rows(f)
+    table = np.zeros((len(live), 1 if params.p == 2.0 else 2))
     for m in _grids(f, int(modes[-1]) if modes.size else 0):
-        if live.size:
-            table[live] = _lp_norm(modes, rows, m, params.p)
+        if rows.size:
+            with np.errstate(over="ignore"):
+                table[live] = np.ldexp(_power_sums(modes, rows, m, params.p), exponents[:, None])
         norm = _combine_blocks(table[:, 0], params)
         err = abs(norm - _combine_blocks(table[:, -1], params))
         # a NaN estimate, of an infinite norm, stops the grids too

@@ -310,9 +310,8 @@ def _parse_document(doc: Any) -> RunConfig:
         errs.add("besov", "must be an object")
     else:
         errs.unknown("besov", besov_doc, _BESOV_KEYS)
-        s = _number(besov_doc.get("s", 1.0), "besov.s", errs)
-        p = _number(besov_doc.get("p", 2.0), "besov.p", errs)
-        q = _number(besov_doc.get("q", 2.0), "besov.q", errs)
+        s, p, q = (_number(besov_doc.get(key, _DEFAULTS["besov"][key]), f"besov.{key}", errs)
+                   for key in ("s", "p", "q"))
         if None not in (s, p, q):
             try:
                 besov = BesovParams(s, p, q)

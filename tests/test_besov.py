@@ -48,17 +48,18 @@ def _grid_lp_norm(f, p):
 
 
 def _lp_norm_on_grid(f, p):
-    """``besov._lp_norm`` of f on its own grid (for p == 2 Parseval's), with
-    its columns as the rows of one level."""
-    return besov._lp_norm(mode_range(f.bandwidth), f.coefficients.T[None], f.n_samples, p)[0, 0]
+    """``besov._power_sums`` of f on its own grid (for p == 2 Parseval's),
+    with its unscaled columns as the rows of one level."""
+    return besov._power_sums(mode_range(f.bandwidth), f.coefficients.T[None], f.n_samples, p)[0, 0]
 
 
 def _grid_block_norms(f, p, m):
-    """Block norms of f, ascending level, from one ``besov._lp_norm`` of its
-    live levels on the grid m: columns m and 2m, or Parseval's for p == 2."""
-    modes, rows, live = _level_rows(f)
-    out = np.zeros((len(rows), 1 if p == 2.0 else 2))
-    out[live] = besov._lp_norm(modes, rows[live], m, p)
+    """Block norms of f, ascending level, from one ``besov._power_sums`` of
+    its live levels on the grid m, each scaled back by its power of two:
+    columns m and 2m, or Parseval's for p == 2."""
+    modes, live, rows, exponents = _level_rows(f)
+    out = np.zeros((len(live), 1 if p == 2.0 else 2))
+    out[live] = np.ldexp(besov._power_sums(modes, rows, m, p), exponents[:, None])
     return out
 
 
@@ -492,26 +493,28 @@ class TestRealRows:
             self, monkeypatch, name, coeffs, rows):
         # a real f: the Hermitian part (w c + conj(w c)_{-k}) / 2 of the
         # weighted coefficients is exactly w c, so the rows that the one
-        # split gives a level are its own split bit for bit, at the 3/4
-        # weight of |k| = 5 in level 2 too
+        # split gives a level, times the level's 2^e, are its own split bit
+        # for bit, at the 3/4 weight of |k| = 5 in level 2 too
         synthesised = []
-        lp_norm = besov._lp_norm
-        monkeypatch.setattr(besov, "_lp_norm", lambda modes, level_rows, m, p: synthesised.append(
-            (modes, level_rows)) or lp_norm(modes, level_rows, m, p))
-        besov_norm_report(PeriodicGridFunction(coeffs, 40), BesovParams(s=1.0))
+        power_sums = besov._power_sums
+        monkeypatch.setattr(besov, "_power_sums", lambda modes, level_rows, m, p: (
+            synthesised.append((modes, level_rows)) or power_sums(modes, level_rows, m, p)))
+        f = PeriodicGridFunction(coeffs, 40)
+        besov_norm_report(f, BesovParams(s=1.0))
         assert len(synthesised) == 1
         modes, level_rows = synthesised[0]
+        exponents = _level_rows(f)[3]
         assert np.array_equal(modes, mode_range(12))
         weights = _partition_weights(12, modes)
         assert partition_eval(2, 5) == 0.75 and np.all(coeffs[[7, 17]] != 0.0)
         live = weights[np.any(weights, axis=1)]
-        assert len(level_rows) == len(live)
-        for w, level in zip(live, level_rows):
+        assert len(level_rows) == len(exponents) == len(live)
+        for w, level, exponent in zip(live, level_rows, exponents):
             level_modes, a, b = _real_rows(modes, w[:, None] * coeffs)
             assert np.shape(a) == (rows, len(level_modes))
             split = np.zeros_like(level)
             split[:, np.searchsorted(modes, level_modes)] = a + 1j * b
-            assert np.array_equal(level, split)
+            assert np.array_equal(level * 2.0**exponent, split)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.5])
     @pytest.mark.parametrize("name, coeffs, rows", COMPLEX_CASES,
@@ -619,8 +622,8 @@ class TestGridSynthesis:
 class TestSharedSynthesis:
     """Every live level of a function is synthesised on the same grids, one
     inverse FFT of them all per grid (of one level at a time when they
-    would hold more than ``besov._STACK_SAMPLES`` samples), and a level out
-    of the float range is taken again on its own."""
+    would hold more than ``besov._STACK_SAMPLES`` samples), and each level
+    is scaled by its own power of two."""
 
     @staticmethod
     def _lumped_solution():
@@ -661,24 +664,18 @@ class TestSharedSynthesis:
         assert peak < 5.5e6
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-    def test_only_the_out_of_range_level_is_scaled(self, monkeypatch, p):
+    def test_each_level_is_scaled_on_its_own(self, p):
         # O(1) coefficients on |k| <= 1 (level 0) and 2^600 ones on |k| = 20
         # (levels 4 and 5, weights 3/4 and 1/4): squares of the latter
-        # overflow, those of level 0 must not be scaled with them
+        # overflow unscaled, and level 0 must not be scaled with them
         gen = np.random.default_rng(27)
         low, high = np.zeros((49, 2), dtype=complex), np.zeros((49, 2), dtype=complex)
         low[23:26] = _hermitian(gen, 1, 2)
         high[[4, 44]] = 2.0**600 * _hermitian(gen, 20, 2)[[0, 40]]
         f = PeriodicGridFunction(low + high, 196)
-        scaled = []
-        power_of_two_scaled = besov._power_of_two_scaled
-        monkeypatch.setattr(besov, "_power_of_two_scaled", lambda values: scaled.append(
-            np.max(np.abs(values))) or power_of_two_scaled(values))
         blocks = _grid_block_norms(f, p, 196)
-        assert len(scaled) == 2 and min(scaled) > 2.0**500
         # each level computed alone: level 0 from the low modes, levels 4
         # and 5 from the high ones scaled down by 2^600 and back
-        monkeypatch.undo()
         expected = _grid_block_norms(PeriodicGridFunction(low, 196), p, 196)
         unscaled = PeriodicGridFunction(2.0**-600 * high, 196)
         expected[4:6] = 2.0**600 * _grid_block_norms(unscaled, p, 196)[4:6]
@@ -807,31 +804,51 @@ class TestParseval:
 
 
 class TestScaledPowers:
-    """A norm in the float range is finite however large or small the data:
-    where the squares or the p-th powers overflow or underflow, the blocks
-    are taken again on data scaled by a power of two, and their sum always
-    is."""
+    """A norm in the float range is finite however large or small the data,
+    and 2^e f has exactly 2^e times the norm: each level's rows are scaled
+    by a power of two before they are synthesised, each level's squares by
+    their largest before the p-th powers, and the block sum is taken on
+    blocks scaled by a power of two."""
 
-    # 2^+-600: squares overflow or underflow to 0; 2^-530 and 2^-520:
-    # squares subnormal, with 2^-1060 about 14 bits; 2^-232: the 4.5-th
-    # powers subnormal, the squares not
+    # unscaled, 2^+-600 would make the squares overflow or underflow to 0;
+    # 2^-530 and 2^-520 would make them subnormal, with 2^-1060 about 14
+    # bits; 2^-232 would make the 4.5-th powers subnormal, the squares not
     @pytest.mark.parametrize("exponent", [600, -600, -530, -520, -232])
-    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (2.0, 2.0), (3.0, 2.0), (4.5, 4.0)])
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (2.0, 2.0), (3.0, 2.0), (4.5, 4.0),
+                                      (3.0, 1.5), (1.5, 3.0)])
     def test_report_scales_with_the_data(self, rng, exponent, p, q):
-        # q with an exact reciprocal: the root (.)^(1/q) of a sum near
-        # 2^(600 q) errs by |1/q - fl(1/q)| ln(sum), 2.3e-14 at q = 1.5
         f = _random_band(rng, bandwidth=12, dim=2)
         scaled = PeriodicGridFunction(np.ldexp(f.coefficients.real, exponent)
                                       + 1j * np.ldexp(f.coefficients.imag, exponent),
                                       f.n_samples)
         params = BesovParams(s=1.0, p=p, q=q)
         expected, report = besov_norm_report(f, params), besov_norm_report(scaled, params)
-        factor = 2.0**exponent
-        assert report.norm == pytest.approx(factor * expected.norm, rel=1e-14)
-        np.testing.assert_allclose(report.block_norms, factor * expected.block_norms,
-                                   rtol=1e-14, atol=0.0)
-        assert report.quadrature_error <= factor * (expected.quadrature_error
-                                                    + 1e-14 * expected.norm)
+        assert _bits(report.norm) == _bits(np.ldexp(expected.norm, exponent))
+        np.testing.assert_array_equal(_bits(report.block_norms),
+                                      _bits(np.ldexp(expected.block_norms, exponent)))
+        assert _bits(report.quadrature_error) == _bits(np.ldexp(expected.quadrature_error,
+                                                                exponent))
+
+    def test_large_p_keeps_the_norm_of_a_peaked_power(self):
+        # f = 3 cos t + 0.7 sin 2t: blocks 3 cos t (level 0) and 0.7 sin 2t
+        # (level 1).  Each block's 2500-th powers of its squares over their
+        # largest peak at exactly 1; over a power of two in [1/4, 1) they
+        # would all underflow to 0.  Reference: the trapezoid of
+        # (|f_j| / M)^p, M the largest |f_j| on the grid, on 2^14 points,
+        # exact up to round-off for the trigonometric polynomials
+        # cos^5000 t and sin^5000 2t
+        params = BesovParams(s=1.0, p=5000.0, q=2.0)
+        f = PeriodicGridFunction.from_harmonics(cos=[3.0], sin=[0.0, 0.7], n_samples=2048)
+        report = besov_norm_report(f, params)
+        assert 0.0 < report.norm < np.inf
+        t = TWO_PI * np.arange(2**14) / 2**14
+        blocks = []
+        for block in (3.0 * np.cos(t), 0.7 * np.sin(2.0 * t)):
+            largest = np.max(np.abs(block))
+            powers = (np.abs(block) / largest) ** params.p
+            blocks.append(largest * (TWO_PI / t.size * np.sum(powers)) ** (1.0 / params.p))
+        np.testing.assert_allclose(report.block_norms[:2], blocks, rtol=1e-13, atol=0.0)
+        assert report.norm == pytest.approx(np.hypot(blocks[0], 2.0 * blocks[1]), rel=1e-13)
 
     def test_sum_of_powers_beyond_the_float_range(self):
         params = BesovParams(s=1.0, q=2.0)

@@ -177,6 +177,12 @@ def test_absent_N_is_the_problem_default_echoed():
     assert config.problem.grid == 4 * TINY["K"] == config.resolved["N"]
 
 
+def test_empty_and_absent_besov_echo_the_same_defaults():
+    absent, empty = (parse_config(json.dumps(doc)) for doc in (TINY, dict(TINY, besov={})))
+    assert absent.besov == empty.besov == specdde.BesovParams(s=1.0, p=2.0, q=2.0)
+    assert absent.resolved["besov"] == empty.resolved["besov"] == {"s": 1.0, "p": 2.0, "q": 2.0}
+
+
 def test_seed_is_an_unknown_field(tmp_path):
     code, out = run(tmp_path, "solve", dict(TINY, seed=0))
     assert code == 3
