@@ -4,9 +4,11 @@ One command per process; a report is one line of RFC 8259 JSON in UTF-8
 (the standard library's default separators, then one LF), with fixed field
 order and floats in Python's shortest round-trip form, so identical configs
 produce byte-identical files.  The solve report's ``coefficients`` block is
-formatted by a template, not by the encoder, and a zero part's text comes
-from its sign bit alone, but it is the bytes the standard encoder would
-write for its list of ``{"k", "value": [{"re", "im"}, ...]}`` objects.  A
+formatted by a template, not by the encoder: an all-zero row's text is
+fixed by its sign bits, so it is written from its sign pattern's template
+with k as its one argument, and a zero part's text comes from its sign bit
+alone, but it is the bytes the standard encoder would write for its list of
+``{"k", "value": [{"re", "im"}, ...]}`` objects.  A
 side file is CSV: a header line of column names, then one line per row,
 each cell in ``str`` form, comma-separated, every line ended by one LF; a
 float's ``str`` is its shortest round-trip ``repr``, which
@@ -147,22 +149,63 @@ def _write_csv(path: Path, header, rows) -> None:
 _ZEROS = np.array(["0.0", "-0.0"], dtype=object)
 
 
+def _row_template(texts) -> str:
+    """The ``%s`` template of a coefficient row whose parts, re and im of
+    each component in turn, have the texts ``texts``: ``%s`` for a part
+    passed as an argument, a zero's text written in.  k is always an
+    argument."""
+    values = ('{"re": %s, "im": %s}' % pair for pair in zip(texts[::2], texts[1::2]))
+    return '{"k": %s, "value": [' + ", ".join(values) + "]}"
+
+
+def _sign_codes(signs):
+    """Each row of a (rows, width) bool array as one integer, bit j from
+    column j: int64 while the bits fit in 62, Python ints beyond, so the code
+    is exact for every width.  The bits are summed, not or-ed: numpy's
+    integer ``bitwise_or`` is code a solve does not otherwise page in."""
+    code = np.zeros(len(signs), np.int64 if signs.shape[1] <= 62 else object)
+    for bit, column in enumerate(signs.T):
+        code += column.astype(code.dtype) << bit
+    return code
+
+
 def _coefficients_json(modes, coefficients) -> _Encoded:
     """The JSON text of ``[{"k": k, "value": [{"re": .., "im": ..}, ...]}, ...]``,
     one object per mode, in the bytes the standard encoder writes, which
     calls ``int.__repr__`` and ``float.__repr__``.  A solution is zero on
-    most modes, so a zero part's text, ``0.0`` or ``-0.0``, is read off its
-    sign bit, and only the nonzero parts (NaN included) go through
-    ``repr``; one ``%s`` template then writes every row."""
+    most modes, and the text of an all-zero row is fixed by its sign bits:
+    each distinct sign code (``_sign_codes``) gets one row template with
+    its zero texts written in, and such a row passes k alone.  A row with a
+    nonzero part (NaN included) passes k and every part, the nonzero ones
+    through ``repr``, a zero one as its sign bit's text.  One ``%`` pass
+    over the rows' templates, its arguments in row order, writes the
+    block; a block without an all-zero row needs no codes and repeats the
+    one template."""
     parts = np.ascontiguousarray(coefficients, dtype=complex).view(float)
-    value = ", ".join(['{"re": %s, "im": %s}'] * (parts.shape[1] // 2))
-    row = '{"k": %s, "value": [' + value + "]}"
-    cells = np.empty((len(parts), parts.shape[1] + 1), dtype=object)
+    rows, width = parts.shape
+    nonzero, signs = parts != 0, np.signbit(parts)
+    live = np.zeros(rows, dtype=bool)
+    for column in nonzero.T:  # whole columns: numpy reduces a short row axis slowly
+        live |= column
+    cells = np.empty((rows, width + 1), dtype=object)
     cells[:, 0] = modes  # an integer array's items go in as Python ints
-    cells[:, 1:] = _ZEROS[np.signbit(parts).view(np.uint8)]
-    live = parts != 0
-    cells[:, 1:][live] = list(map(repr, parts[live].tolist()))
-    text = "[" + ", ".join([row] * len(parts)) % tuple(cells.ravel().tolist()) + "]"
+    values = cells[:, 1:]
+    values[nonzero] = list(map(repr, parts[nonzero].tolist()))
+    zero = ~nonzero & live[:, None]
+    values[zero] = _ZEROS[signs[zero].view(np.uint8)]
+    row = _row_template(["%s"] * width)
+    if live.all():
+        templates, args = [row] * rows, cells.ravel()
+    else:
+        codes = _sign_codes(signs)
+        codes[live] = -1
+        codes = codes.tolist()
+        table = {code: row if code < 0 else
+                 _row_template([_ZEROS[code >> bit & 1] for bit in range(width)])
+                 for code in set(codes)}
+        templates = map(table.__getitem__, codes)
+        args = cells[(np.arange(width + 1) == 0) | live[:, None]]
+    text = "[" + ", ".join(templates) % tuple(args.tolist()) + "]"
     return _Encoded(text, bool(np.isfinite(parts).all()))
 
 

@@ -13,9 +13,13 @@ determinant for n = 2, a reciprocal for n = 1, elementwise over the band),
 rejects modes whose 1-norm condition number exceeds the limit, and forms
 the residual M(k) uhat(k) - fhat(k) once.  It computes nothing it does not
 report; the spectral-norm sequences belong to the boundedness diagnostics
-in ``resolvent``.  That one solve, ``_band_solve``, serves
+in ``resolvent``, and the residual's grid synthesis runs only when
+``residual_grid`` is read.  That one solve, ``_band_solve``, serves
 ``solve_periodic`` and ``convergence_sweep``, whose row K reads the solve
-and residual at |k| <= K and costs only its two syntheses.
+and residual at |k| <= K and costs at most its two syntheses: its residual,
+unless it equals the previous row's, and its change, unless that is zero.
+uhat and the residual are exactly zero wherever fhat is, so beyond the
+forcing's band every row's residual is the same.
 
 Every stack of a solve lies on one layout of modes: k = 0..B when the data
 are real (``ProblemSpec.is_real``: real matrices, atoms and kernel, and
@@ -32,10 +36,11 @@ band.
 
 from __future__ import annotations
 
+import functools
 import operator
 import warnings
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -53,7 +58,9 @@ class SpectralSolution:
     ``condition`` the 1-norm condition number of M(k) for every solved mode.
     ``residual_modal`` is max_k ||M(k) uhat(k) - fhat(k)|| over the solved band
     and ``residual_grid`` the max norm of that defect synthesized over the
-    union of the solved and forcing bands.
+    union of the solved and forcing bands.  That synthesis runs when
+    ``residual_grid`` is first read, as a grid function's ``samples`` does,
+    so a command that does not report it never pays for it.
     """
 
     solution: PeriodicGridFunction
@@ -62,8 +69,15 @@ class SpectralSolution:
     condition: np.ndarray
     truncation: int
     residual_modal: float
-    residual_grid: float
     forcing_tail_energy: float
+    #: the synthesis that gives ``residual_grid``
+    _grid_residual: Callable[[], float] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def residual_grid(self) -> float:
+        # the synthesis runs once, and the residual it holds goes with it
+        synthesis, self._grid_residual = self._grid_residual, None
+        return synthesis()
 
 
 def _within(modes: np.ndarray, bandwidth: int) -> slice:
@@ -80,6 +94,15 @@ def _grid_max(modes: np.ndarray, rhat: np.ndarray, n_samples: int) -> float:
     if not rhat.any():
         return 0.0
     return _max_row_norm(_synthesis(rhat, modes, max(n_samples, 2 * int(modes[-1]) + 1)))
+
+
+def _cut(modes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A copy of ``rows`` on consecutive ascending ``modes`` cut to the
+    narrowest band |k| <= b that holds every nonzero row (NaN included), and
+    to no row when all are zero."""
+    live = np.flatnonzero(rows) // rows.shape[1]
+    top = max(-int(modes[live[0]]), int(modes[live[-1]])) if live.size else -1
+    return rows[_within(modes, top)].copy()
 
 
 def _band_solve(spec: ProblemSpec, bands: Sequence[int], cond_limit: float):
@@ -156,8 +179,8 @@ def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> Spectra
         condition=condition,
         truncation=K,
         residual_modal=_max_row_norm(rhat[within]),
-        residual_grid=_grid_max(modes, rhat, spec.grid),
         forcing_tail_energy=tail_energy,
+        _grid_residual=functools.partial(_grid_max, modes, rhat, spec.grid),
     )
 
 
@@ -206,7 +229,13 @@ def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
     it would (``_band_solve``).  Row K is the slice |k| <= max(K, forcing
     band) of the layout: its residual is the solve's on |k| <= K and -fhat
     beyond; for a real problem it is the k >= 0 rows and its residual and
-    change are one ``irfft`` each.
+    change are one ``irfft`` each.  A row whose residual coefficients, cut
+    at their last nonzero mode (``_cut``), equal the previous row's takes
+    the previous row's value and synthesises nothing: the two zero-padded
+    spectra differ at most in the signs of zeros, so their syntheses on the
+    one sweep grid do too, and their max norms are the same bits.  A NaN
+    never compares equal, so such a row is synthesised.  For a harmonics
+    forcing, every row K at or above the forcing's band is such a row.
     """
     truncations = [operator.index(k) for k in truncations]
     if not truncations:
@@ -220,11 +249,17 @@ def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
     modes, fhat, uhat, rhat, _ = _band_solve(spec, truncations, cond_limit)
     rows: List[SweepRow] = []
     ratios = []
+    cut = None
     for K in truncations:
         band, within = _within(modes, max(K, f.bandwidth)), _within(modes, K)
         row_modes = modes[band]
         solved = (np.abs(row_modes) <= K)[:, None]
-        res = _grid_max(row_modes, np.where(solved, rhat[band], 0.0 - fhat[band]), n_grid)
+        residual = np.where(solved, rhat[band], 0.0 - fhat[band])
+        previous, cut = cut, _cut(row_modes, residual)
+        if rows and np.array_equal(cut, previous):
+            res = rows[-1].residual_full_band
+        else:
+            res = _grid_max(row_modes, residual, n_grid)
         change = None
         if rows:
             # uhat on K_prev < |k| <= K: the solve at K less the one at K_prev

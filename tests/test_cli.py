@@ -26,8 +26,9 @@ from hypothesis import strategies as st
 
 import problems
 import specdde
-from specdde import (ModeSymbols, PeriodicGridFunction, cli, collocation_solve, compare,
-                     convergence_sweep, m_bounded_diagnostics, resolvent)
+from specdde import (ModeSymbols, PeriodicGridFunction, SpectralSolution, cli,
+                     collocation_solve, compare, convergence_sweep, m_bounded_diagnostics,
+                     resolvent, solver)
 from specdde.config import parse_config
 from specdde.solver import solve_periodic
 
@@ -111,29 +112,74 @@ def test_solve_report_gives_the_condition_range(tmp_path):
     assert condition["worst_mode"] == modes[np.argmax(expected)]
 
 
-def test_sweep_synthesises_each_residual_and_nonzero_change_and_diagnose_never(
+def test_sweep_synthesises_each_distinct_residual_and_nonzero_change_and_diagnose_never(
         inverse_ffts):
     config = parse_config(json.dumps(TINY))
     spec = config.problem
     m_bounded_diagnostics(spec, config.window)
     assert inverse_ffts == []
-    # TINY's forcing is band 1; the second forcing reaches mode 3, between the
-    # rows K = 2 and K = 4, so only the change to row 4 is nonzero
+    # TINY's forcing is band 1, inside every row K = 2, 4, 8, so every row
+    # has the same residual; the second forcing reaches mode 3, between the
+    # rows K = 2 and K = 4, so rows 4 and 8 share theirs, and only the change
+    # to row 4 is nonzero
     wider = replace(spec, forcing=PeriodicGridFunction.from_harmonics(
         cos=[[1.0, 0.0], [0.0, 0.0], [0.5, 0.25]], sin=[[0.0, 1.0]]))
-    for problem, nonzero in ((spec, [False, False]), (wider, [True, False])):
+    for problem, distinct, nonzero in ((spec, 1, [False, False]), (wider, 2, [True, False])):
         inverse_ffts.clear()
         rows = convergence_sweep(problem, config.truncation_sweep).rows
         assert [row.solution_change != 0.0 for row in rows[1:]] == nonzero
-        # one synthesis for each row's residual and one for each nonzero
-        # change; an exactly zero change is 0.0 with none.  The forcing's own
-        # 16-point grid is not the sweep's
+        # one synthesis for each distinct row residual and one for each
+        # nonzero change; an exactly zero change is 0.0 with none.  The
+        # forcing's own 16-point grid is not the sweep's
         n_grid = max(problem.grid, 4 * config.truncation_sweep[-1], problem.forcing.n_samples)
         assert n_grid != problem.forcing.n_samples
         on_grid = [name for name, n in inverse_ffts if n == n_grid]
-        assert len(on_grid) == len(rows) + sum(nonzero)
+        assert len(on_grid) == distinct + sum(nonzero)
         # both problems are real with a harmonics forcing, so every row is real
         assert set(on_grid) == {"irfft"}
+
+
+@pytest.fixture
+def residual_syntheses(monkeypatch):
+    """The arguments of every grid residual ``solver._grid_max`` computes
+    while the test runs."""
+    calls = []
+    grid_max = solver._grid_max
+
+    def counted(*args):
+        calls.append(args)
+        return grid_max(*args)
+
+    monkeypatch.setattr(solver, "_grid_max", counted)
+    return calls
+
+
+def test_only_a_command_that_reports_the_grid_residual_synthesises_it(
+        tmp_path, residual_syntheses):
+    # besov and verify read the solution alone; compare is verify's oracle
+    for command in ("besov", "verify"):
+        assert run(tmp_path, command, TINY, command)[0] == 0
+    compare(parse_config(json.dumps(TINY)).problem, [12, 48])
+    assert residual_syntheses == []
+    code, out = run(tmp_path, "solve", TINY, "solve")
+    assert code == 0 and len(residual_syntheses) == 1
+    modes, rhat, n_samples = residual_syntheses[0]
+    assert report_of(out, "solve")["residual_grid"] == solver._grid_max(modes, rhat, n_samples)
+
+
+def test_grid_residual_is_synthesised_once_with_the_bits_of_its_band(residual_syntheses):
+    spec = parse_config(json.dumps(TINY)).problem
+    solution = solve_periodic(spec)
+    assert residual_syntheses == []
+    first, second = solution.residual_grid, solution.residual_grid
+    assert len(residual_syntheses) == 1
+    # an exported class's float attribute: the max norm of the residual on
+    # the whole layout of the solve
+    assert "SpectralSolution" in specdde.__all__ and isinstance(solution, SpectralSolution)
+    assert type(first) is float and first is second
+    modes, _, _, rhat, _ = solver._band_solve(spec, [spec.truncation], resolvent.COND_LIMIT)
+    assert np.float64(first).tobytes() == np.float64(
+        solver._grid_max(modes, rhat, spec.grid)).tobytes()
 
 
 def test_each_synthesis_is_one_irfft_for_a_real_function_and_one_ifft_else(
@@ -712,20 +758,36 @@ def _old_coefficients(modes, coefficients):
 signed_zeros = st.sampled_from((0.0, -0.0))
 
 
+def _encoder_block(modes, coefficients):
+    """(text, finite) of the coefficient block as the standard encoder
+    writes it; a NaN part is not finite, and its text is repr's ``nan``."""
+    nan = bool(np.isnan(coefficients).any())
+    expected = json.dumps(_old_coefficients(modes, coefficients),
+                          ensure_ascii=False, allow_nan=nan)
+    return (expected.replace("NaN", "nan") if nan else expected), not nan
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_coefficient_block_is_the_bytes_of_the_encoder(data):
-    n = data.draw(st.integers(1, 3))
-    count = data.draw(st.integers(0, 6))
+    # n = 31 is the widest sign code an int64 holds (62 bits), 32 and 40 are
+    # past it
+    n = data.draw(st.one_of(st.integers(1, 3), st.sampled_from((31, 32, 40))))
+    count = data.draw(st.integers(0, 64))
     modes = np.array(data.draw(st.lists(st.integers(-10**6, 10**6), min_size=count,
                                         max_size=count)), dtype=np.int64)
-    # a solution is zero on most modes: rows of signed zeros alone, and
-    # signed zeros mixed into the other rows
-    rows = [data.draw(st.lists(signed_zeros if data.draw(st.booleans())
-                               else st.one_of(cell_floats, signed_zeros),
-                               min_size=2 * n, max_size=2 * n))
-            for _ in range(count)]
-    parts = np.array(rows, dtype=float).reshape(count, n, 2)
+    # a solution is zero on most modes: each row is one of a few sign
+    # patterns of signed zeros, so that their codes repeat, and up to 24
+    # parts of the block are drawn
+    zero_row = st.lists(signed_zeros, min_size=2 * n, max_size=2 * n)
+    patterns = data.draw(st.lists(zero_row, min_size=1, max_size=3))
+    pattern_of = data.draw(st.lists(st.integers(0, len(patterns) - 1),
+                                    min_size=count, max_size=count))
+    parts = np.array([patterns[i] for i in pattern_of], dtype=float).reshape(count, n, 2)
+    if count:
+        drawn = st.tuples(st.integers(0, parts.size - 1), st.one_of(cell_floats, signed_zeros))
+        for at, value in data.draw(st.lists(drawn, max_size=24)):
+            parts.flat[at] = value
     if count and data.draw(st.booleans()):
         parts.flat[data.draw(st.integers(0, parts.size - 1))] = data.draw(
             st.sampled_from((math.nan, -math.nan)))
@@ -734,12 +796,23 @@ def test_coefficient_block_is_the_bytes_of_the_encoder(data):
     else:
         coefficients = parts[..., 0]
     block = cli._coefficients_json(modes, coefficients)
-    nan = bool(np.isnan(coefficients).any())
-    expected = json.dumps(_old_coefficients(modes, coefficients),
-                          ensure_ascii=False, allow_nan=nan)
-    # a NaN part is not finite, and its text is repr's ``nan``
-    assert block.finite == (not nan)
-    assert block.text == (expected.replace("NaN", "nan") if nan else expected)
+    assert (block.text, block.finite) == _encoder_block(modes, coefficients)
+
+
+@pytest.mark.parametrize("complex_rows", [False, True])
+def test_coefficient_block_writes_every_zero_sign_pattern(complex_rows):
+    # all 16 sign patterns of an n = 2 zero row, each twice, between live
+    # rows; real rows keep the 4 patterns of their real parts
+    patterns = np.array([[-0.0 if code >> bit & 1 else 0.0 for bit in range(4)]
+                         for code in range(16)]).reshape(16, 2, 2)
+    live = np.array([[[1.5, -0.0], [0.0, -2.25e-7]]])
+    parts = np.concatenate([np.concatenate([live * (i + 1), pattern[None]])
+                            for i, pattern in enumerate(np.concatenate([patterns] * 2))]
+                           + [live])
+    coefficients = parts[..., 0] + 1j * parts[..., 1] if complex_rows else parts[..., 0]
+    modes = np.arange(len(parts)) - len(parts) // 2
+    block = cli._coefficients_json(modes, coefficients)
+    assert (block.text, block.finite) == _encoder_block(modes, coefficients)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

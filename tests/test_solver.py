@@ -1,6 +1,7 @@
 """Spectral solve, its residuals, linearity/uniqueness properties, sweeps."""
 
 import inspect
+import json
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +22,7 @@ from specdde import (
     mode_range,
     solve_periodic,
 )
-from specdde import resolvent, symbols
+from specdde import resolvent, solver, symbols
 from specdde.config import parse_config
 
 TWO_PI = 2.0 * np.pi
@@ -372,6 +373,37 @@ class TestConvergenceSweep:
                     assert row.solution_change == change.max_norm(), (name, K)
                 prev = sol.coefficients
 
+    def test_every_row_residual_is_the_synthesis_of_its_own_row(self):
+        # a row whose residual equals the previous row's, cut at their last
+        # nonzero mode, takes the previous row's value; each must be the
+        # bits of its own row synthesised.  Every bench row is at or above
+        # its forcing's band; the middle-band forcing gives equal rows
+        # below it (K = 4, 8, 16)
+        workloads = problems.bench_workloads()
+        cases = {}
+        for workload in ("lumped", "distributed"):
+            for seed in (1, 2, 3):
+                config = parse_config(json.dumps(workloads.config_document(workload, seed)))
+                cases[f"{workload}{seed}"] = config.problem, config.truncation_sweep
+        spec, truncations = cases["distributed1"]
+        cases["complex"] = replace(spec, state_matrix=spec.state_matrix + 0.1j * np.eye(2)), truncations
+        middle = replace(problems.mat2_rich(), forcing=_middle_band_zero_pair())
+        cases["middle"] = middle, [2, 4, 8, 16, 32]
+        cases["middle_complex"] = replace(
+            middle, state_matrix=middle.state_matrix + 0.1j * np.eye(2)), [2, 4, 8, 16, 32]
+        sweeps = {}
+        for name, (spec, truncations) in cases.items():
+            rows = sweeps[name] = convergence_sweep(spec, truncations).rows
+            modes, fhat, _, rhat, _ = solver._band_solve(spec, truncations, resolvent.COND_LIMIT)
+            n_grid = max(spec.grid, 4 * truncations[-1], spec.forcing.n_samples)
+            for K, row in zip(truncations, rows):
+                on = solver._within(modes, max(K, spec.forcing.bandwidth))
+                residual = np.where((np.abs(modes[on]) <= K)[:, None], rhat[on], 0.0 - fhat[on])
+                direct = solver._grid_max(modes[on], residual, n_grid)
+                assert np.float64(row.residual_full_band).tobytes() == np.float64(direct).tobytes(), \
+                    (name, K)
+        assert len({row.residual_full_band for row in sweeps["middle"][1:4]}) == 1
+
     def test_singular_mode_fails_at_the_first_row_that_holds_it(self):
         # the first diagonal entry of M(k), 1 + ik - (3 - i) e^{-ik pi/2},
         # vanishes at k = 3 alone
@@ -477,6 +509,16 @@ REAL_CASES = {
     "tiny": _tiny,
     "sampled_real": _sampled,
 }
+
+
+def _middle_band_zero_pair():
+    """``_sign_and_root_pair`` with its modes 5 <= |k| <= 20 exactly zero,
+    so that the residuals of sweep rows K = 4, 8 and 16 differ at most in
+    the signs of zeros."""
+    f = _sign_and_root_pair()
+    k = np.abs(mode_range(f.bandwidth))
+    return PeriodicGridFunction(np.where(((k >= 5) & (k <= 20))[:, None], 0.0, f.coefficients),
+                                f.n_samples)
 
 
 def _on_band(coefficients, bandwidth):
