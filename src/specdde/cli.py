@@ -179,32 +179,28 @@ def _coefficients_json(modes, coefficients) -> _Encoded:
     nonzero part (NaN included) passes k and every part, the nonzero ones
     through ``repr``, a zero one as its sign bit's text.  One ``%`` pass
     over the rows' templates, its arguments in row order, writes the
-    block; a block without an all-zero row needs no codes and repeats the
-    one template."""
+    block."""
     parts = np.ascontiguousarray(coefficients, dtype=complex).view(float)
     rows, width = parts.shape
     nonzero, signs = parts != 0, np.signbit(parts)
     live = np.zeros(rows, dtype=bool)
     for column in nonzero.T:  # whole columns: numpy reduces a short row axis slowly
         live |= column
-    cells = np.empty((rows, width + 1), dtype=object)
-    cells[:, 0] = modes  # an integer array's items go in as Python ints
-    values = cells[:, 1:]
-    values[nonzero] = list(map(repr, parts[nonzero].tolist()))
+    # each row's k goes at ``first``, a live row's parts after it
+    first = np.arange(rows) + width * (np.cumsum(live) - live)
+    at = (first + 1)[:, None] + np.arange(width)
+    args = np.empty(rows + width * np.count_nonzero(live), dtype=object)
+    args[first] = modes  # an integer array's items go in as Python ints
+    args[at[nonzero]] = list(map(repr, parts[nonzero].tolist()))
     zero = ~nonzero & live[:, None]
-    values[zero] = _ZEROS[signs[zero].view(np.uint8)]
-    row = _row_template(["%s"] * width)
-    if live.all():
-        templates, args = [row] * rows, cells.ravel()
-    else:
-        codes = _sign_codes(signs)
-        codes[live] = -1
-        codes = codes.tolist()
-        table = {code: row if code < 0 else
-                 _row_template([_ZEROS[code >> bit & 1] for bit in range(width)])
-                 for code in set(codes)}
-        templates = map(table.__getitem__, codes)
-        args = cells[(np.arange(width + 1) == 0) | live[:, None]]
+    args[at[zero]] = _ZEROS[signs[zero].view(np.uint8)]
+    templates = [_row_template(["%s"] * width)] * rows
+    dead = np.flatnonzero(~live)
+    codes = _sign_codes(signs[dead]).tolist()
+    table = {code: _row_template([_ZEROS[code >> bit & 1] for bit in range(width)])
+             for code in set(codes)}
+    for row, code in zip(dead.tolist(), codes):
+        templates[row] = table[code]
     text = "[" + ", ".join(templates) % tuple(args.tolist()) + "]"
     return _Encoded(text, bool(np.isfinite(parts).all()))
 

@@ -75,9 +75,7 @@ class SpectralSolution:
 
     @functools.cached_property
     def residual_grid(self) -> float:
-        # the synthesis runs once, and the residual it holds goes with it
-        synthesis, self._grid_residual = self._grid_residual, None
-        return synthesis()
+        return self._grid_residual()
 
 
 def _within(modes: np.ndarray, bandwidth: int) -> slice:
@@ -97,12 +95,12 @@ def _grid_max(modes: np.ndarray, rhat: np.ndarray, n_samples: int) -> float:
 
 
 def _cut(modes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A copy of ``rows`` on consecutive ascending ``modes`` cut to the
-    narrowest band |k| <= b that holds every nonzero row (NaN included), and
-    to no row when all are zero."""
+    """``rows`` on consecutive ascending ``modes`` cut to the narrowest band
+    |k| <= b that holds every nonzero row (NaN included), and to no row when
+    all are zero."""
     live = np.flatnonzero(rows) // rows.shape[1]
     top = max(-int(modes[live[0]]), int(modes[live[-1]])) if live.size else -1
-    return rows[_within(modes, top)].copy()
+    return rows[_within(modes, top)]
 
 
 def _band_solve(spec: ProblemSpec, bands: Sequence[int], cond_limit: float):

@@ -180,6 +180,9 @@ def test_grid_residual_is_synthesised_once_with_the_bits_of_its_band(residual_sy
     modes, _, _, rhat, _ = solver._band_solve(spec, [spec.truncation], resolvent.COND_LIMIT)
     assert np.float64(first).tobytes() == np.float64(
         solver._grid_max(modes, rhat, spec.grid)).tobytes()
+    # a copy made after the read synthesises its own, with the same bits
+    copied = replace(solution, truncation=solution.truncation)
+    assert np.float64(copied.residual_grid).tobytes() == np.float64(first).tobytes()
 
 
 def test_each_synthesis_is_one_irfft_for_a_real_function_and_one_ifft_else(
