@@ -3,15 +3,15 @@
 One command per process; a report is one line of RFC 8259 JSON in UTF-8
 (the standard library's default separators, then one LF), with fixed field
 order and floats in Python's shortest round-trip form, so identical configs
-produce byte-identical files.  The solve report's ``coefficients`` block is
-formatted by a template, not by the encoder: an all-zero row's text is
-fixed by its sign bits, so it is written from its sign pattern's template
-with k as its one argument, and a zero part's text comes from its sign bit
-alone, but it is the bytes the standard encoder would write for its list of
-``{"k", "value": [{"re", "im"}, ...]}`` objects.  A
-side file is CSV: a header line of column names, then one line per row,
-each cell in ``str`` form, comma-separated, every line ended by one LF; a
-float's ``str`` is its shortest round-trip ``repr``, which
+produce byte-identical files.  The solve report's ``coefficients`` block
+holds the coefficients' values, not the sign bits of their zeros: a zero
+part is written ``0.0`` whatever its sign bit, so the block is the bytes
+the standard encoder writes for the list of ``{"k", "value": [{"re", "im"},
+...]}`` objects of ``coefficients + 0.0``.  It is formatted by a template,
+not by the encoder, and an all-zero row, most of a solution, passes k
+alone.  A side file is CSV: a header line of column names, then one line
+per row, each cell in ``str`` form, comma-separated, every line ended by
+one LF; a float's ``str`` is its shortest round-trip ``repr``, which
 ``_repr.repr_bytes`` computes for a block of a fixed number of cells at
 once (the solution's samples are most of what a solve writes: a real
 solution's are one ``irfft``, a column per component, a complex one's one
@@ -145,44 +145,27 @@ def _write_csv(path: Path, header, rows) -> None:
             fh.write(_csv_bytes(repr_bytes(rows[start:start + step])))
 
 
-#: the text of a zero part, indexed by its sign bit
-_ZEROS = np.array(["0.0", "-0.0"], dtype=object)
-
-
-def _row_template(texts) -> str:
-    """The ``%s`` template of a coefficient row whose parts, re and im of
-    each component in turn, have the texts ``texts``: ``%s`` for a part
-    passed as an argument, a zero's text written in.  k is always an
+def _row_template(text: str, width: int) -> str:
+    """The ``%s`` template of a coefficient row of ``width`` parts, re and
+    im of each component in turn, each written ``text``.  k is always an
     argument."""
-    values = ('{"re": %s, "im": %s}' % pair for pair in zip(texts[::2], texts[1::2]))
+    values = ['{"re": %s, "im": %s}' % (text, text)] * (width // 2)
     return '{"k": %s, "value": [' + ", ".join(values) + "]}"
-
-
-def _sign_codes(signs):
-    """Each row of a (rows, width) bool array as one integer, bit j from
-    column j: int64 while the bits fit in 62, Python ints beyond, so the code
-    is exact for every width.  The bits are summed, not or-ed: numpy's
-    integer ``bitwise_or`` is code a solve does not otherwise page in."""
-    code = np.zeros(len(signs), np.int64 if signs.shape[1] <= 62 else object)
-    for bit, column in enumerate(signs.T):
-        code += column.astype(code.dtype) << bit
-    return code
 
 
 def _coefficients_json(modes, coefficients) -> _Encoded:
     """The JSON text of ``[{"k": k, "value": [{"re": .., "im": ..}, ...]}, ...]``,
-    one object per mode, in the bytes the standard encoder writes, which
-    calls ``int.__repr__`` and ``float.__repr__``.  A solution is zero on
-    most modes, and the text of an all-zero row is fixed by its sign bits:
-    each distinct sign code (``_sign_codes``) gets one row template with
-    its zero texts written in, and such a row passes k alone.  A row with a
-    nonzero part (NaN included) passes k and every part, the nonzero ones
-    through ``repr``, a zero one as its sign bit's text.  One ``%`` pass
-    over the rows' templates, its arguments in row order, writes the
-    block."""
+    one object per mode, in the bytes the standard encoder writes for
+    ``coefficients + 0.0``, which calls ``int.__repr__`` and
+    ``float.__repr__``: a zero part is written ``0.0`` whatever its sign
+    bit, and every other part, NaN included, keeps its ``repr``.  A
+    solution is zero on most modes, and every all-zero row shares one
+    template with its zeros written in, so such a row passes k alone.  A
+    row with a nonzero part passes k and every part.  One ``%`` pass over
+    the rows' templates, its arguments in row order, writes the block."""
     parts = np.ascontiguousarray(coefficients, dtype=complex).view(float)
     rows, width = parts.shape
-    nonzero, signs = parts != 0, np.signbit(parts)
+    nonzero = parts != 0
     live = np.zeros(rows, dtype=bool)
     for column in nonzero.T:  # whole columns: numpy reduces a short row axis slowly
         live |= column
@@ -192,16 +175,10 @@ def _coefficients_json(modes, coefficients) -> _Encoded:
     args = np.empty(rows + width * np.count_nonzero(live), dtype=object)
     args[first] = modes  # an integer array's items go in as Python ints
     args[at[nonzero]] = list(map(repr, parts[nonzero].tolist()))
-    zero = ~nonzero & live[:, None]
-    args[at[zero]] = _ZEROS[signs[zero].view(np.uint8)]
-    templates = [_row_template(["%s"] * width)] * rows
-    dead = np.flatnonzero(~live)
-    codes = _sign_codes(signs[dead]).tolist()
-    table = {code: _row_template([_ZEROS[code >> bit & 1] for bit in range(width)])
-             for code in set(codes)}
-    for row, code in zip(dead.tolist(), codes):
-        templates[row] = table[code]
-    text = "[" + ", ".join(templates) % tuple(args.tolist()) + "]"
+    args[at[~nonzero & live[:, None]]] = "0.0"
+    templates = np.array([_row_template("0.0", width), _row_template("%s", width)],
+                         dtype=object)[live.view(np.uint8)]
+    text = "[" + ", ".join(templates.tolist()) % tuple(args.tolist()) + "]"
     return _Encoded(text, bool(np.isfinite(parts).all()))
 
 

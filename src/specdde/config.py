@@ -51,13 +51,17 @@ class RunConfig:
     """A validated configuration plus the resolved document echoed in reports."""
 
     problem: ProblemSpec
-    truncation: int
     window: int
     besov: BesovParams
     grid_sizes: List[int]
     truncation_sweep: List[int]
     tolerances: Dict[str, float]
     resolved: Dict[str, Any]
+
+    @property
+    def truncation(self) -> int:
+        """The solver bandwidth K, the problem's own (``problem.truncation``)."""
+        return self.problem.truncation
 
 
 class _Collector:
@@ -137,8 +141,10 @@ def _list(doc, key, path, errs) -> list:
 
 
 def _parse_delay(doc, n, path, errs) -> Optional[DelayFunctional]:
+    """The functional of a delay block, or None: for an absent block, which
+    ``ProblemSpec`` makes the zero functional, or with a violation."""
     if doc is None:
-        return DelayFunctional(dim=n)
+        return None
     if not isinstance(doc, dict):
         errs.add(path, "must be an object")
         return None
@@ -186,8 +192,10 @@ def _parse_delay(doc, n, path, errs) -> Optional[DelayFunctional]:
 
 
 def _parse_kernel(doc, path, errs) -> Optional[KernelSpec]:
+    """The memory kernel of a kernel block, or None: for an absent block,
+    which ``ProblemSpec`` makes the zero kernel, or with a violation."""
     if doc is None:
-        return KernelSpec()
+        return None
     if not isinstance(doc, dict):
         errs.add(path, "must be an object")
         return None
@@ -370,7 +378,6 @@ def _parse_document(doc: Any) -> RunConfig:
                                  grid_sizes, sweep, tolerances)
     return RunConfig(
         problem=problem,
-        truncation=truncation,
         window=window,
         besov=besov,
         grid_sizes=grid_sizes,

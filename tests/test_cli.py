@@ -650,6 +650,19 @@ def test_writer_takes_numpy_and_complex_values(tmp_path):
             cli._write_json(path, {"value": value})
 
 
+def test_writer_refuses_an_unknown_type_and_writes_nothing(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError, match="cannot serialize <class 'object'>"):
+        cli._write_json(path, {"n": 1, "value": object()})
+    assert not path.exists()
+
+
+def test_run_refuses_an_unknown_command(tmp_path):
+    with pytest.raises(ValueError, match="unknown command 'bogus'"):
+        cli.run("bogus", parse_config(json.dumps(TINY)), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def _c_encoded(monkeypatch):
     """Every object the C encoder is handed with ``cli._plain`` as its
     default, in order; encoding in pure Python fails the test."""
@@ -773,15 +786,13 @@ def _encoder_block(modes, coefficients):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_coefficient_block_is_the_bytes_of_the_encoder(data):
-    # n = 31 is the widest sign code an int64 holds (62 bits), 32 and 40 are
-    # past it
+    # the block holds values: a zero of either sign is the encoder's 0.0
     n = data.draw(st.one_of(st.integers(1, 3), st.sampled_from((31, 32, 40))))
     count = data.draw(st.integers(0, 64))
     modes = np.array(data.draw(st.lists(st.integers(-10**6, 10**6), min_size=count,
                                         max_size=count)), dtype=np.int64)
     # a solution is zero on most modes: each row is one of a few sign
-    # patterns of signed zeros, so that their codes repeat, and up to 24
-    # parts of the block are drawn
+    # patterns of signed zeros, and up to 24 parts of the block are drawn
     zero_row = st.lists(signed_zeros, min_size=2 * n, max_size=2 * n)
     patterns = data.draw(st.lists(zero_row, min_size=1, max_size=3))
     pattern_of = data.draw(st.lists(st.integers(0, len(patterns) - 1),
@@ -799,13 +810,14 @@ def test_coefficient_block_is_the_bytes_of_the_encoder(data):
     else:
         coefficients = parts[..., 0]
     block = cli._coefficients_json(modes, coefficients)
-    assert (block.text, block.finite) == _encoder_block(modes, coefficients)
+    assert (block.text, block.finite) == _encoder_block(modes, coefficients + 0.0)
 
 
 @pytest.mark.parametrize("complex_rows", [False, True])
-def test_coefficient_block_writes_every_zero_sign_pattern(complex_rows):
+def test_coefficient_block_writes_every_zero_sign_pattern_as_zero(complex_rows):
     # all 16 sign patterns of an n = 2 zero row, each twice, between live
-    # rows; real rows keep the 4 patterns of their real parts
+    # rows whose zero parts are signed too; real rows keep the 4 patterns of
+    # their real parts
     patterns = np.array([[-0.0 if code >> bit & 1 else 0.0 for bit in range(4)]
                          for code in range(16)]).reshape(16, 2, 2)
     live = np.array([[[1.5, -0.0], [0.0, -2.25e-7]]])
@@ -815,7 +827,20 @@ def test_coefficient_block_writes_every_zero_sign_pattern(complex_rows):
     coefficients = parts[..., 0] + 1j * parts[..., 1] if complex_rows else parts[..., 0]
     modes = np.arange(len(parts)) - len(parts) // 2
     block = cli._coefficients_json(modes, coefficients)
-    assert (block.text, block.finite) == _encoder_block(modes, coefficients)
+    assert (block.text, block.finite) == _encoder_block(modes, coefficients + 0.0)
+    assert "-0.0," not in block.text and "-0.0}" not in block.text
+
+
+def test_coefficient_block_reads_back_as_the_solution():
+    # the benchmark's lumped problem: its 8,186 all-zero rows and the live
+    # ones read back as solve_periodic's coefficients, value for value
+    doc = problems.bench_workloads().config_document("lumped", 1)
+    solution = solve_periodic(parse_config(json.dumps(doc)).problem)
+    block = json.loads(cli._coefficients_json(solution.modes, solution.coefficients).text)
+    assert [row["k"] for row in block] == solution.modes.tolist()
+    values = np.array([[z["re"] + 1j * z["im"] for z in row["value"]] for row in block])
+    assert values.shape == solution.coefficients.shape
+    assert (values == solution.coefficients).all()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -944,6 +969,14 @@ def test_overrides_replace_fields_of_the_decoded_document():
     assert injected.resolved == parse_config(json.dumps(dict(TINY, **overrides))).resolved
     assert (injected.truncation, injected.problem.grid, injected.window) == (4, 20, 32)
     assert parse_config(json.dumps(TINY), {}).resolved == parse_config(json.dumps(TINY)).resolved
+
+
+def test_truncation_is_the_problems_own():
+    config = parse_config(json.dumps(TINY))
+    config.problem.truncation = 7
+    assert config.truncation == 7
+    with pytest.raises(AttributeError):
+        config.truncation = 5
 
 
 def test_complex_solution_table_gives_each_component_re_then_im():
@@ -1197,6 +1230,10 @@ INVALID_FIELDS = [
                  ["problem.forcing.samples"], id="scalar_forcing_samples_at_n_2"),
     pytest.param(_mutated(TINY, ("problem", "forcing"), {"samples": SIXTEEN_SAMPLES[:2]}),
                  ["problem.forcing.samples"], id="two_forcing_samples"),
+    pytest.param(_mutated(TINY, ("problem", "forcing", "const"), "x"),
+                 ["problem.forcing.const"], id="string_const"),
+    pytest.param(_mutated(TINY, ("problem", "forcing", "cos"), [True]),
+                 ["problem.forcing.cos[0]"], id="boolean_cos_entry"),
     pytest.param([TINY], ["$"], id="top_level_list"),
     pytest.param(_mutated(NO_N, ("problem", "A"), 5), ["problem.n"], id="no_n_and_scalar_A"),
     # n = 2 is inferred from the rows of A, so a length-3 vector is rejected
@@ -1260,22 +1297,29 @@ PATH_CONFIGS = {
 NOT_RUN_BY_A_COMMAND = {
     ("symbols.py", "PeriodicGridFunction.zero"):
         "ProblemSpec's default forcing; a configuration always gives one",
+    ("config.py", "RunConfig.truncation"):
+        "K for library callers; the commands hand the problem, which holds it, on",
 }
 
 
 def _package_functions():
     """(file name, qualified name) of every function and method defined in
-    the package's modules, from their compiled code."""
-    found = set()
+    the package's modules, from their compiled code, keyed by (file name,
+    first line, name), which a running frame's code also gives.  The
+    qualified name is built here: ``co_qualname`` needs Python 3.11."""
+    found = {}
     for info in pkgutil.iter_modules(specdde.__path__):
         path = Path(importlib.import_module(f"specdde.{info.name}").__file__)
-        stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+        stack = [(compile(path.read_text(encoding="utf-8"), str(path), "exec"), "")]
         while stack:
-            code = stack.pop()
-            stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            code, prefix = stack.pop()
+            optimized = code.co_flags & inspect.CO_OPTIMIZED
+            name = prefix + code.co_name if code.co_name != "<module>" else ""
             # class bodies are not optimised; lambdas and comprehensions are <...>
-            if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<"):
-                found.add((path.name, code.co_qualname))
+            if optimized and not code.co_name.startswith("<"):
+                found[path.name, code.co_firstlineno, code.co_name] = (path.name, name)
+            inner = name + (".<locals>." if optimized else ".") if name else ""
+            stack.extend((c, inner) for c in code.co_consts if isinstance(c, types.CodeType))
     return found
 
 
@@ -1303,9 +1347,10 @@ def test_every_package_function_runs_under_a_command(tmp_path):
     assert outcomes["invalid"] == dict.fromkeys(COMMANDS, 3)
     assert outcomes["overflow"]["solve"] == 0
 
-    ran = {(Path(code.co_filename).name, code.co_qualname) for code in codes
-           if Path(code.co_filename).parent == Path(specdde.__file__).parent}
-    functions = _package_functions()
+    named = _package_functions()
+    functions = set(named.values())
+    ran = {named.get((Path(code.co_filename).name, code.co_firstlineno, code.co_name))
+           for code in codes if Path(code.co_filename).parent == Path(specdde.__file__).parent}
     assert set(NOT_RUN_BY_A_COMMAND) <= functions
     assert sorted(functions - ran - set(NOT_RUN_BY_A_COMMAND)) == []
     assert sorted(set(NOT_RUN_BY_A_COMMAND) & ran) == []

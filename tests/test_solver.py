@@ -38,6 +38,16 @@ class TestSolveBenchmarks:
         assert np.max(np.abs(sol.solution.samples[:, 0] - exact)) <= 1e-12
         assert sol.residual_grid <= 1e-10
 
+    def test_a_scalar_state_matrix_is_one_by_one(self):
+        # u' = -1.5 u + cos t has u = (1.5 cos t + sin t) / 3.25
+        forcing = PeriodicGridFunction.from_harmonics(cos=[[1.0]], dim=1)
+        spec = ProblemSpec(state_matrix=-1.5, forcing=forcing, truncation=4)
+        assert spec.dim == 1 and spec.state_matrix.tolist() == [[-1.5]]
+        sol = solve_periodic(spec)
+        t = sol.solution.nodes
+        exact = (1.5 * np.cos(t) + np.sin(t)) / 3.25
+        assert np.max(np.abs(sol.solution.samples[:, 0] - exact)) <= 1e-15
+
     def test_cosine_solution_satisfies_equation_pointwise(self):
         # independent check of the closed form itself: u' = -u + cos t
         spec = problems.scalar_basic()
