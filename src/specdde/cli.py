@@ -11,17 +11,17 @@ the standard encoder writes for the list of ``{"k", "value": [{"re", "im"},
 not by the encoder, and an all-zero row, most of a solution, passes k
 alone.  A side file is CSV: a header line of column names, then one line
 per row, each cell in ``str`` form, comma-separated, every line ended by
-one LF; a float's ``str`` is its shortest round-trip ``repr``, which
-``_repr.repr_bytes`` computes for a block of a fixed number of cells at
-once (the solution's samples are most of what a solve writes: a real
-solution's are one ``irfft``, a column per component, a complex one's one
-``ifft``, columns ``_re`` and ``_im``).  Exit codes: 0
-success, 2 solvability failure (singular mode or singular collocation
-system), 3 validation failure (an invalid document, or values a command
-cannot use: an atom lag or a distributed span of 5e8 oracle grid steps or
-more, ``off_grid_lag``, or a grid too coarse for a bandwidth) or a
-``non_finite`` result (a NaN or infinity in the output, which then writes no
-side file).  Every failure writes a report with an ``error.type``.
+one LF; a float's ``str`` is its shortest round-trip ``repr``.  The lines
+of a float table, separators included, come from ``_repr.csv_lines``, one
+block of a fixed number of cells at a time (the solution's samples are
+most of what a solve writes: a real solution's are one ``irfft``, a column
+per component, a complex one's one ``ifft``, columns ``_re`` and ``_im``).
+Exit codes: 0 success, 2 solvability failure (singular mode or singular
+collocation system), 3 validation failure (an invalid document, or values
+a command cannot use: an atom lag or a distributed span of 5e8 oracle grid
+steps or more, ``off_grid_lag``, or a grid too coarse for a bandwidth) or
+a ``non_finite`` result (a NaN or infinity in the output, which then writes
+no side file).  Every failure writes a report with an ``error.type``.
 """
 
 from __future__ import annotations
@@ -105,32 +105,20 @@ def _finite(obj) -> bool:
 
 
 #: cells of a side file formatted at a time, whatever the table's width: the
-#: formatter holds a few hundred bytes of temporaries per cell
+#: formatter holds about 150 bytes of temporaries per cell (1.8 MB a block)
 _BLOCK_CELLS = 12288
-
-
-def _csv_bytes(cells) -> bytes:
-    """The CSV lines of a (rows, columns) bytes array: each cell's bytes
-    up to its NUL padding, then a comma, or LF after a row's last cell."""
-    rows, columns = cells.shape
-    width = cells.dtype.itemsize
-    lines = np.zeros((rows, columns, width + 1), np.uint8)
-    lines[..., :width] = cells.view(np.uint8).reshape(rows, columns, width)
-    lines[..., width] = ord(",")
-    lines[:, -1, width] = ord("\n")
-    return lines[lines != 0].tobytes()
 
 
 def _write_csv(path: Path, header, rows) -> None:
     """The header line, then one line per row of ``rows`` (a float array or
     a list of tuples), each cell in ``str`` form, comma-separated, each line
     ended by LF.  A list of tuples, the few rows of a sweep or verify table,
-    is joined as it is.  ``str`` of a float is its ``repr``, which
-    ``repr_bytes`` writes for a whole block of a float array at once.  A
-    block is as many rows as ``_BLOCK_CELLS`` cells hold (at least one),
-    whatever the table's width, which bounds the kernel's temporaries.
-    Every float must be finite, as ``run`` checks before it writes a side
-    file."""
+    is joined as it is.  ``str`` of a float is its ``repr``, and
+    ``csv_lines`` writes the lines of a whole block of a float array at
+    once, each cell's ``repr`` with its comma or LF.  A block is as many
+    rows as ``_BLOCK_CELLS`` cells hold (at least one), whatever the
+    table's width, which bounds the kernel's temporaries.  Every float must
+    be finite, as ``run`` checks before it writes a side file."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         if not isinstance(rows, np.ndarray):
@@ -138,11 +126,11 @@ def _write_csv(path: Path, header, rows) -> None:
             return
         # imported here so that only a command that writes a float table
         # compiles and loads the kernel
-        from ._repr import repr_bytes
+        from ._repr import csv_lines
 
         step = max(1, _BLOCK_CELLS // len(header))
         for start in range(0, len(rows), step):
-            fh.write(_csv_bytes(repr_bytes(rows[start:start + step])))
+            fh.write(csv_lines(rows[start:start + step]))
 
 
 def _row_template(text: str, width: int) -> str:

@@ -1,4 +1,5 @@
-"""``_repr.repr_bytes`` is ``float.__repr__``, byte for byte."""
+"""``_repr.csv_lines`` writes ``float.__repr__`` of each cell, byte for
+byte: a one-column block's lines are each value's ``repr`` plus LF."""
 
 import os
 import subprocess
@@ -8,11 +9,19 @@ from pathlib import Path
 import numpy as np
 
 import specdde
-from specdde._repr import WIDTH, repr_bytes
+from specdde._repr import csv_lines
 
 #: values formatted per kernel call in these tests, which bounds its
 #: temporaries
 CHUNK = 1 << 16
+
+
+def _lines(values):
+    """The lines ``csv_lines`` writes for a one-column block of values,
+    each without its LF."""
+    text = csv_lines(np.reshape(np.asarray(values, dtype=float), (-1, 1)))
+    assert text.endswith(b"\n") or text == b""
+    return text.split(b"\n")[:-1]
 
 
 def _mismatches(values):
@@ -21,7 +30,8 @@ def _mismatches(values):
     bad = []
     for start in range(0, len(values), CHUNK):
         chunk = values[start:start + CHUNK].tolist()
-        got = repr_bytes(chunk).tolist()
+        got = _lines(chunk)
+        assert len(got) == len(chunk)
         bad += [(v, g) for v, g in zip(chunk, got) if g != repr(v).encode("ascii")]
     return bad
 
@@ -74,11 +84,11 @@ def test_the_switches_to_exponent_form_and_their_neighbours():
                                9999999999999998.0])
     got = _mismatches(_signed(values))
     assert got == []
-    assert repr_bytes([1e-4, 1e16, -1e-5]).tolist() == [b"0.0001", b"1e+16", b"-1e-05"]
+    assert _lines([1e-4, 1e16, -1e-5]) == [b"0.0001", b"1e+16", b"-1e-05"]
 
 
 def test_signed_zero():
-    assert repr_bytes([0.0, -0.0]).tolist() == [b"0.0", b"-0.0"]
+    assert _lines([0.0, -0.0]) == [b"0.0", b"-0.0"]
 
 
 def test_integers_and_scaled_normals():
@@ -89,35 +99,56 @@ def test_integers_and_scaled_normals():
 
 
 def test_longest_text_fills_the_width():
-    longest = repr_bytes([-1.2345678901234567e-308, -0.00012345678901234567])
-    assert longest.dtype == np.dtype(f"S{WIDTH}")
-    assert [len(b) for b in longest.tolist()] == [WIDTH, WIDTH - 1]
+    # the longest text of a double is 24 bytes, a line 25 with its separator
+    assert _lines([-1.2345678901234567e-308, -0.00012345678901234567]) == [
+        b"-1.2345678901234567e-308", b"-0.00012345678901234567"]
+    assert csv_lines(np.full((2, 2), -1.2345678901234567e-308)) == (
+        b"-1.2345678901234567e-308,-1.2345678901234567e-308\n" * 2)
 
 
 def test_shape_is_kept():
+    # a row is a line, a column a comma-separated cell
     values = np.arange(6.0).reshape(2, 3) / 4
-    got = repr_bytes(values)
-    assert got.shape == (2, 3)
-    assert got.tolist() == [[repr(v).encode() for v in row] for row in values.tolist()]
-    assert repr_bytes(np.empty((0, 3))).shape == (0, 3)
+    assert csv_lines(values) == b"0.0,0.25,0.5\n0.75,1.0,1.25\n"
+    assert csv_lines(values.T) == b"0.0,0.75\n0.25,1.0\n0.5,1.25\n"
+    assert csv_lines(np.empty((0, 3))) == b""
+
+
+#: cells of every layout: zero, negative, subnormal and exponent-form values
+EDGE_CELLS = [0.0, -0.0, -1.5, 5e-324, -2.2250738585072014e-308, 1e16, -1e-05,
+              -1.2345678901234567e-308, 0.0001, 123456789012345.6]
+
+
+def test_non_finite_values_give_bytes_not_an_error():
+    # run() writes no side file with a NaN or infinity, but the kernel's
+    # table lookups must still stay in range for their bit patterns
+    lines = csv_lines(np.array([[np.inf, -np.inf, np.nan, -np.nan]]))
+    assert lines.endswith(b"\n") and lines.count(b",") == 3
 
 
 def test_python_calls_do_not_depend_on_the_values():
-    # a fixed sequence of array operations: no loop over the values' forms
-    values = [np.zeros(3072),
-              np.random.default_rng(3).standard_normal(3072),
-              np.random.default_rng(4).integers(0, 1 << 62, 3072, dtype=np.uint64).view(float)]
-    repr_bytes(values[0])
+    # a fixed sequence of array operations: no loop over the values' forms,
+    # and the exponent suffix and trailing-zero count run for every cell
+    edges = np.resize(np.array(EDGE_CELLS), (1024, 3))
+    edges[:, 2] = edges[::-1, 0]
+    blocks = [np.zeros((1024, 3)),
+              np.random.default_rng(3).standard_normal((1024, 3)),
+              np.random.default_rng(4).integers(0, 1 << 62, (1024, 3),
+                                                dtype=np.uint64).view(float),
+              edges]
+    assert csv_lines(edges).decode().splitlines() == [
+        ",".join(map(repr, row)) for row in edges.tolist()]
+    csv_lines(blocks[0])
     counts = []
-    for v in values:
+    for block in blocks:
         frames = []
         sys.setprofile(lambda frame, event, arg: frames.append(event))
         try:
-            repr_bytes(v)
+            csv_lines(block)
         finally:
             sys.setprofile(None)
         counts.append(frames.count("call"))
-    assert counts[0] == counts[1] == counts[2]
+    assert counts == [counts[0]] * len(blocks)
 
 
 def test_the_kernel_is_loaded_and_built_on_first_use():
