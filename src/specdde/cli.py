@@ -22,11 +22,15 @@ a command cannot use: an atom lag or a distributed span of 5e8 oracle grid
 steps or more, ``off_grid_lag``, or a grid too coarse for a bandwidth) or
 a ``non_finite`` result (a NaN or infinity in the output, which then writes
 no side file).  Every failure writes a report with an ``error.type``.
+``main`` builds its argument parser once a process, on first use, and an
+invocation makes its output directory once: in ``run``, or before the
+validation report of an invalid configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -323,12 +327,11 @@ def _read_config(args) -> RunConfig:
     return parse_config(text, overrides)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="specdde",
-        description="Spectral solver and diagnostics for periodic neutral "
-                    "delay integro-differential problems.",
-    )
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use (not at import), once a process."""
+    parser = argparse.ArgumentParser(prog="specdde", description="Spectral solver and diagnostics "
+                                     "for periodic neutral delay integro-differential problems.")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a JSON configuration")
     parser.add_argument("--out", default="reports", help="output directory")
@@ -336,27 +339,22 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", type=int, default=None, help="override grid N")
     parser.add_argument("--window", type=int, default=None,
                         help="override diagnostic window K_diag")
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         config = _read_config(args)
     except ConfigError as exc:
-        report = {
-            "version": __version__,
-            "command": args.command,
-            "error": {
-                "type": "validation",
-                "violations": [{"path": p, "message": m}
-                               for p, m in exc.violations],
-            },
-            "exit_code": 3,
-        }
-        _write_json(out_dir / f"{args.command}_report.json", report)
+        violations = [{"path": p, "message": m} for p, m in exc.violations]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(out_dir / f"{args.command}_report.json", {
+            "version": __version__, "command": args.command,
+            "error": {"type": "validation", "violations": violations}, "exit_code": 3})
         print(f"configuration invalid: {exc}", file=sys.stderr)
         return 3
-
     return run(args.command, config, out_dir)
 
 

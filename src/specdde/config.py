@@ -6,14 +6,16 @@ grid samples, and delays as atom lists plus an optional sampled distributed
 kernel.  All data in a configuration is real; complex problems are built
 through the Python API.  Every document is validated before any computation,
 and the fully resolved values (defaults included) are echoed into each
-report for reproducibility.
+report for reproducibility.  The top-level fields beside ``problem`` are
+declared once, in ``_FIELDS``, and echoed as the run holds them.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -29,8 +31,6 @@ from .symbols import (
     ProblemSpec,
 )
 
-_TOP_KEYS = {"problem", "K", "N", "K_diag", "besov", "N_list", "K_list",
-             "tolerances"}
 _PROBLEM_KEYS = {"n", "A", "L", "G", "kernel", "forcing"}
 _DELAY_KEYS = {"atoms", "distributed"}
 _ATOM_KEYS = {"coef", "lag"}
@@ -38,12 +38,6 @@ _DISTRIBUTED_KEYS = {"samples", "span"}
 _KERNEL_KEYS = {"terms"}
 _TERM_KEYS = {"c", "m", "alpha"}
 _FORCING_KEYS = {"const", "cos", "sin", "samples"}
-_BESOV_KEYS = {"s", "p", "q"}
-
-_DEFAULTS = {"K": 64, "K_diag": 512,
-             "besov": {"s": 1.0, "p": 2.0, "q": 2.0},
-             "N_list": [64, 128, 256], "K_list": [4, 8, 16, 32],
-             "tolerances": {"singular_cond": COND_LIMIT}}
 
 
 @dataclass
@@ -71,10 +65,19 @@ class _Collector:
     def add(self, path: str, message: str):
         self.violations.append((path, message))
 
-    def unknown(self, path: str, doc: dict, allowed: set):
+    def unknown(self, path: str, doc: dict, allowed):
         for key in doc:
             if key not in allowed:
                 self.add(f"{path}.{key}" if path else key, "unknown field")
+
+    def object(self, path: str, doc, allowed) -> bool:
+        """Whether ``doc`` is an object, with a violation if not, and one for
+        each of its fields outside ``allowed``."""
+        if not isinstance(doc, dict):
+            self.add(path, "must be an object")
+            return False
+        self.unknown(path, doc, allowed)
+        return True
 
 
 def _number(value, path, errs, positive=False, integer=False):
@@ -94,7 +97,10 @@ def _number(value, path, errs, positive=False, integer=False):
 
 
 def _array(value, path, errs, message):
-    """``value`` as a float array, or None with a violation at ``path``."""
+    """``value`` as a float array, or None with a violation (``required`` if absent)."""
+    if value is None:
+        errs.add(path, "required")
+        return None
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -145,18 +151,14 @@ def _parse_delay(doc, n, path, errs) -> Optional[DelayFunctional]:
     ``ProblemSpec`` makes the zero functional, or with a violation."""
     if doc is None:
         return None
-    if not isinstance(doc, dict):
-        errs.add(path, "must be an object")
-        return None
     before = len(errs.violations)
-    errs.unknown(path, doc, _DELAY_KEYS)
+    if not errs.object(path, doc, _DELAY_KEYS):
+        return None
     atoms = []
     for i, atom in enumerate(_list(doc, "atoms", path, errs)):
         apath = f"{path}.atoms[{i}]"
-        if not isinstance(atom, dict):
-            errs.add(apath, "must be an object")
+        if not errs.object(apath, atom, _ATOM_KEYS):
             continue
-        errs.unknown(apath, atom, _ATOM_KEYS)
         coef = _matrix(atom.get("coef"), n, f"{apath}.coef", errs)
         lag = _number(atom.get("lag"), f"{apath}.lag", errs)
         if lag is not None and lag < 0:
@@ -165,27 +167,23 @@ def _parse_delay(doc, n, path, errs) -> Optional[DelayFunctional]:
         if coef is not None and lag is not None:
             atoms.append((coef, lag))
     distributed = None
-    if "distributed" in doc and doc["distributed"] is not None:
-        dpath = f"{path}.distributed"
-        ddoc = doc["distributed"]
-        if not isinstance(ddoc, dict):
-            errs.add(dpath, "must be an object")
-        else:
-            errs.unknown(dpath, ddoc, _DISTRIBUTED_KEYS)
-            span = _number(ddoc.get("span"), f"{dpath}.span", errs, positive=True)
-            samples = ddoc.get("samples")
-            if samples is None:
-                errs.add(f"{dpath}.samples", "required (list of n x n matrices)")
-            elif span is not None:
-                arr = _array(samples, f"{dpath}.samples", errs, "must be numeric")
-                if arr is not None:
-                    if arr.ndim == 1:
-                        arr = arr.reshape(-1, 1, 1)
-                    if arr.ndim != 3 or arr.shape[1:] != (n, n) or arr.shape[0] < 4:
-                        errs.add(f"{dpath}.samples",
-                                 f"expected at least 4 samples of shape {n}x{n}")
-                    else:
-                        distributed = DistributedDelay(arr, span)
+    ddoc = doc.get("distributed")
+    dpath = f"{path}.distributed"
+    if ddoc is not None and errs.object(dpath, ddoc, _DISTRIBUTED_KEYS):
+        span = _number(ddoc.get("span"), f"{dpath}.span", errs, positive=True)
+        samples = ddoc.get("samples")
+        if samples is None:
+            errs.add(f"{dpath}.samples", "required (list of n x n matrices)")
+        elif span is not None:
+            arr = _array(samples, f"{dpath}.samples", errs, "must be numeric")
+            if arr is not None:
+                if arr.ndim == 1:
+                    arr = arr.reshape(-1, 1, 1)
+                if arr.ndim != 3 or arr.shape[1:] != (n, n) or arr.shape[0] < 4:
+                    errs.add(f"{dpath}.samples",
+                             f"expected at least 4 samples of shape {n}x{n}")
+                else:
+                    distributed = DistributedDelay(arr, span)
     if len(errs.violations) > before:
         return None
     return DelayFunctional(dim=n, atoms=atoms, distributed=distributed)
@@ -196,18 +194,14 @@ def _parse_kernel(doc, path, errs) -> Optional[KernelSpec]:
     which ``ProblemSpec`` makes the zero kernel, or with a violation."""
     if doc is None:
         return None
-    if not isinstance(doc, dict):
-        errs.add(path, "must be an object")
-        return None
     before = len(errs.violations)
-    errs.unknown(path, doc, _KERNEL_KEYS)
+    if not errs.object(path, doc, _KERNEL_KEYS):
+        return None
     terms = []
     for i, term in enumerate(_list(doc, "terms", path, errs)):
         tpath = f"{path}.terms[{i}]"
-        if not isinstance(term, dict):
-            errs.add(tpath, "must be an object")
+        if not errs.object(tpath, term, _TERM_KEYS):
             continue
-        errs.unknown(tpath, term, _TERM_KEYS)
         c = _number(term.get("c"), f"{tpath}.c", errs)
         m = _number(term.get("m", 0), f"{tpath}.m", errs, integer=True)
         alpha = _number(term.get("alpha"), f"{tpath}.alpha", errs, positive=True)
@@ -256,6 +250,114 @@ def _parse_forcing(doc, n, path, errs) -> Optional[PeriodicGridFunction]:
     return PeriodicGridFunction.from_harmonics(**harmonics, const=const, dim=n)
 
 
+def _parse_problem(doc, errs) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """The ``ProblemSpec`` arguments of the ``problem`` block and its echo.
+    Raises ConfigError at once where the block gives no dimension."""
+    if not isinstance(doc, dict):
+        errs.add("problem", "required object")
+        raise ConfigError(errs.violations)
+    errs.unknown("problem", doc, _PROBLEM_KEYS)
+    a_raw = doc.get("A")
+    n = doc.get("n")
+    if n is None and isinstance(a_raw, list) and a_raw:
+        n = len(a_raw)
+    if n is None:
+        errs.add("problem.n", "required when A does not fix the dimension")
+    else:
+        n = _number(n, "problem.n", errs, positive=True, integer=True)
+    if n is None:
+        raise ConfigError(errs.violations)
+    args = {
+        "state_matrix": _matrix(a_raw, n, "problem.A", errs),
+        "neutral_delay": _parse_delay(doc.get("L"), n, "problem.L", errs),
+        "reaction_delay": _parse_delay(doc.get("G"), n, "problem.G", errs),
+        "kernel": _parse_kernel(doc.get("kernel"), "problem.kernel", errs),
+        "forcing": _parse_forcing(doc.get("forcing"), n, "problem.forcing", errs),
+    }
+    echo = {"n": n, "A": a_raw, **{key: doc[key] for key in ("L", "G", "kernel", "forcing")
+                                   if doc.get(key) is not None}}
+    return args, echo
+
+
+# Parsers of the top-level fields: each takes (value, path, errs, default,
+# the fields parsed before it) and returns the value, or None with a violation.
+
+def _count(value, path, errs, *_):
+    """A positive integer."""
+    return _number(value, path, errs, positive=True, integer=True)
+
+
+def _grid(value, path, errs, _, parsed):
+    """The grid N, absent (None) for the problem's default; N >= 2K+1."""
+    if value is None:
+        return None
+    grid, truncation = _count(value, path, errs), parsed["K"]
+    if truncation is not None and grid is not None and grid < 2 * truncation + 1:
+        errs.add(path, f"must satisfy N >= 2K+1 (K={truncation}, N={grid})")
+    return grid
+
+
+def _besov(value, path, errs, default, *_):
+    """Norm parameters; an absent member takes its default."""
+    if not errs.object(path, value, default):
+        return None
+    s, p, q = (_number(value.get(key, fallback), f"{path}.{key}", errs)
+               for key, fallback in default.items())
+    if None in (s, p, q):
+        return None
+    try:
+        return BesovParams(s, p, q)
+    except ValueError as exc:
+        errs.add(path, str(exc))
+
+
+def _ascending(value, path, errs, *_):
+    """A nonempty, strictly ascending list of positive integers."""
+    if not isinstance(value, list) or not value:
+        errs.add(path, "must be a nonempty list of integers")
+        return None
+    out = []
+    for i, entry in enumerate(value):
+        count = _count(entry, f"{path}[{i}]", errs)
+        if count is None:
+            return None
+        out.append(count)
+    if any(a >= b for a, b in zip(out, out[1:])):
+        errs.add(path, "must be strictly ascending")
+        return None
+    return out
+
+
+def _tolerances(value, path, errs, default, *_):
+    """The default tolerances, each one given replacing its default."""
+    if not isinstance(value, dict):
+        errs.add(path, "must be an object")
+        return None
+    tolerances = dict(default)
+    for key, entry in value.items():
+        if key not in tolerances:
+            errs.add(f"{path}.{key}", "unknown tolerance")
+            continue
+        tolerance = _number(entry, f"{path}.{key}", errs, positive=True)
+        if tolerance is not None:
+            tolerances[key] = tolerance
+    return tolerances
+
+
+#: the top-level fields beside ``problem``, in the order they are checked and
+#: echoed: name -> (the attribute of the RunConfig that holds the value,
+#: ``problem.`` for a ProblemSpec argument; default; parser)
+_FIELDS = {
+    "K": ("problem.truncation", 64, _count),
+    "N": ("problem.grid", None, _grid),
+    "K_diag": ("window", 512, _count),
+    "besov": ("besov", {"s": 1.0, "p": 2.0, "q": 2.0}, _besov),
+    "N_list": ("grid_sizes", [64, 128, 256], _ascending),
+    "K_list": ("truncation_sweep", [4, 8, 16, 32], _ascending),
+    "tolerances": ("tolerances", {"singular_cond": COND_LIMIT}, _tolerances),
+}
+
+
 def parse_config(text: str, overrides: Optional[Dict[str, Any]] = None) -> RunConfig:
     """Validate a JSON configuration document and build the run inputs.
 
@@ -274,133 +376,24 @@ def parse_config(text: str, overrides: Optional[Dict[str, Any]] = None) -> RunCo
 
 def _parse_document(doc: Any) -> RunConfig:
     """The run inputs of a decoded configuration document."""
-    errs = _Collector()
     if not isinstance(doc, dict):
         raise ConfigError([("$", "top level must be an object")])
-    errs.unknown("", doc, _TOP_KEYS)
-
-    problem_doc = doc.get("problem")
-    if not isinstance(problem_doc, dict):
-        errs.add("problem", "required object")
-        raise ConfigError(errs.violations)
-    errs.unknown("problem", problem_doc, _PROBLEM_KEYS)
-
-    a_raw = problem_doc.get("A")
-    n = problem_doc.get("n")
-    if n is None:
-        if isinstance(a_raw, list) and a_raw:
-            n = len(a_raw)
-        else:
-            errs.add("problem.n", "required when A does not fix the dimension")
-    n = _number(n, "problem.n", errs, positive=True, integer=True) if n is not None else None
-    if n is None:
-        raise ConfigError(errs.violations)
-
-    state = _matrix(a_raw, n, "problem.A", errs)
-    neutral = _parse_delay(problem_doc.get("L"), n, "problem.L", errs)
-    reaction = _parse_delay(problem_doc.get("G"), n, "problem.G", errs)
-    kernel = _parse_kernel(problem_doc.get("kernel"), "problem.kernel", errs)
-    forcing = _parse_forcing(problem_doc.get("forcing"), n, "problem.forcing", errs)
-
-    truncation = _number(doc.get("K", _DEFAULTS["K"]), "K", errs,
-                         positive=True, integer=True)
-    grid = doc.get("N")
-    if grid is not None:
-        grid = _number(grid, "N", errs, positive=True, integer=True)
-    if truncation is not None and grid is not None and grid < 2 * truncation + 1:
-        errs.add("N", f"must satisfy N >= 2K+1 (K={truncation}, N={grid})")
-    window = _number(doc.get("K_diag", _DEFAULTS["K_diag"]), "K_diag", errs,
-                     positive=True, integer=True)
-
-    besov_doc = doc.get("besov", dict(_DEFAULTS["besov"]))
-    besov = None
-    if not isinstance(besov_doc, dict):
-        errs.add("besov", "must be an object")
-    else:
-        errs.unknown("besov", besov_doc, _BESOV_KEYS)
-        s, p, q = (_number(besov_doc.get(key, _DEFAULTS["besov"][key]), f"besov.{key}", errs)
-                   for key in ("s", "p", "q"))
-        if None not in (s, p, q):
-            try:
-                besov = BesovParams(s, p, q)
-            except ValueError as exc:
-                errs.add("besov", str(exc))
-
-    def _int_list(key):
-        raw = doc.get(key, list(_DEFAULTS[key]))
-        if not isinstance(raw, list) or not raw:
-            errs.add(key, "must be a nonempty list of integers")
-            return None
-        out = []
-        for i, v in enumerate(raw):
-            iv = _number(v, f"{key}[{i}]", errs, positive=True, integer=True)
-            if iv is None:
-                return None
-            out.append(iv)
-        if any(a >= b for a, b in zip(out, out[1:])):
-            errs.add(key, "must be strictly ascending")
-            return None
-        return out
-
-    grid_sizes = _int_list("N_list")
-    sweep = _int_list("K_list")
-
-    tolerances = dict(_DEFAULTS["tolerances"])
-    tol_doc = doc.get("tolerances", {})
-    if not isinstance(tol_doc, dict):
-        errs.add("tolerances", "must be an object")
-    else:
-        for key, value in tol_doc.items():
-            if key not in tolerances:
-                errs.add(f"tolerances.{key}", "unknown tolerance")
-                continue
-            tv = _number(value, f"tolerances.{key}", errs, positive=True)
-            if tv is not None:
-                tolerances[key] = tv
-
+    errs = _Collector()
+    errs.unknown("", doc, {"problem", *_FIELDS})
+    problem_args, echo = _parse_problem(doc.get("problem"), errs)
+    parsed, run_args = {}, {}
+    for name, (attribute, default, parse) in _FIELDS.items():
+        parsed[name] = parse(doc.get(name, default), name, errs, default, parsed)
+        owner, _, key = attribute.rpartition(".")
+        (problem_args if owner else run_args)[key] = parsed[name]
     if errs.violations:
         raise ConfigError(errs.violations)
-
     try:
-        problem = ProblemSpec(
-            state_matrix=state,
-            neutral_delay=neutral,
-            reaction_delay=reaction,
-            kernel=kernel,
-            forcing=forcing,
-            truncation=truncation,
-            grid=grid,
-        )
+        problem = ProblemSpec(**problem_args)
     except ValueError as exc:
         raise ConfigError([("problem", str(exc))]) from None
-
-    resolved = _resolve_document(problem_doc, n, truncation, problem.grid, window, besov,
-                                 grid_sizes, sweep, tolerances)
-    return RunConfig(
-        problem=problem,
-        window=window,
-        besov=besov,
-        grid_sizes=grid_sizes,
-        truncation_sweep=sweep,
-        tolerances=tolerances,
-        resolved=resolved,
-    )
-
-
-def _resolve_document(problem_doc, n, truncation, grid, window, besov,
-                      grid_sizes, sweep, tolerances) -> Dict[str, Any]:
-    """Defaults-filled copy of the configuration, echoed into every report."""
-    problem = {"n": n, "A": problem_doc["A"]}
-    for key in ("L", "G", "kernel", "forcing"):
-        if problem_doc.get(key) is not None:
-            problem[key] = problem_doc[key]
-    return {
-        "problem": problem,
-        "K": truncation,
-        "N": grid,
-        "K_diag": window,
-        "besov": {"s": besov.s, "p": besov.p, "q": besov.q},
-        "N_list": grid_sizes,
-        "K_list": sweep,
-        "tolerances": tolerances,
-    }
+    config = RunConfig(problem=problem, resolved={"problem": echo}, **run_args)
+    for name, (attribute, _, _) in _FIELDS.items():
+        value = attrgetter(attribute)(config)
+        config.resolved[name] = asdict(value) if is_dataclass(value) else value
+    return config

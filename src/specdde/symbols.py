@@ -609,21 +609,15 @@ class PeriodicGridFunction:
         if dim is None:
             dim = max([v.shape[0] for v in cos + sin + [const]] or [1])
         bandwidth = max(len(cos), len(sin))
-
-        def _vec(v):
-            if v.shape[0] == dim:
-                return v
-            if v.shape[0] == 1:
-                return np.full(dim, v[0])
-            raise DimensionError(f"harmonic entry of length {v.shape[0]}, expected {dim}")
-
-        coeffs = np.zeros((2 * bandwidth + 1, dim), dtype=complex)
-        coeffs[bandwidth] = _vec(const)
-        for m in range(1, bandwidth + 1):
-            c = _vec(cos[m - 1]) if m <= len(cos) else np.zeros(dim)
-            s = _vec(sin[m - 1]) if m <= len(sin) else np.zeros(dim)
-            coeffs[bandwidth + m] = (c - 1j * s) / 2.0
-            coeffs[bandwidth - m] = (c + 1j * s) / 2.0
+        # rows m - 1 of c and s hold c_m and s_m, each entry broadcast to length dim
+        c, s = np.zeros((2, bandwidth, dim), dtype=complex)
+        mean = np.empty((1, dim), dtype=complex)
+        for row, entry in [(mean[0], const), *zip(c, cos), *zip(s, sin)]:
+            if entry.shape[0] not in (1, dim):
+                raise DimensionError(f"harmonic entry of length {entry.shape[0]}, "
+                                     f"expected {dim}")
+            row[...] = entry
+        coeffs = np.concatenate([((c + 1j * s) / 2.0)[::-1], mean, (c - 1j * s) / 2.0])
         if n_samples is None:
             n_samples = max(4 * bandwidth, 2 * bandwidth + 1, 16)
         return cls(coeffs, n_samples)

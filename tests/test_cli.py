@@ -30,6 +30,7 @@ from specdde import (ModeSymbols, PeriodicGridFunction, SpectralSolution, cli,
                      collocation_solve, compare, convergence_sweep, m_bounded_diagnostics,
                      resolvent, solver)
 from specdde.config import parse_config
+from specdde.exceptions import ConfigError
 from specdde.solver import solve_periodic
 
 TWO_PI = 2.0 * np.pi
@@ -224,6 +225,51 @@ def test_verify_gap_on_a_grid_below_2K_plus_1_is_against_the_trigonometric_sum(t
 def test_absent_N_is_the_problem_default_echoed():
     config = parse_config(json.dumps(TINY))
     assert config.problem.grid == 4 * TINY["K"] == config.resolved["N"]
+
+
+def test_a_document_of_problem_alone_echoes_every_default_in_field_order():
+    config = parse_config(json.dumps({"problem": TINY["problem"]}))
+    assert config.resolved["problem"] == TINY["problem"]
+    echoed = {key: value for key, value in config.resolved.items() if key != "problem"}
+    assert json.dumps(echoed) == (
+        '{"K": 64, "N": 256, "K_diag": 512, "besov": {"s": 1.0, "p": 2.0, "q": 2.0}, '
+        '"N_list": [64, 128, 256], "K_list": [4, 8, 16, 32], '
+        '"tolerances": {"singular_cond": 1000000000000.0}}')
+    assert (config.truncation, config.problem.grid, config.window) == (64, 256, 512)
+    assert (config.grid_sizes, config.truncation_sweep) == ([64, 128, 256], [4, 8, 16, 32])
+    assert config.besov == specdde.BesovParams(s=1.0, p=2.0, q=2.0)
+    assert config.tolerances == {"singular_cond": 1e12}
+
+
+#: documents with several invalid top-level fields, each with its violations
+#: in the order the parser reports them: unknown fields first, then the
+#: problem, then the fields in echo order, N >= 2K+1 right after N's own
+MANY_INVALID_FIELDS = [
+    ({"tolerances": {"residual": 1e-9, "singular_cond": -1.0}, "K_list": [4, 2], "seed": 1,
+      "N_list": "x", "besov": {"r": 1, "q": 0.5, "s": -1.0}, "K_diag": 0, "N": 20, "K": 10,
+      "problem": TINY["problem"], "extra": 2},
+     [("seed", "unknown field"), ("extra", "unknown field"),
+      ("N", "must satisfy N >= 2K+1 (K=10, N=20)"), ("K_diag", "must be positive"),
+      ("besov.r", "unknown field"),
+      ("besov", "smoothness s must be positive and finite, got -1.0"),
+      ("N_list", "must be a nonempty list of integers"), ("K_list", "must be strictly ascending"),
+      ("tolerances.residual", "unknown tolerance"),
+      ("tolerances.singular_cond", "must be positive")]),
+    ({"problem": TINY["problem"], "K": 0, "N": 2.5, "K_diag": "x", "besov": [], "N_list": [],
+      "K_list": [1, 1], "tolerances": 5},
+     [("K", "must be positive"), ("N", "must be an integer"), ("K_diag", "must be a number"),
+      ("besov", "must be an object"), ("N_list", "must be a nonempty list of integers"),
+      ("K_list", "must be strictly ascending"), ("tolerances", "must be an object")]),
+    ({"problem": TINY["problem"], "besov": {"s": "x", "p": 1e400, "q": 0.5}},
+     [("besov.s", "must be a number"), ("besov.p", "must be finite")]),
+]
+
+
+@pytest.mark.parametrize("doc, violations", MANY_INVALID_FIELDS)
+def test_invalid_top_level_fields_are_reported_in_field_order(doc, violations):
+    with pytest.raises(ConfigError) as caught:
+        parse_config(json.dumps(doc))
+    assert caught.value.violations == violations
 
 
 def test_empty_and_absent_besov_echo_the_same_defaults():
@@ -1120,6 +1166,41 @@ def test_cli_path_imports_no_scipy(tmp_path):
     assert result.stdout.strip() == "[]"
 
 
+def test_one_parser_serves_every_call_and_one_mkdir_each(tmp_path, monkeypatch):
+    # built on the first call of main, not at import, so set-up does not pay for it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = "import specdde.cli\nprint(specdde.cli._parser.cache_info().currsize)\n"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.stdout.strip() == "0"
+
+    made, mkdir = [], Path.mkdir
+
+    def counted(path, *args, **kwargs):
+        made.append(path)
+        return mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counted)
+    cli._parser.cache_clear()
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(TINY), encoding="utf-8")
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps(dict(TINY, K=0)), encoding="utf-8")
+    calls = [["solve", "--config", str(config), "--out", str(tmp_path / "first")],
+             # overrides in between must not carry over to the next call
+             ["solve", "--config", str(config), "--out", str(tmp_path / "k4"), "--k", "4",
+              "--grid", "20", "--window", "32"],
+             ["solve", "--config", str(invalid), "--out", str(tmp_path / "invalid")],
+             ["solve", "--config", str(config), "--out", str(tmp_path / "second")]]
+    assert [cli.main(argv) for argv in calls] == [0, 0, 3, 0]
+    assert cli._parser.cache_info().misses == 1
+    assert made == [tmp_path / name for name in ("first", "k4", "invalid", "second")]
+    first, second = ({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+                     for name in ("first", "second"))
+    assert first == second and set(first) == {"solve_report.json", "solution.csv"}
+    assert report_of(tmp_path / "k4", "solve")["config"]["K"] == 4
+
+
 FUZZ_BASES = (
     dict(SAMPLED, besov={"s": 1.0, "p": 3.0, "q": 2.0}, tolerances={"singular_cond": 1e12}),
     dict(TINY, problem=dict(TINY["problem"], forcing={
@@ -1199,6 +1280,16 @@ def _within(inner, outer):
 NO_N = dict(TINY, problem={k: v for k, v in TINY["problem"].items() if k != "n"})
 SIXTEEN_SAMPLES = [[1.0, 0.0]] * 16
 
+#: values a document leaves out, each reported ``required`` at its path
+MISSING_VALUES = [
+    pytest.param(dict(TINY, problem={k: v for k, v in TINY["problem"].items() if k != "A"}),
+                 ["problem.A"], id="missing_A"),
+    pytest.param(_mutated(TINY, ("problem", "L", "atoms", 0), {"lag": TWO_PI}),
+                 ["problem.L.atoms[0].coef"], id="missing_atom_coef"),
+    pytest.param(_mutated(TINY, ("problem", "forcing"), {"samples": None}),
+                 ["problem.forcing.samples"], id="null_forcing_samples"),
+]
+
 #: (TINY with one field made invalid, the violation paths of the report)
 INVALID_FIELDS = [
     pytest.param(_mutated(TINY, ("N",), 32.5), ["N"], id="non_integer_N"),
@@ -1245,6 +1336,7 @@ INVALID_FIELDS = [
     pytest.param(_mutated(TINY, ("N_list",), [32, 32]), ["N_list"], id="N_list_repeated"),
     pytest.param(_mutated(TINY, ("tolerances",), {"residual": 1e-9}), ["tolerances.residual"],
                  id="unknown_tolerance"),
+    *MISSING_VALUES,
 ]
 
 
@@ -1255,6 +1347,14 @@ def test_each_invalid_field_exits_3_with_its_path(tmp_path, doc, paths):
     assert code == 3 and report["exit_code"] == 3
     assert report["error"]["type"] == "validation"
     assert [v["path"] for v in report["error"]["violations"]] == paths
+
+
+@pytest.mark.parametrize("doc, paths", MISSING_VALUES)
+def test_a_missing_value_is_required_not_non_finite(tmp_path, doc, paths):
+    code, out = run(tmp_path, "solve", doc)
+    assert code == 3
+    assert report_of(out, "solve")["error"]["violations"] == [
+        {"path": path, "message": "required"} for path in paths]
 
 
 def test_dimension_is_inferred_from_A(tmp_path):
