@@ -9,13 +9,14 @@ part is written ``0.0`` whatever its sign bit, so the block is the bytes
 the standard encoder writes for the list of ``{"k", "value": [{"re", "im"},
 ...]}`` objects of ``coefficients + 0.0``.  It is formatted by a template,
 not by the encoder, and an all-zero row, most of a solution, passes k
-alone.  A side file is CSV: a header line of column names, then one line
-per row, each cell in ``str`` form, comma-separated, every line ended by
-one LF; a float's ``str`` is its shortest round-trip ``repr``.  The lines
-of a float table, separators included, come from ``_repr.csv_lines``, one
-block of a fixed number of cells at a time (the solution's samples are
-most of what a solve writes: a real solution's are one ``irfft``, a column
-per component, a complex one's one ``ifft``, columns ``_re`` and ``_im``).
+alone.  The solution's samples go to ``solution.npy``, NumPy format 1.0
+as ``np.save`` writes it without pickles: a 1-D array of records, one
+little-endian float64 field per column, named ``t`` then ``u{i}`` for a
+real solution (one ``irfft``) or ``u{i}_re``, ``u{i}_im`` for a complex one
+(one ``ifft``), so every sample reads back bit for bit.  The sweep and
+verify tables, a few rows each, are CSV: a header line of column names,
+then one line per row, each cell in ``str`` form, comma-separated, every
+line ended by one LF; a float's ``str`` is its shortest round-trip ``repr``.
 Exit codes: 0 success, 2 solvability failure (singular mode or singular
 collocation system), 3 validation failure (an invalid document, or values
 a command cannot use: an atom lag or a distributed span of 5e8 oracle grid
@@ -108,33 +109,22 @@ def _finite(obj) -> bool:
     return True
 
 
-#: cells of a side file formatted at a time, whatever the table's width: the
-#: formatter holds about 150 bytes of temporaries per cell (1.8 MB a block)
-_BLOCK_CELLS = 12288
-
-
 def _write_csv(path: Path, header, rows) -> None:
-    """The header line, then one line per row of ``rows`` (a float array or
-    a list of tuples), each cell in ``str`` form, comma-separated, each line
-    ended by LF.  A list of tuples, the few rows of a sweep or verify table,
-    is joined as it is.  ``str`` of a float is its ``repr``, and
-    ``csv_lines`` writes the lines of a whole block of a float array at
-    once, each cell's ``repr`` with its comma or LF.  A block is as many
-    rows as ``_BLOCK_CELLS`` cells hold (at least one), whatever the
-    table's width, which bounds the kernel's temporaries.  Every float must
-    be finite, as ``run`` checks before it writes a side file."""
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("utf-8"))
-        if not isinstance(rows, np.ndarray):
-            fh.write("".join(",".join(map(str, row)) + "\n" for row in rows).encode("utf-8"))
-            return
-        # imported here so that only a command that writes a float table
-        # compiles and loads the kernel
-        from ._repr import csv_lines
+    """The header line, then one line per row of ``rows`` (a list of
+    tuples), each cell in ``str`` form, comma-separated, each line ended by
+    LF."""
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
-        step = max(1, _BLOCK_CELLS // len(header))
-        for start in range(0, len(rows), step):
-            fh.write(csv_lines(rows[start:start + step]))
+
+def _write_npy(path: Path, header, table) -> None:
+    """A (rows, columns) float ``table`` as ``np.save`` writes it, without
+    pickles: a 1-D array of records with one little-endian float64 field
+    per column, named by ``header``.  A C-contiguous float64 table, as
+    ``_solution_table`` makes it, is viewed as the records, not copied."""
+    records = np.dtype([(name, "<f8") for name in header])
+    np.save(path, np.ascontiguousarray(table, dtype="<f8").view(records)[:, 0],
+            allow_pickle=False)
 
 
 def _row_template(text: str, width: int) -> str:
@@ -174,7 +164,7 @@ def _coefficients_json(modes, coefficients) -> _Encoded:
     return _Encoded(text, bool(np.isfinite(parts).all()))
 
 
-def _solution_csv(solution):
+def _solution_table(solution):
     grid = solution.solution
     samples = grid.samples
     real = np.isrealobj(samples)
@@ -182,10 +172,11 @@ def _solution_csv(solution):
     header = ["t"] + [f"u{i}{part}" for i in range(grid.dim) for part in parts]
     values = samples if real else np.stack([samples.real, samples.imag], axis=2)
     table = np.column_stack([grid.nodes, values.reshape(len(grid.nodes), -1)])
-    return "solution.csv", header, table
+    return "solution.npy", header, table
 
 
-# A runner fills the report and returns its side files as (name, header, rows).
+# A runner fills the report and returns its side files as (name, header,
+# rows): a float array is written as .npy records, a list of tuples as CSV.
 
 def _run_solve(config: RunConfig, report: dict):
     solution = solve_periodic(config.problem,
@@ -196,9 +187,9 @@ def _run_solve(config: RunConfig, report: dict):
     cond = solution.condition
     report["condition"] = {"max": cond.max(), "min": cond.min(),
                            "worst_mode": solution.modes[np.argmax(cond)]}
-    report["solution_csv"] = "solution.csv"
+    report["solution_file"] = "solution.npy"
     report["coefficients"] = _coefficients_json(solution.modes, solution.coefficients)
-    return [_solution_csv(solution)]
+    return [_solution_table(solution)]
 
 
 def _run_diagnose(config: RunConfig, report: dict):
@@ -308,7 +299,8 @@ def run(command: str, config: RunConfig, out_dir: Path) -> int:
         }, exit_code=status))
         side_files = []
     for name, header, rows in side_files:
-        _write_csv(out_dir / name, header, rows)
+        write = _write_npy if isinstance(rows, np.ndarray) else _write_csv
+        write(out_dir / name, header, rows)
     return status
 
 

@@ -96,18 +96,23 @@ def _number(value, path, errs, positive=False, integer=False):
     return int(value) if integer else float(value)
 
 
+def _holds_null(value) -> bool:
+    """Whether ``value`` is null or a nested list holding one."""
+    if isinstance(value, list):
+        return any(map(_holds_null, value))
+    return value is None
+
+
 def _array(value, path, errs, message):
-    """``value`` as a float array, or None with a violation (``required`` if absent)."""
-    if value is None:
-        errs.add(path, "required")
-        return None
+    """``value`` as a float array, or None with a violation: ``required`` if
+    it is absent or holds a null (which numpy reads as NaN)."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         errs.add(path, message)
         return None
     if not np.all(np.isfinite(arr)):
-        errs.add(path, "must be finite")
+        errs.add(path, "required" if _holds_null(value) else "must be finite")
         return None
     return arr
 

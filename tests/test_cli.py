@@ -188,7 +188,7 @@ def test_grid_residual_is_synthesised_once_with_the_bits_of_its_band(residual_sy
 
 def test_each_synthesis_is_one_irfft_for_a_real_function_and_one_ifft_else(
         tmp_path, inverse_ffts):
-    # a real solve: its grid residual and the samples of solution.csv
+    # a real solve: its grid residual and the samples of solution.npy
     assert run(tmp_path, "solve", TINY)[0] == 0
     assert {name for name, _ in inverse_ffts} == {"irfft"}
     # verify's forcing and reference on each grid, 12 below 2K + 1 = 17 too;
@@ -460,16 +460,16 @@ KERNEL_OVERFLOW = dict(TINY, problem=dict(TINY["problem"], L=dict(
                  "span": TWO_PI},
 )))
 
-SIDE_FILES = {"solve": ["solution.csv"], "diagnose": [], "besov": [],
+SIDE_FILES = {"solve": ["solution.npy"], "diagnose": [], "besov": [],
               "verify": ["verify_table.csv"], "sweep": ["sweep_table.csv"]}
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("doc, command, fields", [
-    (BEYOND, "solve", "solution.csv"),
+    (BEYOND, "solve", "solution.npy"),
     (OVERFLOW, "besov", "forcing, solution"),
-    (RESONANT, "solve", "residual_grid, residual_modal, coefficients, solution.csv"),
+    (RESONANT, "solve", "residual_grid, residual_modal, coefficients, solution.npy"),
     (RESONANT, "besov", "forcing, solution"),
     (RESONANT, "verify", "rows, verify_table.csv"),
     (RESONANT, "sweep", "rows, sweep_table.csv"),
@@ -642,7 +642,7 @@ def test_solution_within_the_float_range_is_written_whatever_its_size(tmp_path):
     # no coefficient is scaled by N on its way to the samples
     code, out = run(tmp_path, "solve", OVERFLOW)
     assert code == 0
-    table = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
+    _, table = _samples_of(out / "solution.npy")
     assert np.all(np.isfinite(table)) and np.max(np.abs(table[:, 1:])) == 1e308
 
 
@@ -895,67 +895,82 @@ def test_csv_is_the_str_of_each_cell_joined(data):
     width = data.draw(st.integers(1, 4))
     count = data.draw(st.integers(0, 6))
     header = [f"c{i}" for i in range(width)]
-    table = np.array(data.draw(st.lists(cell_floats, min_size=count * width,
-                                        max_size=count * width)),
-                     dtype=float).reshape(count, width)
     cell = st.one_of(cell_floats, st.integers(-10**6, 10**6), st.just(""))
-    tuples = [tuple(data.draw(st.lists(cell, min_size=width, max_size=width)))
-              for _ in range(count)]
+    rows = [tuple(data.draw(st.lists(cell, min_size=width, max_size=width)))
+            for _ in range(count)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
-        for rows, cells in ((table, table.tolist()), (tuples, tuples)):
-            cli._write_csv(path, header, rows)
-            lines = [",".join(header), *(",".join(map(str, row)) for row in cells)]
-            assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        cli._write_csv(path, header, rows)
+        lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _template_csv(header, rows):
-    """The bytes of a CSV as one ``%s`` template wrote them: each cell's
-    ``str``, comma-joined, one LF-ended line per row."""
-    cells = np.asarray(rows, dtype=object).ravel().tolist()
-    line = ",".join(["%s"] * len(header)) + "\n"
-    return (",".join(header) + "\n" + (line * len(rows)) % tuple(cells)).encode("utf-8")
+def _samples_of(path):
+    """The records of a .npy side file, loaded without pickles, and the
+    (rows, columns) float64 table they view."""
+    records = np.load(path, allow_pickle=False)
+    return records, records.view("<f8").reshape(len(records), len(records.dtype))
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_csv_across_a_block_boundary_is_the_template(tmp_path, extra):
-    # a block is as many rows of three cells as _BLOCK_CELLS holds
-    count = cli._BLOCK_CELLS // 3 + extra
-    rng = np.random.default_rng(count)
-    table = rng.standard_normal((count, 3)) * 10.0 ** rng.integers(-6, 18, (count, 3))
-    table[::7, 1] = np.round(table[::7, 1])
-    tuples = [(i, table[i, 0], "" if i % 3 else -table[i, 2]) for i in range(count)]
-    header = ["a", "b", "c"]
-    for rows in (table, tuples):
-        cli._write_csv(tmp_path / "table.csv", header, rows)
-        assert (tmp_path / "table.csv").read_bytes() == _template_csv(header, rows)
+def _assert_npy_holds(path, header, table):
+    """``path`` is a NumPy 1.0 file of one little-endian float64 field per
+    column of ``table``, named by ``header`` in order, holding its bits."""
+    assert path.read_bytes()[:8] == b"\x93NUMPY\x01\x00"
+    records, loaded = _samples_of(path)
+    assert records.dtype == np.dtype([(name, "<f8") for name in header])
+    assert records.shape == (len(table),)
+    np.testing.assert_array_equal(loaded.view(np.uint64),
+                                  np.asarray(table, dtype=float).view(np.uint64))
 
 
-def test_solution_csv_over_several_blocks_is_the_template(tmp_path):
-    # TINY's real solution has n = 2, so three columns
-    doc = dict(TINY, N=3 * (cli._BLOCK_CELLS // 3) + 5)
-    code, out = run(tmp_path, "solve", doc)
-    assert code == 0
-    config = parse_config(json.dumps(doc))
-    _, header, table = cli._solution_csv(solve_periodic(config.problem))
-    assert len(header) == 3 and len(table) == doc["N"]
-    assert (out / "solution.csv").read_bytes() == _template_csv(header, table)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_npy_reads_back_bit_for_bit(data):
+    width = data.draw(st.integers(1, 5))
+    count = data.draw(st.integers(0, 6))
+    cells = st.one_of(cell_floats, signed_zeros)
+    table = np.array(data.draw(st.lists(cells, min_size=count * width,
+                                        max_size=count * width)),
+                     dtype=float).reshape(count, width)
+    if data.draw(st.booleans()):
+        table = np.asfortranarray(table)
+    header = [f"c{i}" for i in range(width)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.npy"
+        cli._write_npy(path, header, table)
+        _assert_npy_holds(path, header, table)
+
+
+@pytest.mark.parametrize("complex_solution", [False, True])
+def test_solution_npy_holds_the_samples_bit_for_bit(tmp_path, complex_solution):
+    config = parse_config(json.dumps(TINY))
+    if complex_solution:
+        shifted = config.problem.state_matrix + 0.1j * np.eye(2)
+        config = replace(config, problem=replace(config.problem, state_matrix=shifted))
+    assert cli.run("solve", config, tmp_path) == 0
+    grid = solve_periodic(config.problem).solution
+    parts = [grid.samples.real, grid.samples.imag] if complex_solution else [grid.samples]
+    header = ["t"] + [f"u{i}{suffix}" for i in range(2)
+                      for suffix in (("_re", "_im") if complex_solution else ("",))]
+    table = np.column_stack([grid.nodes] + [part[:, i] for i in range(2) for part in parts])
+    _assert_npy_holds(tmp_path / "solution.npy", header, table)
 
 
 @pytest.mark.parametrize("columns", [3, 21])
 def test_writer_memory_is_bounded_whatever_the_width(tmp_path, columns):
-    # a block holds _BLOCK_CELLS cells, so a wide table (a complex solution
-    # with n = 10 has 21 columns) takes no more memory than a narrow one
+    # the table is viewed as its records, not copied, and written straight
+    # to the file, so even a wide table (a complex solution with n = 10 has
+    # 21 columns) adds nothing near its own size
     table = np.random.default_rng(columns).standard_normal((16384, columns))
     header = [f"c{i}" for i in range(columns)]
-    cli._write_csv(tmp_path / "table.csv", header, table[:2])  # loads the kernel's tables
+    cli._write_npy(tmp_path / "table.npy", header, table[:2])
     tracemalloc.start()
     try:
-        cli._write_csv(tmp_path / "table.csv", header, table)
+        cli._write_npy(tmp_path / "table.npy", header, table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 2**20
+    assert peak <= 5 * 2**20 and peak < table.nbytes // 8
 
 
 def _unreadable_config_report(tmp_path, config):
@@ -1030,8 +1045,8 @@ def test_complex_solution_table_gives_each_component_re_then_im():
     spec = replace(spec, state_matrix=spec.state_matrix + 0.1j * np.eye(2))
     solution = solve_periodic(spec)
     grid = solution.solution
-    name, header, table = cli._solution_csv(solution)
-    assert (name, header) == ("solution.csv", ["t", "u0_re", "u0_im", "u1_re", "u1_im"])
+    name, header, table = cli._solution_table(solution)
+    assert (name, header) == ("solution.npy", ["t", "u0_re", "u0_im", "u1_re", "u1_im"])
     np.testing.assert_array_equal(table[:, 0], grid.nodes)
     np.testing.assert_array_equal(table[:, 1::2], grid.samples.real)
     np.testing.assert_array_equal(table[:, 2::2], grid.samples.imag)
@@ -1086,8 +1101,8 @@ def test_complex_solve_matches_the_golden_files(tmp_path):
     """The bytes of the solve and sweep files of TINY with 0.1i added to A's
     diagonal.
 
-    Its solution is complex, so ``solution.csv`` has ``u{i}_re``/``u{i}_im``
-    columns and the negative modes carry imaginary parts of their own.  The
+    Its solution is complex, so ``solution.npy`` has ``u{i}_re``/``u{i}_im``
+    fields and the negative modes carry imaginary parts of their own.  The
     sweep is laid on the whole band -K..K, under a forcing of band 6 so
     that its rows K = 2 and 4 are narrower than the forcing and their
     residuals and changes are not zero.  A configuration holds real data
@@ -1114,8 +1129,8 @@ def test_complex_solve_matches_the_golden_files(tmp_path):
     report = report_of(out, "solve")
     assert any(row["k"] < 0 and any(z["im"] for z in row["value"])
                for row in report["coefficients"])
-    assert (out / "solution.csv").read_text(encoding="utf-8").startswith(
-        "t,u0_re,u0_im,u1_re,u1_im\n")
+    assert np.load(out / "solution.npy", allow_pickle=False).dtype.names == (
+        "t", "u0_re", "u0_im", "u1_re", "u1_im")
 
 
 @pytest.mark.parametrize("command, flags, echoed", [
@@ -1148,8 +1163,6 @@ def test_grid_below_the_forcing_band_writes_a_report(tmp_path):
 
 
 def test_cli_path_imports_no_scipy(tmp_path):
-    # nor specdde._repr: it is imported when a report is written, so its
-    # compile stays out of the set-up path
     config = tmp_path / "sampled.json"
     config.write_text(json.dumps(SAMPLED), encoding="utf-8")
     script = (
@@ -1157,8 +1170,7 @@ def test_cli_path_imports_no_scipy(tmp_path):
         "import specdde.cli\n"
         "from specdde.config import parse_config\n"
         f"parse_config(open({str(config)!r}, encoding='utf-8').read())\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-        " or m == 'specdde._repr'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -1197,7 +1209,7 @@ def test_one_parser_serves_every_call_and_one_mkdir_each(tmp_path, monkeypatch):
     assert made == [tmp_path / name for name in ("first", "k4", "invalid", "second")]
     first, second = ({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
                      for name in ("first", "second"))
-    assert first == second and set(first) == {"solve_report.json", "solution.csv"}
+    assert first == second and set(first) == {"solve_report.json", "solution.npy"}
     assert report_of(tmp_path / "k4", "solve")["config"]["K"] == 4
 
 
@@ -1288,6 +1300,10 @@ MISSING_VALUES = [
                  ["problem.L.atoms[0].coef"], id="missing_atom_coef"),
     pytest.param(_mutated(TINY, ("problem", "forcing"), {"samples": None}),
                  ["problem.forcing.samples"], id="null_forcing_samples"),
+    pytest.param(_mutated(TINY, ("problem", "A"), [[None, 0.25], [0.0, -2.0]]),
+                 ["problem.A"], id="null_entry_of_A"),
+    pytest.param(_mutated(TINY, ("problem", "forcing", "cos"), [[None, 0.0]]),
+                 ["problem.forcing.cos[0]"], id="null_entry_of_cos"),
 ]
 
 #: (TINY with one field made invalid, the violation paths of the report)
@@ -1357,6 +1373,14 @@ def test_a_missing_value_is_required_not_non_finite(tmp_path, doc, paths):
         {"path": path, "message": "required"} for path in paths]
 
 
+def test_a_nan_entry_is_not_finite_not_required():
+    # a NaN literal is a number numpy reads as such; only a null is missing
+    doc = _mutated(TINY, ("problem", "A"), [[math.nan, 0.25], [0.0, -2.0]])
+    with pytest.raises(ConfigError) as caught:
+        parse_config(json.dumps(doc))
+    assert caught.value.violations == [("problem.A", "must be finite")]
+
+
 def test_dimension_is_inferred_from_A(tmp_path):
     code, out = run(tmp_path, "solve", NO_N)
     assert code == 0 and report_of(out, "solve")["config"]["problem"]["n"] == 2
@@ -1367,7 +1391,7 @@ def test_dimension_is_inferred_from_A(tmp_path):
 #: delays or memory and a p != 2 norm, an off-grid atom lag, an off-grid
 #: kernel span (the solver's direct route), a singular mode under
 #: ``tolerances.singular_cond``, a singular collocation system, a grid below
-#: the forcing band, and an invalid document
+#: the forcing band, and two invalid documents, one with a null entry
 PATH_CONFIGS = {
     "tiny": TINY,
     "sampled_kernel": SAMPLED,
@@ -1389,6 +1413,7 @@ PATH_CONFIGS = {
     },
     "aliasing": _mutated(TINY, ("N_list",), [2, 32]),
     "invalid": _mutated(TINY, ("K",), 0),
+    "null_entry": _mutated(TINY, ("problem", "A"), [[None, 0.25], [0.0, -2.0]]),
     # det M(0) = 1e-600 underflows: the inversion scales that row
     "overflow": OVERFLOW,
 }
@@ -1444,7 +1469,7 @@ def test_every_package_function_runs_under_a_command(tmp_path):
     assert outcomes["singular_mode"] == dict.fromkeys(COMMANDS, 2)
     assert outcomes["singular_system"]["verify"] == 2
     assert outcomes["aliasing"]["verify"] == 3
-    assert outcomes["invalid"] == dict.fromkeys(COMMANDS, 3)
+    assert outcomes["invalid"] == outcomes["null_entry"] == dict.fromkeys(COMMANDS, 3)
     assert outcomes["overflow"]["solve"] == 0
 
     named = _package_functions()
