@@ -1,28 +1,29 @@
 """Batch front end: solve / diagnose / besov / verify / sweep.
 
-One command per process; a report is one line of RFC 8259 JSON in UTF-8
-(the standard library's default separators, then one LF), with fixed field
-order and floats in Python's shortest round-trip form, so identical configs
-produce byte-identical files.  The solve report's ``coefficients`` block
-holds the coefficients' values, not the sign bits of their zeros: a zero
-part is written ``0.0`` whatever its sign bit, so the block is the bytes
-the standard encoder writes for the list of ``{"k", "value": [{"re", "im"},
+One command per process.  Every command writes ``<command>_report.json``,
+and solve alone also writes ``solution.npy``; the sweep and verify rows
+are the report's ``rows``.  The one command-line override is ``--k``,
+which sets the configuration's ``K`` before it is validated and echoed.
+A report is one line of RFC 8259 JSON in UTF-8 (the standard library's
+default separators, then one LF), with fixed field order and floats in
+Python's shortest round-trip form, so identical configs produce
+byte-identical files.  The solve report's ``coefficients`` block holds the
+coefficients' values, not the sign bits of their zeros: a zero part is
+written ``0.0`` whatever its sign bit, so the block is the bytes the
+standard encoder writes for the list of ``{"k", "value": [{"re", "im"},
 ...]}`` objects of ``coefficients + 0.0``.  It is formatted by a template,
 not by the encoder, and an all-zero row, most of a solution, passes k
-alone.  The solution's samples go to ``solution.npy``, NumPy format 1.0
+alone.  ``solution.npy`` holds the solution's samples, NumPy format 1.0
 as ``np.save`` writes it without pickles: a 1-D array of records, one
 little-endian float64 field per column, named ``t`` then ``u{i}`` for a
 real solution (one ``irfft``) or ``u{i}_re``, ``u{i}_im`` for a complex one
-(one ``ifft``), so every sample reads back bit for bit.  The sweep and
-verify tables, a few rows each, are CSV: a header line of column names,
-then one line per row, each cell in ``str`` form, comma-separated, every
-line ended by one LF; a float's ``str`` is its shortest round-trip ``repr``.
+(one ``ifft``), so every sample reads back bit for bit.
 Exit codes: 0 success, 2 solvability failure (singular mode or singular
 collocation system), 3 validation failure (an invalid document, or values
 a command cannot use: an atom lag or a distributed span of 5e8 oracle grid
 steps or more, ``off_grid_lag``, or a grid too coarse for a bandwidth) or
 a ``non_finite`` result (a NaN or infinity in the output, which then writes
-no side file).  Every failure writes a report with an ``error.type``.
+no ``solution.npy``).  Every failure writes a report with an ``error.type``.
 ``main`` builds its argument parser once a process, on first use, and an
 invocation makes its output directory once: in ``run``, or before the
 validation report of an invalid configuration.
@@ -53,14 +54,10 @@ from .oracle import compare
 from .resolvent import m_bounded_diagnostics
 from .solver import convergence_sweep, solve_periodic
 
-COMMANDS = ("solve", "diagnose", "besov", "verify", "sweep")
-
 
 def _plain(obj):
     """The JSON form of the non-JSON types a report holds (for a numpy
     scalar, ``tolist()`` is ``item()``)."""
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -96,25 +93,15 @@ def _write_json(path: Path, report: dict) -> None:
 
 
 def _finite(obj) -> bool:
-    """Whether obj holds no NaN or infinity (an array is checked directly,
-    and a pre-encoded block gives its own flag)."""
+    """Whether obj holds no NaN or infinity (a pre-encoded block gives its
+    own flag)."""
     if isinstance(obj, _Encoded):
         return obj.finite
-    if isinstance(obj, np.ndarray):
-        return bool(np.isfinite(obj).all())
     try:
         json.dumps(obj, allow_nan=False, default=_plain)
     except ValueError:
         return False
     return True
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    """The header line, then one line per row of ``rows`` (a list of
-    tuples), each cell in ``str`` form, comma-separated, each line ended by
-    LF."""
-    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _write_npy(path: Path, header, table) -> None:
@@ -172,11 +159,11 @@ def _solution_table(solution):
     header = ["t"] + [f"u{i}{part}" for i in range(grid.dim) for part in parts]
     values = samples if real else np.stack([samples.real, samples.imag], axis=2)
     table = np.column_stack([grid.nodes, values.reshape(len(grid.nodes), -1)])
-    return "solution.npy", header, table
+    return header, table
 
 
-# A runner fills the report and returns its side files as (name, header,
-# rows): a float array is written as .npy records, a list of tuples as CSV.
+# A runner fills the report; solve's also returns the solution's (header,
+# table), which ``run`` writes to the file the report names.
 
 def _run_solve(config: RunConfig, report: dict):
     solution = solve_periodic(config.problem,
@@ -189,14 +176,13 @@ def _run_solve(config: RunConfig, report: dict):
                            "worst_mode": solution.modes[np.argmax(cond)]}
     report["solution_file"] = "solution.npy"
     report["coefficients"] = _coefficients_json(solution.modes, solution.coefficients)
-    return [_solution_table(solution)]
+    return _solution_table(solution)
 
 
 def _run_diagnose(config: RunConfig, report: dict):
     diag = m_bounded_diagnostics(config.problem, config.window,
                                  cond_limit=config.tolerances["singular_cond"])
     report.update(diag.to_dict())
-    return []
 
 
 def _run_besov(config: RunConfig, report: dict):
@@ -208,24 +194,18 @@ def _run_besov(config: RunConfig, report: dict):
                         "q": config.besov.q}
     report["forcing"] = forcing.to_dict()
     report["solution"] = computed.to_dict()
-    return []
 
 
 def _run_verify(config: RunConfig, report: dict):
     comparison = compare(config.problem, config.grid_sizes,
                          cond_limit=config.tolerances["singular_cond"])
     report.update(comparison.to_dict())
-    return [("verify_table.csv", ["n", "gap"], comparison.rows)]
 
 
 def _run_sweep(config: RunConfig, report: dict):
     sweep = convergence_sweep(config.problem, config.truncation_sweep,
                               cond_limit=config.tolerances["singular_cond"])
     report.update(sweep.to_dict())
-    rows = [(row.truncation, row.residual_full_band,
-             "" if row.solution_change is None else row.solution_change)
-            for row in sweep.rows]
-    return [("sweep_table.csv", ["K", "residual_full_band", "solution_change"], rows)]
 
 
 _RUNNERS = {
@@ -236,6 +216,8 @@ _RUNNERS = {
     "sweep": _run_sweep,
 }
 
+COMMANDS = tuple(_RUNNERS)
+
 
 #: errors the configuration's values cause once a command runs (exit 3)
 _INPUT_ERRORS = {
@@ -245,14 +227,15 @@ _INPUT_ERRORS = {
 
 
 def run(command: str, config: RunConfig, out_dir: Path) -> int:
-    """Execute one command, writing <command>_report.json plus side files.
+    """Execute one command, writing <command>_report.json and, for solve,
+    then ``solution.npy``, the solution's samples.
 
-    A NaN or infinity anywhere in the output turns the report into a
-    ``non_finite`` error naming the fields that hold it; side files are
-    written only after the report has encoded, so then none is written.
-    The command runs with numpy's floating-point warnings off, so an
-    overflow on the way is judged by that check alone, also where warnings
-    are raised as errors (``python -W error::RuntimeWarning``).
+    A NaN or infinity anywhere in the output, the samples included, turns
+    the report into a ``non_finite`` error naming the fields (and
+    ``solution.npy``) that hold it, and then no ``solution.npy`` is
+    written.  The command runs with numpy's floating-point warnings off,
+    so an overflow on the way is judged by that check alone, also where
+    warnings are raised as errors (``python -W error::RuntimeWarning``).
     """
     if command not in _RUNNERS:
         raise ValueError(f"unknown command {command!r}")
@@ -260,11 +243,11 @@ def run(command: str, config: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     head = {"version": __version__, "command": command, "config": config.resolved}
     report = dict(head)
-    side_files = []
+    table = None
     try:
         # a NaN or infinity is judged below, field by field, not by a warning
         with np.errstate(all="ignore"):
-            side_files = _RUNNERS[command](config, report)
+            table = _RUNNERS[command](config, report)
         status = 0
     except SingularModeError as exc:
         report["error"] = {
@@ -286,7 +269,9 @@ def run(command: str, config: RunConfig, out_dir: Path) -> int:
         status = 3
     report["exit_code"] = status
     path = out_dir / f"{command}_report.json"
-    fields = [name for name, _, rows in side_files if not _finite(rows)]
+    fields = []
+    if table is not None and not np.isfinite(table[1]).all():
+        fields.append(report["solution_file"])
     try:
         _write_json(path, report)
     except ValueError:
@@ -297,26 +282,21 @@ def run(command: str, config: RunConfig, out_dir: Path) -> int:
             "type": "non_finite",
             "message": f"NaN or infinity in {', '.join(fields)}",
         }, exit_code=status))
-        side_files = []
-    for name, header, rows in side_files:
-        write = _write_npy if isinstance(rows, np.ndarray) else _write_csv
-        write(out_dir / name, header, rows)
+    elif table is not None:
+        _write_npy(out_dir / report["solution_file"], *table)
     return status
 
 
 def _read_config(args) -> RunConfig:
-    """Parse the ``--config`` file with the command-line overrides injected
-    into the document, so they are validated and echoed into the report like
+    """Parse the ``--config`` file with ``--k``, when given, injected into the
+    document as ``K``, so it is validated and echoed into the report like
     any other field.  A file that cannot be read as UTF-8 text is a
     ConfigError at ``$``."""
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([("$", f"cannot read the configuration: {exc}")]) from None
-    overrides = {key: value for key, value in (("K", args.k), ("N", args.grid),
-                                               ("K_diag", args.window))
-                 if value is not None}
-    return parse_config(text, overrides)
+    return parse_config(text, {} if args.k is None else {"K": args.k})
 
 
 @functools.cache
@@ -328,9 +308,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to a JSON configuration")
     parser.add_argument("--out", default="reports", help="output directory")
     parser.add_argument("--k", type=int, default=None, help="override truncation K")
-    parser.add_argument("--grid", type=int, default=None, help="override grid N")
-    parser.add_argument("--window", type=int, default=None,
-                        help="override diagnostic window K_diag")
     return parser
 
 

@@ -471,7 +471,10 @@ def analyze(samples, bandwidth: Optional[int] = None) -> np.ndarray:
     N >= 2K+1; raises AliasingError otherwise.  Samples whose imaginary
     part is exactly zero are real: their k >= 0 coefficients come from one
     ``rfft`` and the k < 0 ones are their conjugates, so the coefficients
-    are exactly Hermitian, c(-k) == conj c(k).
+    are exactly Hermitian, c(-k) == conj c(k).  The transform runs on the
+    samples scaled by a power of two (``_power_of_two_scaled``), and the
+    coefficients are scaled back, so samples near the float limit do not
+    overflow on the way; the scaling is exact down to the subnormal range.
     """
     samples = np.asarray(samples)
     if samples.ndim == 1:
@@ -483,11 +486,16 @@ def analyze(samples, bandwidth: Optional[int] = None) -> np.ndarray:
         raise AliasingError(
             f"need N >= 2K+1 samples for bandwidth K={bandwidth}, got N={n_samples}"
         )
+    scaled, exponent = _power_of_two_scaled(samples)
     if not np.any(np.imag(samples)):
-        return _mirrored(np.fft.rfft(np.real(samples), axis=0)[:bandwidth + 1] / n_samples)
-    spectrum = np.fft.fft(samples, axis=0) / n_samples
-    ks = mode_range(bandwidth)
-    return spectrum[np.mod(ks, n_samples)]
+        coefficients = _mirrored(np.fft.rfft(np.real(scaled), axis=0)[:bandwidth + 1]
+                                 / n_samples)
+    else:
+        spectrum = np.fft.fft(scaled, axis=0) / n_samples
+        coefficients = spectrum[np.mod(mode_range(bandwidth), n_samples)]
+    parts = coefficients.view(np.float64)
+    np.ldexp(parts, exponent, out=parts)
+    return coefficients
 
 
 def _half(modes: np.ndarray) -> bool:

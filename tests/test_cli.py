@@ -460,8 +460,13 @@ KERNEL_OVERFLOW = dict(TINY, problem=dict(TINY["problem"], L=dict(
                  "span": TWO_PI},
 )))
 
-SIDE_FILES = {"solve": ["solution.npy"], "diagnose": [], "besov": [],
-              "verify": ["verify_table.csv"], "sweep": ["sweep_table.csv"]}
+#: TINY with forcing samples of +-1e308: their coefficients (at most 6.53e307)
+#: are finite, and the transform that takes them is run on scaled samples
+NEAR_LIMIT = dict(TINY, problem=dict(TINY["problem"], forcing={
+    "samples": [[1e308, -1e308]] * 4 + [[-1e308, 1e308]] * 4}))
+
+SIDE_FILES = {"solve": ["solution.npy"], "diagnose": [], "besov": [], "verify": [],
+              "sweep": []}
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -471,8 +476,8 @@ SIDE_FILES = {"solve": ["solution.npy"], "diagnose": [], "besov": [],
     (OVERFLOW, "besov", "forcing, solution"),
     (RESONANT, "solve", "residual_grid, residual_modal, coefficients, solution.npy"),
     (RESONANT, "besov", "forcing, solution"),
-    (RESONANT, "verify", "rows, verify_table.csv"),
-    (RESONANT, "sweep", "rows, sweep_table.csv"),
+    (RESONANT, "verify", "rows"),
+    (RESONANT, "sweep", "rows"),
     # 2^(1000 j) is beyond the float range from level j = 2 on, where the
     # mode-4 harmonic puts a nonzero block of the forcing and of the solution
     (dict(TINY, besov={"s": 1000.0}, problem=dict(TINY["problem"], forcing=dict(
@@ -604,7 +609,8 @@ _OVERFLOW_RUNS = """
 import json, sys
 from specdde import cli
 root, codes = sys.argv[1], {}
-for name in ("OVERFLOW", "BEYOND", "RESONANT", "SQUARES_OVERFLOW", "KERNEL_OVERFLOW"):
+for name in ("OVERFLOW", "BEYOND", "RESONANT", "SQUARES_OVERFLOW", "KERNEL_OVERFLOW",
+             "NEAR_LIMIT"):
     for command in ("solve", "diagnose", "besov", "verify", "sweep"):
         codes[f"{name} {command}"] = cli.main(
             [command, "--config", f"{root}/{name}.json", "--out", f"{root}/{name}/{command}"])
@@ -616,7 +622,8 @@ def test_overflow_keeps_the_exit_code_contract_with_warnings_as_errors(tmp_path)
     # an overflow is judged by the non_finite check, never escapes as a
     # traceback: the same codes and reports as a default run, and no exit 1
     docs = {"OVERFLOW": OVERFLOW, "BEYOND": BEYOND, "RESONANT": RESONANT,
-            "SQUARES_OVERFLOW": SQUARES_OVERFLOW, "KERNEL_OVERFLOW": KERNEL_OVERFLOW}
+            "SQUARES_OVERFLOW": SQUARES_OVERFLOW, "KERNEL_OVERFLOW": KERNEL_OVERFLOW,
+            "NEAR_LIMIT": NEAR_LIMIT}
     env = dict(os.environ, PYTHONPATH=str(Path(specdde.__file__).parents[1]))
     codes = {}
     for run_name, flags in (("default", []), ("strict", ["-W", "error::RuntimeWarning"])):
@@ -630,6 +637,9 @@ def test_overflow_keeps_the_exit_code_contract_with_warnings_as_errors(tmp_path)
     assert codes["strict"] == codes["default"]
     assert 1 not in codes["strict"].values()
     assert codes["strict"]["SQUARES_OVERFLOW besov"] == 0
+    # the forcing is read; the Besov blocks and the oracle's gaps overflow
+    assert {command: codes["strict"][f"NEAR_LIMIT {command}"] for command in COMMANDS} == {
+        "solve": 0, "diagnose": 0, "besov": 3, "verify": 3, "sweep": 0}
     for name in docs:
         for command in COMMANDS:
             report = f"{name}/{command}/{command}_report.json"
@@ -682,18 +692,19 @@ def test_besov_norm_is_finite_where_only_zero_blocks_have_overflowing_weights(tm
     assert report["solution"]["norm"] == pytest.approx(2.5695452010958, rel=1e-12)
 
 
-def test_writer_takes_numpy_and_complex_values(tmp_path):
+def test_writer_takes_numpy_values(tmp_path):
     path = tmp_path / "report.json"
-    cli._write_json(path, {"complex": 1.5 - 2j, "array": np.array([0.1, 2.0]),
-                           "int": np.int64(3), "float": np.float64(0.1),
-                           "bool": np.bool_(True), "tuple": (1, "é")})
+    cli._write_json(path, {"array": np.array([0.1, 2.0]), "int": np.int64(3),
+                           "float": np.float64(0.1), "bool": np.bool_(True),
+                           "tuple": (1, "é")})
     assert path.read_bytes().decode("utf-8") == (
-        '{"complex": {"re": 1.5, "im": -2.0}, "array": [0.1, 2.0], "int": 3, '
-        '"float": 0.1, "bool": true, "tuple": [1, "é"]}\n')
-    for value in (float("nan"), np.float64("inf"), complex(0.0, float("-inf")),
-                  np.array([1.0, np.nan])):
+        '{"array": [0.1, 2.0], "int": 3, "float": 0.1, "bool": true, "tuple": [1, "é"]}\n')
+    for value in (float("nan"), np.float64("inf"), np.array([1.0, np.nan])):
         with pytest.raises(ValueError):
             cli._write_json(path, {"value": value})
+    # no report holds a complex number: the coefficient block is pre-encoded
+    with pytest.raises(TypeError, match="cannot serialize <class 'complex'>"):
+        cli._write_json(path, {"value": 1.5 - 2j})
 
 
 def test_writer_refuses_an_unknown_type_and_writes_nothing(tmp_path):
@@ -889,22 +900,6 @@ def test_coefficient_block_reads_back_as_the_solution():
     assert (values == solution.coefficients).all()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_csv_is_the_str_of_each_cell_joined(data):
-    width = data.draw(st.integers(1, 4))
-    count = data.draw(st.integers(0, 6))
-    header = [f"c{i}" for i in range(width)]
-    cell = st.one_of(cell_floats, st.integers(-10**6, 10**6), st.just(""))
-    rows = [tuple(data.draw(st.lists(cell, min_size=width, max_size=width)))
-            for _ in range(count)]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "table.csv"
-        cli._write_csv(path, header, rows)
-        lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
-
-
 def _samples_of(path):
     """The records of a .npy side file, loaded without pickles, and the
     (rows, columns) float64 table they view."""
@@ -1045,8 +1040,8 @@ def test_complex_solution_table_gives_each_component_re_then_im():
     spec = replace(spec, state_matrix=spec.state_matrix + 0.1j * np.eye(2))
     solution = solve_periodic(spec)
     grid = solution.solution
-    name, header, table = cli._solution_table(solution)
-    assert (name, header) == ("solution.npy", ["t", "u0_re", "u0_im", "u1_re", "u1_im"])
+    header, table = cli._solution_table(solution)
+    assert header == ["t", "u0_re", "u0_im", "u1_re", "u1_im"]
     np.testing.assert_array_equal(table[:, 0], grid.nodes)
     np.testing.assert_array_equal(table[:, 1::2], grid.samples.real)
     np.testing.assert_array_equal(table[:, 2::2], grid.samples.imag)
@@ -1135,8 +1130,6 @@ def test_complex_solve_matches_the_golden_files(tmp_path):
 
 @pytest.mark.parametrize("command, flags, echoed", [
     ("solve", ["--k", "4"], {"K": 4, "N": 16, "K_diag": 16}),
-    ("diagnose", ["--window", "32"], {"K": 8, "N": 32, "K_diag": 32}),
-    ("solve", ["--grid", "20"], {"K": 8, "N": 20, "K_diag": 16}),
 ])
 def test_overrides_are_echoed_into_the_report(tmp_path, command, flags, echoed):
     out = tmp_path / "out"
@@ -1147,13 +1140,37 @@ def test_overrides_are_echoed_into_the_report(tmp_path, command, flags, echoed):
     assert {key: report["config"][key] for key in echoed} == echoed
 
 
-def test_grid_override_is_validated_like_the_document(tmp_path):
+def test_k_override_is_validated_like_the_document(tmp_path):
     out = tmp_path / "out"
     code = cli.main(["solve", "--config", str(GOLDEN / "tiny.json"), "--out", str(out),
-                     "--grid", "3"])
+                     "--k", "0"])
     report = report_of(out, "solve")
     assert code == 3 and report["error"]["type"] == "validation"
-    assert [v["path"] for v in report["error"]["violations"]] == ["N"]
+    assert [v["path"] for v in report["error"]["violations"]] == ["K"]
+
+
+def test_k_is_the_one_override(tmp_path, capsys):
+    options = [a.option_strings for a in cli._parser()._actions]
+    assert options == [["-h", "--help"], [], ["--config"], ["--out"], ["--k"]]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["solve", "--config", str(GOLDEN / "tiny.json"), "--out", str(tmp_path),
+                  "--n", "20"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --n 20" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_module_entry_point_writes_the_golden_solve_files(tmp_path):
+    # ``python -m specdde.cli`` runs main through the module's __main__ guard
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "specdde.cli", "solve", "--config", str(GOLDEN / "tiny.json"),
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["solution.npy", "solve_report.json"]
+    for name in ("solve_report.json", "solution.npy"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_grid_below_the_forcing_band_writes_a_report(tmp_path):
@@ -1199,9 +1216,8 @@ def test_one_parser_serves_every_call_and_one_mkdir_each(tmp_path, monkeypatch):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps(dict(TINY, K=0)), encoding="utf-8")
     calls = [["solve", "--config", str(config), "--out", str(tmp_path / "first")],
-             # overrides in between must not carry over to the next call
-             ["solve", "--config", str(config), "--out", str(tmp_path / "k4"), "--k", "4",
-              "--grid", "20", "--window", "32"],
+             # an override in between must not carry over to the next call
+             ["solve", "--config", str(config), "--out", str(tmp_path / "k4"), "--k", "4"],
              ["solve", "--config", str(invalid), "--out", str(tmp_path / "invalid")],
              ["solve", "--config", str(config), "--out", str(tmp_path / "second")]]
     assert [cli.main(argv) for argv in calls] == [0, 0, 3, 0]

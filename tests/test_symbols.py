@@ -529,6 +529,29 @@ class TestAnalyzeSynthesize:
         assert coeffs[4 - 1, 0] == pytest.approx(0.5, abs=1e-15)
         assert abs(coeffs[4, 0]) < 1e-15
 
+    @pytest.mark.parametrize("exponent", [-1000, -200, 200, 1019])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_analysis_commutes_with_powers_of_two(self, rng, exponent, kind):
+        for n in (3, 16, 17):
+            x = rng.normal(size=(n, 2))
+            if kind is complex:
+                x = x + 1j * rng.normal(size=(n, 2))
+            scaled = analyze(x * 2.0 ** exponent)
+            expected = analyze(x) * 2.0 ** exponent
+            assert np.isfinite(scaled).all()
+            assert np.array_equal(scaled.view(np.uint64), expected.view(np.uint64))
+
+    def test_analysis_of_samples_at_the_float_limit_is_finite(self):
+        # the transform's sums reach 4e308; the largest coefficient, at k = 1,
+        # is 1e308 |1 - (1 + sqrt 2) i| / 4
+        column = np.array([1e308] * 4 + [-1e308] * 4)
+        for samples in (np.stack([column, -column], axis=1),
+                        np.stack([column, 1j * column], axis=1)):
+            coeffs = analyze(samples)
+            assert np.isfinite(coeffs).all()
+            assert np.max(np.abs(coeffs)) == pytest.approx(
+                0.25e308 * abs(1.0 - (1.0 + np.sqrt(2.0)) * 1j), rel=1e-12)
+
     def test_aliasing_guard(self):
         with pytest.raises(AliasingError):
             analyze(np.zeros(8), bandwidth=4)
