@@ -22,11 +22,14 @@ Exit codes: 0 success, 2 solvability failure (singular mode or singular
 collocation system), 3 validation failure (an invalid document, or values
 a command cannot use: an atom lag or a distributed span of 5e8 oracle grid
 steps or more, ``off_grid_lag``, or a grid too coarse for a bandwidth) or
-a ``non_finite`` result (a NaN or infinity in the output, which then writes
-no ``solution.npy``).  Every failure writes a report with an ``error.type``.
-``main`` builds its argument parser once a process, on first use, and an
-invocation makes its output directory once: in ``run``, or before the
-validation report of an invalid configuration.
+a ``non_finite`` result (a NaN or infinity in the output).  Every failure
+writes a report with an ``error.type``; one table, ``_ERRORS``, maps each
+failure a command raises to its type, exit code and reported attributes.
+``run`` writes each file once, and shows a TruncationWarning, never raises
+it, whatever the warning filters.  ``main`` builds its argument parser once
+a process, on first use, and an invocation makes its output directory
+once: in ``run``, or before the validation report of an invalid
+configuration.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +53,7 @@ from .exceptions import (
     OffGridLagError,
     SingularModeError,
     SingularSystemError,
+    TruncationWarning,
 )
 from .oracle import compare
 from .resolvent import m_bounded_diagnostics
@@ -73,35 +78,38 @@ class _Encoded:
     finite: bool
 
 
-def _write_json(path: Path, report: dict) -> None:
-    """RFC 8259 JSON on one line plus a trailing LF.  Each value of the
-    report is encoded by the standard library, in C (it encodes in C only
-    without ``indent``), and an ``_Encoded`` value is spliced in as it is,
-    in its place in the field order, with the encoder's separators.  A NaN
-    or infinity raises ValueError and writes nothing."""
+def _encoded(report: dict):
+    """(text, keys): the report as RFC 8259 JSON on one line plus a
+    trailing LF, and the keys whose values hold a NaN or infinity, in
+    field order.  Each value is encoded once, by the standard library in C
+    (it encodes in C only without ``indent``), and an ``_Encoded`` value is
+    spliced in as it is, in its place in the field order, with the
+    encoder's separators, and gives its own ``finite`` flag.  A named key's
+    value is left out of the text."""
     encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False, default=_plain).encode
-    items = []
+    items, non_finite = [], []
     for key, value in report.items():
         if isinstance(value, _Encoded):
-            if not value.finite:
-                raise ValueError(f"NaN or infinity in {key}")
-            text = value.text
+            text = value.text if value.finite else None
         else:
-            text = encode(value)
-        items.append(f"{encode(key)}: {text}")
-    path.write_text("{" + ", ".join(items) + "}\n", encoding="utf-8", newline="\n")
+            try:
+                text = encode(value)
+            except ValueError:  # the encoder stops at the first NaN or infinity
+                text = None
+        if text is None:
+            non_finite.append(key)
+        else:
+            items.append(f"{encode(key)}: {text}")
+    return "{" + ", ".join(items) + "}\n", non_finite
 
 
-def _finite(obj) -> bool:
-    """Whether obj holds no NaN or infinity (a pre-encoded block gives its
-    own flag)."""
-    if isinstance(obj, _Encoded):
-        return obj.finite
-    try:
-        json.dumps(obj, allow_nan=False, default=_plain)
-    except ValueError:
-        return False
-    return True
+def _write_json(path: Path, report: dict) -> None:
+    """Write the report's ``_encoded`` text; a NaN or infinity raises
+    ValueError and writes nothing."""
+    text, non_finite = _encoded(report)
+    if non_finite:
+        raise ValueError(f"NaN or infinity in {', '.join(non_finite)}")
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def _write_npy(path: Path, header, table) -> None:
@@ -219,24 +227,25 @@ _RUNNERS = {
 COMMANDS = tuple(_RUNNERS)
 
 
-#: errors the configuration's values cause once a command runs (exit 3)
-_INPUT_ERRORS = {
-    OffGridLagError: "off_grid_lag",
-    AliasingError: "aliasing",
+#: each failure a command reports: its error type, its exit code, and the
+#: attributes its report gives, in order (a non-finite number in them is null)
+_ERRORS = {
+    SingularModeError: ("singular_mode", 2, ("modes", "conditions")),
+    SingularSystemError: ("singular_system", 2, ("condition",)),
+    OffGridLagError: ("off_grid_lag", 3, ()),
+    AliasingError: ("aliasing", 3, ()),
 }
 
 
 def run(command: str, config: RunConfig, out_dir: Path) -> int:
-    """Execute one command, writing <command>_report.json and, for solve,
-    then ``solution.npy``, the solution's samples.
-
-    A NaN or infinity anywhere in the output, the samples included, turns
-    the report into a ``non_finite`` error naming the fields (and
-    ``solution.npy``) that hold it, and then no ``solution.npy`` is
-    written.  The command runs with numpy's floating-point warnings off,
-    so an overflow on the way is judged by that check alone, also where
-    warnings are raised as errors (``python -W error::RuntimeWarning``).
-    """
+    """Execute one command and write its outcome, each file once: the
+    ``_ERRORS`` report of a failure, else a ``non_finite`` report when a NaN
+    or infinity is anywhere in the output (naming its fields, and
+    ``solution.npy`` for the samples), else the result and, for solve, then
+    ``solution.npy``.  numpy's floating-point warnings are off, so an
+    overflow is judged by that check alone, and a TruncationWarning is shown
+    under the default action whatever the interpreter's filters, so
+    ``python -W error`` still writes the report."""
     if command not in _RUNNERS:
         raise ValueError(f"unknown command {command!r}")
     out_dir = Path(out_dir)
@@ -246,43 +255,29 @@ def run(command: str, config: RunConfig, out_dir: Path) -> int:
     table = None
     try:
         # a NaN or infinity is judged below, field by field, not by a warning
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("default", TruncationWarning)
             table = _RUNNERS[command](config, report)
         status = 0
-    except SingularModeError as exc:
-        report["error"] = {
-            "type": "singular_mode",
-            "modes": exc.modes,
-            "conditions": [c if np.isfinite(c) else None for c in exc.conditions],
-            "message": str(exc),
-        }
-        status = 2
-    except SingularSystemError as exc:
-        report["error"] = {
-            "type": "singular_system",
-            "condition": exc.condition if np.isfinite(exc.condition) else None,
-            "message": str(exc),
-        }
-        status = 2
-    except tuple(_INPUT_ERRORS) as exc:
-        report["error"] = {"type": _INPUT_ERRORS[type(exc)], "message": str(exc)}
-        status = 3
+    except tuple(_ERRORS) as exc:
+        kind, status, attributes = _ERRORS[type(exc)]
+        error = report["error"] = {"type": kind}
+        for name in attributes:  # a non-finite number is written null
+            value = getattr(exc, name)
+            error[name] = np.where(np.isfinite(value), value, None).tolist()
+        error["message"] = str(exc)
     report["exit_code"] = status
-    path = out_dir / f"{command}_report.json"
-    fields = []
+    text, fields = _encoded(report)
     if table is not None and not np.isfinite(table[1]).all():
         fields.append(report["solution_file"])
-    try:
-        _write_json(path, report)
-    except ValueError:
-        fields = [key for key, value in report.items() if not _finite(value)] + fields
     if fields:
         status = 3
-        _write_json(path, dict(head, error={
+        text, _ = _encoded(dict(head, error={
             "type": "non_finite",
             "message": f"NaN or infinity in {', '.join(fields)}",
         }, exit_code=status))
-    elif table is not None:
+    (out_dir / f"{command}_report.json").write_text(text, encoding="utf-8", newline="\n")
+    if table is not None and not fields:
         _write_npy(out_dir / report["solution_file"], *table)
     return status
 

@@ -24,7 +24,8 @@ class SingularModeError(RuntimeError):
     modes : list of int
         Offending mode indices k.
     conditions : list of float
-        Estimated condition numbers at those modes (may be inf/nan).
+        Estimated condition numbers at those modes (may be inf/nan); a
+        command's report writes a non-finite one as null.
     """
 
     def __init__(self, modes, conditions):
@@ -37,7 +38,14 @@ class SingularModeError(RuntimeError):
 
 
 class SingularSystemError(RuntimeError):
-    """The assembled collocation system is numerically singular."""
+    """The assembled collocation system is numerically singular.
+
+    Attributes
+    ----------
+    condition : float
+        Its estimated condition number (may be inf/nan); a command's report
+        writes a non-finite one as null.
+    """
 
     def __init__(self, condition):
         self.condition = float(condition)

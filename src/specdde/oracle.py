@@ -26,9 +26,10 @@ symbol, and the scheme becomes N independent n x n systems, one per discrete
 frequency: O(N n^3 + n^2 N log N) work and O(N n^2) memory, on (n, n, N)
 stacks as in ``symbols``.  Nothing here touches the solver or the mode
 symbols: ``resolvent`` lends the condition limit, the inversion and the
-norms, ``symbols`` the stack product and ``_synthesis`` (the nodal values of
-the forcing and of the spectral reference), and compare() imports the
-solver lazily.
+norms, ``symbols`` the stack product, ``_synthesis`` (the nodal values of
+the forcing and of the spectral reference) and the power-of-two scaling
+the forcing is solved under (the scheme is linear, so the samples are
+scaled back exactly), and compare() imports the solver lazily.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .exceptions import AliasingError, OffGridLagError, SingularSystemError
 from .symbols import (TWO_PI, DelayFunctional, KernelSpec, ProblemSpec, _max_row_norm,
-                      _stack_product, _synthesis, mode_range)
+                      _power_of_two_scaled, _stack_product, _synthesis, mode_range)
 from .resolvent import COND_LIMIT, _inverse_and_condition, _operator_norms, _slope
 
 
@@ -166,9 +167,12 @@ def collocation_solve(spec: ProblemSpec, n_nodes: int,
     + the trapezoidal periodic convolution + f_j.  At frequency m the system
     symbol is (D_m - A)(I - L_m) - G_m - C_m.  The N n x n systems are
     inverted once (``resolvent._inverse_and_condition``), and the inverses
-    are applied to the FFT of the resampled forcing.  The block DFT is
-    unitary, so the condition number is max ||S_m||_2 * max ||S_m^{-1}||_2,
-    read off that inversion; an exactly singular S_m gives an infinite one.
+    are applied to the FFT of the resampled forcing, its coefficients scaled
+    by a power of two (``symbols._power_of_two_scaled``); the samples are
+    scaled back, exactly, so a forcing near the float limit does not
+    overflow on the way.  The block DFT is unitary, so the condition number
+    is max ||S_m||_2 * max ||S_m^{-1}||_2, read off that inversion; an
+    exactly singular S_m gives an infinite one.
     SingularSystemError is raised when it is not finite or exceeds
     ``cond_limit``, and ValueError when that is NaN or not positive.
     """
@@ -201,8 +205,12 @@ def collocation_solve(spec: ProblemSpec, n_nodes: int,
     if not cond <= cond_limit:
         raise SingularSystemError(cond)
     f = spec.forcing
-    rhs = np.fft.fft(_synthesis(f.coefficients, mode_range(f.bandwidth), n_nodes), axis=0)
+    # the scheme is linear: solve on 2^-e f, then scale the samples back
+    scaled, exponent = _power_of_two_scaled(f.coefficients)
+    rhs = np.fft.fft(_synthesis(scaled, mode_range(f.bandwidth), n_nodes), axis=0)
     samples = np.fft.ifft(np.einsum("ijk,kj->ki", inverse, rhs), axis=0)
+    for part in (samples.real, samples.imag):
+        np.ldexp(part, exponent, out=part)
     return samples.real if spec.is_real else samples
 
 

@@ -465,6 +465,11 @@ KERNEL_OVERFLOW = dict(TINY, problem=dict(TINY["problem"], L=dict(
 NEAR_LIMIT = dict(TINY, problem=dict(TINY["problem"], forcing={
     "samples": [[1e308, -1e308]] * 4 + [[-1e308, 1e308]] * 4}))
 
+#: TINY at K = 1 with a mode-2 harmonic beyond it: solve, besov and verify
+#: warn that the forcing is truncated
+TRUNCATED = dict(TINY, K=1, K_list=[1], problem=dict(TINY["problem"], forcing=dict(
+    TINY["problem"]["forcing"], cos=[[1.0, 0.0], [0.5, 0.0]])))
+
 SIDE_FILES = {"solve": ["solution.npy"], "diagnose": [], "besov": [], "verify": [],
               "sweep": []}
 
@@ -610,7 +615,7 @@ import json, sys
 from specdde import cli
 root, codes = sys.argv[1], {}
 for name in ("OVERFLOW", "BEYOND", "RESONANT", "SQUARES_OVERFLOW", "KERNEL_OVERFLOW",
-             "NEAR_LIMIT"):
+             "NEAR_LIMIT", "TRUNCATED"):
     for command in ("solve", "diagnose", "besov", "verify", "sweep"):
         codes[f"{name} {command}"] = cli.main(
             [command, "--config", f"{root}/{name}.json", "--out", f"{root}/{name}/{command}"])
@@ -620,13 +625,14 @@ print(json.dumps(codes))
 
 def test_overflow_keeps_the_exit_code_contract_with_warnings_as_errors(tmp_path):
     # an overflow is judged by the non_finite check, never escapes as a
-    # traceback: the same codes and reports as a default run, and no exit 1
+    # traceback, and a truncated forcing is shown as a warning, never raised:
+    # the same codes and reports as a default run, and no exit 1
     docs = {"OVERFLOW": OVERFLOW, "BEYOND": BEYOND, "RESONANT": RESONANT,
             "SQUARES_OVERFLOW": SQUARES_OVERFLOW, "KERNEL_OVERFLOW": KERNEL_OVERFLOW,
-            "NEAR_LIMIT": NEAR_LIMIT}
+            "NEAR_LIMIT": NEAR_LIMIT, "TRUNCATED": TRUNCATED}
     env = dict(os.environ, PYTHONPATH=str(Path(specdde.__file__).parents[1]))
     codes = {}
-    for run_name, flags in (("default", []), ("strict", ["-W", "error::RuntimeWarning"])):
+    for run_name, flags in (("default", []), ("strict", ["-W", "error"])):
         root = tmp_path / run_name
         root.mkdir()
         for name, doc in docs.items():
@@ -634,12 +640,16 @@ def test_overflow_keeps_the_exit_code_contract_with_warnings_as_errors(tmp_path)
         done = subprocess.run([sys.executable, *flags, "-c", _OVERFLOW_RUNS, str(root)],
                               capture_output=True, text=True, env=env, check=True)
         codes[run_name] = json.loads(done.stdout.splitlines()[-1])
+        assert "TruncationWarning: forcing bandwidth 2 exceeds truncation 1" in done.stderr
     assert codes["strict"] == codes["default"]
     assert 1 not in codes["strict"].values()
     assert codes["strict"]["SQUARES_OVERFLOW besov"] == 0
-    # the forcing is read; the Besov blocks and the oracle's gaps overflow
+    assert {command: codes["strict"][f"TRUNCATED {command}"] for command in COMMANDS} == {
+        command: 0 for command in COMMANDS}
+    # the forcing is read and the oracle solves on it scaled; the Besov
+    # blocks overflow
     assert {command: codes["strict"][f"NEAR_LIMIT {command}"] for command in COMMANDS} == {
-        "solve": 0, "diagnose": 0, "besov": 3, "verify": 3, "sweep": 0}
+        "solve": 0, "diagnose": 0, "besov": 3, "verify": 0, "sweep": 0}
     for name in docs:
         for command in COMMANDS:
             report = f"{name}/{command}/{command}_report.json"
@@ -678,6 +688,55 @@ def test_non_finite_coefficients_alone_are_an_error_without_side_files(
     assert report["error"] == {"type": "non_finite",
                                "message": "NaN or infinity in coefficients"}
     assert sorted(p.name for p in out.iterdir()) == ["solve_report.json"]
+
+
+#: a configuration and command for each outcome ``cli.run`` reports: every
+#: command's success, each failure of ``cli._ERRORS``, non-finite report
+#: values and a non-finite table alone
+OUTCOMES = [
+    *((TINY, command, None) for command in COMMANDS),
+    ({"problem": {"n": 1, "A": [[-1e-310]], "forcing": {"cos": [[1.0]]}}},
+     "solve", "singular_mode"),
+    # N = 20 is 4 * odd: the collocation system is singular at the Nyquist frequency
+    ({"problem": {"n": 1, "A": [[-1.0]], "G": {"atoms": [{"coef": [[-1.0]], "lag": np.pi / 2}]},
+                  "forcing": {"cos": [[1.0]]}}, "K": 8, "N_list": [16, 20]},
+     "verify", "singular_system"),
+    ({"problem": {"n": 1, "A": [[-1.0]], "G": {"atoms": [{"coef": [[0.5]], "lag": 1e9 + 1}]},
+                  "forcing": {"cos": [[1.0]]}}, "K": 4, "N_list": [32, 64]},
+     "verify", "off_grid_lag"),
+    (dict(TINY, N_list=[2, 32]), "verify", "aliasing"),
+    (OVERFLOW, "besov", "non_finite"),
+    (RESONANT, "solve", "non_finite"),
+    (BEYOND, "solve", "non_finite"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_each_outcome_writes_its_report_once(tmp_path, monkeypatch):
+    # the outcome is decided before anything is written: a non-finite table
+    # does not rewrite a report already written, and a failure writes no
+    # solution.npy
+    writes = Counter()
+    write_text, save = Path.write_text, np.save
+
+    def counted_text(path, *args, **kwargs):
+        writes[path.name] += 1
+        return write_text(path, *args, **kwargs)
+
+    def counted_save(file, *args, **kwargs):
+        writes[Path(file).name] += 1
+        return save(file, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", counted_text)
+    monkeypatch.setattr(np, "save", counted_save)
+    for i, (doc, command, kind) in enumerate(OUTCOMES):
+        writes.clear()
+        code, out = run(tmp_path, command, doc, name=f"case{i}")
+        assert report_of(out, command).get("error", {}).get("type") == kind, i
+        assert writes[f"{command}_report.json"] == 1, i
+        assert writes["solution.npy"] == (command == "solve" and code == 0), i
+    assert {kind for kind, _, _ in cli._ERRORS.values()} < {kind for *_, kind in OUTCOMES}
 
 
 def test_besov_norm_is_finite_where_only_zero_blocks_have_overflowing_weights(tmp_path):
@@ -744,16 +803,17 @@ def _c_encoded(monkeypatch):
     return encoded
 
 
-def _written_reports(monkeypatch):
-    """Every object ``cli._write_json`` is asked to write, in order."""
+def _encoded_reports(monkeypatch):
+    """Every report ``cli._encoded``, the one encoder, is asked to encode,
+    in order."""
     reports = []
-    write = cli._write_json
+    encode = cli._encoded
 
-    def recorded(path, obj):
+    def recorded(obj):
         reports.append(obj)
-        return write(path, obj)
+        return encode(obj)
 
-    monkeypatch.setattr(cli, "_write_json", recorded)
+    monkeypatch.setattr(cli, "_encoded", recorded)
     return reports
 
 
@@ -763,7 +823,7 @@ def test_reports_are_written_by_the_c_encoder(tmp_path, monkeypatch):
     # pre-encoded block goes to the C encoder (a string to its C string
     # encoder); the block is spliced in as it is.
     encoded = _c_encoded(monkeypatch)
-    reports = _written_reports(monkeypatch)
+    reports = _encoded_reports(monkeypatch)
     block = cli._Encoded('[{"k": 0}]', True)
     values = {"values": np.arange(3.0), "name": "x", "block": block, "n": 3}
     cli._write_json(tmp_path / "report.json", values)
