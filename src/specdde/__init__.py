@@ -20,19 +20,13 @@ from .exceptions import (
     TruncationWarning,
 )
 from .oracle import (
-    OracleComparison,
     collocation_solve,
     compare,
     periodize_kernel,
 )
-from .resolvent import (
-    MBoundReport,
-    SequenceDiagnostics,
-    m_bounded_diagnostics,
-)
+from .resolvent import m_bounded_diagnostics
 from .solver import (
     SpectralSolution,
-    SweepResult,
     convergence_sweep,
     solve_periodic,
 )
@@ -58,18 +52,14 @@ __all__ = [
     "DistributedDelay",
     "InvalidKernelError",
     "KernelSpec",
-    "MBoundReport",
     "ModeSymbols",
     "OffGridLagError",
-    "OracleComparison",
     "PeriodicGridFunction",
     "ProblemSpec",
     "RunConfig",
-    "SequenceDiagnostics",
     "SingularModeError",
     "SingularSystemError",
     "SpectralSolution",
-    "SweepResult",
     "TruncationWarning",
     "analyze",
     "besov_norm_report",

@@ -35,9 +35,11 @@ nonzero.  Each grid is one inverse FFT of every live level on 2m points
 of them Q_2m.  The grids stop doubling when |Q_m - Q_2m| <= 1e-13 Q_m, and
 at the latest on the first m at or above max(N, 4 (2K + 1)), the grid
 that 4 points per mode of the stored band |k| <= K would take
-(``besov_norm_report``).  Up to that cap the grids depend on the live band
-and on the target alone, so a function stored on a wide band with few
-live modes pays for the modes it has.
+(``besov_norm_report``, which returns a besov report's own fields for one
+function: ``norm``, ``block_norms`` and ``quadrature_error``).  Up to that
+cap the grids depend on the live band and on the target alone, so a
+function stored on a wide band with few live modes pays for the modes it
+has.
 
 Block norms are independent per level; the final sum runs in ascending j.
 Each live level's rows are scaled once by the power of two 2^-e that
@@ -245,21 +247,7 @@ def _combine_blocks(blocks: np.ndarray, params: BesovParams) -> float:
         return float(np.ldexp(np.sum(unit ** params.q) ** (1.0 / params.q), exponent))
 
 
-@dataclass
-class BesovNormReport:
-    norm: float
-    block_norms: np.ndarray
-    quadrature_error: float
-
-    def to_dict(self) -> dict:
-        return {
-            "norm": self.norm,
-            "block_norms": self.block_norms,
-            "quadrature_error": self.quadrature_error,
-        }
-
-
-def besov_norm_report(f: PeriodicGridFunction, params: BesovParams) -> BesovNormReport:
+def besov_norm_report(f: PeriodicGridFunction, params: BesovParams) -> dict:
     """Norm plus per-block values and a quadrature error estimate.
 
     The norm is a norm on the stored band: absolutely homogeneous,
@@ -277,6 +265,10 @@ def besov_norm_report(f: PeriodicGridFunction, params: BesovParams) -> BesovNorm
     the norm has converged: the benchmark forcing's first grid, 28 points,
     is also its last, and at p = 3 its estimate reads 8.83e-5 against an
     actual 9.79e-5.
+
+    Returns the fields a besov report gives each function, ``{"norm",
+    "block_norms", "quadrature_error"}``, ``block_norms`` an array with one
+    norm per dyadic level, ascending.
     """
     modes, live, rows, exponents = _level_rows(f)
     table = np.zeros((len(live), 1 if params.p == 2.0 else 2))
@@ -289,4 +281,4 @@ def besov_norm_report(f: PeriodicGridFunction, params: BesovParams) -> BesovNorm
         # a NaN estimate, of an infinite norm, stops the grids too
         if not err > _CONVERGED * norm:
             break
-    return BesovNormReport(norm=norm, block_norms=table[:, 0], quadrature_error=err)
+    return {"norm": norm, "block_norms": table[:, 0], "quadrature_error": err}

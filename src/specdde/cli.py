@@ -39,7 +39,7 @@ import functools
 import json
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -188,32 +188,26 @@ def _run_solve(config: RunConfig, report: dict):
 
 
 def _run_diagnose(config: RunConfig, report: dict):
-    diag = m_bounded_diagnostics(config.problem, config.window,
-                                 cond_limit=config.tolerances["singular_cond"])
-    report.update(diag.to_dict())
+    report.update(m_bounded_diagnostics(config.problem, config.window,
+                                        cond_limit=config.tolerances["singular_cond"]))
 
 
 def _run_besov(config: RunConfig, report: dict):
     solution = solve_periodic(config.problem,
                               cond_limit=config.tolerances["singular_cond"])
-    forcing = besov_norm_report(config.problem.forcing, config.besov)
-    computed = besov_norm_report(solution.solution, config.besov)
-    report["params"] = {"s": config.besov.s, "p": config.besov.p,
-                        "q": config.besov.q}
-    report["forcing"] = forcing.to_dict()
-    report["solution"] = computed.to_dict()
+    report["params"] = asdict(config.besov)
+    report["forcing"] = besov_norm_report(config.problem.forcing, config.besov)
+    report["solution"] = besov_norm_report(solution.solution, config.besov)
 
 
 def _run_verify(config: RunConfig, report: dict):
-    comparison = compare(config.problem, config.grid_sizes,
-                         cond_limit=config.tolerances["singular_cond"])
-    report.update(comparison.to_dict())
+    report.update(compare(config.problem, config.grid_sizes,
+                          cond_limit=config.tolerances["singular_cond"]))
 
 
 def _run_sweep(config: RunConfig, report: dict):
-    sweep = convergence_sweep(config.problem, config.truncation_sweep,
-                              cond_limit=config.tolerances["singular_cond"])
-    report.update(sweep.to_dict())
+    report.update(convergence_sweep(config.problem, config.truncation_sweep,
+                                    cond_limit=config.tolerances["singular_cond"]))
 
 
 _RUNNERS = {

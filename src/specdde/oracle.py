@@ -8,8 +8,9 @@ kernel is the trapezoid on its whole steps plus one partial panel that ends
 at x(t - span), so every span the solver accepts is checked, up to 5e8
 steps: an atom lag or a span of that many steps or more is refused
 (``OffGridLagError``).  Off the grid, compare() reports the plain gap and
-its fitted order, in the fields every span has.  The infinite-memory
-convolution is folded onto one period:
+its fitted order, in the fields every span has: it returns the verify
+report's own fields, ``rows`` of ``{"n", "gap"}`` and ``fitted_order``.
+The infinite-memory convolution is folded onto one period:
 
     int_{-inf}^t a(t-s) x(s) ds = int_0^{2pi} abar(tau) x(t - tau) dtau,
     abar(tau) = sum_{j >= 0} a(tau + 2pi j),
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -214,20 +214,8 @@ def collocation_solve(spec: ProblemSpec, n_nodes: int,
     return samples.real if spec.is_real else samples
 
 
-@dataclass
-class OracleComparison:
-    """Spectral-vs-collocation gaps over a list of grid sizes."""
-
-    rows: List[Tuple[int, float]]
-    fitted_order: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {"rows": [{"n": n, "gap": g} for n, g in self.rows],
-                "fitted_order": self.fitted_order}
-
-
 def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
-            cond_limit: float = COND_LIMIT) -> OracleComparison:
+            cond_limit: float = COND_LIMIT) -> dict:
     """Max-norm gap between the two solution routes, with the fitted order,
     over a nonempty list of distinct integer grid sizes.
 
@@ -237,6 +225,9 @@ def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
     against log N, negated; it is reported as None when some gap sits at
     round-off level, where the fit would measure noise.  ``cond_limit``
     bounds both the spectral solve and every collocation system.
+
+    Returns the verify report's fields, ``{"rows", "fitted_order"}``: one
+    row ``{"n", "gap"}`` per grid size, in the order given.
     """
     from .solver import solve_periodic  # deferred so assembly stays solver-free
 
@@ -244,13 +235,13 @@ def compare(spec: ProblemSpec, grid_sizes: Sequence[int],
     if not grid_sizes or len(set(grid_sizes)) < len(grid_sizes):
         raise ValueError("grid size list must be nonempty, with no size repeated")
     reference = solve_periodic(spec, cond_limit=cond_limit).solution
-    rows: List[Tuple[int, float]] = []
+    rows: List[dict] = []
     for n_nodes in grid_sizes:
         approx = collocation_solve(spec, n_nodes, cond_limit)
         ref = _synthesis(reference.coefficients, mode_range(reference.bandwidth), n_nodes)
-        rows.append((n_nodes, _max_row_norm(ref - approx)))
-    sizes, gaps = np.array(rows, dtype=float).T
+        rows.append({"n": n_nodes, "gap": _max_row_norm(ref - approx)})
+    gaps = np.array([row["gap"] for row in rows])
     order: Optional[float] = None
     if len(rows) >= 2 and np.all(gaps > 1e-13 * max(reference.max_norm(), 1.0)):
-        order = -_slope(np.log(sizes), np.log(gaps))
-    return OracleComparison(rows=rows, fitted_order=order)
+        order = -_slope(np.log(np.array(grid_sizes, dtype=float)), np.log(gaps))
+    return {"rows": rows, "fitted_order": order}

@@ -27,7 +27,11 @@ difference of every row alike.  Spectral norms are taken only here,
 ``_operator_norms``: a 2 x 2 norm is a closed form on the entries as they
 are, and only a row whose norm leaves [2^-450, 2^450] is computed again
 with its matrix scaled by a power of two.  The stack products T = G N and
-B = A Q are ``symbols._stack_product``, elementwise like the norms.
+B = A Q are ``symbols._stack_product``, elementwise like the norms.  The
+diagnostics return the diagnose report's own fields, ``window`` and
+``rows``: one ``{"name", "sup_norm", "sup_scaled_diff", "growth_exponent",
+"verdict"}`` row per sequence, in the order N, S, T, F, P, Q, R, B, L, G,
+a_tilde.
 
 Everything below is batched over the band with a deterministic ascending-k
 order, and each mode's values are computed from that mode alone.  Every
@@ -38,8 +42,6 @@ convention of ``symbols``), so each elementwise step runs along the modes.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -51,8 +53,6 @@ COND_LIMIT = 1e12
 
 #: 2 x 2 norms in this range are computed without scaling (``_operator_norms``)
 _LEAST_UNSCALED, _MOST_UNSCALED = 2.0**-450, 2.0**450
-
-_SEQUENCE_NAMES = ["N", "S", "T", "F", "P", "Q", "R", "B", "L", "G", "a_tilde"]
 
 #: raw symbol rows whose k-scaled differences are rows of their own
 _DIFFERENCE_ROW = {"L": "Q", "G": "R", "a_tilde": "P"}
@@ -218,38 +218,6 @@ def _checked_inverse(modes: np.ndarray, modal: np.ndarray, cond_limit: float):
     return inverse, condition
 
 
-@dataclass
-class SequenceDiagnostics:
-    """One report row: boundedness evidence for a single symbol sequence."""
-
-    name: str
-    sup_norm: float
-    sup_scaled_diff: float
-    growth_exponent: float
-    verdict: str
-
-    def to_dict(self) -> dict:
-        exponent = self.growth_exponent
-        return {
-            "name": self.name,
-            "sup_norm": self.sup_norm,
-            "sup_scaled_diff": self.sup_scaled_diff,
-            "growth_exponent": None if np.isnan(exponent) else exponent,
-            "verdict": self.verdict,
-        }
-
-
-@dataclass
-class MBoundReport:
-    """Boundedness verdicts for every sequence the solvability theory names."""
-
-    window: int
-    rows: List[SequenceDiagnostics]
-
-    def to_dict(self) -> dict:
-        return {"window": self.window, "rows": [r.to_dict() for r in self.rows]}
-
-
 def _slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of y against x (two distinct x or more), in closed form."""
     x = x - x.mean()
@@ -300,7 +268,7 @@ def _verdict(window: int, by_abs_k: np.ndarray):
 
 
 def m_bounded_diagnostics(spec: ProblemSpec, window: int,
-                          cond_limit: float = COND_LIMIT) -> MBoundReport:
+                          cond_limit: float = COND_LIMIT) -> dict:
     """Boundedness report over |k| <= window, an integer >= 1, for the
     eleven named sequences.
 
@@ -314,6 +282,11 @@ def m_bounded_diagnostics(spec: ProblemSpec, window: int,
     The difference of L, G and a_tilde is the norm of Q, R and P.  One symbol
     table on |k| <= window + 2 serves every row, and every mode with |k| <=
     window + 1 passes the condition test.
+
+    Returns the diagnose report's fields, ``{"window", "rows"}``: one row
+    ``{"name", "sup_norm", "sup_scaled_diff", "growth_exponent",
+    "verdict"}`` per sequence, in the order N, S, T, F, P, Q, R, B, L, G,
+    a_tilde, with None for an exponent that cannot be fitted (NaN).
     """
     window = operator.index(window)
     if window < 1:
@@ -325,7 +298,7 @@ def m_bounded_diagnostics(spec: ProblemSpec, window: int,
     modes = ahead[:-1]
     G, a = table.G[..., 2:-1], table.a[2:-1]
     Q = _scaled_difference(ahead, table.L[..., 2:])
-    sequences = {
+    sequences = {  # in the order of the report's rows
         "N": inverse,
         "S": 1j * modes * inverse,
         "T": _stack_product(G, inverse),
@@ -341,8 +314,7 @@ def m_bounded_diagnostics(spec: ProblemSpec, window: int,
     norms = {name: _operator_norms(stack) for name, stack in sequences.items()}
 
     rows = []
-    for name in _SEQUENCE_NAMES:
-        norm = norms[name]
+    for name, norm in norms.items():
         if name in _DIFFERENCE_ROW:
             # ||k (X_{k+1} - X_k)|| is the norm of the difference row at k
             scaled = norms[_DIFFERENCE_ROW[name]][:-1]
@@ -351,6 +323,8 @@ def m_bounded_diagnostics(spec: ProblemSpec, window: int,
         # per-|k| profile max(|.|_{+k}, |.|_{-k}) for |k| = 0..window
         profile = np.maximum(norm[window:-1], norm[window::-1])
         verdict, exponent = _verdict(window, profile)
-        rows.append(SequenceDiagnostics(name, float(np.max(norm[:-1])),
-                                        float(np.max(scaled)), exponent, verdict))
-    return MBoundReport(window=window, rows=rows)
+        rows.append({"name": name, "sup_norm": float(np.max(norm[:-1])),
+                     "sup_scaled_diff": float(np.max(scaled)),
+                     "growth_exponent": None if np.isnan(exponent) else exponent,
+                     "verdict": verdict})
+    return {"window": window, "rows": rows}

@@ -19,7 +19,9 @@ in ``resolvent``, and the residual's grid synthesis runs only when
 and residual at |k| <= K and costs at most its two syntheses: its residual,
 unless it equals the previous row's, and its change, unless that is zero.
 uhat and the residual are exactly zero wherever fhat is, so beyond the
-forcing's band every row's residual is the same.
+forcing's band every row's residual is the same.  The sweep returns the
+sweep report's own fields: ``rows`` of ``{"K", "residual_full_band",
+"solution_change"}`` and ``slow_convergence``.
 
 Every stack of a solve lies on one layout of modes: k = 0..B when the data
 are real (``ProblemSpec.is_real``: real matrices, atoms and kernel, and
@@ -182,34 +184,8 @@ def solve_periodic(spec: ProblemSpec, cond_limit: float = COND_LIMIT) -> Spectra
     )
 
 
-@dataclass
-class SweepRow:
-    truncation: int
-    residual_full_band: float
-    solution_change: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "K": self.truncation,
-            "residual_full_band": self.residual_full_band,
-            "solution_change": self.solution_change,
-        }
-
-
-@dataclass
-class SweepResult:
-    rows: List[SweepRow]
-    slow_convergence: Optional[bool]
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "slow_convergence": self.slow_convergence,
-        }
-
-
 def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
-                      cond_limit: float = COND_LIMIT) -> SweepResult:
+                      cond_limit: float = COND_LIMIT) -> dict:
     """Residual-vs-truncation table for a nonempty, strictly ascending list of
     bandwidths, each an integer >= 1 (the checks ``ProblemSpec`` and
     ``parse_config`` make of a truncation).
@@ -234,6 +210,10 @@ def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
     one sweep grid do too, and their max norms are the same bits.  A NaN
     never compares equal, so such a row is synthesised.  For a harmonics
     forcing, every row K at or above the forcing's band is such a row.
+
+    Returns the sweep report's fields, ``{"rows", "slow_convergence"}``:
+    one row ``{"K", "residual_full_band", "solution_change"}`` per
+    truncation, in order, the first row's change None.
     """
     truncations = [operator.index(k) for k in truncations]
     if not truncations:
@@ -245,7 +225,7 @@ def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
     f = spec.forcing
     n_grid = max(spec.grid, 4 * truncations[-1], f.n_samples)
     modes, fhat, uhat, rhat, _ = _band_solve(spec, truncations, cond_limit)
-    rows: List[SweepRow] = []
+    rows: List[dict] = []
     ratios = []
     cut = None
     for K in truncations:
@@ -255,24 +235,24 @@ def convergence_sweep(spec: ProblemSpec, truncations: Sequence[int],
         residual = np.where(solved, rhat[band], 0.0 - fhat[band])
         previous, cut = cut, _cut(row_modes, residual)
         if rows and np.array_equal(cut, previous):
-            res = rows[-1].residual_full_band
+            res = rows[-1]["residual_full_band"]
         else:
             res = _grid_max(row_modes, residual, n_grid)
         change = None
         if rows:
             # uhat on K_prev < |k| <= K: the solve at K less the one at K_prev
             u_modes, step = modes[within], uhat[within].copy()
-            step[_within(u_modes, rows[-1].truncation)] = 0.0
+            step[_within(u_modes, rows[-1]["K"])] = 0.0
             change = _grid_max(u_modes, step, n_grid)
-        if rows and rows[-1].residual_full_band > 0.0:
-            ratios.append(res / rows[-1].residual_full_band)
-        rows.append(SweepRow(K, res, change))
+        if rows and rows[-1]["residual_full_band"] > 0.0:
+            ratios.append(res / rows[-1]["residual_full_band"])
+        rows.append({"K": K, "residual_full_band": res, "solution_change": change})
 
     scale = max(f.max_norm(), 1.0)
-    if rows[-1].residual_full_band <= 1e-11 * scale:
+    if rows[-1]["residual_full_band"] <= 1e-11 * scale:
         slow: Optional[bool] = False
     elif len(ratios) >= 2:
         slow = bool(ratios[-1] > 0.3)
     else:
         slow = None
-    return SweepResult(rows=rows, slow_convergence=slow)
+    return {"rows": rows, "slow_convergence": slow}

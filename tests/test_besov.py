@@ -212,7 +212,7 @@ class TestBesovNorm:
         for p in (1.0, 2.0, 3.5):
             params = BesovParams(s=1.2, p=p, q=2.0)
             f = PeriodicGridFunction.from_harmonics(const=2.5, n_samples=16)
-            assert besov_norm_report(f, params).norm == pytest.approx(
+            assert besov_norm_report(f, params)["norm"] == pytest.approx(
                 TWO_PI ** (1.0 / p) * 2.5, rel=1e-12
             )
 
@@ -220,7 +220,7 @@ class TestBesovNorm:
         params = BesovParams(s=0.7, p=2.0, q=1.5)
         f = PeriodicGridFunction([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]], 16)
         # only block zero is active; L2 of a unit mode is sqrt(2*pi) per component
-        assert besov_norm_report(f, params).norm == pytest.approx(
+        assert besov_norm_report(f, params)["norm"] == pytest.approx(
             np.sqrt(TWO_PI) * 5.0, rel=1e-12
         )
 
@@ -230,7 +230,7 @@ class TestBesovNorm:
         expected = np.sqrt(
             2.0 ** (1 * 1 * 2) * 0.25 + 2.0 ** (1 * 2 * 2) * 0.25
         ) * np.sqrt(TWO_PI)
-        assert besov_norm_report(_single_mode(3), params).norm == pytest.approx(
+        assert besov_norm_report(_single_mode(3), params)["norm"] == pytest.approx(
             expected, rel=1e-12
         )
         assert expected == pytest.approx(np.sqrt(5.0) * np.sqrt(TWO_PI))
@@ -243,25 +243,25 @@ class TestBesovNorm:
         block = abs(value) * TWO_PI ** (1.0 / p)
         expected = ((2.0 ** (s * 1 * q)) * (0.5 * block) ** q
                     + (2.0 ** (s * 2 * q)) * (0.5 * block) ** q) ** (1.0 / q)
-        assert besov_norm_report(f, params).norm == pytest.approx(expected, rel=1e-12)
+        assert besov_norm_report(f, params)["norm"] == pytest.approx(expected, rel=1e-12)
 
     def test_homogeneity_and_triangle(self, rng):
         params = BesovParams(s=1.0, p=2.0, q=2.0)
         for _ in range(100):
             f = _random_band(rng, bandwidth=12)
             g = _random_band(rng, bandwidth=12)
-            nf, ng = besov_norm_report(f, params).norm, besov_norm_report(g, params).norm
-            assert besov_norm_report(_scaled(2.5, f), params).norm == pytest.approx(
+            nf, ng = besov_norm_report(f, params)["norm"], besov_norm_report(g, params)["norm"]
+            assert besov_norm_report(_scaled(2.5, f), params)["norm"] == pytest.approx(
                 2.5 * nf, rel=1e-12)
-            assert besov_norm_report(_sum(f, g), params).norm <= nf + ng + 1e-9 * (nf + ng)
+            assert besov_norm_report(_sum(f, g), params)["norm"] <= nf + ng + 1e-9 * (nf + ng)
 
     def test_triangle_for_non_hilbert_exponents(self, rng):
         params = BesovParams(s=0.8, p=1.5, q=1.2)
         for _ in range(10):
             f = _random_band(rng, bandwidth=8)
             g = _random_band(rng, bandwidth=8)
-            nf, ng = besov_norm_report(f, params).norm, besov_norm_report(g, params).norm
-            assert besov_norm_report(_sum(f, g), params).norm <= (nf + ng) * (1.0 + 1e-8)
+            nf, ng = besov_norm_report(f, params)["norm"], besov_norm_report(g, params)["norm"]
+            assert besov_norm_report(_sum(f, g), params)["norm"] <= (nf + ng) * (1.0 + 1e-8)
 
     @settings(max_examples=20, deadline=None)
     @given(scale=st.floats(0.1, 10.0), seed=st.integers(0, 10**6))
@@ -269,23 +269,23 @@ class TestBesovNorm:
         gen = np.random.default_rng(seed)
         f = _random_band(gen, bandwidth=8)
         params = BesovParams(s=1.3, p=2.0, q=2.5)
-        assert besov_norm_report(_scaled(scale, f), params).norm == pytest.approx(
-            scale * besov_norm_report(f, params).norm, rel=1e-11
+        assert besov_norm_report(_scaled(scale, f), params)["norm"] == pytest.approx(
+            scale * besov_norm_report(f, params)["norm"], rel=1e-11
         )
 
     def test_zero_iff_zero(self, rng):
         params = BesovParams(s=1.0)
-        assert besov_norm_report(PeriodicGridFunction.zero(2, 16), params).norm == 0.0
+        assert besov_norm_report(PeriodicGridFunction.zero(2, 16), params)["norm"] == 0.0
         f = _random_band(rng, bandwidth=4)
-        assert besov_norm_report(f, params).norm > 0.0
+        assert besov_norm_report(f, params)["norm"] > 0.0
 
     def test_monotone_in_smoothness_for_mean_free(self, rng):
         f = _random_band(rng, bandwidth=16)
         coeffs = f.coefficients.copy()
         coeffs[f.bandwidth] = 0.0
         f = PeriodicGridFunction(coeffs, f.n_samples)
-        n1 = besov_norm_report(f, BesovParams(s=0.5)).norm
-        n2 = besov_norm_report(f, BesovParams(s=1.5)).norm
+        n1 = besov_norm_report(f, BesovParams(s=0.5))["norm"]
+        n2 = besov_norm_report(f, BesovParams(s=1.5))["norm"]
         assert n2 >= n1
 
     def test_parameter_validation(self):
@@ -302,9 +302,9 @@ class TestBesovNorm:
     def test_report_quadrature_error(self):
         f = _single_mode(3)
         report = besov_norm_report(f, BesovParams(s=1.0, p=2.0, q=2.0))
-        assert report.quadrature_error == 0.0
+        assert report["quadrature_error"] == 0.0
         report_p3 = besov_norm_report(f, BesovParams(s=1.0, p=3.0, q=2.0))
-        assert report_p3.quadrature_error <= 1e-10 * report_p3.norm
+        assert report_p3["quadrature_error"] <= 1e-10 * report_p3["norm"]
 
     def test_quadrature_error_bounds_the_actual_error(self):
         # f lives on |k| <= 2, so the grids double from 20 = 4 * 5; the
@@ -316,8 +316,8 @@ class TestBesovNorm:
         params = BesovParams(s=1.0, p=3.0, q=2.0)
         report = besov_norm_report(f, params)
         fine = PeriodicGridFunction(f.coefficients, 4096)
-        actual = abs(report.norm - besov_norm_report(fine, params).norm)
-        assert report.quadrature_error >= actual > 0.0
+        actual = abs(report["norm"] - besov_norm_report(fine, params)["norm"])
+        assert report["quadrature_error"] >= actual > 0.0
 
     def test_zero_blocks_are_not_synthesised(self, monkeypatch):
         # a real two-column f on modes |k| <= 3 only: levels 0..2 carry
@@ -328,7 +328,7 @@ class TestBesovNorm:
         params = BesovParams(s=1.0, p=3.0, q=2.0)
         shapes = _inverse_fft_shapes(monkeypatch)
         report = besov_norm_report(f, params)
-        assert np.all(report.block_norms[3:] == 0.0) and np.all(report.block_norms[:3] > 0)
+        assert np.all(report["block_norms"][3:] == 0.0) and np.all(report["block_norms"][:3] > 0)
         # one row per level of a real two-column f, and each grid m is one
         # (levels, rows, 2m) transform of the 3 live levels.  f reaches
         # |k| = 3, so the grids double from 28 = 4 * 7 up to 448, the first
@@ -343,7 +343,7 @@ class TestBesovNorm:
         expected = np.array([_grid_lp_norm(PeriodicGridFunction(
             partition_eval(level, mode_range(3))[:, None] * coeffs[37:44], grids[-1]), 3.0)
             for level in range(8)])
-        assert np.all(np.abs(report.block_norms - expected) <= 4 * np.spacing(expected))
+        assert np.all(np.abs(report["block_norms"] - expected) <= 4 * np.spacing(expected))
 
     @pytest.mark.parametrize("p", [1.0, 3.0])
     def test_grids_depend_on_the_live_band_and_the_target_alone(self, monkeypatch, p):
@@ -364,10 +364,10 @@ class TestBesovNorm:
         (narrow, narrow_report, narrow_grids), (wide, wide_report, wide_grids) = runs
         assert narrow_grids == [28, 56, 112, 224, 448, 896] == wide_grids[:6]
         assert len(wide_grids) > 6
-        assert narrow_report.quadrature_error > 1e-13 * narrow_report.norm
-        assert wide_report.quadrature_error <= 1e-13 * wide_report.norm
+        assert narrow_report["quadrature_error"] > 1e-13 * narrow_report["norm"]
+        assert wide_report["quadrature_error"] <= 1e-13 * wide_report["norm"]
         # and on the grids they share, the blocks are the same bit for bit
-        np.testing.assert_array_equal(_bits(narrow_report.block_norms),
+        np.testing.assert_array_equal(_bits(narrow_report["block_norms"]),
                                       _bits(_grid_block_norms(wide, p, 896)[:8, 0]))
 
     @pytest.mark.parametrize("bandwidth, n_samples, last", [
@@ -387,8 +387,8 @@ class TestBesovNorm:
         assert last // 2 < n <= last
         assert shapes == [(1, 1, 24 * 2**i) for i in range(len(shapes))]
         assert shapes[-1][-1] == 2 * last and list(_grids(f, 1))[-1] == last
-        assert report.quadrature_error > 1e-13 * report.norm
-        assert report.norm == _combine_blocks(_grid_block_norms(f, 1.0, last)[:, 0],
+        assert report["quadrature_error"] > 1e-13 * report["norm"]
+        assert report["norm"] == _combine_blocks(_grid_block_norms(f, 1.0, last)[:, 0],
                                               BesovParams(s=1.0, p=1.0, q=2.0))
 
     def test_p_2_is_parseval_without_a_synthesis(self, monkeypatch, rng):
@@ -400,8 +400,8 @@ class TestBesovNorm:
                   _random_band(rng, bandwidth=40, dim=3)):
             report = besov_norm_report(f, BesovParams(s=1.0, p=2.0, q=2.0))
             expected = np.sqrt(TWO_PI * np.sum(np.abs(weights * f.coefficients) ** 2, axis=(1, 2)))
-            np.testing.assert_allclose(report.block_norms, expected, rtol=1e-14, atol=0.0)
-            assert report.quadrature_error == 0.0
+            np.testing.assert_allclose(report["block_norms"], expected, rtol=1e-14, atol=0.0)
+            assert report["quadrature_error"] == 0.0
         assert shapes == []
 
     def test_estimate_bounds_the_error_on_the_benchmark_problem(self):
@@ -418,8 +418,8 @@ class TestBesovNorm:
         u = solve_periodic(config.problem).solution
         report = besov_norm_report(u, config.besov)
         fine = PeriodicGridFunction(u.coefficients, 2**16)
-        actual = abs(report.norm - besov_norm_report(fine, config.besov).norm)
-        assert report.quadrature_error >= actual > 0.0
+        actual = abs(report["norm"] - besov_norm_report(fine, config.besov)["norm"])
+        assert report["quadrature_error"] >= actual > 0.0
 
 
 def _hermitian(gen, bandwidth, dim):
@@ -475,10 +475,10 @@ class TestRealRows:
         params = BesovParams(s=1.0, p=p, q=2.0)
         norm, blocks, error = _column_wise_report(f, params)
         report = besov_norm_report(f, params)
-        assert report.norm == pytest.approx(norm, rel=1e-14, abs=0.0)
-        assert np.all((report.block_norms == 0.0) == (blocks == 0.0))
-        assert np.allclose(report.block_norms, blocks, rtol=1e-14, atol=0.0)
-        assert abs(report.quadrature_error - error) <= 1e-14 * norm
+        assert report["norm"] == pytest.approx(norm, rel=1e-14, abs=0.0)
+        assert np.all((report["block_norms"] == 0.0) == (blocks == 0.0))
+        assert np.allclose(report["block_norms"], blocks, rtol=1e-14, atol=0.0)
+        assert abs(report["quadrature_error"] - error) <= 1e-14 * norm
 
     @pytest.mark.parametrize("name, coeffs, rows", ROW_SPLIT_CASES,
                              ids=[case[0] for case in ROW_SPLIT_CASES])
@@ -526,7 +526,7 @@ class TestRealRows:
         f = PeriodicGridFunction(coeffs, 40)
         _, blocks, _ = _column_wise_report(f, BesovParams(s=1.0, p=p, q=2.0))
         report = besov_norm_report(f, BesovParams(s=1.0, p=p, q=2.0))
-        assert np.all(np.abs(report.block_norms - blocks) <= 4 * np.spacing(blocks))
+        assert np.all(np.abs(report["block_norms"] - blocks) <= 4 * np.spacing(blocks))
 
     def test_rows_carry_the_pointwise_squared_norm(self, rng):
         coeffs = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
@@ -709,8 +709,8 @@ class TestDerivativeShift:
 
     def test_mode_one_ratio_is_one(self):
         f = _single_mode(1)
-        assert besov_norm_report(_derivative(f), self.S1).norm == pytest.approx(
-            besov_norm_report(f, self.S2).norm, rel=1e-12)
+        assert besov_norm_report(_derivative(f), self.S1)["norm"] == pytest.approx(
+            besov_norm_report(f, self.S2)["norm"], rel=1e-12)
 
     def test_mode_three_ratio_closed_form(self):
         # numerator blocks: 2^{sjq} (|k| phi_j(k))^q at s=1, denominator at s=2;
@@ -719,8 +719,8 @@ class TestDerivativeShift:
         denominator = np.sqrt(2.0**4 * 0.25 + 2.0**8 * 0.25)
         expected = numerator / denominator
         f = _single_mode(3)
-        ratio = besov_norm_report(_derivative(f), self.S1).norm \
-            / besov_norm_report(f, self.S2).norm
+        ratio = besov_norm_report(_derivative(f), self.S1)["norm"] \
+            / besov_norm_report(f, self.S2)["norm"]
         assert ratio == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(3.0 * np.sqrt(5.0) / np.sqrt(68.0))
 
@@ -731,8 +731,8 @@ class TestDerivativeShift:
             coeffs = _random_band(rng, bandwidth=32).coefficients
             coeffs[32] = 0.0
             family.append(PeriodicGridFunction(coeffs, 256))
-        ratios = [besov_norm_report(_derivative(f), self.S1).norm
-                  / besov_norm_report(f, self.S2).norm for f in family]
+        ratios = [besov_norm_report(_derivative(f), self.S1)["norm"]
+                  / besov_norm_report(f, self.S2)["norm"] for f in family]
         assert max(ratios) / min(ratios) <= 4.0
 
 
@@ -743,8 +743,8 @@ class TestMultiplierRatio:
         coeffs = np.zeros((7, 1), dtype=complex)
         coeffs[6] = 3j / (1.0 + 3j)
         image = PeriodicGridFunction(coeffs, 64)
-        ratio = besov_norm_report(image, params).norm \
-            / besov_norm_report(_single_mode(3), params).norm
+        ratio = besov_norm_report(image, params)["norm"] \
+            / besov_norm_report(_single_mode(3), params)["norm"]
         assert ratio == pytest.approx(3.0 / np.sqrt(10.0), rel=1e-12)
 
     def test_matrix_symbol_ratio_is_at_most_its_sup_norm(self, rng):
@@ -758,8 +758,8 @@ class TestMultiplierRatio:
             image = PeriodicGridFunction(
                 np.einsum("kij,kj->ki", symbols, f.coefficients), f.n_samples)
             sup = np.max(np.linalg.norm(symbols, 2, axis=(1, 2)))
-            assert besov_norm_report(image, params).norm \
-                <= sup * besov_norm_report(f, params).norm * (1.0 + 1e-12)
+            assert besov_norm_report(image, params)["norm"] \
+                <= sup * besov_norm_report(f, params)["norm"] * (1.0 + 1e-12)
 
     def test_bounded_sequence_keeps_ratio_bounded(self, rng):
         # resolvent-shaped scalar sequences contract the norm
@@ -768,8 +768,8 @@ class TestMultiplierRatio:
         for _ in range(20):
             f = _random_band(rng, bandwidth=16)
             image = PeriodicGridFunction(symbol[:, None] * f.coefficients, f.n_samples)
-            assert besov_norm_report(image, params).norm \
-                <= besov_norm_report(f, params).norm * (1.0 + 1e-12)
+            assert besov_norm_report(image, params)["norm"] \
+                <= besov_norm_report(f, params)["norm"] * (1.0 + 1e-12)
 
 
 class TestParseval:
@@ -823,10 +823,10 @@ class TestScaledPowers:
                                       f.n_samples)
         params = BesovParams(s=1.0, p=p, q=q)
         expected, report = besov_norm_report(f, params), besov_norm_report(scaled, params)
-        assert _bits(report.norm) == _bits(np.ldexp(expected.norm, exponent))
-        np.testing.assert_array_equal(_bits(report.block_norms),
-                                      _bits(np.ldexp(expected.block_norms, exponent)))
-        assert _bits(report.quadrature_error) == _bits(np.ldexp(expected.quadrature_error,
+        assert _bits(report["norm"]) == _bits(np.ldexp(expected["norm"], exponent))
+        np.testing.assert_array_equal(_bits(report["block_norms"]),
+                                      _bits(np.ldexp(expected["block_norms"], exponent)))
+        assert _bits(report["quadrature_error"]) == _bits(np.ldexp(expected["quadrature_error"],
                                                                 exponent))
 
     def test_large_p_keeps_the_norm_of_a_peaked_power(self):
@@ -840,15 +840,15 @@ class TestScaledPowers:
         params = BesovParams(s=1.0, p=5000.0, q=2.0)
         f = PeriodicGridFunction.from_harmonics(cos=[3.0], sin=[0.0, 0.7], n_samples=2048)
         report = besov_norm_report(f, params)
-        assert 0.0 < report.norm < np.inf
+        assert 0.0 < report["norm"] < np.inf
         t = TWO_PI * np.arange(2**14) / 2**14
         blocks = []
         for block in (3.0 * np.cos(t), 0.7 * np.sin(2.0 * t)):
             largest = np.max(np.abs(block))
             powers = (np.abs(block) / largest) ** params.p
             blocks.append(largest * (TWO_PI / t.size * np.sum(powers)) ** (1.0 / params.p))
-        np.testing.assert_allclose(report.block_norms[:2], blocks, rtol=1e-13, atol=0.0)
-        assert report.norm == pytest.approx(np.hypot(blocks[0], 2.0 * blocks[1]), rel=1e-13)
+        np.testing.assert_allclose(report["block_norms"][:2], blocks, rtol=1e-13, atol=0.0)
+        assert report["norm"] == pytest.approx(np.hypot(blocks[0], 2.0 * blocks[1]), rel=1e-13)
 
     def test_sum_of_powers_beyond_the_float_range(self):
         params = BesovParams(s=1.0, q=2.0)

@@ -26,9 +26,9 @@ from hypothesis import strategies as st
 
 import problems
 import specdde
-from specdde import (ModeSymbols, PeriodicGridFunction, SpectralSolution, cli,
-                     collocation_solve, compare, convergence_sweep, m_bounded_diagnostics,
-                     resolvent, solver)
+from specdde import (ModeSymbols, PeriodicGridFunction, SpectralSolution, besov_norm_report,
+                     cli, collocation_solve, compare, convergence_sweep,
+                     m_bounded_diagnostics, resolvent, solver)
 from specdde.config import parse_config
 from specdde.exceptions import ConfigError
 from specdde.solver import solve_periodic
@@ -127,8 +127,8 @@ def test_sweep_synthesises_each_distinct_residual_and_nonzero_change_and_diagnos
         cos=[[1.0, 0.0], [0.0, 0.0], [0.5, 0.25]], sin=[[0.0, 1.0]]))
     for problem, distinct, nonzero in ((spec, 1, [False, False]), (wider, 2, [True, False])):
         inverse_ffts.clear()
-        rows = convergence_sweep(problem, config.truncation_sweep).rows
-        assert [row.solution_change != 0.0 for row in rows[1:]] == nonzero
+        rows = convergence_sweep(problem, config.truncation_sweep)["rows"]
+        assert [row["solution_change"] != 0.0 for row in rows[1:]] == nonzero
         # one synthesis for each distinct row residual and one for each
         # nonzero change; an exactly zero change is 0.0 with none.  The
         # forcing's own 16-point grid is not the sweep's
@@ -521,11 +521,15 @@ SQUARES_OVERFLOW = {"problem": {"n": 1, "A": [[-1.0]],
                                 "forcing": {"cos": [[1e200], [1e200]]}}, "K": 1}
 
 
-@pytest.mark.filterwarnings("ignore::specdde.exceptions.TruncationWarning")
 @pytest.mark.parametrize("command", ["solve", "sweep", "verify", "besov"])
 def test_norms_whose_squares_overflow_are_reported(tmp_path, command):
-    code, out = run(tmp_path, command, SQUARES_OVERFLOW)
+    with warnings.catch_warnings(record=True) as caught:
+        code, out = run(tmp_path, command, SQUARES_OVERFLOW)
     assert code == 0
+    # the forcing's band 2 exceeds K = 1: each command that solves at K warns
+    # once; the sweep measures every row against the whole forcing and does not
+    expected = [] if command == "sweep" else [specdde.TruncationWarning]
+    assert [w.category for w in caught] == expected
     report = report_of(out, command)
     if command == "solve":
         assert report["residual_grid"] == 1e200
@@ -600,11 +604,16 @@ def test_no_lapack_inversion_for_two_by_two_and_scalar_problems(tmp_path, monkey
 
     for function in ("inv", "solve", "cond"):
         monkeypatch.setattr(np.linalg, function, no_lapack)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", specdde.TruncationWarning)
-        codes = {command: run(tmp_path, command, doc, f"{name}_{command}")[0]
-                 for command in COMMANDS}
+    codes, warned = {}, {}
+    for command in COMMANDS:
+        with warnings.catch_warnings(record=True) as caught:
+            codes[command] = run(tmp_path, command, doc, f"{name}_{command}")[0]
+        warned[command] = [w.category for w in caught]
     assert codes == dict.fromkeys(COMMANDS, 0)
+    # only the scalar configuration truncates its forcing (band 2 at K = 1)
+    truncating = ("solve", "besov", "verify") if name == "scalar" else ()
+    assert warned == {command: [specdde.TruncationWarning] * (command in truncating)
+                      for command in COMMANDS}
 
 
 #: runs every command of the configurations whose arithmetic overflows, as a
@@ -1124,6 +1133,31 @@ def test_reports_match_the_golden_files(tmp_path, command):
     assert names == sorted([f"{command}_report.json"] + SIDE_FILES[command])
     for name in names:
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_each_result_is_its_report_section():
+    """Every result the API returns for TINY, encoded as a report encodes
+    it, is the text of the matching fields of its golden report: diagnose,
+    sweep and verify fill the report with their result's fields, and besov
+    gives one result as its ``forcing`` and one as its ``solution``."""
+    config = parse_config((GOLDEN / "tiny.json").read_text(encoding="utf-8"))
+    spec, cond_limit = config.problem, config.tolerances["singular_cond"]
+    solution = solve_periodic(spec, cond_limit=cond_limit).solution
+    results = {
+        ("diagnose", None): m_bounded_diagnostics(spec, config.window, cond_limit),
+        ("sweep", None): convergence_sweep(spec, config.truncation_sweep, cond_limit),
+        ("verify", None): compare(spec, config.grid_sizes, cond_limit),
+        ("besov", "forcing"): besov_norm_report(spec.forcing, config.besov),
+        ("besov", "solution"): besov_norm_report(solution, config.besov),
+    }
+    for (command, part), result in results.items():
+        golden = json.loads((GOLDEN / f"{command}_report.json").read_text(encoding="utf-8"))
+        if part is None:
+            assert list(golden) == ["version", "command", "config", *result, "exit_code"]
+            section = {key: golden[key] for key in result}
+        else:
+            section = golden[part]
+        assert json.dumps(result, default=cli._plain) == json.dumps(section), command
 
 
 def test_besov_at_p_3_matches_the_golden_file(tmp_path):

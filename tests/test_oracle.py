@@ -155,12 +155,12 @@ def test_memory_stays_linear_in_the_grid():
 
 def test_fitted_order_is_two_on_large_grids():
     comparison = compare(problems.mat2_rich(), [1024, 4096, 16384])
-    assert comparison.fitted_order == pytest.approx(2.0, abs=0.05)
+    assert comparison["fitted_order"] == pytest.approx(2.0, abs=0.05)
 
 
 def test_comparison_report_holds_the_rows_and_the_fitted_order():
     # the fold is exact, so the report carries no fold error
-    report = compare(problems.mat2_rich(), [32, 64]).to_dict()
+    report = compare(problems.mat2_rich(), [32, 64])
     assert list(report) == ["rows", "fitted_order"]
     assert [row["n"] for row in report["rows"]] == [32, 64]
 
@@ -168,8 +168,8 @@ def test_comparison_report_holds_the_rows_and_the_fitted_order():
 def test_fitted_order_is_two_on_the_smooth_suite(smooth_suite):
     for name, spec in smooth_suite.items():
         comparison = compare(spec, [32, 64, 128])
-        assert comparison.fitted_order == pytest.approx(2.0, abs=0.05), name
-        gaps = [gap for _, gap in comparison.rows]
+        assert comparison["fitted_order"] == pytest.approx(2.0, abs=0.05), name
+        gaps = [row["gap"] for row in comparison["rows"]]
         assert gaps == sorted(gaps, reverse=True), name
 
 
@@ -181,7 +181,7 @@ def test_sampled_kernel_collocation_is_second_order():
         sampled = collocation_solve(spec, n_nodes)
         exact = collocation_solve(problems.mat2_rich(), n_nodes)
         assert np.max(np.abs(sampled - exact)) < 1e-7
-    assert compare(spec, [32, 64, 128]).fitted_order == pytest.approx(2.0, abs=0.05)
+    assert compare(spec, [32, 64, 128])["fitted_order"] == pytest.approx(2.0, abs=0.05)
 
 
 def _coefficients(gen, bandwidth, real):
@@ -258,8 +258,8 @@ def test_compare_takes_a_nonempty_list_of_integer_grids():
     # a repeated size used to give a NaN order and a 0/0 warning
     with pytest.raises(ValueError, match="repeated"):
         compare(spec, [16, 16])
-    rows = compare(spec, [np.int64(32), 64]).rows
-    assert [n for n, _ in rows] == [32, 64] and all(type(n) is int for n, _ in rows)
+    rows = compare(spec, [np.int64(32), 64])["rows"]
+    assert [row["n"] for row in rows] == [32, 64] and all(type(row["n"]) is int for row in rows)
 
 
 def test_off_grid_lag_is_rejected():
@@ -267,7 +267,7 @@ def test_off_grid_lag_is_rejected():
     # span of 5e8 grid steps or more is rejected
     for lag in (0.3, 1.0, 2.5):
         comparison = compare(scalar_with_reaction_atom(0.1, lag), [32, 64, 128, 256, 512])
-        assert comparison.fitted_order == pytest.approx(2.0, abs=0.05), lag
+        assert comparison["fitted_order"] == pytest.approx(2.0, abs=0.05), lag
     spec = ProblemSpec(
         state_matrix=[[-1.0]],
         reaction_delay=DelayFunctional(
@@ -319,7 +319,7 @@ def test_off_grid_span_is_second_order(span, kernel):
     # the last panel is partial at every N; without it the mild kernel's
     # fitted orders fall to 0.7-1.4
     comparison = compare(_span_spec(span, kernel), [64, 128, 256, 512])
-    assert comparison.fitted_order == pytest.approx(2.0, abs=0.01)
+    assert comparison["fitted_order"] == pytest.approx(2.0, abs=0.01)
 
 
 def test_span_shorter_than_a_step_is_one_partial_panel():

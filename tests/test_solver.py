@@ -243,8 +243,8 @@ class TestResidual:
     def test_solution_residual_small(self, regression_specs):
         for name, spec in regression_specs.items():
             assert solve_periodic(spec).residual_grid <= 1e-10, name
-            row = convergence_sweep(spec, [spec.truncation]).rows[0]
-            assert row.residual_full_band <= 1e-10, name
+            row = convergence_sweep(spec, [spec.truncation])["rows"][0]
+            assert row["residual_full_band"] <= 1e-10, name
 
     def test_single_mode_perturbation_grows_by_modal_norm(self, rng):
         # the sweep's row K - 1 is the row-K solution less eps d at mode K, so
@@ -258,11 +258,11 @@ class TestResidual:
         coeffs = _on_band(spec.forcing.coefficients, K)
         coeffs[-1] = eps * modal_k @ direction
         forced = replace(spec, forcing=PeriodicGridFunction(coeffs, spec.grid))
-        short, full = convergence_sweep(forced, [K - 1, K]).rows
-        assert short.residual_full_band == pytest.approx(
+        short, full = convergence_sweep(forced, [K - 1, K])["rows"]
+        assert short["residual_full_band"] == pytest.approx(
             eps * np.linalg.norm(modal_k @ direction), abs=1e-10)
-        assert full.solution_change == pytest.approx(eps, rel=1e-10)
-        assert full.residual_full_band <= 1e-12
+        assert full["solution_change"] == pytest.approx(eps, rel=1e-10)
+        assert full["residual_full_band"] <= 1e-12
 
     def test_uniqueness_residual_bounds_perturbation(self, rng):
         # any band-limited deviation from the solution is visible in the
@@ -274,10 +274,10 @@ class TestResidual:
         fam_min = np.min(np.linalg.svd(np.moveaxis(modal, -1, 0), compute_uv=False)[:, -1])
         coeffs = rng.normal(size=(2 * K + 1, 1)) + 1j * rng.normal(size=(2 * K + 1, 1))
         forced = replace(spec, forcing=PeriodicGridFunction(coeffs, spec.grid))
-        short, full = convergence_sweep(forced, [2, K]).rows
-        deviation = full.solution_change
-        assert short.residual_full_band >= fam_min * deviation / (2 * K + 1)
-        assert short.residual_full_band > 1e-6 and full.residual_full_band <= 1e-12
+        short, full = convergence_sweep(forced, [2, K])["rows"]
+        deviation = full["solution_change"]
+        assert short["residual_full_band"] >= fam_min * deviation / (2 * K + 1)
+        assert short["residual_full_band"] > 1e-6 and full["residual_full_band"] <= 1e-12
 
 
 class TestSolveProperties:
@@ -333,30 +333,30 @@ class TestConvergenceSweep:
     def test_band_limited_forcing_converges_immediately(self):
         spec = problems.scalar_basic()
         sweep = convergence_sweep(spec, [1, 2, 4])
-        assert sweep.rows[0].residual_full_band <= 1e-12
-        for row in sweep.rows[1:]:
-            assert row.solution_change <= 1e-13
-        assert sweep.slow_convergence is False
+        assert sweep["rows"][0]["residual_full_band"] <= 1e-12
+        for row in sweep["rows"][1:]:
+            assert row["solution_change"] <= 1e-13
+        assert sweep["slow_convergence"] is False
 
     def test_analytic_forcing_decays_geometrically(self):
         t = TWO_PI * np.arange(512) / 512
         f = PeriodicGridFunction.from_samples(1.0 / (2.0 - np.cos(t)))
         spec = ProblemSpec(state_matrix=[[-1.0]], forcing=f, truncation=8, grid=64)
         sweep = convergence_sweep(spec, [4, 8, 16, 32])
-        residuals = [row.residual_full_band for row in sweep.rows]
+        residuals = [row["residual_full_band"] for row in sweep["rows"]]
         for earlier, later in zip(residuals, residuals[1:]):
             assert later < 0.7 * earlier
         # rows monotone well within the 10 percent noise allowance
         for earlier, later in zip(residuals, residuals[1:]):
             assert later <= 1.1 * earlier
-        assert sweep.slow_convergence is False
+        assert sweep["slow_convergence"] is False
 
     def test_jump_forcing_flagged_slow(self):
         t = TWO_PI * np.arange(512) / 512
         f = PeriodicGridFunction.from_samples(np.where(t < np.pi, 1.0, -1.0))
         spec = ProblemSpec(state_matrix=[[-1.0]], forcing=f, truncation=8, grid=64)
         sweep = convergence_sweep(spec, [4, 8, 16, 32])
-        assert sweep.slow_convergence is True
+        assert sweep["slow_convergence"] is True
 
     def test_rows_match_the_solve_at_their_truncation(self, regression_specs):
         # under the sampled pair (band 31) every row is narrower than the
@@ -373,14 +373,14 @@ class TestConvergenceSweep:
             sweep = convergence_sweep(spec, truncations)
             grid = max(spec.grid, 4 * truncations[-1], spec.forcing.n_samples)
             prev = None
-            for K, row in zip(truncations, sweep.rows):
+            for K, row in zip(truncations, sweep["rows"]):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", TruncationWarning)
                     sol = solve_periodic(replace(spec, truncation=K, grid=grid))
-                assert row.residual_full_band == sol.residual_grid, (name, K)
+                assert row["residual_full_band"] == sol.residual_grid, (name, K)
                 if prev is not None:
                     change = PeriodicGridFunction(sol.coefficients - _on_band(prev, K), grid)
-                    assert row.solution_change == change.max_norm(), (name, K)
+                    assert row["solution_change"] == change.max_norm(), (name, K)
                 prev = sol.coefficients
 
     def test_every_row_residual_is_the_synthesis_of_its_own_row(self):
@@ -403,16 +403,16 @@ class TestConvergenceSweep:
             middle, state_matrix=middle.state_matrix + 0.1j * np.eye(2)), [2, 4, 8, 16, 32]
         sweeps = {}
         for name, (spec, truncations) in cases.items():
-            rows = sweeps[name] = convergence_sweep(spec, truncations).rows
+            rows = sweeps[name] = convergence_sweep(spec, truncations)["rows"]
             modes, fhat, _, rhat, _ = solver._band_solve(spec, truncations, resolvent.COND_LIMIT)
             n_grid = max(spec.grid, 4 * truncations[-1], spec.forcing.n_samples)
             for K, row in zip(truncations, rows):
                 on = solver._within(modes, max(K, spec.forcing.bandwidth))
                 residual = np.where((np.abs(modes[on]) <= K)[:, None], rhat[on], 0.0 - fhat[on])
                 direct = solver._grid_max(modes[on], residual, n_grid)
-                assert np.float64(row.residual_full_band).tobytes() == np.float64(direct).tobytes(), \
+                assert np.float64(row["residual_full_band"]).tobytes() == np.float64(direct).tobytes(), \
                     (name, K)
-        assert len({row.residual_full_band for row in sweeps["middle"][1:4]}) == 1
+        assert len({row["residual_full_band"] for row in sweeps["middle"][1:4]}) == 1
 
     def test_singular_mode_fails_at_the_first_row_that_holds_it(self):
         # the first diagonal entry of M(k), 1 + ik - (3 - i) e^{-ik pi/2},
@@ -425,7 +425,7 @@ class TestConvergenceSweep:
             truncation=8,
             grid=32,
         )
-        assert convergence_sweep(spec, [1, 2]).rows[-1].residual_full_band <= 1e-12
+        assert convergence_sweep(spec, [1, 2])["rows"][-1]["residual_full_band"] <= 1e-12
         for truncations in ([2, 4, 8], [4, 8]):
             with pytest.raises(SingularModeError) as err:
                 convergence_sweep(spec, truncations)
@@ -660,7 +660,7 @@ class TestRealHalfBand:
             solve_periodic(spec)
         assert err.value.modes == [-3, 3]
         assert err.value.conditions[0] == err.value.conditions[1] > 1e12
-        assert convergence_sweep(spec, [1, 2]).rows[-1].residual_full_band <= 1e-12
+        assert convergence_sweep(spec, [1, 2])["rows"][-1]["residual_full_band"] <= 1e-12
         for truncations in ([2, 4, 8], [4, 8]):
             with pytest.raises(SingularModeError) as err:
                 convergence_sweep(spec, truncations)
